@@ -91,7 +91,7 @@ def bench_point(world, topo, deployment, flows: int) -> dict:
     # the waterfall alone, everything active, best of 3
     active = np.ones(len(flow_set), dtype=bool)
     solver_s = min(
-        _timed(lambda: max_min_rates(engine._problem, active))
+        _timed(lambda: max_min_rates(engine.problem, active))
         for _ in range(3))
 
     total_s = synth_s + setup_s + resolve_s + run_s + settle_s

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,17 @@ class FlowKey:
         )
 
 
+#: width of one :meth:`FlowKey.pack` record
+KEY_BYTES = len(FlowKey(0, 0).pack())
+
+
+def _keyed_blake2b(salt: int):
+    """The hash every ECMP decision uses: blake2b, 64-bit digest, keyed
+    with the node's salt as 8 little-endian bytes."""
+    return partial(hashlib.blake2b, digest_size=8,
+                   key=salt.to_bytes(8, "little", signed=False))
+
+
 def ecmp_hash(key: FlowKey, n_choices: int, salt: int = 0) -> int:
     """Map a flow onto one of ``n_choices`` next hops.
 
@@ -47,9 +61,20 @@ def ecmp_hash(key: FlowKey, n_choices: int, salt: int = 0) -> int:
         raise ValueError("n_choices must be positive")
     if n_choices == 1:
         return 0
-    digest = hashlib.blake2b(
-        key.pack(),
-        digest_size=8,
-        key=salt.to_bytes(8, "little", signed=False),
-    ).digest()
+    digest = _keyed_blake2b(salt)(key.pack()).digest()
     return int.from_bytes(digest, "little") % n_choices
+
+
+def ecmp_digests(packed_keys: bytes, rows: np.ndarray,
+                 salt: int = 0) -> np.ndarray:
+    """The raw 64-bit digests behind :func:`ecmp_hash` for many flows at
+    one node, as ``uint64``: ``packed_keys`` is a table of concatenated
+    :meth:`FlowKey.pack` records and ``rows`` picks the records to hash.
+    ``ecmp_digests(...) % n_choices`` equals ``ecmp_hash`` flow by flow,
+    for any ``n_choices`` — the digest depends on key and salt only, so
+    a caller may keep it while the candidate set shrinks and grows."""
+    hasher = _keyed_blake2b(salt)
+    raw = b"".join([hasher(packed_keys[at:at + KEY_BYTES]).digest()
+                    for at in np.multiply(rows, KEY_BYTES,
+                                          dtype=np.int64).tolist()])
+    return np.frombuffer(raw, dtype="<u8")

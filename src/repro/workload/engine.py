@@ -29,7 +29,6 @@ accounting code to it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -39,6 +38,7 @@ from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.ipv4 import PROTO_UDP
 from repro.harness.metrics import nearest_rank_percentile
 from repro.harness.pathtrace import access_uplink
+from repro.routing.ecmp import KEY_BYTES, ecmp_digests
 from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
 from repro.workload.spec import WorkloadSpec
 from repro.workload.synth import FlowSet, synthesize
@@ -46,8 +46,6 @@ from repro.workload.synth import FlowSet, synthesize
 # a routing loop is a blackhole with extra steps: cap the walk like the
 # per-packet tracer does (repro.harness.pathtrace.MAX_HOPS)
 MAX_FLUID_HOPS = 32
-
-_KEY_BYTES = 22  # FlowKey.pack(): 8 + 8 + 2 + 2 + 2, little-endian
 
 
 @dataclass
@@ -142,6 +140,22 @@ def _expected_loss(impairment) -> float:
     return min(max(1.0 - survive, 0.0), 1.0)
 
 
+@dataclass(eq=False, slots=True)
+class _GroupWalk:
+    """The flows of one (src rack, dst rack) pair — they share the whole
+    walk tree — and what their last walk read and produced."""
+
+    src_tor: str
+    dst_tor: str
+    flows: np.ndarray            # int32 flow ids, ascending
+    # candidate entry per (node, dst_tor, ingress) the walk consulted;
+    # empty until the first walk
+    reads: dict[tuple, tuple] = field(default_factory=dict)
+    # (link id, walk depth it was crossed at, flows that crossed it)
+    segments: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
+    dead: list[np.ndarray] = field(default_factory=list)  # dead-ended flows
+
+
 class FluidWorkload:
     """One workload bound to one built, converged fabric.
 
@@ -164,9 +178,9 @@ class FluidWorkload:
         self.flows = flows
         n = len(flows)
 
-        # directed-link registry: (node, iface) -> id, capacity, loss
-        self._link_ids: dict[tuple[str, str], int] = {}
-        self._link_refs: list[tuple[str, str]] = []
+        # directed-link registry: transmitting interface -> id, capacity
+        self._link_ids: dict[Any, int] = {}
+        self._link_ifaces: list = []
         self._capacity: list[float] = []
 
         # per-flow constants
@@ -174,6 +188,7 @@ class FluidWorkload:
         self._src_tor = flows.host_tor[flows.src]
         self._dst_tor = flows.host_tor[flows.dst]
         self._src_access, self._dst_access = self._access_links()
+        self._groups = self._group_by_rack_pair()
 
         # per-flow running state
         self.remaining = flows.size_bytes.astype(np.float64)
@@ -199,41 +214,42 @@ class FluidWorkload:
         self._blackholed_now = np.zeros(n, dtype=bool)
         self._surv: Optional[np.ndarray] = None
         self._table_marks: Optional[dict] = None
+        # ECMP digest cache, see _flow_digests: per walk depth a
+        # (salt tag, digest) slot per flow; tag 0 is "empty"
+        self._salt_tags: dict[int, int] = {}
+        self._digest_cache: list[tuple[np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # link registry
     # ------------------------------------------------------------------
-    def _link_id(self, node: str, iface_name: str) -> int:
-        key = (node, iface_name)
-        ident = self._link_ids.get(key)
+    def _link_id(self, iface) -> int:
+        """Id of the directed link ``iface`` transmits onto."""
+        ident = self._link_ids.get(iface)
         if ident is None:
-            ident = len(self._link_refs)
-            self._link_ids[key] = ident
-            self._link_refs.append(key)
-            link = self.topo.node(node).interfaces[iface_name].link
-            self._capacity.append(link.bandwidth_bps / 8.0)  # bytes/sec
+            ident = len(self._link_ifaces)
+            self._link_ids[iface] = ident
+            self._link_ifaces.append(iface)
+            self._capacity.append(iface.link.bandwidth_bps / 8.0)  # bytes/sec
         return ident
 
     def _link_losses(self) -> np.ndarray:
         """Current expected drop probability per registered directed
         link (re-read every epoch: impairments come and go)."""
-        losses = np.zeros(len(self._link_refs))
-        for ident, (node, iface_name) in enumerate(self._link_refs):
-            iface = self.topo.node(node).interfaces[iface_name]
+        losses = np.zeros(len(self._link_ifaces))
+        for ident, iface in enumerate(self._link_ifaces):
             if iface.link is not None:
                 losses[ident] = _expected_loss(iface.link.impairment(iface))
         return losses
 
     def link_name(self, ident: int) -> str:
-        node, iface_name = self._link_refs[ident]
-        return f"{node}:{iface_name}"
+        return self._link_ifaces[ident].full_name
 
     # ------------------------------------------------------------------
     # per-flow constants
     # ------------------------------------------------------------------
     def _pack_flow_keys(self) -> bytes:
-        """Every flow's FlowKey.pack() bytes, concatenated — the exact
-        22-byte layout ecmp_hash consumes, built vectorized."""
+        """Every flow's FlowKey.pack() bytes, concatenated — the record
+        table ecmp_digests consumes, built vectorized."""
         flows = self.flows
         addr = np.array(
             [self.topo.server_address(h).value for h in flows.hosts],
@@ -246,7 +262,10 @@ class FluidWorkload:
         rec["proto"] = PROTO_UDP
         rec["sp"] = flows.src_port.astype(np.uint16)
         rec["dp"] = flows.dst_port.astype(np.uint16)
-        assert rec.itemsize == _KEY_BYTES
+        if rec.itemsize != KEY_BYTES:
+            raise RuntimeError(
+                f"packed flow record is {rec.itemsize} bytes, "
+                f"FlowKey.pack() is {KEY_BYTES}")
         return rec.tobytes()
 
     def _access_links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -256,142 +275,202 @@ class FluidWorkload:
         down_of_host = np.empty(len(self.flows.hosts), dtype=np.int64)
         for h, host in enumerate(self.flows.hosts):
             host_if, tor_if = access_uplink(self.topo, host)
-            up_of_host[h] = self._link_id(host, host_if.name)
-            down_of_host[h] = self._link_id(tor_if.node.name, tor_if.name)
+            up_of_host[h] = self._link_id(host_if)
+            down_of_host[h] = self._link_id(tor_if)
         return (up_of_host[self.flows.src], down_of_host[self.flows.dst])
+
+    def _group_by_rack_pair(self) -> list[_GroupWalk]:
+        """Flows bucketed by (src rack, dst rack), in rack-pair order.
+        Intra-rack flows ride their access links only and get no group."""
+        flows = self.flows
+        if len(flows) > np.iinfo(np.int32).max:
+            raise ValueError("flow ids are kept as int32: "
+                             f"{len(flows)} flows is too many")
+        pair = (self._src_tor.astype(np.int64) * len(flows.tors)
+                + self._dst_tor)
+        order = np.argsort(pair, kind="stable").astype(np.int32)
+        boundaries = np.flatnonzero(np.diff(pair[order])) + 1
+        groups = []
+        for members in np.split(order, boundaries):
+            src_tor = flows.tors[int(self._src_tor[members[0]])]
+            dst_tor = flows.tors[int(self._dst_tor[members[0]])]
+            if src_tor != dst_tor:
+                groups.append(_GroupWalk(src_tor, dst_tor, members))
+        return groups
 
     # ------------------------------------------------------------------
     # path resolution (one forwarding-state capture)
     # ------------------------------------------------------------------
-    def _resolve(self) -> None:
-        """Capture forwarding state *now*: walk every flow's path
-        through the deployment's live candidate sets and rebuild the
-        flow->link CSR the next solve uses."""
-        flows = self.flows
-        n = len(flows)
-        keys = self._packed_keys
-        memo: dict[tuple[str, str, Optional[str]], tuple] = {}
-        blackholed = np.zeros(n, dtype=bool)
-        seg_flows: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
-        seg_links: list[np.ndarray] = [self._src_access]
+    def _flow_digests(self, depth: int, idx: np.ndarray,
+                      salt: int) -> np.ndarray:
+        """Raw ECMP digests of flows ``idx`` at the node salted ``salt``,
+        ``depth`` hops into their walk.  Flow key and node salt never
+        change, so a digest is computed once and kept: one slot per flow
+        and walk depth, tagged with the salt it was keyed with (a flow
+        rerouted through another node at that depth overwrites it)."""
+        tag = self._salt_tags.setdefault(salt, len(self._salt_tags) + 1)
+        if tag > np.iinfo(np.uint16).max:
+            raise RuntimeError("more distinct ECMP salts than digest-cache "
+                               "tags")
+        while len(self._digest_cache) <= depth:
+            n = len(self.flows)
+            self._digest_cache.append((np.zeros(n, dtype=np.uint16),
+                                       np.empty(n, dtype=np.uint64)))
+        tags, digests = self._digest_cache[depth]
+        miss = idx[tags[idx] != tag]
+        if len(miss):
+            digests[miss] = ecmp_digests(self._packed_keys, miss, salt)
+            tags[miss] = tag
+        return digests[idx]
 
-        def candidates(node: str, dst_tor: str, ingress: Optional[str]):
+    def _candidate_entry(self, memo: dict, key: tuple) -> tuple:
+        """The live candidate set at ``key = (node, dst_tor, ingress)``
+        as ``(salt, spray, ((link id, peer node, peer iface), ...))``,
+        read through the deployment once per resolve (``memo``)."""
+        entry = memo.get(key)
+        if entry is None:
+            node, dst_tor, ingress = key
+            salt, spray, ports = self.deployment.fluid_candidates(
+                node, dst_tor, ingress)
+            expanded = []
+            topo_node = self.topo.node(node)
+            for port in ports:
+                iface = topo_node.interfaces[port]
+                if not iface.admin_up or iface.link is None:
+                    # the frame never leaves this node
+                    expanded.append((None, None, None))
+                    continue
+                link = self._link_id(iface)
+                peer = iface.peer()
+                if peer is None or not peer.admin_up:
+                    # crosses the wire, dropped at the far MAC
+                    expanded.append((link, None, None))
+                    continue
+                expanded.append((link, peer.node.name, peer.name))
+            entry = memo[key] = (salt, spray, tuple(expanded))
+        return entry
+
+    def _walk(self, group: _GroupWalk, memo: dict) -> None:
+        """Walk one rack pair's flows hop by hop through the live
+        candidate sets; per-flow work happens only at genuine ECMP
+        branch points.  Leaves on ``group`` the links crossed, the
+        dead-ended flows and every candidate entry the walk read."""
+        group.reads = {}
+        group.segments = []
+        group.dead = []
+        dst_tor = group.dst_tor
+        stack = [(group.src_tor, None, 0, group.flows)]
+        while stack:
+            node, ingress, depth, idx = stack.pop()
+            if node == dst_tor:
+                continue
+            if depth >= MAX_FLUID_HOPS:
+                group.dead.append(idx)  # routing loop
+                continue
             key = (node, dst_tor, ingress)
-            entry = memo.get(key)
-            if entry is None:
-                salt, spray, ports = self.deployment.fluid_candidates(
-                    node, dst_tor, ingress)
-                expanded = []
-                topo_node = self.topo.node(node)
-                for port in ports:
-                    iface = topo_node.interfaces[port]
-                    if not iface.admin_up or iface.link is None:
-                        # the frame never leaves this node
-                        expanded.append((None, None, None))
-                        continue
-                    link = self._link_id(node, port)
-                    peer = iface.peer()
-                    if peer is None or not peer.admin_up:
-                        # crosses the wire, dropped at the far MAC
-                        expanded.append((link, None, None))
-                        continue
-                    expanded.append((link, peer.node.name, peer.name))
-                entry = (salt.to_bytes(8, "little", signed=False)
-                         if len(expanded) > 1 else b"",
-                         spray, tuple(expanded))
-                memo[key] = entry
-            return entry
-
-        # flows grouped by (src rack, dst rack) share the whole walk
-        # tree; per-flow work happens only at genuine ECMP branch points
-        n_tors = len(flows.tors)
-        pair = self._src_tor.astype(np.int64) * n_tors + self._dst_tor
-        order = np.argsort(pair, kind="stable")
-        boundaries = np.flatnonzero(np.diff(pair[order])) + 1
-        groups = np.split(order, boundaries)
-        blake2b = hashlib.blake2b
-
-        for group in groups:
-            f0 = int(group[0])
-            src_tor = flows.tors[int(self._src_tor[f0])]
-            dst_tor = flows.tors[int(self._dst_tor[f0])]
-            if src_tor == dst_tor:
-                continue  # intra-rack: access links only
-            stack = [(src_tor, None, 0, group)]
-            while stack:
-                node, ingress, depth, idx = stack.pop()
-                if node == dst_tor:
-                    continue
-                if depth >= MAX_FLUID_HOPS:
-                    blackholed[idx] = True  # routing loop
-                    continue
-                salt_bytes, spray, entries = candidates(node, dst_tor,
-                                                        ingress)
-                if not entries:
-                    blackholed[idx] = True  # no candidate port at all
-                    continue
-                if len(entries) == 1:
-                    parts = [idx]
-                elif spray:
+            entry = group.reads[key] = self._candidate_entry(memo, key)
+            salt, spray, entries = entry
+            if not entries:
+                group.dead.append(idx)  # no candidate port at all
+                continue
+            if len(entries) == 1:
+                parts = [idx]
+            else:
+                if spray:
                     # per-packet spray approximated fluidly: flows spread
                     # round-robin by flow id (even split, deterministic)
                     choice = idx % len(entries)
-                    parts = [idx[choice == c] for c in range(len(entries))]
                 else:
-                    # the genuine keyed ECMP hash, per flow — identical
-                    # index arithmetic to repro.routing.ecmp.ecmp_hash
-                    m = len(entries)
-                    out = np.empty(len(idx), dtype=np.int64)
-                    for j, f in enumerate(idx.tolist()):
-                        digest = blake2b(
-                            keys[f * _KEY_BYTES:(f + 1) * _KEY_BYTES],
-                            digest_size=8, key=salt_bytes).digest()
-                        out[j] = int.from_bytes(digest, "little") % m
-                    parts = [idx[out == c] for c in range(m)]
-                for entry, part in zip(entries, parts):
-                    if len(part) == 0:
-                        continue
-                    link, peer_node, peer_iface = entry
-                    if link is not None:
-                        seg_flows.append(part)
-                        seg_links.append(np.full(len(part), link,
-                                                 dtype=np.int64))
-                    if peer_node is None:
-                        blackholed[part] = True
-                    else:
-                        stack.append((peer_node, peer_iface, depth + 1,
-                                      part))
+                    # the genuine keyed ECMP hash, per flow
+                    choice = (self._flow_digests(depth, idx, salt)
+                              % np.uint64(len(entries)))
+                parts = [idx[choice == c] for c in range(len(entries))]
+            for (link, peer_node, peer_iface), part in zip(entries, parts):
+                if len(part) == 0:
+                    continue
+                if link is not None:
+                    group.segments.append((link, depth, part))
+                if peer_node is None:
+                    group.dead.append(part)
+                else:
+                    stack.append((peer_node, peer_iface, depth + 1, part))
 
+    def _assemble_paths(self) -> None:
+        """Rebuild the flow->link CSR and the blackholed mask from every
+        group's walk.  A flow's links sit in hop order — source access
+        link, the fabric hop taken at walk depth 0, 1, ..., destination
+        access link if it got there — so each segment's slot is known
+        from its depth and nothing needs sorting."""
+        n = len(self.flows)
+        blackholed = np.zeros(n, dtype=bool)
+        for group in self._groups:
+            for part in group.dead:
+                blackholed[part] = True
         routed = np.flatnonzero(~blackholed)
-        seg_flows.append(routed)
-        seg_links.append(self._dst_access[routed])
 
-        rep_flow = np.concatenate(seg_flows)
-        rep_link = np.concatenate(seg_links)
-        csr_order = np.argsort(rep_flow, kind="stable")
-        flow_links = rep_link[csr_order]
-        counts = np.bincount(rep_flow, minlength=n)
+        segments = [seg for group in self._groups for seg in group.segments]
+        lens = np.asarray([len(part) for _, _, part in segments],
+                          dtype=np.int64)
+        hop_flow = np.concatenate(
+            [np.empty(0, dtype=np.int32)] + [part for _, _, part in segments])
+
+        counts = np.bincount(hop_flow, minlength=n) + 1
+        counts[routed] += 1
         flow_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=flow_ptr[1:])
+        flow_links = np.empty(flow_ptr[-1], dtype=np.int64)
+        flow_links[flow_ptr[:-1]] = self._src_access
+        hop_slot = flow_ptr[hop_flow]
+        hop_slot += np.repeat(np.asarray(
+            [depth + 1 for _, depth, _ in segments], dtype=np.int64), lens)
+        flow_links[hop_slot] = np.repeat(np.asarray(
+            [link for link, _, _ in segments], dtype=np.int64), lens)
+        flow_links[flow_ptr[1:][routed] - 1] = self._dst_access[routed]
 
         self._problem = FluidProblem(
             capacity=np.asarray(self._capacity, dtype=np.float64),
             flow_links=flow_links, flow_ptr=flow_ptr)
         self._blackholed_now = blackholed
 
+    def _resolve(self) -> None:
+        """Capture forwarding state *now*: every flow's path through
+        the deployment's live candidate sets, as the flow->link CSR the
+        next solve uses.  Candidate entries, interface and peer state
+        and link losses are read afresh; a rack pair is walked again
+        only if an entry its last walk read has changed, and the CSR is
+        rebuilt only if some pair was."""
+        memo: dict[tuple[str, str, Optional[str]], tuple] = {}
+        stale = [group for group in self._groups
+                 if not group.reads or any(
+                     self._candidate_entry(memo, key) != entry
+                     for key, entry in group.reads.items())]
+        for group in stale:
+            self._walk(group, memo)
+        if stale or self._problem is None:
+            self._assemble_paths()
+
         # per-flow survival under the current impairments
+        flow_links = self._problem.flow_links
+        flow_ptr = self._problem.flow_ptr
         losses = self._link_losses()
         log_surv = np.log1p(-np.minimum(losses, 1.0 - 1e-12))
-        sums = np.add.reduceat(log_surv[flow_links], flow_ptr[:-1])
-        sums[counts == 0] = 0.0
-        self._surv = np.exp(sums)
-        self._surv[blackholed] = 0.0
+        # no flow's link list is empty (the source access link is always
+        # there), so every reduceat segment is a genuine sum
+        self._surv = np.exp(np.add.reduceat(log_surv[flow_links],
+                                            flow_ptr[:-1]))
+        self._surv[self._blackholed_now] = 0.0
 
         self._table_marks = self._forwarding_marks()
         if self.monitor is not None:
             # every forwarding-state capture is an invariant-check
             # instant: the monitor sees exactly the states flows ride
             self.monitor.check()
+
+    @property
+    def problem(self) -> Optional[FluidProblem]:
+        """The max-min problem of the latest forwarding-state capture
+        (``None`` before :meth:`start`); read-only for callers."""
+        return self._problem
 
     def _forwarding_marks(self):
         """Current forwarding-state version.  Prefers the deployment's

@@ -1,0 +1,55 @@
+"""The bulk digest helper is ``ecmp_hash`` for many flows at once."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from repro.routing.ecmp import KEY_BYTES, FlowKey, ecmp_digests, ecmp_hash
+
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+U16 = st.integers(min_value=0, max_value=2**16 - 1)
+KEYS = st.builds(FlowKey, src=U64, dst=U64, proto=U16, src_port=U16,
+                 dst_port=U16)
+
+
+@given(keys=st.lists(KEYS, min_size=1, max_size=40), salt=U64,
+       n_choices=st.integers(min_value=2, max_value=16),
+       data=st.data())
+def test_bulk_digests_reduce_to_ecmp_hash(keys, salt, n_choices, data):
+    packed = b"".join(key.pack() for key in keys)
+    assert len(packed) == KEY_BYTES * len(keys)
+    # any subset, any order, repeats allowed; int32 like the engine's ids
+    rows = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(keys) - 1), max_size=60)),
+        dtype=np.int32)
+    digests = ecmp_digests(packed, rows, salt)
+    assert digests.dtype == np.uint64
+    assert (digests % np.uint64(n_choices)).tolist() == [
+        ecmp_hash(keys[row], n_choices, salt) for row in rows.tolist()]
+
+
+def test_one_digest_serves_every_candidate_count():
+    """The digest depends on key and salt only: kept while a candidate
+    set shrinks 4 -> 3, it still reduces to ``ecmp_hash``."""
+    keys = [FlowKey(10 + i, 99, 17, 40000 + i, 5001) for i in range(64)]
+    packed = b"".join(key.pack() for key in keys)
+    digests = ecmp_digests(packed, np.arange(len(keys)), salt=7)
+    for n_choices in (4, 3):
+        assert (digests % np.uint64(n_choices)).tolist() == [
+            ecmp_hash(key, n_choices, 7) for key in keys]
+
+
+def test_salts_equal_modulo_2_16_do_not_alias():
+    """Salts that agree in their low 16 bits key different hashes — a
+    digest cache tagged with a truncated salt would confuse them."""
+    keys = [FlowKey(i, i + 1, 6, 1024 + i, 80) for i in range(64)]
+    packed = b"".join(key.pack() for key in keys)
+    rows = np.arange(len(keys))
+    low, high = 3, 3 + 2**16
+    assert not np.array_equal(ecmp_digests(packed, rows, low),
+                              ecmp_digests(packed, rows, high))
+    for salt in (low, high):
+        assert (ecmp_digests(packed, rows, salt)
+                % np.uint64(5)).tolist() == [
+            ecmp_hash(key, 5, salt) for key in keys]
