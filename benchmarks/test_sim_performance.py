@@ -10,6 +10,7 @@ simulated seconds).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +19,8 @@ import pytest
 import bench_engine
 import bench_workload
 
+from repro.bgp import encoding as bgp_encoding
+from repro.bgp.messages import BgpKeepalive
 from repro.sim.engine import WHEEL_BACKEND, Simulator
 from repro.sim.units import SECOND
 from repro.topology.clos import ClosParams
@@ -140,6 +143,33 @@ def test_32pod_tc1_within_tier1_budget():
     wall = time.perf_counter() - t0
     assert result.convergence_us > 0
     assert wall < 30.0, f"32-PoD TC1 took {wall:.1f}s (budget 30s)"
+
+
+def test_bgp_fabric_converges_without_encoding_a_message(monkeypatch):
+    """Frames are sized by arithmetic (DESIGN "What a frame's size
+    costs"): a converging 2-PoD bgp-bfd fabric — OPENs, the UPDATE
+    cascade, keepalives, BFD — must never build RFC 4271 bytes to learn
+    a length.  A count, so host speed cannot flake it."""
+    real = bgp_encoding.encode_message
+    encoded = []
+
+    def counting(msg):
+        encoded.append(type(msg).__name__)
+        return real(msg)
+
+    # every module-level binding, under whatever alias it was imported
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    assert len(bgp_encoding.encode_message(BgpKeepalive())) == 19
+    assert encoded == ["BgpKeepalive"]  # the counter is live
+    encoded.clear()
+    world, _topo, deployment = build_and_converge(
+        ClosParams(num_pods=2), "bgp-bfd", trace_enabled=False)
+    assert deployment.ready() and world.sim.events_processed > 0
+    assert encoded == []
 
 
 # ----------------------------------------------------------------------

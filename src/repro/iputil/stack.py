@@ -71,6 +71,10 @@ class IpStack:
         self.register_proto(PROTO_ICMP, self._on_icmp)
         node.register_handler(ETHERTYPE_IPV4, self._on_ip_frame)
         node.register_handler(ETHERTYPE_ARP, self._on_arp_frame)
+        # addresses delivered locally: read per received frame, rebuilt
+        # only when an interface is (re)addressed
+        self._refresh_local_addresses()
+        node.on_address_assigned(self._refresh_local_addresses)
         node.ip = self  # conventional attachment point
 
     # ------------------------------------------------------------------
@@ -88,12 +92,15 @@ class IpStack:
                     )
                 )
 
-    def local_addresses(self) -> set[Ipv4Address]:
-        return {
+    def local_addresses(self) -> frozenset[Ipv4Address]:
+        return self._local_addresses
+
+    def _refresh_local_addresses(self, _iface: Optional[Interface] = None) -> None:
+        self._local_addresses: frozenset[Ipv4Address] = frozenset(
             iface.address
             for iface in self.node.interfaces.values()
             if iface.address is not None
-        }
+        )
 
     def register_proto(self, proto: int, handler: ProtoHandler) -> None:
         if proto in self._proto_handlers:
@@ -167,7 +174,7 @@ class IpStack:
         packet = frame.payload
         if not isinstance(packet, Ipv4Packet):
             return
-        if packet.dst in self.local_addresses():
+        if packet.dst in self._local_addresses:
             self._deliver_local(packet, iface)
             return
         if self.intercept is not None and self.intercept(iface, packet):

@@ -62,8 +62,8 @@ def _conn_key(local: Ipv4Address, lport: int, remote: Ipv4Address, rport: int) -
 
 @dataclass
 class _Unacked:
-    seq: int
     segment: TcpSegment
+    end_seq: int  # first sequence number after the segment
     retransmits: int = 0
 
 
@@ -187,7 +187,8 @@ class TcpConnection:
 
     def _transmit(self, segment: TcpSegment, track: bool) -> None:
         if track and segment.seq_space > 0:
-            self._unacked.append(_Unacked(seq=segment.seq, segment=segment))
+            self._unacked.append(_Unacked(
+                segment=segment, end_seq=segment.seq + segment.seq_space))
             if not self._rto_timer.running:
                 self._rto_timer.start(self._rto)
         self.segments_sent += 1
@@ -255,10 +256,7 @@ class TcpConnection:
         if ack <= self.snd_una:
             return
         self.snd_una = ack
-        self._unacked = [
-            u for u in self._unacked
-            if u.seq + u.segment.seq_space > ack
-        ]
+        self._unacked = [u for u in self._unacked if u.end_seq > ack]
         if self._unacked:
             self._rto_timer.start(self._rto)
         else:

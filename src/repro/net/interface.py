@@ -72,6 +72,7 @@ class Interface:
     def assign_address(self, address: Ipv4Address, prefix_len: int) -> None:
         self.address = address
         self.network = Ipv4Network.of(address, prefix_len)
+        self.node.address_assigned(self)
 
     def peer(self) -> Optional["Interface"]:
         """The interface at the other end of the cable (if cabled)."""

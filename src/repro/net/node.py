@@ -49,6 +49,7 @@ class Node:
         self._down_listeners: list[IfaceListener] = []
         self._up_listeners: list[IfaceListener] = []
         self._impair_listeners: list[IfaceListener] = []
+        self._address_listeners: list[IfaceListener] = []
 
     # ------------------------------------------------------------------
     # interfaces
@@ -107,6 +108,15 @@ class Node:
     def interface_came_up(self, iface: Interface) -> None:
         self.log("iface.up", f"{iface.name} admin up")
         for listener in list(self._up_listeners):
+            listener(iface)
+
+    def on_address_assigned(self, listener: IfaceListener) -> None:
+        """Subscribe to ``Interface.assign_address`` on this node's ports
+        (the IP stack keeps its local-address set current with it)."""
+        self._address_listeners.append(listener)
+
+    def address_assigned(self, iface: Interface) -> None:
+        for listener in list(self._address_listeners):
             listener(iface)
 
     def on_impairment_cleared(self, listener: IfaceListener) -> None:

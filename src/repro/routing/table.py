@@ -63,8 +63,11 @@ class RoutingTable:
         self.sim = sim  # optional: timestamps for change tracking
         self.salt = salt
         self._routes: dict[Ipv4Network, Route] = {}
-        # ordered prefix lengths present, longest first, for LPM
-        self._lengths: list[int] = []
+        # LPM index over the same routes: prefix length -> (mask,
+        # {network address as int: route}), kept in step with _routes
+        # by _index/_unindex, and the non-empty buckets longest first.
+        self._buckets: dict[int, tuple[int, dict[int, Route]]] = {}
+        self._lpm: list[tuple[int, dict[int, Route]]] = []
         self.change_count = 0
         self.last_change_time: Optional[int] = None
         # optional gray-failure depreference hook (DESIGN §14): a
@@ -79,8 +82,25 @@ class RoutingTable:
         if self.sim is not None:
             self.last_change_time = self.sim.now
 
-    def _refresh_lengths(self) -> None:
-        self._lengths = sorted({p.prefix_len for p in self._routes}, reverse=True)
+    def _index(self, route: Route) -> None:
+        prefix = route.prefix
+        bucket = self._buckets.get(prefix.prefix_len)
+        if bucket is None:
+            bucket = self._buckets[prefix.prefix_len] = (prefix.mask, {})
+            self._order_buckets()
+        bucket[1][prefix.address.value] = route
+
+    def _unindex(self, prefix: Ipv4Network) -> None:
+        by_address = self._buckets[prefix.prefix_len][1]
+        del by_address[prefix.address.value]
+        if not by_address:
+            del self._buckets[prefix.prefix_len]
+            self._order_buckets()
+
+    def _order_buckets(self) -> None:
+        """Only when a prefix length appears or its last route goes."""
+        self._lpm = [self._buckets[length]
+                     for length in sorted(self._buckets, reverse=True)]
 
     # ------------------------------------------------------------------
     def install(self, route: Route) -> None:
@@ -94,14 +114,14 @@ class RoutingTable:
         ):
             return
         self._routes[route.prefix] = route
-        self._refresh_lengths()
+        self._index(route)
         self._note_change()
 
     def withdraw(self, prefix: Ipv4Network) -> bool:
         """Remove the route for ``prefix``; True if something was removed."""
         if prefix in self._routes:
             del self._routes[prefix]
-            self._refresh_lengths()
+            self._unindex(prefix)
             self._note_change()
             return True
         return False
@@ -114,8 +134,8 @@ class RoutingTable:
         doomed = [p for p, r in self._routes.items() if r.proto == proto]
         for prefix in doomed:
             del self._routes[prefix]
+            self._unindex(prefix)
         if doomed:
-            self._refresh_lengths()
             self._note_change()
         return doomed
 
@@ -133,10 +153,11 @@ class RoutingTable:
 
     # ------------------------------------------------------------------
     def lookup(self, dst: Ipv4Address) -> Optional[Route]:
-        """Longest-prefix match."""
-        for length in self._lengths:
-            candidate = Ipv4Network.of(dst, length)
-            route = self._routes.get(candidate)
+        """Longest-prefix match: mask arithmetic on the integer address,
+        one dict probe per prefix length present."""
+        value = dst.value
+        for mask, by_address in self._lpm:
+            route = by_address.get(value & mask)
             if route is not None:
                 return route
         return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.stack.addresses import MacAddress
-from repro.stack.payload import Payload
+from repro.stack.payload import Payload, derived_size
 
 ETHERNET_HEADER_BYTES = 14
 # Minimum Ethernet payload is 46 bytes -> 60-byte frame before FCS.  The
@@ -30,20 +30,18 @@ class EthernetFrame:
     src: MacAddress
     ethertype: int
     payload: Payload
+    #: capture-length size: header + payload, no padding/FCS
+    wire_size: int = derived_size()
+    #: size on a physical wire (minimum 60-byte frame)
+    padded_wire_size: int = derived_size()
 
     def __post_init__(self) -> None:
         if not 0 <= self.ethertype <= 0xFFFF:
             raise ValueError(f"bad ethertype {self.ethertype:#x}")
-
-    @property
-    def wire_size(self) -> int:
-        """Capture-length size: header + payload, no padding/FCS."""
-        return ETHERNET_HEADER_BYTES + self.payload.wire_size
-
-    @property
-    def padded_wire_size(self) -> int:
-        """Size on a physical wire (minimum 60-byte frame)."""
-        return max(self.wire_size, ETHERNET_MIN_FRAME_BYTES)
+        size = ETHERNET_HEADER_BYTES + self.payload.wire_size
+        object.__setattr__(self, "wire_size", size)
+        object.__setattr__(self, "padded_wire_size",
+                           max(size, ETHERNET_MIN_FRAME_BYTES))
 
     def __str__(self) -> str:
         return (

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.stack.addresses import Ipv4Address
-from repro.stack.payload import Payload
+from repro.stack.payload import Payload, derived_size
 
 IPV4_HEADER_BYTES = 20
 
@@ -23,16 +23,15 @@ class Ipv4Packet:
     proto: int
     payload: Payload
     ttl: int = DEFAULT_TTL
+    wire_size: int = derived_size()
 
     def __post_init__(self) -> None:
         if not 0 <= self.proto <= 255:
             raise ValueError(f"bad IP protocol {self.proto}")
         if not 0 <= self.ttl <= 255:
             raise ValueError(f"bad TTL {self.ttl}")
-
-    @property
-    def wire_size(self) -> int:
-        return IPV4_HEADER_BYTES + self.payload.wire_size
+        object.__setattr__(self, "wire_size",
+                           IPV4_HEADER_BYTES + self.payload.wire_size)
 
     def decrement_ttl(self) -> "Ipv4Packet":
         """Return a copy with TTL reduced by one (raises if already 0)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Flag, auto
 
-from repro.stack.payload import Payload, RawBytes
+from repro.stack.payload import Payload, RawBytes, derived_size
 
 TCP_HEADER_BYTES = 32        # base 20 + timestamp option 12 (padded)
 TCP_SYN_HEADER_BYTES = 40    # base 20 + MSS/WS/SACK/TS options
@@ -37,6 +37,11 @@ class TcpSegment:
     flags: TcpFlags
     payload: Payload = RawBytes(0)
     window: int = 65535
+    header_size: int = derived_size()
+    data_len: int = derived_size()
+    wire_size: int = derived_size()
+    #: sequence space consumed: data bytes plus 1 for SYN and for FIN
+    seq_space: int = derived_size()
 
     def __post_init__(self) -> None:
         for port in (self.src_port, self.dst_port):
@@ -44,32 +49,15 @@ class TcpSegment:
                 raise ValueError(f"bad TCP port {port}")
         if self.seq < 0 or self.ack < 0:
             raise ValueError("negative sequence numbers")
-
-    @property
-    def header_size(self) -> int:
-        return (
-            TCP_SYN_HEADER_BYTES
-            if TcpFlags.SYN in self.flags
-            else TCP_HEADER_BYTES
-        )
-
-    @property
-    def wire_size(self) -> int:
-        return self.header_size + self.payload.wire_size
-
-    @property
-    def data_len(self) -> int:
-        return self.payload.wire_size
-
-    @property
-    def seq_space(self) -> int:
-        """Sequence-space consumed: data bytes plus 1 for SYN and FIN."""
-        length = self.data_len
-        if TcpFlags.SYN in self.flags:
-            length += 1
-        if TcpFlags.FIN in self.flags:
-            length += 1
-        return length
+        syn = TcpFlags.SYN in self.flags
+        header = TCP_SYN_HEADER_BYTES if syn else TCP_HEADER_BYTES
+        data = self.payload.wire_size
+        set_size = object.__setattr__
+        set_size(self, "header_size", header)
+        set_size(self, "data_len", data)
+        set_size(self, "wire_size", header + data)
+        set_size(self, "seq_space",
+                 data + syn + (TcpFlags.FIN in self.flags))
 
     def __str__(self) -> str:
         names = [f.name for f in TcpFlags if f is not TcpFlags.NONE and f in self.flags]

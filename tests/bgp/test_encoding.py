@@ -150,3 +150,74 @@ def test_update_roundtrip_property(withdrawn, nlri, as_path, next_hop):
 def test_open_roundtrip_property(asn, hold, rid):
     msg = BgpOpen(asn=asn, hold_time_s=hold, router_id=Ipv4Address(rid))
     assert decode_message(encode_message(msg)) == msg
+
+
+# ----------------------------------------------------------------------
+# wire_size is computed, not encoded: the encoder is its oracle
+# ----------------------------------------------------------------------
+_u32 = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def any_prefix(draw):
+    """/0 ... /32, host bits cleared."""
+    return Ipv4Network.of(Ipv4Address(draw(_u32)),
+                          draw(st.integers(min_value=0, max_value=32)))
+
+
+def prefix_tuples(min_size=0):
+    return st.lists(any_prefix(), min_size=min_size, max_size=8).map(tuple)
+
+
+# the one-octet AS_PATH attribute length holds 2 + 4n <= 255
+path_attributes = st.builds(
+    PathAttributes,
+    as_path=st.lists(st.integers(min_value=1, max_value=2**32 - 1),
+                     max_size=63).map(tuple),
+    next_hop=st.builds(Ipv4Address, _u32),
+    origin=st.integers(min_value=0, max_value=2),
+)
+
+bgp_messages = st.one_of(
+    st.just(BgpKeepalive()),
+    st.builds(BgpNotification,
+              error_code=st.integers(min_value=0, max_value=255),
+              error_subcode=st.integers(min_value=0, max_value=255)),
+    st.builds(BgpOpen,
+              asn=st.one_of(st.integers(min_value=1, max_value=65535),
+                            st.integers(min_value=65536,
+                                        max_value=2**32 - 1)),
+              hold_time_s=st.integers(min_value=0, max_value=65535),
+              router_id=st.builds(Ipv4Address, _u32)),
+    st.just(BgpUpdate()),                                   # End-of-RIB
+    st.builds(BgpUpdate, withdrawn=prefix_tuples(min_size=1),
+              attributes=st.none() | path_attributes),
+    st.builds(BgpUpdate, withdrawn=prefix_tuples(),         # advertise / mixed
+              nlri=prefix_tuples(min_size=1), attributes=path_attributes),
+)
+
+
+@given(bgp_messages)
+def test_wire_size_is_the_encoded_length(msg):
+    blob = encode_message(msg)
+    assert msg.wire_size == len(blob)
+    decoded = decode_message(blob)
+    assert decoded == msg
+    assert decoded.wire_size == len(blob)
+
+
+def test_fixed_format_sizes():
+    """The constants the paper's Fig. 9 arithmetic rests on."""
+    assert BgpKeepalive().wire_size == 19
+    assert BgpNotification(BgpNotification.CEASE).wire_size == 21
+    assert BgpOpen(asn=4_200_000_000, hold_time_s=9,
+                   router_id=ip("1.2.3.4")).wire_size == 45
+    assert BgpUpdate().wire_size == 23
+
+
+def test_update_size_is_not_part_of_its_value():
+    attrs = PathAttributes(as_path=(65001,), next_hop=ip("10.0.0.1"))
+    a = BgpUpdate(nlri=(net("10.1.0.0/16"),), attributes=attrs)
+    b = BgpUpdate(nlri=(net("10.1.0.0/16"),), attributes=attrs)
+    assert a == b and hash(a) == hash(b)
+    assert "wire_size" not in repr(a)

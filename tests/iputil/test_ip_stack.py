@@ -91,6 +91,33 @@ def test_forwarding_through_a_router():
     assert sr.counters.forwarded == 1
 
 
+def test_address_assigned_after_stack_start_is_delivered_locally():
+    """The stack keeps its local-address set instead of rebuilding it per
+    frame; (re)addressing a port after start-up must still reach it."""
+    world = World(seed=1)
+    a = world.add_node("A")
+    r = world.add_node("R")
+    link = world.connect(a, r)
+    sa = IpStack(a, forwarding=False)
+    sr = IpStack(r, forwarding=True)  # would forward what is not its own
+    assert sr.local_addresses() == frozenset()
+    link.end_a.assign_address(ip("10.0.1.1"), 24)
+    link.end_b.assign_address(ip("10.0.1.254"), 24)
+    assert sr.local_addresses() == {ip("10.0.1.254")}
+    sa.install_connected_routes()
+    sr.install_connected_routes()
+    ua, ur = UdpService(sa), UdpService(sr)
+    got = []
+    ur.open(7, lambda payload, src, sport, iface: got.append(str(src)))
+    ua.send(ip("10.0.1.254"), 7, 7, RawBytes(8))
+    world.run()
+    assert got == ["10.0.1.1"]
+    assert sr.counters.delivered == 1 and sr.counters.forwarded == 0
+    # renumbering drops the old address from the set
+    link.end_b.assign_address(ip("10.0.1.253"), 24)
+    assert sr.local_addresses() == {ip("10.0.1.253")}
+
+
 def test_host_does_not_forward():
     world = World(seed=1)
     a = world.add_node("A")

@@ -58,6 +58,91 @@ def test_identical_reinstall_does_not_count_as_change():
     assert table.change_count == 2
 
 
+# ----------------------------------------------------------------------
+# LPM index vs. a brute-force oracle, under any interleaving of changes
+# ----------------------------------------------------------------------
+# a few nested bases so that draws collide: covering prefixes, replaces,
+# a prefix length losing its last route, /0 and /32
+_BASES = (0x0A000000, 0x0A010000, 0x0A010100, 0x0A010101, 0x0A0101FF,
+          0xC0A80B00, 0xFFFFFFFF, 0x00000000)
+_addresses = st.one_of(
+    st.sampled_from(_BASES),
+    st.integers(min_value=0, max_value=2**32 - 1),
+).map(Ipv4Address)
+_prefixes = st.builds(
+    Ipv4Network.of, _addresses,
+    st.one_of(st.sampled_from((0, 8, 16, 24, 31, 32)),
+              st.integers(min_value=0, max_value=32)))
+_protos = st.sampled_from(("connected", "static", "bgp"))
+_table_ops = st.one_of(
+    st.tuples(st.just("install"), _prefixes,
+              st.sampled_from(("eth1", "eth2")), _protos),
+    st.tuples(st.just("withdraw"), _prefixes),
+    st.tuples(st.just("flush"), _protos),
+)
+
+
+def _oracle_lookup(model, dst):
+    best = None
+    for prefix in model:
+        if prefix.contains(dst) and (
+                best is None or prefix.prefix_len > best.prefix_len):
+            best = prefix
+    return best
+
+
+@given(ops=st.lists(_table_ops, max_size=40),
+       probes=st.lists(_addresses, min_size=1, max_size=12))
+def test_lookup_matches_brute_force_oracle(ops, probes):
+    table = RoutingTable()
+    model: dict[Ipv4Network, tuple[str, str]] = {}
+    changes = 0
+    for op in ops:
+        if op[0] == "install":
+            _, prefix, iface, proto = op
+            if model.get(prefix) != (iface, proto):
+                changes += 1  # an identical reinstall is a no-op
+            model[prefix] = (iface, proto)
+            table.install(Route(prefix, (NextHop(iface),), proto=proto))
+        elif op[0] == "withdraw":
+            present = op[1] in model
+            changes += present
+            model.pop(op[1], None)
+            assert table.withdraw(op[1]) == present
+        else:
+            doomed = [p for p, (_, proto) in model.items() if proto == op[1]]
+            changes += bool(doomed)
+            for prefix in doomed:
+                del model[prefix]
+            assert table.flush_proto(op[1]) == doomed
+        assert table.change_count == changes
+        assert len(table) == len(model)
+        for dst in probes + [p.address for p in model]:
+            want = _oracle_lookup(model, dst)
+            got = table.lookup(dst)
+            if want is None:
+                assert got is None
+            else:
+                assert got.prefix == want
+                assert (got.nexthops[0].interface, got.proto) == model[want]
+
+
+def test_length_whose_last_route_went_is_no_longer_probed():
+    table = RoutingTable()
+    table.install(Route(net("0.0.0.0/0"), (NextHop("eth0"),)))
+    table.install(Route(net("10.1.1.1/32"), (NextHop("eth1"),)))
+    table.install(Route(net("10.1.1.0/24"), (NextHop("eth2"),), proto="bgp"))
+    assert table.lookup(ip("10.1.1.1")).nexthops[0].interface == "eth1"
+    assert table.withdraw(net("10.1.1.1/32"))
+    assert table.lookup(ip("10.1.1.1")).nexthops[0].interface == "eth2"
+    assert table.flush_proto("bgp") == [net("10.1.1.0/24")]
+    assert table.lookup(ip("10.1.1.1")).nexthops[0].interface == "eth0"
+    assert [mask for mask, _ in table._lpm] == [0]
+    table.install(Route(net("10.1.1.1/32"), (NextHop("eth3"),)))
+    assert table.lookup(ip("10.1.1.1")).nexthops[0].interface == "eth3"
+    assert table.lookup(ip("10.1.1.2")).nexthops[0].interface == "eth0"
+
+
 def test_change_timestamps_recorded():
     from repro.sim.engine import Simulator
 
