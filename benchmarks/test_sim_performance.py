@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,12 @@ import bench_workload
 
 from repro.bgp import encoding as bgp_encoding
 from repro.bgp.messages import BgpKeepalive
+from repro.scenario import Scenario, ScenarioEvent, run_scenario
 from repro.sim.engine import WHEEL_BACKEND, Simulator
 from repro.sim.units import SECOND
 from repro.topology.clos import ClosParams
+from repro.workload.engine import FluidWorkload
+from repro.workload.fluid import FluidProblem
 from repro.harness.experiments import (
     StackKind,
     build_and_converge,
@@ -170,6 +174,44 @@ def test_bgp_fabric_converges_without_encoding_a_message(monkeypatch):
         ClosParams(num_pods=2), "bgp-bfd", trace_enabled=False)
     assert deployment.ready() and world.sim.events_processed > 0
     assert encoded == []
+
+
+def test_link_index_is_built_per_forwarding_state_not_per_solve(
+        monkeypatch):
+    """The waterfall's link->flow index (DESIGN "What a solve costs")
+    is sorted once per ``FluidProblem``: a loaded 2-PoD TC1 run solves
+    every epoch but captures only a few forwarding states, and each
+    capture's problem is indexed exactly once.  Counts, no wall clock."""
+    calls = {"index": 0, "assemble": 0, "solve": 0}
+
+    def counted(name, real):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    index = cached_property(counted(
+        "index", FluidProblem.__dict__["link_index"].func))
+    index.__set_name__(FluidProblem, "link_index")
+    monkeypatch.setattr(FluidProblem, "link_index", index)
+    monkeypatch.setattr(FluidWorkload, "_assemble_paths", counted(
+        "assemble", FluidWorkload._assemble_paths))
+    monkeypatch.setattr(FluidWorkload, "_solve", counted(
+        "solve", FluidWorkload._solve))
+
+    scenario = Scenario(
+        name="tc1-loaded", description="TC1 under a permutation workload",
+        settle="keepalive-phase", quiet_ms=1000, max_wait_ms=45_000,
+        events=(
+            ScenarioEvent(op="workload", at_ms=0, workload={
+                "name": "tc1-load", "matrix": "permutation", "flows": 500,
+                "duration_ms": 600, "epoch_ms": 25}),
+            ScenarioEvent(op="iface_down", at_ms=200, target="case:TC1"),
+        ))
+    metrics = run_scenario(scenario, ClosParams(num_pods=2), "mtp", seed=0)
+    assert metrics.workload["max_blackhole_us"] > 0  # the fault rerouted
+    assert calls["assemble"] >= 2 and calls["solve"] >= 3
+    assert calls["index"] == calls["assemble"] < calls["solve"]
 
 
 # ----------------------------------------------------------------------

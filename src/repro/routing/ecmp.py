@@ -72,9 +72,16 @@ def ecmp_digests(packed_keys: bytes, rows: np.ndarray,
     :meth:`FlowKey.pack` records and ``rows`` picks the records to hash.
     ``ecmp_digests(...) % n_choices`` equals ``ecmp_hash`` flow by flow,
     for any ``n_choices`` — the digest depends on key and salt only, so
-    a caller may keep it while the candidate set shrinks and grows."""
-    hasher = _keyed_blake2b(salt)
-    raw = b"".join([hasher(packed_keys[at:at + KEY_BYTES]).digest()
-                    for at in np.multiply(rows, KEY_BYTES,
-                                          dtype=np.int64).tolist()])
-    return np.frombuffer(raw, dtype="<u8")
+    a caller may keep it while the candidate set shrinks and grows.
+
+    The salt is keyed into one hasher per call; each flow hashes its
+    record into a copy of that state, which is the same digest as a
+    freshly keyed hasher without parsing the key again per flow."""
+    keyed = _keyed_blake2b(salt)()
+    records = np.frombuffer(packed_keys, dtype=f"V{KEY_BYTES}")[rows]
+    digests = []
+    for record in records.tolist():
+        hasher = keyed.copy()
+        hasher.update(record)
+        digests.append(hasher.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8")

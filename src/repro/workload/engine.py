@@ -39,7 +39,12 @@ from repro.stack.ipv4 import PROTO_UDP
 from repro.harness.metrics import nearest_rank_percentile
 from repro.harness.pathtrace import access_uplink
 from repro.routing.ecmp import KEY_BYTES, ecmp_digests
-from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
+from repro.workload.fluid import (
+    FluidProblem,
+    link_loads,
+    max_min_rates,
+    stable_order,
+)
 from repro.workload.spec import WorkloadSpec
 from repro.workload.synth import FlowSet, synthesize
 
@@ -286,9 +291,9 @@ class FluidWorkload:
         if len(flows) > np.iinfo(np.int32).max:
             raise ValueError("flow ids are kept as int32: "
                              f"{len(flows)} flows is too many")
-        pair = (self._src_tor.astype(np.int64) * len(flows.tors)
-                + self._dst_tor)
-        order = np.argsort(pair, kind="stable").astype(np.int32)
+        n_tors = len(flows.tors)
+        pair = self._src_tor.astype(np.int64) * n_tors + self._dst_tor
+        order = stable_order(pair, n_tors * n_tors).astype(np.int32)
         boundaries = np.flatnonzero(np.diff(pair[order])) + 1
         groups = []
         for members in np.split(order, boundaries):

@@ -24,6 +24,7 @@ vectors on every run — the property the run-digest machinery needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,13 +43,44 @@ def _multi_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + within
 
 
-@dataclass
+def stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """The stable argsort of integer ``keys`` drawn from ``[0, n_keys)``.
+
+    Sorting the keys cast to the narrowest unsigned dtype that holds
+    ``n_keys - 1`` gives the same permutation — the cast is monotonic
+    and a stable sort has exactly one answer — and up to 16 bits NumPy's
+    stable sort is an O(n) radix sort."""
+    narrow = np.min_scalar_type(max(n_keys - 1, 0))
+    return np.argsort(keys.astype(narrow), kind="stable")
+
+
+@dataclass(frozen=True, eq=False)
 class FluidProblem:
-    """One solve's inputs: link capacities plus flow->link CSR."""
+    """One forwarding state's max-min inputs: link capacities plus the
+    flow->link CSR.  Immutable — the arrays are made read-only — so the
+    link->flow index derived from them can be kept for every solve."""
 
     capacity: np.ndarray    # float64 [L], bytes/sec
     flow_links: np.ndarray  # int64 concatenated link ids, flow-major
     flow_ptr: np.ndarray    # int64 [F+1] CSR offsets into flow_links
+
+    def __post_init__(self) -> None:
+        flow_ptr, flow_links = self.flow_ptr, self.flow_links
+        if len(flow_ptr) == 0 or flow_ptr[0] != 0:
+            raise ValueError("flow_ptr must start at 0")
+        if (self.lengths < 0).any():
+            raise ValueError("flow_ptr must be non-decreasing")
+        if flow_ptr[-1] != len(flow_links):
+            raise ValueError(
+                f"flow_ptr ends at {flow_ptr[-1]}, flow_links has "
+                f"{len(flow_links)} entries")
+        if len(flow_links) and not (
+                0 <= flow_links.min() and flow_links.max() < self.n_links):
+            raise ValueError(
+                f"link ids must lie in [0, {self.n_links}): got "
+                f"{flow_links.min()}..{flow_links.max()}")
+        for array in (self.capacity, flow_links, flow_ptr):
+            array.setflags(write=False)
 
     @property
     def n_flows(self) -> int:
@@ -57,6 +89,33 @@ class FluidProblem:
     @property
     def n_links(self) -> int:
         return len(self.capacity)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Links per flow, int64 [F]."""
+        lengths = np.diff(self.flow_ptr)
+        lengths.setflags(write=False)
+        return lengths
+
+    @cached_property
+    def link_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR inverse over *all* flows: ``(link_flows, link_ptr)``
+        where ``link_flows[link_ptr[l]:link_ptr[l + 1]]`` are the flows
+        crossing link ``l`` (int32, ascending, one entry per crossing).
+        Built on first use, once per problem; a solve filters it by its
+        live mask instead of sorting again."""
+        if self.n_flows > np.iinfo(np.int32).max:
+            raise ValueError("flow ids are indexed as int32: "
+                             f"{self.n_flows} flows is too many")
+        entry_flow = np.repeat(np.arange(self.n_flows, dtype=np.int32),
+                               self.lengths)
+        link_flows = entry_flow[stable_order(self.flow_links, self.n_links)]
+        link_ptr = np.zeros(self.n_links + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.flow_links, minlength=self.n_links),
+                  out=link_ptr[1:])
+        link_flows.setflags(write=False)
+        link_ptr.setflags(write=False)
+        return link_flows, link_ptr
 
 
 def max_min_rates(problem: FluidProblem,
@@ -73,25 +132,25 @@ def max_min_rates(problem: FluidProblem,
         return rate
     flow_ptr = problem.flow_ptr
     flow_links = problem.flow_links
-    lengths = np.diff(flow_ptr)
+    lengths = problem.lengths
     if active is None:
         active = np.ones(n_flows, dtype=bool)
     live = active & (lengths > 0)
 
-    # link -> flows CSR (only live flows participate)
-    live_entry = np.repeat(live, lengths)
-    entry_flow = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
-    links_live = flow_links[live_entry]
-    flows_live = entry_flow[live_entry]
-    order = np.argsort(links_live, kind="stable")
-    link_flows = flows_live[order]
-    counts = np.bincount(links_live, minlength=n_links).astype(np.int64)
-    link_ptr = np.zeros(n_links + 1, dtype=np.int64)
-    np.cumsum(counts, out=link_ptr[1:])
+    # link -> flows CSR of the live flows: the problem's index with the
+    # others filtered out, which keeps its (link, flow) order
+    all_link_flows, all_link_ptr = problem.link_index
+    keep = live[all_link_flows]
+    link_flows = all_link_flows[keep]
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    link_ptr = kept_before[all_link_ptr]
+    counts = np.diff(link_ptr)
 
-    remaining = problem.capacity.astype(np.float64).copy()
+    remaining = problem.capacity.astype(np.float64)
     unfrozen = counts.copy()   # live, not-yet-frozen flows per link
     frozen = ~live             # inactive flows count as already frozen
+    mark = np.zeros(n_flows, dtype=bool)   # scratch, all False between levels
 
     for _ in range(n_links + 1):
         eligible = unfrozen > 0
@@ -103,12 +162,15 @@ def max_min_rates(problem: FluidProblem,
         level = share.min()
         bottleneck = np.flatnonzero(eligible & (share <= level + _EPS
                                                 + _EPS * level))
-        # flows riding any bottleneck link freeze at the water level
+        # flows riding any bottleneck link freeze at the water level;
+        # marking them dedupes a flow that rides two, in ascending order
         cand = link_flows[_multi_arange(link_ptr[bottleneck],
                                         counts[bottleneck])]
-        newly = np.unique(cand[~frozen[cand]])
+        mark[cand[~frozen[cand]]] = True
+        newly = np.flatnonzero(mark)
         if len(newly) == 0:
             break  # numerically stuck: everything left is frozen
+        mark[newly] = False
         frozen[newly] = True
         rate[newly] = level
         # subtract the frozen flows' consumption from every link they
@@ -126,7 +188,6 @@ def max_min_rates(problem: FluidProblem,
 
 def link_loads(problem: FluidProblem, rate: np.ndarray) -> np.ndarray:
     """Per-link carried load (bytes/sec [L]) for a rate vector."""
-    lengths = np.diff(problem.flow_ptr)
-    weights = np.repeat(rate, lengths)
+    weights = np.repeat(rate, problem.lengths)
     return np.bincount(problem.flow_links, weights=weights,
                        minlength=problem.n_links)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.routing.ecmp import KEY_BYTES, FlowKey, ecmp_digests, ecmp_hash
@@ -13,20 +14,41 @@ KEYS = st.builds(FlowKey, src=U64, dst=U64, proto=U16, src_port=U16,
                  dst_port=U16)
 
 
-@given(keys=st.lists(KEYS, min_size=1, max_size=40), salt=U64,
-       n_choices=st.integers(min_value=2, max_value=16),
+# the extremes of the 8-byte key next to arbitrary salts
+SALTS = st.one_of(st.sampled_from([0, 2**64 - 1]), U64)
+
+
+def as_rows(picks: list[int], layout: str) -> np.ndarray:
+    """``picks`` as the index arrays callers hand over: the engine's
+    int32 ids, NumPy's default int64, or a non-contiguous int32 view."""
+    if layout == "strided":
+        rows = np.repeat(np.asarray(picks, dtype=np.int32), 2)[::2]
+        assert len(picks) < 2 or not rows.flags.c_contiguous
+        return rows
+    return np.asarray(picks, dtype=layout)
+
+
+@given(keys=st.lists(KEYS, min_size=1, max_size=40), salt=SALTS,
+       layout=st.sampled_from(["int32", "int64", "strided"]),
        data=st.data())
-def test_bulk_digests_reduce_to_ecmp_hash(keys, salt, n_choices, data):
+def test_bulk_digests_reduce_to_ecmp_hash(keys, salt, layout, data):
     packed = b"".join(key.pack() for key in keys)
     assert len(packed) == KEY_BYTES * len(keys)
-    # any subset, any order, repeats allowed; int32 like the engine's ids
-    rows = np.array(data.draw(st.lists(
-        st.integers(min_value=0, max_value=len(keys) - 1), max_size=60)),
-        dtype=np.int32)
-    digests = ecmp_digests(packed, rows, salt)
-    assert digests.dtype == np.uint64
-    assert (digests % np.uint64(n_choices)).tolist() == [
-        ecmp_hash(keys[row], n_choices, salt) for row in rows.tolist()]
+    # any subset (the empty one too), any order, repeats allowed
+    picks = data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(keys) - 1), max_size=60))
+    digests = ecmp_digests(packed, as_rows(picks, layout), salt)
+    assert digests.dtype == np.uint64 and digests.shape == (len(picks),)
+    for n_choices in range(2, 8):
+        assert (digests % np.uint64(n_choices)).tolist() == [
+            ecmp_hash(keys[row], n_choices, salt) for row in picks]
+
+
+@pytest.mark.parametrize("salt", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("packed", [b"", FlowKey(1, 2).pack()])
+def test_no_rows_is_an_empty_uint64_array(packed, salt):
+    digests = ecmp_digests(packed, np.empty(0, dtype=np.int32), salt)
+    assert digests.dtype == np.uint64 and digests.shape == (0,)
 
 
 def test_one_digest_serves_every_candidate_count():

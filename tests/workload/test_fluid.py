@@ -123,3 +123,151 @@ def test_waterfall_invariants_hypothesis(data):
     loads = link_loads(prob, rate)
     cap = np.asarray(capacity)
     assert (loads <= cap * (1 + 1e-6) + 1e-9).all()
+
+
+# ----------------------------------------------------------------------
+# The solver before it kept a link->flow index on the problem, verbatim:
+# it sorts the live entries on every solve and dedupes with np.unique.
+# Kept here as the oracle the indexed solver must match bit for bit.
+# ----------------------------------------------------------------------
+_EPS = 1e-9
+
+
+def _multi_arange(starts, lengths):
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths,
+                                                          lengths)
+    return np.repeat(starts, lengths) + within
+
+
+def reference_max_min_rates(problem, active=None):
+    n_flows, n_links = problem.n_flows, problem.n_links
+    rate = np.zeros(n_flows, dtype=np.float64)
+    if n_flows == 0 or n_links == 0:
+        return rate
+    flow_ptr = problem.flow_ptr
+    flow_links = problem.flow_links
+    lengths = np.diff(flow_ptr)
+    if active is None:
+        active = np.ones(n_flows, dtype=bool)
+    live = active & (lengths > 0)
+
+    # link -> flows CSR (only live flows participate)
+    live_entry = np.repeat(live, lengths)
+    entry_flow = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
+    links_live = flow_links[live_entry]
+    flows_live = entry_flow[live_entry]
+    order = np.argsort(links_live, kind="stable")
+    link_flows = flows_live[order]
+    counts = np.bincount(links_live, minlength=n_links).astype(np.int64)
+    link_ptr = np.zeros(n_links + 1, dtype=np.int64)
+    np.cumsum(counts, out=link_ptr[1:])
+
+    remaining = problem.capacity.astype(np.float64).copy()
+    unfrozen = counts.copy()   # live, not-yet-frozen flows per link
+    frozen = ~live             # inactive flows count as already frozen
+
+    for _ in range(n_links + 1):
+        eligible = unfrozen > 0
+        if not eligible.any():
+            break
+        share = np.full(n_links, np.inf)
+        share[eligible] = np.maximum(remaining[eligible], 0.0) \
+            / unfrozen[eligible]
+        level = share.min()
+        bottleneck = np.flatnonzero(eligible & (share <= level + _EPS
+                                                + _EPS * level))
+        # flows riding any bottleneck link freeze at the water level
+        cand = link_flows[_multi_arange(link_ptr[bottleneck],
+                                        counts[bottleneck])]
+        newly = np.unique(cand[~frozen[cand]])
+        if len(newly) == 0:
+            break  # numerically stuck: everything left is frozen
+        frozen[newly] = True
+        rate[newly] = level
+        # subtract the frozen flows' consumption from every link they
+        # cross; each flow is processed exactly once over the whole
+        # solve, so total scatter work is O(total path length)
+        entries = flow_links[_multi_arange(flow_ptr[newly],
+                                           lengths[newly])]
+        np.subtract.at(remaining, entries, level)
+        unfrozen -= np.bincount(entries, minlength=n_links)
+
+    np.clip(rate, 0.0, None, out=rate)
+    rate[~live] = 0.0
+    return rate
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_indexed_solver_is_bitwise_the_reference(data):
+    """Differential property: the index built once per problem and
+    filtered per solve gives the reference's rate vector bit for bit —
+    over contended and tied capacities, empty link lists, link-id ranges
+    that sort as uint8 / uint16 / uint32 keys, and several differently
+    masked solves on one problem object (a cached index must not leak
+    the previous mask, nor the scratch mask a previous water level)."""
+    n_links = data.draw(st.sampled_from([3, 300, 70_000]))
+    # a few shared links, spread over the whole id range, so flows
+    # contend and ids above 2**16 meet ids below it
+    hot = data.draw(st.lists(st.integers(0, n_links - 1), min_size=1,
+                             max_size=6, unique=True))
+    capacity = np.zeros(n_links)
+    capacity[hot] = data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 10.0, 30.0]),
+                  st.floats(0.0, 1000.0, allow_nan=False)),
+        min_size=len(hot), max_size=len(hot)))
+    # duplicates allowed: a looping walk crosses a link twice
+    paths = data.draw(st.lists(
+        st.lists(st.sampled_from(hot), min_size=0, max_size=5),
+        min_size=0, max_size=40))
+    prob = problem(capacity, paths)
+
+    entry_flow = np.repeat(np.arange(len(paths)), prob.lengths)
+    link_flows, link_ptr = prob.link_index
+    assert link_flows.dtype == np.int32
+    assert np.array_equal(
+        link_flows, entry_flow[np.argsort(prob.flow_links, kind="stable")])
+    assert np.array_equal(np.diff(link_ptr), np.bincount(
+        prob.flow_links, minlength=n_links))
+
+    masks = [None] + data.draw(st.lists(
+        st.lists(st.booleans(), min_size=len(paths), max_size=len(paths)),
+        min_size=2, max_size=4))
+    for mask in masks:
+        active = None if mask is None else np.asarray(mask, dtype=bool)
+        assert np.array_equal(max_min_rates(prob, active),
+                              reference_max_min_rates(prob, active))
+
+
+@pytest.mark.parametrize("capacity, flow_links, flow_ptr, message", [
+    ([1.0, 1.0], [0, 2], [0, 1, 2], "link ids"),
+    ([1.0, 1.0], [0, -1], [0, 1, 2], "link ids"),
+    ([1.0], [0, 0], [1, 2], "start at 0"),
+    ([1.0], [0, 0], [], "start at 0"),
+    ([1.0], [0, 0], [0, 2, 1, 2], "non-decreasing"),
+    ([1.0], [0, 0], [0, 1], "flow_links has 2"),
+    ([1.0], [0], [0, 1, 2], "flow_links has 1"),
+])
+def test_construction_rejects_inconsistent_input(capacity, flow_links,
+                                                 flow_ptr, message):
+    with pytest.raises(ValueError, match=message):
+        FluidProblem(capacity=np.asarray(capacity, dtype=np.float64),
+                     flow_links=np.asarray(flow_links, dtype=np.int64),
+                     flow_ptr=np.asarray(flow_ptr, dtype=np.int64))
+
+
+def test_a_problem_refuses_writes():
+    """The index is kept across solves, so nothing it was derived from
+    may change underneath it."""
+    prob = problem([10.0, 20.0], [[0], [0, 1], [1]])
+    max_min_rates(prob)
+    for array in (prob.capacity, prob.flow_links, prob.flow_ptr,
+                  prob.lengths, *prob.link_index):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        prob.capacity = np.ones(2)
