@@ -10,10 +10,12 @@ simulated seconds).
 from __future__ import annotations
 
 import json
+import pickle
 import sys
 import time
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +24,19 @@ import bench_workload
 
 from repro.bgp import encoding as bgp_encoding
 from repro.bgp.messages import BgpKeepalive
-from repro.scenario import Scenario, ScenarioEvent, run_scenario
+from repro.core.config import MtpTimers
+from repro.harness import experiments, snapshot
+from repro.harness.supervisor import RetryPolicy
+from repro.scenario import (
+    Scenario,
+    ScenarioEvent,
+    canonical_scenarios,
+    get_scenario,
+    run_scenario,
+    run_scenario_suite,
+    run_scenario_task,
+    runner as scenario_runner,
+)
 from repro.sim.engine import WHEEL_BACKEND, Simulator
 from repro.sim.units import SECOND
 from repro.topology.clos import ClosParams
@@ -31,8 +45,10 @@ from repro.workload.fluid import FluidProblem
 from repro.harness.experiments import (
     StackKind,
     build_and_converge,
+    run_experiment_batch,
     run_failure_experiment,
 )
+from repro.stacks import StackTimers, resolve_spec
 
 
 def test_raw_event_throughput(benchmark):
@@ -212,6 +228,85 @@ def test_link_index_is_built_per_forwarding_state_not_per_solve(
     assert metrics.workload["max_blackhole_us"] > 0  # the fault rerouted
     assert calls["assemble"] >= 2 and calls["solve"] >= 3
     assert calls["index"] == calls["assemble"] < calls["solve"]
+
+
+# ----------------------------------------------------------------------
+# converged-world snapshots (DESIGN "Converged-world snapshots"): a
+# suite converges each distinct world once; a task that cannot reuse a
+# world never pickles one.  Counts, no wall clock.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def world_counts(monkeypatch):
+    calls = {"converge": 0, "dumps": 0, "loads": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "converge_from_cold", counted(
+        "converge", experiments.converge_from_cold))
+    monkeypatch.setattr(snapshot, "pickle", SimpleNamespace(
+        dumps=counted("dumps", pickle.dumps),
+        loads=counted("loads", pickle.loads),
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+    return calls
+
+
+def _suite(names, stacks, pods=2, **kwargs):
+    outcomes = run_scenario_suite(
+        ClosParams(num_pods=pods), [get_scenario(n) for n in names], stacks,
+        **kwargs)
+    assert all(o is not None and o.digest for o in outcomes)
+    return outcomes
+
+
+def test_tc1_to_tc4_converge_one_world(world_counts):
+    _suite(["tc1", "tc2", "tc3", "tc4"], ["bgp-bfd"], seed=4)
+    assert world_counts == {"converge": 1, "dumps": 1, "loads": 3}
+
+
+def test_library_campaign_converges_one_world_per_stack(world_counts):
+    names = sorted(canonical_scenarios())
+    outcomes = _suite(names, ["mtp", "bgp-bfd"], pods=4)
+    assert len(outcomes) == 26
+    assert world_counts == {"converge": 2, "dumps": 2, "loads": 24}
+
+
+def test_other_seed_or_timers_is_a_snapshot_miss(world_counts):
+    jittered = StackTimers(mtp=MtpTimers(jitter=0.1))
+    worlds = [("mtp", 0, None), ("mtp", 0, None), ("mtp", 1, None),
+              ("mtp", 1, None), ("mtp", 1, jittered), ("mtp", 1, jittered)]
+    params = ClosParams(num_pods=2)
+    snapshots = snapshot.WorldSnapshots(
+        snapshot.world_key(params, resolve_spec(stack, timers), seed)
+        for stack, seed, timers in worlds)
+    for stack, seed, timers in worlds:
+        build_and_converge(params, stack, seed, timers, snapshots=snapshots)
+    assert world_counts == {"converge": 3, "dumps": 3, "loads": 3}
+
+
+def test_tasks_that_cannot_reuse_a_world_never_pickle_one(
+        world_counts, monkeypatch):
+    # one scenario on one stack (the load-1m / load-churn shape), and
+    # one scenario across stacks: no world recurs
+    _suite(["tc1"], ["mtp"])
+    _suite(["tc1"], ["mtp", "bgp-bfd"])
+    # seed batches draw a distinct seed per task
+    run_experiment_batch(ClosParams(num_pods=2), "mtp", "TC1", seeds=(0, 1))
+    assert world_counts == {"converge": 5, "dumps": 0, "loads": 0}
+
+    # supervised suites run one process per attempt: they get the plain
+    # worker, so no store ever reaches a child
+    handed = []
+    monkeypatch.setattr(
+        scenario_runner, "supervise_tasks",
+        lambda specs, worker, **kwargs: handed.append(worker) or [])
+    run_scenario_suite(
+        ClosParams(num_pods=2), [get_scenario("tc1"), get_scenario("tc2")],
+        ["mtp"], policy=RetryPolicy())
+    assert handed == [run_scenario_task]
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,11 @@ class PortNeighbor:
     """Liveness and direction state for the device at the far end of one
     port."""
 
+    __slots__ = ("sim", "port", "timers", "on_up", "on_down", "monitor",
+                 "on_damp", "state", "tier", "peer_gen", "stale_held",
+                 "_consecutive", "_last_rx", "times_died",
+                 "_suppress_flagged", "_dead_timer")
+
     def __init__(
         self,
         sim: Simulator,

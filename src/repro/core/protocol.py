@@ -29,6 +29,7 @@ otherwise up via a hashed choice among alive, unmarked upstream ports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.sim.timers import PeriodicTimer, Timer
@@ -215,7 +216,7 @@ class MtpNode:
             )
             timer = PeriodicTimer(
                 self.sim, self.timers.hello_us,
-                lambda port=iface.name: self._hello_tick(port),
+                partial(self._hello_tick, iface.name),
                 name=f"mtp-hello-{iface.name}",
                 jitter=self.timers.jitter, rng=self.rng,
             )
@@ -614,7 +615,7 @@ class MtpNode:
         timer = self._stale_hold_timers.get(port)
         if timer is None:
             timer = Timer(self.sim, self.stale_hold_us,
-                          lambda p=port: self._on_stale_hold_expired(p),
+                          partial(self._on_stale_hold_expired, port),
                           name=f"mtp-gr-hold-{port}")
             self._stale_hold_timers[port] = timer
         timer.restart(self.stale_hold_us)

@@ -1,8 +1,10 @@
 """Experiment drivers: one call = one paper measurement.
 
-Each run builds a fresh :class:`World` (the "reserve a new slice"
-analogue), deploys a registered protocol stack, converges from cold,
-injects a TC failure, and computes the section-V metrics.  Multi-seed
+Each run gets a :class:`World` of its own (the "reserve a new slice"
+analogue) with a registered protocol stack converged from cold on it —
+built on the spot, or, inside a scenario suite, restored from the
+snapshot an earlier task of the same world left (DESIGN §7) — then
+injects a TC failure and computes the section-V metrics.  Multi-seed
 batches average the results as the paper averages over runs.
 
 Stacks are selected through :mod:`repro.stacks` — a registry name
@@ -37,6 +39,7 @@ from repro.harness.metrics import (
     snapshot_table_change_counts,
 )
 from repro.harness.pathtrace import find_crossing_flow
+from repro.harness.snapshot import WorldSnapshots, world_key
 from repro.net.capture import Capture
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 
@@ -73,23 +76,33 @@ def build_and_converge(
     timers: Optional[StackTimers] = None,
     trace_enabled: bool = True,
     max_converge_us: int = 60 * SECOND,
+    snapshots: Optional[WorldSnapshots] = None,
 ):
-    """Fresh world + topology + converged deployment of any registered
-    stack (name, spec, definition, or legacy enum).
+    """A private world + topology + converged deployment of any
+    registered stack (name, spec, definition, or legacy enum).
 
     ``params`` selects the fabric in any spelling the topology registry
     resolves — a :class:`~repro.topology.TopologySpec`, a registry name,
     a legacy params dataclass, or ``None`` for the default folded-Clos.
+
+    With a suite's ``snapshots`` the world may be a restored copy of one
+    an earlier call converged from the same inputs, not a new cold start.
     """
     spec = resolve_spec(stack, timers)
-    definition = get_stack(spec.name)
-    world = World(seed=seed, trace_enabled=trace_enabled)
-    topo = build_topology(params, world=world)
-    deployment = definition.build(topo, spec)
-    deployment.start()
-    converge_from_cold(world, deployment, deployment.ready,
-                       max_time_us=max_converge_us)
-    return world, topo, deployment
+
+    def cold():
+        world = World(seed=seed, trace_enabled=trace_enabled)
+        topo = build_topology(params, world=world)
+        deployment = get_stack(spec.name).build(topo, spec)
+        deployment.start()
+        converge_from_cold(world, deployment, deployment.ready,
+                           max_time_us=max_converge_us)
+        return world, topo, deployment
+
+    if snapshots is None:
+        return cold()
+    key = world_key(params, spec, seed, trace_enabled, max_converge_us)
+    return snapshots.converged(key, spec.name, cold)
 
 
 def detection_bound_us(stack, timers: Optional[StackTimers] = None) -> int:

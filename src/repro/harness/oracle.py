@@ -16,60 +16,67 @@ constructive proof of reachability.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
-
-import networkx as nx
 
 from repro.topology import TIER_SERVER, Topology
 from repro.harness.pathtrace import trace_path
 
 
-def alive_fabric_graph(topo: Topology) -> nx.DiGraph:
+@dataclass
+class FabricGraph:
+    """Alive fabric adjacency, insertion-ordered: ``tier[n]`` for every
+    router, ``succ[u]``/``pred[v]`` for every edge u->v."""
+
+    tier: dict[str, int]
+    succ: dict[str, list[str]]
+    pred: dict[str, list[str]]
+
+
+def alive_fabric_graph(topo: Topology) -> FabricGraph:
     """Directed graph of alive fabric links: an edge u->v exists when a
     frame can actually travel from u to v (u's interface can transmit
     and v's can receive — the paper's one-sided failure semantics)."""
-    graph = nx.DiGraph()
-    for name in topo.routers():
-        graph.add_node(name, tier=topo.node(name).tier)
+    tier = {name: topo.node(name).tier for name in topo.routers()}
+    graph = FabricGraph(tier, {name: [] for name in tier},
+                        {name: [] for name in tier})
     for link in topo.world.links:
         a, b = link.end_a, link.end_b
         if a.node.tier == TIER_SERVER or b.node.tier == TIER_SERVER:
             continue
         if a.admin_up and b.admin_up:
-            graph.add_edge(a.node.name, b.node.name)
-            graph.add_edge(b.node.name, a.node.name)
+            for u, v in ((a.node.name, b.node.name),
+                         (b.node.name, a.node.name)):
+                graph.succ[u].append(v)
+                graph.pred[v].append(u)
     return graph
 
 
-def _up_closure(graph: nx.DiGraph, start: str) -> set[str]:
-    """Nodes reachable from ``start`` along strictly tier-increasing
-    alive edges (the 'up' phase of a valley-free path)."""
+def _climb(tier: dict[str, int], step: dict[str, list[str]],
+           start: str) -> set[str]:
+    """Nodes reached from ``start`` by following ``step`` edges to
+    strictly higher tiers."""
     closure = {start}
     frontier = [start]
     while frontier:
         here = frontier.pop()
-        here_tier = graph.nodes[here]["tier"]
-        for nxt in graph.successors(here):
-            if graph.nodes[nxt]["tier"] > here_tier and nxt not in closure:
+        for nxt in step[here]:
+            if tier[nxt] > tier[here] and nxt not in closure:
                 closure.add(nxt)
                 frontier.append(nxt)
     return closure
 
 
-def _down_closure(graph: nx.DiGraph, start: str) -> set[str]:
+def _up_closure(graph: FabricGraph, start: str) -> set[str]:
+    """Nodes reachable from ``start`` along strictly tier-increasing
+    alive edges (the 'up' phase of a valley-free path)."""
+    return _climb(graph.tier, graph.succ, start)
+
+
+def _down_closure(graph: FabricGraph, start: str) -> set[str]:
     """Nodes that can reach ``start`` along strictly tier-decreasing
     alive edges (the 'down' phase, walked backwards)."""
-    closure = {start}
-    frontier = [start]
-    while frontier:
-        here = frontier.pop()
-        here_tier = graph.nodes[here]["tier"]
-        for prev in graph.predecessors(here):
-            if graph.nodes[prev]["tier"] > here_tier and prev not in closure:
-                closure.add(prev)
-                frontier.append(prev)
-    return closure
+    return _climb(graph.tier, graph.pred, start)
 
 
 def oracle_reachable(topo: Topology, src_tor: str, dst_tor: str) -> bool:
@@ -77,7 +84,7 @@ def oracle_reachable(topo: Topology, src_tor: str, dst_tor: str) -> bool:
     alive links: some node lies both in src's up-closure and in the set
     of nodes that can descend to dst."""
     graph = alive_fabric_graph(topo)
-    if src_tor not in graph or dst_tor not in graph:
+    if src_tor not in graph.tier or dst_tor not in graph.tier:
         return False
     return bool(_up_closure(graph, src_tor) & _down_closure(graph, dst_tor))
 

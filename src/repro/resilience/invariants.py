@@ -147,8 +147,9 @@ class InvariantMonitor:
         topo = self.topo
         tors = topo.all_tors()
         graph = alive_fabric_graph(topo)
-        up = {t: _up_closure(graph, t) for t in tors if t in graph}
-        down = {t: _down_closure(graph, t) for t in tors if t in graph}
+        up = {t: _up_closure(graph, t) for t in tors if t in graph.tier}
+        down = {t: _down_closure(graph, t) for t in tors
+                if t in graph.tier}
         anomalies: set[tuple[str, str, str]] = set()
         for dst in tors:
             can_loop, can_drop = self._walk(dst, tors)

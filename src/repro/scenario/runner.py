@@ -11,6 +11,7 @@ Every run carries a SHA-256 run digest (trace + metrics), so serial and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.sim.units import SECOND
@@ -20,6 +21,7 @@ from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
 from repro.harness.parallel import FanoutReport, execute_tasks
+from repro.harness.snapshot import WorldSnapshots, world_key
 from repro.harness.supervisor import (
     RetryPolicy,
     SupervisorReport,
@@ -64,13 +66,15 @@ def run_scenario(
     timers: Optional[StackTimers] = None,
     return_world: bool = False,
     invariants: bool = False,
+    snapshots: Optional[WorldSnapshots] = None,
 ):
-    """Build a fresh fabric, converge the stack, execute the scenario."""
+    """Converge the stack on a private fabric (cold, or restored from
+    ``snapshots``), then execute the scenario on it."""
     spec = resolve_spec(stack, timers)
     # the horizon feeds the converge budget ceiling only indirectly: the
     # scenario itself plays after convergence, on the measured clock
     world, topo, deployment = build_and_converge(
-        params, spec, seed, max_converge_us=60 * SECOND)
+        params, spec, seed, max_converge_us=60 * SECOND, snapshots=snapshots)
     program = compile_scenario(scenario, world, topo, deployment,
                                invariants=invariants)
     metrics = program.execute(spec.name, seed)
@@ -79,11 +83,15 @@ def run_scenario(
     return metrics
 
 
-def run_scenario_task(spec: ScenarioRunSpec) -> ScenarioOutcome:
+def run_scenario_task(
+    spec: ScenarioRunSpec,
+    snapshots: Optional[WorldSnapshots] = None,
+) -> ScenarioOutcome:
     """The parallel worker (top-level so the process pool can pickle it)."""
     metrics, world = run_scenario(spec.scenario, spec.params, spec.stack,
                                   spec.seed, return_world=True,
-                                  invariants=spec.invariants)
+                                  invariants=spec.invariants,
+                                  snapshots=snapshots)
     digest = run_digest(world.trace, _metrics_payload(metrics))
     return ScenarioOutcome(metrics=metrics, digest=digest)
 
@@ -237,8 +245,16 @@ def run_scenario_suite(
             decode=decode_scenario_outcome, label_fn=scenario_task_label,
             report=supervisor,
         )
-    return execute_tasks(
-        specs, run_scenario_task, jobs=jobs, cache=cache,
-        key_fn=scenario_task_key, encode=encode_scenario_outcome,
-        decode=decode_scenario_outcome, report=report,
+    # the list, not a flag, decides what is shared: only a world that two
+    # or more of these tasks converge identically is ever snapshotted
+    snapshots = WorldSnapshots(
+        world_key(s.params, s.stack, s.seed) for s in specs)
+    outcomes = execute_tasks(
+        specs, partial(run_scenario_task, snapshots=snapshots), jobs=jobs,
+        cache=cache, key_fn=scenario_task_key,
+        encode=encode_scenario_outcome, decode=decode_scenario_outcome,
+        report=report,
     )
+    if report is not None:
+        report.notes.extend(snapshots.notes)
+    return outcomes

@@ -21,6 +21,8 @@ class Timer:
     down.
     """
 
+    __slots__ = ("sim", "interval", "callback", "name", "_handle")
+
     def __init__(
         self,
         sim: Simulator,
@@ -75,6 +77,9 @@ class PeriodicTimer:
     transmit-interval rule (RFC 5880 section 6.8.7 mandates 75-100%).
     Deterministic when the RNG is seeded.
     """
+
+    __slots__ = ("sim", "interval", "callback", "name", "jitter", "rng",
+                 "_handle")
 
     def __init__(
         self,

@@ -22,9 +22,10 @@ def topo():
 
 def test_graph_excludes_server_links(topo):
     graph = alive_fabric_graph(topo)
-    assert set(graph.nodes) == set(topo.routers())
+    assert set(graph.tier) == set(topo.routers())
     # 16 fabric links, both directions
-    assert graph.number_of_edges() == 32
+    assert sum(map(len, graph.succ.values())) == 32
+    assert sum(map(len, graph.pred.values())) == 32
 
 
 def test_up_closure_is_tier_monotone(topo):
@@ -34,9 +35,9 @@ def test_up_closure_is_tier_monotone(topo):
     # the ToR, its two aggs, and their four plane tops
     assert len(closure) == 7
     assert tor in closure
-    assert all(graph.nodes[n]["tier"] >= 1 for n in closure)
+    assert all(graph.tier[n] >= 1 for n in closure)
     # no other ToRs (that would require a down edge)
-    assert sum(1 for n in closure if graph.nodes[n]["tier"] == 1) == 1
+    assert sum(1 for n in closure if graph.tier[n] == 1) == 1
 
 
 def test_down_closure_mirrors_up(topo):
@@ -50,8 +51,10 @@ def test_one_sided_failure_removes_both_edge_directions(topo):
     case = topo.failure_cases()["TC1"]
     topo.node(case.node).interfaces[case.interface].set_admin(False)
     graph = alive_fabric_graph(topo)
-    assert not graph.has_edge(case.node, case.peer_node)
-    assert not graph.has_edge(case.peer_node, case.node)
+    assert case.peer_node not in graph.succ[case.node]
+    assert case.node not in graph.succ[case.peer_node]
+    assert case.node not in graph.pred[case.peer_node]
+    assert case.peer_node not in graph.pred[case.node]
 
 
 def test_reachability_via_shared_top(topo):
