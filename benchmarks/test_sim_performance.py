@@ -9,8 +9,10 @@ simulated seconds).
 
 from __future__ import annotations
 
+import cProfile
 import json
 import pickle
+import pstats
 import sys
 import time
 from functools import cached_property
@@ -228,6 +230,37 @@ def test_link_index_is_built_per_forwarding_state_not_per_solve(
     assert metrics.workload["max_blackhole_us"] > 0  # the fault rerouted
     assert calls["assemble"] >= 2 and calls["solve"] >= 3
     assert calls["index"] == calls["assemble"] < calls["solve"]
+
+
+@pytest.mark.parametrize("stack, ceiling, scheduled", [
+    ("mtp", 26, 4040), ("bgp-bfd", 15, 2513)])
+def test_steady_state_second_is_cheap_and_elides_nothing(
+        stack, ceiling, scheduled):
+    """One quiet simulated second on a converged 4-PoD fabric (DESIGN
+    "Steady-state frame path"), counted, not timed: primitive Python
+    calls per ``mtp.keepalive.tx`` record on MR-MTP (36.0 before the
+    path was shaped for the healthy case, 23.8 after) and per scheduled
+    event on BGP/BFD (18.2, 13.8) — and exactly the events the second
+    always had, so the saving is cheaper events, never fewer."""
+    world, _topo, _deployment = build_and_converge(
+        ClosParams(num_pods=4), stack, seed=3)
+    emitted = len(world.trace.records)
+    profiler = cProfile.Profile(builtins=False)
+    profiler.runcall(world.sim.run_for, SECOND)
+    stats = pstats.Stats(profiler).stats
+    calls = sum(primitive for primitive, *_ in stats.values())
+    events = sum(
+        total for (path, _line, name), (_prim, total, *_) in stats.items()
+        if path.endswith("sim/engine.py")
+        and name in ("schedule_at", "schedule_after"))
+    assert events == scheduled
+    if stack == "mtp":
+        units = sum(r.category == "mtp.keepalive.tx"
+                    for r in world.trace.records[emitted:])
+        assert units == 1280
+    else:
+        units = events
+    assert calls <= ceiling * units, f"{calls / units:.1f} calls per unit"
 
 
 # ----------------------------------------------------------------------

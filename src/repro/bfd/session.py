@@ -14,6 +14,8 @@ from typing import Callable, Optional
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.units import MILLISECOND
 from repro.stack.addresses import Ipv4Address
+from repro.stack.ipv4 import PROTO_UDP, Ipv4Packet
+from repro.stack.udp import UdpDatagram
 from repro.net.interface import Interface
 from repro.iputil.udp_service import UdpService
 from repro.liveness import NeighborMonitor
@@ -67,6 +69,7 @@ class BfdSession:
         self.state = BfdState.DOWN
         self.packets_sent = 0
         self.packets_received = 0
+        self._tx_inputs: Optional[tuple] = None  # what _tx_packet was built from
         rng = manager.rng
         self._tx_timer = PeriodicTimer(
             self.sim, SLOW_TX_INTERVAL_US, self._transmit,
@@ -100,21 +103,32 @@ class BfdSession:
         # Advertise the rate we are actually transmitting at: the slow
         # rate until the session is Up (RFC 5880 6.8.3).
         current_tx = (
-            self.timers.tx_interval_us if self.up else SLOW_TX_INTERVAL_US
+            self.timers.tx_interval_us if self.state is BfdState.UP
+            else SLOW_TX_INTERVAL_US
         )
-        packet = BfdControlPacket(
-            state=self.state,
-            detect_mult=self.timers.detect_mult,
-            my_discriminator=self.my_discriminator,
-            your_discriminator=self.your_discriminator,
-            desired_min_tx_us=current_tx,
-            required_min_rx_us=self.timers.tx_interval_us,
-        )
+        # Flyweight: an Up session sends the same immutable packet every
+        # interval.  Everything else in it is fixed at construction, so
+        # comparing these three each tick leaves nothing to invalidate.
+        inputs = (self.state, self.your_discriminator, current_tx)
+        if inputs != self._tx_inputs:
+            self._tx_inputs = inputs
+            control = BfdControlPacket(
+                state=self.state,
+                detect_mult=self.timers.detect_mult,
+                my_discriminator=self.my_discriminator,
+                your_discriminator=self.your_discriminator,
+                desired_min_tx_us=current_tx,
+                required_min_rx_us=self.timers.tx_interval_us,
+            )
+            self._tx_packet = Ipv4Packet(
+                src=self.local, dst=self.peer, proto=PROTO_UDP, ttl=255,
+                payload=UdpDatagram(
+                    src_port=49152 + (self.my_discriminator % 1024),
+                    dst_port=BFD_PORT, payload=control),
+            )
+            self._tx_flow = self.manager.udp.stack.flow_for(self._tx_packet)
         self.packets_sent += 1
-        self.manager.udp.send(
-            self.peer, BFD_PORT, src_port=49152 + (self.my_discriminator % 1024),
-            payload=packet, src=self.local, ttl=255,
-        )
+        self.manager.udp.stack.send_packet(self._tx_packet, self._tx_flow)
 
     def _set_state(self, new_state: BfdState) -> None:
         if new_state is self.state:

@@ -100,8 +100,9 @@ class PortNeighbor:
                   gen: Optional[int] = None) -> None:
         """Any MR-MTP frame from the peer is a liveness proof."""
         now = self.sim.now
-        if self.monitor is not None:
-            self.monitor.observe(now)
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.observe(now)
         if tier is not None:
             self.tier = tier
         if gen is not None:
@@ -117,7 +118,10 @@ class PortNeighbor:
             if self.tier is not None:
                 self._try_accept()
         elif self.state is NeighborState.UP:
-            self._dead_timer.restart(self._dead_interval_us())
+            # every healthy keepalive ends here: _dead_interval_us(), inline
+            self._dead_timer.restart(
+                self.timers.dead_us if monitor is None
+                else monitor.detection_interval_us(self.timers.dead_us))
         else:
             # DEAD or PROBATION: Slow-to-Accept counting.  A gap larger
             # than the dead interval breaks the consecutive run.

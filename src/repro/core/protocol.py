@@ -381,13 +381,15 @@ class MtpNode:
         iface = self.node.interfaces[port]
         if not iface.admin_up:
             return
+        now = self.sim.now
         last = self._last_tx.get(port)
-        if last is not None and self.sim.now - last < self.timers.hello_us:
+        if last is not None and now - last < self.timers.hello_us:
             return
-        nbr = self.neighbors[port]
-        if nbr.state is NeighborState.UP:
+        if self.neighbors[port].state is NeighborState.UP:
             self.counters.keepalives_sent += 1
-            self.node.log("mtp.keepalive.tx", port, bytes=15)
+            trace = self.node.trace
+            if trace.live:  # Node.log, minus its frame: 84% of all records
+                trace.emit(self.node.name, "mtp.keepalive.tx", port, bytes=15)
             frame = self._keepalive_frames.get(port)
             if frame is None:
                 frame = EthernetFrame(
@@ -396,7 +398,7 @@ class MtpNode:
                 )
                 self._keepalive_frames[port] = frame
             if iface.send(frame):
-                self._last_tx[port] = self.sim.now
+                self._last_tx[port] = now
         else:
             # discovery / re-acceptance needs the tier information
             self._send(port, MtpFullHello(tier=self.tier,
@@ -414,10 +416,16 @@ class MtpNode:
     # ------------------------------------------------------------------
     def _on_frame(self, iface: Interface, frame: EthernetFrame) -> None:
         message = frame.payload
-        if not isinstance(message, MtpMessage):
-            return
         port = iface.name
         nbr = self.neighbors.get(port)
+        if (type(message) is MtpKeepalive and nbr is not None
+                and nbr.state is NeighborState.UP and not self.crashed):
+            # the steady state: a healthy neighbour says it is alive.
+            # saw_frame() re-arms the dead timer and cannot change state.
+            nbr.saw_frame()
+            return
+        if not isinstance(message, MtpMessage):
+            return
         if nbr is None:
             return  # excluded or unconfigured port
         if self.crashed:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import islice
 from typing import Any, Iterable
 
 from repro.sim.trace import TraceLog, TraceRecord
@@ -25,24 +26,44 @@ from repro.sim.trace import TraceLog, TraceRecord
 DIGEST_SCHEMA = 1
 
 
+# One encoder for the process: ``json.dumps`` with keyword arguments
+# builds a fresh ``JSONEncoder`` per call, which was most of the cost of
+# hashing a trace log record by record.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           default=repr).encode
+
+# Records rendered per ``sha256.update``: a join per record allocates a
+# bytes object each, a join per log holds the whole rendering at once.
+_BATCH = 4096
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON rendering: sorted keys, no whitespace noise,
     ``repr`` fallback for non-JSON values (enums, dataclasses...)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=repr)
+    return _encode(payload)
 
 
-def _record_line(rec: TraceRecord) -> bytes:
-    data = canonical_json(rec.data) if rec.data else ""
-    return f"{rec.time}|{rec.node}|{rec.category}|{rec.message}|{data}\n".encode()
+def _record_line(rec: TraceRecord) -> str:
+    data = rec.data
+    if len(data) == 1:
+        # ``{"bytes":15}`` and its kin are most of any log: one int under
+        # an identifier key needs no escaping, sorting or encoder.  bool
+        # subclasses int and must render ``true``, hence ``type(...) is``.
+        (key, value), = data.items()
+        plain = (type(value) is int and type(key) is str
+                 and key.isascii() and key.isidentifier())
+        text = f'{{"{key}":{value}}}' if plain else _encode(data)
+    else:
+        text = _encode(data) if data else ""
+    return f"{rec.time}|{rec.node}|{rec.category}|{rec.message}|{text}\n"
 
 
 def trace_digest(trace: TraceLog | Iterable[TraceRecord]) -> str:
     """SHA-256 over the full trace log in emission order."""
-    records = trace.records if isinstance(trace, TraceLog) else trace
+    records = iter(trace.records if isinstance(trace, TraceLog) else trace)
     h = hashlib.sha256(f"trace:v{DIGEST_SCHEMA}\n".encode())
-    for rec in records:
-        h.update(_record_line(rec))
+    while batch := list(islice(records, _BATCH)):
+        h.update("".join(map(_record_line, batch)).encode())
     return h.hexdigest()
 
 

@@ -127,8 +127,9 @@ class IpStack:
         self.counters.forwarded += 1
         self._route_and_emit(packet)
 
-    def _flow_for(self, packet: Ipv4Packet) -> FlowKey:
-        # Transport ports participate in the hash when present.
+    def flow_for(self, packet: Ipv4Packet) -> FlowKey:
+        """The ECMP key of ``packet``; transport ports participate in the
+        hash when present."""
         src_port = getattr(packet.payload, "src_port", 0)
         dst_port = getattr(packet.payload, "dst_port", 0)
         return FlowKey(
@@ -142,7 +143,7 @@ class IpStack:
     def _route_and_emit(self, packet: Ipv4Packet, flow: Optional[FlowKey] = None,
                         notify_unreachable: bool = False) -> None:
         if flow is None:
-            flow = self._flow_for(packet)
+            flow = self.flow_for(packet)
         nexthop = self.table.select_nexthop(packet.dst, flow)
         if nexthop is None:
             self.counters.dropped_no_route += 1

@@ -24,6 +24,7 @@ from repro.net.interface import Interface
 DEFAULT_BANDWIDTH_BPS = 10_000_000_000  # 10 Gb/s
 DEFAULT_PROPAGATION_US = 5
 DEFAULT_QUEUE_BYTES = 512 * 1024  # per-direction egress buffer
+_BYTE_TICKS = 8 * SECOND  # bytes x this // bits-per-second = ticks on the wire
 
 
 class Link:
@@ -119,8 +120,9 @@ class Link:
     # ------------------------------------------------------------------
     def queue_backlog_bytes(self, sender: Interface) -> int:
         """Bytes currently waiting to serialize in ``sender``'s direction."""
+        self.other_end(sender)  # ValueError for a foreign interface
         backlog_us = max(0, self._next_free[sender] - self.sim.now)
-        return (backlog_us * self.bandwidth_bps) // (8 * SECOND)
+        return (backlog_us * self.bandwidth_bps) // _BYTE_TICKS
 
     def transmit(self, sender: Interface, frame: EthernetFrame) -> bool:
         """Queue ``frame`` from ``sender``; deliver after serialization +
@@ -128,16 +130,31 @@ class Link:
         what lets the traffic generator's "back-to-back packets" saturate
         the line exactly as the paper's tool does.  A frame arriving to a
         full egress queue is tail-dropped (returns False) — congestion
-        loss, distinct from the failure loss the paper measures."""
+        loss, distinct from the failure loss the paper measures.
+
+        Every frame passes through here, so the arithmetic of
+        :meth:`other_end`, :meth:`queue_backlog_bytes` and
+        :meth:`serialization_us` is written out; they stay the public
+        queries and ``tests/net`` holds them equal to this."""
+        if sender is self.end_a:
+            receiver = self.end_b
+        elif sender is self.end_b:
+            receiver = self.end_a
+        else:
+            raise ValueError(f"{sender!r} is not an end of this link")
+        now = self.sim.now
+        start = self._next_free[sender]
+        if start < now:
+            start = now
+        padded = frame.padded_wire_size
+        bandwidth = self.bandwidth_bps
         if (self.queue_bytes is not None
-                and self.queue_backlog_bytes(sender) + frame.padded_wire_size
+                and ((start - now) * bandwidth) // _BYTE_TICKS + padded
                 > self.queue_bytes):
             self.frames_dropped_queue += 1
             sender.counters.tx_dropped_queue += 1
             return False
-        receiver = self.other_end(sender)
-        start = max(self.sim.now, self._next_free[sender])
-        done = start + self.serialization_us(frame)
+        done = start + ((padded * _BYTE_TICKS) // bandwidth or 1)
         self._next_free[sender] = done
         self.frames_carried += 1
         self.bytes_carried += frame.wire_size

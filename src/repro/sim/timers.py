@@ -52,7 +52,9 @@ class Timer:
             if interval <= 0:
                 raise ValueError("interval must be positive")
             self.interval = int(interval)
-        self.stop()
+        handle = self._handle
+        if handle is not None:  # stop(), inline: every keepalive lands here
+            handle.cancelled = True
         self._handle = self.sim.schedule_after(self.interval, self._fire)
 
     # restart is an alias that reads better at call sites that "kick" a
@@ -133,5 +135,6 @@ class PeriodicTimer:
 
     def _fire(self) -> None:
         # Reschedule before the callback so the callback may stop() us.
-        self._handle = self.sim.schedule_after(self._next_period(), self._fire)
+        period = self.interval if self.jitter == 0.0 else self._next_period()
+        self._handle = self.sim.schedule_after(period, self._fire)
         self.callback()

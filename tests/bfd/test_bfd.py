@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bfd.messages import BfdControlPacket, BfdState, BFD_PORT
-from repro.bfd.session import BfdManager, BfdTimers
+from repro.bfd.session import SLOW_TX_INTERVAL_US, BfdManager, BfdTimers
 from repro.iputil.udp_service import UdpService
 from repro.net.capture import Capture
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.addresses import Ipv4Address
-from repro.stack.ipv4 import Ipv4Packet
+from repro.net.world import World
+from repro.stack.ipv4 import PROTO_UDP, Ipv4Packet
 from repro.stack.udp import UdpDatagram
 
 from tests.conftest import make_ip_pair
@@ -132,3 +133,101 @@ def test_discriminator_validation():
         BfdControlPacket(BfdState.DOWN, 3, 0, 0, 1, 1)
     with pytest.raises(ValueError):
         BfdControlPacket(BfdState.DOWN, 0, 1, 0, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# The transmit flyweight (BfdSession._transmit keeps one packet while
+# nothing it is built from changes) must be invisible on the wire.
+# ----------------------------------------------------------------------
+def _flyweight_run(bypass: bool):
+    """Both sessions through Down -> Init -> Up, a peer restart under a
+    new discriminator, a detection expiry and an ``admin_reset``.  Every
+    BFD packet tapped at transmit is compared with the one the per-tick
+    construction ``_transmit`` replaced would have built from the
+    session's fields at that instant.  ``bypass`` forgets the flyweight
+    before every transmission, i.e. restores that construction."""
+    world = World(seed=42)
+    a, b, stack_a, stack_b = make_ip_pair(world)
+    managers = {
+        "A": BfdManager(UdpService(stack_a), rng=world.rng.stream("bfd-a")),
+        "B": BfdManager(UdpService(stack_b), rng=world.rng.stream("bfd-b")),
+    }
+    addr = {"A": ip("10.0.0.1"), "B": ip("10.0.0.2")}
+    wire = []
+
+    def session_of(name):
+        (session,) = managers[name].sessions.values()
+        return session
+
+    def create(name, peer):
+        session = managers[name].create_session(addr[peer], addr[name])
+        if bypass:
+            def rebuild_every_time(transmit=session._transmit):
+                session._tx_inputs = None
+                transmit()
+            session._tx_timer.callback = rebuild_every_time
+
+    def tap(iface, frame, direction):
+        if direction != "tx" or not isinstance(frame.payload, Ipv4Packet):
+            return
+        s = session_of(iface.node.name)
+        fresh = Ipv4Packet(
+            src=s.local, dst=s.peer, proto=PROTO_UDP, ttl=255,
+            payload=UdpDatagram(
+                src_port=49152 + (s.my_discriminator % 1024),
+                dst_port=BFD_PORT,
+                payload=BfdControlPacket(
+                    state=s.state, detect_mult=s.timers.detect_mult,
+                    my_discriminator=s.my_discriminator,
+                    your_discriminator=s.your_discriminator,
+                    desired_min_tx_us=(s.timers.tx_interval_us if s.up
+                                       else SLOW_TX_INTERVAL_US),
+                    required_min_rx_us=s.timers.tx_interval_us)))
+        assert frame.payload == fresh, (world.sim.now, iface.node.name)
+        control = frame.payload.payload.payload
+        wire.append((world.sim.now, iface.node.name, control.state,
+                     control.your_discriminator))
+
+    for node in (a, b):
+        node.interfaces["eth1"].taps.append(tap)
+    create("A", "B")
+    create("B", "A")
+    world.run(until=1 * MILLISECOND)                # one exchange: both Init
+    assert session_of("A").state is session_of("B").state is BfdState.INIT
+    b.interfaces["eth1"].set_admin(False)           # B falls silent, so A
+    world.run(until=1500 * MILLISECOND)             # repeats Init, your=1
+    managers["B"].remove_session(addr["A"])         # peer restart: B is back
+    b.interfaces["eth1"].set_admin(True)            # as discriminator 2 and
+    create("B", "A")                                # A, still Init, must say so
+    world.run(until=5 * SECOND)
+    assert session_of("A").up and session_of("B").up
+    assert session_of("A").your_discriminator == 2
+    b.interfaces["eth1"].set_admin(False)           # A's detection expires
+    world.run(until=6 * SECOND)
+    assert not session_of("A").up
+    b.interfaces["eth1"].set_admin(True)
+    world.run(until=10 * SECOND)
+    assert session_of("A").up and session_of("B").up
+    session_of("B").admin_reset()                   # B's your_discriminator -> 0
+    world.run(until=14 * SECOND)
+    assert session_of("A").up and session_of("B").up
+    return {
+        "wire": wire,
+        "packets_sent": [session_of(n).packets_sent for n in "AB"],
+        "ip_sent": [stack_a.counters.sent, stack_b.counters.sent],
+        "rng": [world.rng.stream(f"bfd-{n}").bit_generator.state
+                for n in "ab"],
+        "now": world.sim.now,
+    }
+
+
+def test_transmit_flyweight_is_invisible_on_the_wire():
+    flyweight, rebuilt = _flyweight_run(False), _flyweight_run(True)
+    assert flyweight == rebuilt
+    states = {state for _t, _n, state, _y in flyweight["wire"]}
+    assert states == {BfdState.DOWN, BfdState.INIT, BfdState.UP}
+    assert {your for _t, name, _s, your in flyweight["wire"]
+            if name == "A"} == {0, 1, 2}
+    # A's session lived through all of it: every packet it counted is there
+    assert len([1 for _t, name, _s, _y in flyweight["wire"] if name == "A"]) \
+        == flyweight["packets_sent"][0]

@@ -140,3 +140,58 @@ def test_duplicate_node_name_rejected(world):
     world.add_node("X")
     with pytest.raises(ValueError):
         world.add_node("X")
+
+
+@pytest.mark.parametrize("queue_bytes", [None, 3_063])
+@pytest.mark.parametrize("bandwidth", [10_000_000, 100_000_000_000])
+def test_transmit_agrees_with_the_public_queries(world, queue_bytes, bandwidth):
+    """``Link.transmit`` writes its peer, backlog and serialization
+    arithmetic out; ``other_end`` / ``queue_backlog_bytes`` /
+    ``serialization_us`` are the reference it must keep agreeing with —
+    from both ends, with and without a finite buffer, and down to the
+    1 us floor of a tiny frame on a fast line.  A sender that is not an
+    end of the link gets the documented ValueError, never a delivery."""
+    a, b, link = build_pair(world)
+    link.bandwidth_bps, link.queue_bytes = bandwidth, queue_bytes
+    arrivals = []
+    for node in (a, b):
+        node.register_handler(
+            ETHERTYPE_MTP,
+            lambda iface, f, node=node: arrivals.append(
+                (world.sim.now, node.name, f)))
+    expected, dropped, brim_full = [], 0, 0
+    next_free = {link.end_a: 0, link.end_b: 0}
+    # bursts (backlog builds), then a gap longer than the backlog (idle)
+    for pause_us, sizes in ((0, (1486, 50, 1486, 1486, 1, 900)),
+                            (50_000, (1486, 1486, 1486, 1486))):
+        world.run(until=world.sim.now + pause_us)
+        for size in sizes:
+            for sender in (link.end_a, link.end_b):
+                f = frame(sender, size=size)
+                queued = link.queue_backlog_bytes(sender) + f.padded_wire_size
+                fits = queue_bytes is None or queued <= queue_bytes
+                brim_full += queued == queue_bytes
+                assert link.transmit(sender, f) is fits
+                if not fits:
+                    dropped += 1
+                    continue
+                done = (max(world.sim.now, next_free[sender])
+                        + link.serialization_us(f))
+                next_free[sender] = done
+                expected.append((done + link.propagation_us,
+                                 link.other_end(sender).node.name, f))
+    world.run()
+    assert sorted(arrivals, key=lambda e: e[:2]) == \
+        sorted(expected, key=lambda e: e[:2])
+    assert link.frames_dropped_queue == dropped
+    assert (dropped > 0) == (queue_bytes is not None)
+    # at 10 Mb/s the third frame fills the 3,063-byte buffer to the byte
+    assert (brim_full > 0) == (queue_bytes is not None and bandwidth < 10**9)
+    assert link.frames_carried == len(expected)
+
+    foreign = world.add_node("C").add_interface()
+    for call in (lambda: link.transmit(foreign, frame(foreign)),
+                 lambda: link.queue_backlog_bytes(foreign)):
+        with pytest.raises(ValueError, match="not an end of this link"):
+            call()
+    assert link.frames_carried == len(expected)
