@@ -148,7 +148,7 @@ def _expected_loss(impairment) -> float:
 @dataclass(eq=False, slots=True)
 class _GroupWalk:
     """The flows of one (src rack, dst rack) pair — they share the whole
-    walk tree — and what their last walk read and produced."""
+    walk tree — and what their last walk read."""
 
     src_tor: str
     dst_tor: str
@@ -156,9 +156,6 @@ class _GroupWalk:
     # candidate entry per (node, dst_tor, ingress) the walk consulted;
     # empty until the first walk
     reads: dict[tuple, tuple] = field(default_factory=dict)
-    # (link id, walk depth it was crossed at, flows that crossed it)
-    segments: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
-    dead: list[np.ndarray] = field(default_factory=list)  # dead-ended flows
 
 
 class FluidWorkload:
@@ -190,10 +187,11 @@ class FluidWorkload:
 
         # per-flow constants
         self._packed_keys = self._pack_flow_keys()
-        self._src_tor = flows.host_tor[flows.src]
-        self._dst_tor = flows.host_tor[flows.dst]
         self._src_access, self._dst_access = self._access_links()
         self._groups = self._group_by_rack_pair()
+        # the fabric link each flow crosses at walk depth d: one int32
+        # column per depth reached so far, -1 where the flow has none
+        self._hops: list[np.ndarray] = []
 
         # per-flow running state
         self.remaining = flows.size_bytes.astype(np.float64)
@@ -276,8 +274,8 @@ class FluidWorkload:
     def _access_links(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-flow first and last directed link: source host uplink
         and destination ToR's rack-facing downlink."""
-        up_of_host = np.empty(len(self.flows.hosts), dtype=np.int64)
-        down_of_host = np.empty(len(self.flows.hosts), dtype=np.int64)
+        up_of_host = np.empty(len(self.flows.hosts), dtype=np.int32)
+        down_of_host = np.empty(len(self.flows.hosts), dtype=np.int32)
         for h, host in enumerate(self.flows.hosts):
             host_if, tor_if = access_uplink(self.topo, host)
             up_of_host[h] = self._link_id(host_if)
@@ -292,13 +290,15 @@ class FluidWorkload:
             raise ValueError("flow ids are kept as int32: "
                              f"{len(flows)} flows is too many")
         n_tors = len(flows.tors)
-        pair = self._src_tor.astype(np.int64) * n_tors + self._dst_tor
+        src_tors = flows.host_tor[flows.src]
+        dst_tors = flows.host_tor[flows.dst]
+        pair = src_tors.astype(np.int64) * n_tors + dst_tors
         order = stable_order(pair, n_tors * n_tors).astype(np.int32)
         boundaries = np.flatnonzero(np.diff(pair[order])) + 1
         groups = []
         for members in np.split(order, boundaries):
-            src_tor = flows.tors[int(self._src_tor[members[0]])]
-            dst_tor = flows.tors[int(self._dst_tor[members[0]])]
+            src_tor = flows.tors[int(src_tors[members[0]])]
+            dst_tor = flows.tors[int(dst_tors[members[0]])]
             if src_tor != dst_tor:
                 groups.append(_GroupWalk(src_tor, dst_tor, members))
         return groups
@@ -358,11 +358,16 @@ class FluidWorkload:
     def _walk(self, group: _GroupWalk, memo: dict) -> None:
         """Walk one rack pair's flows hop by hop through the live
         candidate sets; per-flow work happens only at genuine ECMP
-        branch points.  Leaves on ``group`` the links crossed, the
-        dead-ended flows and every candidate entry the walk read."""
+        branch points.  Writes the links crossed into the hop columns
+        and the dead-ended flows into the blackholed mask — both wiped
+        for this group's flows first, so nothing survives of a previous
+        walk that went deeper or died — and leaves on ``group`` every
+        candidate entry the walk read."""
         group.reads = {}
-        group.segments = []
-        group.dead = []
+        for column in self._hops:
+            column[group.flows] = -1
+        dead = self._blackholed_now
+        dead[group.flows] = False
         dst_tor = group.dst_tor
         stack = [(group.src_tor, None, 0, group.flows)]
         while stack:
@@ -370,13 +375,13 @@ class FluidWorkload:
             if node == dst_tor:
                 continue
             if depth >= MAX_FLUID_HOPS:
-                group.dead.append(idx)  # routing loop
+                dead[idx] = True  # routing loop
                 continue
             key = (node, dst_tor, ingress)
             entry = group.reads[key] = self._candidate_entry(memo, key)
             salt, spray, entries = entry
             if not entries:
-                group.dead.append(idx)  # no candidate port at all
+                dead[idx] = True  # no candidate port at all
                 continue
             if len(entries) == 1:
                 parts = [idx]
@@ -394,48 +399,36 @@ class FluidWorkload:
                 if len(part) == 0:
                     continue
                 if link is not None:
-                    group.segments.append((link, depth, part))
+                    if depth == len(self._hops):
+                        self._hops.append(
+                            np.full(len(self.flows), -1, dtype=np.int32))
+                    self._hops[depth][part] = link
                 if peer_node is None:
-                    group.dead.append(part)
+                    dead[part] = True
                 else:
                     stack.append((peer_node, peer_iface, depth + 1, part))
 
     def _assemble_paths(self) -> None:
-        """Rebuild the flow->link CSR and the blackholed mask from every
-        group's walk.  A flow's links sit in hop order — source access
-        link, the fabric hop taken at walk depth 0, 1, ..., destination
-        access link if it got there — so each segment's slot is known
-        from its depth and nothing needs sorting."""
+        """Rebuild the flow->link CSR from the hop columns.  A flow's
+        links sit in hop order — source access link, the fabric hop
+        taken at walk depth 0, 1, ..., destination access link if it
+        got there — and a flow's hops are contiguous from depth 0, so
+        the crossed cells of its row, read left to right, are its path
+        and nothing needs sorting."""
         n = len(self.flows)
-        blackholed = np.zeros(n, dtype=bool)
-        for group in self._groups:
-            for part in group.dead:
-                blackholed[part] = True
-        routed = np.flatnonzero(~blackholed)
-
-        segments = [seg for group in self._groups for seg in group.segments]
-        lens = np.asarray([len(part) for _, _, part in segments],
-                          dtype=np.int64)
-        hop_flow = np.concatenate(
-            [np.empty(0, dtype=np.int32)] + [part for _, _, part in segments])
-
-        counts = np.bincount(hop_flow, minlength=n) + 1
-        counts[routed] += 1
+        links = np.empty((n, len(self._hops) + 2), dtype=np.int32)
+        links[:, 0] = self._src_access
+        for depth, column in enumerate(self._hops):
+            links[:, depth + 1] = column
+        links[:, -1] = self._dst_access
+        links[self._blackholed_now, -1] = -1
+        crossed = links >= 0
         flow_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=flow_ptr[1:])
-        flow_links = np.empty(flow_ptr[-1], dtype=np.int64)
-        flow_links[flow_ptr[:-1]] = self._src_access
-        hop_slot = flow_ptr[hop_flow]
-        hop_slot += np.repeat(np.asarray(
-            [depth + 1 for _, depth, _ in segments], dtype=np.int64), lens)
-        flow_links[hop_slot] = np.repeat(np.asarray(
-            [link for link, _, _ in segments], dtype=np.int64), lens)
-        flow_links[flow_ptr[1:][routed] - 1] = self._dst_access[routed]
-
+        np.cumsum(crossed.sum(axis=1), out=flow_ptr[1:])
+        # int64 on purpose: np.bincount converts anything else, per call
         self._problem = FluidProblem(
             capacity=np.asarray(self._capacity, dtype=np.float64),
-            flow_links=flow_links, flow_ptr=flow_ptr)
-        self._blackholed_now = blackholed
+            flow_links=links[crossed].astype(np.int64), flow_ptr=flow_ptr)
 
     def _resolve(self) -> None:
         """Capture forwarding state *now*: every flow's path through
@@ -455,14 +448,17 @@ class FluidWorkload:
             self._assemble_paths()
 
         # per-flow survival under the current impairments
-        flow_links = self._problem.flow_links
-        flow_ptr = self._problem.flow_ptr
         losses = self._link_losses()
-        log_surv = np.log1p(-np.minimum(losses, 1.0 - 1e-12))
-        # no flow's link list is empty (the source access link is always
-        # there), so every reduceat segment is a genuine sum
-        self._surv = np.exp(np.add.reduceat(log_surv[flow_links],
-                                            flow_ptr[:-1]))
+        if losses.any():
+            log_surv = np.log1p(-np.minimum(losses, 1.0 - 1e-12))
+            # no flow's link list is empty (the source access link is
+            # always there), so every reduceat segment is a genuine sum
+            self._surv = np.exp(np.add.reduceat(
+                log_surv[self._problem.flow_links],
+                self._problem.flow_ptr[:-1]))
+        else:
+            # what exp(sum of log1p(-0.0)) comes to, without the gather
+            self._surv = np.ones(len(self.flows))
         self._surv[self._blackholed_now] = 0.0
 
         self._table_marks = self._forwarding_marks()
@@ -554,47 +550,16 @@ class FluidWorkload:
         record = EpochRecord(start_us=t0, end_us=t_end, offered=0.0,
                              delivered=0.0, dropped=0.0, blackholed=0.0)
         if active.any():
+            # the solver gives exactly 0.0 to every flow not active
             rate = self._solve(active)
-            start_eff = np.maximum(t0, self.arrival_abs)
-            overlap = np.maximum(t_end - start_eff, 0) * active
-            seconds = overlap / SECOND
-            bh = self._blackholed_now
-            surv = self._surv
-
-            routed = active & ~bh
-            potential = rate * seconds * surv
-            before = self.remaining.copy()
-            delivered_now = np.where(routed,
-                                     np.minimum(potential, before), 0.0)
-            injected = np.where(
-                surv > 0, delivered_now / np.maximum(surv, 1e-300),
-                rate * seconds)
-            injected = np.where(routed, injected, 0.0)
-            dropped_now = injected - delivered_now
-            self.remaining = before - delivered_now
-
-            done = routed & (potential >= before) & (potential > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_done = start_eff + np.where(
-                    done, before / np.maximum(rate * surv / SECOND, 1e-300),
-                    0.0)
-            self.fct_end[done] = t_done[done]
-
-            bh_active = active & bh
-            injected_bh = np.where(bh_active, rate * seconds, 0.0)
-            self.flow_blackhole_us[bh_active] += overlap[bh_active]
-
-            record.delivered = float(delivered_now.sum())
-            record.dropped = float(dropped_now.sum())
-            record.blackholed = float(injected_bh.sum())
-            record.offered = (record.delivered + record.dropped
-                              + record.blackholed)
+            self._account(record, rate, active)
             self.delivered += record.delivered
             self.dropped += record.dropped
             self.blackholed += record.blackholed
             self._settled_delivered += record.delivered
 
-            loads = link_loads(self._problem, rate * active)
+            # the run's widest call, made with _account's arrays released
+            loads = link_loads(self._problem, rate)
             util = loads / np.maximum(self._problem.capacity, 1e-300)
             if len(util) > len(self._peak_util):
                 grown = np.zeros(len(util))
@@ -603,6 +568,45 @@ class FluidWorkload:
             np.maximum(self._peak_util, util, out=self._peak_util)
         self.epoch_records.append(record)
         self._window_end_us = t_end
+
+    def _account(self, record: EpochRecord, rate: np.ndarray,
+                 active: np.ndarray) -> None:
+        """Move ``record``'s epoch worth of bytes at ``rate``: fill in
+        its ledger, and update each flow's remaining bytes, completion
+        time and blackhole window.  Every sum runs over a full-width
+        array in flow order, so a ledger does not depend on which flows
+        happened to be active."""
+        bh = self._blackholed_now
+        surv = self._surv
+        start_eff = np.maximum(record.start_us, self.arrival_abs)
+        overlap = np.maximum(record.end_us - start_eff, 0)
+        sent = rate * (overlap / SECOND)   # injected if nothing stops it
+        potential = sent * surv
+        # what those hold for a flow outside these two is never read
+        routed = active & ~bh
+        bh_active = active & bh
+
+        done = np.flatnonzero(
+            routed & (potential >= self.remaining) & (potential > 0))
+        self.fct_end[done] = start_eff[done] + self.remaining[done] \
+            / np.maximum(rate[done] * surv[done] / SECOND, 1e-300)
+
+        delivered_now = np.minimum(potential, self.remaining, out=potential)
+        delivered_now[~routed] = 0.0
+        self.remaining -= delivered_now
+        record.delivered = float(delivered_now.sum())
+
+        injected = delivered_now / np.maximum(surv, 1e-300)
+        lost_whole = routed & ~(surv > 0)
+        injected[lost_whole] = sent[lost_whole]
+        record.dropped = float(
+            np.subtract(injected, delivered_now, out=injected).sum())
+
+        self.flow_blackhole_us[bh_active] += overlap[bh_active]
+        sent[~bh_active] = 0.0
+        record.blackholed = float(sent.sum())
+        record.offered = (record.delivered + record.dropped
+                          + record.blackholed)
 
     def _drain(self, t_end: int) -> None:
         """Complete every routed flow that still holds bytes at the
@@ -613,19 +617,17 @@ class FluidWorkload:
         if not open_flows.any():
             return
         rate = self._solve(open_flows)
-        movable = open_flows & (rate > 0)
-        start_eff = np.maximum(t_end, self.arrival_abs)
-        surv = self._surv
-        before = self.remaining.copy()
-        injected = np.where(movable, before / np.maximum(surv, 1e-300),
-                            0.0)
-        delivered_now = np.where(movable, before, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_done = start_eff + np.where(
-                movable, before / np.maximum(rate * surv / SECOND, 1e-300),
-                0.0)
-        self.fct_end[movable] = t_done[movable]
-        self.remaining = np.where(movable, 0.0, self.remaining)
+        movable = np.flatnonzero(open_flows & (rate > 0))
+        left = self.remaining[movable]
+        surv = self._surv[movable]
+        self.fct_end[movable] = np.maximum(t_end, self.arrival_abs[movable]) \
+            + left / np.maximum(rate[movable] * surv / SECOND, 1e-300)
+        self.remaining[movable] = 0.0
+        # full width again for the ledger: its sums run in flow order
+        delivered_now = np.zeros(len(rate))
+        delivered_now[movable] = left
+        injected = np.zeros(len(rate))
+        injected[movable] = left / np.maximum(surv, 1e-300)
         record = EpochRecord(
             start_us=t_end, end_us=t_end,
             offered=float(injected.sum()),

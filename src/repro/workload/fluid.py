@@ -23,7 +23,7 @@ vectors on every run — the property the run-digest machinery needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -57,12 +57,16 @@ def stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FluidProblem:
     """One forwarding state's max-min inputs: link capacities plus the
-    flow->link CSR.  Immutable — the arrays are made read-only — so the
+    flow->link CSR.  Immutable — the attributes are read-only views of
+    the arrays given, which the caller must not keep writing to — so the
     link->flow index derived from them can be kept for every solve."""
 
     capacity: np.ndarray    # float64 [L], bytes/sec
     flow_links: np.ndarray  # int64 concatenated link ids, flow-major
     flow_ptr: np.ndarray    # int64 [F+1] CSR offsets into flow_links
+    # flow_links as it was given: np.bincount copies a read-only input
+    # (and converts a non-intp one), so it gets the array itself
+    _bincount_links: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         flow_ptr, flow_links = self.flow_ptr, self.flow_links
@@ -79,8 +83,11 @@ class FluidProblem:
             raise ValueError(
                 f"link ids must lie in [0, {self.n_links}): got "
                 f"{flow_links.min()}..{flow_links.max()}")
-        for array in (self.capacity, flow_links, flow_ptr):
-            array.setflags(write=False)
+        object.__setattr__(self, "_bincount_links", flow_links)
+        for name in ("capacity", "flow_links", "flow_ptr"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def n_flows(self) -> int:
@@ -102,8 +109,8 @@ class FluidProblem:
         """The CSR inverse over *all* flows: ``(link_flows, link_ptr)``
         where ``link_flows[link_ptr[l]:link_ptr[l + 1]]`` are the flows
         crossing link ``l`` (int32, ascending, one entry per crossing).
-        Built on first use, once per problem; a solve filters it by its
-        live mask instead of sorting again."""
+        Built on first use, once per problem; a solve reads it as it is,
+        its frozen mask dropping the flows that take no part."""
         if self.n_flows > np.iinfo(np.int32).max:
             raise ValueError("flow ids are indexed as int32: "
                              f"{self.n_flows} flows is too many")
@@ -111,7 +118,7 @@ class FluidProblem:
                                self.lengths)
         link_flows = entry_flow[stable_order(self.flow_links, self.n_links)]
         link_ptr = np.zeros(self.n_links + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.flow_links, minlength=self.n_links),
+        np.cumsum(np.bincount(self._bincount_links, minlength=self.n_links),
                   out=link_ptr[1:])
         link_flows.setflags(write=False)
         link_ptr.setflags(write=False)
@@ -137,18 +144,19 @@ def max_min_rates(problem: FluidProblem,
         active = np.ones(n_flows, dtype=bool)
     live = active & (lengths > 0)
 
-    # link -> flows CSR of the live flows: the problem's index with the
-    # others filtered out, which keeps its (link, flow) order
-    all_link_flows, all_link_ptr = problem.link_index
-    keep = live[all_link_flows]
-    link_flows = all_link_flows[keep]
-    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    link_ptr = kept_before[all_link_ptr]
+    # the index covers every flow; the ones out of this solve start
+    # frozen, and every level drops frozen candidates, so all a solve
+    # needs of its own is the live crossings per link.  Entries of
+    # consecutive occupied links are adjacent, so each reduceat segment
+    # is exactly one link's
+    link_flows, link_ptr = problem.link_index
     counts = np.diff(link_ptr)
+    occupied = np.flatnonzero(counts)
+    unfrozen = np.zeros(n_links, dtype=np.int64)  # live, not yet frozen
+    unfrozen[occupied] = np.add.reduceat(
+        live[link_flows], link_ptr[:-1][occupied], dtype=np.int64)
 
     remaining = problem.capacity.astype(np.float64)
-    unfrozen = counts.copy()   # live, not-yet-frozen flows per link
     frozen = ~live             # inactive flows count as already frozen
     mark = np.zeros(n_flows, dtype=bool)   # scratch, all False between levels
 
@@ -189,5 +197,5 @@ def max_min_rates(problem: FluidProblem,
 def link_loads(problem: FluidProblem, rate: np.ndarray) -> np.ndarray:
     """Per-link carried load (bytes/sec [L]) for a rate vector."""
     weights = np.repeat(rate, problem.lengths)
-    return np.bincount(problem.flow_links, weights=weights,
+    return np.bincount(problem._bincount_links, weights=weights,
                        minlength=problem.n_links)

@@ -82,6 +82,10 @@ class WorkloadSpec:
                 raise WorkloadError(
                     f"{self.name}: {field_name} must be a positive "
                     f"integer, got {value!r}")
+        if self.flows > 2**31 - 1:
+            raise WorkloadError(
+                f"{self.name}: flows must be <= {2**31 - 1} (flow ids are "
+                f"32-bit), got {self.flows}")
         if self.tenants > 256:
             raise WorkloadError(
                 f"{self.name}: tenants must be <= 256, got {self.tenants}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,16 +207,27 @@ def reference_max_min_rates(problem, active=None):
 @given(data=st.data())
 def test_indexed_solver_is_bitwise_the_reference(data):
     """Differential property: the index built once per problem and
-    filtered per solve gives the reference's rate vector bit for bit —
-    over contended and tied capacities, empty link lists, link-id ranges
-    that sort as uint8 / uint16 / uint32 keys, and several differently
-    masked solves on one problem object (a cached index must not leak
-    the previous mask, nor the scratch mask a previous water level)."""
+    read unfiltered by every solve gives the reference's rate vector bit
+    for bit — over contended and tied capacities, empty link lists,
+    link-id ranges that sort as uint8 / uint16 / uint32 keys, and
+    several differently masked solves on one problem object (a cached
+    index must not leak the previous mask, nor the scratch mask a
+    previous water level).  The solver counts live crossings per link
+    with one ``reduceat`` over the occupied links, so the draws pin its
+    edges: the last link occupied (its segment runs to the end of the
+    index) or trailing links nobody crosses, a link whose flows are all
+    masked out, masks that leave one flow in a crowd, and a flow that
+    crosses one link twice (two crossings, as the per-level
+    ``bincount`` counts it)."""
     n_links = data.draw(st.sampled_from([3, 300, 70_000]))
     # a few shared links, spread over the whole id range, so flows
     # contend and ids above 2**16 meet ids below it
-    hot = data.draw(st.lists(st.integers(0, n_links - 1), min_size=1,
-                             max_size=6, unique=True))
+    last_link_used = data.draw(st.booleans())
+    hot = data.draw(st.lists(
+        st.integers(0, n_links - (1 if last_link_used else 2)), min_size=1,
+        max_size=6, unique=True))
+    if last_link_used and n_links - 1 not in hot:
+        hot.append(n_links - 1)
     capacity = np.zeros(n_links)
     capacity[hot] = data.draw(st.lists(
         st.one_of(st.sampled_from([0.0, 10.0, 30.0]),
@@ -224,6 +237,8 @@ def test_indexed_solver_is_bitwise_the_reference(data):
     paths = data.draw(st.lists(
         st.lists(st.sampled_from(hot), min_size=0, max_size=5),
         min_size=0, max_size=40))
+    if data.draw(st.booleans()):
+        paths.append([hot[0], hot[-1], hot[0]])
     prob = problem(capacity, paths)
 
     entry_flow = np.repeat(np.arange(len(paths)), prob.lengths)
@@ -237,6 +252,15 @@ def test_indexed_solver_is_bitwise_the_reference(data):
     masks = [None] + data.draw(st.lists(
         st.lists(st.booleans(), min_size=len(paths), max_size=len(paths)),
         min_size=2, max_size=4))
+    if paths:
+        # one flow left live; then the last drawn mask with every flow
+        # that crosses one of the hot links switched off as well
+        lone = np.zeros(len(paths), dtype=bool)
+        lone[data.draw(st.integers(0, len(paths) - 1))] = True
+        dark = data.draw(st.sampled_from(hot))
+        off_link = np.asarray(masks[-1], dtype=bool) & np.asarray(
+            [dark not in path for path in paths])
+        masks += [lone, off_link]
     for mask in masks:
         active = None if mask is None else np.asarray(mask, dtype=bool)
         assert np.array_equal(max_min_rates(prob, active),
@@ -258,6 +282,46 @@ def test_construction_rejects_inconsistent_input(capacity, flow_links,
         FluidProblem(capacity=np.asarray(capacity, dtype=np.float64),
                      flow_links=np.asarray(flow_links, dtype=np.int64),
                      flow_ptr=np.asarray(flow_ptr, dtype=np.int64))
+
+
+def test_given_slices_or_read_only_arrays_a_problem_is_the_same_problem():
+    """``np.bincount`` is handed the ``flow_links`` array the problem
+    was built from, not the read-only view it publishes.  Whatever that
+    array is — a slice out of the middle of a larger one, a strided
+    slice, or one already read-only (``dataclasses.replace`` passes the
+    published views back in, and NumPy then copies) — the index, the
+    loads and a solve are those of a problem built from fresh copies."""
+    rng = np.random.default_rng(7)
+    n_links = 9
+    paths = [rng.integers(0, n_links, size=int(rng.integers(0, 5)))
+             for _ in range(60)]
+    fresh = problem(rng.uniform(1.0, 50.0, size=n_links), paths)
+    active = rng.random(len(paths)) < 0.7
+    weights = rng.uniform(0.0, 10.0, size=len(paths))
+
+    def padded(array, step=1):
+        big = np.full(step * len(array) + 10, -7, dtype=array.dtype)
+        part = big[5:5 + step * len(array):step]
+        part[:] = array
+        return part
+
+    sliced = FluidProblem(capacity=padded(fresh.capacity),
+                          flow_links=padded(fresh.flow_links),
+                          flow_ptr=padded(fresh.flow_ptr))
+    strided = FluidProblem(capacity=padded(fresh.capacity, 2),
+                           flow_links=padded(fresh.flow_links, 3),
+                           flow_ptr=padded(fresh.flow_ptr, 2))
+    replaced = dataclasses.replace(fresh)
+    assert not replaced._bincount_links.flags.writeable
+    for other in (sliced, strided, replaced):
+        for got, want in zip(other.link_index, fresh.link_index):
+            assert np.array_equal(got, want)
+        assert np.array_equal(link_loads(other, weights),
+                              link_loads(fresh, weights))
+        assert np.array_equal(max_min_rates(other, active),
+                              max_min_rates(fresh, active))
+        with pytest.raises(ValueError, match="read-only"):
+            other.flow_links[0] = 0
 
 
 def test_a_problem_refuses_writes():

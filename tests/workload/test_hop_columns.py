@@ -1,0 +1,258 @@
+"""Property: paths kept as per-depth hop columns assemble to exactly the
+CSR the per-group segment lists gave.
+
+``FluidWorkload._walk`` writes the link a flow crosses at walk depth *d*
+into one persistent ``[n_flows]`` column per depth and dead ends into a
+persistent mask, and ``_assemble_paths`` reads the CSR off those columns
+row by row.  Before, a walk left ``(link, depth, flows)`` segments and
+dead-flow lists on its group and assembly scattered them into slots; a
+re-walk replaced its group's lists wholesale, so nothing of the previous
+walk could survive.  The columns have no such luck — a group has to wipe
+its own flows before it walks again — which is what the re-walk rounds
+here are for.  The old walk and the old assembly are kept verbatim below
+as the oracle."""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.harness.experiments import build_and_converge
+from repro.topology.clos import ClosParams
+from repro.workload.engine import MAX_FLUID_HOPS, FluidWorkload
+from repro.workload.spec import WorkloadSpec
+from repro.workload.synth import synthesize
+
+SPEC = WorkloadSpec(name="hop-columns", matrix="uniform", flows=90,
+                    duration_ms=100)
+TRANSIT = ("a", "b", "c")     # made-up nodes between the real ToRs
+PORTS = ("p0", "p1")
+N_LINKS = 14                  # 8 access links (4 hosts), 6 more for hops
+
+
+@pytest.fixture(scope="module")
+def fabric():
+    world, topo, deployment = build_and_converge(
+        ClosParams(num_pods=2), "mtp", seed=0)
+    flows = synthesize(SPEC, topo.rack_endpoints(), world.rng)
+    # synthesis never keeps a flow inside its rack; the engine must
+    # still carry one (no group, no walk, two access links)
+    dst = flows.dst.copy()
+    dst[::9] = flows.src[::9]
+    return topo, deployment, dataclasses.replace(flows, dst=dst)
+
+
+def engine_over(fabric, state) -> FluidWorkload:
+    """A fresh engine whose candidate sets come from ``state``, a
+    ``(node, dst_tor, ingress) -> entry`` mapping, instead of the
+    deployment."""
+    topo, deployment, flows = fabric
+    engine = FluidWorkload(SPEC, topo, deployment, flows=flows)
+    assert len(engine._capacity) == 8
+    engine._capacity.extend([1e9] * (N_LINKS - 8))
+    read_from(engine, state)
+    return engine
+
+
+def read_from(engine, state) -> None:
+    engine._candidate_entry = lambda memo, key: state[key]
+
+
+# ----------------------------------------------------------------------
+# The walk and the assembly as they were while a group kept its own
+# segments and dead flows, verbatim but for where the lists live.
+# ----------------------------------------------------------------------
+@dataclass
+class ReferenceWalk:
+    # (link id, walk depth it was crossed at, flows that crossed it)
+    segments: list = field(default_factory=list)
+    dead: list = field(default_factory=list)      # dead-ended flows
+
+
+def reference_walk(engine, group, memo) -> ReferenceWalk:
+    walk = ReferenceWalk()
+    dst_tor = group.dst_tor
+    stack = [(group.src_tor, None, 0, group.flows)]
+    while stack:
+        node, ingress, depth, idx = stack.pop()
+        if node == dst_tor:
+            continue
+        if depth >= MAX_FLUID_HOPS:
+            walk.dead.append(idx)  # routing loop
+            continue
+        key = (node, dst_tor, ingress)
+        salt, spray, entries = engine._candidate_entry(memo, key)
+        if not entries:
+            walk.dead.append(idx)  # no candidate port at all
+            continue
+        if len(entries) == 1:
+            parts = [idx]
+        else:
+            if spray:
+                choice = idx % len(entries)
+            else:
+                choice = (engine._flow_digests(depth, idx, salt)
+                          % np.uint64(len(entries)))
+            parts = [idx[choice == c] for c in range(len(entries))]
+        for (link, peer_node, peer_iface), part in zip(entries, parts):
+            if len(part) == 0:
+                continue
+            if link is not None:
+                walk.segments.append((link, depth, part))
+            if peer_node is None:
+                walk.dead.append(part)
+            else:
+                stack.append((peer_node, peer_iface, depth + 1, part))
+    return walk
+
+
+def reference_assemble_paths(engine, walks):
+    n = len(engine.flows)
+    blackholed = np.zeros(n, dtype=bool)
+    for walk in walks:
+        for part in walk.dead:
+            blackholed[part] = True
+    routed = np.flatnonzero(~blackholed)
+
+    segments = [seg for walk in walks for seg in walk.segments]
+    lens = np.asarray([len(part) for _, _, part in segments],
+                      dtype=np.int64)
+    hop_flow = np.concatenate(
+        [np.empty(0, dtype=np.int32)] + [part for _, _, part in segments])
+
+    counts = np.bincount(hop_flow, minlength=n) + 1
+    counts[routed] += 1
+    flow_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=flow_ptr[1:])
+    flow_links = np.empty(flow_ptr[-1], dtype=np.int64)
+    flow_links[flow_ptr[:-1]] = engine._src_access
+    hop_slot = flow_ptr[hop_flow]
+    hop_slot += np.repeat(np.asarray(
+        [depth + 1 for _, depth, _ in segments], dtype=np.int64), lens)
+    flow_links[hop_slot] = np.repeat(np.asarray(
+        [link for link, _, _ in segments], dtype=np.int64), lens)
+    flow_links[flow_ptr[1:][routed] - 1] = engine._dst_access[routed]
+    return flow_links, flow_ptr, blackholed
+
+
+def assert_same_capture(engine, walks) -> None:
+    flow_links, flow_ptr, blackholed = reference_assemble_paths(
+        engine, walks)
+    engine._assemble_paths()
+    assert engine.problem.flow_links.dtype == flow_links.dtype
+    assert np.array_equal(engine.problem.flow_links, flow_links)
+    assert np.array_equal(engine.problem.flow_ptr, flow_ptr)
+    assert np.array_equal(engine._blackholed_now, blackholed)
+
+
+# ----------------------------------------------------------------------
+# drawn forwarding states
+# ----------------------------------------------------------------------
+LINK = st.integers(0, N_LINKS - 1)
+
+
+def entries(dst_tor: str, direct: bool):
+    """One candidate entry.  Every way a candidate can end a flow is in
+    the mix: no candidate at all, an egress that is down (the frame
+    never leaves: no link), a far MAC that is down (the link is crossed,
+    then the flow dies).  Unless ``direct``, next hops come from a small
+    pool, so walks branch, reconverge and loop."""
+    peer = st.just(dst_tor) if direct else st.sampled_from(
+        TRANSIT + (dst_tor, dst_tor))
+    forward = st.tuples(LINK, peer, st.sampled_from(PORTS))
+    candidate = st.one_of(
+        forward, forward, forward, forward,
+        st.just((None, None, None)),
+        st.tuples(LINK, st.none(), st.none()))
+    return st.tuples(
+        st.integers(1, 4), st.booleans(),
+        st.lists(candidate, max_size=3).map(tuple))
+
+
+class DrawnState(dict):
+    """A forwarding state drawn entry by entry as the walks ask."""
+
+    def __init__(self, data, direct: bool) -> None:
+        super().__init__()
+        self.data, self.direct = data, direct
+
+    def __missing__(self, key):
+        _node, dst_tor, _ingress = key
+        self[key] = self.data.draw(entries(dst_tor, self.direct))
+        return self[key]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hop_columns_assemble_to_the_segment_scatter(fabric, data):
+    """Over drawn candidate trees — spray and hashed branch points,
+    every dead-end kind, loops to ``MAX_FLUID_HOPS``, intra-rack flows —
+    and over rounds in which a drawn subset of the rack pairs is walked
+    again through a new state (``direct`` ones make the second walk
+    shorter than the first, so deeper columns must fall back to -1, and
+    livelier, so the mask must clear)."""
+    engine = engine_over(fabric, {})
+    groups = engine._groups
+    assert len(engine.flows) > sum(len(g.flows) for g in groups)  # intra-rack
+    walks = [ReferenceWalk() for _ in groups]
+    rounds = [(data.draw(st.booleans()), range(len(groups)))] + data.draw(
+        st.lists(st.tuples(
+            st.booleans(),
+            st.sets(st.integers(0, len(groups) - 1)).map(sorted)),
+            max_size=3))
+    for direct, stale in rounds:
+        read_from(engine, DrawnState(data, direct))
+        for g in stale:
+            walks[g] = reference_walk(engine, groups[g], {})
+            engine._walk(groups[g], {})
+        assert_same_capture(engine, walks)
+
+
+def chain(dst_tor: str, *hops):
+    """A state that forwards everything for ``dst_tor`` along ``hops``
+    — ``(node, link)`` pairs from the source ToR on — and then to it."""
+    state = {}
+    ingress = None
+    for (node, link), (after, _) in zip(hops, hops[1:] + ((dst_tor, None),)):
+        state[(node, dst_tor, ingress)] = (1, False, ((link, after, "p0"),))
+        ingress = "p0"
+    return state
+
+
+def test_a_shorter_rewalk_leaves_no_stale_hops(fabric):
+    """The case the list rebuild got for free, spelled out: three hops,
+    then one; a dead end, then a live path."""
+    state: dict = {}
+    engine = engine_over(fabric, state)
+    group = engine._groups[0]
+    others = [g for g in engine._groups if g is not group]
+    src, dst = group.src_tor, group.dst_tor
+    for g in engine._groups:
+        state.update(chain(g.dst_tor, (g.src_tor, 9)))
+
+    def walked():
+        walks = [reference_walk(engine, g, {}) for g in engine._groups]
+        for g in engine._groups:
+            engine._walk(g, {})
+        assert_same_capture(engine, walks)
+        return np.stack(engine._hops, axis=1)[group.flows]
+
+    state.update(chain(dst, (src, 8), ("a", 10), ("b", 0)))
+    assert (walked() == [8, 10, 0]).all()
+    state.update(chain(dst, (src, 11)))
+    assert (walked() == [11, -1, -1]).all()
+    state[(src, dst, None)] = (1, False, ((12, None, None),))   # far MAC down
+    assert (walked() == [12, -1, -1]).all()
+    assert engine._blackholed_now[group.flows].all()
+    state[(src, dst, None)] = (1, False, ((None, None, None),))  # egress down
+    assert (walked() == [-1, -1, -1]).all()
+    assert engine._blackholed_now[group.flows].all()
+    state.update(chain(dst, (src, 13), ("c", 8)))
+    assert (walked() == [13, 8, -1]).all()
+    assert not engine._blackholed_now.any()
+    assert all((np.stack(engine._hops, axis=1)[g.flows]
+                == [9, -1, -1]).all() for g in others)

@@ -38,10 +38,25 @@ def test_defaults_are_valid():
     dict(name="w", hotspot_fraction=0.0),
     dict(name="w", incast_fanin=1),
     dict(name="w", epoch_ms=0),
+    dict(name="w", flows=2**31),
 ])
 def test_validation_rejects(bad):
     with pytest.raises(WorkloadError):
         WorkloadSpec(**bad)
+
+
+def test_a_flow_count_past_int32_is_rejected_where_it_is_parsed():
+    """Flow ids are int32 throughout the fluid path: a scenario file
+    asking for more must fail as a typed spec error, before synthesis
+    allocates anything."""
+    assert WorkloadSpec(name="w", flows=2**31 - 1).flows == 2**31 - 1
+    for flows in (2**31, 3_000_000_000):
+        with pytest.raises(WorkloadError, match="flows must be <="):
+            WorkloadSpec(name="w", flows=flows)
+        with pytest.raises(WorkloadError, match="flows must be <="):
+            WorkloadSpec.from_payload({"name": "w", "flows": flows})
+        with pytest.raises(WorkloadError, match="flows must be <="):
+            resolve_workload({"name": "w", "flows": flows})
 
 
 def test_payload_roundtrip_every_canonical():
