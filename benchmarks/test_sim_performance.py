@@ -271,19 +271,13 @@ def test_a_flow_costs_bytes_counted_not_seconds():
     assert ratio <= 1.25, f"link_loads peaks at {ratio:.2f} x flow_links"
 
 
-@pytest.mark.parametrize("stack, ceiling, scheduled", [
-    ("mtp", 26, 4040), ("bgp-bfd", 15, 2513)])
-def test_steady_state_second_is_cheap_and_elides_nothing(
-        stack, ceiling, scheduled):
-    """One quiet simulated second on a converged 4-PoD fabric (DESIGN
-    "Steady-state frame path"), counted, not timed: primitive Python
-    calls per ``mtp.keepalive.tx`` record on MR-MTP (36.0 before the
-    path was shaped for the healthy case, 23.8 after) and per scheduled
-    event on BGP/BFD (18.2, 13.8) — and exactly the events the second
-    always had, so the saving is cheaper events, never fewer."""
-    world, _topo, _deployment = build_and_converge(
-        ClosParams(num_pods=4), stack, seed=3)
-    emitted = len(world.trace.records)
+def _no_op_tap(iface, frame, direction) -> None:
+    pass
+
+
+def _profiled_second(world):
+    """(primitive Python calls, events scheduled) over one simulated
+    second."""
     profiler = cProfile.Profile(builtins=False)
     profiler.runcall(world.sim.run_for, SECOND)
     stats = pstats.Stats(profiler).stats
@@ -292,11 +286,44 @@ def test_steady_state_second_is_cheap_and_elides_nothing(
         total for (path, _line, name), (_prim, total, *_) in stats.items()
         if path.endswith("sim/engine.py")
         and name in ("schedule_at", "schedule_after"))
+    return calls, events
+
+
+@pytest.mark.parametrize("stack, ceiling, scheduled", [
+    ("mtp", 26, 3840), ("bgp-bfd", 15, 2513)])
+def test_quiet_second_is_free_untouched_and_cheap_played_out(
+        stack, ceiling, scheduled):
+    """One quiet simulated second on a converged 4-PoD fabric (DESIGN
+    "Steady-state frame path"), counted, not timed.  On MR-MTP it
+    schedules nothing at all, and the 64 link directions' 1280
+    keepalives are in the counters all the same; with every interface
+    tapped — a capture needs each frame to exist — it is the exchange
+    the fabric always had, a hello tick, a delivery and a dead-timer
+    re-arm per keepalive at <= 26 primitive Python calls (36.0 before
+    the path was shaped for the healthy case, 23.8 after; the 200
+    firings of a retransmit timer with nothing to retransmit are gone
+    from both).  BGP/BFD plays every exchange out: exactly the 2513
+    events it always had, <= 15 calls each (18.2, 13.8)."""
+    world, _topo, deployment = build_and_converge(
+        ClosParams(num_pods=4), stack, seed=3)
+    if stack == "mtp":
+        def keepalives():
+            return sum(mtp.counters.keepalives_sent
+                       for mtp in deployment.mtp_nodes.values())
+
+        sent = keepalives()
+        _calls, events = _profiled_second(world)
+        assert events == 0 and world.sim.pending_events == 0
+        assert keepalives() - sent == 1280
+        for iface in world.all_interfaces():
+            iface.add_tap(_no_op_tap)
+        sent, emitted = keepalives(), len(world.trace.records)
+    calls, events = _profiled_second(world)
     assert events == scheduled
     if stack == "mtp":
-        units = sum(r.category == "mtp.keepalive.tx"
-                    for r in world.trace.records[emitted:])
-        assert units == 1280
+        units = keepalives() - sent
+        assert units == 1280 == sum(r.category == "mtp.keepalive.tx"
+                                    for r in world.trace.records[emitted:])
     else:
         units = events
     assert calls <= ceiling * units, f"{calls / units:.1f} calls per unit"

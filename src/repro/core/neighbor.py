@@ -16,17 +16,28 @@ widens on a measured-lossy link (Quick-to-Detect keeps the 100 ms bound
 only where the link is clean enough to deserve it), and a neighbor that
 keeps flapping is held in quarantine past Slow-to-Accept until its
 damping penalty decays to the reuse threshold.
+
+In the steady state — both ends hold each other ``UP`` and nothing else
+is happening on the link — a direction's whole exchange is a hello every
+50 ms, its delivery 6 us later and the dead timer that delivery re-arms.
+:class:`QuietHello` holds that as arithmetic (DESIGN "Steady-state frame
+path"): nothing is scheduled for the direction until something wakes it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.timers import Timer
+from repro.sim.timers import PeriodicTimer, Timer
+from repro.stack.ethernet import EthernetFrame
+from repro.net.interface import Interface
 from repro.core.config import MtpTimers
 from repro.liveness import NeighborMonitor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.protocol import MtpNode
 
 
 class NeighborState(Enum):
@@ -41,8 +52,8 @@ class PortNeighbor:
     port."""
 
     __slots__ = ("sim", "port", "timers", "on_up", "on_down", "monitor",
-                 "on_damp", "state", "tier", "peer_gen", "stale_held",
-                 "_consecutive", "_last_rx", "times_died",
+                 "on_damp", "iface", "state", "tier", "peer_gen",
+                 "stale_held", "_consecutive", "_last_rx", "times_died",
                  "_suppress_flagged", "_dead_timer")
 
     def __init__(
@@ -54,6 +65,7 @@ class PortNeighbor:
         on_down: Callable[["PortNeighbor", str], None],
         monitor: Optional[NeighborMonitor] = None,
         on_damp: Optional[Callable[["PortNeighbor", str], None]] = None,
+        iface: Optional[Interface] = None,
     ) -> None:
         self.sim = sim
         self.port = port
@@ -62,6 +74,9 @@ class PortNeighbor:
         self.on_down = on_down
         self.monitor = monitor
         self.on_damp = on_damp
+        # the local port, which a neighbor leaving UP has to wake: from
+        # then on this end sends full hellos and counts the ones it hears
+        self.iface = iface
         self.state = NeighborState.UNKNOWN
         self.tier: Optional[int] = None
         # the peer's restart generation from its last full hello.  A
@@ -175,6 +190,8 @@ class PortNeighbor:
             self._dead_timer.stop()
 
     def _declare_down(self, reason: str) -> None:
+        if self.iface is not None:
+            self.iface.wake()
         self.state = NeighborState.DEAD
         self.times_died += 1
         self._consecutive = 0
@@ -199,3 +216,116 @@ class PortNeighbor:
 
     def stop(self) -> None:
         self._dead_timer.stop()
+
+
+class QuietHello:
+    """One healthy link direction's hello exchange, held as arithmetic.
+
+    ``sender`` would tick at ``tick``, ``tick + interval``, ...; each
+    hello would reach ``rx`` ``latency`` later and do nothing there but
+    re-arm ``neighbor``'s dead timer.  While that is all that happens on
+    the direction, none of it is scheduled: :meth:`settle` adds the
+    hellos and deliveries that have passed to the counters they would
+    have moved, and :meth:`wake` — called, through the interfaces, by
+    whatever is about to make the direction interesting — settles and
+    then puts the timers and a delivery still in flight back into the
+    queue at the instants, and with the rank among same-instant events
+    (``Simulator.schedule_at``'s ``born`` and ``seq``), they would have
+    had.
+    """
+
+    __slots__ = ("sim", "sender", "port", "timer", "tx", "rx", "neighbor",
+                 "frame", "latency", "tick", "arrival")
+
+    @classmethod
+    def begin(cls, sender: "MtpNode", port: str, timer: PeriodicTimer,
+              tx: Interface, frame: EthernetFrame) -> bool:
+        """Take over the exchange on ``port`` from the keepalive ``timer``
+        is about to send, if both ends are in the steady state: the
+        sender holds its neighbor UP on an untapped port and draws no
+        jitter (its caller's checks); the far end holds the sender UP
+        and is not crashed, monitored, tapped or admin-down; the line
+        delivers with certainty; and the far dead timer is not about to
+        beat this keepalive."""
+        link = tx.link
+        rx = link.other_end(tx)
+        peer = getattr(rx.node, "mtp", None)
+        if (peer is None or peer.crashed or peer.liveness is not None
+                or not rx.admin_up or rx.taps):
+            return False
+        neighbor = peer.neighbors.get(rx.name)
+        if neighbor is None or neighbor.state is not NeighborState.UP:
+            return False
+        latency = link.certain_latency_us(tx, frame)
+        deadline = neighbor._dead_timer.expires_at
+        if (latency is None or deadline is None
+                or deadline <= sender.sim.now + latency):
+            return False
+        tx.quiet_tx = rx.quiet_rx = cls(sender, port, timer, tx, rx, neighbor,
+                                        frame, latency)
+        timer.stop()
+        neighbor._dead_timer.stop()
+        return True
+
+    def __init__(self, sender: "MtpNode", port: str, timer: PeriodicTimer,
+                 tx: Interface, rx: Interface, neighbor: PortNeighbor,
+                 frame: EthernetFrame, latency: int) -> None:
+        self.sim = sender.sim
+        self.sender = sender
+        self.port = port
+        self.timer = timer
+        self.tx = tx
+        self.rx = rx
+        self.neighbor = neighbor
+        self.frame = frame
+        self.latency = latency
+        # the first hello, and the first delivery, not yet accounted for
+        self.tick = self.sim.now
+        self.arrival = self.tick + latency
+
+    def _passed(self, first: int, lead: int) -> int:
+        """How many of the events due at ``first``, ``first + interval``,
+        ..., each scheduled ``lead`` before it is due, have passed."""
+        now = self.sim.now
+        if first > now:
+            return 0
+        interval = self.timer.interval
+        count = (now - first) // interval + 1
+        last = first + (count - 1) * interval
+        if not self.sim.has_passed(last, last - lead):
+            count -= 1
+        return count
+
+    def settle(self) -> None:
+        interval = self.timer.interval
+        wire = self.frame.wire_size
+        sent = self._passed(self.tick, interval)
+        if sent:
+            last = self.tick + (sent - 1) * interval
+            link = self.tx.link
+            self.sender.hellos_sent_unseen(self.port, sent, last)
+            self.tx.sent_unseen(sent, sent * wire)
+            link.carried_unseen(self.tx, sent, sent * wire,
+                                last + self.latency - link.propagation_us)
+            self.tick += sent * interval
+        heard = self._passed(self.arrival, self.latency)
+        if heard:
+            self.rx.received_unseen(heard, heard * wire)
+            self.neighbor._last_rx = self.arrival + (heard - 1) * interval
+            self.arrival += heard * interval
+
+    def wake(self) -> None:
+        self.settle()
+        self.tx.quiet_tx = self.rx.quiet_rx = None
+        neighbor = self.neighbor
+        heard = neighbor._last_rx
+        neighbor._dead_timer.start_at(heard + neighbor.timers.dead_us,
+                                      born=heard)
+        if self.arrival - self.latency < self.tick:  # sent, yet to arrive
+            # deliveries scheduled while hello timers fire draw sequence
+            # numbers in the order those fire, which one put back after
+            # the fact can only have by borrowing its timer's
+            self.sim.schedule_at(self.arrival, self.rx.deliver, self.frame,
+                                 born=self.arrival - self.latency,
+                                 seq=self.timer.rank)
+        self.timer.start_at(self.tick, born=self.tick - self.timer.interval)

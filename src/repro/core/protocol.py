@@ -56,7 +56,7 @@ from repro.core.messages import (
     MtpUnreachableDefault,
     MtpUpdateLost,
 )
-from repro.core.neighbor import NeighborState, PortNeighbor
+from repro.core.neighbor import NeighborState, PortNeighbor, QuietHello
 from repro.core.tables import VidTable
 from repro.core.vid import ThirdByteDerivation, Vid
 from repro.liveness import NeighborMonitor, resolve_liveness
@@ -110,13 +110,16 @@ class MtpNode:
         self.liveness = resolve_liveness(liveness)
         if timers.jitter > 0.0 and rng is None:
             raise ValueError(f"{node.name}: timing jitter requires an rng")
+        # a hello exchange can be held as arithmetic (QuietHello) only if
+        # its instants are: no jittered period, no monitor measuring gaps
+        self._hellos_regular = timers.jitter == 0.0 and self.liveness is None
         self.rng = rng
         self.derivation = derivation if derivation is not None else ThirdByteDerivation()
         self.stack = stack  # ToRs only: rack-side IP delivery
         self.salt = salt
         self.tier = config.tier
         self.table = VidTable(name=node.name, sim=node.sim)
-        self.counters = MtpCounters()
+        self._counters = MtpCounters()
         self.own_root: Optional[int] = None
         self.neighbors: dict[str, PortNeighbor] = {}
         self._excluded = set(exclude_interfaces)
@@ -143,9 +146,12 @@ class MtpNode:
         # bring-up produces no spurious updates.
         self._advertised_default: Optional[frozenset[int]] = None
         self._default_active = False
+        # runs only while a request is outstanding, on the phase a timer
+        # started by start() and never stopped would have
         self._retx_timer = PeriodicTimer(
             self.sim, timers.retransmit_us, self._retransmit, name="mtp-retx"
         )
+        self._retx_epoch = 0
         # graceful restart (DESIGN §15).  Helper side: a neighbor whose
         # dead timer fired is presumed restarting — its tree state is
         # held stale (per-port timer) instead of pruned.  Restarting
@@ -213,6 +219,7 @@ class MtpNode:
                 self.sim, iface.name, self.timers,
                 on_up=self._on_neighbor_up, on_down=self._on_neighbor_down,
                 monitor=monitor, on_damp=self._on_neighbor_damped,
+                iface=iface,
             )
             timer = PeriodicTimer(
                 self.sim, self.timers.hello_us,
@@ -222,7 +229,7 @@ class MtpNode:
             )
             self._hello_timers[iface.name] = timer
             timer.start(immediate=True)
-        self._retx_timer.start()
+        self._retx_epoch = self.sim.now
 
     def crash(self) -> None:
         """Agent death: every control timer stops, neighbor liveness
@@ -231,6 +238,8 @@ class MtpNode:
         frozen state until peers time the node out."""
         if self.crashed:
             return
+        for port in self.neighbors:
+            self.node.interfaces[port].wake()
         self.crashed = True
         for timer in self._hello_timers.values():
             timer.stop()
@@ -310,6 +319,7 @@ class MtpNode:
                 parents = rejoin[port]
                 self._pending_join.setdefault(port, set()).update(parents)
                 self._send(port, MtpJoin(vids=tuple(sorted(parents))))
+                self._await_response()
 
     def _on_gr_rebuild_expired(self) -> None:
         """Rebuild stale-hold expired: whatever the re-formed tree never
@@ -386,10 +396,6 @@ class MtpNode:
         if last is not None and now - last < self.timers.hello_us:
             return
         if self.neighbors[port].state is NeighborState.UP:
-            self.counters.keepalives_sent += 1
-            trace = self.node.trace
-            if trace.live:  # Node.log, minus its frame: 84% of all records
-                trace.emit(self.node.name, "mtp.keepalive.tx", port, bytes=15)
             frame = self._keepalive_frames.get(port)
             if frame is None:
                 frame = EthernetFrame(
@@ -397,6 +403,15 @@ class MtpNode:
                     ethertype=ETHERTYPE_MTP, payload=_KEEPALIVE,
                 )
                 self._keepalive_frames[port] = frame
+            if (self._hellos_regular and not iface.taps
+                    and QuietHello.begin(self, port, self._hello_timers[port],
+                                         iface, frame)):
+                return  # this hello is the first one nobody has to see
+            self._counters.keepalives_sent += 1
+            trace = self.node.trace
+            if trace.live:  # Node.log, minus its frame: most of a tapped log
+                trace.emit(self.node.name, "mtp.keepalive.tx", port,
+                           bytes=frame.wire_size)
             if iface.send(frame):
                 self._last_tx[port] = now
         else:
@@ -404,8 +419,22 @@ class MtpNode:
             self._send(port, MtpFullHello(tier=self.tier,
                                           gen=self.restart_gen))
 
+    def hellos_sent_unseen(self, port: str, count: int, last: int) -> None:
+        """A :class:`QuietHello` settling: ``count`` keepalives went out
+        on ``port``, the latest at ``last``."""
+        self._counters.keepalives_sent += count
+        self._last_tx[port] = last
+
+    @property
+    def counters(self) -> MtpCounters:
+        for port in self.neighbors:
+            quiet = self.node.interfaces[port].quiet_tx
+            if quiet is not None:
+                quiet.settle()
+        return self._counters
+
     def _send_update(self, port: str, message: MtpMessage) -> None:
-        self.counters.updates_sent += 1
+        self._counters.updates_sent += 1
         frame_bytes = 14 + message.wire_size
         self.node.log("mtp.update.tx", f"{type(message).__name__} on {port}",
                       bytes=frame_bytes)
@@ -457,7 +486,7 @@ class MtpNode:
             self._on_accept(port, message)
         elif isinstance(message, (MtpUpdateLost, MtpUnreachable, MtpRestored,
                                   MtpUnreachableDefault, MtpRestoredDefault)):
-            self.counters.updates_received += 1
+            self._counters.updates_received += 1
             self.sim.schedule_after(
                 self._processing_delay(), self._process_update, port, message
             )
@@ -477,6 +506,7 @@ class MtpNode:
         self._unjoined_adverts[port] = set(vids)
         self.node.log("mtp.ctrl.tx", f"advertise {len(vids)} vids on {port}")
         self._send(port, MtpAdvertise(vids=tuple(vids)))
+        self._await_response()
 
     def _advertise_up(self) -> None:
         for port in self.up_ports():
@@ -499,6 +529,7 @@ class MtpNode:
         pending = self._pending_join.setdefault(port, set())
         pending.update(wanted)
         self._send(port, MtpJoin(vids=wanted))
+        self._await_response()
 
     def _on_join(self, port: str, msg: MtpJoin) -> None:
         if self._direction(port) != "up":
@@ -515,6 +546,7 @@ class MtpNode:
             unjoined.difference_update(msg.vids)
         self._pending_offer.setdefault(port, set()).update(children)
         self._send(port, MtpOffer(vids=children))
+        self._await_response()
 
     def _on_offer(self, port: str, msg: MtpOffer) -> None:
         if self._direction(port) != "down":
@@ -572,6 +604,27 @@ class MtpNode:
         for port, unjoined in self._unjoined_adverts.items():
             if unjoined and self._port_usable(port):
                 self._send(port, MtpAdvertise(vids=tuple(sorted(unjoined))))
+        if not any(vids for awaited in (self._pending_join,
+                                        self._pending_offer,
+                                        self._unjoined_adverts)
+                   for vids in awaited.values()):
+            self._retx_timer.stop()  # until _await_response()
+
+    def _await_response(self) -> None:
+        """A request went out: have the retransmit timer running, firing
+        when one started by :meth:`start` and never stopped would — its
+        firings since then found nothing to re-issue and changed nothing."""
+        timer = self._retx_timer
+        if timer.running:
+            return
+        period = timer.interval
+        due = self._retx_epoch + period
+        now = self.sim.now
+        if due < now:
+            due += (now - due) // period * period
+        if self.sim.has_passed(due, due - period):
+            due += period
+        timer.start_at(due, born=due - period)
 
     def _port_usable(self, port: str) -> bool:
         nbr = self.neighbors.get(port)
@@ -859,18 +912,18 @@ class MtpNode:
             return False  # local rack: normal IP delivery
         message = MtpData(src_root=self.own_root, dst_root=dst_root,
                           packet=packet)
-        self.counters.data_sent += 1
+        self._counters.data_sent += 1
         self._forward_data(message, ingress_port=None)
         return True
 
     def _on_data(self, port: str, message: MtpData) -> None:
         if self.tier == 1 and message.dst_root == self.own_root:
             # destination ToR: de-encapsulate and deliver into the rack
-            self.counters.data_delivered += 1
+            self._counters.data_delivered += 1
             if self.stack is not None:
                 self.stack.forward_local(message.packet)
             return
-        self.counters.data_forwarded += 1
+        self._counters.data_forwarded += 1
         self._forward_data(message, ingress_port=port)
 
     def _flow_key(self, message: MtpData) -> FlowKey:
@@ -939,7 +992,7 @@ class MtpNode:
             message.dst_root, self._flow_key(message), ingress_port
         )
         if choice is None:
-            self.counters.data_dropped_no_path += 1
+            self._counters.data_dropped_no_path += 1
             self.node.log("mtp.drop", f"no path for root {message.dst_root}")
             return
         self._send(choice, message)

@@ -45,7 +45,10 @@ from repro.harness.digest import canonical_json, payload_digest
 #    schema 3 -> 4), graceful_restart joined stack parameter tuples,
 #    and loaded runs carry invariant-monitor fib_* counters;
 #    schema-5 entries miss cleanly.
-CACHE_SCHEMA = 6
+# 7: quiet MR-MTP links — cached run digests hash traces that no longer
+#    hold a record per elided keepalive (digest schema 1 -> 2);
+#    schema-6 entries miss cleanly.
+CACHE_SCHEMA = 7
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

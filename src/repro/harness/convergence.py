@@ -151,10 +151,13 @@ def converge_from_cold(
     slice_us: int = 100 * MILLISECOND,
 ) -> None:
     """Run a freshly started deployment until ``check()`` holds and the
-    control plane has gone quiet.  Raises on timeout."""
+    control plane has gone quiet.  Raises on timeout — and as soon as the
+    queue is empty with ``check()`` false: nothing is left that could
+    make it true (a converged MR-MTP fabric schedules nothing)."""
     sim = world.sim
     deadline = sim.now + max_time_us
     satisfied_since: Optional[int] = None
+    outcome = f"did not converge within {max_time_us} us"
     while sim.now < deadline:
         sim.run(until=min(sim.now + slice_us, deadline))
         if check():
@@ -164,8 +167,11 @@ def converge_from_cold(
                 return
         else:
             satisfied_since = None
+            if sim.queue_depth == 0:  # O(1); pending_events walks the queue
+                outcome = "fell silent unconverged"
+                break
     raise QuiescenceTimeout(
-        f"deployment did not converge within {max_time_us} us "
+        f"deployment {outcome} "
         f"(check={check.__name__ if hasattr(check, '__name__') else check})",
         sim_time_us=sim.now, pending_events=sim.pending_events,
         last_event=_last_event_description(world),

@@ -1,8 +1,8 @@
 """Run digests: a content fingerprint of one experiment run.
 
 The engine is bit-for-bit deterministic for a fixed seed (events are
-ordered by (time, priority, sequence)), so two runs of the same task must
-produce the *identical* trace and metrics.  A digest turns that property
+ordered by (time, priority, scheduling instant, sequence)), so two runs
+of the same task must produce the *identical* trace and metrics.  A digest turns that property
 into something checkable across process boundaries: the parallel runner
 hashes each run's trace log plus its result payload and the determinism
 guard asserts serial and fanned-out execution agree byte for byte.
@@ -21,9 +21,12 @@ from typing import Any, Iterable
 
 from repro.sim.trace import TraceLog, TraceRecord
 
-# Bump when the canonical rendering changes; embedded in every digest so
-# stale cache entries from an older scheme can never compare equal.
-DIGEST_SCHEMA = 1
+# Bump when the canonical rendering changes — or, as for 2, what a trace
+# contains: a keepalive on a quiet MR-MTP link direction is accounted
+# for, not sent, and leaves no ``mtp.keepalive.tx`` record (DESIGN
+# "Steady-state frame path").  Embedded in every digest so stale cache
+# entries from an older scheme can never compare equal.
+DIGEST_SCHEMA = 2
 
 
 # One encoder for the process: ``json.dumps`` with keyword arguments

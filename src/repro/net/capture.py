@@ -49,7 +49,7 @@ class Capture:
 
     def attach(self, interfaces: Iterable[Interface]) -> None:
         for iface in interfaces:
-            iface.taps.append(self._tap)
+            iface.add_tap(self._tap)
             self._tapped.append(iface)
 
     def attach_node(self, node) -> None:
@@ -57,7 +57,7 @@ class Capture:
 
     def detach(self) -> None:
         for iface in self._tapped:
-            iface.taps.remove(self._tap)
+            iface.remove_tap(self._tap)
         self._tapped.clear()
 
     def _tap(self, iface: Interface, frame: EthernetFrame, direction: str) -> None:

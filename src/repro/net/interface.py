@@ -4,12 +4,20 @@ An interface belongs to a node, may be cabled to a link, may carry an IPv4
 address, and keeps tx/rx counters.  ``admin_up`` models ``ip link set
 down`` at that end only — the failure primitive used throughout the
 paper's test cases.
+
+A protocol whose periodic exchange over a healthy link direction is
+accounted for arithmetically instead of frame by frame (DESIGN
+"Steady-state frame path") registers that account as ``quiet_tx`` on the
+sending interface and ``quiet_rx`` on the receiving one.  The interface
+owes it two things: ``settle()`` before any counter is read, and
+``wake()`` before anything happens that the account assumed would not —
+another frame sent, an admin change, a tap attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from repro.stack.addresses import Ipv4Address, Ipv4Network, MacAddress
 from repro.stack.ethernet import EthernetFrame
@@ -17,6 +25,20 @@ from repro.stack.ethernet import EthernetFrame
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
     from repro.net.node import Node
+
+
+FrameTap = Callable[["Interface", EthernetFrame, str], None]
+
+
+class QuietExchange(Protocol):
+    """What an interface asks of an exchange it carries unseen."""
+
+    def settle(self) -> None:
+        """Bring every counter up to the present; stay quiet."""
+
+    def wake(self) -> None:
+        """Settle, then put the exchange's real events back in the queue
+        and unregister from both interfaces."""
 
 
 @dataclass(slots=True)
@@ -37,7 +59,8 @@ class Interface:
     """One port of a node."""
 
     __slots__ = ("node", "name", "mac", "port_number", "link", "admin_up",
-                 "address", "network", "counters", "taps")
+                 "address", "network", "_counters", "taps", "quiet_tx",
+                 "quiet_rx")
 
     def __init__(
         self,
@@ -56,11 +79,52 @@ class Interface:
         self.admin_up: bool = True
         self.address: Optional[Ipv4Address] = None
         self.network: Optional[Ipv4Network] = None
-        self.counters = InterfaceCounters()
-        # capture taps: called for every frame tx'd / rx'd on this port
-        self.taps: list[Callable[["Interface", EthernetFrame, str], None]] = []
+        self._counters = InterfaceCounters()
+        # capture taps: called for every frame tx'd / rx'd on this port.
+        # A tuple, so that attaching one has to go through add_tap().
+        self.taps: tuple[FrameTap, ...] = ()
+        self.quiet_tx: Optional[QuietExchange] = None
+        self.quiet_rx: Optional[QuietExchange] = None
 
     # ------------------------------------------------------------------
+    @property
+    def counters(self) -> InterfaceCounters:
+        self.settle()
+        return self._counters
+
+    def add_tap(self, tap: FrameTap) -> None:
+        """Have ``tap(iface, frame, "tx" | "rx")`` see every frame from
+        now on — so from now on every frame has to exist."""
+        self.wake()
+        self.taps += (tap,)
+
+    def remove_tap(self, tap: FrameTap) -> None:
+        taps = list(self.taps)
+        taps.remove(tap)
+        self.taps = tuple(taps)
+
+    def sent_unseen(self, frames: int, nbytes: int) -> None:
+        """Count frames a quiet exchange knows this port transmitted."""
+        self._counters.tx_frames += frames
+        self._counters.tx_bytes += nbytes
+
+    def received_unseen(self, frames: int, nbytes: int) -> None:
+        """Count frames a quiet exchange knows this port received."""
+        self._counters.rx_frames += frames
+        self._counters.rx_bytes += nbytes
+
+    def settle(self) -> None:
+        if self.quiet_tx is not None:
+            self.quiet_tx.settle()
+        if self.quiet_rx is not None:
+            self.quiet_rx.settle()
+
+    def wake(self) -> None:
+        if self.quiet_tx is not None:
+            self.quiet_tx.wake()
+        if self.quiet_rx is not None:
+            self.quiet_rx.wake()
+
     @property
     def full_name(self) -> str:
         return f"{self.node.name}:{self.name}"
@@ -93,6 +157,7 @@ class Interface:
         """
         if self.admin_up == up:
             return
+        self.wake()
         self.admin_up = up
         if up:
             self.node.interface_came_up(self)
@@ -105,16 +170,19 @@ class Interface:
     def send(self, frame: EthernetFrame) -> bool:
         """Offer a frame for transmission.  Returns True if it got onto
         the wire (it may still be dropped at the far end)."""
+        if self.quiet_tx is not None:
+            self.quiet_tx.wake()  # its next hello may now be suppressed
+        counters = self._counters
         if not self.admin_up:
-            self.counters.tx_dropped_down += 1
+            counters.tx_dropped_down += 1
             return False
         if self.link is None:
-            self.counters.tx_dropped_uncabled += 1
+            counters.tx_dropped_uncabled += 1
             return False
         if not self.link.transmit(self, frame):
             return False  # egress queue overflow (counted by the link)
-        self.counters.tx_frames += 1
-        self.counters.tx_bytes += frame.wire_size
+        counters.tx_frames += 1
+        counters.tx_bytes += frame.wire_size
         for tap in self.taps:
             tap(self, frame, "tx")
         return True
@@ -129,16 +197,17 @@ class Interface:
         story.  ``duplicate`` marks the extra copy a flaky link
         delivered; it is counted and then processed normally.
         """
+        counters = self._counters
         if not self.admin_up:
-            self.counters.rx_dropped_down += 1
+            counters.rx_dropped_down += 1
             return
         if corrupt:
-            self.counters.rx_dropped_corrupt += 1
+            counters.rx_dropped_corrupt += 1
             return
         if duplicate:
-            self.counters.rx_duplicate += 1
-        self.counters.rx_frames += 1
-        self.counters.rx_bytes += frame.wire_size
+            counters.rx_duplicate += 1
+        counters.rx_frames += 1
+        counters.rx_bytes += frame.wire_size
         for tap in self.taps:
             tap(self, frame, "rx")
         self.node.handle_frame(self, frame)

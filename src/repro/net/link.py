@@ -31,10 +31,10 @@ class Link:
     """Full-duplex point-to-point link between two interfaces."""
 
     __slots__ = ("sim", "end_a", "end_b", "bandwidth_bps", "propagation_us",
-                 "queue_bytes", "_next_free", "frames_carried",
-                 "bytes_carried", "frames_dropped_queue", "_impairments",
-                 "_arrival_seq", "frames_lost_impaired", "frames_corrupted",
-                 "frames_duplicated")
+                 "queue_bytes", "_next_free", "_frames_carried",
+                 "_bytes_carried", "frames_dropped_queue", "_impairments",
+                 "_arrival_seq", "_gray_until", "frames_lost_impaired",
+                 "frames_corrupted", "frames_duplicated")
 
     def __init__(
         self,
@@ -66,8 +66,8 @@ class Link:
         # Per-direction time at which the transmitter becomes free again;
         # keys are the *sending* interface.
         self._next_free: dict[Interface, int] = {end_a: 0, end_b: 0}
-        self.frames_carried = 0
-        self.bytes_carried = 0
+        self._frames_carried = 0
+        self._bytes_carried = 0
         self.frames_dropped_queue = 0
         # Per-direction impairment (gray failures); keys are the sender.
         self._impairments: dict[Interface, LinkImpairment] = {}
@@ -78,6 +78,9 @@ class Link:
         # deterministic tiebreak independent of heap insertion details.
         # Clean links keep priority 0 so their digests are unchanged.
         self._arrival_seq = 0
+        # Per-direction latest arrival drawn on the gray path: a jittered
+        # frame can outlive the impairment that delayed it.
+        self._gray_until: dict[Interface, int] = {}
         self.frames_lost_impaired = 0
         self.frames_corrupted = 0
         self.frames_duplicated = 0
@@ -89,6 +92,16 @@ class Link:
         if iface is self.end_b:
             return self.end_a
         raise ValueError(f"{iface!r} is not an end of this link")
+
+    @property
+    def frames_carried(self) -> int:
+        self.end_a.settle()  # one end's tx and rx are both directions
+        return self._frames_carried
+
+    @property
+    def bytes_carried(self) -> int:
+        self.end_a.settle()
+        return self._bytes_carried
 
     def serialization_us(self, frame: EthernetFrame) -> int:
         """Line-rate serialization delay (padded frames occupy the wire)."""
@@ -106,12 +119,14 @@ class Link:
         :func:`repro.net.impairment.rng_stream_name`)."""
         if sender is not self.end_a and sender is not self.end_b:
             raise ValueError(f"{sender!r} is not an end of this link")
+        sender.wake()
         state = LinkImpairment(profile, rng)
         self._impairments[sender] = state
         return state
 
     def clear_impairment(self, sender: Interface) -> None:
         """Remove any impairment on the ``sender`` -> peer direction."""
+        sender.wake()
         self._impairments.pop(sender, None)
 
     def impairment(self, sender: Interface) -> Optional[LinkImpairment]:
@@ -121,8 +136,39 @@ class Link:
     def queue_backlog_bytes(self, sender: Interface) -> int:
         """Bytes currently waiting to serialize in ``sender``'s direction."""
         self.other_end(sender)  # ValueError for a foreign interface
+        sender.settle()
         backlog_us = max(0, self._next_free[sender] - self.sim.now)
         return (backlog_us * self.bandwidth_bps) // _BYTE_TICKS
+
+    # ------------------------------------------------------------------
+    # a direction carried unseen — see repro.net.interface
+    # ------------------------------------------------------------------
+    def certain_latency_us(self, sender: Interface,
+                           frame: EthernetFrame) -> Optional[int]:
+        """Ticks from offering ``frame`` now to its delivery, when that
+        is certain: the direction is unimpaired, nothing is queued or
+        still in flight on it and the frame fits the egress queue — what
+        :meth:`transmit` would compute, without transmitting.  None when
+        any of it does not hold."""
+        now = self.sim.now
+        padded = frame.padded_wire_size
+        if (sender in self._impairments
+                or self._next_free[sender] > now
+                or self._gray_until.get(sender, -1) >= now
+                or (self.queue_bytes is not None
+                    and padded > self.queue_bytes)):
+            return None
+        return (((padded * _BYTE_TICKS) // self.bandwidth_bps or 1)
+                + self.propagation_us)
+
+    def carried_unseen(self, sender: Interface, frames: int, nbytes: int,
+                       free_at: int) -> None:
+        """Account for ``frames`` frames (``nbytes`` in all) that
+        ``sender`` is known to have put on an otherwise idle line, the
+        last of them leaving the transmitter at ``free_at``."""
+        self._frames_carried += frames
+        self._bytes_carried += nbytes
+        self._next_free[sender] = free_at
 
     def transmit(self, sender: Interface, frame: EthernetFrame) -> bool:
         """Queue ``frame`` from ``sender``; deliver after serialization +
@@ -152,12 +198,12 @@ class Link:
                 and ((start - now) * bandwidth) // _BYTE_TICKS + padded
                 > self.queue_bytes):
             self.frames_dropped_queue += 1
-            sender.counters.tx_dropped_queue += 1
+            sender._counters.tx_dropped_queue += 1
             return False
         done = start + ((padded * _BYTE_TICKS) // bandwidth or 1)
         self._next_free[sender] = done
-        self.frames_carried += 1
-        self.bytes_carried += frame.wire_size
+        self._frames_carried += 1
+        self._bytes_carried += frame.wire_size
         impairment = self._impairments.get(sender)
         if impairment is None:
             self.sim.schedule_at(done + self.propagation_us,
@@ -173,17 +219,20 @@ class Link:
         if decision.corrupt:
             self.frames_corrupted += 1
         self._arrival_seq += 1
+        arrival = done + self.propagation_us + decision.jitter_us
         self.sim.schedule_at(
-            done + self.propagation_us + decision.jitter_us,
-            receiver.deliver, frame, decision.corrupt, False,
+            arrival, receiver.deliver, frame, decision.corrupt, False,
             priority=self._arrival_seq)
         if decision.duplicate:
             self.frames_duplicated += 1
             self._arrival_seq += 1
+            dup_arrival = done + self.propagation_us + decision.dup_jitter_us
             self.sim.schedule_at(
-                done + self.propagation_us + decision.dup_jitter_us,
-                receiver.deliver, frame, decision.corrupt, True,
+                dup_arrival, receiver.deliver, frame, decision.corrupt, True,
                 priority=self._arrival_seq)
+            arrival = max(arrival, dup_arrival)
+        if arrival > self._gray_until.get(sender, -1):
+            self._gray_until[sender] = arrival
         return True
 
     def __repr__(self) -> str:

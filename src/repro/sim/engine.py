@@ -1,9 +1,15 @@
 """Deterministic discrete-event engine with two scheduler backends.
 
-Events are ordered by (time, priority, sequence-number); the sequence
-number makes scheduling order the tiebreaker, so runs are bit-for-bit
-reproducible for a fixed seed.  Cancellation is O(1) (tombstoning) in
-both backends.
+Events are ordered by (time, priority, born, sequence-number): ``born``
+is the instant an event was scheduled and the sequence number the order
+of scheduling, so among events due together the one scheduled first
+fires first and runs are bit-for-bit reproducible for a fixed seed.
+``seq`` rises with ``born``, so for an ordinary event the pair says what
+``seq`` alone would; ``born`` is its own field because an exchange held
+as arithmetic (DESIGN "Steady-state frame path") puts an event back into
+the queue long after the instant it stands for, and
+``schedule_at(..., born=...)`` gives it the rank that instant had.
+Cancellation is O(1) (tombstoning) in both backends.
 
 Backends (the ``engine_backend`` flag):
 
@@ -20,15 +26,15 @@ Backends (the ``engine_backend`` flag):
     pays a comparison.  Events behind a level's current window (rare:
     only after an ``until``-bounded run stopped mid-cascade) and events
     beyond the 2^32-tick horizon go to a small fallback heap that is
-    merged by (time, priority, seq) at dispatch.
+    merged by (time, priority, born, seq) at dispatch.
 
 ``heap``
     The original binary heap, kept verbatim in semantics for
-    differential testing; entries are (time, priority, seq, event)
+    differential testing; entries are (time, priority, born, seq, event)
     tuples so ordering comparisons stay in C.
 
 Both backends dispatch through the same same-timestamp batch: all
-events due at time *t* are drained into one small (priority, seq) heap
+events due at time *t* are drained into one small (priority, born, seq) heap
 and fired in order; callbacks scheduling at the current time join the
 live batch, preserving causal FIFO ordering exactly as the single heap
 did.  The determinism contract — identical firing order, hence
@@ -76,26 +82,29 @@ class Event:
     the tombstone is discarded when its container is next visited.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "priority", "born", "seq", "callback", "args",
+                 "cancelled")
 
     def __init__(
         self,
         time: int,
         priority: int,
+        born: int,
         seq: int,
         callback: Callable[..., None],
         args: tuple = (),
     ) -> None:
         self.time = time
         self.priority = priority
+        self.born = born
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
 
     def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
+        return (self.time, self.priority, self.born, self.seq) < (
+            other.time, other.priority, other.born, other.seq)
 
     @property
     def active(self) -> bool:
@@ -107,7 +116,8 @@ class Event:
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "active"
-        return f"<Event t={self.time} pri={self.priority} seq={self.seq} {state}>"
+        return (f"<Event t={self.time} pri={self.priority} "
+                f"born={self.born} seq={self.seq} {state}>")
 
 
 # The handle returned by ``Simulator.schedule`` *is* the event; the old
@@ -121,21 +131,22 @@ class _HeapBackend:
     __slots__ = ("_heap", "discarded")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Event]] = []
+        self._heap: list[tuple[int, int, int, int, Event]] = []
         self.discarded = 0  # tombstones dropped without firing
 
     def push(self, event: Event) -> None:
-        heappush(self._heap, (event.time, event.priority, event.seq, event))
+        heappush(self._heap, (event.time, event.priority, event.born,
+                              event.seq, event))
 
     def collect(self, batch: list, limit: int) -> Optional[int]:
         """Drain every live event due at the earliest pending tick into
-        ``batch`` (a (priority, seq, event) heap) and return that tick,
+        ``batch`` (a (priority, born, seq, event) heap) and return that tick,
         or None when the queue is drained / the next tick is beyond
         ``limit`` (nothing is consumed in that case)."""
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[3].cancelled:
+            if head[4].cancelled:
                 heappop(heap)
                 self.discarded += 1
                 continue
@@ -143,16 +154,16 @@ class _HeapBackend:
             if tick > limit:
                 return None
             while heap and heap[0][0] == tick:
-                _, priority, seq, event = heappop(heap)
-                if event.cancelled:
+                entry = heappop(heap)
+                if entry[4].cancelled:
                     self.discarded += 1
                 else:
-                    heappush(batch, (priority, seq, event))
+                    heappush(batch, entry[1:])
             return tick
         return None
 
     def live_count(self) -> int:
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return sum(1 for entry in self._heap if not entry[4].cancelled)
 
 
 _WHEEL_BITS = 8
@@ -170,11 +181,11 @@ class _WheelBackend:
     its time.  When level 0 drains, the next populated level-1 slot is
     *cascaded* — re-distributed into level 0 — and so on upward.
 
-    Two invariants keep the (time, priority, seq) contract exact:
+    Two invariants keep the (time, priority, born, seq) contract exact:
 
     - a cascade never reorders: every event due at one tick is gathered
-      into the caller's (priority, seq) batch heap before any of them
-      fires;
+      into the caller's (priority, born, seq) batch heap before any of
+      them fires;
     - an insert that lands *behind* a level's current window (possible
       only after an ``until``-bounded run advanced the wheel past times
       that were still legal to schedule) falls back to ``_far``, a plain
@@ -193,7 +204,7 @@ class _WheelBackend:
             [None] * _WHEEL_SLOTS for _ in range(4)]
         self._masks = [0, 0, 0, 0]  # per-level occupancy bitmask
         self._base = [0, 0, 0, 0]   # per-level current window block
-        self._far: list[tuple[int, int, int, Event]] = []
+        self._far: list[tuple[int, int, int, int, Event]] = []
         self._count = 0             # wheel-resident events, incl. tombstones
         self.discarded = 0          # tombstones dropped without firing
 
@@ -231,7 +242,8 @@ class _WheelBackend:
         else:
             # behind a current window (until-cut straggler) or beyond
             # the horizon: the fallback heap keeps exact ordering
-            heappush(self._far, (time, event.priority, event.seq, event))
+            heappush(self._far, (time, event.priority, event.born,
+                                 event.seq, event))
             return
         slots = self._levels[level]
         slot = slots[index]
@@ -298,7 +310,8 @@ class _WheelBackend:
                         slots[index] = None
                         self._masks[0] = mask & (mask - 1)
                         self._count -= 1
-                        batch.append((event.priority, event.seq, event))
+                        batch.append((event.priority, event.born, event.seq,
+                                      event))
                         return tick
             else:
                 return None
@@ -325,7 +338,7 @@ class _WheelBackend:
             if far:
                 # drop cancelled stragglers, then let the earlier of
                 # (far head, wheel slot) win; ties merge below
-                while far and far[0][3].cancelled:
+                while far and far[0][4].cancelled:
                     heappop(far)
                     self.discarded += 1
                 if far and (wheel_time is None or far[0][0] < wheel_time):
@@ -333,11 +346,11 @@ class _WheelBackend:
                     if tick > limit:
                         return None
                     while far and far[0][0] == tick:
-                        _, priority, seq, event = heappop(far)
-                        if event.cancelled:
+                        entry = heappop(far)
+                        if entry[4].cancelled:
                             self.discarded += 1
                         else:
-                            heappush(batch, (priority, seq, event))
+                            heappush(batch, entry[1:])
                     if batch:
                         return tick
                     continue
@@ -355,21 +368,22 @@ class _WheelBackend:
                 if event.cancelled:
                     dropped += 1
                 else:
-                    heappush(batch, (event.priority, event.seq, event))
+                    heappush(batch, (event.priority, event.born, event.seq,
+                                     event))
             if dropped:
                 self.discarded += dropped
             while far and far[0][0] == wheel_time:
-                _, priority, seq, event = heappop(far)
-                if event.cancelled:
+                entry = heappop(far)
+                if entry[4].cancelled:
                     self.discarded += 1
                 else:
-                    heappush(batch, (priority, seq, event))
+                    heappush(batch, entry[1:])
             if batch:
                 return wheel_time
             # the slot held only tombstones — keep looking
 
     def live_count(self) -> int:
-        count = sum(1 for entry in self._far if not entry[3].cancelled)
+        count = sum(1 for entry in self._far if not entry[4].cancelled)
         for slots in self._levels:
             for slot in slots:
                 if slot:
@@ -395,7 +409,7 @@ class Simulator:
 
     __slots__ = ("_now", "_seq", "_running", "_processed", "_backend_name",
                  "_queue", "_qpush", "_batch", "_batch_time", "_batch_drops",
-                 "_peak_depth")
+                 "_peak_depth", "_stamp", "_cursor")
 
     def __init__(self, backend: Optional[str] = None) -> None:
         name = backend if backend is not None else default_backend()
@@ -412,13 +426,21 @@ class Simulator:
         self._seq: int = 0
         self._running: bool = False
         self._processed: int = 0
-        # Same-timestamp dispatch batch: a (priority, seq, event) heap
-        # holding every event due at _batch_time.  Non-empty between
+        # Same-timestamp dispatch batch: a (priority, born, seq, event)
+        # heap holding every event due at _batch_time.  Non-empty between
         # run() calls only when a max_events budget expired mid-tick.
-        self._batch: list[tuple[int, int, Event]] = []
+        self._batch: list[tuple[int, int, int, Event]] = []
         self._batch_time: int = -1
         self._batch_drops: int = 0
         self._peak_depth: int = 0
+        # ``born`` of an event scheduled now: the current instant while it
+        # is being dispatched, the next one between runs — by then every
+        # event due now has fired, so whatever is scheduled next ranks
+        # behind all of them and ahead of anything the next instant adds.
+        self._stamp: int = 0
+        # ``born`` of the event being dispatched (``_stamp`` between
+        # runs): with ``_now``, how far through the order the run is
+        self._cursor: int = 0
 
     # ------------------------------------------------------------------
     # clock
@@ -437,8 +459,22 @@ class Simulator:
         return self._processed
 
     @property
+    def events_scheduled(self) -> int:
+        """Events ever put into the queue, fired, pending or cancelled."""
+        return self._seq
+
+    def has_passed(self, time: int, born: int) -> bool:
+        """Whether a priority-0 event due at ``time`` and scheduled at
+        ``born`` would have fired by now: strictly earlier in the
+        (time, born) order than the event being dispatched — between
+        runs, than anything that can still be scheduled.  It is how an
+        exchange held as arithmetic decides which of its events are
+        history and which must still be put into the queue."""
+        return time < self._now or (time == self._now and born < self._cursor)
+
+    @property
     def pending_events(self) -> int:
-        batch_live = sum(1 for entry in self._batch if not entry[2].cancelled)
+        batch_live = sum(1 for entry in self._batch if not entry[3].cancelled)
         return self._queue.live_count() + batch_live
 
     @property
@@ -470,21 +506,33 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
+        born: Optional[int] = None,
+        seq: Optional[int] = None,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``time``."""
+        """Schedule ``callback(*args)`` at absolute time ``time``.
+
+        ``born`` ranks the event among those due together as if it had
+        been scheduled at that (earlier) instant — for putting back an
+        event that was accounted for instead of queued.  ``seq`` re-uses
+        the number an earlier event of the caller's drew: a timer is one
+        recurring entry in the queue, and keeps the place its first
+        start gave it among timers armed in the same instant."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self._now}): in the past"
             )
         if type(time) is not int:
             time = int(time)
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args)
+        if born is None:
+            born = self._stamp
+        if seq is None:
+            seq = self._seq
+        self._seq += 1  # also the count of events ever scheduled
+        event = Event(time, priority, born, seq, callback, args)
         if time == self._batch_time:
             # joins the tick currently being dispatched, ordered by
-            # (priority, seq) exactly as the single heap ordered it
-            heappush(self._batch, (priority, seq, event))
+            # (priority, born, seq) exactly as the single heap ordered it
+            heappush(self._batch, (priority, born, seq, event))
         else:
             self._qpush(event)
         return event
@@ -495,8 +543,10 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
+        seq: Optional[int] = None,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` ``delay`` ticks from now."""
+        """Schedule ``callback(*args)`` ``delay`` ticks from now (``seq``
+        as for :meth:`schedule_at`)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         # duplicates schedule_at's body: this is the hottest scheduling
@@ -505,11 +555,13 @@ class Simulator:
         if type(delay) is not int:
             delay = int(delay)
         time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args)
+        born = self._stamp
+        if seq is None:
+            seq = self._seq
+        self._seq += 1
+        event = Event(time, priority, born, seq, callback, args)
         if time == self._batch_time:
-            heappush(self._batch, (priority, seq, event))
+            heappush(self._batch, (priority, born, seq, event))
         else:
             self._qpush(event)
         return event
@@ -533,18 +585,27 @@ class Simulator:
                     self._batch_time = -1
                     return False
                 self._batch_time = tick
-            self._now = self._batch_time
+            self._now = self._stamp = self._batch_time
             while batch:
-                event = heappop(batch)[2]
+                _, born, _, event = heappop(batch)
                 if event.cancelled:
                     self._batch_drops += 1
                     continue
                 if not batch:
                     self._batch_time = -1
                 self._processed += 1
-                event.callback(*event.args)
+                self._cursor = born
+                try:
+                    event.callback(*event.args)
+                finally:
+                    self._between_runs()
                 return True
             self._batch_time = -1
+
+    def _between_runs(self) -> None:
+        # an instant cut short by an event budget is still the current one
+        self._stamp = self._cursor = (
+            self._now if self._batch else self._now + 1)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or
@@ -581,13 +642,14 @@ class Simulator:
                         if tick is None:
                             break
                         self._batch_time = tick
-                    self._now = tick
+                    self._now = self._stamp = tick
                     while batch:
-                        event = heappop(batch)[2]
+                        _, born, _, event = heappop(batch)
                         if event.cancelled:
                             self._batch_drops += 1
                             continue
                         self._processed += 1
+                        self._cursor = born
                         event.callback(*event.args)
                     self._batch_time = -1
             else:
@@ -610,18 +672,19 @@ class Simulator:
                         if tick is None:
                             break
                         self._batch_time = tick
-                    self._now = tick
+                    self._now = self._stamp = tick
                     out_of_budget = False
                     while batch:
                         if budget <= 0:
                             out_of_budget = True
                             break
-                        event = heappop(batch)[2]
+                        _, born, _, event = heappop(batch)
                         if event.cancelled:
                             self._batch_drops += 1
                             continue
                         budget -= 1
                         self._processed += 1
+                        self._cursor = born
                         event.callback(*event.args)
                     if out_of_budget:
                         break
@@ -630,6 +693,7 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
+            self._between_runs()
 
     def run_for(self, duration: int, max_events: Optional[int] = None) -> None:
         """Run for ``duration`` ticks from the current time."""

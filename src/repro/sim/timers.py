@@ -19,9 +19,15 @@ class Timer:
     ``restart()`` is the idiom for dead/hold timers: every received
     keepalive kicks the timer; if it ever fires, the neighbor is declared
     down.
+
+    Every arming carries the sequence number the first one drew
+    (``rank``): timers armed in the same instant for the same instant
+    fire in the order they were first started, however often each has
+    been kicked since — and :meth:`start_at` puts a timer that was
+    accounted for instead of queued back in exactly its place.
     """
 
-    __slots__ = ("sim", "interval", "callback", "name", "_handle")
+    __slots__ = ("sim", "interval", "callback", "name", "rank", "_handle")
 
     def __init__(
         self,
@@ -36,6 +42,7 @@ class Timer:
         self.interval = int(interval)
         self.callback = callback
         self.name = name
+        self.rank: Optional[int] = None
         self._handle: Optional[EventHandle] = None
 
     @property
@@ -55,11 +62,22 @@ class Timer:
         handle = self._handle
         if handle is not None:  # stop(), inline: every keepalive lands here
             handle.cancelled = True
-        self._handle = self.sim.schedule_after(self.interval, self._fire)
+        self._handle = handle = self.sim.schedule_after(
+            self.interval, self._fire, seq=self.rank)
+        self.rank = handle.seq
 
     # restart is an alias that reads better at call sites that "kick" a
     # dead timer on every received message.
     restart = start
+
+    def start_at(self, deadline: int, born: int) -> None:
+        """Arm the timer as ``start()`` at instant ``born`` would have left
+        it, ``deadline`` being ``born`` + interval: same firing instant,
+        same place among the events due then (``Simulator.schedule_at``)."""
+        self.stop()
+        self._handle = handle = self.sim.schedule_at(
+            deadline, self._fire, born=born, seq=self.rank)
+        self.rank = handle.seq
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -78,10 +96,16 @@ class PeriodicTimer:
     ``[(1-jitter)*interval, interval]`` using the supplied RNG — the BFD
     transmit-interval rule (RFC 5880 section 6.8.7 mandates 75-100%).
     Deterministic when the RNG is seeded.
+
+    Every firing carries the sequence number ``start()`` drew
+    (``rank``, as for :class:`Timer`): timers that fire together fire in
+    the order they were started — which drawing a fresh number at each
+    firing also came to — and one resumed by :meth:`start_at` is back in
+    exactly the place it left.
     """
 
     __slots__ = ("sim", "interval", "callback", "name", "jitter", "rng",
-                 "_handle")
+                 "rank", "_handle")
 
     def __init__(
         self,
@@ -104,6 +128,7 @@ class PeriodicTimer:
         self.name = name
         self.jitter = jitter
         self.rng = rng
+        self.rank: Optional[int] = None
         self._handle: Optional[EventHandle] = None
 
     @property
@@ -121,6 +146,16 @@ class PeriodicTimer:
         self.stop()
         delay = 0 if immediate else self._next_period()
         self._handle = self.sim.schedule_after(delay, self._fire)
+        self.rank = self._handle.seq
+
+    def start_at(self, first: int, born: int) -> None:
+        """Resume a timer whose last firing was at ``born`` and whose
+        next is due at ``first``, as if it had never been stopped (see
+        ``Simulator.schedule_at``)."""
+        self.stop()
+        self._handle = self.sim.schedule_at(first, self._fire, born=born,
+                                            seq=self.rank)
+        self.rank = self._handle.seq
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -136,5 +171,6 @@ class PeriodicTimer:
     def _fire(self) -> None:
         # Reschedule before the callback so the callback may stop() us.
         period = self.interval if self.jitter == 0.0 else self._next_period()
-        self._handle = self.sim.schedule_after(period, self._fire)
+        self._handle = self.sim.schedule_after(period, self._fire,
+                                               seq=self.rank)
         self.callback()

@@ -273,10 +273,8 @@ class AddressAllocator:
 def rack_subnet_for(vid_seed: int) -> Ipv4Network:
     """The paper's rack addressing: 192.168.<VID>.0/24, rolling into
     192.<169+>.x/24 past VID 255 so very large fabrics still get unique
-    rack prefixes."""
-    if vid_seed < 256:
-        return Ipv4Network.parse(f"192.168.{vid_seed % 256}.0/24")
-    major = 169 + (vid_seed // 256)
+    rack prefixes — the inverse of ``core.vid.WideDerivation``."""
+    major = 168 + vid_seed // 256
     if major > 255:
         raise ValueError("rack subnet pool exhausted")
     return Ipv4Network.parse(f"192.{major}.{vid_seed % 256}.0/24")

@@ -189,7 +189,7 @@ def _flyweight_run(bypass: bool):
                      control.your_discriminator))
 
     for node in (a, b):
-        node.interfaces["eth1"].taps.append(tap)
+        node.interfaces["eth1"].add_tap(tap)
     create("A", "B")
     create("B", "A")
     world.run(until=1 * MILLISECOND)                # one exchange: both Init

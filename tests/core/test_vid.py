@@ -12,6 +12,7 @@ from repro.core.vid import (
     derive_tor_root,
 )
 from repro.stack.addresses import Ipv4Address, Ipv4Network
+from repro.topology.base import rack_subnet_for
 
 
 class TestVid:
@@ -133,3 +134,19 @@ class TestDerivation:
         d = WideDerivation()
         assert (d.root_for_address(Ipv4Address.parse("192.169.5.7"))
                 == d.root_for_subnet(Ipv4Network.parse("192.169.5.0/24")))
+
+    def test_wide_derivation_inverts_rack_addressing_over_the_whole_pool(self):
+        """Every seed the rack pool admits — 1 .. 192.255.255.0/24 — maps
+        to a subnet whose derived root, and whose hosts' derived root, is
+        that seed again.  Seeds 256-511 once landed in 192.170.x, read
+        back as 512+, and no fabric above 122 PoDs could ever be
+        ``ready()``."""
+        d = WideDerivation()
+        last = (255 - 168 + 1) * 256 - 1
+        for seed in range(1, last + 1):
+            subnet = rack_subnet_for(seed)
+            assert d.root_for_subnet(subnet) == seed, seed
+            assert d.root_for_address(subnet.host(seed % 250 + 1)) == seed
+        assert rack_subnet_for(256) == Ipv4Network.parse("192.169.0.0/24")
+        with pytest.raises(ValueError, match="exhausted"):
+            rack_subnet_for(last + 1)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.harness.cache import ResultCache
 from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
+from repro.harness.deploy import deploy_mtp
 from repro.harness.parallel import FanoutInterrupted, execute_tasks
 from repro.harness.report import quarantine_rows, render_quarantine_table
 from repro.harness.supervisor import (
@@ -39,6 +40,8 @@ from repro.harness.supervisor import (
     supervise_tasks,
 )
 from repro.net.world import World
+from repro.sim.units import SECOND
+from repro.topology.clos import build_folded_clos, two_pod_params
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +287,25 @@ def test_quiescence_timeout_carries_diagnostics():
     assert exc.sim_time_us == 1000
     assert exc.pending_events == 0
     assert "pending timer(s)" in str(exc)
+
+
+def test_a_silent_unconverged_fabric_fails_at_once():
+    """A converged MR-MTP fabric schedules nothing; if ``check()`` is
+    still false then, no amount of simulated time can change it."""
+    world = World(seed=0)
+    topo = build_folded_clos(two_pod_params(), world=world)
+    deployment = deploy_mtp(topo)
+    deployment.start()
+
+    def never_ready():
+        return False
+
+    with pytest.raises(QuiescenceTimeout, match="never_ready") as exc_info:
+        converge_from_cold(world, deployment, never_ready,
+                           max_time_us=60 * SECOND)
+    assert deployment.trees_complete()
+    assert exc_info.value.pending_events == 0
+    assert exc_info.value.sim_time_us < SECOND
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,54 @@ def test_same_time_events_fire_in_scheduling_order(backend):
     assert fired == list(range(10))
 
 
+def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(backend):
+    """``born`` orders events due together by when they were scheduled,
+    ``seq`` by the order within that instant; an event put back later
+    with an earlier ``born`` (and a re-used ``seq``) fires where the
+    original would have, also when it joins the instant being played."""
+    sim = Simulator(backend)
+    fired = []
+    first = sim.schedule_at(100, fired.append, "scheduled at 0, first")
+    sim.schedule_at(100, fired.append, "scheduled at 0, second")
+    first.cancel()
+    sim.run(until=40)
+    sim.schedule_at(100, fired.append, "scheduled at 41")
+
+    def put_back():
+        sim.schedule_at(100, fired.append, "put back as of 20", born=20)
+        sim.schedule_at(100, fired.append, "put back as of 0, first",
+                        born=0, seq=first.seq)
+
+    sim.schedule_at(60, put_back)
+    sim.schedule_at(100, lambda: sim.schedule_at(
+        100, fired.append, "joined the instant as of 30", born=30), born=25)
+    sim.run()
+    assert fired == ["put back as of 0, first", "scheduled at 0, second",
+                     "put back as of 20", "joined the instant as of 30",
+                     "scheduled at 41"]
+    assert sim.events_scheduled == 8
+
+
+def test_has_passed_follows_the_order_of_dispatch(backend):
+    sim = Simulator(backend)
+    seen = {}
+
+    def look(tag):
+        seen[tag] = (sim.has_passed(99, 0), sim.has_passed(100, 10),
+                     sim.has_passed(100, 50), sim.has_passed(101, 0))
+
+    assert not sim.has_passed(0, 0)  # nothing has run yet
+    sim.schedule_at(100, look, "scheduled at 0")
+    sim.run(until=30)
+    sim.schedule_at(100, look, "scheduled after 30")
+    sim.run(until=100)
+    assert seen["scheduled at 0"] == (True, False, False, False)
+    assert seen["scheduled after 30"] == (True, True, False, False)
+    # between runs the whole instant has been played
+    assert sim.has_passed(100, 50) and sim.has_passed(100, 100)
+    assert not sim.has_passed(101, 0)
+
+
 def test_priority_breaks_ties_before_seq(backend):
     sim = Simulator(backend)
     fired = []

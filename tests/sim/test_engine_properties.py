@@ -85,6 +85,11 @@ _ops = st.lists(
                   st.integers(min_value=0, max_value=200), st.just(0)),
         st.tuples(st.just("reschedule"),
                   st.integers(min_value=0, max_value=1 << 16), st.just(0)),
+        # an event put back: ranked as if scheduled `priority` ticks ago,
+        # under a fresh sequence number or an earlier event's
+        st.tuples(st.just("back"),
+                  st.integers(min_value=0, max_value=1 << 20),
+                  st.integers(min_value=0, max_value=3)),
     ),
     min_size=1, max_size=120,
 )
@@ -117,6 +122,12 @@ def _run_workload(backend, ops, segments):
             handles[value % len(handles)].cancel()
             handles.append(sim.schedule_after(
                 value + 1, make_cb((tag, "re", value), ())))
+        elif op == "back":
+            reuse = (handles[value % len(handles)].seq
+                     if handles and priority % 2 else None)
+            handles.append(sim.schedule_at(
+                sim.now + value % 300, make_cb((tag, "back", value), ()),
+                born=max(0, sim.now - priority), seq=reuse))
 
     # seed phase: the first few ops also become nested payloads
     for i, (op, value, priority) in enumerate(ops):

@@ -122,3 +122,42 @@ def test_periodic_set_interval_takes_effect_next_cycle():
     sim.schedule_at(60, timer.set_interval, 100)
     sim.run(until=320)
     assert fired == [50, 100, 200, 300]
+
+
+def test_timers_kicked_together_fire_in_the_order_first_started():
+    """A timer keeps the sequence number of its first start, so two
+    deadlines armed in the same instant resolve the same way whichever
+    was kicked last — and ``start_at`` re-arms one after the fact, for
+    the instant and with the rank a ``start()`` back then would have."""
+    sim = Simulator()
+    fired = []
+    one = Timer(sim, 100, lambda: fired.append("one"))
+    two = Timer(sim, 100, lambda: fired.append("two"))
+    one.start()
+    two.start()
+    sim.run(until=50)
+    two.restart()
+    one.restart()
+    sim.run()
+    assert fired == ["one", "two"] and sim.now == 150
+    two.start()
+    sim.run(until=200)
+    one.start_at(250, born=150)
+    assert one.expires_at == two.expires_at == 250
+    sim.run()
+    assert fired == ["one", "two", "one", "two"]
+
+
+def test_periodic_timer_resumes_in_its_place():
+    sim = Simulator()
+    fired = []
+    timers = [PeriodicTimer(sim, 50, lambda tag=tag: fired.append(tag))
+              for tag in "abc"]
+    for timer in timers:
+        timer.start()
+    sim.run(until=100)
+    timers[0].stop()                       # "a" sits out the firing at 150
+    sim.run(until=170)
+    timers[0].start_at(200, born=150)      # as if it had fired at 150
+    sim.run(until=250)
+    assert fired == list("abc" * 2 + "bc" + "abc" * 2)
