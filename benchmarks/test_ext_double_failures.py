@@ -18,10 +18,10 @@ import pytest
 
 from repro.sim.units import SECOND
 from repro.topology.clos import TIER_SERVER, two_pod_params
+from repro.harness.executor import TaskKind, run_tasks
 from repro.harness.experiments import StackKind, build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.oracle import compare_with_oracle
-from repro.harness.parallel import execute_tasks
 
 from conftest import emit
 
@@ -49,12 +49,19 @@ def _pair_task(spec):
     return [(link_i, link_j, d) for d in bad]
 
 
+#: uncached, so the codec is never used; the label names the two cuts
+DOUBLE_CUT = TaskKind(name="double-cut", run=_pair_task, key=repr,
+                      encode=lambda bad: {"bad": bad},
+                      decode=lambda payload: payload["bad"],
+                      label=lambda spec: f"{spec[2]} + {spec[3]}")
+
+
 def run_sweep(kind: StackKind, settle_us: int, jobs: int = 1):
     world0, topo0, _ = build_and_converge(two_pod_params(), kind)
     links = fabric_links(topo0)
     combos = list(itertools.combinations(range(len(links)), 2))
     specs = [(kind, settle_us, links[i], links[j]) for i, j in combos]
-    per_pair = execute_tasks(specs, _pair_task, jobs=jobs)
+    per_pair = run_tasks(DOUBLE_CUT, specs, jobs=jobs)
     disagreements = [d for pair in per_pair for d in pair]
     return len(combos), disagreements
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.topology.clos import two_pod_params
 from repro.stacks import get_stack
-from repro.harness.sweep import single_failure_sweep, summarize
+from repro.harness.sweep import single_failure_sweep_outcomes, summarize
 
 from conftest import emit
 
@@ -26,7 +26,8 @@ STACKS = ("mtp", "bgp", "bgp-bfd", "mtp-spray", "bgp-nomultipath")
 def test_ext_robustness_sweep(benchmark, results_dir, stack, jobs):
     display = get_stack(stack).display
     results = benchmark.pedantic(
-        lambda: single_failure_sweep(two_pod_params(), stack, jobs=jobs),
+        lambda: [o.result for o in single_failure_sweep_outcomes(
+            two_pod_params(), stack, jobs=jobs)],
         rounds=1, iterations=1,
     )
     blackholes = sum(len(r.unreachable) for r in results)

@@ -28,8 +28,8 @@ import bench_engine
 from repro.bgp import encoding as bgp_encoding
 from repro.bgp.messages import BgpKeepalive
 from repro.core.config import MtpTimers
-from repro.harness import experiments, snapshot
-from repro.harness.supervisor import RetryPolicy
+from repro.harness import executor, experiments
+from repro.harness.executor import RetryPolicy
 from repro.scenario import (
     Scenario,
     ScenarioEvent,
@@ -37,8 +37,6 @@ from repro.scenario import (
     get_scenario,
     run_scenario,
     run_scenario_suite,
-    run_scenario_task,
-    runner as scenario_runner,
 )
 from repro.sim.engine import WHEEL_BACKEND, Simulator
 from repro.sim.units import MILLISECOND, SECOND
@@ -346,7 +344,7 @@ def world_counts(monkeypatch):
 
     monkeypatch.setattr(experiments, "converge_from_cold", counted(
         "converge", experiments.converge_from_cold))
-    monkeypatch.setattr(snapshot, "pickle", SimpleNamespace(
+    monkeypatch.setattr(executor, "pickle", SimpleNamespace(
         dumps=counted("dumps", pickle.dumps),
         loads=counted("loads", pickle.loads),
         HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
@@ -378,8 +376,8 @@ def test_other_seed_or_timers_is_a_snapshot_miss(world_counts):
     worlds = [("mtp", 0, None), ("mtp", 0, None), ("mtp", 1, None),
               ("mtp", 1, None), ("mtp", 1, jittered), ("mtp", 1, jittered)]
     params = ClosParams(num_pods=2)
-    snapshots = snapshot.WorldSnapshots(
-        snapshot.world_key(params, resolve_spec(stack, timers), seed)
+    snapshots = executor.WorldSnapshots(
+        executor.world_key(params, resolve_spec(stack, timers), seed)
         for stack, seed, timers in worlds)
     for stack, seed, timers in worlds:
         build_and_converge(params, stack, seed, timers, snapshots=snapshots)
@@ -387,7 +385,7 @@ def test_other_seed_or_timers_is_a_snapshot_miss(world_counts):
 
 
 def test_tasks_that_cannot_reuse_a_world_never_pickle_one(
-        world_counts, monkeypatch):
+        world_counts, monkeypatch, tmp_path):
     # one scenario on one stack (the load-1m / load-churn shape), and
     # one scenario across stacks: no world recurs
     _suite(["tc1"], ["mtp"])
@@ -396,13 +394,21 @@ def test_tasks_that_cannot_reuse_a_world_never_pickle_one(
     run_experiment_batch(ClosParams(num_pods=2), "mtp", "TC1", seeds=(0, 1))
     assert world_counts == {"converge": 5, "dumps": 0, "loads": 0}
 
-    # supervised suites run one process per attempt: they get the plain
-    # worker, so no store ever reaches a child
-    handed = []
-    monkeypatch.setattr(
-        scenario_runner, "supervise_tasks",
-        lambda specs, worker, **kwargs: handed.append(worker) or [])
-    run_scenario_suite(
-        ClosParams(num_pods=2), [get_scenario("tc1"), get_scenario("tc2")],
-        ["mtp"], policy=RetryPolicy())
-    assert handed == [run_scenario_task]
+    # supervised attempts are isolated child processes, each converging
+    # its own world, so a suite of two same-world scenarios pickles
+    # nothing in any process; a file, not the in-memory counter, sees
+    # what a child does — and sees the one snapshot the same suite takes
+    # inline
+    log = tmp_path / "dumps.log"
+
+    def logged_dumps(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write("dumps\n")
+        return pickle.dumps(*args, **kwargs)
+
+    monkeypatch.setattr(executor.pickle, "dumps", logged_dumps)
+    _suite(["tc1", "tc2"], ["mtp"])
+    assert log.read_text() == "dumps\n"
+    log.unlink()
+    _suite(["tc1", "tc2"], ["mtp"], policy=RetryPolicy())
+    assert not log.exists()

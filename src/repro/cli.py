@@ -34,8 +34,12 @@ does the same for fabrics: any registered topology plugin (see
 repeatable ``-T KEY=VALUE`` overrides.  ``--jobs N`` fans
 independent runs out over N worker processes (0 = one per core); results
 are byte-identical to the serial path (the engine is deterministic per
-seed).  Sweeps and batches reuse an on-disk result cache keyed by a
-content hash of the task; ``--no-cache`` disables it.
+seed).  Every campaign command (``sweep``, ``scenario run``, ``chaos``,
+``load``, ``fail --runs``) runs through one executor and reuses an
+on-disk result cache keyed by a content hash of the task; ``--no-cache``
+disables it, ``--resume`` replays an interrupted campaign from it, and
+``--supervise`` runs each task under a watchdog with retry and
+quarantine.
 """
 
 from __future__ import annotations
@@ -58,17 +62,18 @@ from repro.topology import (
 from repro.net.world import World
 from repro.stacks import available_stacks, get_stack, resolve_spec
 from repro.harness.cache import ResultCache, default_cache_root
+from repro.harness.executor import (
+    CampaignInterrupted,
+    CampaignReport,
+    RetryPolicy,
+    run_tasks,
+)
 from repro.harness.experiments import (
+    FAILURE_RUN,
     build_and_converge,
-    run_experiment_batch,
+    failure_run_specs,
     run_failure_experiment,
     run_packet_loss_experiment,
-)
-from repro.harness.parallel import FanoutInterrupted, FanoutReport
-from repro.harness.supervisor import (
-    RetryPolicy,
-    SupervisorInterrupted,
-    SupervisorReport,
 )
 
 # exit codes: experiment findings (regressions) and infra failures
@@ -120,7 +125,21 @@ def _jobs_type(value: str) -> int:
     return n
 
 
-def _add_fanout_args(parser: argparse.ArgumentParser) -> None:
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _positive_float(value: str) -> float:
+    x = float(value)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return x
+
+
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_jobs_type, default=1,
                         help="worker processes (0 = one per core)")
     parser.add_argument("--no-cache", action="store_true",
@@ -128,18 +147,15 @@ def _add_fanout_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help=f"result cache root (default "
                              f"{default_cache_root()})")
-
-
-def _add_supervisor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--supervise", action="store_true",
                         help="run tasks under the fault-tolerant "
                              "supervisor: per-task watchdog, seeded "
                              "retry-with-backoff, quarantine")
-    parser.add_argument("--task-deadline", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--task-deadline", type=_positive_float,
+                        default=None, metavar="SECONDS",
                         help="per-task wall-clock deadline; hung workers "
                              "are killed and retried (implies --supervise)")
-    parser.add_argument("--max-attempts", type=int, default=3,
+    parser.add_argument("--max-attempts", type=_positive_int, default=3,
                         help="attempts per task before quarantine "
                              "(supervised runs)")
     parser.add_argument("--resume", action="store_true",
@@ -160,46 +176,44 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
              "repeatable")
 
 
-def _cache_from(args):
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache_dir)
-
-
-def _supervision_from(args):
-    """(RetryPolicy, SupervisorReport) when supervision was requested,
-    else (None, None) — the plain fan-out path."""
-    if not (args.supervise or args.task_deadline is not None):
-        return None, None
-    policy = RetryPolicy(deadline_s=args.task_deadline,
-                         max_attempts=args.max_attempts, seed=args.seed)
-    return policy, SupervisorReport()
-
-
-def _check_resume(args, cache) -> bool:
-    """--resume needs the cache; True when the combination is usable."""
+def _run_campaign(args, kind, specs, render) -> int:
+    """The one path of every campaign command: the result cache and
+    ``--resume``, supervision (``--supervise``/``--task-deadline``), the
+    run itself, then ``render(outcomes, report, elapsed_s)`` — which
+    prints the command's results and returns its findings exit code —
+    and the epilogue.  A quarantine outranks a finding (EXIT_INFRA)."""
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume and cache is None:
-        print("error: --resume replays from the result cache; "
-              "drop --no-cache", file=sys.stderr)
-        return False
-    return True
+        raise _UsageError("--resume replays from the result cache; "
+                          "drop --no-cache")
+    policy = None
+    if args.supervise or args.task_deadline is not None:
+        policy = RetryPolicy(deadline_s=args.task_deadline,
+                             max_attempts=args.max_attempts, seed=args.seed)
+    report = CampaignReport()
+    t0 = time.perf_counter()
+    outcomes = run_tasks(kind, specs, jobs=args.jobs, cache=cache,
+                         policy=policy, report=report)
+    findings = render(outcomes, report, time.perf_counter() - t0)
+    infra = _campaign_epilogue(args, report)
+    return infra if infra != EXIT_OK else findings
 
 
-def _campaign_epilogue(args, report, records) -> int:
-    """Shared tail of every campaign command: resume accounting, the
-    quarantine table, and the infra exit code (EXIT_OK when nothing was
-    quarantined)."""
-    from repro.harness.report import render_quarantine_table
-
+def _campaign_epilogue(args, report) -> int:
+    """Resume accounting and the quarantine table — on stderr under
+    ``--json``, so stdout stays exactly one document — and the infra
+    exit code (EXIT_OK when nothing was quarantined)."""
+    out = sys.stderr if getattr(args, "json", False) else sys.stdout
     if args.resume:
         print(f"resume: {report.cached}/{report.total} task(s) replayed "
-              f"from checkpoint, {report.executed} executed")
-    quarantined = [r for r in records if r.state == "quarantined"]
-    if quarantined:
-        print()
-        print(render_quarantine_table(records))
-        print(f"\n{len(quarantined)} task(s) quarantined — infra failure, "
-              f"not an experiment finding (exit {EXIT_INFRA})",
+              f"from checkpoint, {report.executed} executed", file=out)
+    if report.quarantined:
+        from repro.harness.report import render_quarantine_table
+
+        print(file=out)
+        print(render_quarantine_table(report.records), file=out)
+        print(f"\n{len(report.quarantined)} task(s) quarantined — infra "
+              f"failure, not an experiment finding (exit {EXIT_INFRA})",
               file=sys.stderr)
         return EXIT_INFRA
     return EXIT_OK
@@ -402,62 +416,52 @@ def cmd_fail(args) -> int:
         print(f"  blast radius     : {result.blast_radius} routers "
               f"({', '.join(result.blast_routers)})")
         return 0
-    report = FanoutReport()
-    results = run_experiment_batch(
-        _params(args), args.stack, args.case, n_runs=args.runs,
-        base_seed=args.seed, jobs=args.jobs, cache=_cache_from(args),
-        report=report,
-    )
-    print(f"{display}, {args.case}, {args.runs} runs "
-          f"({report.describe()}):")
-    for r in results:
-        print(f"  seed {r.seed:>20d}: conv {r.convergence_ms:9.2f} ms, "
-              f"{r.control_bytes} B / {r.update_count} updates, "
-              f"blast {r.blast_radius}")
-    conv = [r.convergence_ms for r in results]
-    print(f"  mean convergence : {statistics.mean(conv):.2f} ms "
-          f"(min {min(conv):.2f}, max {max(conv):.2f})")
-    return 0
+
+    def render(outcomes, report, _elapsed):
+        results = [o.result for o in outcomes if o is not None]
+        print(f"{display}, {args.case}, {args.runs} runs "
+              f"({report.describe()}):")
+        for r in results:
+            print(f"  seed {r.seed:>20d}: conv {r.convergence_ms:9.2f} ms, "
+                  f"{r.control_bytes} B / {r.update_count} updates, "
+                  f"blast {r.blast_radius}")
+        conv = [r.convergence_ms for r in results]
+        if conv:
+            print(f"  mean convergence : {statistics.mean(conv):.2f} ms "
+                  f"(min {min(conv):.2f}, max {max(conv):.2f})")
+        return EXIT_OK
+
+    specs = failure_run_specs(_params(args), args.stack, args.case,
+                              n_runs=args.runs, base_seed=args.seed)
+    return _run_campaign(args, FAILURE_RUN, specs, render)
 
 
 def cmd_sweep(args) -> int:
-    from repro.harness.sweep import (
-        single_failure_sweep_outcomes,
-        summarize,
-    )
+    from repro.harness.sweep import SWEEP_POINT, summarize, sweep_specs
 
-    policy, sup = _supervision_from(args)
-    cache = _cache_from(args)
-    if not _check_resume(args, cache):
-        return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
-    t0 = time.perf_counter()
-    outcomes = single_failure_sweep_outcomes(
-        _params(args), args.stack, seed=args.seed,
-        ambient_loss=args.ambient_loss,
-        workload=_workload_from(args), jobs=args.jobs,
-        cache=cache, report=None if sup is not None else report,
-        policy=policy, supervisor=sup,
-    )
-    elapsed = time.perf_counter() - t0
-    results = [o.result for o in outcomes if o is not None]
-    describe = sup.describe() if sup is not None else report.describe()
-    print(summarize(results))
-    print(f"fan-out: {describe}, {elapsed:.2f} s wall clock")
-    if args.digests:
-        for o in outcomes:
-            if o is None:
-                continue
-            p = o.result.point
-            print(f"  {o.digest[:16]}  {p.node}:{p.interface}")
-    records = sup.records if sup is not None else []
-    infra = _campaign_epilogue(args, report, records)
+    rendered = []   # --report is written after the campaign epilogue
+
+    def render(outcomes, report, elapsed):
+        results = [o.result for o in outcomes if o is not None]
+        print(summarize(results))
+        print(f"fan-out: {report.describe()}, {elapsed:.2f} s wall clock")
+        if args.digests:
+            for o in outcomes:
+                if o is not None:
+                    p = o.result.point
+                    print(f"  {o.digest[:16]}  {p.node}:{p.interface}")
+        rendered.append((results, report))
+        return EXIT_FINDINGS if any(not r.ok for r in results) else EXIT_OK
+
+    specs = sweep_specs(_params(args), args.stack, seed=args.seed,
+                        ambient_loss=args.ambient_loss,
+                        workload=_workload_from(args))
+    code = _run_campaign(args, SWEEP_POINT, specs, render)
     if args.report:
-        _write_sweep_report(args.report, results, records, describe)
-    if infra != EXIT_OK:
-        return infra
-    bad = [r for r in results if not r.ok]
-    return EXIT_FINDINGS if bad else EXIT_OK
+        results, report = rendered[0]
+        _write_sweep_report(args.report, results, report.records,
+                            report.describe())
+    return code
 
 
 def _write_sweep_report(prefix: str, results, records, describe: str) -> None:
@@ -533,9 +537,10 @@ def _load_scenarios(args):
 
 def cmd_scenario(args) -> int:
     from repro.scenario import (
+        SCENARIO_RUN,
         canonical_scenarios,
         encode_scenario_outcome,
-        run_scenario_suite,
+        scenario_suite_specs,
     )
 
     if args.action == "list":
@@ -549,118 +554,96 @@ def cmd_scenario(args) -> int:
                              sort_keys=True))
         return 0
 
-    scenarios = _load_scenarios(args)
-    stacks = args.stack or list(available_stacks())
-    policy, sup = _supervision_from(args)
-    cache = _cache_from(args)
-    if not _check_resume(args, cache):
-        return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
-    t0 = time.perf_counter()
-    outcomes = run_scenario_suite(
-        _params(args), scenarios, stacks, seed=args.seed, jobs=args.jobs,
-        cache=cache, report=None if sup is not None else report,
-        policy=policy, supervisor=sup, invariants=args.invariants,
-    )
-    elapsed = time.perf_counter() - t0
-    describe = sup.describe() if sup is not None else report.describe()
-    if args.json:
-        print(json.dumps({
-            "runs": [encode_scenario_outcome(o) for o in outcomes
-                     if o is not None],
-        }, indent=2, sort_keys=True))
-        return _campaign_epilogue(args, report,
-                                  sup.records if sup is not None else [])
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        m = outcome.metrics
-        line = (f"{m.stack:<16} {m.scenario:<16} "
-                f"conv {m.convergence_ms:9.2f} ms, "
-                f"{m.control_bytes:>6} B / {m.update_count:>3} updates, "
-                f"blast {m.blast_radius}")
-        if m.sent:
-            line += (f", traffic {m.received}/{m.sent} "
-                     f"(blackhole {m.blackhole_us / 1000:.0f} ms)")
-        if m.fib_loops or m.fib_blackholes:
-            line += (f", anomalies {m.fib_loops} loops / "
-                     f"{m.fib_blackholes} blackholes "
-                     f"({m.fib_blackhole_us / 1000:.0f} ms)")
-        if args.digests:
-            line = f"{outcome.digest[:16]}  {line}"
-        print(line)
-    print(f"{len(outcomes)} scenario runs ({describe}), "
-          f"{elapsed:.2f} s wall clock")
-    return _campaign_epilogue(args, report,
-                              sup.records if sup is not None else [])
+    def render(outcomes, report, elapsed):
+        if args.json:
+            print(json.dumps({
+                "runs": [encode_scenario_outcome(o) for o in outcomes
+                         if o is not None],
+            }, indent=2, sort_keys=True))
+            return EXIT_OK
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            m = outcome.metrics
+            line = (f"{m.stack:<16} {m.scenario:<16} "
+                    f"conv {m.convergence_ms:9.2f} ms, "
+                    f"{m.control_bytes:>6} B / {m.update_count:>3} updates, "
+                    f"blast {m.blast_radius}")
+            if m.sent:
+                line += (f", traffic {m.received}/{m.sent} "
+                         f"(blackhole {m.blackhole_us / 1000:.0f} ms)")
+            if m.fib_loops or m.fib_blackholes:
+                line += (f", anomalies {m.fib_loops} loops / "
+                         f"{m.fib_blackholes} blackholes "
+                         f"({m.fib_blackhole_us / 1000:.0f} ms)")
+            if args.digests:
+                line = f"{outcome.digest[:16]}  {line}"
+            print(line)
+        print(f"{len(outcomes)} scenario runs ({report.describe()}), "
+              f"{elapsed:.2f} s wall clock")
+        return EXIT_OK
+
+    specs = scenario_suite_specs(
+        _params(args), _load_scenarios(args),
+        args.stack or list(available_stacks()), seed=args.seed,
+        invariants=args.invariants)
+    return _run_campaign(args, SCENARIO_RUN, specs, render)
 
 
 def cmd_chaos(args) -> int:
     from repro.harness.chaos import (
+        CHAOS_POINT,
         DEFAULT_RATES,
+        chaos_specs,
         clean_fabric_violations,
         encode_chaos_outcome,
         false_positive_thresholds,
-        run_chaos_suite,
         summarize,
     )
 
-    stacks = args.stack or ["mtp", "bgp-bfd"]
-    rates = args.rate if args.rate is not None else list(DEFAULT_RATES)
-    policy, sup = _supervision_from(args)
-    cache = _cache_from(args)
-    if not _check_resume(args, cache):
-        return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
-    t0 = time.perf_counter()
-    outcomes = run_chaos_suite(
-        _params(args), stacks, rates=rates, seed=args.seed,
-        window_ms=args.window_ms, traffic_pps=args.pps,
-        traffic_count=args.count, workload=_workload_from(args),
-        jobs=args.jobs, cache=cache,
-        report=None if sup is not None else report,
-        policy=policy, supervisor=sup,
-    )
-    elapsed = time.perf_counter() - t0
-    results = [o.result for o in outcomes if o is not None]
-    describe = sup.describe() if sup is not None else report.describe()
-    if args.json:
-        print(json.dumps({
-            "points": [encode_chaos_outcome(o) for o in outcomes
-                       if o is not None],
-            "thresholds": false_positive_thresholds(results),
-        }, indent=2, sort_keys=True))
-    else:
-        print(summarize(results))
-        print(f"\n{len(outcomes)} chaos points ({describe}), "
-              f"{elapsed:.2f} s wall clock")
-        if args.digests:
-            for o in outcomes:
-                if o is None:
-                    continue
-                print(f"  {o.digest[:16]}  {o.result.stack} "
-                      f"loss={o.result.loss:.2f}")
-    infra = _campaign_epilogue(args, report,
-                               sup.records if sup is not None else [])
-    if infra != EXIT_OK:
-        return infra
-    violations = clean_fabric_violations(results)
-    for r in violations:
-        print(f"error: {r.stack} false-flagged {r.false_positives} times "
-              f"on a CLEAN fabric (loss 0.0)", file=sys.stderr)
-    if args.require_zero_fp:
-        flagged = [r for r in results if r.false_positives > 0]
+    def render(outcomes, report, elapsed):
+        results = [o.result for o in outcomes if o is not None]
+        if args.json:
+            print(json.dumps({
+                "points": [encode_chaos_outcome(o) for o in outcomes
+                           if o is not None],
+                "thresholds": false_positive_thresholds(results),
+            }, indent=2, sort_keys=True))
+        else:
+            print(summarize(results))
+            print(f"\n{len(outcomes)} chaos points ({report.describe()}), "
+                  f"{elapsed:.2f} s wall clock")
+            if args.digests:
+                for o in outcomes:
+                    if o is not None:
+                        print(f"  {o.digest[:16]}  {o.result.stack} "
+                              f"loss={o.result.loss:.2f}")
+        violations = clean_fabric_violations(results)
+        for r in violations:
+            print(f"error: {r.stack} false-flagged {r.false_positives} "
+                  f"times on a CLEAN fabric (loss 0.0)", file=sys.stderr)
+        flagged = ([r for r in results if r.false_positives > 0]
+                   if args.require_zero_fp else [])
         for r in flagged:
             print(f"error: {r.stack} reported {r.false_positives} false "
                   f"positives at loss {r.loss:.2f} "
                   f"(--require-zero-fp)", file=sys.stderr)
-        if flagged:
-            return EXIT_FINDINGS
-    return EXIT_FINDINGS if violations else EXIT_OK
+        return EXIT_FINDINGS if violations or flagged else EXIT_OK
+
+    specs = chaos_specs(
+        _params(args), args.stack or ["mtp", "bgp-bfd"],
+        rates=args.rate if args.rate is not None else list(DEFAULT_RATES),
+        seed=args.seed, window_ms=args.window_ms, traffic_pps=args.pps,
+        traffic_count=args.count, workload=_workload_from(args))
+    return _run_campaign(args, CHAOS_POINT, specs, render)
 
 
 def cmd_load(args) -> int:
-    from repro.workload import canonical_workloads, run_workload_suite
+    from repro.workload import (
+        WORKLOAD_RUN,
+        canonical_workloads,
+        workload_suite_specs,
+    )
 
     if args.action == "list":
         for name, spec in canonical_workloads().items():
@@ -675,52 +658,39 @@ def cmd_load(args) -> int:
             print(json.dumps(spec.to_payload(), indent=2, sort_keys=True))
         return 0
 
+    def render(outcomes, report, elapsed):
+        bad_conservation = False
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            r = outcome.report
+            delivered_frac = (r.delivered_bytes / r.offered_bytes
+                              if r.offered_bytes else 1.0)
+            line = (f"{r.workload:<12} {r.matrix:<12} "
+                    f"{r.flows:>9} flows  "
+                    f"goodput {r.goodput_bps / 1e9:7.3f} Gbps  "
+                    f"delivered {delivered_frac:6.1%}  "
+                    f"fct p50 {r.fct_p50_us / 1000:8.2f} ms  "
+                    f"p99 {r.fct_p99_us / 1000:9.2f} ms  "
+                    f"blackholed {r.blackholed_flows}")
+            if args.digests:
+                line = f"{outcome.digest[:16]}  {line}"
+            print(line)
+            if r.max_conservation_error > 1e-6:
+                bad_conservation = True
+                print(f"error: {r.workload}: byte conservation violated "
+                      f"(error {r.max_conservation_error:.2e})",
+                      file=sys.stderr)
+        print(f"{len(outcomes)} loaded runs ({report.describe()}), "
+              f"{elapsed:.2f} s wall clock")
+        return EXIT_FINDINGS if bad_conservation else EXIT_OK
+
     wl = _workload_from(args)
-    workloads = ([wl] if wl is not None
-                 else list(canonical_workloads().values()))
-    stacks = args.stack or ["mtp", "bgp-bfd"]
-    policy, sup = _supervision_from(args)
-    cache = _cache_from(args)
-    if not _check_resume(args, cache):
-        return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
-    t0 = time.perf_counter()
-    outcomes = run_workload_suite(
-        _params(args), workloads, stacks, seed=args.seed, jobs=args.jobs,
-        cache=cache, report=None if sup is not None else report,
-        policy=policy, supervisor=sup,
-    )
-    elapsed = time.perf_counter() - t0
-    bad_conservation = False
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        r = outcome.report
-        delivered_frac = (r.delivered_bytes / r.offered_bytes
-                          if r.offered_bytes else 1.0)
-        line = (f"{r.workload:<12} {r.matrix:<12} "
-                f"{r.flows:>9} flows  "
-                f"goodput {r.goodput_bps / 1e9:7.3f} Gbps  "
-                f"delivered {delivered_frac:6.1%}  "
-                f"fct p50 {r.fct_p50_us / 1000:8.2f} ms  "
-                f"p99 {r.fct_p99_us / 1000:9.2f} ms  "
-                f"blackholed {r.blackholed_flows}")
-        if args.digests:
-            line = f"{outcome.digest[:16]}  {line}"
-        print(line)
-        if r.max_conservation_error > 1e-6:
-            bad_conservation = True
-            print(f"error: {r.workload}: byte conservation violated "
-                  f"(error {r.max_conservation_error:.2e})",
-                  file=sys.stderr)
-    describe = sup.describe() if sup is not None else report.describe()
-    print(f"{len(outcomes)} loaded runs ({describe}), "
-          f"{elapsed:.2f} s wall clock")
-    infra = _campaign_epilogue(args, report,
-                               sup.records if sup is not None else [])
-    if infra != EXIT_OK:
-        return infra
-    return EXIT_FINDINGS if bad_conservation else EXIT_OK
+    specs = workload_suite_specs(
+        _params(args),
+        [wl] if wl is not None else list(canonical_workloads().values()),
+        args.stack or ["mtp", "bgp-bfd"], seed=args.seed)
+    return _run_campaign(args, WORKLOAD_RUN, specs, render)
 
 
 def cmd_pathtrace(args) -> int:
@@ -815,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fail.add_argument("--runs", type=int, default=1,
                         help=">1 runs a multi-seed batch (seeds derived "
                              "from --seed)")
-    _add_fanout_args(p_fail)
+    _add_campaign_args(p_fail)
     p_fail.set_defaults(func=cmd_fail)
 
     p_sweep = sub.add_parser(
@@ -831,8 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write PREFIX.txt and PREFIX.html reports "
                               "(sweep summary + quarantine table)")
     _add_workload_args(p_sweep)
-    _add_fanout_args(p_sweep)
-    _add_supervisor_args(p_sweep)
+    _add_campaign_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_scn = sub.add_parser(
@@ -856,8 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable run results (metrics + "
                             "digests), same shape as chaos --json")
     _add_topo_args(p_scn)
-    _add_fanout_args(p_scn)
-    _add_supervisor_args(p_scn)
+    _add_campaign_args(p_scn)
     p_scn.set_defaults(func=cmd_scenario)
 
     p_chaos = sub.add_parser(
@@ -888,8 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "false positive (not just the clean-fabric "
                               "guard)")
     _add_workload_args(p_chaos)
-    _add_fanout_args(p_chaos)
-    _add_supervisor_args(p_chaos)
+    _add_campaign_args(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_load = sub.add_parser(
@@ -905,8 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print each run's digest")
     _add_topo_args(p_load)
     _add_workload_args(p_load)
-    _add_fanout_args(p_load)
-    _add_supervisor_args(p_load)
+    _add_campaign_args(p_load)
     p_load.set_defaults(func=cmd_load)
 
     p_trace = sub.add_parser(
@@ -965,12 +931,16 @@ def main(argv=None) -> int:
         # are user input, not bugs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FanoutInterrupted, SupervisorInterrupted) as exc:
-        # completed tasks were checkpointed (when the cache is on) —
+    except CampaignInterrupted as exc:
+        # completed tasks were checkpointed when the cache is on —
         # nothing already computed needs recomputing
+        if args.no_cache:
+            tail = "nothing was checkpointed (--no-cache)"
+        else:
+            tail = (f"{exc.salvaged} checkpointed this run; resume with:\n"
+                    f"  {_resume_command(argv)}")
         print(f"\ninterrupted: {exc.done}/{exc.total} task(s) finished, "
-              f"{exc.salvaged} checkpointed this run; resume with:\n"
-              f"  {_resume_command(argv)}", file=sys.stderr)
+              f"{tail}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:
         print("\ninterrupted", file=sys.stderr)

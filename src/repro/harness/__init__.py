@@ -40,12 +40,14 @@ from repro.stacks import (
 )
 from repro.harness.cache import ResultCache, default_cache_root, task_key
 from repro.harness.digest import run_digest, stable_seed, trace_digest
-from repro.harness.parallel import (
+from repro.harness.executor import (
+    CampaignReport,
     DeterminismError,
-    FanoutReport,
+    RetryPolicy,
+    TaskKind,
     assert_fanout_deterministic,
-    execute_tasks,
     resolve_jobs,
+    run_tasks,
 )
 
 __all__ = [
@@ -80,9 +82,11 @@ __all__ = [
     "run_digest",
     "stable_seed",
     "trace_digest",
+    "CampaignReport",
     "DeterminismError",
-    "FanoutReport",
+    "RetryPolicy",
+    "TaskKind",
     "assert_fanout_deterministic",
-    "execute_tasks",
     "resolve_jobs",
+    "run_tasks",
 ]

@@ -27,9 +27,9 @@ detector starts false-flagging — the *false-positive threshold*.  A
 clean fabric (loss 0.0) must show zero false positives on every stack;
 the CLI treats anything else as a failure.
 
-Chaos points run through the same cache/fan-out machinery as sweeps and
-scenario suites: picklable specs, content-addressed keys, SHA-256 run
-digests, serial == parallel.
+Chaos points (the :data:`CHAOS_POINT` kind) run through the same
+campaign executor as sweeps and scenario suites: picklable specs,
+content-addressed keys, SHA-256 run digests, serial == parallel.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ from repro.net.impairment import ImpairmentProfile
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.convergence import ConvergenceMonitor
 from repro.harness.digest import run_digest
+from repro.harness.executor import (
+    CampaignReport,
+    RetryPolicy,
+    TaskKind,
+    run_tasks,
+)
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.metrics import (
@@ -51,13 +57,7 @@ from repro.harness.metrics import (
     route_churn,
     snapshot_table_change_counts,
 )
-from repro.harness.parallel import FanoutReport, execute_tasks
 from repro.harness.pathtrace import find_crossing_flow
-from repro.harness.supervisor import (
-    RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
-)
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 from repro.workload.engine import FluidWorkload
 from repro.workload.spec import resolve_workload
@@ -135,7 +135,7 @@ class ChaosOutcome:
 
 
 # ----------------------------------------------------------------------
-# one chaos point = one task (top-level for the process pool)
+# one chaos point = one task (top-level, for pool workers and children)
 # ----------------------------------------------------------------------
 def _first_tor_uplink(topo):
     """The first ToR's first fabric uplink — the canonical gray link.
@@ -337,8 +337,14 @@ def chaos_specs(
 
 
 def chaos_point_label(spec: ChaosPointSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for quarantine tables."""
     return f"{spec.stack.name} loss={spec.loss:.2f} seed={spec.seed}"
+
+
+CHAOS_POINT = TaskKind(
+    name="chaos-point", run=run_chaos_point, key=chaos_point_key,
+    encode=encode_chaos_outcome, decode=decode_chaos_outcome,
+    label=chaos_point_label)
 
 
 def run_chaos_suite(
@@ -353,30 +359,15 @@ def run_chaos_suite(
     workload: Optional[Any] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
+    report: Optional[CampaignReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
 ) -> list[Optional[ChaosOutcome]]:
-    """Run the full grid through the cache/fan-out machinery.
-
-    With a ``policy`` (or ``supervisor`` report) the grid runs under the
-    fault-tolerant supervisor: quarantined points come back ``None``,
-    the rest of the grid completes.
-    """
+    """Run the full grid through :func:`~repro.harness.executor.run_tasks`;
+    under a ``policy``, quarantined points come back ``None``."""
     specs = chaos_specs(params, stacks, rates, seed, timers, window_ms,
                         traffic_pps, traffic_count, workload)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_chaos_point, jobs=jobs, policy=policy, cache=cache,
-            key_fn=chaos_point_key, encode=encode_chaos_outcome,
-            decode=decode_chaos_outcome, label_fn=chaos_point_label,
-            report=supervisor,
-        )
-    return execute_tasks(
-        specs, run_chaos_point, jobs=jobs, cache=cache,
-        key_fn=chaos_point_key, encode=encode_chaos_outcome,
-        decode=decode_chaos_outcome, report=report,
-    )
+    return run_tasks(CHAOS_POINT, specs, jobs=jobs, cache=cache,
+                     policy=policy, report=report)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Each run gets a :class:`World` of its own (the "reserve a new slice"
 analogue) with a registered protocol stack converged from cold on it —
-built on the spot, or, inside a scenario suite, restored from the
-snapshot an earlier task of the same world left (DESIGN §7) — then
-injects a TC failure and computes the section-V metrics.  Multi-seed
-batches average the results as the paper averages over runs.
+built on the spot, or, inside a campaign, restored from the snapshot
+an earlier task of the same world left (DESIGN §7) — then injects a TC
+failure and computes the section-V metrics.  Multi-seed batches average
+the results as the paper averages over runs.
 
 Stacks are selected through :mod:`repro.stacks` — a registry name
 (``"mtp"``, ``"bgp-bfd"``, ``"mtp-spray"``...), a prepared
@@ -30,7 +30,15 @@ from repro.stacks import (
     get_stack,
     resolve_spec,
 )
+from repro.harness.cache import task_key
 from repro.harness.convergence import ConvergenceMonitor, converge_from_cold
+from repro.harness.digest import run_digest, stable_seed
+from repro.harness.executor import (
+    TaskKind,
+    WorldSnapshots,
+    run_tasks,
+    world_key,
+)
 from repro.harness.failures import FailureInjector
 from repro.harness.metrics import (
     KeepaliveBreakdown,
@@ -39,7 +47,6 @@ from repro.harness.metrics import (
     snapshot_table_change_counts,
 )
 from repro.harness.pathtrace import find_crossing_flow
-from repro.harness.snapshot import WorldSnapshots, world_key
 from repro.net.capture import Capture
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 
@@ -58,6 +65,8 @@ __all__ = [
     "run_failure_experiment",
     "run_experiment_batch",
     "run_experiment_task",
+    "failure_run_specs",
+    "FAILURE_RUN",
     "run_packet_loss_experiment",
     "run_keepalive_experiment",
     "run_config_cost_experiment",
@@ -85,8 +94,8 @@ def build_and_converge(
     resolves — a :class:`~repro.topology.TopologySpec`, a registry name,
     a legacy params dataclass, or ``None`` for the default folded-Clos.
 
-    With a suite's ``snapshots`` the world may be a restored copy of one
-    an earlier call converged from the same inputs, not a new cold start.
+    With a campaign's ``snapshots`` the world may be a restored copy of
+    one an earlier call converged from the same inputs, not a cold start.
     """
     spec = resolve_spec(stack, timers)
 
@@ -195,7 +204,7 @@ def run_failure_experiment(
 
 # ----------------------------------------------------------------------
 # multi-seed batches: one picklable spec per (case, seed) task so the
-# batch can fan out over worker processes and hit the result cache
+# batch runs through the campaign executor and hits the result cache
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -227,9 +236,7 @@ class ExperimentOutcome:
 
 
 def run_experiment_task(spec: ExperimentSpec) -> ExperimentOutcome:
-    """The parallel worker (top-level so the process pool can pickle it)."""
-    from repro.harness.digest import run_digest
-
+    """One failure run and its digest (the :data:`FAILURE_RUN` kind)."""
     result, world = run_failure_experiment(
         spec.params, spec.stack, spec.case_name, spec.seed,
         quiet_us=spec.quiet_us, max_wait_us=spec.max_wait_us,
@@ -252,8 +259,6 @@ def _experiment_payload(result: ExperimentResult) -> dict:
 
 
 def experiment_task_key(spec: ExperimentSpec) -> str:
-    from repro.harness.cache import task_key
-
     return task_key(
         "failure-run",
         params=spec.params,
@@ -284,6 +289,47 @@ def decode_experiment_outcome(payload: dict) -> ExperimentOutcome:
     return ExperimentOutcome(result=result, digest=payload["digest"])
 
 
+def failure_run_label(spec: ExperimentSpec) -> str:
+    """Human task label for quarantine tables."""
+    return f"{spec.stack.name} {spec.case_name} seed={spec.seed}"
+
+
+FAILURE_RUN = TaskKind(
+    name="failure-run", run=run_experiment_task, key=experiment_task_key,
+    encode=encode_experiment_outcome, decode=decode_experiment_outcome,
+    label=failure_run_label)
+
+
+def failure_run_specs(
+    params,
+    stack,
+    case_name: str,
+    seeds: Optional[tuple[int, ...]] = None,
+    timers: Optional[StackTimers] = None,
+    n_runs: Optional[int] = None,
+    base_seed: int = 0,
+) -> list[ExperimentSpec]:
+    """Expand a multi-seed batch of one failure case into its tasks.
+
+    Seeds come either explicitly via ``seeds`` (the paper's (0, 1, 2))
+    or are derived per task from ``base_seed`` when only ``n_runs`` is
+    given — :func:`repro.harness.digest.stable_seed` keeps the derived
+    seeds identical across processes and interpreter restarts.
+    """
+    spec = resolve_spec(stack, timers)
+    if seeds is None:
+        if n_runs is None:
+            seeds = (0, 1, 2)
+        else:
+            seeds = tuple(stable_seed("failure-batch", base_seed, i)
+                          for i in range(n_runs))
+    return [
+        ExperimentSpec(params=params, stack=spec, case_name=case_name,
+                       seed=seed)
+        for seed in seeds
+    ]
+
+
 def run_experiment_batch(
     params,
     stack,
@@ -296,34 +342,12 @@ def run_experiment_batch(
     cache=None,
     report=None,
 ) -> list[ExperimentResult]:
-    """Multi-seed batch of one failure case, fanned out over ``jobs``
-    worker processes.
-
-    Seeds come either explicitly via ``seeds`` (the paper's (0, 1, 2))
-    or are derived per task from ``base_seed`` when only ``n_runs`` is
-    given — :func:`repro.harness.digest.stable_seed` keeps the derived
-    seeds identical across processes and interpreter restarts.
-    """
-    from repro.harness.digest import stable_seed
-    from repro.harness.parallel import execute_tasks
-
-    spec = resolve_spec(stack, timers)
-    if seeds is None:
-        if n_runs is None:
-            seeds = (0, 1, 2)
-        else:
-            seeds = tuple(stable_seed("failure-batch", base_seed, i)
-                          for i in range(n_runs))
-    specs = [
-        ExperimentSpec(params=params, stack=spec, case_name=case_name,
-                       seed=seed)
-        for seed in seeds
-    ]
-    outcomes = execute_tasks(
-        specs, run_experiment_task, jobs=jobs, cache=cache,
-        key_fn=experiment_task_key, encode=encode_experiment_outcome,
-        decode=decode_experiment_outcome, report=report,
-    )
+    """Multi-seed batch of one failure case (:func:`failure_run_specs`)
+    through :func:`~repro.harness.executor.run_tasks`."""
+    specs = failure_run_specs(params, stack, case_name, seeds, timers,
+                              n_runs, base_seed)
+    outcomes = run_tasks(FAILURE_RUN, specs, jobs=jobs, cache=cache,
+                         report=report)
     return [o.result for o in outcomes]
 
 

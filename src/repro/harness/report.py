@@ -71,7 +71,7 @@ QUARANTINE_COLUMNS = ("task", "key", "attempts", "failure class", "reason")
 
 def quarantine_rows(records: Iterable[object]) -> list[list[str]]:
     """One row per quarantined :class:`TaskRecord` (duck-typed to avoid
-    a report → supervisor import cycle)."""
+    a report → executor import cycle)."""
     rows = []
     for record in records:
         if getattr(record, "state", None) != "quarantined":

@@ -7,11 +7,12 @@ redundancy >= 2 keeps physical connectivity under any single interface
 failure, so any unreachable pair is a protocol bug — a blackhole the
 paper's four hand-picked TCs would never catch).
 
-Each failure point is an independent task (its own World, its own seed),
-so the sweep fans out across worker processes via
-:mod:`repro.harness.parallel` and converged points are replayed from the
-on-disk :mod:`result cache <repro.harness.cache>`.  Every point carries a
-run digest; serial and parallel execution produce byte-identical results.
+Each failure point is an independent task (its own World, its own seed;
+the :data:`SWEEP_POINT` kind), so the sweep runs through the campaign
+executor (:mod:`repro.harness.executor`) — fanned out, supervised, and
+replayed from the on-disk :mod:`result cache <repro.harness.cache>`.
+Every point carries a run digest; serial and parallel execution produce
+byte-identical results.
 
 The sweep is stack-agnostic: any stack registered with
 :mod:`repro.stacks` sweeps without changes here.
@@ -33,15 +34,15 @@ from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.net.impairment import ImpairmentProfile
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
+from repro.harness.executor import (
+    CampaignReport,
+    RetryPolicy,
+    TaskKind,
+    run_tasks,
+)
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
-from repro.harness.parallel import FanoutReport, execute_tasks
 from repro.harness.pathtrace import trace_path
-from repro.harness.supervisor import (
-    RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
-)
 from repro.workload.engine import FluidWorkload
 from repro.workload.spec import resolve_workload
 
@@ -141,8 +142,8 @@ def check_all_pairs(
 
 
 # ----------------------------------------------------------------------
-# one sweep point = one task (the parallel worker; must stay top-level
-# so ProcessPoolExecutor can pickle it)
+# one sweep point = one task (top-level, so a pool worker or a
+# supervised child can receive it)
 # ----------------------------------------------------------------------
 def run_sweep_point(spec: SweepPointSpec) -> SweepOutcome:
     """Build a fresh world, fail one interface, verify all-pairs
@@ -257,9 +258,15 @@ def sweep_specs(
 
 
 def sweep_point_label(spec: SweepPointSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for quarantine tables."""
     return (f"{spec.stack.name} {spec.point.node}:{spec.point.interface} "
             f"seed={spec.seed}")
+
+
+SWEEP_POINT = TaskKind(
+    name="sweep-point", run=run_sweep_point, key=sweep_point_key,
+    encode=encode_sweep_outcome, decode=decode_sweep_outcome,
+    label=sweep_point_label)
 
 
 def single_failure_sweep_outcomes(
@@ -273,52 +280,18 @@ def single_failure_sweep_outcomes(
     workload: Optional[Any] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
+    report: Optional[CampaignReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
 ) -> list[Optional[SweepOutcome]]:
-    """The sweep with digests: fan out over ``jobs`` worker processes,
-    replaying already-converged points from ``cache`` when given.
-
-    With a ``policy`` (or an attached ``supervisor`` report) the sweep
-    runs under :mod:`repro.harness.supervisor`: hung points are killed
-    by the watchdog, failing points retry with backoff, and a point that
-    exhausts its attempts is quarantined — its slot comes back ``None``
-    and the rest of the sweep still completes.
-    """
+    """The sweep with digests, through
+    :func:`~repro.harness.executor.run_tasks`: under a ``policy``, hung
+    points are killed by the watchdog, failing points retry, and a point
+    that exhausts its attempts is quarantined — its slot comes back
+    ``None`` and the rest of the sweep still completes."""
     specs = sweep_specs(params, stack, seed, timers, points,
                         reconverge_margin_us, ambient_loss, workload)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_sweep_point, jobs=jobs, policy=policy, cache=cache,
-            key_fn=sweep_point_key, encode=encode_sweep_outcome,
-            decode=decode_sweep_outcome, label_fn=sweep_point_label,
-            report=supervisor,
-        )
-    return execute_tasks(
-        specs, run_sweep_point, jobs=jobs, cache=cache,
-        key_fn=sweep_point_key, encode=encode_sweep_outcome,
-        decode=decode_sweep_outcome, report=report,
-    )
-
-
-def single_failure_sweep(
-    params,
-    stack,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    points: Optional[list[FailurePoint]] = None,
-    reconverge_margin_us: int = 1 * SECOND,
-    ambient_loss: float = 0.0,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> list[SweepResult]:
-    """Run the sweep; one fresh world per failure point."""
-    outcomes = single_failure_sweep_outcomes(
-        params, stack, seed, timers, points, reconverge_margin_us,
-        ambient_loss, jobs=jobs, cache=cache,
-    )
-    return [o.result for o in outcomes]
+    return run_tasks(SWEEP_POINT, specs, jobs=jobs, cache=cache,
+                     policy=policy, report=report)
 
 
 def summarize(results: list[SweepResult]) -> str:

@@ -3,8 +3,8 @@
 A :class:`Scenario` turns a fault/traffic experiment into data — an
 ordered list of timestamped events with symbolic targets — that
 serializes to canonical JSON, compiles onto the simulation engine
-against any registered stack, and runs through the same cache/parallel
-machinery as every other experiment task.  The canonical library ships
+against any registered stack, and runs through the same campaign
+executor as every other experiment task.  The canonical library ships
 ten workloads (``tc1``–``tc4``, ``flap-storm``, ``double-cut``,
 ``drain``, ``rolling-restart``, ``gray-uplink``, ``lossy-spine``); see
 README "Scenarios".
@@ -24,6 +24,7 @@ from repro.scenario.compiler import (
     compile_scenario,
 )
 from repro.scenario.runner import (
+    SCENARIO_RUN,
     ScenarioOutcome,
     ScenarioRunSpec,
     decode_scenario_outcome,
@@ -44,6 +45,7 @@ __all__ = [
     "CANONICAL",
     "Checkpoint",
     "CompiledScenario",
+    "SCENARIO_RUN",
     "SCENARIO_SCHEMA",
     "Scenario",
     "ScenarioError",

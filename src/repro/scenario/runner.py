@@ -1,17 +1,17 @@
-"""Scenario execution: single runs, cached/parallel suite sweeps.
+"""Scenario execution: single runs and cached/parallel suites.
 
 One scenario x stack x seed is an independent, picklable task
-(:class:`ScenarioRunSpec`), so suites fan out over worker processes via
-:func:`repro.harness.parallel.execute_tasks` and replay from the
+(:class:`ScenarioRunSpec`, the :data:`SCENARIO_RUN` kind), so suites run
+through :func:`repro.harness.executor.run_tasks` and replay from the
 content-addressed result cache exactly like sweeps and seed batches do.
 Every run carries a SHA-256 run digest (trace + metrics), so serial and
-``--jobs N`` execution are byte-comparable.
+``--jobs N`` execution are byte-comparable.  Scenario runs of one world
+share its convergence: the kind names that world (``world_key``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 from repro.sim.units import SECOND
@@ -20,12 +20,13 @@ from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
-from repro.harness.parallel import FanoutReport, execute_tasks
-from repro.harness.snapshot import WorldSnapshots, world_key
-from repro.harness.supervisor import (
+from repro.harness.executor import (
+    CampaignReport,
     RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
+    TaskKind,
+    WorldSnapshots,
+    run_tasks,
+    world_key,
 )
 from repro.scenario.compiler import (
     Checkpoint,
@@ -87,7 +88,7 @@ def run_scenario_task(
     spec: ScenarioRunSpec,
     snapshots: Optional[WorldSnapshots] = None,
 ) -> ScenarioOutcome:
-    """The parallel worker (top-level so the process pool can pickle it)."""
+    """One scenario run and its digest (the :data:`SCENARIO_RUN` kind)."""
     metrics, world = run_scenario(spec.scenario, spec.params, spec.stack,
                                   spec.seed, return_world=True,
                                   invariants=spec.invariants,
@@ -190,7 +191,7 @@ def decode_scenario_outcome(payload: dict) -> ScenarioOutcome:
 
 
 # ----------------------------------------------------------------------
-# suite runner: scenarios x stacks through the fan-out machinery
+# suite runner: scenarios x stacks through the campaign executor
 # ----------------------------------------------------------------------
 def scenario_suite_specs(
     params,
@@ -211,8 +212,15 @@ def scenario_suite_specs(
 
 
 def scenario_task_label(spec: ScenarioRunSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for quarantine tables."""
     return (f"{spec.stack.name}/{spec.scenario.name} seed={spec.seed}")
+
+
+SCENARIO_RUN = TaskKind(
+    name="scenario-run", run=run_scenario_task, key=scenario_task_key,
+    encode=encode_scenario_outcome, decode=decode_scenario_outcome,
+    label=scenario_task_label,
+    world_key=lambda spec: world_key(spec.params, spec.stack, spec.seed))
 
 
 def run_scenario_suite(
@@ -223,38 +231,14 @@ def run_scenario_suite(
     timers: Optional[StackTimers] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
+    report: Optional[CampaignReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
     invariants: bool = False,
 ) -> list[Optional[ScenarioOutcome]]:
-    """Run every scenario on every stack, fanned out over ``jobs``
-    workers and replayed from ``cache`` when given.
-
-    With a ``policy`` (or ``supervisor`` report) the suite runs under
-    the fault-tolerant supervisor: quarantined runs come back ``None``,
-    the rest of the suite completes.
-    """
+    """Run every scenario on every stack through
+    :func:`~repro.harness.executor.run_tasks`; under a ``policy``,
+    quarantined runs come back ``None``."""
     specs = scenario_suite_specs(params, scenarios, stacks, seed, timers,
                                  invariants=invariants)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_scenario_task, jobs=jobs, policy=policy,
-            cache=cache, key_fn=scenario_task_key,
-            encode=encode_scenario_outcome,
-            decode=decode_scenario_outcome, label_fn=scenario_task_label,
-            report=supervisor,
-        )
-    # the list, not a flag, decides what is shared: only a world that two
-    # or more of these tasks converge identically is ever snapshotted
-    snapshots = WorldSnapshots(
-        world_key(s.params, s.stack, s.seed) for s in specs)
-    outcomes = execute_tasks(
-        specs, partial(run_scenario_task, snapshots=snapshots), jobs=jobs,
-        cache=cache, key_fn=scenario_task_key,
-        encode=encode_scenario_outcome, decode=decode_scenario_outcome,
-        report=report,
-    )
-    if report is not None:
-        report.notes.extend(snapshots.notes)
-    return outcomes
+    return run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
+                     policy=policy, report=report)

@@ -11,8 +11,8 @@ Three layers (see DESIGN §13):
   progressive-filling rate allocation over each flow's path through the
   deployed stack's actual forwarding state, re-solved at route-change
   epochs;
-* :mod:`repro.workload.runner` — cached, supervised, digest-stable
-  standalone runs (the ``repro load`` CLI).
+* :mod:`repro.workload.runner` — the ``workload-run`` campaign task:
+  cached, supervisable, digest-stable standalone runs (``repro load``).
 """
 
 from repro.workload.spec import (
@@ -34,6 +34,7 @@ from repro.workload.synth import FlowSet, synthesize
 from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
 from repro.workload.engine import EpochRecord, FluidWorkload, WorkloadReport
 from repro.workload.runner import (
+    WORKLOAD_RUN,
     WorkloadOutcome,
     WorkloadRunSpec,
     decode_workload_outcome,
@@ -68,6 +69,7 @@ __all__ = [
     "EpochRecord",
     "FluidWorkload",
     "WorkloadReport",
+    "WORKLOAD_RUN",
     "WorkloadOutcome",
     "WorkloadRunSpec",
     "decode_workload_outcome",

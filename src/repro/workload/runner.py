@@ -1,10 +1,10 @@
 """Standalone workload runs: build, converge, load, solve — cached.
 
 One workload x topology x stack x seed is an independent, picklable
-task (:class:`WorkloadRunSpec`) that flows through the same fan-out /
-cache / supervisor machinery as sweeps and scenario suites: serial and
-``--jobs N`` executions produce byte-identical digests, and loaded
-campaigns resume from the content-addressed result cache.
+task (:class:`WorkloadRunSpec`, the :data:`WORKLOAD_RUN` kind) that
+runs through the same campaign executor as sweeps and scenario suites:
+serial and ``--jobs N`` executions produce byte-identical digests, and
+loaded campaigns resume from the content-addressed result cache.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
-from repro.harness.parallel import FanoutReport, execute_tasks
-from repro.harness.supervisor import (
+from repro.harness.executor import (
+    CampaignReport,
     RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
+    TaskKind,
+    run_tasks,
 )
 from repro.workload.engine import FluidWorkload, WorkloadReport
 from repro.workload.spec import WorkloadSpec, resolve_workload
@@ -77,7 +77,7 @@ def run_workload(
 
 
 def run_workload_task(spec: WorkloadRunSpec) -> WorkloadOutcome:
-    """The parallel worker (top-level so the process pool can pickle it)."""
+    """One loaded run and its digest (the :data:`WORKLOAD_RUN` kind)."""
     report, world = run_workload(spec.workload, spec.params, spec.stack,
                                  spec.seed, return_world=True)
     digest = run_digest(world.trace, report.to_payload())
@@ -112,7 +112,7 @@ def decode_workload_outcome(payload: dict) -> WorkloadOutcome:
 
 
 # ----------------------------------------------------------------------
-# suite runner: workloads x stacks through the fan-out machinery
+# suite runner: workloads x stacks through the campaign executor
 # ----------------------------------------------------------------------
 def workload_suite_specs(
     params,
@@ -132,8 +132,14 @@ def workload_suite_specs(
 
 
 def workload_task_label(spec: WorkloadRunSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for quarantine tables."""
     return f"{spec.stack.name}/{spec.workload.name} seed={spec.seed}"
+
+
+WORKLOAD_RUN = TaskKind(
+    name="workload-run", run=run_workload_task, key=workload_task_key,
+    encode=encode_workload_outcome, decode=decode_workload_outcome,
+    label=workload_task_label)
 
 
 def run_workload_suite(
@@ -144,25 +150,12 @@ def run_workload_suite(
     timers: Optional[StackTimers] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
+    report: Optional[CampaignReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
 ) -> list[Optional[WorkloadOutcome]]:
-    """Run every workload on every stack, fanned out over ``jobs``
-    workers and replayed from ``cache`` when given.  With a ``policy``
-    (or ``supervisor`` report) the suite runs under the fault-tolerant
-    supervisor: quarantined runs come back ``None``."""
+    """Run every workload on every stack through
+    :func:`~repro.harness.executor.run_tasks`; under a ``policy``,
+    quarantined runs come back ``None``."""
     specs = workload_suite_specs(params, workloads, stacks, seed, timers)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_workload_task, jobs=jobs, policy=policy,
-            cache=cache, key_fn=workload_task_key,
-            encode=encode_workload_outcome,
-            decode=decode_workload_outcome, label_fn=workload_task_label,
-            report=supervisor,
-        )
-    return execute_tasks(
-        specs, run_workload_task, jobs=jobs, cache=cache,
-        key_fn=workload_task_key, encode=encode_workload_outcome,
-        decode=decode_workload_outcome, report=report,
-    )
+    return run_tasks(WORKLOAD_RUN, specs, jobs=jobs, cache=cache,
+                     policy=policy, report=report)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.executor import RetryPolicy, assert_fanout_deterministic
 from repro.harness.experiments import (
     ExperimentSpec,
     run_experiment_task,
 )
-from repro.harness.parallel import assert_fanout_deterministic
 from repro.scenario import (
+    SCENARIO_RUN,
     ScenarioRunSpec,
     get_scenario,
     run_scenario_task,
@@ -91,8 +92,7 @@ def test_scenario_library_serial_vs_pool_on_wheel():
         [get_scenario("tc2"), get_scenario("tc4")],
         ["mtp"],
     )
-    digests = assert_fanout_deterministic(
-        specs, run_scenario_task, lambda o: o.digest, jobs=2)
+    digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(digests) == len(specs)
 
 
@@ -106,7 +106,6 @@ def test_supervised_suite_matches_serial_across_backends(monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, backend)
         serial = [run_scenario_task(s).digest for s in scenario_suite_specs(
             two_pod_params(), scenarios, ["mtp"])]
-        from repro.harness.supervisor import RetryPolicy
         supervised = run_scenario_suite(
             two_pod_params(), scenarios, ["mtp"], jobs=2,
             policy=RetryPolicy(max_attempts=1))

@@ -28,8 +28,9 @@ from repro.harness.experiments import (
     decode_experiment_outcome,
     encode_experiment_outcome,
 )
-from repro.harness.parallel import FanoutReport, execute_tasks
+from repro.harness.executor import CampaignReport, TaskKind, run_tasks
 from repro.harness.sweep import (
+    SWEEP_POINT,
     FailurePoint,
     decode_sweep_outcome,
     encode_sweep_outcome,
@@ -195,20 +196,14 @@ def test_stale_schema_entry_recomputed(tmp_path):
     path.write_text(json.dumps(
         {"schema": CACHE_SCHEMA - 1, "key": key,
          "payload": {"stale": "v1-era entry"}}))
-    report = FanoutReport()
-    out = execute_tasks([spec], run_sweep_point, cache=cache,
-                        key_fn=sweep_point_key,
-                        encode=encode_sweep_outcome,
-                        decode=decode_sweep_outcome, report=report)
+    report = CampaignReport()
+    out = run_tasks(SWEEP_POINT, [spec], cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
     assert out[0].result.ok
     # the recomputed entry replaced the stale one and now replays
-    replay = FanoutReport()
-    out2 = execute_tasks([spec], run_sweep_point, cache=cache,
-                         key_fn=sweep_point_key,
-                         encode=encode_sweep_outcome,
-                         decode=decode_sweep_outcome, report=replay)
+    replay = CampaignReport()
+    out2 = run_tasks(SWEEP_POINT, [spec], cache=cache, report=replay)
     assert (replay.executed, replay.cached) == (0, 1)
     assert out2[0].digest == out[0].digest
 
@@ -248,27 +243,24 @@ def test_experiment_outcome_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# cache + runner integration
+# cache + executor integration
 # ----------------------------------------------------------------------
 def test_execute_tasks_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:2]
-    first = FanoutReport()
-    out1 = execute_tasks(specs, run_sweep_point, cache=cache,
-                         key_fn=sweep_point_key,
-                         encode=encode_sweep_outcome,
-                         decode=decode_sweep_outcome, report=first)
+    first = CampaignReport()
+    out1 = run_tasks(SWEEP_POINT, specs, cache=cache, report=first)
     assert (first.executed, first.cached) == (2, 0)
-    second = FanoutReport()
-    out2 = execute_tasks(specs, run_sweep_point, cache=cache,
-                         key_fn=sweep_point_key,
-                         encode=encode_sweep_outcome,
-                         decode=decode_sweep_outcome, report=second)
+    second = CampaignReport()
+    out2 = run_tasks(SWEEP_POINT, specs, cache=cache, report=second)
     assert (second.executed, second.cached) == (0, 2)
     assert [o.digest for o in out1] == [o.digest for o in out2]
     assert [o.result for o in out1] == [o.result for o in out2]
 
 
-def test_execute_tasks_requires_full_codec(tmp_path):
-    with pytest.raises(ValueError):
-        execute_tasks([], run_sweep_point, cache=ResultCache(tmp_path))
+def test_execute_tasks_requires_full_codec():
+    """A task kind carries its key and payload codec, so anything the
+    executor can run it can also cache."""
+    with pytest.raises(TypeError):
+        TaskKind(name="sweep-point", run=run_sweep_point,
+                 key=sweep_point_key)  # no encode/decode/label

@@ -9,6 +9,7 @@ import pytest
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
 from repro.harness.chaos import (
+    CHAOS_POINT,
     ChaosPointSpec,
     chaos_point_key,
     chaos_specs,
@@ -18,7 +19,7 @@ from repro.harness.chaos import (
     run_chaos_suite,
     summarize,
 )
-from repro.harness.parallel import FanoutReport, assert_fanout_deterministic
+from repro.harness.executor import CampaignReport, assert_fanout_deterministic
 from repro.stacks import resolve_spec
 
 
@@ -107,8 +108,7 @@ def test_threshold_and_violation_analysis():
 def test_chaos_digests_serial_vs_parallel():
     specs = chaos_specs(two_pod_params(), ["mtp"], rates=(0.0, 0.1),
                         window_ms=1500, traffic_count=200)
-    digests = assert_fanout_deterministic(specs, run_chaos_point,
-                                          lambda o: o.digest, jobs=2)
+    digests = assert_fanout_deterministic(CHAOS_POINT, specs, jobs=2)
     assert len(set(digests)) == len(specs)  # distinct points, distinct runs
 
 
@@ -116,9 +116,9 @@ def test_chaos_suite_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     kwargs = dict(rates=(0.0, 0.1), window_ms=1500, traffic_count=200,
                   cache=cache)
-    first = FanoutReport()
+    first = CampaignReport()
     a = run_chaos_suite(two_pod_params(), ["mtp"], report=first, **kwargs)
-    second = FanoutReport()
+    second = CampaignReport()
     b = run_chaos_suite(two_pod_params(), ["mtp"], report=second, **kwargs)
     assert first.executed == 2 and first.cached == 0
     assert second.executed == 0 and second.cached == 2

@@ -204,13 +204,72 @@ def test_campaign_epilogue_exit_codes(capsys):
     import argparse
 
     from repro.cli import EXIT_INFRA, EXIT_OK, _campaign_epilogue
-    from repro.harness.parallel import FanoutReport
-    from repro.harness.supervisor import TaskRecord
+    from repro.harness.executor import CampaignReport, TaskRecord
 
     args = argparse.Namespace(resume=False)
-    report = FanoutReport()
-    assert _campaign_epilogue(args, report, []) == EXIT_OK
+    report = CampaignReport()
+    assert _campaign_epilogue(args, report) == EXIT_OK
     bad = TaskRecord(index=0, key="k", label="t", state="quarantined")
     bad.quarantine_reason = "exhausted 3 attempt(s)"
-    assert _campaign_epilogue(args, report, [bad]) == EXIT_INFRA
+    report.records.append(bad)
+    assert _campaign_epilogue(args, report) == EXIT_INFRA
     assert "infra failure" in capsys.readouterr().err
+
+
+def test_failure_batch_is_a_resumable_campaign(capsys, tmp_path):
+    argv = ["fail", "--stack", "mtp", "--case", "TC1", "--runs", "2",
+            "--cache-dir", str(tmp_path)]
+    out = run_cli(capsys, *argv, "--supervise")
+    assert "2 runs (2 tasks: 2 executed" in out
+    out2 = run_cli(capsys, *argv, "--resume")
+    assert "resume: 2/2 task(s) replayed from checkpoint, 0 executed" in out2
+
+
+# ----------------------------------------------------------------------
+# --json: stdout is exactly one document, whatever the epilogue says
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("argv,code,epilogue", [
+    (["scenario", "run", "tc2", "--stack", "mtp", "--resume"], 0, "resume:"),
+    (["chaos", "--stack", "mtp", "--rate", "0", "--window-ms", "500",
+      "--count", "50", "--resume"], 0, "resume:"),
+    # a 1 ms watchdog deadline kills the only attempt: quarantined
+    (["scenario", "run", "tc2", "--stack", "mtp", "--task-deadline",
+      "0.001", "--max-attempts", "1"], 3, "quarantined tasks"),
+])
+def test_json_stdout_is_one_document(capsys, tmp_path, argv, code, epilogue):
+    import json
+
+    assert main([*argv, "--pods", "2", "--json",
+                 "--cache-dir", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert epilogue in captured.err
+
+
+# ----------------------------------------------------------------------
+# bad campaign flags are usage errors; only a cache makes a resume
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("flags", [["--supervise", "--max-attempts", "0"],
+                                   ["--task-deadline", "-1"]])
+def test_bad_supervision_flags_exit_with_usage_error(capsys, flags):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["scenario", "run", "tc2", "--stack", "mtp", *flags])
+    assert exc_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cache_flag", ["--no-cache", "--cache-dir=unused"])
+def test_interrupt_prints_resume_only_with_a_cache(capsys, monkeypatch,
+                                                   cache_flag):
+    from repro import cli
+    from repro.harness.executor import CampaignInterrupted
+
+    def interrupted(*_args, **_kwargs):
+        raise CampaignInterrupted(done=0, total=1, salvaged=0)
+
+    monkeypatch.setattr(cli, "run_tasks", interrupted)
+    assert main(["scenario", "run", "tc2", "--stack", "mtp",
+                 cache_flag]) == cli.EXIT_INTERRUPTED
+    err = capsys.readouterr().err
+    assert ("resume with:" in err) == (cache_flag != "--no-cache")
+    assert ("nothing was checkpointed" in err) == (cache_flag == "--no-cache")

@@ -1,32 +1,38 @@
-"""Determinism property tests for the parallel experiment runner.
+"""Determinism property tests for the campaign executor's fan-out.
 
 For a matrix of (stack, topology, seed): the run digest of every
 task must be identical across repeated serial runs, across serial vs
 process-pool execution, and across different worker counts.  Any
 divergence means a task leaked state (wall clock, globals, unseeded
-randomness) and would silently corrupt fanned-out sweeps.
+randomness) and would silently corrupt fanned-out sweeps.  Inline ==
+pool == supervised == cache replay for every task kind is
+``test_executor.py``'s contract test.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.topology.clos import two_pod_params
 from repro.stacks import resolve_spec
+from repro.harness.executor import (
+    CampaignReport,
+    DeterminismError,
+    TaskKind,
+    assert_fanout_deterministic,
+    default_chunk_size,
+    resolve_jobs,
+    run_tasks,
+)
 from repro.harness.experiments import (
+    FAILURE_RUN,
     ExperimentSpec,
     StackKind,
     run_experiment_task,
 )
-from repro.harness.parallel import (
-    DeterminismError,
-    FanoutReport,
-    assert_fanout_deterministic,
-    default_chunk_size,
-    execute_tasks,
-    resolve_jobs,
-)
-from repro.harness.sweep import run_sweep_point, sweep_specs
+from repro.harness.sweep import SWEEP_POINT, run_sweep_point, sweep_specs
 
 
 def _square(x: int) -> int:
@@ -34,8 +40,9 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _digest(outcome) -> str:
-    return outcome.digest
+SQUARE = TaskKind(name="square", run=_square, key=str,
+                  encode=lambda o: {"v": o}, decode=lambda p: p["v"],
+                  label=str)
 
 
 # ----------------------------------------------------------------------
@@ -51,9 +58,8 @@ def test_sweep_digests_serial_vs_parallel(kind, seed):
     serial_a = [run_sweep_point(s) for s in specs]
     serial_b = [run_sweep_point(s) for s in specs]
     assert [o.digest for o in serial_a] == [o.digest for o in serial_b]
-    # the guard itself re-runs serially and through a 2-worker pool
-    digests = assert_fanout_deterministic(specs, run_sweep_point, _digest,
-                                          jobs=2)
+    # the guard itself re-runs inline and through a 2-worker pool
+    digests = assert_fanout_deterministic(SWEEP_POINT, specs, jobs=2)
     assert digests == [o.digest for o in serial_a]
     # results (not just digests) also match byte for byte
     assert [o.result for o in serial_a] == [o.result for o in serial_b]
@@ -62,8 +68,8 @@ def test_sweep_digests_serial_vs_parallel(kind, seed):
 def test_sweep_digests_across_worker_counts():
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:4]
     by_jobs = {
-        jobs: [o.digest for o in execute_tasks(specs, run_sweep_point,
-                                               jobs=jobs)]
+        jobs: [o.digest for o in run_tasks(SWEEP_POINT, specs, jobs=jobs,
+                                           allow_oversubscribe=True)]
         for jobs in (1, 2, 3)
     }
     assert by_jobs[1] == by_jobs[2] == by_jobs[3]
@@ -81,8 +87,7 @@ def test_experiment_batch_digests_deterministic(stack):
                        case_name="TC1", seed=seed)
         for seed in (0, 1)
     ]
-    digests = assert_fanout_deterministic(specs, run_experiment_task,
-                                          _digest, jobs=2)
+    digests = assert_fanout_deterministic(FAILURE_RUN, specs, jobs=2)
     assert len(set(digests)) == 2  # different seeds, different runs
 
 
@@ -99,26 +104,24 @@ def test_experiment_digest_differs_across_seeds_and_cases():
 
 
 # ----------------------------------------------------------------------
-# runner mechanics
+# executor mechanics
 # ----------------------------------------------------------------------
 def test_execute_tasks_preserves_order():
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:4]
-    outcomes = execute_tasks(specs, run_sweep_point, jobs=2)
+    outcomes = run_tasks(SWEEP_POINT, specs, jobs=2,
+                         allow_oversubscribe=True)
     assert [o.result.point for o in outcomes] == [s.point for s in specs]
 
 
 def test_guard_raises_on_divergence():
-    specs = sweep_specs(two_pod_params(), StackKind.MTP)[:2]
-    calls = iter(("a", "a", "a", "b"))  # serial: a,a — parallel: a,b
-
-    def flaky_digest(_outcome) -> str:
-        return next(calls)
-
+    digests = iter("aaab")  # serial: a,a — parallel: a,b
+    flaky = TaskKind(name="flaky",
+                     run=lambda _spec: SimpleNamespace(digest=next(digests)),
+                     key=str, encode=vars, decode=dict, label=str)
     with pytest.raises(DeterminismError):
-        # jobs=1 forces the "parallel" leg inline too, so the fake
-        # digest sequence above is consumed deterministically
-        assert_fanout_deterministic(specs, run_sweep_point, flaky_digest,
-                                    jobs=1)
+        # jobs=1 keeps the "parallel" leg inline too, so the fake digest
+        # sequence above is consumed deterministically
+        assert_fanout_deterministic(flaky, [1, 2], jobs=1)
 
 
 def test_resolve_jobs_and_chunking():
@@ -132,23 +135,23 @@ def test_resolve_jobs_and_chunking():
 
 
 # ----------------------------------------------------------------------
-# oversubscription fallback: on a host with no spare cores for the
-# requested worker count, the pool is pure overhead — the fan-out must
+# oversubscription clamp: on a host with no spare cores for the
+# requested worker count, the pool is pure overhead — the executor must
 # quietly run inline and say so in the report
 # ----------------------------------------------------------------------
 def test_oversubscribed_fanout_falls_back_to_serial(monkeypatch):
-    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 1)
-    report = FanoutReport()
-    outcomes = execute_tasks([1, 2, 3], _square, jobs=2, report=report)
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
+    report = CampaignReport()
+    outcomes = run_tasks(SQUARE, [1, 2, 3], jobs=2, report=report)
     assert outcomes == [1, 4, 9]
     assert report.jobs == 1  # fell back
     assert any("oversubscribe" in note for note in report.notes), report.notes
 
 
 def test_fanout_keeps_pool_when_cores_are_spare(monkeypatch):
-    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 8)
-    report = FanoutReport()
-    outcomes = execute_tasks([1, 2, 3], _square, jobs=2, report=report)
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 8)
+    report = CampaignReport()
+    outcomes = run_tasks(SQUARE, [1, 2, 3], jobs=2, report=report)
     assert outcomes == [1, 4, 9]
     assert report.jobs == 2
     assert report.notes == []
@@ -157,10 +160,10 @@ def test_fanout_keeps_pool_when_cores_are_spare(monkeypatch):
 def test_allow_oversubscribe_forces_the_pool(monkeypatch):
     """The determinism guard compares pool vs serial, so it must be able
     to force the pool even on a 1-core CI host."""
-    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 1)
-    report = FanoutReport()
-    outcomes = execute_tasks([1, 2, 3], _square, jobs=2, report=report,
-                             allow_oversubscribe=True)
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
+    report = CampaignReport()
+    outcomes = run_tasks(SQUARE, [1, 2, 3], jobs=2, report=report,
+                         allow_oversubscribe=True)
     assert outcomes == [1, 4, 9]
     assert report.jobs == 2  # pool ran despite the 1-core host
     assert report.notes == []
@@ -169,8 +172,8 @@ def test_allow_oversubscribe_forces_the_pool(monkeypatch):
 def test_oversubscribed_fallback_is_result_identical(monkeypatch):
     """Falling back must be invisible in the results: same outcomes, in
     order, as the pool would have produced."""
-    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 1)
-    serial = execute_tasks(list(range(7)), _square, jobs=2)
-    forced = execute_tasks(list(range(7)), _square, jobs=2,
-                           allow_oversubscribe=True)
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
+    serial = run_tasks(SQUARE, list(range(7)), jobs=2)
+    forced = run_tasks(SQUARE, list(range(7)), jobs=2,
+                       allow_oversubscribe=True)
     assert serial == forced

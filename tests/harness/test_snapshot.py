@@ -10,8 +10,7 @@ import pytest
 
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
-from repro.harness.parallel import FanoutReport
-from repro.harness.snapshot import WorldSnapshots, world_key
+from repro.harness.executor import CampaignReport, WorldSnapshots, world_key
 from repro.scenario import (
     get_scenario,
     run_scenario_suite,
@@ -120,7 +119,7 @@ def closure_stack():
 
 def test_unpicklable_stack_runs_cold_with_one_note(closure_stack):
     scenarios = [get_scenario(n) for n in ("tc1", "tc2", "tc3")]
-    report = FanoutReport()
+    report = CampaignReport()
     shared = run_scenario_suite(two_pod_params(), scenarios,
                                 [closure_stack], seed=2, report=report)
     cold = [run_scenario_task(spec) for spec in scenario_suite_specs(

@@ -1,4 +1,4 @@
-"""Fault-injection tests for the run supervisor.
+"""Fault-injection tests for the executor's supervised strategy.
 
 Every hazard the supervisor exists for is injected deliberately: a task
 that raises, a task that raises the *same* way twice (deterministic bug
@@ -21,9 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.harness.cache import ResultCache
 from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
 from repro.harness.deploy import deploy_mtp
-from repro.harness.parallel import FanoutInterrupted, execute_tasks
-from repro.harness.report import quarantine_rows, render_quarantine_table
-from repro.harness.supervisor import (
+from repro.harness.executor import (
     CACHED,
     CRASH,
     DONE,
@@ -32,13 +30,15 @@ from repro.harness.supervisor import (
     QUARANTINED,
     TIMEOUT,
     Attempt,
+    CampaignInterrupted,
+    CampaignReport,
     RetryPolicy,
-    SupervisorInterrupted,
-    SupervisorReport,
+    TaskKind,
     TaskRecord,
     backoff_schedule,
-    supervise_tasks,
+    run_tasks,
 )
+from repro.harness.report import quarantine_rows, render_quarantine_table
 from repro.net.world import World
 from repro.sim.units import SECOND
 from repro.topology.clos import build_folded_clos, two_pod_params
@@ -99,13 +99,23 @@ def _decode(payload):
     return payload["value"]
 
 
+def _kind(worker) -> TaskKind:
+    return TaskKind(name=worker.__name__, run=worker, key=_key,
+                    encode=_encode, decode=_decode, label=str)
+
+
+def supervise(specs, worker, *, policy=None, **kwargs):
+    """``run_tasks`` on the supervised strategy (a default policy)."""
+    return run_tasks(_kind(worker), specs, policy=policy or RetryPolicy(),
+                     **kwargs)
+
+
 # ----------------------------------------------------------------------
 # the happy path and the state machine
 # ----------------------------------------------------------------------
 def test_all_ok_tasks_done_in_order():
-    report = SupervisorReport()
-    results = supervise_tasks(["a", "b", "c"], ok_worker, jobs=2,
-                              report=report)
+    report = CampaignReport()
+    results = supervise(["a", "b", "c"], ok_worker, jobs=2, report=report)
     assert results == ["done-a", "done-b", "done-c"]
     assert [r.state for r in report.records] == [DONE] * 3
     assert all(len(r.attempts) == 1 and r.attempts[0].outcome == OK
@@ -124,11 +134,11 @@ def test_retry_policy_validation():
 # injected faults
 # ----------------------------------------------------------------------
 def test_deterministic_failure_quarantined_without_third_attempt():
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(max_attempts=5, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
-    results = supervise_tasks(["a", "bad", "c"], boom_worker,
-                              policy=policy, report=report)
+    results = supervise(["a", "bad", "c"], boom_worker, policy=policy,
+                        report=report)
     # the grid degrades, it does not abort
     assert results == ["done-a", None, "done-c"]
     bad = report.records[1]
@@ -143,12 +153,12 @@ def test_deterministic_failure_quarantined_without_third_attempt():
 
 
 def test_hung_worker_killed_by_watchdog():
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(deadline_s=0.3, max_attempts=2,
                          backoff_base_s=0.01, backoff_cap_s=0.02)
     t0 = time.monotonic()
-    results = supervise_tasks(["a", "hang"], hang_worker, jobs=2,
-                              policy=policy, report=report)
+    results = supervise(["a", "hang"], hang_worker, jobs=2, policy=policy,
+                        report=report)
     wall = time.monotonic() - t0
     assert results == ["done-a", None]
     hung = report.records[1]
@@ -161,11 +171,11 @@ def test_hung_worker_killed_by_watchdog():
 
 
 def test_dead_worker_recorded_as_crash():
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
-    results = supervise_tasks(["crash", "b"], crash_worker,
-                              policy=policy, report=report)
+    results = supervise(["crash", "b"], crash_worker, policy=policy,
+                        report=report)
     assert results == [None, "done-b"]
     dead = report.records[0]
     assert dead.state == QUARANTINED
@@ -175,12 +185,12 @@ def test_dead_worker_recorded_as_crash():
 
 
 def test_flaky_task_retries_then_succeeds(tmp_path):
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(max_attempts=3, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
     marker = str(tmp_path / "attempted")
-    results = supervise_tasks([(marker, "x")], flaky_worker,
-                              policy=policy, report=report)
+    results = supervise([(marker, "x")], flaky_worker, policy=policy,
+                        report=report)
     assert results == ["done-x"]
     record = report.records[0]
     assert record.state == DONE
@@ -194,53 +204,55 @@ def test_flaky_task_retries_then_succeeds(tmp_path):
 # ----------------------------------------------------------------------
 def test_completed_tasks_checkpoint_and_replay(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    supervise_tasks(["a", "b"], ok_worker, cache=cache, key_fn=_key,
-                    encode=_encode, decode=_decode)
-    assert cache.checkpointed([_key(s) for s in ("a", "b", "c", "d")]) == 2
+    supervise(["a", "b"], ok_worker, cache=cache)
+    assert [_key(s) in cache for s in "abcd"] == [True, True, False, False]
 
-    report = SupervisorReport()
-    results = supervise_tasks(["a", "b", "c", "d"], ok_worker, cache=cache,
-                              key_fn=_key, encode=_encode, decode=_decode,
-                              report=report)
+    report = CampaignReport()
+    results = supervise(["a", "b", "c", "d"], ok_worker, cache=cache,
+                        report=report)
     assert results == ["done-a", "done-b", "done-c", "done-d"]
     assert [r.state for r in report.records] == [CACHED, CACHED, DONE, DONE]
-    assert report.fanout.cached == 2 and report.fanout.executed == 2
+    assert report.cached == 2 and report.executed == 2
 
 
 def test_quarantined_tasks_are_not_checkpointed(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
-    supervise_tasks(["a", "bad"], boom_worker, policy=policy, cache=cache,
-                    key_fn=_key, encode=_encode, decode=_decode)
+    supervise(["a", "bad"], boom_worker, policy=policy, cache=cache)
     assert _key("a") in cache
     assert _key("bad") not in cache  # a rerun must attempt it again
 
 
-def test_cache_requires_codec():
-    with pytest.raises(ValueError):
-        supervise_tasks(["a"], ok_worker, cache=ResultCache(), key_fn=_key)
+def test_cache_requires_codec(tmp_path):
+    """A supervised child's result reaches the cache through the kind's
+    codec, and comes back out of it the same way."""
+    cache = ResultCache(tmp_path / "cache")
+    supervise(["a"], ok_worker, cache=cache)
+    assert cache.get(_key("a")) == _encode("done-a")
+    report = CampaignReport()
+    assert supervise(["a"], ok_worker, cache=cache,
+                     report=report) == ["done-a"]
+    assert [r.state for r in report.records] == [CACHED]
 
 
 def test_interrupts_are_keyboard_interrupts():
     # `except KeyboardInterrupt` in callers keeps catching Ctrl-C
-    assert issubclass(SupervisorInterrupted, KeyboardInterrupt)
-    assert issubclass(FanoutInterrupted, KeyboardInterrupt)
+    assert issubclass(CampaignInterrupted, KeyboardInterrupt)
 
 
 def test_execute_tasks_salvages_on_interrupt(tmp_path):
     """A Ctrl-C mid-grid checkpoints everything already finished and
     reports the salvage accounting on the exception."""
     cache = ResultCache(tmp_path / "cache")
-    with pytest.raises(FanoutInterrupted) as exc_info:
-        execute_tasks(["a", "stop", "c"], interrupting_worker, cache=cache,
-                      key_fn=_key, encode=_encode, decode=_decode)
+    with pytest.raises(CampaignInterrupted) as exc_info:
+        run_tasks(_kind(interrupting_worker), ["a", "stop", "c"],
+                  cache=cache)
     exc = exc_info.value
     assert (exc.done, exc.total, exc.salvaged) == (1, 3, 1)
     assert _key("a") in cache
     # the resumed run replays the salvaged task and finishes the rest
-    results = execute_tasks(["a", "b", "c"], ok_worker, cache=cache,
-                            key_fn=_key, encode=_encode, decode=_decode)
+    results = run_tasks(_kind(ok_worker), ["a", "b", "c"], cache=cache)
     assert results == ["done-a", "done-b", "done-c"]
 
 
@@ -343,12 +355,11 @@ def test_supervisor_clamps_oversubscribed_concurrency(monkeypatch):
     """jobs=2 on a 1-core host: concurrency clamps to 1 (children still
     spawn per attempt so the watchdog keeps working) and the report says
     why."""
-    monkeypatch.setattr("repro.harness.supervisor.os.cpu_count", lambda: 1)
-    report = SupervisorReport()
-    results = supervise_tasks(["a", "b"], ok_worker, jobs=2,
-                              policy=RetryPolicy(max_attempts=1),
-                              report=report)
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
+    report = CampaignReport()
+    results = supervise(["a", "b"], ok_worker, jobs=2,
+                        policy=RetryPolicy(max_attempts=1), report=report)
     assert results == ["done-a", "done-b"]
-    assert report.fanout.jobs == 1
-    assert any("oversubscribe" in note for note in report.fanout.notes)
+    assert report.jobs == 1
+    assert any("oversubscribe" in note for note in report.notes)
     assert all(r.state == DONE for r in report.records)

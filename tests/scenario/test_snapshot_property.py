@@ -1,7 +1,7 @@
 """Property: restore-then-run == cold-run.
 
 The whole contract of the converged-world snapshot
-(:mod:`repro.harness.snapshot`).  A task list is played through one
+(:class:`repro.harness.executor.WorldSnapshots`).  A task list is played through one
 ``WorldSnapshots`` in which every world counts as shared, so the first
 task of a run of equal keys converges cold and is pickled, and each
 later one runs on a restored copy — the first and later restores of the
@@ -20,7 +20,7 @@ from repro.bfd.messages import BfdState
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
 from repro.harness.experiments import build_and_converge
-from repro.harness.snapshot import WorldSnapshots, world_key
+from repro.harness.executor import WorldSnapshots, world_key
 from repro.scenario import (
     ScenarioRunSpec,
     canonical_scenarios,

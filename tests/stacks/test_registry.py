@@ -35,7 +35,7 @@ from repro.harness.experiments import (
     experiment_task_key,
     run_failure_experiment,
 )
-from repro.harness.sweep import FailurePoint, single_failure_sweep
+from repro.harness.sweep import FailurePoint, single_failure_sweep_outcomes
 
 
 BUILTINS = ("mtp", "bgp", "bgp-bfd", "mtp-spray", "bgp-nomultipath")
@@ -153,12 +153,12 @@ def test_registered_variant_runs_failure_experiment(throwaway_stack):
 
 
 def test_registered_variant_runs_robustness_sweep(throwaway_stack):
-    results = single_failure_sweep(
+    outcomes = single_failure_sweep_outcomes(
         two_pod_params(), throwaway_stack,
         points=[FailurePoint("L-1-1", "eth1", "S-1-1"),
                 FailurePoint("T-1", "eth1", "S-1-1")])
-    assert len(results) == 2
-    assert all(r.ok for r in results)
+    assert len(outcomes) == 2
+    assert all(o.result.ok for o in outcomes)
 
 
 def test_built_deployment_satisfies_protocol(throwaway_stack):

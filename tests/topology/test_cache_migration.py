@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 
 from repro.harness.cache import CACHE_SCHEMA, ResultCache, task_key
+from repro.harness.executor import CampaignReport, run_tasks
 from repro.harness.experiments import (
+    FAILURE_RUN,
     ExperimentSpec,
-    encode_experiment_outcome,
-    decode_experiment_outcome,
     experiment_task_key,
     run_experiment_task,
 )
-from repro.harness.parallel import FanoutReport, execute_tasks
 from repro.stacks import resolve_spec
 from repro.topology import ClosParams, resolve_topology_spec, two_pod_params
 
@@ -71,20 +70,14 @@ def test_schema2_entry_ignored_and_recomputed(tmp_path):
         {"schema": 2, "key": key,
          "payload": {"stale": "ClosParams-keyed era"}}))
 
-    report = FanoutReport()
-    out = execute_tasks([spec], run_experiment_task, cache=cache,
-                        key_fn=experiment_task_key,
-                        encode=encode_experiment_outcome,
-                        decode=decode_experiment_outcome, report=report)
+    report = CampaignReport()
+    out = run_tasks(FAILURE_RUN, [spec], cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
 
-    replay_report = FanoutReport()
-    replay = execute_tasks([spec], run_experiment_task, cache=cache,
-                           key_fn=experiment_task_key,
-                           encode=encode_experiment_outcome,
-                           decode=decode_experiment_outcome,
-                           report=replay_report)
+    replay_report = CampaignReport()
+    replay = run_tasks(FAILURE_RUN, [spec], cache=cache,
+                       report=replay_report)
     assert (replay_report.executed, replay_report.cached) == (0, 1)
     assert replay[0].digest == out[0].digest
     assert replay[0].result == out[0].result
@@ -95,10 +88,7 @@ def test_golden_digest_identical_across_rekeying(tmp_path):
     cache-mediated registry-path run equals the direct run's digest."""
     direct = run_experiment_task(_spec())
     cache = ResultCache(tmp_path)
-    via_cache = execute_tasks([_spec()], run_experiment_task, cache=cache,
-                              key_fn=experiment_task_key,
-                              encode=encode_experiment_outcome,
-                              decode=decode_experiment_outcome)
+    via_cache = run_tasks(FAILURE_RUN, [_spec()], cache=cache)
     assert via_cache[0].digest == direct.digest
     assert via_cache[0].result.convergence_us == direct.result.convergence_us
     # golden fig4 anchor: the registry path reproduces the frozen value

@@ -16,21 +16,19 @@ from __future__ import annotations
 import json
 
 from repro.harness.cache import CACHE_SCHEMA, ResultCache
+from repro.harness.executor import CampaignReport, run_tasks
 from repro.harness.experiments import (
-    decode_experiment_outcome,
+    FAILURE_RUN,
     encode_experiment_outcome,
     experiment_task_key,
     run_experiment_task,
     ExperimentSpec,
 )
-from repro.harness.parallel import FanoutReport, execute_tasks
 from repro.stacks import resolve_spec
 from repro.topology import two_pod_params
 from repro.workload.runner import (
+    WORKLOAD_RUN,
     WorkloadRunSpec,
-    decode_workload_outcome,
-    encode_workload_outcome,
-    run_workload_task,
     workload_task_key,
 )
 from repro.workload.spec import WorkloadSpec
@@ -67,20 +65,14 @@ def test_schema3_workload_entry_misses_cleanly(tmp_path):
                            seed=0)
     _plant_stale(cache, workload_task_key(spec), schema=3)
 
-    report = FanoutReport()
-    out = execute_tasks([spec], run_workload_task, cache=cache,
-                        key_fn=workload_task_key,
-                        encode=encode_workload_outcome,
-                        decode=decode_workload_outcome, report=report)
+    report = CampaignReport()
+    out = run_tasks(WORKLOAD_RUN, [spec], cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
     assert out[0].report.flows == 300
 
-    replay = FanoutReport()
-    out2 = execute_tasks([spec], run_workload_task, cache=cache,
-                         key_fn=workload_task_key,
-                         encode=encode_workload_outcome,
-                         decode=decode_workload_outcome, report=replay)
+    replay = CampaignReport()
+    out2 = run_tasks(WORKLOAD_RUN, [spec], cache=cache, report=replay)
     assert (replay.executed, replay.cached) == (0, 1)
     assert out2[0].digest == out[0].digest
     assert out2[0].report == out[0].report
@@ -93,11 +85,8 @@ def test_schema3_experiment_entry_misses_cleanly(tmp_path):
                           stack=resolve_spec("mtp"), case_name="TC1",
                           seed=0)
     _plant_stale(cache, experiment_task_key(spec), schema=3)
-    report = FanoutReport()
-    out = execute_tasks([spec], run_experiment_task, cache=cache,
-                        key_fn=experiment_task_key,
-                        encode=encode_experiment_outcome,
-                        decode=decode_experiment_outcome, report=report)
+    report = CampaignReport()
+    out = run_tasks(FAILURE_RUN, [spec], cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
     assert out[0].result.convergence_us >= 0
@@ -111,11 +100,7 @@ def test_workload_free_golden_digest_unchanged_by_the_bump(tmp_path):
                           stack=resolve_spec("mtp"), case_name="TC4",
                           seed=0)
     direct = run_experiment_task(spec)
-    via_cache = execute_tasks([spec], run_experiment_task,
-                              cache=ResultCache(tmp_path),
-                              key_fn=experiment_task_key,
-                              encode=encode_experiment_outcome,
-                              decode=decode_experiment_outcome)
+    via_cache = run_tasks(FAILURE_RUN, [spec], cache=ResultCache(tmp_path))
     assert via_cache[0].digest == direct.digest
     # the frozen golden fig-4 value (see tests/topology/test_cache_migration)
     assert direct.result.convergence_us == 200
