@@ -3,11 +3,12 @@
 The paper's FABRIC reservation capped the evaluation at 4 PoDs and 3
 tiers; its future work calls for scaling the DCN "to multiple tiers
 using Mininet".  The simulator removes the cap: this bench sweeps the
-PoD count — MR-MTP to 128 PoDs, where a healthy link costs the
-simulator nothing (DESIGN "Steady-state frame path"), the BGP baseline
-to 16 — and adds a 4-tier (two-zone, super-spine) fabric, tracking the
-trends the paper predicts: MR-MTP's convergence stays flat (dead-timer
-dominated) while BGP's control overhead keeps growing with fabric size.
+PoD count — MR-MTP to 128 PoDs and BGP/ECMP/BFD to 64, where a healthy
+link costs the simulator next to nothing (DESIGN "Steady-state frame
+path"), plain BGP to 16 — and adds a 4-tier (two-zone, super-spine)
+fabric, tracking the trends the paper predicts: MR-MTP's convergence
+stays flat (dead-timer dominated) while BGP's control overhead keeps
+growing with fabric size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from repro.harness.experiments import (
 
 from conftest import emit
 
-POD_SWEEP = {"mtp": (2, 4, 8, 16, 32, 64, 128), "bgp": (2, 4, 8, 16)}
+POD_SWEEP = {"mtp": (2, 4, 8, 16, 32, 64, 128), "bgp": (2, 4, 8, 16),
+             "bgp-bfd": (2, 4, 8, 16, 32, 64)}
 
 
 def fitted_exponent(xs, ys) -> float:
@@ -50,7 +52,8 @@ def test_ext_pod_sweep(benchmark, results_dir):
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    order = sorted(results, key=lambda key: (key[0], key[1] != "mtp"))
+    order = sorted(results,
+                   key=lambda key: (key[0], list(POD_SWEEP).index(key[1])))
     rows = [
         [pods, get_stack(stack).display, f"{result.convergence_ms:.2f}",
          result.control_bytes, result.blast_radius, events, f"{host_s:.2f}"]

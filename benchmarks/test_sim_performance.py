@@ -287,6 +287,21 @@ def _profiled_second(world):
     return calls, events
 
 
+def _bgp_counters(world, deployment) -> tuple:
+    """What a BGP/BFD second advances: BFD, TCP and IP counters, read
+    through their settling accessors."""
+    speakers = deployment.speakers.values()
+    return (
+        [(b.packets_sent, b.packets_received) for s in speakers
+         for b in s.bfd.sessions.values()],
+        [(p.conn.snd_nxt, p.conn.snd_una, p.conn.rcv_nxt,
+          p.conn.segments_sent, p.conn.bytes_delivered)
+         for s in speakers for p in s.peers.values()],
+        [vars(stack.counters) for stack in deployment.stacks.values()],
+        [(i.counters.tx_frames, i.counters.rx_frames)
+         for i in world.all_interfaces()])
+
+
 @pytest.mark.parametrize("stack, ceiling, scheduled", [
     ("mtp", 26, 3840), ("bgp-bfd", 15, 2513)])
 def test_quiet_second_is_free_untouched_and_cheap_played_out(
@@ -300,8 +315,11 @@ def test_quiet_second_is_free_untouched_and_cheap_played_out(
     re-arm per keepalive at <= 26 primitive Python calls (36.0 before
     the path was shaped for the healthy case, 23.8 after; the 200
     firings of a retransmit timer with nothing to retransmit are gone
-    from both).  BGP/BFD plays every exchange out: exactly the 2513
-    events it always had, <= 15 calls each (18.2, 13.8)."""
+    from both).  On BGP/BFD it schedules only the 64 session ends'
+    keepalive ticks, and every BFD, TCP and IP counter ends where a
+    tapped copy's does; tapped, that copy plays every exchange out:
+    exactly the 2513 events it always had, <= 15 calls each (18.2,
+    13.8, 14.7 with the quiet exchanges' tapped-port checks)."""
     world, _topo, deployment = build_and_converge(
         ClosParams(num_pods=4), stack, seed=3)
     if stack == "mtp":
@@ -316,6 +334,18 @@ def test_quiet_second_is_free_untouched_and_cheap_played_out(
         for iface in world.all_interfaces():
             iface.add_tap(_no_op_tap)
         sent, emitted = keepalives(), len(world.trace.records)
+    else:
+        copy, _, copied = pickle.loads(pickle.dumps(
+            (world, _topo, deployment)))
+        emitted = len(world.trace.records)
+        _calls, events = _profiled_second(world)
+        assert events == 64 == sum(
+            r.category == "bgp.keepalive.tx"
+            for r in world.trace.records[emitted:])
+        quiet = _bgp_counters(world, deployment)
+        world, deployment = copy, copied
+        for iface in world.all_interfaces():
+            iface.add_tap(_no_op_tap)
     calls, events = _profiled_second(world)
     assert events == scheduled
     if stack == "mtp":
@@ -324,6 +354,7 @@ def test_quiet_second_is_free_untouched_and_cheap_played_out(
                                     for r in world.trace.records[emitted:])
     else:
         units = events
+        assert _bgp_counters(world, deployment) == quiet
     assert calls <= ceiling * units, f"{calls / units:.1f} calls per unit"
 
 

@@ -4,11 +4,14 @@ State machine per section 6.8.6, transmit jitter per 6.8.7 (periods drawn
 uniformly from 75-100 % of the negotiated interval), detection time =
 detect_mult x agreed interval.  Clients (BGP) register a callback and are
 told about Up and Down transitions.
+
+A healthy Up session is held as arithmetic (:class:`QuietBfd`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappush, heapreplace
 from typing import Callable, Optional
 
 from repro.sim.timers import PeriodicTimer, Timer
@@ -17,6 +20,7 @@ from repro.stack.addresses import Ipv4Address
 from repro.stack.ipv4 import PROTO_UDP, Ipv4Packet
 from repro.stack.udp import UdpDatagram
 from repro.net.interface import Interface
+from repro.net.quiet import QuietExchange
 from repro.iputil.udp_service import UdpService
 from repro.liveness import NeighborMonitor
 from repro.bfd.messages import BFD_PORT, BfdControlPacket, BfdState
@@ -44,6 +48,12 @@ StateCallback = Callable[["BfdSession", bool], None]  # (session, is_up)
 class BfdSession:
     """One single-hop async-mode session with a directly connected peer."""
 
+    __slots__ = ("manager", "node", "sim", "peer", "local",
+                 "my_discriminator", "your_discriminator", "timers",
+                 "on_state_change", "monitor", "state", "_packets_sent",
+                 "_packets_received", "_tx_inputs", "_tx_packet", "_tx_flow",
+                 "_tx_timer", "_detect_timer", "port")
+
     def __init__(
         self,
         manager: "BfdManager",
@@ -67,13 +77,14 @@ class BfdSession:
         # measured-lossy link and carries the gray-failure verdict
         self.monitor = monitor
         self.state = BfdState.DOWN
-        self.packets_sent = 0
-        self.packets_received = 0
+        self._packets_sent = 0
+        self._packets_received = 0
         self._tx_inputs: Optional[tuple] = None  # what _tx_packet was built from
-        rng = manager.rng
+        self.port = next((iface.name for iface in self.node.interfaces.values()
+                          if iface.address == local), None)
         self._tx_timer = PeriodicTimer(
             self.sim, SLOW_TX_INTERVAL_US, self._transmit,
-            name=f"bfd-tx-{peer}", jitter=0.25, rng=rng,
+            name=f"bfd-tx-{peer}", jitter=0.25, rng=manager,
         )
         self._detect_timer = Timer(
             self.sim, timers.detection_time_us, self._on_detect_expired,
@@ -81,18 +92,36 @@ class BfdSession:
         )
         self._tx_timer.start(immediate=True)
 
+    @property
+    def packets_sent(self) -> int:
+        self.manager.settle()
+        return self._packets_sent
+
+    @property
+    def packets_received(self) -> int:
+        if self.port is not None:
+            self.node.interfaces[self.port].settle()
+        return self._packets_received
+
+    def _wake(self) -> None:
+        """Before it changes what it sends or takes: its port is loud."""
+        if self.port is not None:
+            self.node.interfaces[self.port].wake()
+
     # ------------------------------------------------------------------
     @property
     def up(self) -> bool:
         return self.state is BfdState.UP
 
     def stop(self) -> None:
+        self._wake()
         self._tx_timer.stop()
         self._detect_timer.stop()
         self.state = BfdState.ADMIN_DOWN
 
     def admin_reset(self) -> None:
         """Back to DOWN and start polling again (after interface recovery)."""
+        self._wake()
         self.state = BfdState.DOWN
         self.your_discriminator = 0
         self._tx_timer.set_interval(SLOW_TX_INTERVAL_US)
@@ -127,12 +156,18 @@ class BfdSession:
                     dst_port=BFD_PORT, payload=control),
             )
             self._tx_flow = self.manager.udp.stack.flow_for(self._tx_packet)
-        self.packets_sent += 1
+        if (self.state is BfdState.UP and self.monitor is None
+                and self.port is not None
+                and not self.node.interfaces[self.port].taps
+                and QuietBfd.begin(self)):
+            return  # this packet is the first one nobody has to see
+        self._packets_sent += 1
         self.manager.udp.stack.send_packet(self._tx_packet, self._tx_flow)
 
     def _set_state(self, new_state: BfdState) -> None:
         if new_state is self.state:
             return
+        self._wake()
         old = self.state
         self.state = new_state
         self.node.log(
@@ -156,7 +191,9 @@ class BfdSession:
     def handle_packet(self, packet: BfdControlPacket) -> None:
         if self.state is BfdState.ADMIN_DOWN:
             return
-        self.packets_received += 1
+        self._packets_received += 1
+        if packet.my_discriminator != self.your_discriminator:
+            self._wake()  # what this session sends changes
         self.your_discriminator = packet.my_discriminator
         remote = packet.state
 
@@ -208,17 +245,129 @@ class BfdSession:
         self._set_state(BfdState.DOWN)
 
 
+class QuietBfd(QuietExchange):
+    """An Up session's packets to its Up peer: each tick (the manager
+    settles them) sends one that re-arms the far detection timer."""
+
+    __slots__ = ("session", "far", "tx", "rx", "frame", "latency",
+                 "detection", "arrival", "detect")
+
+    @classmethod
+    def begin(cls, session: BfdSession) -> bool:
+        """From the packet sent now on, if it surely reaches an Up,
+        unmonitored far session that knows us, whose detection outlasts
+        any period."""
+        out = session.manager.udp.stack.egress(session._tx_packet,
+                                               session._tx_flow)
+        if out is None or out[0].name != session.port:
+            return False
+        (tx, frame), rx = out, out[0].peer()
+        bfd = getattr(rx.node, "bfd", None)
+        far = bfd.sessions.get(session.local) if bfd is not None else None
+        if (far is None or far.state is not BfdState.UP or far.port != rx.name
+                or far.monitor is not None or not rx.admin_up or rx.taps
+                or far.your_discriminator != session.my_discriminator
+                or session.peer not in rx.node.ip.local_addresses()):
+            return False
+        control = session._tx_packet.payload.payload
+        detection = control.detect_mult * max(control.desired_min_tx_us,
+                                              far.timers.tx_interval_us)
+        latency = tx.link.certain_latency_us(tx, frame)
+        armed = far._detect_timer._handle
+        if (latency is None or armed is None
+                or armed.time <= session.sim.now + latency
+                or detection <= session._tx_timer.interval):
+            return False
+        quiet = cls()
+        quiet.carry(session.sim, (tx,), (rx,))
+        quiet.session, quiet.far, quiet.tx, quiet.rx = session, far, tx, rx
+        quiet.frame, quiet.latency, quiet.detection = frame, latency, detection
+        quiet.detect, quiet.arrival = (armed.time, armed.born), None
+        due = session._tx_timer._handle  # drawn by the tick sending this one
+        heappush(session.manager._quiet, (due.time, due.born, due.seq, session))
+        session._tx_timer.stop()
+        far._detect_timer.stop()
+        quiet.tick(session.sim.now)
+        return True
+
+    def tick(self, at: int) -> None:
+        if self.arrival is not None:  # a whole period ago: long heard
+            self._hear()
+        self.session._packets_sent += 1
+        self.session.manager.udp.stack._counters.sent += 1
+        self.sent(self.tx, self.frame, 1, at)
+        self.arrival = at + self.latency
+
+    def _hear(self) -> None:
+        arrival, self.arrival = self.arrival, None
+        self.heard(self.rx, self.frame, 1)
+        self.far.manager.udp.stack._counters.delivered += 1
+        self.far._packets_received += 1
+        self.detect = (arrival + self.detection, arrival)
+
+    def next_tx(self, iface: Interface) -> int:  # from the manager's heap
+        return next(entry for entry in self.session.manager._quiet
+                    if entry[3] is self.session)[0]
+
+    def settle(self) -> None:
+        self.session.manager.settle()
+        arrival = self.arrival
+        if (arrival is not None
+                and self.sim.has_passed(arrival, arrival - self.latency)):
+            self._hear()
+
+    def put_back(self) -> None:
+        session, heap = self.session, self.session.manager._quiet
+        due, born, _seq, _session = entry = next(
+            entry for entry in heap if entry[3] is session)
+        heap.remove(entry)
+        heapify(heap)
+        timer = session._tx_timer
+        if self.arrival is not None:  # sent, yet to arrive
+            self.sim.schedule_at(self.arrival, self.rx.deliver, self.frame,
+                                 born=self.arrival - self.latency,
+                                 seq=timer.rank)
+        self.far._detect_timer.start_at(*self.detect)
+        timer.start_at(due, born=born)
+
+
 class BfdManager:
-    """Per-node BFD endpoint: owns the UDP socket, demuxes to sessions."""
+    """Per-node BFD endpoint: owns the UDP socket, demuxes to sessions.
+    Sessions share one jitter stream, so quiet ones settle together in
+    queue order: ``_quiet`` heaps their next ticks, ranked as events."""
 
     def __init__(self, udp: UdpService, rng=None) -> None:
         self.udp = udp
         self.node = udp.node
-        self.rng = rng if rng is not None else _require_world_rng(udp)
+        self._rng = rng if rng is not None else _require_world_rng(udp)
         self.sessions: dict[Ipv4Address, BfdSession] = {}
+        self._quiet: list[tuple[int, int, int, BfdSession]] = []
         self._next_discriminator = 1
         udp.open(BFD_PORT, self._on_datagram)
         self.node.bfd = self
+
+    @property
+    def rng(self):
+        """The stream, once the quiet sessions have drawn from it."""
+        self.settle()
+        return self._rng
+
+    def uniform(self, low: float, high: float) -> float:
+        """The transmit timers' draw (:attr:`rng`, inlined)."""
+        if self._quiet:
+            self.settle()
+        return self._rng.uniform(low, high)
+
+    def settle(self) -> None:
+        """Account the quiet sessions' passed ticks, drawing as played."""
+        heap, sim = self._quiet, self.node.sim
+        while heap and sim.has_passed(*heap[0][:3]):
+            due, _born, seq, session = heap[0]
+            next(quiet for quiet in session.node.interfaces[
+                session.port].quiet_tx if type(quiet) is QuietBfd).tick(due)
+            sim.events_settled += 1
+            heapreplace(heap, (due + session._tx_timer._next_period(
+                self._rng), due, seq, session))
 
     def create_session(
         self,

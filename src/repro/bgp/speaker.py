@@ -22,16 +22,19 @@ bgpd output.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.stack.addresses import Ipv4Address, Ipv4Network
+from repro.stack.tcp_segment import TcpFlags
 from repro.net.interface import Interface
 from repro.net.node import Node
+from repro.net.quiet import NEVER, QuietExchange
 from repro.iputil.stack import IpStack
-from repro.iputil.tcp import TcpConnection, TcpService
+from repro.iputil.tcp import TcpConnection, TcpService, _Unacked
 from repro.routing.table import NextHop, Route
 from repro.bfd.session import BfdManager, BfdSession
 from repro.liveness import FlapDamper, NeighborMonitor
@@ -73,8 +76,17 @@ class _PendingOut:
         return bool(self.withdraw or self.advertise)
 
 
+_KEEPALIVE = BgpKeepalive()
+
+
 class BgpPeer:
     """Per-neighbor session state."""
+
+    __slots__ = ("speaker", "cfg", "state", "conn", "local_ip", "adj_out",
+                 "pending", "bfd_session", "sessions_established", "damper",
+                 "_suppress_flagged", "hold_timer", "keepalive_timer",
+                 "retry_timer", "mrai_timer", "_flush_scheduled",
+                 "stale_timer")
 
     def __init__(self, speaker: "BgpSpeaker", cfg: BgpNeighborConfig) -> None:
         self.speaker = speaker
@@ -267,7 +279,11 @@ class BgpPeer:
     # keepalive / hold
     # ------------------------------------------------------------------
     def _send_keepalive(self) -> None:
-        if self.state in (PeerState.ESTABLISHED, PeerState.OPEN_CONFIRM):
+        if (self.state is PeerState.ESTABLISHED
+                and not self.speaker.node.interfaces[self.cfg.interface].taps
+                and QuietKeepalives.take(self)):
+            self._log_sent(_KEEPALIVE)
+        elif self.state in (PeerState.ESTABLISHED, PeerState.OPEN_CONFIRM):
             self._send(BgpKeepalive())
 
     def _on_hold_expired(self) -> None:
@@ -288,6 +304,9 @@ class BgpPeer:
             self.conn.send(message)
         except RuntimeError:
             return
+        self._log_sent(message)
+
+    def _log_sent(self, message: BgpMessage) -> None:
         frame_bytes = message.wire_size + self._L2_ENCAP_BYTES
         if isinstance(message, BgpUpdate):
             self.speaker.node.log("bgp.update.tx",
@@ -443,6 +462,129 @@ class BgpPeer:
                 nlri=tuple(sorted(prefixes)),
                 attributes=attrs,
             ))
+
+
+class QuietKeepalives(QuietExchange):
+    """An idle session's keepalive exchange after each (real) tick:
+    ``flight`` holds the segments in the air, ranked as their deliveries
+    would be — the keepalive ``latency`` after its tick, the pure ACK
+    ``ack_latency`` after that — and the hold timers are deadlines."""
+
+    __slots__ = ("ends", "ports", "conns", "frames", "latency",
+                 "ack_latency", "hold", "unacked", "flight")
+
+    @classmethod
+    def take(cls, peer: BgpPeer) -> bool:
+        """Account for ``peer``'s keepalive now, or say to play it.  Both
+        connections idle, the keepalive and its ACK going out at once on
+        the peers' ports, holds longer than keepalives: quiet."""
+        conn = peer.conn
+        quiet = conn.quiet_exchange()
+        if quiet is not None:
+            return quiet.keepalive(quiet.ends.index(peer))
+        out = conn.idle and conn.frame_for(conn._make_segment(
+            TcpFlags.ACK | TcpFlags.PSH, _KEEPALIVE))
+        if not out or out[0].name != peer.cfg.interface:
+            return False
+        tx, rx = out[0], out[0].peer()
+        speaker = getattr(rx.node, "bgp", None)
+        other = speaker.peers.get(peer.local_ip) if speaker else None
+        far = other.conn if other is not None else None
+        ack = (far is not None and other.established and far.idle
+               and (far.local_port, far.remote_port, far.local)
+               == (conn.remote_port, conn.local_port, conn.remote)
+               and not rx.taps and far.frame_for(far._make_segment(
+                   TcpFlags.ACK)))
+        if not ack or ack[0] is not rx or any(
+                end.hold_timer.interval <= end.keepalive_timer.interval
+                for end in (peer, other)):
+            return False
+        return cls(peer, other, tx, rx, (out[1], ack[1])).keepalive(0)
+
+    def __init__(self, peer: BgpPeer, other: BgpPeer, tx: Interface,
+                 rx: Interface, frames) -> None:
+        self.carry(peer.speaker.node.sim, (tx, rx), (rx, tx))
+        self.ends, self.ports = (peer, other), (tx, rx)
+        self.conns = (peer.conn, other.conn)
+        self.frames = frames  # a keepalive's and an ACK's: their sizes
+        self.latency, self.ack_latency = (
+            tx.link.serialization_us(frame) + tx.link.propagation_us
+            for frame in frames)
+        self.hold = [(end.hold_timer._handle.time, end.hold_timer._handle.born)
+                     for end in self.ends]
+        for end, port in zip(self.ends, self.ports):
+            end.hold_timer.stop()
+            end.conn.quiet_on = port.name
+        self.unacked = [None, None]  # each end's keepalive: (tick, segment)
+        self.flight = []  # (due, born, rank, to end, segment)
+
+    def keepalive(self, i: int) -> bool:
+        """End ``i`` ticks: account for its keepalive, or wake."""
+        self.settle()
+        now, port, back = self.sim.now, self.ports[i], self.ports[1 - i]
+        if (self.unacked[i] or self.hold[1 - i][0] <= now + self.latency
+                or port.link.certain_latency_us(port, self.frames[0])
+                != self.latency
+                or back.link.certain_latency_us(back, self.frames[1],
+                                                at=now + self.latency)
+                != self.ack_latency):
+            self.wake()
+            return False
+        conn = self.conns[i]
+        segment = conn._make_segment(TcpFlags.ACK | TcpFlags.PSH, _KEEPALIVE)
+        self.unacked[i] = (now, segment)
+        # the delivery's rank: after all scheduled so far, before the rest
+        insort(self.flight, (now + self.latency, now,
+                             self.sim.events_scheduled - 0.5, 1 - i, segment))
+        conn.snd_nxt += segment.seq_space
+        self._sent(i, 0, now)
+        return True
+
+    def _sent(self, end: int, kind: int, at: int) -> None:  # 0 keepalive
+        self.conns[end]._segments_sent += 1
+        self.ends[end].speaker.stack._counters.sent += 1
+        self.sent(self.ports[end], self.frames[kind], 1, at)
+
+    def next_tx(self, iface: Interface) -> int:  # the next ACK it sends
+        to = self.ports.index(iface)
+        return min((due for due, _born, _rank, end, segment in self.flight
+                    if end == to and segment.data_len), default=NEVER)
+
+    def settle(self) -> None:
+        flight, sim = self.flight, self.sim
+        while flight and sim.has_passed(*flight[0][:3]):
+            due, _born, rank, to, segment = flight.pop(0)
+            conn, ack = self.conns[to], segment.ack
+            self.heard(self.ports[to], self.frames[not segment.data_len], 1)
+            self.ends[to].speaker.stack._counters.delivered += 1
+            if ack > conn._snd_una:  # TcpConnection._process_ack
+                conn._snd_una = ack
+                sent = self.unacked[to][1]
+                if ack >= sent.seq + sent.seq_space:
+                    self.unacked[to] = None
+            if segment.data_len:  # TcpConnection._process_payload
+                conn._rcv_nxt += segment.seq_space
+                conn._bytes_delivered += segment.data_len
+                self.hold[to] = (due + self.ends[to].hold_timer.interval, due)
+                self._sent(to, 1, due)
+                insort(flight, (due + self.ack_latency, due, rank, 1 - to,
+                                conn._make_segment(TcpFlags.ACK)))
+
+    def put_back(self) -> None:
+        for end, (deadline, born) in zip(self.ends, self.hold):
+            end.hold_timer.start_at(deadline, born=born)
+            end.conn.quiet_on = None
+        for conn, unacked in zip(self.conns, self.unacked):
+            if unacked:
+                tick, segment = unacked
+                conn._unacked.append(
+                    _Unacked(segment, segment.seq + segment.seq_space))
+                conn._rto_timer.interval = conn._rto
+                conn._rto_timer.start_at(tick + conn._rto, born=tick)
+        for due, born, rank, to, segment in self.flight:
+            frame = self.conns[1 - to].frame_for(segment)[1]
+            self.sim.schedule_at(due, self.ports[to].deliver, frame,
+                                 born=born, seq=rank)
 
 
 class BgpSpeaker:

@@ -33,6 +33,7 @@ from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.stack.ethernet import EthernetFrame
 from repro.net.interface import Interface
+from repro.net.quiet import QuietExchange
 from repro.core.config import MtpTimers
 from repro.liveness import NeighborMonitor
 
@@ -218,35 +219,22 @@ class PortNeighbor:
         self._dead_timer.stop()
 
 
-class QuietHello:
-    """One healthy link direction's hello exchange, held as arithmetic.
+class QuietHello(QuietExchange):
+    """One healthy link direction's hellos, held as arithmetic: ticks
+    at ``tick``, ``tick + interval``, ..., each reaching ``rx``
+    ``latency`` later only to re-arm ``neighbor``'s dead timer.  Any
+    frame sent wakes it: every MR-MTP frame is a hello."""
 
-    ``sender`` would tick at ``tick``, ``tick + interval``, ...; each
-    hello would reach ``rx`` ``latency`` later and do nothing there but
-    re-arm ``neighbor``'s dead timer.  While that is all that happens on
-    the direction, none of it is scheduled: :meth:`settle` adds the
-    hellos and deliveries that have passed to the counters they would
-    have moved, and :meth:`wake` — called, through the interfaces, by
-    whatever is about to make the direction interesting — settles and
-    then puts the timers and a delivery still in flight back into the
-    queue at the instants, and with the rank among same-instant events
-    (``Simulator.schedule_at``'s ``born`` and ``seq``), they would have
-    had.
-    """
-
-    __slots__ = ("sim", "sender", "port", "timer", "tx", "rx", "neighbor",
+    __slots__ = ("sender", "port", "timer", "tx", "rx", "neighbor",
                  "frame", "latency", "tick", "arrival")
 
     @classmethod
     def begin(cls, sender: "MtpNode", port: str, timer: PeriodicTimer,
               tx: Interface, frame: EthernetFrame) -> bool:
-        """Take over the exchange on ``port`` from the keepalive ``timer``
-        is about to send, if both ends are in the steady state: the
-        sender holds its neighbor UP on an untapped port and draws no
-        jitter (its caller's checks); the far end holds the sender UP
-        and is not crashed, monitored, tapped or admin-down; the line
-        delivers with certainty; and the far dead timer is not about to
-        beat this keepalive."""
+        """From the keepalive ``timer`` is about to send on, if the far
+        end holds the sender UP and is not crashed, monitored, tapped or
+        down, delivery is certain and the far dead timer not about to beat
+        it (the sender's own checks: UP, untapped, unjittered)."""
         link = tx.link
         rx = link.other_end(tx)
         peer = getattr(rx.node, "mtp", None)
@@ -261,8 +249,7 @@ class QuietHello:
         if (latency is None or deadline is None
                 or deadline <= sender.sim.now + latency):
             return False
-        tx.quiet_tx = rx.quiet_rx = cls(sender, port, timer, tx, rx, neighbor,
-                                        frame, latency)
+        cls(sender, port, timer, tx, rx, neighbor, frame, latency)
         timer.stop()
         neighbor._dead_timer.stop()
         return True
@@ -270,18 +257,13 @@ class QuietHello:
     def __init__(self, sender: "MtpNode", port: str, timer: PeriodicTimer,
                  tx: Interface, rx: Interface, neighbor: PortNeighbor,
                  frame: EthernetFrame, latency: int) -> None:
-        self.sim = sender.sim
-        self.sender = sender
-        self.port = port
-        self.timer = timer
-        self.tx = tx
-        self.rx = rx
-        self.neighbor = neighbor
-        self.frame = frame
-        self.latency = latency
+        self.carry(sender.sim, (tx,), (rx,))
+        self.sender, self.port, self.timer = sender, port, timer
+        self.tx, self.rx, self.neighbor = tx, rx, neighbor
+        self.frame, self.latency = frame, latency
         # the first hello, and the first delivery, not yet accounted for
-        self.tick = self.sim.now
-        self.arrival = self.tick + latency
+        self.tick, self.arrival = self.sim.now, self.sim.now + latency
+        self.sim.events_settled -= 1  # that tick is being dispatched
 
     def _passed(self, first: int, lead: int) -> int:
         """How many of the events due at ``first``, ``first + interval``,
@@ -298,25 +280,20 @@ class QuietHello:
 
     def settle(self) -> None:
         interval = self.timer.interval
-        wire = self.frame.wire_size
         sent = self._passed(self.tick, interval)
         if sent:
             last = self.tick + (sent - 1) * interval
-            link = self.tx.link
             self.sender.hellos_sent_unseen(self.port, sent, last)
-            self.tx.sent_unseen(sent, sent * wire)
-            link.carried_unseen(self.tx, sent, sent * wire,
-                                last + self.latency - link.propagation_us)
+            self.sent(self.tx, self.frame, sent, last)
+            self.sim.events_settled += sent
             self.tick += sent * interval
         heard = self._passed(self.arrival, self.latency)
         if heard:
-            self.rx.received_unseen(heard, heard * wire)
+            self.heard(self.rx, self.frame, heard)
             self.neighbor._last_rx = self.arrival + (heard - 1) * interval
             self.arrival += heard * interval
 
-    def wake(self) -> None:
-        self.settle()
-        self.tx.quiet_tx = self.rx.quiet_rx = None
+    def put_back(self) -> None:
         neighbor = self.neighbor
         heard = neighbor._last_rx
         neighbor._dead_timer.start_at(heard + neighbor.timers.dead_us,

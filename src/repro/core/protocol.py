@@ -428,9 +428,7 @@ class MtpNode:
     @property
     def counters(self) -> MtpCounters:
         for port in self.neighbors:
-            quiet = self.node.interfaces[port].quiet_tx
-            if quiet is not None:
-                quiet.settle()
+            self.node.interfaces[port].settle()
         return self._counters
 
     def _send_update(self, port: str, message: MtpMessage) -> None:

@@ -61,7 +61,7 @@ class IpStack:
         # encapsulated data plane; True means the packet was consumed.
         self.intercept = None
         self.table = RoutingTable(name=node.name, sim=node.sim, salt=salt)
-        self.counters = IpCounters()
+        self._counters = IpCounters()
         self._proto_handlers: dict[int, ProtoHandler] = {}
         # per-interface ARP cache and pending queues
         self._arp_cache: dict[tuple[str, Ipv4Address], MacAddress] = {}
@@ -92,6 +92,13 @@ class IpStack:
                     )
                 )
 
+    @property
+    def counters(self) -> IpCounters:
+        """Settled first (quiet exchanges count packets lazily)."""
+        for iface in self.node.interfaces.values():
+            iface.settle()
+        return self._counters
+
     def local_addresses(self) -> frozenset[Ipv4Address]:
         return self._local_addresses
 
@@ -118,13 +125,13 @@ class IpStack:
     # ------------------------------------------------------------------
     def send_packet(self, packet: Ipv4Packet, flow: Optional[FlowKey] = None) -> None:
         """Route and transmit a locally originated packet."""
-        self.counters.sent += 1
+        self._counters.sent += 1
         self._route_and_emit(packet, flow)
 
     def forward_local(self, packet: Ipv4Packet) -> None:
         """Emit a packet that arrived by other means (MR-MTP de-encapsulation
         at a ToR) toward its destination — typically a connected rack route."""
-        self.counters.forwarded += 1
+        self._counters.forwarded += 1
         self._route_and_emit(packet)
 
     def flow_for(self, packet: Ipv4Packet) -> FlowKey:
@@ -146,17 +153,29 @@ class IpStack:
             flow = self.flow_for(packet)
         nexthop = self.table.select_nexthop(packet.dst, flow)
         if nexthop is None:
-            self.counters.dropped_no_route += 1
+            self._counters.dropped_no_route += 1
             self.node.log("ip.drop", f"no route to {packet.dst}")
             if notify_unreachable:
                 self._send_icmp_error(packet, IcmpType.DEST_UNREACHABLE)
             return
         iface = self.node.interfaces.get(nexthop.interface)
         if iface is None or not iface.admin_up or not iface.cabled:
-            self.counters.dropped_iface_down += 1
+            self._counters.dropped_iface_down += 1
             return
         arp_target = nexthop.via if nexthop.via is not None else packet.dst
         self._emit_via(iface, arp_target, packet)
+
+    def egress(self, packet: Ipv4Packet, flow: FlowKey
+               ) -> Optional[tuple[Interface, EthernetFrame]]:
+        """The port and frame :meth:`send_packet` would put ``packet`` on
+        at once (routed, port up, neighbour resolved), or None."""
+        nexthop = self.table.select_nexthop(packet.dst, flow)
+        iface = nexthop and self.node.interfaces.get(nexthop.interface)
+        if not iface or not iface.admin_up or not iface.cabled:
+            return None
+        mac = self._arp_cache.get((iface.name, nexthop.via or packet.dst))
+        return mac and (iface, EthernetFrame(
+            dst=mac, src=iface.mac, ethertype=ETHERTYPE_IPV4, payload=packet))
 
     def _emit_via(self, iface: Interface, arp_target: Ipv4Address, packet: Ipv4Packet) -> None:
         mac = self._arp_cache.get((iface.name, arp_target))
@@ -183,11 +202,11 @@ class IpStack:
         if not self.forwarding:
             return
         if packet.ttl <= 1:
-            self.counters.dropped_ttl += 1
+            self._counters.dropped_ttl += 1
             self.node.log("ip.drop", f"TTL expired for {packet.dst}")
             self._send_icmp_error(packet, IcmpType.TIME_EXCEEDED)
             return
-        self.counters.forwarded += 1
+        self._counters.forwarded += 1
         self._route_and_emit(packet.decrement_ttl(),
                              notify_unreachable=True)
 
@@ -196,7 +215,7 @@ class IpStack:
         if handler is None:
             self.node.log("ip.unreach", f"no proto handler {packet.proto}")
             return
-        self.counters.delivered += 1
+        self._counters.delivered += 1
         handler(packet, iface)
 
     # ------------------------------------------------------------------
@@ -217,7 +236,7 @@ class IpStack:
                               sequence=sequence, data_bytes=data_bytes)
         src = self._source_address_for(dst)
         if src is None:
-            self.counters.dropped_no_route += 1
+            self._counters.dropped_no_route += 1
             return
         self.send_packet(Ipv4Packet(src=src, dst=dst, proto=PROTO_ICMP,
                                     payload=message, ttl=ttl))
@@ -296,7 +315,7 @@ class IpStack:
         if pending is None:
             return
         if pending.tries >= ARP_MAX_TRIES:
-            self.counters.dropped_arp_fail += len(pending.queue)
+            self._counters.dropped_arp_fail += len(pending.queue)
             del self._arp_pending[key]
             self.node.log("arp.fail", f"no reply for {target} on {iface.name}")
             return

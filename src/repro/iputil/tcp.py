@@ -60,15 +60,34 @@ def _conn_key(local: Ipv4Address, lport: int, remote: Ipv4Address, rport: int) -
     return (local.value, lport, remote.value, rport)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Unacked:
     segment: TcpSegment
     end_seq: int  # first sequence number after the segment
     retransmits: int = 0
 
 
+def _settled(name: str) -> property:  # a field quiet keepalives may owe
+    def read(self):
+        if self.quiet_on is not None:
+            self.quiet_exchange().settle()
+        return getattr(self, name)
+    return property(read)
+
+
 class TcpConnection:
-    """One TCP connection endpoint."""
+    """One TCP connection endpoint (``quiet_on``: see quiet_exchange)."""
+
+    __slots__ = ("service", "node", "sim", "local", "local_port", "remote",
+                 "remote_port", "state", "snd_nxt", "_snd_una", "_rcv_nxt",
+                 "_fin_sent", "_reassembly", "_unacked", "_rto", "_rto_timer",
+                 "on_receive", "on_established", "on_close", "_segments_sent",
+                 "segments_retransmitted", "_bytes_delivered", "quiet_on")
+
+    snd_una = _settled("_snd_una")
+    rcv_nxt = _settled("_rcv_nxt")
+    segments_sent = _settled("_segments_sent")
+    bytes_delivered = _settled("_bytes_delivered")
 
     def __init__(
         self,
@@ -88,8 +107,8 @@ class TcpConnection:
         self.state = TcpState.CLOSED
         # sequence bookkeeping
         self.snd_nxt = INITIAL_SEQ
-        self.snd_una = INITIAL_SEQ
-        self.rcv_nxt = 0
+        self._snd_una = INITIAL_SEQ
+        self._rcv_nxt = 0
         self._fin_sent = False
         self._reassembly: dict[int, TcpSegment] = {}
         self._unacked: list[_Unacked] = []
@@ -100,9 +119,10 @@ class TcpConnection:
         self.on_established: Optional[Callable[[], None]] = None
         self.on_close: Optional[Callable[[str], None]] = None
         # stats
-        self.segments_sent = 0
+        self._segments_sent = 0
         self.segments_retransmitted = 0
-        self.bytes_delivered = 0
+        self._bytes_delivered = 0
+        self.quiet_on: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
@@ -118,6 +138,29 @@ class TcpConnection:
             f"<TCP {self.local}:{self.local_port} <-> "
             f"{self.remote}:{self.remote_port} {self.state.value}>"
         )
+
+    def quiet_exchange(self):
+        """What holds its keepalives on port ``quiet_on``: any segment
+        sent or received, and teardown, wake it first."""
+        for quiet in (self.node.interfaces[self.quiet_on].quiet_tx
+                      if self.quiet_on is not None else ()):
+            if self in getattr(quiet, "conns", ()):
+                return quiet
+        return None
+
+    def frame_for(self, segment: TcpSegment):
+        """``IpStack.egress`` of ``segment``: its port and frame, if sent
+        now it would go out at once."""
+        packet = Ipv4Packet(src=self.local, dst=self.remote, proto=PROTO_TCP,
+                            payload=segment)
+        stack = self.service.stack
+        return stack.egress(packet, stack.flow_for(packet))
+
+    @property
+    def idle(self) -> bool:
+        return (self.state is TcpState.ESTABLISHED
+                and self._snd_una == self.snd_nxt and not self._unacked
+                and not self._reassembly and not self._rto_timer.running)
 
     # ------------------------------------------------------------------
     # application API
@@ -165,7 +208,7 @@ class TcpConnection:
             src_port=self.local_port,
             dst_port=self.remote_port,
             seq=self.snd_nxt,
-            ack=self.rcv_nxt,
+            ack=self._rcv_nxt,
             flags=flags,
             payload=payload,
         )
@@ -186,12 +229,14 @@ class TcpConnection:
         self._transmit(self._make_segment(flags=TcpFlags.ACK), track=False)
 
     def _transmit(self, segment: TcpSegment, track: bool) -> None:
+        if self.quiet_on is not None:
+            self.quiet_exchange().wake()
         if track and segment.seq_space > 0:
             self._unacked.append(_Unacked(
                 segment=segment, end_seq=segment.seq + segment.seq_space))
             if not self._rto_timer.running:
                 self._rto_timer.start(self._rto)
-        self.segments_sent += 1
+        self._segments_sent += 1
         packet = Ipv4Packet(
             src=self.local, dst=self.remote, proto=PROTO_TCP, payload=segment
         )
@@ -211,13 +256,13 @@ class TcpConnection:
         seg = oldest.segment
         resend = TcpSegment(
             src_port=seg.src_port, dst_port=seg.dst_port, seq=seg.seq,
-            ack=self.rcv_nxt, flags=seg.flags, payload=seg.payload,
+            ack=self._rcv_nxt, flags=seg.flags, payload=seg.payload,
         )
         oldest.segment = resend
         packet = Ipv4Packet(
             src=self.local, dst=self.remote, proto=PROTO_TCP, payload=resend
         )
-        self.segments_sent += 1
+        self._segments_sent += 1
         self.service.stack.send_packet(packet)
         self._rto = min(self._rto * 2, MAX_RTO_US)
         self._rto_timer.start(self._rto)
@@ -226,6 +271,8 @@ class TcpConnection:
     # internals: receiving
     # ------------------------------------------------------------------
     def handle_segment(self, segment: TcpSegment) -> None:
+        if self.quiet_on is not None:
+            self.quiet_exchange().wake()
         if TcpFlags.RST in segment.flags:
             self._teardown("reset-by-peer")
             return
@@ -235,7 +282,7 @@ class TcpConnection:
 
         if self.state is TcpState.SYN_SENT:
             if TcpFlags.SYN in segment.flags and TcpFlags.ACK in segment.flags:
-                self.rcv_nxt = segment.seq + segment.seq_space
+                self._rcv_nxt = segment.seq + segment.seq_space
                 self.state = TcpState.ESTABLISHED
                 self._send_pure_ack()
                 if self.on_established:
@@ -243,7 +290,7 @@ class TcpConnection:
             return
 
         if self.state is TcpState.SYN_RCVD:
-            if TcpFlags.ACK in segment.flags and self.snd_una == self.snd_nxt:
+            if TcpFlags.ACK in segment.flags and self._snd_una == self.snd_nxt:
                 self.state = TcpState.ESTABLISHED
                 if self.on_established:
                     self.on_established()
@@ -253,40 +300,40 @@ class TcpConnection:
             self._process_payload(segment)
 
     def _process_ack(self, ack: int) -> None:
-        if ack <= self.snd_una:
+        if ack <= self._snd_una:
             return
-        self.snd_una = ack
+        self._snd_una = ack
         self._unacked = [u for u in self._unacked if u.end_seq > ack]
         if self._unacked:
             self._rto_timer.start(self._rto)
         else:
             self._rto = INITIAL_RTO_US
             self._rto_timer.stop()
-        if self.state is TcpState.FIN_WAIT_1 and self.snd_una == self.snd_nxt:
+        if self.state is TcpState.FIN_WAIT_1 and self._snd_una == self.snd_nxt:
             self.state = TcpState.FIN_WAIT_2
-        elif self.state is TcpState.LAST_ACK and self.snd_una == self.snd_nxt:
+        elif self.state is TcpState.LAST_ACK and self._snd_una == self.snd_nxt:
             self._teardown("closed")
 
     def _process_payload(self, segment: TcpSegment) -> None:
-        if segment.seq + segment.seq_space <= self.rcv_nxt:
+        if segment.seq + segment.seq_space <= self._rcv_nxt:
             # pure duplicate — re-ack so the sender can advance
             self._send_pure_ack()
             return
         self._reassembly[segment.seq] = segment
         advanced = False
-        while self.rcv_nxt in self._reassembly:
-            seg = self._reassembly.pop(self.rcv_nxt)
-            self.rcv_nxt += seg.seq_space
+        while self._rcv_nxt in self._reassembly:
+            seg = self._reassembly.pop(self._rcv_nxt)
+            self._rcv_nxt += seg.seq_space
             advanced = True
             self._consume(seg)
-        if advanced or segment.seq > self.rcv_nxt:
+        if advanced or segment.seq > self._rcv_nxt:
             self._send_pure_ack()
 
     def _consume(self, segment: TcpSegment) -> None:
         if TcpFlags.SYN in segment.flags:
             return  # handshake bookkeeping only
         if segment.data_len > 0 and self.on_receive:
-            self.bytes_delivered += segment.data_len
+            self._bytes_delivered += segment.data_len
             self.on_receive(segment.payload)
         if TcpFlags.FIN in segment.flags:
             self._handle_fin()
@@ -305,6 +352,8 @@ class TcpConnection:
             self._teardown("closed")
 
     def _teardown(self, reason: str) -> None:
+        if self.quiet_on is not None:
+            self.quiet_exchange().wake()
         already_closed = self.state is TcpState.CLOSED
         self.state = TcpState.CLOSED
         self._rto_timer.stop()
@@ -386,7 +435,7 @@ class TcpService:
                 )
                 self._connections[conn.key] = conn
                 conn.state = TcpState.SYN_RCVD
-                conn.rcv_nxt = segment.seq + segment.seq_space
+                conn._rcv_nxt = segment.seq + segment.seq_space
                 on_accept(conn)
                 conn._send_syn(with_ack=True)
                 return

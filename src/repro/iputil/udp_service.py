@@ -47,11 +47,11 @@ class UdpService:
         if src is None:
             route = self.stack.table.lookup(dst)
             if route is None:
-                self.stack.counters.dropped_no_route += 1
+                self.stack._counters.dropped_no_route += 1
                 return
             iface = self.node.interfaces.get(route.nexthops[0].interface)
             if iface is None or iface.address is None:
-                self.stack.counters.dropped_no_route += 1
+                self.stack._counters.dropped_no_route += 1
                 return
             src = iface.address
         datagram = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=payload)

@@ -5,19 +5,18 @@ address, and keeps tx/rx counters.  ``admin_up`` models ``ip link set
 down`` at that end only — the failure primitive used throughout the
 paper's test cases.
 
-A protocol whose periodic exchange over a healthy link direction is
-accounted for arithmetically instead of frame by frame (DESIGN
-"Steady-state frame path") registers that account as ``quiet_tx`` on the
-sending interface and ``quiet_rx`` on the receiving one.  The interface
-owes it two things: ``settle()`` before any counter is read, and
-``wake()`` before anything happens that the account assumed would not —
-another frame sent, an admin change, a tap attached.
+An exchange held as arithmetic instead of frame by frame
+(:mod:`repro.net.quiet`) is carried in ``quiet_tx`` on the interfaces its
+frames leave and ``quiet_rx`` on those they reach.  The interface settles
+them before any counter is read and wakes them before anything happens
+that they assumed would not: an admin change, a tap attached, or a frame
+sent that is still on the wire when one of them next transmits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.stack.addresses import Ipv4Address, Ipv4Network, MacAddress
 from repro.stack.ethernet import EthernetFrame
@@ -25,20 +24,10 @@ from repro.stack.ethernet import EthernetFrame
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
     from repro.net.node import Node
+    from repro.net.quiet import QuietExchange
 
 
 FrameTap = Callable[["Interface", EthernetFrame, str], None]
-
-
-class QuietExchange(Protocol):
-    """What an interface asks of an exchange it carries unseen."""
-
-    def settle(self) -> None:
-        """Bring every counter up to the present; stay quiet."""
-
-    def wake(self) -> None:
-        """Settle, then put the exchange's real events back in the queue
-        and unregister from both interfaces."""
 
 
 @dataclass(slots=True)
@@ -83,8 +72,8 @@ class Interface:
         # capture taps: called for every frame tx'd / rx'd on this port.
         # A tuple, so that attaching one has to go through add_tap().
         self.taps: tuple[FrameTap, ...] = ()
-        self.quiet_tx: Optional[QuietExchange] = None
-        self.quiet_rx: Optional[QuietExchange] = None
+        self.quiet_tx: Optional[tuple["QuietExchange", ...]] = None
+        self.quiet_rx: Optional[tuple["QuietExchange", ...]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -103,27 +92,25 @@ class Interface:
         taps.remove(tap)
         self.taps = tuple(taps)
 
-    def sent_unseen(self, frames: int, nbytes: int) -> None:
-        """Count frames a quiet exchange knows this port transmitted."""
-        self._counters.tx_frames += frames
-        self._counters.tx_bytes += nbytes
-
-    def received_unseen(self, frames: int, nbytes: int) -> None:
-        """Count frames a quiet exchange knows this port received."""
-        self._counters.rx_frames += frames
-        self._counters.rx_bytes += nbytes
-
     def settle(self) -> None:
-        if self.quiet_tx is not None:
-            self.quiet_tx.settle()
-        if self.quiet_rx is not None:
-            self.quiet_rx.settle()
+        for quiet in (self.quiet_tx or ()) + (self.quiet_rx or ()):
+            quiet.settle()
 
     def wake(self) -> None:
-        if self.quiet_tx is not None:
-            self.quiet_tx.wake()
-        if self.quiet_rx is not None:
-            self.quiet_rx.wake()
+        for quiet in (self.quiet_tx or ()) + (self.quiet_rx or ()):
+            quiet.wake()
+
+    def _meet_quiet(self, frame: EthernetFrame) -> None:
+        """``frame`` is about to go out: wake each exchange carried this
+        way whose next transmission it would still be on the wire for."""
+        carried, link = self.quiet_tx, self.link
+        for quiet in carried:
+            quiet.settle()  # the line's state must be the present one
+        done = (max(link._next_free[self], link.sim.now)
+                + link.serialization_us(frame))  # it leaves the transmitter
+        for quiet in carried:
+            if quiet.next_tx(self) < done:
+                quiet.wake()
 
     @property
     def full_name(self) -> str:
@@ -171,7 +158,7 @@ class Interface:
         """Offer a frame for transmission.  Returns True if it got onto
         the wire (it may still be dropped at the far end)."""
         if self.quiet_tx is not None:
-            self.quiet_tx.wake()  # its next hello may now be suppressed
+            self._meet_quiet(frame)
         counters = self._counters
         if not self.admin_up:
             counters.tx_dropped_down += 1

@@ -143,32 +143,29 @@ class Link:
     # ------------------------------------------------------------------
     # a direction carried unseen — see repro.net.interface
     # ------------------------------------------------------------------
-    def certain_latency_us(self, sender: Interface,
-                           frame: EthernetFrame) -> Optional[int]:
-        """Ticks from offering ``frame`` now to its delivery, when that
-        is certain: the direction is unimpaired, nothing is queued or
-        still in flight on it and the frame fits the egress queue — what
-        :meth:`transmit` would compute, without transmitting.  None when
-        any of it does not hold."""
+    def certain_latency_us(self, sender: Interface, frame: EthernetFrame,
+                           at: Optional[int] = None) -> Optional[int]:
+        """What :meth:`transmit` of ``frame`` at ``at`` (default: now)
+        would take to deliver, when certain: the direction unimpaired,
+        idle then and with nothing in flight on the gray path, the frame
+        fitting the queue, no quiet exchange sending meanwhile."""
         now = self.sim.now
+        at = now if at is None else at
+        carried = sender.quiet_tx or ()
+        for quiet in carried:
+            quiet.settle()
         padded = frame.padded_wire_size
         if (sender in self._impairments
-                or self._next_free[sender] > now
+                or self._next_free[sender] > at
                 or self._gray_until.get(sender, -1) >= now
                 or (self.queue_bytes is not None
                     and padded > self.queue_bytes)):
             return None
-        return (((padded * _BYTE_TICKS) // self.bandwidth_bps or 1)
-                + self.propagation_us)
-
-    def carried_unseen(self, sender: Interface, frames: int, nbytes: int,
-                       free_at: int) -> None:
-        """Account for ``frames`` frames (``nbytes`` in all) that
-        ``sender`` is known to have put on an otherwise idle line, the
-        last of them leaving the transmitter at ``free_at``."""
-        self._frames_carried += frames
-        self._bytes_carried += nbytes
-        self._next_free[sender] = free_at
+        wire = self.serialization_us(frame)
+        for quiet in carried:
+            if quiet.next_tx(sender) < at + wire:
+                return None
+        return wire + self.propagation_us
 
     def transmit(self, sender: Interface, frame: EthernetFrame) -> bool:
         """Queue ``frame`` from ``sender``; deliver after serialization +

@@ -409,7 +409,7 @@ class Simulator:
 
     __slots__ = ("_now", "_seq", "_running", "_processed", "_backend_name",
                  "_queue", "_qpush", "_batch", "_batch_time", "_batch_drops",
-                 "_peak_depth", "_stamp", "_cursor")
+                 "_peak_depth", "_stamp", "_cursor", "events_settled")
 
     def __init__(self, backend: Optional[str] = None) -> None:
         name = backend if backend is not None else default_backend()
@@ -426,6 +426,9 @@ class Simulator:
         self._seq: int = 0
         self._running: bool = False
         self._processed: int = 0
+        # events held as arithmetic accounted for instead of dispatched:
+        # with events_processed, what a world with nothing quiet runs
+        self.events_settled: int = 0
         # Same-timestamp dispatch batch: a (priority, born, seq, event)
         # heap holding every event due at _batch_time.  Non-empty between
         # run() calls only when a max_events budget expired mid-tick.
@@ -438,9 +441,9 @@ class Simulator:
         # event due now has fired, so whatever is scheduled next ranks
         # behind all of them and ahead of anything the next instant adds.
         self._stamp: int = 0
-        # ``born`` of the event being dispatched (``_stamp`` between
-        # runs): with ``_now``, how far through the order the run is
-        self._cursor: int = 0
+        # the (priority, born, seq, event) entry being dispatched (between
+        # runs, behind all born before _stamp): how far the run has got
+        self._cursor: tuple = (0, 0, -1)
 
     # ------------------------------------------------------------------
     # clock
@@ -463,14 +466,13 @@ class Simulator:
         """Events ever put into the queue, fired, pending or cancelled."""
         return self._seq
 
-    def has_passed(self, time: int, born: int) -> bool:
-        """Whether a priority-0 event due at ``time`` and scheduled at
-        ``born`` would have fired by now: strictly earlier in the
-        (time, born) order than the event being dispatched — between
-        runs, than anything that can still be scheduled.  It is how an
-        exchange held as arithmetic decides which of its events are
-        history and which must still be put into the queue."""
-        return time < self._now or (time == self._now and born < self._cursor)
+    def has_passed(self, time: int, born: int, seq: int = _NO_LIMIT) -> bool:
+        """Whether a priority-0 event due at ``time``, scheduled at
+        ``born`` as number ``seq`` (default: last of those born then),
+        ranks before the event being dispatched (between runs: before
+        anything that can still be scheduled) — for quiet exchanges."""
+        return time < self._now or (
+            time == self._now and (0, born, seq) < self._cursor)
 
     @property
     def pending_events(self) -> int:
@@ -587,14 +589,14 @@ class Simulator:
                 self._batch_time = tick
             self._now = self._stamp = self._batch_time
             while batch:
-                _, born, _, event = heappop(batch)
+                event = (entry := heappop(batch))[3]
                 if event.cancelled:
                     self._batch_drops += 1
                     continue
                 if not batch:
                     self._batch_time = -1
                 self._processed += 1
-                self._cursor = born
+                self._cursor = entry
                 try:
                     event.callback(*event.args)
                 finally:
@@ -604,8 +606,8 @@ class Simulator:
 
     def _between_runs(self) -> None:
         # an instant cut short by an event budget is still the current one
-        self._stamp = self._cursor = (
-            self._now if self._batch else self._now + 1)
+        self._stamp = stamp = self._now if self._batch else self._now + 1
+        self._cursor = (0, stamp, -1)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or
@@ -644,12 +646,12 @@ class Simulator:
                         self._batch_time = tick
                     self._now = self._stamp = tick
                     while batch:
-                        _, born, _, event = heappop(batch)
+                        event = (entry := heappop(batch))[3]
                         if event.cancelled:
                             self._batch_drops += 1
                             continue
                         self._processed += 1
-                        self._cursor = born
+                        self._cursor = entry
                         event.callback(*event.args)
                     self._batch_time = -1
             else:
@@ -678,13 +680,13 @@ class Simulator:
                         if budget <= 0:
                             out_of_budget = True
                             break
-                        _, born, _, event = heappop(batch)
+                        event = (entry := heappop(batch))[3]
                         if event.cancelled:
                             self._batch_drops += 1
                             continue
                         budget -= 1
                         self._processed += 1
-                        self._cursor = born
+                        self._cursor = entry
                         event.callback(*event.args)
                     if out_of_budget:
                         break

@@ -135,11 +135,12 @@ class PeriodicTimer:
     def running(self) -> bool:
         return self._handle is not None and self._handle.active
 
-    def _next_period(self) -> int:
+    def _next_period(self, rng=None) -> int:  # drawn from rng if given
         if self.jitter == 0.0:
             return self.interval
         lo = (1.0 - self.jitter) * self.interval
-        period = int(self.rng.uniform(lo, self.interval))
+        period = int((self.rng if rng is None else rng).uniform(
+            lo, self.interval))
         return max(1, period)
 
     def start(self, immediate: bool = False) -> None:

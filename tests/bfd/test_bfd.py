@@ -215,8 +215,8 @@ def _flyweight_run(bypass: bool):
         "wire": wire,
         "packets_sent": [session_of(n).packets_sent for n in "AB"],
         "ip_sent": [stack_a.counters.sent, stack_b.counters.sent],
-        "rng": [world.rng.stream(f"bfd-{n}").bit_generator.state
-                for n in "ab"],
+        # through the settling accessor: a quiet session draws lazily
+        "rng": [managers[n].rng.bit_generator.state for n in "AB"],
         "now": world.sim.now,
     }
 

@@ -86,6 +86,25 @@ def test_has_passed_follows_the_order_of_dispatch(backend):
     assert not sim.has_passed(101, 0)
 
 
+def test_has_passed_takes_the_rank(backend):
+    """Among events due and born together the sequence number decides,
+    and every priority-0 event of an instant precedes a later priority."""
+    sim = Simulator(backend)
+    seen = {}
+
+    def look(tag):
+        seen[tag] = (sim.has_passed(100, 0, 0), sim.has_passed(100, 0, 2),
+                     sim.has_passed(100, 0, 5), sim.has_passed(100, 0),
+                     sim.has_passed(100, 40, 0))
+
+    sim.schedule_at(5, lambda: None)  # seq 0
+    sim.schedule_at(100, look, "seq 1")
+    sim.schedule_at(100, look, "priority 1", priority=1)
+    sim.run()
+    assert seen["seq 1"] == (True, False, False, False, False)
+    assert seen["priority 1"] == (True, True, True, True, True)
+
+
 def test_priority_breaks_ties_before_seq(backend):
     sim = Simulator(backend)
     fired = []
