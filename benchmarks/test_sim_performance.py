@@ -10,6 +10,7 @@ simulated seconds).
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import pickle
 import pstats
@@ -29,8 +30,9 @@ from repro.bgp import encoding as bgp_encoding
 from repro.bgp.messages import BgpKeepalive
 from repro.core.config import MtpTimers
 from repro.harness import executor, experiments
-from repro.harness.executor import RetryPolicy
+from repro.harness.executor import RetryPolicy, run_tasks
 from repro.scenario import (
+    SCENARIO_RUN,
     Scenario,
     ScenarioEvent,
     canonical_scenarios,
@@ -38,6 +40,7 @@ from repro.scenario import (
     run_scenario,
     run_scenario_suite,
 )
+from repro.scenario.runner import scenario_suite_specs
 from repro.sim.engine import WHEEL_BACKEND, Simulator
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import ClosParams
@@ -443,3 +446,44 @@ def test_tasks_that_cannot_reuse_a_world_never_pickle_one(
     log.unlink()
     _suite(["tc1", "tc2"], ["mtp"], policy=RetryPolicy())
     assert not log.exists()
+
+
+# ----------------------------------------------------------------------
+# world lifetime (DESIGN "World lifetime"): a campaign collects once
+# between tasks and never on its own, and a snapshot carries only live
+# events.  Counts, no wall clock.
+# ----------------------------------------------------------------------
+def test_a_suite_collects_once_between_tasks_and_never_on_its_own():
+    """Four scenarios run inline see three collections while they run,
+    all full ones, each freeing the world the task before built; the
+    collector's own passes over the live world are gone.  (The last
+    world is the restored collector's: its first young pass frees it.)"""
+    specs = scenario_suite_specs(
+        ClosParams(num_pods=4), [get_scenario(n) for n in
+                                 ("tc1", "tc2", "tc3", "tc4")], ["bgp-bfd"])
+    generations = []
+
+    def seen(phase, info):
+        if phase == "start" and not gc.isenabled():
+            generations.append(info["generation"])
+
+    gc.collect()   # nothing owed before the suite starts
+    gc.callbacks.append(seen)
+    try:
+        outcomes = run_tasks(SCENARIO_RUN, specs)
+    finally:
+        gc.callbacks.remove(seen)
+    assert all(o is not None and o.digest for o in outcomes)
+    assert generations == [2, 2, 2]
+
+
+def test_a_restored_world_carries_no_tombstones():
+    """A converged 4-PoD bgp-bfd world holds cancelled re-arms; its
+    pickled copy holds none, and counts them as discarded, so its
+    ``queue_depth`` is exactly its live events."""
+    built = build_and_converge(ClosParams(num_pods=4), "bgp-bfd", seed=0)
+    sim = built[0].sim
+    assert sim.queue_depth > sim.pending_events
+    restored = pickle.loads(pickle.dumps(built, pickle.HIGHEST_PROTOCOL))
+    copy = restored[0].sim
+    assert copy.queue_depth == copy.pending_events == sim.pending_events

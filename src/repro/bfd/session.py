@@ -290,19 +290,25 @@ class QuietBfd(QuietExchange):
         quiet.tick(session.sim.now)
         return True
 
-    def tick(self, at: int) -> None:
-        if self.arrival is not None:  # a whole period ago: long heard
-            self._hear()
-        self.session._packets_sent += 1
-        self.session.manager.udp.stack._counters.sent += 1
-        self.sent(self.tx, self.frame, 1, at)
+    def tick(self, at: int, count: int = 1, before: int = 0) -> None:
+        """``count`` ticks passed, the last at ``at`` (the one before it
+        at ``before``): every packet but the last has long been heard."""
+        heard = count - 1 if self.arrival is None else count
+        if count > 1:
+            self.arrival = before + self.latency
+        if heard:
+            self._hear(heard)
+        self.session._packets_sent += count
+        self.session.manager.udp.stack._counters.sent += count
+        self.sent(self.tx, self.frame, count, at)
         self.arrival = at + self.latency
 
-    def _hear(self) -> None:
+    def _hear(self, count: int = 1) -> None:
+        """``count`` packets arrived, the last at :attr:`arrival`."""
         arrival, self.arrival = self.arrival, None
-        self.heard(self.rx, self.frame, 1)
-        self.far.manager.udp.stack._counters.delivered += 1
-        self.far._packets_received += 1
+        self.heard(self.rx, self.frame, count)
+        self.far.manager.udp.stack._counters.delivered += count
+        self.far._packets_received += count
         self.detect = (arrival + self.detection, arrival)
 
     def next_tx(self, iface: Interface) -> int:  # from the manager's heap
@@ -352,22 +358,32 @@ class BfdManager:
         self.settle()
         return self._rng
 
-    def uniform(self, low: float, high: float) -> float:
+    def random(self) -> float:
         """The transmit timers' draw (:attr:`rng`, inlined)."""
         if self._quiet:
             self.settle()
-        return self._rng.uniform(low, high)
+        return self._rng.random()
 
     def settle(self) -> None:
-        """Account the quiet sessions' passed ticks, drawing as played."""
+        """Account the quiet sessions' passed ticks, drawing as played:
+        in queue order, one period draw per tick; each session's counters
+        then move once, by its whole count."""
         heap, sim = self._quiet, self.node.sim
+        passed: dict[BfdSession, list[int]] = {}
         while heap and sim.has_passed(*heap[0][:3]):
             due, _born, seq, session = heap[0]
-            next(quiet for quiet in session.node.interfaces[
-                session.port].quiet_tx if type(quiet) is QuietBfd).tick(due)
-            sim.events_settled += 1
+            ticks = passed.get(session)
+            if ticks is None:
+                passed[session] = [due]
+            else:
+                ticks.append(due)
             heapreplace(heap, (due + session._tx_timer._next_period(
                 self._rng), due, seq, session))
+        for session, ticks in passed.items():
+            sim.events_settled += len(ticks)
+            next(quiet for quiet in session.node.interfaces[
+                session.port].quiet_tx if type(quiet) is QuietBfd).tick(
+                    ticks[-1], len(ticks), ticks[-2] if len(ticks) > 1 else 0)
 
     def create_session(
         self,

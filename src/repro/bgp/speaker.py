@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.sim.rng import uniform
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.stack.addresses import Ipv4Address, Ipv4Network
 from repro.stack.tcp_segment import TcpFlags
@@ -655,7 +656,7 @@ class BgpSpeaker:
         timers = self.config.timers
         if timers.jitter == 0.0:
             return timers.processing_us
-        return max(1, int(self.rng.uniform(1.0, 1.0 + timers.jitter)
+        return max(1, int(uniform(self.rng, 1.0, 1.0 + timers.jitter)
                           * timers.processing_us))
 
     def all_established(self) -> bool:

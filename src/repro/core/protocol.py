@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Optional
 
+from repro.sim.rng import uniform
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.units import SECOND
 from repro.stack.addresses import BROADCAST_MAC
@@ -342,7 +343,8 @@ class MtpNode:
         base = self.timers.processing_us
         if self.timers.jitter == 0.0:
             return base
-        return max(1, int(self.rng.uniform(1.0, 1.0 + self.timers.jitter) * base))
+        return max(1, int(uniform(self.rng, 1.0, 1.0 + self.timers.jitter)
+                          * base))
 
     # ------------------------------------------------------------------
     # direction helpers

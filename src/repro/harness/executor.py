@@ -30,6 +30,12 @@ its pending tasks, so a world that several of them converge identically
 is converged once and restored for the rest.  Supervised children never
 get one — each attempt is an isolated process building its own world.
 
+Every strategy gives a world the lifetime of its task: the process that
+runs the tasks (the caller inline, a pool worker, a supervised child)
+runs them through :func:`one_world_at_a_time`, which pauses automatic
+cyclic collection and collects the finished task's world before the
+next task builds one.
+
 Supervision applies the fabric protocols' own discipline — Quick to
 Detect, Slow to Accept — to the machinery that runs them: a hung
 ``run_until_quiet``, an OOM-killed worker or a Ctrl-C must not lose what
@@ -52,6 +58,7 @@ byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import multiprocessing as mp
 import os
@@ -290,6 +297,45 @@ class WorldSnapshots:
 
 
 # ----------------------------------------------------------------------
+# world lifetime: a world lives as long as its task
+# ----------------------------------------------------------------------
+def one_world_at_a_time(work: Callable[[Any], Any],
+                        items: Iterable[Any]) -> list[Any]:
+    """``[work(item) for item in items]``, each item's world living
+    exactly as long as its task (DESIGN §7 "World lifetime").
+
+    A world is one large web of reference cycles, and nearly the only
+    cyclic garbage a run makes, so the automatic collector would only
+    re-walk the live world during a run and free a finished one at some
+    later full pass.  Here it is paused instead.  One full collection on
+    entry frees what an earlier campaign left, so no garbage is frozen;
+    what is alive then (imports, registries, the cache) is frozen out of
+    every later pass; one collection between items frees the finished
+    world.  The collector is left exactly as found, even on an exception
+    or Ctrl-C (a caller's own freeze is the caller's to undo).  The
+    inline loop, the pool's chunk runner and a supervised attempt all
+    run their tasks through here, and nothing else pauses.
+    """
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.collect()
+    gc.disable()
+    if not frozen:
+        gc.freeze()
+    try:
+        outcomes = []
+        for i, item in enumerate(items):
+            if i:
+                gc.collect()  # the world the item before left
+            outcomes.append(work(item))
+        return outcomes
+    finally:
+        if not frozen:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+# ----------------------------------------------------------------------
 # the executor
 # ----------------------------------------------------------------------
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -380,9 +426,10 @@ def run_tasks(
                 run = partial(kind.run, snapshots=store)
             if jobs > 1 and len(pending) > 1:
                 _pooled(run, specs, pending, jobs, settle)
-            else:
-                for record in pending:
-                    settle(record, run(specs[record.index]))
+            elif pending:
+                one_world_at_a_time(
+                    lambda record: settle(record, run(specs[record.index])),
+                    pending)
             if store is not None:
                 report.notes.extend(store.notes)
     except KeyboardInterrupt:
@@ -416,8 +463,10 @@ def assert_fanout_deterministic(kind: TaskKind, specs: Sequence[Any], *,
 # the pool
 # ----------------------------------------------------------------------
 def _run_chunk(run: Callable[[Any], Any], specs: list[Any]) -> list[Any]:
-    """Top-level chunk runner (the process pool needs to pickle it)."""
-    return [run(spec) for spec in specs]
+    """Top-level chunk runner (the process pool needs to pickle it).  A
+    worker outlives its chunks; the collection on entry frees the world
+    of its previous one."""
+    return one_world_at_a_time(run, specs)
 
 
 def _pooled(run, specs, pending: list[TaskRecord], jobs: int,
@@ -473,7 +522,7 @@ def _attempt_child(run: Callable[[Any], Any], spec: Any, conn) -> None:
     including a failure to pickle the result — comes back as a
     structured error tuple, never a silent death."""
     try:
-        outcome = run(spec)
+        outcome, = one_world_at_a_time(run, [spec])
     except BaseException as exc:  # noqa: BLE001 — the whole point
         conn.send((ERROR, type(exc).__name__, _traceback_digest(exc),
                    str(exc).splitlines()[0][:200] if str(exc) else ""))

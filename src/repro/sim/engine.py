@@ -9,7 +9,8 @@ fires first and runs are bit-for-bit reproducible for a fixed seed.
 as arithmetic (DESIGN "Steady-state frame path") puts an event back into
 the queue long after the instant it stands for, and
 ``schedule_at(..., born=...)`` gives it the rank that instant had.
-Cancellation is O(1) (tombstoning) in both backends.
+Cancellation is O(1) (tombstoning) in both backends, and a pickled
+queue carries no tombstones.
 
 Backends (the ``engine_backend`` flag):
 
@@ -45,7 +46,7 @@ tests in ``tests/sim``.
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
@@ -164,6 +165,19 @@ class _HeapBackend:
 
     def live_count(self) -> int:
         return sum(1 for entry in self._heap if not entry[4].cancelled)
+
+    def __getstate__(self):
+        """Pickled without tombstones, which count as discarded."""
+        live = _live_heap(self._heap)
+        return None, {"_heap": live, "discarded": self.discarded
+                      + len(self._heap) - len(live)}
+
+
+def _live_heap(heap: list) -> list:
+    """The live entries of a (time, priority, born, seq, event) heap."""
+    live = [entry for entry in heap if not entry[4].cancelled]
+    heapify(live)
+    return live
 
 
 _WHEEL_BITS = 8
@@ -391,6 +405,30 @@ class _WheelBackend:
                         if not event.cancelled:
                             count += 1
         return count
+
+    def __getstate__(self):
+        """Pickled without tombstones: a converged fabric's wheel is
+        mostly cancelled re-arms, which a restored copy would only
+        discard.  They count as discarded, so ``queue_depth`` stays
+        exact; the order of what is left is (time, priority, born, seq)
+        wherever it rests."""
+        levels, masks, dropped = [], [], 0
+        for slots in self._levels:
+            kept, mask = [None] * _WHEEL_SLOTS, 0
+            for index, slot in enumerate(slots):
+                if slot:
+                    live = [event for event in slot if not event.cancelled]
+                    dropped += len(slot) - len(live)
+                    if live:
+                        kept[index] = live
+                        mask |= 1 << index
+            levels.append(kept)
+            masks.append(mask)
+        far = _live_heap(self._far)
+        return None, {
+            "_levels": levels, "_masks": masks, "_base": list(self._base),
+            "_far": far, "_count": self._count - dropped,
+            "discarded": self.discarded + dropped + len(self._far) - len(far)}
 
 
 _BACKEND_CLASSES = {WHEEL_BACKEND: _WheelBackend, HEAP_BACKEND: _HeapBackend}

@@ -15,6 +15,14 @@ import hashlib
 import numpy as np
 
 
+def uniform(rng, low: float, high: float) -> float:
+    """One draw of ``rng.uniform(low, high)``, bit for bit, at under half
+    the cost: NumPy's scalar ``Generator.uniform`` is ``low + (high - low)
+    * next_double``, and ``rng.random()`` is that ``next_double`` without
+    the argument parsing.  ``rng`` is anything with a ``random()``."""
+    return low + (high - low) * rng.random()
+
+
 class RngRegistry:
     """Deterministic factory of named ``numpy.random.Generator`` streams."""
 

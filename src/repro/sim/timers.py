@@ -139,8 +139,9 @@ class PeriodicTimer:
         if self.jitter == 0.0:
             return self.interval
         lo = (1.0 - self.jitter) * self.interval
-        period = int((self.rng if rng is None else rng).uniform(
-            lo, self.interval))
+        # sim.rng.uniform inlined: the hot draw of every jittered timer
+        period = int(lo + (self.interval - lo) * (
+            self.rng if rng is None else rng).random())
         return max(1, period)
 
     def start(self, immediate: bool = False) -> None:

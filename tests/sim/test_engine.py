@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.sim.engine import (
@@ -391,3 +393,26 @@ def test_budget_pause_then_same_tick_schedule(backend):
     sim.schedule_at(10, fired.append, "late")  # joins the paused tick
     sim.run()
     assert fired == [0, 1, 2, 3, "late"]
+
+
+def test_a_pickled_queue_carries_no_tombstones(backend):
+    """Cancelled events are left out of a pickle and counted as
+    discarded: the copy's ``queue_depth`` is its live count, and it fires
+    exactly what the original fires, in the same order."""
+    sim = Simulator(backend)
+    fired = []
+    times = [7, 7, 300, 70_000, 20_000_000, 1 << 40, 300, 7, 5_000_000_000]
+    handles = [sim.schedule_at(t, fired.append, i)
+               for i, t in enumerate(times)]
+    sim.run(until=1)
+    handles.append(sim.schedule_at(2, fired.append, "behind"))
+    for handle in handles[1:-1:2]:
+        handle.cancel()
+    copy, copy_fired = pickle.loads(pickle.dumps((sim, fired)))
+    assert sim.queue_depth == len(handles) > sim.pending_events == 6
+    assert copy.queue_depth == copy.pending_events == 6
+    for s in (sim, copy):
+        s.run()
+        assert s.queue_depth == s.pending_events == 0
+    assert copy_fired == fired == ["behind", 0, 2, 6, 4, 8]
+    assert copy.now == sim.now == 5_000_000_000

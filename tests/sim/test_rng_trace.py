@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, uniform
 from repro.sim.trace import TraceLog
 
 
@@ -30,6 +34,22 @@ def test_new_stream_does_not_perturb_existing():
     s2 = reg2.stream("x")
     second = s2.integers(0, 1 << 30, size=5)
     assert list(first) == list(second)
+
+
+_BOUND = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(
+    st.tuples(_BOUND, _BOUND), min_size=1, max_size=20))
+def test_uniform_helper_draws_what_generator_uniform_draws(seed, bounds):
+    """The jitter helper is ``Generator.uniform`` bit for bit (which
+    takes ``low <= high``), drawing as much of the stream: the same values
+    from twin generators, then the same next value."""
+    ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+    for low, high in map(sorted, bounds):
+        assert uniform(ours, low, high) == numpy.uniform(low, high)
+    assert ours.random() == numpy.random()
 
 
 def test_stream_is_cached():
