@@ -3,11 +3,11 @@
 Profiles the event-engine hot loop and records a machine-readable
 performance trajectory for the timer-wheel fast path:
 
-* **micro** — scheduler-only workloads on both backends (``wheel`` and
-  the legacy ``heap``), measured as best-of-N ``time.process_time``
-  throughput.  The headline workload is ``sync_timers``: every port
-  re-arms a periodic timer *in phase*, which is exactly the fabric
-  hello/keepalive pattern that dominates converged-fabric simulation.
+* **micro** — scheduler-only workloads on the timer wheel, measured as
+  best-of-N ``time.process_time`` throughput.  The headline workload is
+  ``sync_timers``: every port re-arms a periodic timer *in phase*, which
+  is exactly the fabric hello/keepalive pattern that dominates
+  converged-fabric simulation.
 * **fabric** — 8/16/32-PoD folded-Clos fabrics through the paper's
   TC1-TC4 failure cases: wall time per scenario, events processed,
   events/sec and peak event-queue depth.
@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.sim.engine import BACKENDS, WHEEL_BACKEND, Simulator
+from repro.sim.engine import Simulator
 from repro.topology.clos import ClosParams
 from repro.harness.experiments import run_failure_experiment
 
@@ -65,10 +65,10 @@ BASELINE_PRE_CHANGE = {
 # ----------------------------------------------------------------------
 # micro workloads (scheduler-only; no protocols, no tracing)
 # ----------------------------------------------------------------------
-def bench_sync_timers(backend: str, n: int, ports: int = 1024) -> float:
+def bench_sync_timers(n: int, ports: int = 1024) -> float:
     """The headline: every port fires a periodic timer *in phase* — the
     converged-fabric hello pattern (large same-tick batches)."""
-    sim = Simulator(backend)
+    sim = Simulator()
     schedule_after = sim.schedule_after
 
     def tick():
@@ -81,9 +81,9 @@ def bench_sync_timers(backend: str, n: int, ports: int = 1024) -> float:
     return sim.events_processed / (time.process_time() - t0)
 
 
-def bench_dispatch(backend: str, n: int) -> float:
+def bench_dispatch(n: int) -> float:
     """Tight self-rescheduling timers: pure schedule+dispatch cost."""
-    sim = Simulator(backend)
+    sim = Simulator()
     schedule_after = sim.schedule_after
 
     def tick():
@@ -96,10 +96,10 @@ def bench_dispatch(backend: str, n: int) -> float:
     return sim.events_processed / (time.process_time() - t0)
 
 
-def bench_churn(backend: str, n: int, ports: int = 512) -> float:
+def bench_churn(n: int, ports: int = 512) -> float:
     """Staggered keepalive re-arm: every hello cancels and replaces a
     far-out dead timer, so tombstones accumulate in the queue."""
-    sim = Simulator(backend)
+    sim = Simulator()
     schedule_after = sim.schedule_after
 
     def expire():
@@ -124,11 +124,11 @@ def bench_churn(backend: str, n: int, ports: int = 512) -> float:
     return sim.events_processed / (time.process_time() - t0)
 
 
-def bench_bfd_churn(backend: str, n: int, ports: int = 512) -> float:
+def bench_bfd_churn(n: int, ports: int = 512) -> float:
     """Hello every 10ms, dead timer 30ms out, reset on every hello —
     the BFD reachable-state pattern; tombstones actually traverse the
     queue before being discarded."""
-    sim = Simulator(backend)
+    sim = Simulator()
     schedule_after = sim.schedule_after
 
     def expire():
@@ -153,12 +153,12 @@ def bench_bfd_churn(backend: str, n: int, ports: int = 512) -> float:
     return sim.events_processed / (time.process_time() - t0)
 
 
-def bench_flood(backend: str, n: int) -> float:
+def bench_flood(n: int) -> float:
     """Adversarial for the wheel: uniformly random far-horizon inserts
     (maximal cascading, minimal batching)."""
     import random
 
-    sim = Simulator(backend)
+    sim = Simulator()
     rng = random.Random(7)
     cb = (lambda: None)
     t0 = time.process_time()
@@ -181,24 +181,15 @@ def run_micro(repeats: int, scale: float) -> dict:
     out: dict[str, dict] = {}
     for name, (fn, n) in MICRO.items():
         n = max(10_000, int(n * scale))
-        best = {b: 0.0 for b in BACKENDS}
-        # interleave backends so host noise hits both legs equally
-        for _ in range(repeats):
-            for backend in BACKENDS:
-                best[backend] = max(best[backend], fn(backend, n))
-        entry = {
-            "events": n,
-            "events_per_sec": {b: round(best[b]) for b in BACKENDS},
-        }
+        best = max(fn(n) for _ in range(repeats))
+        entry = {"events": n, "events_per_sec": {"wheel": round(best)}}
         base = BASELINE_PRE_CHANGE["events_per_sec"].get(name)
         if base:
-            entry["speedup_vs_pre_change"] = round(
-                best[WHEEL_BACKEND] / base, 2)
+            entry["speedup_vs_pre_change"] = round(best / base, 2)
         out[name] = entry
-        print(f"  {name:18s} " + "  ".join(
-            f"{b} {best[b]:>10,.0f}/s" for b in BACKENDS)
-            + (f"  ({entry.get('speedup_vs_pre_change', '-')}x vs seed)"
-               if base else ""))
+        print(f"  {name:18s} wheel {best:>10,.0f}/s"
+              + (f"  ({entry.get('speedup_vs_pre_change', '-')}x vs seed)"
+                 if base else ""))
     return out
 
 
@@ -238,7 +229,7 @@ def run_fabric(pods_list, cases) -> list[dict]:
 def profile_hot_loop() -> None:
     prof = cProfile.Profile()
     prof.enable()
-    bench_dispatch(WHEEL_BACKEND, 300_000)
+    bench_dispatch(300_000)
     prof.disable()
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(12)
@@ -265,7 +256,7 @@ def main(argv=None) -> int:
     fabric = run_fabric(pods_list, cases)
 
     if args.profile:
-        print("\ndispatch hot-loop profile (wheel backend):")
+        print("\ndispatch hot-loop profile:")
         profile_hot_loop()
 
     headline = micro["sync_timers_1024"]
@@ -283,7 +274,7 @@ def main(argv=None) -> int:
         "fabric": fabric,
         "headline": {
             "workload": "sync_timers_1024",
-            "events_per_sec": headline["events_per_sec"][WHEEL_BACKEND],
+            "events_per_sec": headline["events_per_sec"]["wheel"],
             "speedup_vs_pre_change": headline.get("speedup_vs_pre_change"),
         },
     }

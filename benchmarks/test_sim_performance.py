@@ -41,7 +41,7 @@ from repro.scenario import (
     run_scenario_suite,
 )
 from repro.scenario.runner import scenario_suite_specs
-from repro.sim.engine import WHEEL_BACKEND, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import ClosParams
 from repro.workload.engine import FluidWorkload
@@ -121,11 +121,8 @@ def bench_doc():
     return json.loads(BENCH_PATH.read_text())
 
 
-def _sync_timers_throughput(backend: str, n: int = 100_000) -> float:
-    best = 0.0
-    for _ in range(3):
-        best = max(best, bench_engine.bench_sync_timers(backend, n))
-    return best
+def _sync_timers_throughput(n: int = 100_000) -> float:
+    return max(bench_engine.bench_sync_timers(n) for _ in range(3))
 
 
 def test_recorded_trajectory_meets_speedup_target(bench_doc):
@@ -142,7 +139,7 @@ def test_live_engine_beats_pre_change_baseline(bench_doc):
     ~3.3x; requiring 1.5x leaves 2x headroom for slower CI hosts."""
     baseline = bench_doc["baseline_pre_change"]["events_per_sec"][
         "sync_timers_1024"]
-    live = _sync_timers_throughput(WHEEL_BACKEND)
+    live = _sync_timers_throughput()
     assert live >= 1.5 * baseline, (
         f"engine fast path regressed: {live:,.0f} ev/s live vs "
         f"{baseline:,} ev/s pre-change baseline (need >= 1.5x)")
@@ -152,8 +149,8 @@ def test_live_engine_within_band_of_recorded_run(bench_doc):
     """Sanity band against the recorded wheel number itself: a 4x
     collapse on the same workload is a regression on any host."""
     recorded = bench_doc["micro"]["sync_timers_1024"]["events_per_sec"][
-        WHEEL_BACKEND]
-    live = _sync_timers_throughput(WHEEL_BACKEND)
+        "wheel"]
+    live = _sync_timers_throughput()
     assert live >= 0.25 * recorded, (
         f"live {live:,.0f} ev/s fell out of band of recorded "
         f"{recorded:,} ev/s")

@@ -19,16 +19,8 @@ from repro.net.node import Node
 
 
 class World:
-    def __init__(
-        self,
-        seed: int = 0,
-        trace_enabled: bool = True,
-        engine_backend: Optional[str] = None,
-    ) -> None:
-        # engine_backend: None = process default (REPRO_ENGINE_BACKEND or
-        # the timer wheel); "heap" selects the legacy scheduler for
-        # differential testing.
-        self.sim = Simulator(backend=engine_backend)
+    def __init__(self, seed: int = 0, trace_enabled: bool = True) -> None:
+        self.sim = Simulator()
         self.trace = TraceLog(self.sim, enabled=trace_enabled)
         self.rng = RngRegistry(seed)
         self.nodes: dict[str, Node] = {}

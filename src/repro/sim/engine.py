@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine with two scheduler backends.
+"""Deterministic discrete-event engine on a hierarchical timer wheel.
 
 Events are ordered by (time, priority, born, sequence-number): ``born``
 is the instant an event was scheduled and the sequence number the order
@@ -9,66 +9,42 @@ fires first and runs are bit-for-bit reproducible for a fixed seed.
 as arithmetic (DESIGN "Steady-state frame path") puts an event back into
 the queue long after the instant it stands for, and
 ``schedule_at(..., born=...)`` gives it the rank that instant had.
-Cancellation is O(1) (tombstoning) in both backends, and a pickled
-queue carries no tombstones.
+Cancellation is O(1) (tombstoning), and a pickled queue carries no
+tombstones.
 
-Backends (the ``engine_backend`` flag):
+The scheduler is a hierarchical timer wheel: 4 levels of 256 slots
+covering 2^32 ticks of lookahead (level *L* slots are 256^L ticks
+wide).  Insert is O(1) — compute the level whose aligned window
+contains the event's time, append to the slot list, set a bit in the
+level's occupancy mask.  Advancing finds the next populated slot with
+bit tricks and cascades coarser slots down one level at a time;
+tombstoned (cancelled) events are discarded wholesale the first time
+their slot is visited, so hello/keepalive/dead-timer churn — schedule,
+cancel on every received keepalive, reschedule — never pays a
+comparison.  Events behind a level's current window (rare: only after
+an ``until``-bounded run stopped mid-cascade) and events beyond the
+2^32-tick horizon go to a small fallback heap that is merged by
+(time, priority, born, seq) at dispatch.
 
-``wheel`` (default)
-    A hierarchical timer wheel: 4 levels of 256 slots covering 2^32
-    ticks of lookahead (level *L* slots are 256^L ticks wide).  Insert
-    is O(1) — compute the level whose aligned window contains the
-    event's time, append to the slot list, set a bit in the level's
-    occupancy mask.  Advancing finds the next populated slot with bit
-    tricks and cascades coarser slots down one level at a time;
-    tombstoned (cancelled) events are discarded wholesale the first
-    time their slot is visited, so hello/keepalive/dead-timer churn —
-    schedule, cancel on every received keepalive, reschedule — never
-    pays a comparison.  Events behind a level's current window (rare:
-    only after an ``until``-bounded run stopped mid-cascade) and events
-    beyond the 2^32-tick horizon go to a small fallback heap that is
-    merged by (time, priority, born, seq) at dispatch.
-
-``heap``
-    The original binary heap, kept verbatim in semantics for
-    differential testing; entries are (time, priority, born, seq, event)
-    tuples so ordering comparisons stay in C.
-
-Both backends dispatch through the same same-timestamp batch: all
-events due at time *t* are drained into one small (priority, born, seq) heap
-and fired in order; callbacks scheduling at the current time join the
-live batch, preserving causal FIFO ordering exactly as the single heap
-did.  The determinism contract — identical firing order, hence
-byte-identical trace digests — is enforced by differential property
-tests in ``tests/sim``.
+Dispatch goes through a same-timestamp batch: all events due at time
+*t* are drained into one small (priority, born, seq) heap and fired in
+order; callbacks scheduling at the current time join the live batch,
+preserving causal FIFO ordering.  The determinism contract — the firing
+order of a plain binary heap over (time, priority, born, seq), hence
+byte-identical trace digests — is enforced against such a heap, kept
+only as a test reference in ``tests/sim/reference_heap.py``, by the
+unit and differential property tests in ``tests/sim`` and the golden
+digests of ``tests/harness/test_backend_golden.py``.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-WHEEL_BACKEND = "wheel"
-HEAP_BACKEND = "heap"
-BACKENDS = (WHEEL_BACKEND, HEAP_BACKEND)
-
-# "run to exhaustion" sentinel passed to the backends; larger than any
+# "run to exhaustion" sentinel passed to the scheduler; larger than any
 # simulated time (2^63 us is ~292k years).
 _NO_LIMIT = 1 << 63
-
-
-def default_backend() -> str:
-    """The process-wide default scheduler backend.
-
-    ``REPRO_ENGINE_BACKEND=heap`` selects the legacy binary heap; the
-    environment variable (rather than a constructor argument threaded
-    through every driver) is what lets whole experiment pipelines —
-    including worker processes of a fan-out — be flipped for the
-    before/after golden-digest comparisons.
-    """
-    return os.environ.get(BACKEND_ENV_VAR, WHEEL_BACKEND)
 
 
 class SimulationError(RuntimeError):
@@ -124,53 +100,6 @@ class Event:
 # The handle returned by ``Simulator.schedule`` *is* the event; the old
 # wrapper class added an allocation per scheduled event for no benefit.
 EventHandle = Event
-
-
-class _HeapBackend:
-    """The legacy binary-heap scheduler (tuple entries, C comparisons)."""
-
-    __slots__ = ("_heap", "discarded")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, int, Event]] = []
-        self.discarded = 0  # tombstones dropped without firing
-
-    def push(self, event: Event) -> None:
-        heappush(self._heap, (event.time, event.priority, event.born,
-                              event.seq, event))
-
-    def collect(self, batch: list, limit: int) -> Optional[int]:
-        """Drain every live event due at the earliest pending tick into
-        ``batch`` (a (priority, born, seq, event) heap) and return that tick,
-        or None when the queue is drained / the next tick is beyond
-        ``limit`` (nothing is consumed in that case)."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[4].cancelled:
-                heappop(heap)
-                self.discarded += 1
-                continue
-            tick = head[0]
-            if tick > limit:
-                return None
-            while heap and heap[0][0] == tick:
-                entry = heappop(heap)
-                if entry[4].cancelled:
-                    self.discarded += 1
-                else:
-                    heappush(batch, entry[1:])
-            return tick
-        return None
-
-    def live_count(self) -> int:
-        return sum(1 for entry in self._heap if not entry[4].cancelled)
-
-    def __getstate__(self):
-        """Pickled without tombstones, which count as discarded."""
-        live = _live_heap(self._heap)
-        return None, {"_heap": live, "discarded": self.discarded
-                      + len(self._heap) - len(live)}
 
 
 def _live_heap(heap: list) -> list:
@@ -431,9 +360,6 @@ class _WheelBackend:
             "discarded": self.discarded + dropped + len(self._far) - len(far)}
 
 
-_BACKEND_CLASSES = {WHEEL_BACKEND: _WheelBackend, HEAP_BACKEND: _HeapBackend}
-
-
 class Simulator:
     """The event loop.
 
@@ -445,20 +371,12 @@ class Simulator:
     (10, [1])
     """
 
-    __slots__ = ("_now", "_seq", "_running", "_processed", "_backend_name",
-                 "_queue", "_qpush", "_batch", "_batch_time", "_batch_drops",
+    __slots__ = ("_now", "_seq", "_running", "_processed", "_queue",
+                 "_qpush", "_batch", "_batch_time", "_batch_drops",
                  "_peak_depth", "_stamp", "_cursor", "events_settled")
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        name = backend if backend is not None else default_backend()
-        try:
-            queue_class = _BACKEND_CLASSES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown engine backend {name!r}; expected one of {BACKENDS}"
-            ) from None
-        self._backend_name = name
-        self._queue = queue_class()
+    def __init__(self) -> None:
+        self._queue = _WheelBackend()
         self._qpush = self._queue.push  # pre-bound: hot in schedule_*
         self._now: int = 0
         self._seq: int = 0
@@ -490,10 +408,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in integer microseconds."""
         return self._now
-
-    @property
-    def backend(self) -> str:
-        return self._backend_name
 
     @property
     def events_processed(self) -> int:
@@ -614,39 +528,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the single next event.  Returns False when the queue is empty."""
-        batch = self._batch
-        while True:
-            if not batch:
-                self._sample_depth()
-                tick = self._queue.collect(batch, _NO_LIMIT)
-                if tick is None:
-                    self._batch_time = -1
-                    return False
-                self._batch_time = tick
-            self._now = self._stamp = self._batch_time
-            while batch:
-                event = (entry := heappop(batch))[3]
-                if event.cancelled:
-                    self._batch_drops += 1
-                    continue
-                if not batch:
-                    self._batch_time = -1
-                self._processed += 1
-                self._cursor = entry
-                try:
-                    event.callback(*event.args)
-                finally:
-                    self._between_runs()
-                return True
-            self._batch_time = -1
-
-    def _between_runs(self) -> None:
-        # an instant cut short by an event budget is still the current one
-        self._stamp = stamp = self._now if self._batch else self._now + 1
-        self._cursor = (0, stamp, -1)
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or
         ``max_events`` more events have fired.
@@ -733,7 +614,10 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-            self._between_runs()
+            # an instant cut short by an event budget is still the
+            # current one
+            self._stamp = stamp = self._now if self._batch else self._now + 1
+            self._cursor = (0, stamp, -1)
 
     def run_for(self, duration: int, max_events: Optional[int] = None) -> None:
         """Run for ``duration`` ticks from the current time."""

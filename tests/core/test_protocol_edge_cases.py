@@ -7,6 +7,7 @@ import pytest
 from repro.harness.convergence import converge_from_cold
 from repro.harness.deploy import deploy_mtp
 from repro.harness.failures import FailureInjector
+from repro.net.impairment import ImpairmentProfile
 from repro.net.world import World
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import ClosParams, build_folded_clos
@@ -89,6 +90,29 @@ class TestRestart:
         world.run_for(3 * SECOND)
         assert all(not other_agg.table.marks_on(p)
                    for p in other_agg.neighbors)
+
+
+class TestOneWayOutage:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: the parent re-admits a child it declared dead "
+        "by dead-timer, but nothing re-sends the JOINs it pruned, and "
+        "the child, which never saw an outage, never re-advertises"))
+    def test_trees_regrow_after_a_child_goes_silent_one_way(self):
+        """L-1-1's frames to S-1-1 are all lost for 150 ms: S-1-1 declares
+        it dead and prunes root 11, then re-admits it once the loss
+        clears.  Within a second the trees must be whole again."""
+        world, topo, dep = build(ClosParams(num_pods=2), seed=0)
+        injector = FailureInjector(world)
+        injector.impair_link("L-1-1", "eth1", ImpairmentProfile(loss=1.0),
+                             direction="tx")
+        world.run_for(150 * MILLISECOND)
+        injector.clear_impairment("L-1-1", "eth1", direction="tx")
+        world.run_for(SECOND)
+        roots = set(topo.tor_vid_seed.values())
+        assert {top: dep.mtp_nodes[top].table.roots()
+                for top in topo.all_tops()} == {
+                    top: roots for top in topo.all_tops()}
+        assert dep.ready()
 
 
 class TestWidePods:

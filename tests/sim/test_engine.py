@@ -1,4 +1,6 @@
-"""Unit tests for the event engine (both scheduler backends)."""
+"""Unit tests for the event engine: each runs on the timer wheel and on
+the reference heap (``tests/sim/reference_heap.py``), so the reference
+the wheel is checked against stays tested too."""
 
 from __future__ import annotations
 
@@ -6,22 +8,18 @@ import pickle
 
 import pytest
 
-from repro.sim.engine import (
-    BACKENDS,
-    HEAP_BACKEND,
-    WHEEL_BACKEND,
-    Simulator,
-    SimulationError,
-)
+from repro.sim.engine import Simulator, SimulationError
+
+from tests.sim.reference_heap import heap_simulator
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
+@pytest.fixture(params=[Simulator, heap_simulator], ids=["wheel", "heap"])
+def new_sim(request):
     return request.param
 
 
-def test_events_fire_in_time_order(backend):
-    sim = Simulator(backend)
+def test_events_fire_in_time_order(new_sim):
+    sim = new_sim()
     fired = []
     sim.schedule_at(30, fired.append, "c")
     sim.schedule_at(10, fired.append, "a")
@@ -31,8 +29,8 @@ def test_events_fire_in_time_order(backend):
     assert sim.now == 30
 
 
-def test_same_time_events_fire_in_scheduling_order(backend):
-    sim = Simulator(backend)
+def test_same_time_events_fire_in_scheduling_order(new_sim):
+    sim = new_sim()
     fired = []
     for tag in range(10):
         sim.schedule_at(5, fired.append, tag)
@@ -40,12 +38,12 @@ def test_same_time_events_fire_in_scheduling_order(backend):
     assert fired == list(range(10))
 
 
-def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(backend):
+def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(new_sim):
     """``born`` orders events due together by when they were scheduled,
     ``seq`` by the order within that instant; an event put back later
     with an earlier ``born`` (and a re-used ``seq``) fires where the
     original would have, also when it joins the instant being played."""
-    sim = Simulator(backend)
+    sim = new_sim()
     fired = []
     first = sim.schedule_at(100, fired.append, "scheduled at 0, first")
     sim.schedule_at(100, fired.append, "scheduled at 0, second")
@@ -68,8 +66,8 @@ def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(backend):
     assert sim.events_scheduled == 8
 
 
-def test_has_passed_follows_the_order_of_dispatch(backend):
-    sim = Simulator(backend)
+def test_has_passed_follows_the_order_of_dispatch(new_sim):
+    sim = new_sim()
     seen = {}
 
     def look(tag):
@@ -88,10 +86,10 @@ def test_has_passed_follows_the_order_of_dispatch(backend):
     assert not sim.has_passed(101, 0)
 
 
-def test_has_passed_takes_the_rank(backend):
+def test_has_passed_takes_the_rank(new_sim):
     """Among events due and born together the sequence number decides,
     and every priority-0 event of an instant precedes a later priority."""
-    sim = Simulator(backend)
+    sim = new_sim()
     seen = {}
 
     def look(tag):
@@ -107,8 +105,8 @@ def test_has_passed_takes_the_rank(backend):
     assert seen["priority 1"] == (True, True, True, True, True)
 
 
-def test_priority_breaks_ties_before_seq(backend):
-    sim = Simulator(backend)
+def test_priority_breaks_ties_before_seq(new_sim):
+    sim = new_sim()
     fired = []
     sim.schedule_at(5, fired.append, "late", priority=1)
     sim.schedule_at(5, fired.append, "early", priority=0)
@@ -116,16 +114,16 @@ def test_priority_breaks_ties_before_seq(backend):
     assert fired == ["early", "late"]
 
 
-def test_schedule_after_is_relative(backend):
-    sim = Simulator(backend)
+def test_schedule_after_is_relative(new_sim):
+    sim = new_sim()
     times = []
     sim.schedule_after(10, lambda: times.append(sim.now))
     sim.run()
     assert times == [10]
 
 
-def test_nested_scheduling_from_callback(backend):
-    sim = Simulator(backend)
+def test_nested_scheduling_from_callback(new_sim):
+    sim = new_sim()
     fired = []
 
     def outer():
@@ -140,8 +138,8 @@ def test_nested_scheduling_from_callback(backend):
     assert fired == [("outer", 10), ("inner", 15)]
 
 
-def test_cancel_prevents_firing(backend):
-    sim = Simulator(backend)
+def test_cancel_prevents_firing(new_sim):
+    sim = new_sim()
     fired = []
     handle = sim.schedule_at(10, fired.append, "x")
     handle.cancel()
@@ -150,16 +148,16 @@ def test_cancel_prevents_firing(backend):
     assert not handle.active
 
 
-def test_cancel_twice_is_safe(backend):
-    sim = Simulator(backend)
+def test_cancel_twice_is_safe(new_sim):
+    sim = new_sim()
     handle = sim.schedule_at(10, lambda: None)
     handle.cancel()
     handle.cancel()
     sim.run()
 
 
-def test_run_until_stops_and_advances_clock(backend):
-    sim = Simulator(backend)
+def test_run_until_stops_and_advances_clock(new_sim):
+    sim = new_sim()
     fired = []
     sim.schedule_at(10, fired.append, "a")
     sim.schedule_at(100, fired.append, "b")
@@ -170,28 +168,28 @@ def test_run_until_stops_and_advances_clock(backend):
     assert fired == ["a", "b"]
 
 
-def test_run_until_advances_clock_even_when_queue_empty(backend):
-    sim = Simulator(backend)
+def test_run_until_advances_clock_even_when_queue_empty(new_sim):
+    sim = new_sim()
     sim.run(until=123)
     assert sim.now == 123
 
 
-def test_scheduling_in_past_raises(backend):
-    sim = Simulator(backend)
+def test_scheduling_in_past_raises(new_sim):
+    sim = new_sim()
     sim.schedule_at(10, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(5, lambda: None)
 
 
-def test_negative_delay_raises(backend):
-    sim = Simulator(backend)
+def test_negative_delay_raises(new_sim):
+    sim = new_sim()
     with pytest.raises(SimulationError):
         sim.schedule_after(-1, lambda: None)
 
 
-def test_max_events_budget(backend):
-    sim = Simulator(backend)
+def test_max_events_budget(new_sim):
+    sim = new_sim()
     fired = []
     for i in range(10):
         sim.schedule_at(i, fired.append, i)
@@ -199,16 +197,8 @@ def test_max_events_budget(backend):
     assert fired == [0, 1, 2]
 
 
-def test_step_returns_false_on_empty_queue(backend):
-    sim = Simulator(backend)
-    assert sim.step() is False
-    sim.schedule_at(1, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
-
-
-def test_call_soon_runs_at_current_time(backend):
-    sim = Simulator(backend)
+def test_call_soon_runs_at_current_time(new_sim):
+    sim = new_sim()
     times = []
 
     def first():
@@ -219,16 +209,16 @@ def test_call_soon_runs_at_current_time(backend):
     assert times == [7]
 
 
-def test_events_processed_counter(backend):
-    sim = Simulator(backend)
+def test_events_processed_counter(new_sim):
+    sim = new_sim()
     for i in range(5):
         sim.schedule_at(i, lambda: None)
     sim.run()
     assert sim.events_processed == 5
 
 
-def test_pending_events_excludes_cancelled(backend):
-    sim = Simulator(backend)
+def test_pending_events_excludes_cancelled(new_sim):
+    sim = new_sim()
     sim.schedule_at(1, lambda: None)
     h = sim.schedule_at(2, lambda: None)
     h.cancel()
@@ -236,31 +226,11 @@ def test_pending_events_excludes_cancelled(backend):
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# tombstone cancellation semantics (the wheel must keep the O(1)
+# flag behaviour of the reference heap's handles)
 # ----------------------------------------------------------------------
-def test_default_backend_is_wheel(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
-    assert Simulator().backend == WHEEL_BACKEND
-
-
-def test_backend_env_var_selects_heap(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", HEAP_BACKEND)
-    assert Simulator().backend == HEAP_BACKEND
-    # an explicit argument still beats the environment
-    assert Simulator(WHEEL_BACKEND).backend == WHEEL_BACKEND
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        Simulator("fibonacci")
-
-
-# ----------------------------------------------------------------------
-# tombstone cancellation semantics (ported to both backends; the wheel
-# must keep the O(1)-flag behaviour of the old heap's handles)
-# ----------------------------------------------------------------------
-def test_cancel_after_firing_is_safe(backend):
-    sim = Simulator(backend)
+def test_cancel_after_firing_is_safe(new_sim):
+    sim = new_sim()
     fired = []
     handle = sim.schedule_at(5, fired.append, "x")
     sim.run()
@@ -272,10 +242,10 @@ def test_cancel_after_firing_is_safe(backend):
     assert fired == ["x"]
 
 
-def test_cancel_is_constant_time_flag_flip(backend):
+def test_cancel_is_constant_time_flag_flip(new_sim):
     """cancel() must not touch the queue: depth (which counts resident
     tombstones) is unchanged, pending_events (live view) drops."""
-    sim = Simulator(backend)
+    sim = new_sim()
     handles = [sim.schedule_at(1000 + i, lambda: None) for i in range(100)]
     depth_before = sim.queue_depth
     for h in handles:
@@ -286,8 +256,8 @@ def test_cancel_is_constant_time_flag_flip(backend):
     assert sim.events_processed == 0
 
 
-def test_cancelled_timer_discarded_without_firing(backend):
-    sim = Simulator(backend)
+def test_cancelled_timer_discarded_without_firing(new_sim):
+    sim = new_sim()
     fired = []
     keep = sim.schedule_at(50, fired.append, "keep")
     kill = sim.schedule_at(50, fired.append, "kill")
@@ -298,10 +268,10 @@ def test_cancelled_timer_discarded_without_firing(backend):
     assert not kill.active
 
 
-def test_cancel_mid_batch_from_earlier_event(backend):
+def test_cancel_mid_batch_from_earlier_event(new_sim):
     """An event can cancel a same-tick later event while the batch is
     being dispatched."""
-    sim = Simulator(backend)
+    sim = new_sim()
     fired = []
     later = sim.schedule_at(10, fired.append, "later")
     sim.schedule_at(10, lambda: later.cancel(), priority=-1)
@@ -309,10 +279,10 @@ def test_cancel_mid_batch_from_earlier_event(backend):
     assert fired == []
 
 
-def test_reschedule_pattern_dead_timer(backend):
+def test_reschedule_pattern_dead_timer(new_sim):
     """The keepalive idiom: cancel + re-arm on every tick; only the last
     armed timer may fire."""
-    sim = Simulator(backend)
+    sim = new_sim()
     expired = []
     state = {"handle": None}
 
@@ -330,10 +300,10 @@ def test_reschedule_pattern_dead_timer(backend):
 # ----------------------------------------------------------------------
 # wheel-specific shapes
 # ----------------------------------------------------------------------
-def test_far_horizon_events_fire_in_order(backend):
+def test_far_horizon_events_fire_in_order(new_sim):
     """Events beyond the wheel's 2^32-tick horizon take the fallback path
     but must stay in exact (time, priority, seq) order."""
-    sim = Simulator(backend)
+    sim = new_sim()
     fired = []
     sim.schedule_at(1 << 40, fired.append, "far")
     sim.schedule_at((1 << 40) - 1, fired.append, "nearer")
@@ -343,10 +313,10 @@ def test_far_horizon_events_fire_in_order(backend):
     assert sim.now == 1 << 40
 
 
-def test_until_cut_then_behind_window_schedule(backend):
+def test_until_cut_then_behind_window_schedule(new_sim):
     """Scheduling between an until-bounded run and the next run must stay
     ordered even when the wheel already advanced past that window."""
-    sim = Simulator(backend)
+    sim = new_sim()
     fired = []
     sim.schedule_at(100_000, fired.append, "a")
     sim.schedule_at(70_000_000, fired.append, "z")
@@ -360,8 +330,8 @@ def test_until_cut_then_behind_window_schedule(backend):
     assert fired == ["a", "b", "c", "z"]
 
 
-def test_queue_depth_counts_tombstones_until_discarded(backend):
-    sim = Simulator(backend)
+def test_queue_depth_counts_tombstones_until_discarded(new_sim):
+    sim = new_sim()
     h = [sim.schedule_at(10, lambda: None) for _ in range(10)]
     for handle in h[5:]:
         handle.cancel()
@@ -371,8 +341,8 @@ def test_queue_depth_counts_tombstones_until_discarded(backend):
     assert sim.events_processed == 5
 
 
-def test_peak_queue_depth_high_water(backend):
-    sim = Simulator(backend)
+def test_peak_queue_depth_high_water(new_sim):
+    sim = new_sim()
     for i in range(50):
         sim.schedule_at(i, lambda: None)
     sim.run()
@@ -380,10 +350,10 @@ def test_peak_queue_depth_high_water(backend):
     assert sim.queue_depth == 0
 
 
-def test_budget_pause_then_same_tick_schedule(backend):
+def test_budget_pause_then_same_tick_schedule(new_sim):
     """Resuming after a max_events cut must preserve ordering for events
     scheduled at the paused tick."""
-    sim = Simulator(backend)
+    sim = new_sim()
     fired = []
     for i in range(4):
         sim.schedule_at(10, fired.append, i)
@@ -395,11 +365,11 @@ def test_budget_pause_then_same_tick_schedule(backend):
     assert fired == [0, 1, 2, 3, "late"]
 
 
-def test_a_pickled_queue_carries_no_tombstones(backend):
+def test_a_pickled_queue_carries_no_tombstones(new_sim):
     """Cancelled events are left out of a pickle and counted as
     discarded: the copy's ``queue_depth`` is its live count, and it fires
     exactly what the original fires, in the same order."""
-    sim = Simulator(backend)
+    sim = new_sim()
     fired = []
     times = [7, 7, 300, 70_000, 20_000_000, 1 << 40, 300, 7, 5_000_000_000]
     handles = [sim.schedule_at(t, fired.append, i)
