@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.sim.engine import Simulator
 from repro.topology.clos import ClosParams
-from repro.harness.experiments import run_failure_experiment
+from repro.scenario import run_failure_experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"

@@ -25,8 +25,8 @@ from repro.harness.experiments import (
     StackKind,
     StackTimers,
     build_and_converge,
-    run_failure_experiment,
 )
+from repro.scenario import run_failure_experiment
 
 from conftest import emit
 

@@ -19,10 +19,8 @@ import time
 from repro.sim.units import MILLISECOND
 from repro.stacks import get_stack
 from repro.topology.clos import ClosParams
-from repro.harness.experiments import (
-    build_and_converge,
-    run_failure_experiment,
-)
+from repro.harness.experiments import build_and_converge
+from repro.scenario import run_failure_experiment
 
 from conftest import emit
 

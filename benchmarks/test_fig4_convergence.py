@@ -14,7 +14,8 @@ import pytest
 
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind, run_failure_experiment
+from repro.harness.experiments import StackKind
+from repro.scenario import run_failure_experiment
 
 from conftest import ALL_CASES, emit
 

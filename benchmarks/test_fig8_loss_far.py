@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind, run_packet_loss_experiment
+from repro.harness.experiments import StackKind
+from repro.scenario import run_packet_loss_experiment
 
 from conftest import ALL_CASES, emit
 

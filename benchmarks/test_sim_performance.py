@@ -47,12 +47,8 @@ from repro.topology.clos import ClosParams
 from repro.workload.engine import FluidWorkload
 from repro.workload.fluid import FluidProblem, link_loads
 from repro.workload.spec import WorkloadSpec
-from repro.harness.experiments import (
-    StackKind,
-    build_and_converge,
-    run_experiment_batch,
-    run_failure_experiment,
-)
+from repro.harness.experiments import StackKind, build_and_converge
+from repro.scenario import run_experiment_batch, run_failure_experiment
 from repro.stacks import StackTimers, resolve_spec
 
 

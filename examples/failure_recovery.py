@@ -8,16 +8,10 @@ Run:  python examples/failure_recovery.py [TC1|TC2|TC3|TC4]
 
 import sys
 
-from repro.harness.convergence import ConvergenceMonitor
-from repro.harness.experiments import (
-    StackKind,
-    StackTimers,
-    build_and_converge,
-    detection_bound_us,
-)
-from repro.harness.failures import FailureInjector
-from repro.harness.metrics import blast_radius, snapshot_table_change_counts
-from repro.sim.units import SECOND
+from repro.harness.experiments import StackKind
+from repro.scenario import get_scenario, run_scenario
+from repro.topology import build_topology
+from repro.topology.clos import two_pod_params
 
 TIMELINE_CATEGORIES = (
     "fail.inject",
@@ -35,23 +29,13 @@ TIMELINE_CATEGORIES = (
 
 def run_case(kind: StackKind, case_name: str) -> None:
     print(f"\n===== {kind.value}, failure case {case_name} =====")
-    timers = StackTimers()
-    world, topo, deployment = build_and_converge(two_pod(), kind,
-                                                 timers=timers)
-    case = topo.failure_cases()[case_name]
+    case = build_topology(two_pod_params()).failure_cases()[case_name]
     print(f"failing {case.node}:{case.interface} ({case.description}); "
           f"peer {case.peer_node} must detect via its timers")
 
-    monitor = ConvergenceMonitor(world, deployment.update_categories())
-    before = snapshot_table_change_counts(deployment.forwarding_tables())
-    injector = FailureInjector(world)
-    monitor.arm()
-    t0 = world.sim.now
-    injector.fail_case(topo, case)
-    monitor.run_until_quiet(
-        quiet_us=1 * SECOND,
-        min_wait_us=detection_bound_us(kind, timers) + SECOND,
-    )
+    metrics, world = run_scenario(get_scenario(case_name.lower()),
+                                  two_pod_params(), kind, return_world=True)
+    t0 = next(world.trace.select(category="fail.inject")).time
 
     print("\ntimeline (ms after failure):")
     shown = 0
@@ -66,19 +50,11 @@ def run_case(kind: StackKind, case_name: str) -> None:
         print(f"  {(rec.time - t0) / 1000:>10.3f}  {rec.node:<7s} "
               f"{rec.category:<15s} {rec.message}{extra}")
 
-    conv = monitor.convergence_time_us()
-    blast = blast_radius(before, deployment.forwarding_tables())
-    print(f"\nconvergence time : "
-          f"{conv / 1000:.2f} ms" if conv is not None else "no updates seen")
-    print(f"control overhead : {monitor.update_bytes} B "
-          f"in {monitor.update_count} update messages")
-    print(f"blast radius     : {len(blast)} routers updated tables: {blast}")
-
-
-def two_pod():
-    from repro.topology.clos import two_pod_params
-
-    return two_pod_params()
+    print(f"\nconvergence time : {metrics.convergence_ms:.2f} ms")
+    print(f"control overhead : {metrics.control_bytes} B "
+          f"in {metrics.update_count} update messages")
+    print(f"blast radius     : {metrics.blast_radius} routers updated "
+          f"tables: {metrics.blast_routers}")
 
 
 def main() -> None:

@@ -9,11 +9,8 @@ Run:  python examples/html_report.py [--out report.html] [--pods 2]
 import argparse
 from pathlib import Path
 
-from repro.harness.experiments import (
-    StackKind,
-    run_failure_experiment,
-    run_packet_loss_experiment,
-)
+from repro.harness.experiments import StackKind
+from repro.scenario import run_failure_experiment, run_packet_loss_experiment
 from repro.harness.htmlreport import (
     SeriesSet,
     dot_plot_log,

@@ -8,7 +8,8 @@ Run:  python examples/packet_loss_study.py [--pods 2] [--rate 1000]
 
 import argparse
 
-from repro.harness.experiments import StackKind, run_packet_loss_experiment
+from repro.harness.experiments import StackKind
+from repro.scenario import run_packet_loss_experiment
 from repro.harness.report import render_table
 from repro.topology.clos import ClosParams
 

@@ -12,11 +12,10 @@ import argparse
 
 from repro.harness.experiments import (
     StackKind,
-    average_failure_runs,
     run_config_cost_experiment,
-    run_failure_experiment,
     run_table_size_experiment,
 )
+from repro.scenario import average_failure_runs, run_failure_experiment
 from repro.harness.report import render_table
 from repro.topology.clos import ClosParams
 

@@ -8,11 +8,8 @@ Run:  python examples/scalability_study.py [--max-pods 8]
 
 import argparse
 
-from repro.harness.experiments import (
-    StackKind,
-    build_and_converge,
-    run_failure_experiment,
-)
+from repro.harness.experiments import StackKind, build_and_converge
+from repro.scenario import run_failure_experiment
 from repro.harness.report import render_table
 from repro.topology.clos import ClosParams
 

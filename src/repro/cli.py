@@ -35,7 +35,7 @@ repeatable ``-T KEY=VALUE`` overrides.  ``--jobs N`` fans
 independent runs out over N worker processes (0 = one per core); results
 are byte-identical to the serial path (the engine is deterministic per
 seed).  Every campaign command (``sweep``, ``scenario run``, ``chaos``,
-``load``, ``fail --runs``) runs through one executor and reuses an
+``load``, ``fail``) runs through one executor and reuses an
 on-disk result cache keyed by a content hash of the task; ``--no-cache``
 disables it, ``--resume`` replays an interrupted campaign from it, and
 ``--supervise`` runs each task under a watchdog with retry and
@@ -68,13 +68,7 @@ from repro.harness.executor import (
     RetryPolicy,
     run_tasks,
 )
-from repro.harness.experiments import (
-    FAILURE_RUN,
-    build_and_converge,
-    failure_run_specs,
-    run_failure_experiment,
-    run_packet_loss_experiment,
-)
+from repro.harness.experiments import build_and_converge
 
 # exit codes: experiment findings (regressions) and infra failures
 # (quarantines) must be distinguishable by the caller — a red sweep
@@ -405,20 +399,21 @@ def cmd_converge(args) -> int:
 
 
 def cmd_fail(args) -> int:
+    from repro.scenario import SCENARIO_RUN, failure_run_specs
+
     display = get_stack(args.stack).display
-    if args.runs <= 1:
-        result = run_failure_experiment(_params(args), args.stack, args.case,
-                                        seed=args.seed)
-        print(f"{display}, {args.case}:")
-        print(f"  convergence time : {result.convergence_ms:.2f} ms")
-        print(f"  control overhead : {result.control_bytes} B in "
-              f"{result.update_count} update messages")
-        print(f"  blast radius     : {result.blast_radius} routers "
-              f"({', '.join(result.blast_routers)})")
-        return 0
 
     def render(outcomes, report, _elapsed):
-        results = [o.result for o in outcomes if o is not None]
+        results = [o.metrics for o in outcomes if o is not None]
+        if args.runs == 1:
+            for r in results:
+                print(f"{display}, {args.case}:")
+                print(f"  convergence time : {r.convergence_ms:.2f} ms")
+                print(f"  control overhead : {r.control_bytes} B in "
+                      f"{r.update_count} update messages")
+                print(f"  blast radius     : {r.blast_radius} routers "
+                      f"({', '.join(r.blast_routers)})")
+            return EXIT_OK
         print(f"{display}, {args.case}, {args.runs} runs "
               f"({report.describe()}):")
         for r in results:
@@ -431,9 +426,11 @@ def cmd_fail(args) -> int:
                   f"(min {min(conv):.2f}, max {max(conv):.2f})")
         return EXIT_OK
 
-    specs = failure_run_specs(_params(args), args.stack, args.case,
+    # one run keeps --seed; a batch derives its seeds from it
+    seeds = (args.seed,) if args.runs == 1 else None
+    specs = failure_run_specs(_params(args), args.stack, args.case, seeds,
                               n_runs=args.runs, base_seed=args.seed)
-    return _run_campaign(args, FAILURE_RUN, specs, render)
+    return _run_campaign(args, SCENARIO_RUN, specs, render)
 
 
 def cmd_sweep(args) -> int:
@@ -509,6 +506,8 @@ def _write_sweep_report(prefix: str, results, records, describe: str) -> None:
 
 
 def cmd_loss(args) -> int:
+    from repro.scenario import run_packet_loss_experiment
+
     display = get_stack(args.stack).display
     result = run_packet_loss_experiment(
         _params(args), args.stack, args.case, direction=args.direction,
@@ -782,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stack_arg(p_fail)
     p_fail.add_argument("--case", choices=("TC1", "TC2", "TC3", "TC4"),
                         default="TC1")
-    p_fail.add_argument("--runs", type=int, default=1,
+    p_fail.add_argument("--runs", type=_positive_int, default=1,
                         help=">1 runs a multi-seed batch (seeds derived "
                              "from --seed)")
     _add_campaign_args(p_fail)
@@ -898,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="TC2")
     p_loss.add_argument("--direction", choices=("near", "far"),
                         default="near")
-    p_loss.add_argument("--rate", type=int, default=1000)
+    p_loss.add_argument("--rate", type=_positive_int, default=1000)
     p_loss.set_defaults(func=cmd_loss)
 
     p_cfg = sub.add_parser("config", help="render Listing 1/2 configuration")

@@ -21,18 +21,12 @@ from repro.harness.metrics import (
     keepalive_overhead,
     snapshot_table_change_counts,
 )
-from repro.harness.experiments import (
-    ExperimentResult,
-    StackKind,
-    StackSpec,
-    StackTimers,
-    run_experiment_batch,
-    run_failure_experiment,
-    run_packet_loss_experiment,
-)
 from repro.stacks import (
     Deployment,
     StackDefinition,
+    StackKind,
+    StackSpec,
+    StackTimers,
     available_stacks,
     get_stack,
     register_stack,
@@ -63,7 +57,6 @@ __all__ = [
     "control_overhead_bytes",
     "keepalive_overhead",
     "snapshot_table_change_counts",
-    "ExperimentResult",
     "StackKind",
     "StackSpec",
     "StackTimers",
@@ -73,9 +66,6 @@ __all__ = [
     "get_stack",
     "register_stack",
     "resolve_spec",
-    "run_experiment_batch",
-    "run_failure_experiment",
-    "run_packet_loss_experiment",
     "ResultCache",
     "default_cache_root",
     "task_key",

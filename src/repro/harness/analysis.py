@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.stacks import StackTimers, resolve_spec
-from repro.harness.experiments import (
-    ExperimentResult,
-    run_failure_experiment,
-)
+from repro.scenario.compiler import ScenarioMetrics
+from repro.scenario.runner import run_failure_experiment
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class FailureStudy:
     convergence_ms: Aggregate
     control_bytes: Aggregate
     blast_radius: Aggregate
-    runs: list[ExperimentResult]
+    runs: list[ScenarioMetrics]
 
 
 def failure_study(

@@ -78,7 +78,7 @@ def _jsonable(value: Any) -> Any:
 def task_key(task: str, **components: Any) -> str:
     """Content hash of one experiment task.
 
-    ``task`` names the task family ("sweep-point", "failure-run", ...);
+    ``task`` names the task family ("sweep-point", "scenario-run", ...);
     ``components`` are everything that determines the outcome.  The hash
     is stable across processes and machines: it goes through canonical
     JSON and SHA-256, never ``hash()``.

@@ -1,9 +1,9 @@
 """One executor for every campaign: cache, checkpoint, fan-out, supervision.
 
 A campaign is a list of picklable specs of one :class:`TaskKind` — a
-scenario run, a workload run, a sweep point, a chaos point or a seeded
-failure run, each declared next to its codec.  :func:`run_tasks` answers
-what it can from the content-addressed
+scenario run (a seeded failure run is one), a workload run, a sweep
+point or a chaos point, each declared next to its codec.
+:func:`run_tasks` answers what it can from the content-addressed
 :class:`~repro.harness.cache.ResultCache`, runs the rest, checkpoints
 every result the moment it finishes, and returns outcomes in spec order.
 How the rest runs follows from the call:

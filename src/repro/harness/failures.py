@@ -7,7 +7,7 @@ time is the convergence-calculation start (section VI.B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.impairment import (
@@ -16,7 +16,6 @@ from repro.net.impairment import (
     rng_stream_name,
 )
 from repro.net.world import World
-from repro.topology import FailureCase, Topology
 
 
 class UnknownTargetError(KeyError):
@@ -86,10 +85,6 @@ class FailureInjector:
             self._do(node_name, iface_name, True)
         else:
             self.world.sim.schedule_at(at, self._do, node_name, iface_name, True)
-
-    def fail_case(self, topo: Topology, case: FailureCase,
-                  at: Optional[int] = None) -> None:
-        self.fail_interface(case.node, case.interface, at)
 
     def flap_interface(self, node_name: str, iface_name: str,
                        period_us: int, count: int,

@@ -25,10 +25,16 @@ from repro.scenario.compiler import (
 )
 from repro.scenario.runner import (
     SCENARIO_RUN,
+    PacketLossResult,
     ScenarioOutcome,
     ScenarioRunSpec,
+    average_failure_runs,
     decode_scenario_outcome,
     encode_scenario_outcome,
+    failure_run_specs,
+    run_experiment_batch,
+    run_failure_experiment,
+    run_packet_loss_experiment,
     run_scenario,
     run_scenario_suite,
     run_scenario_task,
@@ -37,6 +43,7 @@ from repro.scenario.runner import (
 )
 from repro.scenario.library import (
     CANONICAL,
+    TC_SCENARIOS,
     canonical_scenarios,
     get_scenario,
 )
@@ -45,6 +52,7 @@ __all__ = [
     "CANONICAL",
     "Checkpoint",
     "CompiledScenario",
+    "PacketLossResult",
     "SCENARIO_RUN",
     "SCENARIO_SCHEMA",
     "Scenario",
@@ -53,12 +61,18 @@ __all__ = [
     "ScenarioMetrics",
     "ScenarioOutcome",
     "ScenarioRunSpec",
+    "TC_SCENARIOS",
     "TargetResolver",
+    "average_failure_runs",
     "canonical_scenarios",
     "compile_scenario",
     "decode_scenario_outcome",
     "encode_scenario_outcome",
+    "failure_run_specs",
     "get_scenario",
+    "run_experiment_batch",
+    "run_failure_experiment",
+    "run_packet_loss_experiment",
     "run_scenario",
     "run_scenario_suite",
     "run_scenario_task",

@@ -14,11 +14,14 @@ Compilation happens in two steps against an already-converged fabric:
    paper's update-quiesce rule until at least the event horizon plus the
    stack's detection bound has played out.
 
-The execution sequence around a single ``iface_down`` at offset 0 is
-step-for-step identical to
-:func:`repro.harness.experiments.run_failure_experiment` — which is what
-lets the declarative TC1–TC4 scenarios reproduce the golden Fig. 4/5
-metrics exactly.
+This is the only code that drives a measured run.  The failure
+experiment of Figs. 4-6 is a single ``iface_down`` at offset 0 (the
+library's TC1–TC4, run by
+:func:`repro.scenario.runner.run_failure_experiment`), and the
+packet-loss experiment of Figs. 7/8 is a two-event program compiled by
+:func:`repro.scenario.runner.run_packet_loss_experiment`.  The classic
+hand-driven sequences they replaced live on in ``tests/scenario`` as
+reference oracles.
 """
 
 from __future__ import annotations
@@ -304,8 +307,8 @@ class CompiledScenario:
                   checkpoints: list[Checkpoint], bursts: list[_Burst],
                   engines: list, start: int) -> None:
         op, at_us = action[0], action[1]
-        # offset-0 fault events run synchronously (in declaration order),
-        # exactly as the classic experiment drivers inject them
+        # offset-0 fault events run synchronously (in declaration order)
+        # at the instant the monitor arms
         when = None if at_us == 0 else start + at_us
         if op in ("iface_down", "iface_up"):
             node, iface = action[2]

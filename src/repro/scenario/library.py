@@ -4,10 +4,11 @@ Thirteen shipped scenarios, runnable on any registered stack via
 ``python -m repro scenario run``:
 
 * ``tc1``–``tc4`` — the paper's four interface-failure test points
-  (Fig. 3), expressed declaratively.  Event-for-event these replay
-  :func:`~repro.harness.experiments.run_failure_experiment`, so at
-  seed 0 they reproduce the golden Fig. 4/5 metrics exactly (the
-  regression test in ``tests/scenario`` holds them to it);
+  (Fig. 3), expressed declaratively.  They are the failure experiment:
+  :func:`~repro.scenario.runner.run_failure_experiment` runs them, and
+  at seed 0 they reproduce the golden Fig. 4/5 metrics exactly (the
+  regression tests in ``tests/scenario`` hold them to it and to the
+  classic hand-driven sequence);
 * ``flap-storm`` — a link flaps repeatedly under crossing traffic: the
   Slow-to-Accept ablation's workload as a first-class scenario;
 * ``double-cut`` — two correlated fiber cuts 50 ms apart along one
@@ -64,6 +65,9 @@ TC1 = _tc_scenario("TC1", "ToR uplink fails at the ToR side")
 TC2 = _tc_scenario("TC2", "ToR-agg link fails at the agg side")
 TC3 = _tc_scenario("TC3", "agg uplink fails at the agg side")
 TC4 = _tc_scenario("TC4", "agg-top link fails at the top side")
+
+#: failure-case name -> its scenario (Figs. 4-6 run these)
+TC_SCENARIOS = {"TC1": TC1, "TC2": TC2, "TC3": TC3, "TC4": TC4}
 
 FLAP_STORM = Scenario(
     name="flap-storm",

@@ -216,8 +216,8 @@ class Scenario:
 
     ``settle`` controls how the converged fabric idles before the
     measurement starts: ``"keepalive-phase"`` draws a per-seed duration
-    uniform in [0, 2 x keepalive interval] from the same RNG stream the
-    classic failure experiment uses (so a single-failure scenario lands
+    uniform in [0, 2 x keepalive interval] from the world's
+    ``experiment-settle`` RNG stream (so a single-failure scenario lands
     at an arbitrary phase of the keepalive cycle, exactly as the paper's
     testbed runs did), while an integer is a fixed millisecond settle.
     ``quiet_ms``/``max_wait_ms`` are the update-quiesce measurement rule

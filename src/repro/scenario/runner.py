@@ -1,24 +1,32 @@
-"""Scenario execution: single runs and cached/parallel suites.
+"""Scenario execution: single runs, cached/parallel suites, and the
+paper's measured runs.
 
 One scenario x stack x seed is an independent, picklable task
 (:class:`ScenarioRunSpec`, the :data:`SCENARIO_RUN` kind), so suites run
 through :func:`repro.harness.executor.run_tasks` and replay from the
-content-addressed result cache exactly like sweeps and seed batches do.
+content-addressed result cache exactly like sweeps do.
 Every run carries a SHA-256 run digest (trace + metrics), so serial and
 ``--jobs N`` execution are byte-comparable.  Scenario runs of one world
 share its convergence: the kind names that world (``world_key``).
+
+The failure experiment of Figs. 4-6 is the library's TC scenario, and
+its multi-seed batches are scenario tasks; the packet-loss experiment
+of Figs. 7/8 is a two-event program compiled on the converged world
+once the crossing flow is known.  The compiler is the only code that
+drives a measured run.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.sim.units import SECOND
+from repro.sim.units import MILLISECOND, SECOND
 from repro.topology import TopologySpec, resolve_topology_spec
 from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import ResultCache, task_key
-from repro.harness.digest import run_digest
+from repro.harness.digest import run_digest, stable_seed
 from repro.harness.experiments import build_and_converge
 from repro.harness.executor import (
     CampaignReport,
@@ -28,12 +36,14 @@ from repro.harness.executor import (
     run_tasks,
     world_key,
 )
+from repro.harness.pathtrace import find_crossing_flow
 from repro.scenario.compiler import (
     Checkpoint,
     ScenarioMetrics,
     compile_scenario,
 )
-from repro.scenario.model import Scenario
+from repro.scenario.library import TC_SCENARIOS
+from repro.scenario.model import Scenario, ScenarioEvent
 
 
 @dataclass(frozen=True)
@@ -242,3 +252,196 @@ def run_scenario_suite(
                                  invariants=invariants)
     return run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
                      policy=policy, report=report)
+
+
+# ----------------------------------------------------------------------
+# failure experiment (Figs. 4-6): the library's TC scenarios
+# ----------------------------------------------------------------------
+def run_failure_experiment(
+    params,
+    stack,
+    case_name: str,
+    seed: int = 0,
+    timers: Optional[StackTimers] = None,
+    return_world: bool = False,
+):
+    """One failure run: the TC scenario of ``case_name`` — settle at a
+    per-seed keepalive phase, fail the interface, measure until updates
+    quiesce (:data:`~repro.scenario.library.TC_SCENARIOS`)."""
+    return run_scenario(TC_SCENARIOS[case_name], params, stack, seed,
+                        timers, return_world=return_world)
+
+
+def failure_run_specs(
+    params,
+    stack,
+    case_name: str,
+    seeds: Optional[tuple[int, ...]] = None,
+    timers: Optional[StackTimers] = None,
+    n_runs: Optional[int] = None,
+    base_seed: int = 0,
+) -> list[ScenarioRunSpec]:
+    """Expand a multi-seed batch of one failure case into its
+    :data:`SCENARIO_RUN` tasks.
+
+    Seeds come either explicitly via ``seeds`` (the paper's (0, 1, 2))
+    or are derived per task from ``base_seed`` when only ``n_runs`` is
+    given — :func:`repro.harness.digest.stable_seed` keeps the derived
+    seeds identical across processes and interpreter restarts.
+    """
+    spec = resolve_spec(stack, timers)
+    if seeds is None:
+        if n_runs is None:
+            seeds = (0, 1, 2)
+        else:
+            seeds = tuple(stable_seed("failure-batch", base_seed, i)
+                          for i in range(n_runs))
+    return [
+        ScenarioRunSpec(params=params, stack=spec,
+                        scenario=TC_SCENARIOS[case_name], seed=seed)
+        for seed in seeds
+    ]
+
+
+def run_experiment_batch(
+    params,
+    stack,
+    case_name: str,
+    seeds: Optional[tuple[int, ...]] = None,
+    timers: Optional[StackTimers] = None,
+    n_runs: Optional[int] = None,
+    base_seed: int = 0,
+    jobs: int = 1,
+    cache=None,
+    report=None,
+) -> list[ScenarioMetrics]:
+    """Multi-seed batch of one failure case (:func:`failure_run_specs`)
+    through :func:`~repro.harness.executor.run_tasks`."""
+    specs = failure_run_specs(params, stack, case_name, seeds, timers,
+                              n_runs, base_seed)
+    outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
+                         report=report)
+    return [o.metrics for o in outcomes]
+
+
+def average_failure_runs(
+    params,
+    stack,
+    case_name: str,
+    seeds: tuple[int, ...] = (0, 1, 2),
+    timers: Optional[StackTimers] = None,
+    jobs: int = 1,
+    cache=None,
+) -> ScenarioMetrics:
+    """Multi-run average, as the paper's plotted values are: the mean
+    convergence, bytes and updates and the widest blast set (seed -1;
+    the other fields stay at their defaults)."""
+    spec = resolve_spec(stack, timers)
+    runs = run_experiment_batch(params, spec, case_name, seeds,
+                                jobs=jobs, cache=cache)
+    return ScenarioMetrics(
+        scenario=TC_SCENARIOS[case_name].name,
+        stack=spec.name,
+        seed=-1,
+        settle_us=0,
+        convergence_us=round(statistics.mean(r.convergence_us for r in runs)),
+        detection_us=None,
+        control_bytes=round(statistics.mean(r.control_bytes for r in runs)),
+        update_count=round(statistics.mean(r.update_count for r in runs)),
+        blast_routers=max((r.blast_routers for r in runs), key=len),
+    )
+
+
+# ----------------------------------------------------------------------
+# packet-loss experiment (Figs. 7 and 8)
+# ----------------------------------------------------------------------
+#: the flow runs this long before the failure, and this long after it
+LOSS_LEAD_MS = 500
+LOSS_TAIL_MS = 5000
+
+
+@dataclass
+class PacketLossResult:
+    """One Fig. 7/8 row: the loss program's traffic counters and the
+    crossing flow's source port."""
+
+    stack: str
+    case: str
+    direction: str
+    seed: int
+    sent: int
+    received: int
+    duplicated: int
+    out_of_order: int
+    src_port: int
+
+    @property
+    def lost(self) -> int:
+        return self.sent - self.received
+
+
+def run_packet_loss_experiment(
+    params,
+    stack,
+    case_name: str,
+    direction: str = "near",
+    seed: int = 0,
+    timers: Optional[StackTimers] = None,
+    rate_pps: int = 1000,
+) -> PacketLossResult:
+    """Traffic between the paper's first and last racks with a failure
+    mid-flow.  ``near``: the sender's rack adjoins the failure (Fig. 7);
+    ``far``: the sender is at the far end (Fig. 8).
+
+    The flow's source port is chosen on the converged world so that its
+    ECMP path crosses the failing link; the run itself is a scenario
+    compiled on that same world (no settle, the flow at 0 ms, the
+    failure :data:`LOSS_LEAD_MS` in), stopped by the update-quiesce
+    rule, whose quiet window lets the last packets drain."""
+    if direction not in ("near", "far"):
+        raise ValueError(f"direction must be near/far, got {direction!r}")
+    spec = resolve_spec(stack, timers)
+    world, topo, deployment = build_and_converge(params, spec, seed)
+    case = topo.failure_cases()[case_name]
+
+    near_tor = topo.tors[0][0][0]
+    far_tor = topo.tors[0][-1][-1]  # last pod's last ToR, e.g. VID 14 in 2-PoD
+    src_tor, dst_tor = (near_tor, far_tor) if direction == "near" else (far_tor, near_tor)
+    src_host = topo.first_server_of(src_tor)
+    dst_host = topo.first_server_of(dst_tor)
+
+    src_port = find_crossing_flow(
+        deployment, src_host, dst_host, case.node, case.peer_node
+    )
+    if src_port is None:
+        raise RuntimeError(
+            f"no flow from {src_host} to {dst_host} crosses "
+            f"{case.node}<->{case.peer_node}"
+        )
+
+    gap_us = SECOND // rate_pps
+    count = (LOSS_LEAD_MS + LOSS_TAIL_MS) * MILLISECOND // gap_us
+    program = Scenario(
+        name=f"loss-{case_name.lower()}-{direction}",
+        settle=0,
+        events=(
+            ScenarioEvent(op="traffic_burst", at_ms=0, src=src_host,
+                          dst=dst_host, rate_pps=rate_pps, count=count,
+                          src_port=src_port),
+            ScenarioEvent(op="iface_down", at_ms=LOSS_LEAD_MS,
+                          target=f"case:{case_name}"),
+        ),
+    )
+    metrics = compile_scenario(program, world, topo, deployment).execute(
+        spec.name, seed)
+    return PacketLossResult(
+        stack=spec.name,
+        case=case_name,
+        direction=direction,
+        seed=seed,
+        sent=metrics.sent,
+        received=metrics.received,
+        duplicated=metrics.duplicated,
+        out_of_order=metrics.out_of_order,
+        src_port=src_port,
+    )

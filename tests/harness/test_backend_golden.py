@@ -17,14 +17,11 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.executor import RetryPolicy, assert_fanout_deterministic
-from repro.harness.experiments import (
-    ExperimentSpec,
-    run_experiment_task,
-)
 from repro.net import world
 from repro.scenario import (
     SCENARIO_RUN,
     ScenarioRunSpec,
+    failure_run_specs,
     get_scenario,
     run_scenario_task,
     scenario_suite_specs,
@@ -44,10 +41,8 @@ from tests.sim.reference_heap import heap_simulator
 CASES = [("mtp", "TC1"), ("mtp", "TC4"), ("bgp-bfd", "TC4")]
 
 
-def _experiment_spec(stack: str, case: str) -> ExperimentSpec:
-    return ExperimentSpec(params=two_pod_params(),
-                          stack=resolve_spec(stack),
-                          case_name=case, seed=0)
+def _experiment_spec(stack: str, case: str) -> ScenarioRunSpec:
+    return failure_run_specs(two_pod_params(), stack, case, seeds=(0,))[0]
 
 
 def _scenario_spec(name: str, stack: str = "mtp") -> ScenarioRunSpec:
@@ -76,7 +71,7 @@ def _on_both(monkeypatch, run):
 @pytest.mark.parametrize("stack,case", CASES)
 def test_experiment_digest_identical_on_both_backends(
         stack, case, monkeypatch):
-    outcomes = _on_both(monkeypatch, lambda: run_experiment_task(
+    outcomes = _on_both(monkeypatch, lambda: run_scenario_task(
         _experiment_spec(stack, case)))
     digests = {b: o.digest for b, o in outcomes.items()}
     assert len(set(digests.values())) == 1, (
@@ -85,7 +80,7 @@ def test_experiment_digest_identical_on_both_backends(
     # and both reproduce the frozen golden metrics exactly
     conv, ctrl_bytes, updates, blast = GOLDEN[(stack, case)]
     for backend, outcome in outcomes.items():
-        result = outcome.result
+        result = outcome.metrics
         assert result.convergence_us == conv, (
             f"{backend} scheduler drifted from golden convergence on "
             f"{stack} {case}")

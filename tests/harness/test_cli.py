@@ -38,10 +38,16 @@ def test_converge_bgp_shows_summary_and_fib(capsys):
     assert "proto bgp metric 20" in out
 
 
-def test_fail(capsys):
-    out = run_cli(capsys, "fail", "--stack", "mtp", "--case", "TC2")
+def test_fail(capsys, tmp_path):
+    argv = ["fail", "--stack", "mtp", "--case", "TC2",
+            "--cache-dir", str(tmp_path)]
+    out = run_cli(capsys, *argv)
     assert "convergence time" in out
     assert "blast radius" in out
+    # one run is a one-task campaign: cached, so a resume replays it
+    replay = run_cli(capsys, *argv, "--resume")
+    assert replay.startswith(out)
+    assert "resume: 1/1 task(s) replayed from checkpoint, 0 executed" in replay
 
 
 def test_loss(capsys):
@@ -83,7 +89,8 @@ def test_loss_far_direction(capsys):
 
 
 def test_experiment_rejects_bad_direction():
-    from repro.harness.experiments import StackKind, run_packet_loss_experiment
+    from repro.scenario import run_packet_loss_experiment
+    from repro.stacks import StackKind
     from repro.topology.clos import two_pod_params
 
     with pytest.raises(ValueError):
@@ -249,11 +256,16 @@ def test_json_stdout_is_one_document(capsys, tmp_path, argv, code, epilogue):
 # ----------------------------------------------------------------------
 # bad campaign flags are usage errors; only a cache makes a resume
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("flags", [["--supervise", "--max-attempts", "0"],
-                                   ["--task-deadline", "-1"]])
+@pytest.mark.parametrize("flags", [
+    ["scenario", "run", "tc2", "--supervise", "--max-attempts", "0"],
+    ["scenario", "run", "tc2", "--task-deadline", "-1"],
+    ["fail", "--runs", "0"],
+    ["fail", "--runs", "-5"],
+    ["loss", "--rate", "0"],
+])
 def test_bad_supervision_flags_exit_with_usage_error(capsys, flags):
     with pytest.raises(SystemExit) as exc_info:
-        main(["scenario", "run", "tc2", "--stack", "mtp", *flags])
+        main([*flags, "--stack", "mtp"])
     assert exc_info.value.code == 2
     assert "must be" in capsys.readouterr().err
 

@@ -16,7 +16,6 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.harness.chaos import CHAOS_POINT, ChaosPointSpec
 from repro.harness.executor import CampaignReport, RetryPolicy, run_tasks
-from repro.harness.experiments import FAILURE_RUN, ExperimentSpec
 from repro.harness.sweep import SWEEP_POINT, FailurePoint, SweepPointSpec
 from repro.scenario import SCENARIO_RUN, ScenarioRunSpec, get_scenario
 from repro.sim.units import SECOND
@@ -36,10 +35,12 @@ def _common(stack: str, seed: int = 0) -> dict:
 
 CASES = {
     # two scenarios of one world: inline restores the second from the
-    # first's snapshot, supervised children converge both cold
+    # first's snapshot, supervised children converge both cold; and a
+    # seeded failure run (`repro fail --runs`) of another world
     SCENARIO_RUN: [
-        ScenarioRunSpec(scenario=get_scenario(name), **_common("bgp-bfd"))
-        for name in ("tc2", "tc4")],
+        *(ScenarioRunSpec(scenario=get_scenario(name), **_common("bgp-bfd"))
+          for name in ("tc2", "tc4")),
+        ScenarioRunSpec(scenario=get_scenario("tc1"), **_common("mtp", 1))],
     WORKLOAD_RUN: [
         WorkloadRunSpec(workload=TINY, **_common(stack))
         for stack in ("mtp", "bgp-bfd")],
@@ -55,9 +56,6 @@ CASES = {
         ChaosPointSpec(loss=0.1, window_ms=1500, traffic_count=100,
                        **_common(stack))
         for stack in ("mtp", "mtp-adaptive", "bgp-bfd-damped")],
-    FAILURE_RUN: [
-        ExperimentSpec(case_name="TC1", **_common("mtp")),
-        ExperimentSpec(case_name="TC4", **_common("bgp-bfd", seed=1))],
 }
 
 

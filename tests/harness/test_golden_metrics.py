@@ -23,7 +23,7 @@ import pytest
 
 from repro.topology.clos import two_pod_params
 from repro.stacks import StackKind, resolve_spec
-from repro.harness.experiments import run_failure_experiment
+from repro.scenario import run_failure_experiment
 
 # (stack, case) -> (convergence_us, control_bytes, update_count,
 #                   blast_routers) at seed 0 — the values behind

@@ -1,10 +1,17 @@
-"""Architecture lint: ``src/`` reads one environment variable.
+"""Architecture lints: ``src/`` reads one environment variable, and
+two modules drive measured runs.
 
 A run is a function of its spec and seed.  The cache directory
 (``REPRO_CACHE_DIR``) decides only where results are stored, never what
 they are; any other variable read inside ``src/`` is a knob that can
 change a result without appearing in a spec, a cache key or a command
 line.  Settings belong in arguments.
+
+A measured run — arm the update monitor, inject, run until quiet — is
+the scenario compiler's job; the chaos suite's fixed-window points are
+the one other measurement.  A third module that constructs a
+:class:`~repro.harness.convergence.ConvergenceMonitor` is a hand-rolled
+copy of that sequence; express it as a scenario instead.
 """
 
 from __future__ import annotations
@@ -89,3 +96,51 @@ def test_src_reads_no_environment_variable_but_the_cache_dir():
         for path in sorted(SRC.rglob("*.py"))
         for line, name in environment_reads(path) if name not in ALLOWED]
     assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# who may construct the update monitor
+# ----------------------------------------------------------------------
+MONITOR_OWNERS = {"scenario/compiler.py", "harness/chaos.py"}
+
+
+def monitor_constructions(path: Path) -> list[int]:
+    """Lines that call ``ConvergenceMonitor`` — by name, through a
+    module attribute, or under an import alias."""
+    tree = ast.parse(path.read_text())
+    names = {"ConvergenceMonitor"} | {
+        alias.asname for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if alias.name == "ConvergenceMonitor" and alias.asname}
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id in names
+             or isinstance(node.func, ast.Attribute)
+             and node.func.attr == "ConvergenceMonitor"))
+
+
+def test_the_monitor_lint_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro.harness import convergence\n"
+        "from repro.harness.convergence import ConvergenceMonitor as Watch\n"
+        "from repro.harness.convergence import ConvergenceMonitor\n"
+        "a = ConvergenceMonitor(world, categories)\n"
+        "b = convergence.ConvergenceMonitor(world, categories)\n"
+        "c = Watch(world, categories)\n"
+        "d = ConvergenceMonitor  # a reference, not a construction\n")
+    assert monitor_constructions(probe) == [4, 5, 6]
+
+
+def test_only_the_compiler_and_chaos_construct_a_convergence_monitor():
+    found = {path.relative_to(SRC).as_posix(): lines
+             for path in sorted(SRC.rglob("*.py"))
+             if (lines := monitor_constructions(path))}
+    offenders = [f"src/repro/{name}:{lines[0]}"
+                 for name, lines in found.items()
+                 if name not in MONITOR_OWNERS]
+    assert not offenders, (
+        "a measured run outside the scenario compiler: "
+        + ", ".join(offenders))
+    # the owners still construct one, so this list cannot go stale
+    assert set(found) == MONITOR_OWNERS

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.topology.clos import two_pod_params
-from repro.stacks import resolve_spec
+from repro.stacks import StackKind
 from repro.harness.executor import (
     CampaignReport,
     DeterminismError,
@@ -26,13 +26,8 @@ from repro.harness.executor import (
     resolve_jobs,
     run_tasks,
 )
-from repro.harness.experiments import (
-    FAILURE_RUN,
-    ExperimentSpec,
-    StackKind,
-    run_experiment_task,
-)
 from repro.harness.sweep import SWEEP_POINT, run_sweep_point, sweep_specs
+from repro.scenario import SCENARIO_RUN, failure_run_specs, run_scenario_task
 
 
 def _square(x: int) -> int:
@@ -82,20 +77,15 @@ def test_sweep_digests_across_worker_counts():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("stack", ["mtp", "bgp"])
 def test_experiment_batch_digests_deterministic(stack):
-    specs = [
-        ExperimentSpec(params=two_pod_params(), stack=resolve_spec(stack),
-                       case_name="TC1", seed=seed)
-        for seed in (0, 1)
-    ]
-    digests = assert_fanout_deterministic(FAILURE_RUN, specs, jobs=2)
+    specs = failure_run_specs(two_pod_params(), stack, "TC1", seeds=(0, 1))
+    digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(set(digests)) == 2  # different seeds, different runs
 
 
 def test_experiment_digest_differs_across_seeds_and_cases():
     def outcome(case, seed):
-        return run_experiment_task(ExperimentSpec(
-            params=two_pod_params(), stack=resolve_spec("mtp"),
-            case_name=case, seed=seed))
+        return run_scenario_task(failure_run_specs(
+            two_pod_params(), "mtp", case, seeds=(seed,))[0])
 
     base = outcome("TC1", 0)
     assert base.digest == outcome("TC1", 0).digest

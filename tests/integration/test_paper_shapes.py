@@ -11,11 +11,8 @@ import pytest
 
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import two_pod_params
-from repro.harness.experiments import (
-    StackKind,
-    run_failure_experiment,
-    run_packet_loss_experiment,
-)
+from repro.harness.experiments import StackKind
+from repro.scenario import run_failure_experiment, run_packet_loss_experiment
 
 
 @pytest.fixture(scope="module")

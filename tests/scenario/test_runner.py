@@ -1,4 +1,5 @@
-"""Scenario runs: golden equality with the classic experiment, digest
+"""Scenario runs: the failure and packet-loss experiments against the
+classic hand-driven sequences they replaced, golden metrics, digest
 determinism, cache replay, and serial-vs-parallel byte-identity."""
 
 from __future__ import annotations
@@ -6,22 +7,88 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.cache import ResultCache
+from repro.harness.convergence import ConvergenceMonitor
+from repro.harness.digest import trace_digest
 from repro.harness.executor import CampaignReport, assert_fanout_deterministic
-from repro.harness.experiments import run_failure_experiment
+from repro.harness.experiments import build_and_converge
+from repro.harness.failures import FailureInjector
+from repro.harness.metrics import blast_radius, snapshot_table_change_counts
+from repro.harness.pathtrace import find_crossing_flow
 from repro.scenario import (
     SCENARIO_RUN,
     ScenarioRunSpec,
+    failure_run_specs,
     get_scenario,
+    run_failure_experiment,
+    run_packet_loss_experiment,
     run_scenario,
     run_scenario_suite,
     run_scenario_task,
     scenario_suite_specs,
     scenario_task_key,
 )
+from repro.sim.units import MILLISECOND, SECOND
 from repro.stacks import resolve_spec
 from repro.topology.clos import two_pod_params
+from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 
 from tests.harness.test_golden_metrics import GOLDEN
+
+
+# ----------------------------------------------------------------------
+# reference oracles: the hand-driven measured runs the scenario
+# compiler replaced, kept step for step
+# ----------------------------------------------------------------------
+def classic_failure_run(params, stack, case_name, seed):
+    """Converge, idle a per-seed keepalive phase, fail the TC interface,
+    measure until updates quiesce: ``(metrics, trace digest)``."""
+    world, topo, deployment = build_and_converge(params, stack, seed)
+    phase_rng = world.rng.stream("experiment-settle")
+    period = deployment.keepalive_period_us()
+    world.run_for(int(phase_rng.uniform(0, 2 * period)))
+    case = topo.failure_cases()[case_name]
+    monitor = ConvergenceMonitor(world, deployment.update_categories())
+    before = snapshot_table_change_counts(deployment.forwarding_tables())
+    monitor.arm()
+    FailureInjector(world).fail_interface(case.node, case.interface)
+    monitor.run_until_quiet(
+        quiet_us=SECOND, max_wait_us=30 * SECOND,
+        min_wait_us=deployment.detection_bound_us() + SECOND)
+    convergence = monitor.convergence_time_us()
+    metrics = (convergence if convergence is not None else 0,
+               monitor.update_bytes, monitor.update_count,
+               blast_radius(before, deployment.forwarding_tables()))
+    return metrics, trace_digest(world.trace)
+
+
+def classic_packet_loss(params, stack, case_name, direction, seed=0,
+                        rate_pps=1000):
+    """A flow from the first to the last rack (``far``: the reverse) on
+    a port crossing the TC link, the failure 500 ms in, 5 s of tail and
+    1 s of drain: ``(sent, received, duplicated, out_of_order)``."""
+    world, topo, deployment = build_and_converge(params, stack, seed)
+    case = topo.failure_cases()[case_name]
+    near_tor, far_tor = topo.tors[0][0][0], topo.tors[0][-1][-1]
+    src_tor, dst_tor = ((near_tor, far_tor) if direction == "near"
+                        else (far_tor, near_tor))
+    src_host = topo.first_server_of(src_tor)
+    dst_host = topo.first_server_of(dst_tor)
+    src_port = find_crossing_flow(deployment, src_host, dst_host,
+                                  case.node, case.peer_node)
+    lead_us, tail_us, drain_us = 500 * MILLISECOND, 5 * SECOND, SECOND
+    gap_us = SECOND // rate_pps
+    sender = TrafficSender(udp=deployment.servers[src_host].udp,
+                           dst=topo.server_address(dst_host),
+                           src_port=src_port, gap_us=gap_us)
+    analyzer = ReceiverAnalyzer(deployment.servers[dst_host].udp)
+    start_at = world.sim.now
+    sender.start(count=(lead_us + tail_us) // gap_us)
+    FailureInjector(world).fail_interface(case.node, case.interface,
+                                          at=start_at + lead_us)
+    world.run(until=start_at + lead_us + tail_us + drain_us)
+    report = analyzer.report(sender)
+    return (report.sent, report.received, report.duplicated,
+            report.out_of_order)
 
 
 # ----------------------------------------------------------------------
@@ -42,13 +109,33 @@ def test_tc_scenarios_reproduce_golden_metrics(stack, case):
 
 
 def test_tc_scenario_matches_classic_at_nonzero_seed():
-    """Equality must hold per seed, not just at the golden seed 0."""
-    classic = run_failure_experiment(two_pod_params(), "mtp", "TC2", seed=3)
-    metrics = run_scenario(get_scenario("tc2"), two_pod_params(), "mtp",
-                           seed=3)
-    assert metrics.convergence_us == classic.convergence_us
-    assert metrics.control_bytes == classic.control_bytes
-    assert metrics.blast_routers == classic.blast_routers
+    """Equality must hold per seed, not just at the golden seed 0: the
+    whole trace, not only the metrics drawn from it."""
+    for stack in ("mtp", "bgp-bfd"):
+        for case in ("TC1", "TC2", "TC3", "TC4"):
+            for seed in (3, 11):
+                expected, expected_trace = classic_failure_run(
+                    two_pod_params(), stack, case, seed)
+                metrics, world = run_failure_experiment(
+                    two_pod_params(), stack, case, seed, return_world=True)
+                assert (metrics.convergence_us, metrics.control_bytes,
+                        metrics.update_count,
+                        metrics.blast_routers) == expected, (stack, case, seed)
+                assert trace_digest(world.trace) == expected_trace, (
+                    stack, case, seed)
+
+
+@pytest.mark.parametrize("direction", ["near", "far"])
+@pytest.mark.parametrize("stack", ["mtp", "bgp", "bgp-bfd"])
+def test_loss_program_matches_classic(stack, direction):
+    """The Figs. 7/8 loss program counts what the hand-driven sender,
+    analyzer and injector counted (at half the paper's rate, to halve
+    the packets simulated)."""
+    result = run_packet_loss_experiment(two_pod_params(), stack, "TC2",
+                                        direction=direction, rate_pps=500)
+    assert (result.sent, result.received, result.duplicated,
+            result.out_of_order) == classic_packet_loss(
+                two_pod_params(), stack, "TC2", direction, rate_pps=500)
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +165,10 @@ def test_task_key_depends_on_scenario_content():
     keys = {scenario_task_key(_spec(name)) for name in ("tc1", "tc2")}
     assert len(keys) == 2
     assert scenario_task_key(_spec("tc1")) == scenario_task_key(_spec("tc1"))
+    # `repro fail` and `scenario run tc1` share their cache entries
+    assert scenario_task_key(failure_run_specs(
+        two_pod_params(), "mtp", "TC1", seeds=(0,))[0]) == \
+        scenario_task_key(_spec("tc1"))
 
 
 def test_second_suite_run_is_served_from_cache(tmp_path):

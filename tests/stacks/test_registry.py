@@ -29,13 +29,13 @@ from repro.stacks.builtin import (
     _mtp_keepalive_period_us,
     deploy_mtp_stack,
 )
-from repro.harness.experiments import (
-    ExperimentSpec,
-    build_and_converge,
-    experiment_task_key,
-    run_failure_experiment,
-)
+from repro.harness.experiments import build_and_converge
 from repro.harness.sweep import FailurePoint, single_failure_sweep_outcomes
+from repro.scenario import (
+    failure_run_specs,
+    run_failure_experiment,
+    scenario_task_key,
+)
 
 
 BUILTINS = ("mtp", "bgp", "bgp-bfd", "mtp-spray", "bgp-nomultipath")
@@ -111,9 +111,8 @@ def test_variant_cache_keys_differ_from_parent():
     """mtp and mtp-spray share a deploy callable; only their canonical
     params differ — the cache key must still separate them."""
     keys = {
-        experiment_task_key(ExperimentSpec(
-            params=two_pod_params(), stack=resolve_spec(name),
-            case_name="TC1", seed=0))
+        scenario_task_key(failure_run_specs(
+            two_pod_params(), name, "TC1", seeds=(0,))[0])
         for name in BUILTINS
     }
     assert len(keys) == len(BUILTINS)
@@ -145,7 +144,7 @@ def test_registered_variant_runs_failure_experiment(throwaway_stack):
     result = run_failure_experiment(two_pod_params(), throwaway_stack, "TC4",
                                     seed=0)
     assert result.stack == throwaway_stack
-    assert result.display == "MR-MTP (fast hello)"
+    assert get_stack(result.stack).display == "MR-MTP (fast hello)"
     # same deploy + same timers as plain mtp -> same physics
     golden = run_failure_experiment(two_pod_params(), "mtp", "TC4", seed=0)
     assert result.convergence_us == golden.convergence_us
