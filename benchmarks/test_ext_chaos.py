@@ -12,9 +12,12 @@ far higher loss — and what each pays in flaps and route churn.
 from __future__ import annotations
 
 from repro.harness.chaos import (
+    chaos_result,
+    chaos_specs,
     false_positive_thresholds,
-    run_chaos_suite,
 )
+from repro.harness.executor import run_tasks
+from repro.scenario import SCENARIO_RUN
 from repro.topology.clos import two_pod_params
 
 from conftest import emit
@@ -29,10 +32,10 @@ WINDOW_MS = 5000
 
 def test_ext_chaos_false_positive_grid(benchmark, results_dir, jobs):
     def measure():
-        outcomes = run_chaos_suite(two_pod_params(),
-                                   STACKS + ADAPTIVE_STACKS, rates=RATES,
-                                   window_ms=WINDOW_MS, jobs=jobs)
-        return [o.result for o in outcomes]
+        specs = chaos_specs(two_pod_params(), STACKS + ADAPTIVE_STACKS,
+                            rates=RATES, window_ms=WINDOW_MS)
+        outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs)
+        return [chaos_result(s, o.metrics) for s, o in zip(specs, outcomes)]
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
 

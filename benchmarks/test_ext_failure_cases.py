@@ -9,58 +9,43 @@ detect locally and immediately, so even plain BGP converges fast.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import MILLISECOND
 from repro.topology.clos import two_pod_params
-from repro.harness.convergence import ConvergenceMonitor
-from repro.harness.experiments import (
-    StackKind,
-    build_and_converge,
-    detection_bound_us,
-    StackTimers,
-)
-from repro.harness.failures import FailureInjector
-from repro.harness.metrics import blast_radius, snapshot_table_change_counts
+from repro.harness.experiments import StackKind, StackTimers
+from repro.scenario import Scenario, ScenarioEvent, run_scenario
 
 from conftest import emit
 
 STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
 
 
-def run_case(kind, inject):
-    timers = StackTimers()
-    world, topo, dep = build_and_converge(two_pod_params(), kind,
-                                          timers=timers)
-    monitor = ConvergenceMonitor(world, dep.update_categories())
-    before = snapshot_table_change_counts(dep.forwarding_tables())
-    injector = FailureInjector(world)
-    monitor.arm()
-    inject(injector, topo)
-    monitor.run_until_quiet(
-        quiet_us=1 * SECOND, max_wait_us=30 * SECOND,
-        min_wait_us=detection_bound_us(kind, timers) + SECOND,
-    )
-    conv = monitor.convergence_time_us() or 0
-    blast = blast_radius(before, dep.forwarding_tables())
-    return conv, monitor.update_bytes, len(blast)
+def run_case(kind, event):
+    """One fault at 0 ms on the converged fabric, no settle, measured
+    until updates quiesce (the detection bound plus 1 s at least)."""
+    scenario = Scenario(name="ext-failure", settle=0, events=(event,))
+    metrics = run_scenario(scenario, two_pod_params(), kind,
+                           timers=StackTimers())
+    return (metrics.convergence_us, metrics.control_bytes,
+            len(metrics.blast_routers))
 
 
+# a node "down" isolates the device — every interface drops, the agent
+# stays up — unlike node_crash, which takes the agent with it
 CASES = {
-    "agg-node-down": lambda inj, topo: inj.fail_node(topo.aggs[0][0][0]),
-    "top-node-down": lambda inj, topo: inj.fail_node(topo.tops[0][0][0]),
-    "tor-agg-cut": lambda inj, topo: inj.cut_link(topo.tors[0][0][0],
-                                                  topo.aggs[0][0][0]),
-    "agg-top-cut": lambda inj, topo: inj.cut_link(topo.aggs[0][0][0],
-                                                  topo.tops[0][0][0]),
+    "agg-node-down": ScenarioEvent(op="isolate", target="agg[0][0]"),
+    "top-node-down": ScenarioEvent(op="isolate", target="top[0][0]"),
+    "tor-agg-cut": ScenarioEvent(op="link_cut",
+                                 target="tor[0][0]--agg[0][0]"),
+    "agg-top-cut": ScenarioEvent(op="link_cut",
+                                 target="agg[0][0]--top[0][0]"),
 }
 
 
 def test_ext_failure_cases(benchmark, results_dir):
     results = benchmark.pedantic(
         lambda: {
-            (name, kind): run_case(kind, inject)
-            for name, inject in CASES.items()
+            (name, kind): run_case(kind, event)
+            for name, event in CASES.items()
             for kind in STACKS
         },
         rounds=1, iterations=1,

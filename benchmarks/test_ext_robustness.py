@@ -15,7 +15,14 @@ import pytest
 
 from repro.topology.clos import two_pod_params
 from repro.stacks import get_stack
-from repro.harness.sweep import single_failure_sweep_outcomes, summarize
+from repro.harness.executor import run_tasks
+from repro.harness.sweep import (
+    summarize,
+    sweep_points,
+    sweep_result,
+    sweep_specs,
+)
+from repro.scenario import SCENARIO_RUN
 
 from conftest import emit
 
@@ -25,9 +32,11 @@ STACKS = ("mtp", "bgp", "bgp-bfd", "mtp-spray", "bgp-nomultipath")
 @pytest.mark.parametrize("stack", STACKS)
 def test_ext_robustness_sweep(benchmark, results_dir, stack, jobs):
     display = get_stack(stack).display
+    points = sweep_points(two_pod_params())
+    specs = sweep_specs(two_pod_params(), stack, points=points)
     results = benchmark.pedantic(
-        lambda: [o.result for o in single_failure_sweep_outcomes(
-            two_pod_params(), stack, jobs=jobs)],
+        lambda: [sweep_result(p, o.metrics) for p, o in zip(
+            points, run_tasks(SCENARIO_RUN, specs, jobs=jobs))],
         rounds=1, iterations=1,
     )
     blackholes = sum(len(r.unreachable) for r in results)

@@ -18,18 +18,30 @@ import time
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import StackKind
-from repro.harness.executor import CampaignReport
-from repro.harness.sweep import single_failure_sweep_outcomes, summarize
+from repro.harness.executor import CampaignReport, run_tasks
+from repro.harness.sweep import (
+    summarize,
+    sweep_points,
+    sweep_result,
+    sweep_specs,
+)
+from repro.scenario import SCENARIO_RUN
 
 from conftest import emit
 
 
+POINTS = sweep_points(two_pod_params())
+
+
+def _results(outcomes):
+    return [sweep_result(p, o.metrics) for p, o in zip(POINTS, outcomes)]
+
+
 def _timed_sweep(jobs, cache=None, report=None):
     t0 = time.perf_counter()
-    outcomes = single_failure_sweep_outcomes(
-        two_pod_params(), StackKind.MTP, jobs=jobs, cache=cache,
-        report=report,
-    )
+    specs = sweep_specs(two_pod_params(), StackKind.MTP, points=POINTS)
+    outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
+                         report=report)
     return outcomes, time.perf_counter() - t0
 
 
@@ -50,12 +62,11 @@ def test_ext_parallel_sweep_identical_and_timed(benchmark, results_dir,
      replay_report) = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     # byte-identical results and digests across all three paths
-    assert summarize([o.result for o in serial]) \
-        == summarize([o.result for o in fanned]) \
-        == summarize([o.result for o in replayed])
+    assert summarize(_results(serial)) == summarize(_results(fanned)) \
+        == summarize(_results(replayed))
     assert [o.digest for o in serial] == [o.digest for o in fanned] \
         == [o.digest for o in replayed]
-    assert [o.result for o in serial] == [o.result for o in fanned]
+    assert _results(serial) == _results(fanned)
     assert replay_report.cached == len(serial)
     # the cache replay is the guaranteed-everywhere speedup
     assert t_replay < t_serial

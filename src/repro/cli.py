@@ -35,11 +35,11 @@ repeatable ``-T KEY=VALUE`` overrides.  ``--jobs N`` fans
 independent runs out over N worker processes (0 = one per core); results
 are byte-identical to the serial path (the engine is deterministic per
 seed).  Every campaign command (``sweep``, ``scenario run``, ``chaos``,
-``load``, ``fail``) runs through one executor and reuses an
-on-disk result cache keyed by a content hash of the task; ``--no-cache``
-disables it, ``--resume`` replays an interrupted campaign from it, and
-``--supervise`` runs each task under a watchdog with retry and
-quarantine.
+``load``, ``fail``) compiles its points to scenario runs, runs them
+through one executor and reuses an on-disk result cache keyed by a
+content hash of the task; ``--no-cache`` disables it, ``--resume``
+replays an interrupted campaign from it, and ``--supervise`` runs each
+task under a watchdog with retry and quarantine.
 """
 
 from __future__ import annotations
@@ -126,6 +126,20 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _probability(value: str) -> float:
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return x
+
+
 def _positive_float(value: str) -> float:
     x = float(value)
     if not x > 0:
@@ -170,12 +184,15 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
              "repeatable")
 
 
-def _run_campaign(args, kind, specs, render) -> int:
-    """The one path of every campaign command: the result cache and
+def _run_campaign(args, specs, render) -> int:
+    """The one path of every campaign command — a list of scenario runs
+    (:data:`~repro.scenario.SCENARIO_RUN` tasks): the result cache and
     ``--resume``, supervision (``--supervise``/``--task-deadline``), the
     run itself, then ``render(outcomes, report, elapsed_s)`` — which
     prints the command's results and returns its findings exit code —
     and the epilogue.  A quarantine outranks a finding (EXIT_INFRA)."""
+    from repro.scenario import SCENARIO_RUN
+
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume and cache is None:
         raise _UsageError("--resume replays from the result cache; "
@@ -186,7 +203,7 @@ def _run_campaign(args, kind, specs, render) -> int:
                              max_attempts=args.max_attempts, seed=args.seed)
     report = CampaignReport()
     t0 = time.perf_counter()
-    outcomes = run_tasks(kind, specs, jobs=args.jobs, cache=cache,
+    outcomes = run_tasks(SCENARIO_RUN, specs, jobs=args.jobs, cache=cache,
                          policy=policy, report=report)
     findings = render(outcomes, report, time.perf_counter() - t0)
     infra = _campaign_epilogue(args, report)
@@ -399,7 +416,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_fail(args) -> int:
-    from repro.scenario import SCENARIO_RUN, failure_run_specs
+    from repro.scenario import failure_run_specs
 
     display = get_stack(args.stack).display
 
@@ -430,30 +447,36 @@ def cmd_fail(args) -> int:
     seeds = (args.seed,) if args.runs == 1 else None
     specs = failure_run_specs(_params(args), args.stack, args.case, seeds,
                               n_runs=args.runs, base_seed=args.seed)
-    return _run_campaign(args, SCENARIO_RUN, specs, render)
+    return _run_campaign(args, specs, render)
 
 
 def cmd_sweep(args) -> int:
-    from repro.harness.sweep import SWEEP_POINT, summarize, sweep_specs
+    from repro.harness.sweep import (
+        summarize,
+        sweep_points,
+        sweep_result,
+        sweep_specs,
+    )
 
     rendered = []   # --report is written after the campaign epilogue
 
     def render(outcomes, report, elapsed):
-        results = [o.result for o in outcomes if o is not None]
+        done = [(p, o) for p, o in zip(points, outcomes) if o is not None]
+        results = [sweep_result(p, o.metrics) for p, o in done]
         print(summarize(results))
         print(f"fan-out: {report.describe()}, {elapsed:.2f} s wall clock")
         if args.digests:
-            for o in outcomes:
-                if o is not None:
-                    p = o.result.point
-                    print(f"  {o.digest[:16]}  {p.node}:{p.interface}")
+            for p, o in done:
+                print(f"  {o.digest[:16]}  {p.node}:{p.interface}")
         rendered.append((results, report))
         return EXIT_FINDINGS if any(not r.ok for r in results) else EXIT_OK
 
-    specs = sweep_specs(_params(args), args.stack, seed=args.seed,
+    params = _params(args)
+    points = sweep_points(params)
+    specs = sweep_specs(params, args.stack, seed=args.seed, points=points,
                         ambient_loss=args.ambient_loss,
                         workload=_workload_from(args))
-    code = _run_campaign(args, SWEEP_POINT, specs, render)
+    code = _run_campaign(args, specs, render)
     if args.report:
         results, report = rendered[0]
         _write_sweep_report(args.report, results, report.records,
@@ -536,7 +559,6 @@ def _load_scenarios(args):
 
 def cmd_scenario(args) -> int:
     from repro.scenario import (
-        SCENARIO_RUN,
         canonical_scenarios,
         encode_scenario_outcome,
         scenario_suite_specs,
@@ -586,26 +608,28 @@ def cmd_scenario(args) -> int:
         _params(args), _load_scenarios(args),
         args.stack or list(available_stacks()), seed=args.seed,
         invariants=args.invariants)
-    return _run_campaign(args, SCENARIO_RUN, specs, render)
+    return _run_campaign(args, specs, render)
 
 
 def cmd_chaos(args) -> int:
     from repro.harness.chaos import (
-        CHAOS_POINT,
         DEFAULT_RATES,
+        chaos_result,
         chaos_specs,
         clean_fabric_violations,
-        encode_chaos_outcome,
         false_positive_thresholds,
+        result_payload,
         summarize,
     )
 
     def render(outcomes, report, elapsed):
-        results = [o.result for o in outcomes if o is not None]
+        done = [(chaos_result(s, o.metrics), o.digest)
+                for s, o in zip(specs, outcomes) if o is not None]
+        results = [r for r, _ in done]
         if args.json:
             print(json.dumps({
-                "points": [encode_chaos_outcome(o) for o in outcomes
-                           if o is not None],
+                "points": [{**result_payload(r), "digest": digest}
+                           for r, digest in done],
                 "thresholds": false_positive_thresholds(results),
             }, indent=2, sort_keys=True))
         else:
@@ -613,10 +637,8 @@ def cmd_chaos(args) -> int:
             print(f"\n{len(outcomes)} chaos points ({report.describe()}), "
                   f"{elapsed:.2f} s wall clock")
             if args.digests:
-                for o in outcomes:
-                    if o is not None:
-                        print(f"  {o.digest[:16]}  {o.result.stack} "
-                              f"loss={o.result.loss:.2f}")
+                for r, digest in done:
+                    print(f"  {digest[:16]}  {r.stack} loss={r.loss:.2f}")
         violations = clean_fabric_violations(results)
         for r in violations:
             print(f"error: {r.stack} false-flagged {r.false_positives} "
@@ -634,15 +656,12 @@ def cmd_chaos(args) -> int:
         rates=args.rate if args.rate is not None else list(DEFAULT_RATES),
         seed=args.seed, window_ms=args.window_ms, traffic_pps=args.pps,
         traffic_count=args.count, workload=_workload_from(args))
-    return _run_campaign(args, CHAOS_POINT, specs, render)
+    return _run_campaign(args, specs, render)
 
 
 def cmd_load(args) -> int:
-    from repro.workload import (
-        WORKLOAD_RUN,
-        canonical_workloads,
-        workload_suite_specs,
-    )
+    from repro.scenario import workload_suite_specs
+    from repro.workload import WorkloadReport, canonical_workloads
 
     if args.action == "list":
         for name, spec in canonical_workloads().items():
@@ -662,7 +681,7 @@ def cmd_load(args) -> int:
         for outcome in outcomes:
             if outcome is None:
                 continue
-            r = outcome.report
+            r = WorkloadReport.from_payload(outcome.metrics.workload)
             delivered_frac = (r.delivered_bytes / r.offered_bytes
                               if r.offered_bytes else 1.0)
             line = (f"{r.workload:<12} {r.matrix:<12} "
@@ -689,7 +708,7 @@ def cmd_load(args) -> int:
         _params(args),
         [wl] if wl is not None else list(canonical_workloads().values()),
         args.stack or ["mtp", "bgp-bfd"], seed=args.seed)
-    return _run_campaign(args, WORKLOAD_RUN, specs, render)
+    return _run_campaign(args, specs, render)
 
 
 def cmd_pathtrace(args) -> int:
@@ -793,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stack_arg(p_sweep)
     p_sweep.add_argument("--digests", action="store_true",
                          help="print each point's run digest")
-    p_sweep.add_argument("--ambient-loss", type=float, default=0.0,
+    p_sweep.add_argument("--ambient-loss", type=_probability, default=0.0,
                          help="background loss rate on every fabric link "
                               "while each hard failure plays out")
     p_sweep.add_argument("--report", metavar="PREFIX", default=None,
@@ -834,15 +853,15 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=available_stacks(), metavar="STACK",
                          help="stack(s) to stress; repeatable "
                               "(default: mtp and bgp-bfd)")
-    p_chaos.add_argument("--rate", action="append", type=float, default=None,
-                         metavar="LOSS",
+    p_chaos.add_argument("--rate", action="append", type=_probability,
+                         default=None, metavar="LOSS",
                          help="loss rate(s) to test; repeatable "
                               "(default: 0.0 0.01 0.02 0.05 0.1 0.2 0.3)")
-    p_chaos.add_argument("--window-ms", type=int, default=5000,
+    p_chaos.add_argument("--window-ms", type=_positive_int, default=5000,
                          help="quiet observation window per point")
-    p_chaos.add_argument("--pps", type=int, default=500,
+    p_chaos.add_argument("--pps", type=_positive_int, default=500,
                          help="goodput probe rate")
-    p_chaos.add_argument("--count", type=int, default=1000,
+    p_chaos.add_argument("--count", type=_non_negative_int, default=1000,
                          help="goodput probe packets (0 disables the probe)")
     p_chaos.add_argument("--digests", action="store_true",
                          help="print each point's run digest")

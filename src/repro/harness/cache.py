@@ -48,7 +48,11 @@ from repro.harness.digest import canonical_json, payload_digest
 # 7: quiet MR-MTP links — cached run digests hash traces that no longer
 #    hold a record per elided keepalive (digest schema 1 -> 2);
 #    schema-6 entries miss cleanly.
-CACHE_SCHEMA = 7
+# 8: one task kind — sweep points, chaos points and workload runs are
+#    scenario runs, and a measure checkpoint also freezes the liveness
+#    fold (rolling-restart's checkpoint payload grew); schema-7 entries
+#    miss cleanly.
+CACHE_SCHEMA = 8
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -9,27 +9,33 @@ Slow-to-Accept (3 clean hellos before re-accepting) dampens the flapping
 but does not prevent the false declaration itself.
 
 This module quantifies that tradeoff as a loss-rate x stack grid.  Each
-:class:`ChaosPointSpec` is one independent task: build a fresh fabric,
-converge it, impair the first ToR uplink symmetrically at the given loss
-rate, and
+point is one scenario program on a freshly converged fabric, with no
+settle:
 
-1. observe a fixed *quiet window* with no offered traffic — every
-   timer-based down-declaration in it is a false positive by
-   construction (nothing is down; counted via the stack's
-   ``classify_liveness`` hook and the injector's empty fault log);
-2. then send a probe burst on a flow that crosses the impaired link and
-   measure goodput (the quiet window comes first because data frames
-   prove liveness for MR-MTP — any MR-MTP frame resets the dead timer —
-   so traffic would mask the false-positive measurement).
+* ``impair`` (both directions, at the point's loss rate) on the first
+  ToR uplink at 0 ms, when the rate is above zero;
+* a ``measure "quiet"`` checkpoint at the end of a fixed *quiet window*
+  with no offered traffic — every timer-based down-declaration in it is
+  a false positive by construction (nothing is down; the checkpoint
+  freezes the stack's ``classify_liveness`` fold at that instant);
+* then a probe ``traffic_burst`` at the same instant, ``via`` the
+  impaired link: the first source port whose path crosses it *when the
+  burst starts* (40000 once the detector has withdrawn the link), and
+  goodput is measured (the quiet window comes first because data frames
+  prove liveness for MR-MTP — any MR-MTP frame resets the dead timer —
+  so traffic would mask the false-positive measurement).  The run stops
+  ``window_ms`` = the detection bound + 500 ms after the burst ends
+  (at the checkpoint when ``traffic_count`` is 0).
 
 The suite reports, per stack, the smallest loss rate at which the
 detector starts false-flagging — the *false-positive threshold*.  A
 clean fabric (loss 0.0) must show zero false positives on every stack;
 the CLI treats anything else as a failure.
 
-Chaos points (the :data:`CHAOS_POINT` kind) run through the same
-campaign executor as sweeps and scenario suites: picklable specs,
-content-addressed keys, SHA-256 run digests, serial == parallel.
+Chaos points run through the campaign executor as ``SCENARIO_RUN``
+tasks, like every other campaign: content-addressed keys, SHA-256 run
+digests, serial == parallel.  :func:`chaos_result` reads a point's row
+off its :class:`~repro.scenario.ScenarioMetrics`.
 """
 
 from __future__ import annotations
@@ -37,30 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from repro.sim.units import MILLISECOND, SECOND
-from repro.topology import TopologySpec, resolve_topology_spec
-from repro.stacks import StackSpec, StackTimers, resolve_spec
-from repro.net.impairment import ImpairmentProfile
-from repro.harness.cache import ResultCache, task_key
-from repro.harness.convergence import ConvergenceMonitor
-from repro.harness.digest import run_digest
-from repro.harness.executor import (
-    CampaignReport,
-    RetryPolicy,
-    TaskKind,
-    run_tasks,
-)
-from repro.harness.experiments import build_and_converge
-from repro.harness.failures import FailureInjector
-from repro.harness.metrics import (
-    liveness_stats,
-    route_churn,
-    snapshot_table_change_counts,
-)
-from repro.harness.pathtrace import find_crossing_flow
-from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
-from repro.workload.engine import FluidWorkload
-from repro.workload.spec import resolve_workload
+from repro.sim.units import MILLISECOND
+from repro.topology import build_topology
+from repro.stacks import StackTimers, resolve_spec
+from repro.harness.experiments import detection_bound_us
+from repro.scenario import Scenario, ScenarioEvent, ScenarioRunSpec
 
 #: Default loss-rate grid: clean fabric first (the zero-FP guard), then
 #: rates spanning "barely gray" to "nearly dead".
@@ -70,30 +57,10 @@ DEFAULT_WINDOW_MS = 5000
 DEFAULT_TRAFFIC_PPS = 500
 DEFAULT_TRAFFIC_COUNT = 1000
 
-
-@dataclass(frozen=True)
-class ChaosPointSpec:
-    """One chaos grid point: everything a worker needs (picklable)."""
-
-    params: TopologySpec
-    stack: StackSpec
-    seed: int
-    loss: float
-    window_ms: int = DEFAULT_WINDOW_MS
-    traffic_pps: int = DEFAULT_TRAFFIC_PPS
-    traffic_count: int = DEFAULT_TRAFFIC_COUNT
-    #: optional workload (library name, payload, or spec): the point
-    #: then runs fluid load across the gray window instead of relying
-    #: on the probe burst alone; the report joins result and digest.
-    workload: Optional[Any] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params",
-                           resolve_topology_spec(self.params))
-        if self.workload is not None:
-            object.__setattr__(
-                self, "workload",
-                resolve_workload(self.workload).to_payload())
+#: the probe's tail past its last packet, on top of the detection bound
+PROBE_TAIL_MS = 500
+#: the checkpoint that closes the quiet window
+QUIET = "quiet"
 
 
 @dataclass
@@ -126,19 +93,9 @@ class ChaosResult:
         return self.received / self.sent if self.sent else 1.0
 
 
-@dataclass
-class ChaosOutcome:
-    """A chaos point's result plus its determinism fingerprint."""
-
-    result: ChaosResult
-    digest: str
-
-
-# ----------------------------------------------------------------------
-# one chaos point = one task (top-level, for pool workers and children)
-# ----------------------------------------------------------------------
-def _first_tor_uplink(topo):
-    """The first ToR's first fabric uplink — the canonical gray link.
+def gray_link(topo) -> tuple[str, str, str]:
+    """The canonical gray link: the first ToR's first fabric uplink, as
+    ``(tor, interface, agg)``.
 
     Uses the topology's own ``fabric_ports`` hook, so families that
     redefine "up" (same-tier cross links) still nominate a sane link.
@@ -148,112 +105,89 @@ def _first_tor_uplink(topo):
     if not ports:
         raise RuntimeError(f"{tor_name} has no fabric uplink to impair")
     iface = topo.node(tor_name).interfaces[ports[0]]
-    return tor_name, iface, iface.peer().node.name
+    return tor_name, iface.name, iface.peer().node.name
 
 
-def run_chaos_point(spec: ChaosPointSpec) -> ChaosOutcome:
-    world, topo, deployment = build_and_converge(
-        spec.params, spec.stack, spec.seed)
-    tor_name, uplink, agg_name = _first_tor_uplink(topo)
-
-    injector = FailureInjector(world)
-    if spec.loss > 0.0:
-        injector.impair_link(tor_name, uplink.name,
-                             ImpairmentProfile(loss=spec.loss),
-                             direction="both")
-
-    monitor = ConvergenceMonitor(world, deployment.update_categories())
-    before = snapshot_table_change_counts(deployment.forwarding_tables())
-    monitor.arm()
-    start = world.sim.now
-
-    # phase 1 — quiet window: no offered traffic, so every timer-based
-    # down-declaration is a false positive by construction.  A fluid
-    # workload is flow-level (no frames on the wire), so it can overlap
-    # the quiet window without proving liveness to the detectors.
-    engine = None
-    inv_monitor = None
-    if spec.workload is not None:
-        # loaded points run the invariant monitor: its checks ride the
-        # engine's route-change epochs (probe-only points stay
-        # monitor-free, keeping their payloads and digests unchanged)
-        from repro.resilience.invariants import InvariantMonitor
-
-        inv_monitor = InvariantMonitor(topo, deployment)
-        engine = FluidWorkload(resolve_workload(spec.workload), topo,
-                               deployment, monitor=inv_monitor)
-        engine.start()
-    monitor.observe_for(spec.window_ms * MILLISECOND)
-    stats = liveness_stats(
-        world.trace, deployment.classify_liveness, injector.events,
-        since=start, until=world.sim.now,
-        detection_bound_us=deployment.detection_bound_us())
-
-    # phase 2 — goodput probe: a flow that crosses the impaired link
-    result = ChaosResult(
-        stack=spec.stack.name, loss=spec.loss, seed=spec.seed,
-        window_ms=spec.window_ms, impaired_link=(tor_name, agg_name),
-        detections=stats.detections,
-        false_positives=stats.false_positives, flaps=stats.flaps,
-        suppressions=stats.suppressions,
-        suppression_us=stats.suppression_us,
-        mttr_us=stats.mttr_us, availability=stats.availability)
-    if spec.traffic_count > 0:
-        src = topo.first_server_of(tor_name)
-        dst = topo.first_server_of(topo.all_tors()[-1])
-        port = find_crossing_flow(deployment, src, dst, tor_name, agg_name)
-        if port is None:
-            port = 40000  # churned away from the link; probe anyway
-        gap_us = max(SECOND // spec.traffic_pps, 1)
-        sender = TrafficSender(udp=deployment.servers[src].udp,
-                               dst=topo.server_address(dst),
-                               src_port=port, gap_us=gap_us)
-        analyzer = ReceiverAnalyzer(deployment.servers[dst].udp)
-        sender.start(count=spec.traffic_count, at=world.sim.now)
-        world.run_for(spec.traffic_count * gap_us
-                      + deployment.detection_bound_us()
-                      + 500 * MILLISECOND)
-        result.sent = sender.sent
-        result.received = analyzer.received
-        analyzer.close()
-    if engine is not None:
-        result.workload = engine.finish().to_payload()
-    if inv_monitor is not None:
-        inv_monitor.check()
-        inv_monitor.finalize()
-        result.fib_loops = inv_monitor.loops
-        result.fib_loop_us = inv_monitor.loop_us
-        result.fib_blackholes = inv_monitor.blackholes
-        result.fib_blackhole_us = inv_monitor.blackhole_us
-    monitor.detach()
-    result.route_churn = route_churn(before, deployment.forwarding_tables())
-    digest = run_digest(world.trace, _result_payload(result))
-    return ChaosOutcome(result=result, digest=digest)
+def chaos_specs(
+    params,
+    stacks: Sequence,
+    rates: Sequence[float] = DEFAULT_RATES,
+    seed: int = 0,
+    timers: Optional[StackTimers] = None,
+    window_ms: int = DEFAULT_WINDOW_MS,
+    traffic_pps: int = DEFAULT_TRAFFIC_PPS,
+    traffic_count: int = DEFAULT_TRAFFIC_COUNT,
+    workload: Optional[Any] = None,
+) -> list[ScenarioRunSpec]:
+    """Expand the loss-rate x stack grid into scenario runs,
+    stack-major."""
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"loss rate must be in [0, 1], got {rate}")
+    topo = build_topology(params)
+    tor, iface, agg = gray_link(topo)
+    dst = topo.first_server_of(topo.all_tors()[-1])
+    specs = []
+    for stack in stacks:
+        spec = resolve_spec(stack, timers)
+        tail_ms = (-(-detection_bound_us(spec) // MILLISECOND)
+                   + PROBE_TAIL_MS)
+        for rate in rates:
+            events = []
+            if rate > 0.0:
+                events.append(ScenarioEvent(
+                    op="impair", target=f"{tor}.iface[{iface}]",
+                    loss=float(rate), direction="both"))
+            if workload is not None:
+                # a fluid workload is flow-level (no frames on the
+                # wire), so it can overlap the quiet window without
+                # proving liveness to the detectors
+                events.append(ScenarioEvent(op="workload",
+                                            workload=workload))
+            events.append(ScenarioEvent(op="measure", at_ms=window_ms,
+                                        label=QUIET))
+            if traffic_count > 0:
+                events.append(ScenarioEvent(
+                    op="traffic_burst", at_ms=window_ms,
+                    src=topo.first_server_of(tor), dst=dst,
+                    rate_pps=traffic_pps, count=traffic_count,
+                    via=f"{tor}--{agg}"))
+            specs.append(ScenarioRunSpec(
+                params=params, stack=spec, seed=seed,
+                scenario=Scenario(
+                    name=f"chaos loss={rate:.2f}", settle=0,
+                    window_ms=tail_ms if traffic_count > 0 else 0,
+                    events=tuple(events))))
+    return specs
 
 
-# ----------------------------------------------------------------------
-# cache plumbing
-# ----------------------------------------------------------------------
-def chaos_point_key(spec: ChaosPointSpec) -> str:
-    return task_key(
-        "chaos-point",
-        params=spec.params,
-        stack=spec.stack.name,
-        stack_params=spec.stack.params,
-        timers=spec.stack.timers,
-        seed=spec.seed,
-        loss=spec.loss,
-        window_ms=spec.window_ms,
-        traffic_pps=spec.traffic_pps,
-        traffic_count=spec.traffic_count,
-        # loaded points key differently; probe-only entries keep their
-        # cache identity (the component is omitted when None)
-        **({"workload": spec.workload} if spec.workload is not None
-           else {}),
-    )
+def chaos_result(spec: ScenarioRunSpec, metrics) -> ChaosResult:
+    """A grid point's row from its scenario run: the detector fields
+    from the quiet-window checkpoint, the rest from the whole run."""
+    events = spec.scenario.events
+    quiet = next(c for c in metrics.checkpoints if c.label == QUIET)
+    tor, _, agg = gray_link(build_topology(spec.params))
+    return ChaosResult(
+        stack=metrics.stack,
+        loss=next((e.loss for e in events if e.op == "impair"), 0.0),
+        seed=metrics.seed,
+        window_ms=next(e.at_ms for e in events if e.op == "measure"),
+        impaired_link=(tor, agg),
+        detections=quiet.detections,
+        false_positives=quiet.false_positives, flaps=quiet.flaps,
+        route_churn=metrics.route_churn,
+        sent=metrics.sent, received=metrics.received,
+        suppressions=quiet.suppressions,
+        suppression_us=quiet.suppression_us,
+        mttr_us=quiet.mttr_us, availability=quiet.availability,
+        fib_loops=metrics.fib_loops, fib_loop_us=metrics.fib_loop_us,
+        fib_blackholes=metrics.fib_blackholes,
+        fib_blackhole_us=metrics.fib_blackhole_us,
+        workload=metrics.workload)
 
 
-def _result_payload(result: ChaosResult) -> dict:
+def result_payload(result: ChaosResult) -> dict:
+    """A row as ``chaos --json`` prints it (beside the run digest)."""
     return {
         "stack": result.stack,
         "loss": result.loss,
@@ -271,7 +205,7 @@ def _result_payload(result: ChaosResult) -> dict:
         "mttr_us": result.mttr_us,
         "availability": result.availability,
         # invariant-monitor counters appear only when nonzero, so
-        # unmonitored (and anomaly-free) payloads stay byte-identical
+        # unmonitored (and anomaly-free) rows stay as they were
         **{k: getattr(result, k)
            for k in ("fib_loops", "fib_loop_us", "fib_blackholes",
                      "fib_blackhole_us")
@@ -279,95 +213,6 @@ def _result_payload(result: ChaosResult) -> dict:
         **({"workload": result.workload} if result.workload is not None
            else {}),
     }
-
-
-def encode_chaos_outcome(outcome: ChaosOutcome) -> dict:
-    return {**_result_payload(outcome.result), "digest": outcome.digest}
-
-
-def decode_chaos_outcome(payload: dict) -> ChaosOutcome:
-    result = ChaosResult(
-        stack=payload["stack"],
-        loss=payload["loss"],
-        seed=payload["seed"],
-        window_ms=payload["window_ms"],
-        impaired_link=tuple(payload["impaired_link"]),
-        detections=payload["detections"],
-        false_positives=payload["false_positives"],
-        flaps=payload["flaps"],
-        route_churn=payload["route_churn"],
-        sent=payload["sent"],
-        received=payload["received"],
-        suppressions=payload["suppressions"],
-        suppression_us=payload["suppression_us"],
-        mttr_us=payload["mttr_us"],
-        availability=payload["availability"],
-        fib_loops=payload.get("fib_loops", 0),
-        fib_loop_us=payload.get("fib_loop_us", 0),
-        fib_blackholes=payload.get("fib_blackholes", 0),
-        fib_blackhole_us=payload.get("fib_blackhole_us", 0),
-        workload=payload.get("workload"),
-    )
-    return ChaosOutcome(result=result, digest=payload["digest"])
-
-
-# ----------------------------------------------------------------------
-# the grid driver
-# ----------------------------------------------------------------------
-def chaos_specs(
-    params,
-    stacks: Sequence,
-    rates: Sequence[float] = DEFAULT_RATES,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    window_ms: int = DEFAULT_WINDOW_MS,
-    traffic_pps: int = DEFAULT_TRAFFIC_PPS,
-    traffic_count: int = DEFAULT_TRAFFIC_COUNT,
-    workload: Optional[Any] = None,
-) -> list[ChaosPointSpec]:
-    """Expand the loss-rate x stack grid, stack-major."""
-    return [
-        ChaosPointSpec(params=params, stack=resolve_spec(stack, timers),
-                       seed=seed, loss=float(rate), window_ms=window_ms,
-                       traffic_pps=traffic_pps,
-                       traffic_count=traffic_count, workload=workload)
-        for stack in stacks
-        for rate in rates
-    ]
-
-
-def chaos_point_label(spec: ChaosPointSpec) -> str:
-    """Human task label for quarantine tables."""
-    return f"{spec.stack.name} loss={spec.loss:.2f} seed={spec.seed}"
-
-
-CHAOS_POINT = TaskKind(
-    name="chaos-point", run=run_chaos_point, key=chaos_point_key,
-    encode=encode_chaos_outcome, decode=decode_chaos_outcome,
-    label=chaos_point_label)
-
-
-def run_chaos_suite(
-    params,
-    stacks: Sequence,
-    rates: Sequence[float] = DEFAULT_RATES,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    window_ms: int = DEFAULT_WINDOW_MS,
-    traffic_pps: int = DEFAULT_TRAFFIC_PPS,
-    traffic_count: int = DEFAULT_TRAFFIC_COUNT,
-    workload: Optional[Any] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    report: Optional[CampaignReport] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> list[Optional[ChaosOutcome]]:
-    """Run the full grid through :func:`~repro.harness.executor.run_tasks`;
-    under a ``policy``, quarantined points come back ``None``."""
-    specs = chaos_specs(params, stacks, rates, seed, timers, window_ms,
-                        traffic_pps, traffic_count, workload)
-    return run_tasks(CHAOS_POINT, specs, jobs=jobs, cache=cache,
-                     policy=policy, report=report)
 
 
 # ----------------------------------------------------------------------

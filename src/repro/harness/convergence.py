@@ -125,19 +125,6 @@ class ConvergenceMonitor:
                 last_event=_last_event_description(self.world))
         return False
 
-    def observe_for(self, duration_us: int,
-                    slice_us: int = 50 * MILLISECOND) -> None:
-        """Advance the simulation for a *fixed* window while counting
-        updates.  The chaos suite uses this instead of
-        :meth:`run_until_quiet`: under a persistently lossy link a
-        false-flapping detector may never go quiet, so the observation
-        window — not quiescence — bounds the run."""
-        assert self.armed_at is not None, "arm() before observe_for()"
-        sim = self.world.sim
-        deadline = sim.now + duration_us
-        while sim.now < deadline:
-            sim.run(until=min(sim.now + slice_us, deadline))
-
     def detach(self) -> None:
         self.world.trace.remove_listener(self._on_record)
 

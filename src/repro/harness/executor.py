@@ -1,8 +1,10 @@
 """One executor for every campaign: cache, checkpoint, fan-out, supervision.
 
-A campaign is a list of picklable specs of one :class:`TaskKind` — a
-scenario run (a seeded failure run is one), a workload run, a sweep
-point or a chaos point, each declared next to its codec.
+A campaign is a list of picklable specs of one :class:`TaskKind`.  The
+simulator declares one kind, ``SCENARIO_RUN``
+(:mod:`repro.scenario.runner`): a seeded failure run, a ``repro load``
+run, a sweep point and a chaos point are all scenario programs; other
+kinds exist only as test doubles of the executor.
 :func:`run_tasks` answers what it can from the content-addressed
 :class:`~repro.harness.cache.ResultCache`, runs the rest, checkpoints
 every result the moment it finishes, and returns outcomes in spec order.

@@ -245,17 +245,20 @@ class FailureInjector:
     # ------------------------------------------------------------------
     # extended failure cases (paper section IX future work)
     # ------------------------------------------------------------------
-    def fail_node(self, node_name: str, at: Optional[int] = None) -> None:
+    def fail_node(self, node_name: str, at: Optional[int] = None,
+                  crash_agent: bool = True) -> None:
         """Whole-device power loss: the routing agent dies with the
         power, then every interface drops at once.  One ``fail.node``
         trace record covers the outage (not N per-link episodes); the
         per-interface ``InjectedFailure`` events still feed the
-        fault-window accounting."""
+        fault-window accounting.  ``crash_agent=False`` isolates the
+        node instead: every interface drops and the agent lives on."""
         self._checked_node(node_name)
         if at is None:
-            self._do_node(node_name, False)
+            self._do_node(node_name, False, crash_agent)
         else:
-            self.world.sim.schedule_at(at, self._do_node, node_name, False)
+            self.world.sim.schedule_at(at, self._do_node, node_name, False,
+                                       crash_agent)
 
     def restore_node(self, node_name: str, at: Optional[int] = None) -> None:
         """Power the device back on: interfaces come up, then the agent
@@ -266,7 +269,8 @@ class FailureInjector:
         else:
             self.world.sim.schedule_at(at, self._do_node, node_name, True)
 
-    def _do_node(self, node_name: str, up: bool) -> None:
+    def _do_node(self, node_name: str, up: bool,
+                 crash_agent: bool = True) -> None:
         is_down = node_name in self._down_nodes
         if up != is_down:
             self.world.trace.emit(
@@ -280,7 +284,7 @@ class FailureInjector:
             self._down_nodes.add(node_name)
             # the agent goes first: interface-down handlers must see a
             # dead control plane, exactly as a power cut would order it
-            if (self.deployment is not None
+            if (crash_agent and self.deployment is not None
                     and node_name not in self._crashed_agents):
                 self._crashed_agents.add(node_name)
                 self.events.append(InjectedFailure(

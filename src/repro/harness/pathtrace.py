@@ -1,10 +1,11 @@
 """Static path tracing through a converged deployment.
 
 Replays each hop's forwarding decision (BGP: FIB lookup + ECMP hash;
-MR-MTP: VID-table / hashed-up decision) without sending packets.  The
-packet-loss experiments use this to pick a flow (source port) whose path
-crosses the link under test — the paper's test cases presuppose the
-failure sits on the measured traffic's path.
+MR-MTP: VID-table / hashed-up decision) without sending packets.  A
+traffic burst with ``via`` uses this to pick a flow (source port) whose
+path crosses the link under test — the paper's test cases presuppose the
+failure sits on the measured traffic's path — and the ``reachability``
+op checks every rack pair with it (:func:`check_all_pairs`).
 
 Stack-agnostic: the per-hop decision replay lives on the deployment
 (:meth:`repro.stacks.Deployment.trace_fabric_path`), so any registered
@@ -13,7 +14,7 @@ stack traces without changes here.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.stack.addresses import Ipv4Address
 from repro.stack.ipv4 import PROTO_UDP
@@ -54,6 +55,29 @@ def trace_path(
     _, tor_iface = access_uplink(topo, src_host)
     path = [src_host, tor_iface.node.name]
     return deployment.trace_fabric_path(path, dst_ip, dst_host, flow)
+
+
+def check_all_pairs(
+    deployment,
+    topo,
+    probe_ports: Iterable[int] = (40000, 40001, 40002, 40003),
+) -> tuple[int, list[tuple[str, str, str]]]:
+    """Trace several flows between every ordered rack pair; return the
+    pairs checked and ``(src_tor, dst_tor, error)`` for each pair one of
+    whose flows dead-ends or loops."""
+    unreachable = []
+    tors = topo.all_tors()
+    pairs = [(a, b) for a in tors for b in tors if a != b]
+    for src_tor, dst_tor in pairs:
+        src = topo.first_server_of(src_tor)
+        dst = topo.first_server_of(dst_tor)
+        for port in probe_ports:
+            try:
+                trace_path(deployment, src, dst, src_port=port)
+            except RuntimeError as exc:
+                unreachable.append((src_tor, dst_tor, str(exc)))
+                break
+    return len(pairs), unreachable
 
 
 def path_crosses_link(path: list[str], node_a: str, node_b: str) -> bool:

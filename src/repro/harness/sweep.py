@@ -1,18 +1,28 @@
 """Exhaustive single-failure robustness sweep.
 
-For every fabric interface: build a fresh fabric, converge, fail that
-one interface, let the protocol reconverge, then verify by path-tracing
-that every rack can still reach every other rack (a folded-Clos with
-redundancy >= 2 keeps physical connectivity under any single interface
-failure, so any unreachable pair is a protocol bug — a blackhole the
-paper's four hand-picked TCs would never catch).
+For every fabric interface: fail that one interface on a freshly
+converged fabric, let the protocol reconverge, then verify by
+path-tracing that every rack can still reach every other rack (a
+folded-Clos with redundancy >= 2 keeps physical connectivity under any
+single interface failure, so any unreachable pair is a protocol bug — a
+blackhole the paper's four hand-picked TCs would never catch).
 
-Each failure point is an independent task (its own World, its own seed;
-the :data:`SWEEP_POINT` kind), so the sweep runs through the campaign
-executor (:mod:`repro.harness.executor`) — fanned out, supervised, and
-replayed from the on-disk :mod:`result cache <repro.harness.cache>`.
-Every point carries a run digest; serial and parallel execution produce
-byte-identical results.
+Each failure point is a scenario program with no settle and a zero
+``window_ms`` (it stops at its last event):
+
+* with ``ambient_loss``, a tx ``impair`` on every fabric interface, so
+  the hard failure plays out under gray noise;
+* with a ``workload``, the ``workload`` op at 0 ms (it runs for its own
+  declared duration);
+* ``iface_down <node>.iface[<port>]`` at 0 ms;
+* ``reachability`` at the stack's detection bound plus
+  :data:`RECONVERGE_MARGIN_MS`.
+
+So the points run through the campaign executor as ``SCENARIO_RUN``
+tasks — fanned out, supervised, replayed from the result cache — and
+every point carries a run digest; serial and parallel execution produce
+byte-identical results.  :func:`sweep_result` reads a point's row off
+its :class:`~repro.scenario.ScenarioMetrics`.
 
 The sweep is stack-agnostic: any stack registered with
 :mod:`repro.stacks` sweeps without changes here.
@@ -21,30 +31,17 @@ The sweep is stack-agnostic: any stack registered with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
-from repro.sim.units import SECOND
-from repro.topology import (
-    TIER_SERVER,
-    Topology,
-    TopologySpec,
-    resolve_topology_spec,
-)
-from repro.stacks import StackSpec, StackTimers, resolve_spec
-from repro.net.impairment import ImpairmentProfile
-from repro.harness.cache import ResultCache, task_key
-from repro.harness.digest import run_digest
-from repro.harness.executor import (
-    CampaignReport,
-    RetryPolicy,
-    TaskKind,
-    run_tasks,
-)
-from repro.harness.experiments import build_and_converge
-from repro.harness.failures import FailureInjector
-from repro.harness.pathtrace import trace_path
-from repro.workload.engine import FluidWorkload
-from repro.workload.spec import resolve_workload
+from repro.sim.units import MILLISECOND
+from repro.topology import TIER_SERVER, Topology, build_topology
+from repro.stacks import StackTimers, resolve_spec
+from repro.harness.experiments import detection_bound_us
+from repro.scenario import Scenario, ScenarioEvent, ScenarioRunSpec
+
+#: how long past the detection bound the fabric reconverges before the
+#: all-pairs check
+RECONVERGE_MARGIN_MS = 1000
 
 
 @dataclass(frozen=True)
@@ -66,42 +63,6 @@ class SweepResult:
         return not self.unreachable
 
 
-@dataclass(frozen=True)
-class SweepPointSpec:
-    """One sweep task: everything a worker process needs (picklable)."""
-
-    params: TopologySpec
-    stack: StackSpec
-    seed: int
-    point: FailurePoint
-    reconverge_margin_us: int
-    #: background loss rate applied to every fabric link while the hard
-    #: failure plays out — sweeping under gray noise instead of a
-    #: pristine fabric.  0.0 (the default) keeps the classic sweep.
-    ambient_loss: float = 0.0
-    #: optional workload (library name, payload, or spec): each point
-    #: then runs the fluid workload across the failure window, and its
-    #: aggregate report joins the result and the digest.  None (the
-    #: default) keeps the classic probe-only sweep.
-    workload: Optional[Any] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params",
-                           resolve_topology_spec(self.params))
-        if self.workload is not None:
-            object.__setattr__(
-                self, "workload",
-                resolve_workload(self.workload).to_payload())
-
-
-@dataclass
-class SweepOutcome:
-    """A sweep point's result plus its determinism fingerprint."""
-
-    result: SweepResult
-    digest: str
-
-
 def fabric_failure_points(topo: Topology) -> list[FailurePoint]:
     """Every router-to-router interface in the fabric."""
     points = []
@@ -115,183 +76,59 @@ def fabric_failure_points(topo: Topology) -> list[FailurePoint]:
     return points
 
 
-def _rack_pairs(topo: Topology) -> list[tuple[str, str]]:
-    tors = topo.all_tors()
-    return [(a, b) for a in tors for b in tors if a != b]
+def sweep_points(params) -> list[FailurePoint]:
+    """The failure points of a fabric, listed from a built (never
+    converged) topology."""
+    return fabric_failure_points(build_topology(params))
 
 
-def check_all_pairs(
-    deployment,
-    topo: Topology,
-    probe_ports: Iterable[int] = (40000, 40001, 40002, 40003),
-) -> tuple[int, list[tuple[str, str, str]]]:
-    """Trace several flows between every rack pair; collect failures."""
-    unreachable = []
-    checked = 0
-    for src_tor, dst_tor in _rack_pairs(topo):
-        src = topo.first_server_of(src_tor)
-        dst = topo.first_server_of(dst_tor)
-        checked += 1
-        for port in probe_ports:
-            try:
-                trace_path(deployment, src, dst, src_port=port)
-            except RuntimeError as exc:
-                unreachable.append((src_tor, dst_tor, str(exc)))
-                break
-    return checked, unreachable
-
-
-# ----------------------------------------------------------------------
-# one sweep point = one task (top-level, so a pool worker or a
-# supervised child can receive it)
-# ----------------------------------------------------------------------
-def run_sweep_point(spec: SweepPointSpec) -> SweepOutcome:
-    """Build a fresh world, fail one interface, verify all-pairs
-    reachability, and fingerprint the run."""
-    world, topo, deployment = build_and_converge(
-        spec.params, spec.stack, spec.seed)
-    point = spec.point
-    if spec.ambient_loss > 0.0:
-        injector = FailureInjector(world)
-        profile = ImpairmentProfile(loss=spec.ambient_loss)
-        for p in fabric_failure_points(topo):
-            # per-direction: each fabric interface impairs its tx side
-            # once, so every link ends up lossy both ways
-            injector.impair_link(p.node, p.interface, profile,
-                                 direction="tx")
-    engine = None
-    if spec.workload is not None:
-        engine = FluidWorkload(resolve_workload(spec.workload), topo,
-                               deployment)
-        engine.start()
-    topo.node(point.node).interfaces[point.interface].set_admin(False)
-    if engine is not None:
-        engine.mark_epoch()  # capture the just-failed forwarding state
-    world.run_for(deployment.detection_bound_us()
-                  + spec.reconverge_margin_us)
-    checked, unreachable = check_all_pairs(deployment, topo)
-    result = SweepResult(point=point, pairs_checked=checked,
-                         unreachable=unreachable)
-    if engine is not None:
-        result.workload = engine.finish().to_payload()
-    digest = run_digest(world.trace, _result_payload(result))
-    return SweepOutcome(result=result, digest=digest)
-
-
-def _result_payload(result: SweepResult) -> dict:
-    payload = {
-        "point": [result.point.node, result.point.interface,
-                  result.point.peer],
-        "pairs_checked": result.pairs_checked,
-        "unreachable": [list(u) for u in result.unreachable],
-    }
-    if result.workload is not None:
-        payload["workload"] = result.workload
-    return payload
-
-
-def sweep_point_key(spec: SweepPointSpec) -> str:
-    """Cache key: the full content of the task, nothing ambient — the
-    stack enters as registry name + canonical params, never an enum."""
-    extra = {}
-    if spec.ambient_loss:
-        # only a non-zero rate enters the key: classic (pristine) sweep
-        # entries keep their pre-impairment cache identity
-        extra["ambient_loss"] = spec.ambient_loss
-    if spec.workload is not None:
-        # likewise: the workload payload joins the key only for loaded
-        # sweeps, so probe-only entries keep their cache identity
-        extra["workload"] = spec.workload
-    return task_key(
-        "sweep-point",
-        params=spec.params,
-        stack=spec.stack.name,
-        stack_params=spec.stack.params,
-        timers=spec.stack.timers,
-        seed=spec.seed,
-        point=spec.point,
-        reconverge_margin_us=spec.reconverge_margin_us,
-        **extra,
-    )
-
-
-def encode_sweep_outcome(outcome: SweepOutcome) -> dict:
-    return {**_result_payload(outcome.result), "digest": outcome.digest}
-
-
-def decode_sweep_outcome(payload: dict) -> SweepOutcome:
-    result = SweepResult(
-        point=FailurePoint(*payload["point"]),
-        pairs_checked=payload["pairs_checked"],
-        unreachable=[tuple(u) for u in payload["unreachable"]],
-        workload=payload.get("workload"),
-    )
-    return SweepOutcome(result=result, digest=payload["digest"])
-
-
-# ----------------------------------------------------------------------
-# the sweep driver
-# ----------------------------------------------------------------------
 def sweep_specs(
     params,
     stack,
     seed: int = 0,
     timers: Optional[StackTimers] = None,
     points: Optional[list[FailurePoint]] = None,
-    reconverge_margin_us: int = 1 * SECOND,
     ambient_loss: float = 0.0,
     workload: Optional[Any] = None,
-) -> list[SweepPointSpec]:
-    """Expand a sweep into its independent per-point tasks."""
+) -> list[ScenarioRunSpec]:
+    """Expand a sweep into one scenario run per failure point (every
+    fabric interface unless ``points`` is given), in point order."""
     spec = resolve_spec(stack, timers)
-    if points is None:
-        # probe build to enumerate the failure points
-        world, topo, _ = build_and_converge(params, spec, seed)
-        points = fabric_failure_points(topo)
+    check_ms = (-(-detection_bound_us(spec) // MILLISECOND)
+                + RECONVERGE_MARGIN_MS)
+    every = sweep_points(params)
+    lead: list[ScenarioEvent] = []
+    if ambient_loss > 0.0:
+        # per-direction: each fabric interface impairs its tx side
+        # once, so every link ends up lossy both ways
+        lead += [ScenarioEvent(op="impair", target=_iface(p),
+                               loss=ambient_loss, direction="tx")
+                 for p in every]
+    if workload is not None:
+        lead.append(ScenarioEvent(op="workload", workload=workload))
     return [
-        SweepPointSpec(params=params, stack=spec, seed=seed,
-                       point=point,
-                       reconverge_margin_us=reconverge_margin_us,
-                       ambient_loss=ambient_loss, workload=workload)
-        for point in points
+        ScenarioRunSpec(params=params, stack=spec, seed=seed,
+                        scenario=Scenario(
+                            name=f"sweep:{p.node}:{p.interface}",
+                            settle=0, window_ms=0,
+                            events=(*lead,
+                                    ScenarioEvent(op="iface_down",
+                                                  target=_iface(p)),
+                                    ScenarioEvent(op="reachability",
+                                                  at_ms=check_ms))))
+        for p in (every if points is None else points)
     ]
 
 
-def sweep_point_label(spec: SweepPointSpec) -> str:
-    """Human task label for quarantine tables."""
-    return (f"{spec.stack.name} {spec.point.node}:{spec.point.interface} "
-            f"seed={spec.seed}")
+def _iface(point: FailurePoint) -> str:
+    return f"{point.node}.iface[{point.interface}]"
 
 
-SWEEP_POINT = TaskKind(
-    name="sweep-point", run=run_sweep_point, key=sweep_point_key,
-    encode=encode_sweep_outcome, decode=decode_sweep_outcome,
-    label=sweep_point_label)
-
-
-def single_failure_sweep_outcomes(
-    params,
-    stack,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    points: Optional[list[FailurePoint]] = None,
-    reconverge_margin_us: int = 1 * SECOND,
-    ambient_loss: float = 0.0,
-    workload: Optional[Any] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    report: Optional[CampaignReport] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> list[Optional[SweepOutcome]]:
-    """The sweep with digests, through
-    :func:`~repro.harness.executor.run_tasks`: under a ``policy``, hung
-    points are killed by the watchdog, failing points retry, and a point
-    that exhausts its attempts is quarantined — its slot comes back
-    ``None`` and the rest of the sweep still completes."""
-    specs = sweep_specs(params, stack, seed, timers, points,
-                        reconverge_margin_us, ambient_loss, workload)
-    return run_tasks(SWEEP_POINT, specs, jobs=jobs, cache=cache,
-                     policy=policy, report=report)
+def sweep_result(point: FailurePoint, metrics) -> SweepResult:
+    """A point's row from its scenario run's metrics."""
+    return SweepResult(point=point, pairs_checked=metrics.pairs_checked,
+                       unreachable=list(metrics.unreachable),
+                       workload=metrics.workload)
 
 
 def summarize(results: list[SweepResult]) -> str:

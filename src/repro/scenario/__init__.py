@@ -3,8 +3,9 @@
 A :class:`Scenario` turns a fault/traffic experiment into data — an
 ordered list of timestamped events with symbolic targets — that
 serializes to canonical JSON, compiles onto the simulation engine
-against any registered stack, and runs through the same campaign
-executor as every other experiment task.  The canonical library ships
+against any registered stack, and runs through the campaign executor
+as its one task kind (``SCENARIO_RUN``): failure runs, sweep points,
+chaos points and ``repro load`` runs are all scenario programs.  The canonical library ships
 ten workloads (``tc1``–``tc4``, ``flap-storm``, ``double-cut``,
 ``drain``, ``rolling-restart``, ``gray-uplink``, ``lossy-spine``); see
 README "Scenarios".
@@ -40,6 +41,7 @@ from repro.scenario.runner import (
     run_scenario_task,
     scenario_suite_specs,
     scenario_task_key,
+    workload_suite_specs,
 )
 from repro.scenario.library import (
     CANONICAL,
@@ -78,4 +80,5 @@ __all__ = [
     "run_scenario_task",
     "scenario_suite_specs",
     "scenario_task_key",
+    "workload_suite_specs",
 ]

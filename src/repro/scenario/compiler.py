@@ -10,23 +10,37 @@ Compilation happens in two steps against an already-converged fabric:
    monitor arms and forwarding tables are snapshotted (the measurement
    start, ``t = 0`` for event offsets), fault events are driven through
    :class:`~repro.harness.failures.FailureInjector` and traffic bursts
-   through :mod:`repro.traffic`, and the run is measured under the
-   paper's update-quiesce rule until at least the event horizon plus the
-   stack's detection bound has played out.
+   through :mod:`repro.traffic`, and the run stops by the scenario's
+   rule: under the paper's update-quiesce rule once at least the event
+   horizon plus the stack's detection bound has played out, or, when
+   the scenario sets ``window_ms``, exactly that long after the horizon.
+
+Three ops exist for fixed-window programs.  ``reachability``
+path-traces every rack pair (:func:`~repro.harness.pathtrace.check_all_pairs`)
+at its instant and adds ``pairs_checked``/``unreachable`` to the
+metrics.  A ``traffic_burst`` with ``via`` picks its source port when
+it starts: the first of 40000–40255 whose path crosses that link, else
+40000.  ``isolate`` downs every interface of a node and leaves its
+agent alive.  A ``measure`` checkpoint freezes the monitor's update
+counters and the liveness fold (detections, false positives, flaps,
+suppressions and their time, MTTR, availability) at its instant.
 
 This is the only code that drives a measured run.  The failure
 experiment of Figs. 4-6 is a single ``iface_down`` at offset 0 (the
 library's TC1–TC4, run by
-:func:`repro.scenario.runner.run_failure_experiment`), and the
-packet-loss experiment of Figs. 7/8 is a two-event program compiled by
-:func:`repro.scenario.runner.run_packet_loss_experiment`.  The classic
-hand-driven sequences they replaced live on in ``tests/scenario`` as
+:func:`repro.scenario.runner.run_failure_experiment`), the packet-loss
+experiment of Figs. 7/8 is a two-event program compiled by
+:func:`repro.scenario.runner.run_packet_loss_experiment`, and the
+robustness sweep, the chaos grid and ``repro load`` compile their
+points to fixed-window programs (:mod:`repro.harness.sweep`,
+:mod:`repro.harness.chaos`, :func:`repro.scenario.runner.workload_suite_specs`).
+The hand-driven sequences they replaced live on in ``tests/`` as
 reference oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.sim.units import MILLISECOND, SECOND
@@ -34,6 +48,7 @@ from repro.net.world import World
 from repro.topology import Topology
 from repro.harness.convergence import ConvergenceMonitor
 from repro.harness.failures import FailureInjector
+from repro.harness.pathtrace import check_all_pairs, find_crossing_flow
 from repro.harness.metrics import (
     blast_radius,
     liveness_stats,
@@ -51,7 +66,7 @@ from repro.workload.engine import FluidWorkload
 # (1 us later, so the injector has already run within the same tick)
 ROUTE_CHANGE_OPS = ("iface_down", "iface_up", "link_cut", "link_restore",
                     "node_crash", "node_restart", "agent_crash",
-                    "agent_restart", "flap_train", "impair",
+                    "agent_restart", "isolate", "flap_train", "impair",
                     "clear_impairment")
 
 # default flow selector for the first traffic burst; later bursts step
@@ -61,12 +76,20 @@ BASE_TRAFFIC_SRC_PORT = 40000
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Monitor counters frozen at a ``measure`` marker."""
+    """Monitor counters and the liveness fold frozen at a ``measure``
+    marker (the fold covers measurement start .. ``time_us``)."""
 
     label: str
     time_us: int
     update_count: int
     update_bytes: int
+    detections: int = 0
+    false_positives: int = 0
+    flaps: int = 0
+    suppressions: int = 0
+    suppression_us: int = 0
+    mttr_us: int = -1
+    availability: float = 1.0
 
 
 @dataclass
@@ -96,6 +119,9 @@ class ScenarioMetrics:
     fib_blackhole_us: int = 0      # longest blackhole episode
     checkpoints: list[Checkpoint] = field(default_factory=list)
     workload: Optional[dict] = None  # WorkloadReport payload, if loaded
+    # reachability ops only: rack pairs traced and the failed ones
+    pairs_checked: Optional[int] = None
+    unreachable: Optional[list[tuple[str, str, str]]] = None
 
     @property
     def lost(self) -> int:
@@ -122,11 +148,13 @@ class _Burst:
     src_addr: object
     src_port: int
     gap_us: int
+    crossed: bool = True   # a via burst found a port crossing its link
 
 
 class CompiledScenario:
     """A scenario bound to one built fabric: targets resolved, horizon
-    computed, ready to execute exactly once."""
+    computed, ready to execute exactly once.  After the run, ``bursts``
+    holds each traffic burst with the source port it sent from."""
 
     def __init__(self, scenario: Scenario, world: World,
                  topo: Topology, deployment,
@@ -153,6 +181,10 @@ class CompiledScenario:
         self._inv_monitor: Optional[InvariantMonitor] = (
             InvariantMonitor(topo, deployment)
             if (has_workload or invariants) else None)
+        self.checkpoints: list[Checkpoint] = []
+        self.bursts: list[_Burst] = []
+        self.engines: list[FluidWorkload] = []
+        self._reach: list[tuple[int, list]] = []
 
     # ------------------------------------------------------------------
     def _resolve(self, event, resolver: TargetResolver, index: int):
@@ -162,7 +194,7 @@ class CompiledScenario:
         if event.op in ("link_cut", "link_restore"):
             return (event.op, at_us, resolver.link(event.target))
         if event.op in ("node_crash", "node_restart",
-                        "agent_crash", "agent_restart"):
+                        "agent_crash", "agent_restart", "isolate"):
             return (event.op, at_us, resolver.node(event.target))
         if event.op == "flap_train":
             up_ms = event.up_ms if event.up_ms is not None else event.down_ms
@@ -175,10 +207,11 @@ class CompiledScenario:
             if src == dst:
                 raise ScenarioError(
                     f"traffic_burst: src and dst both resolve to {src}")
+            via = None if event.via is None else resolver.link(event.via)
             src_port = (event.src_port if event.src_port is not None
                         else BASE_TRAFFIC_SRC_PORT + index)
             return (event.op, at_us, src, dst, event.rate_pps, event.count,
-                    src_port)
+                    src_port, via)
         if event.op == "impair":
             return (event.op, at_us, resolver.interface(event.target),
                     event.impairment_profile(),
@@ -190,7 +223,7 @@ class CompiledScenario:
                     else "both")
         if event.op == "workload":
             return (event.op, at_us, event.workload_spec())
-        if event.op == "pause":
+        if event.op in ("pause", "reachability"):
             return (event.op, at_us)
         return (event.op, at_us, event.label)  # measure
 
@@ -219,22 +252,18 @@ class CompiledScenario:
         monitor.arm()
         start = world.sim.now
 
-        checkpoints: list[Checkpoint] = []
-        bursts: list[_Burst] = []
-        engines: list[FluidWorkload] = []
         first_fault_us: Optional[int] = None
         for action in self.actions:
             op, at_us = action[0], action[1]
             if op in DOWN_OPS and (first_fault_us is None
                                    or at_us < first_fault_us):
                 first_fault_us = at_us
-            self._dispatch(action, injector, monitor, checkpoints,
-                           bursts, engines, start)
-        if engines:
+            self._dispatch(action, injector, monitor, start)
+        if self.engines:
             # re-solve the fluid allocation right after every scheduled
             # route-changing action (the injector runs first within the
             # tick); the engine's own sampler covers reconvergence
-            engine = engines[0]
+            engine = self.engines[0]
             for action in self.actions:
                 if action[0] in ROUTE_CHANGE_OPS:
                     world.sim.schedule_at(start + action[1] + 1,
@@ -251,14 +280,20 @@ class CompiledScenario:
                         world.sim.schedule_at(start + action[1] + delay,
                                               self._inv_monitor.check)
 
-        quiet_us = scenario.quiet_ms * MILLISECOND
-        min_wait_us = (self.horizon_us + deployment.detection_bound_us()
-                       + quiet_us)
-        # never stop before every scheduled event has played, even when
-        # the scenario's declared budget is tighter than its horizon
-        max_wait_us = max(scenario.max_wait_ms * MILLISECOND, min_wait_us)
-        monitor.run_until_quiet(quiet_us=quiet_us, max_wait_us=max_wait_us,
-                                min_wait_us=min_wait_us)
+        if scenario.window_ms is not None:
+            world.sim.run(until=start + self.horizon_us
+                          + scenario.window_ms * MILLISECOND)
+        else:
+            quiet_us = scenario.quiet_ms * MILLISECOND
+            min_wait_us = (self.horizon_us + deployment.detection_bound_us()
+                           + quiet_us)
+            # never stop before every scheduled event has played, even
+            # when the declared budget is tighter than the horizon
+            max_wait_us = max(scenario.max_wait_ms * MILLISECOND,
+                              min_wait_us)
+            monitor.run_until_quiet(quiet_us=quiet_us,
+                                    max_wait_us=max_wait_us,
+                                    min_wait_us=min_wait_us)
         monitor.detach()
 
         convergence = monitor.convergence_time_us()
@@ -276,20 +311,38 @@ class CompiledScenario:
             update_count=monitor.update_count,
             blast_routers=blast_radius(before, deployment.forwarding_tables()),
             route_churn=route_churn(before, deployment.forwarding_tables()),
-            checkpoints=checkpoints,
+            checkpoints=self.checkpoints,
         )
         classify = getattr(deployment, "classify_liveness", None)
         if classify is not None:
-            stats = liveness_stats(
-                world.trace, classify, injector.events, since=start,
-                detection_bound_us=deployment.detection_bound_us())
+            def fold(until=None):
+                return liveness_stats(
+                    world.trace, classify, injector.events, since=start,
+                    until=until,
+                    detection_bound_us=deployment.detection_bound_us())
+
+            stats = fold()
             metrics.false_positives = stats.false_positives
             metrics.flaps = stats.flaps
-        self._account_traffic(metrics, bursts)
-        if engines:
+            # the trace keeps every record, so each checkpoint's fold
+            # is taken now over its own window (records at its instant
+            # included, as at the instant itself)
+            metrics.checkpoints = [
+                replace(c, detections=s.detections,
+                        false_positives=s.false_positives, flaps=s.flaps,
+                        suppressions=s.suppressions,
+                        suppression_us=s.suppression_us,
+                        mttr_us=s.mttr_us, availability=s.availability)
+                for c in self.checkpoints
+                for s in (fold(c.time_us),)]
+        if self._reach:
+            metrics.pairs_checked = sum(n for n, _ in self._reach)
+            metrics.unreachable = [u for _, bad in self._reach for u in bad]
+        self._account_traffic(metrics)
+        if self.engines:
             # finish() already fired at the workload's scheduled end;
             # calling it again just returns the settled report
-            metrics.workload = engines[0].finish().to_payload()
+            metrics.workload = self.engines[0].finish().to_payload()
         if self._inv_monitor is not None:
             # one last scan on the quiesced fabric, then close any
             # still-open anomaly episodes as ongoing
@@ -302,13 +355,17 @@ class CompiledScenario:
         return metrics
 
     # ------------------------------------------------------------------
+    def _at(self, at_us: int, start: int, call, *args) -> None:
+        """Offset-0 actions run synchronously (in declaration order) at
+        the instant the monitor arms; later ones are scheduled."""
+        if at_us == 0:
+            call(*args)
+        else:
+            self.world.sim.schedule_at(start + at_us, call, *args)
+
     def _dispatch(self, action, injector: FailureInjector,
-                  monitor: ConvergenceMonitor,
-                  checkpoints: list[Checkpoint], bursts: list[_Burst],
-                  engines: list, start: int) -> None:
+                  monitor: ConvergenceMonitor, start: int) -> None:
         op, at_us = action[0], action[1]
-        # offset-0 fault events run synchronously (in declaration order)
-        # at the instant the monitor arms
         when = None if at_us == 0 else start + at_us
         if op in ("iface_down", "iface_up"):
             node, iface = action[2]
@@ -324,6 +381,8 @@ class CompiledScenario:
             call = (injector.fail_node if op == "node_crash"
                     else injector.restore_node)
             call(action[2], at=when)
+        elif op == "isolate":
+            injector.fail_node(action[2], at=when, crash_agent=False)
         elif op in ("agent_crash", "agent_restart"):
             call = (injector.crash_agent if op == "agent_crash"
                     else injector.restart_agent)
@@ -340,54 +399,69 @@ class CompiledScenario:
                                     count=count, start_at=start + at_us,
                                     up_period_us=up_us)
         elif op == "traffic_burst":
-            (_, _, src, dst, rate_pps, count, src_port) = action
-            gap_us = max(SECOND // rate_pps, 1)
-            sender = TrafficSender(
-                udp=self.deployment.servers[src].udp,
-                dst=self.topo.server_address(dst),
-                src_port=src_port, gap_us=gap_us,
-            )
-            analyzer = self._analyzer_for(dst, bursts)
-            sender.start(count=count, at=start + at_us)
-            bursts.append(_Burst(sender=sender, analyzer=analyzer,
-                                 src_addr=self.topo.server_address(src),
-                                 src_port=src_port, gap_us=gap_us))
+            self._dispatch_burst(action, start)
         elif op == "workload":
             wl_spec = action[2]
             engine = FluidWorkload(wl_spec, self.topo, self.deployment,
                                    monitor=self._inv_monitor)
-            engines.append(engine)
-            if at_us == 0:
-                engine.start()
-            else:
-                self.world.sim.schedule_at(start + at_us, engine.start)
+            self.engines.append(engine)
+            self._at(at_us, start, engine.start)
             end_at = start + at_us + wl_spec.duration_ms * MILLISECOND
             self.world.sim.schedule_at(end_at, engine.finish)
         elif op == "measure":
             label = action[2]
 
             def checkpoint(label=label):
-                checkpoints.append(Checkpoint(
+                self.checkpoints.append(Checkpoint(
                     label=label, time_us=self.world.sim.now,
                     update_count=monitor.update_count,
                     update_bytes=monitor.update_bytes))
 
-            if at_us == 0:
-                checkpoint()
-            else:
-                self.world.sim.schedule_at(start + at_us, checkpoint)
+            self._at(at_us, start, checkpoint)
+        elif op == "reachability":
+            def reach():
+                self._reach.append(check_all_pairs(self.deployment,
+                                                   self.topo))
+
+            self._at(at_us, start, reach)
         # "pause" only extends the horizon; nothing to schedule
 
-    def _analyzer_for(self, dst: str, bursts: list[_Burst]) -> ReceiverAnalyzer:
-        for burst in bursts:
+    def _dispatch_burst(self, action, start: int) -> None:
+        (_, at_us, src, dst, rate_pps, count, src_port, via) = action
+        gap_us = max(SECOND // rate_pps, 1)
+        sender = TrafficSender(
+            udp=self.deployment.servers[src].udp,
+            dst=self.topo.server_address(dst),
+            src_port=src_port, gap_us=gap_us,
+        )
+        burst = _Burst(sender=sender, analyzer=self._analyzer_for(dst),
+                       src_addr=self.topo.server_address(src),
+                       src_port=src_port, gap_us=gap_us)
+        self.bursts.append(burst)
+        if via is None:
+            sender.start(count=count, at=start + at_us)
+            return
+
+        def launch():
+            # the flow is picked on the forwarding state of the instant
+            # the burst starts, not the one the scenario compiled on
+            port = find_crossing_flow(self.deployment, src, dst, *via)
+            burst.crossed = port is not None
+            burst.src_port = sender.src_port = (
+                BASE_TRAFFIC_SRC_PORT if port is None else port)
+            sender.start(count=count, at=self.world.sim.now)
+
+        self._at(at_us, start, launch)
+
+    def _analyzer_for(self, dst: str) -> ReceiverAnalyzer:
+        for burst in self.bursts:
             if burst.analyzer.udp is self.deployment.servers[dst].udp:
                 return burst.analyzer
         return ReceiverAnalyzer(self.deployment.servers[dst].udp)
 
-    def _account_traffic(self, metrics: ScenarioMetrics,
-                         bursts: list[_Burst]) -> None:
+    def _account_traffic(self, metrics: ScenarioMetrics) -> None:
         analyzers = []
-        for burst in bursts:
+        for burst in self.bursts:
             if burst.analyzer not in analyzers:
                 analyzers.append(burst.analyzer)
             delivered = burst.analyzer.flow_received(burst.src_addr,

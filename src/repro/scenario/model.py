@@ -8,6 +8,19 @@ the *measurement start*: the instant after the converged fabric has
 idled through its settle phase, when the update monitor arms and the
 table snapshot is taken.
 
+Two stop rules end a run.  By default the paper's update-quiesce rule
+of section VI.B applies (``quiet_ms``/``max_wait_ms``); a scenario that
+sets ``window_ms`` instead stops exactly that long after its horizon —
+no quiesce, no implicit detection-bound wait — which is the fixed window
+of the robustness sweep, the chaos grid and ``repro load``.
+
+Beyond faults and traffic, three ops serve those fixed-window programs:
+``reachability`` path-traces every rack pair at its instant (the
+sweep's all-pairs check); a ``traffic_burst`` with ``via: <link
+target>`` picks, when it starts, the first source port whose path
+crosses that link; and ``isolate`` downs every interface of a node
+while its agent stays alive.
+
 Scenarios are pure data: symbolic targets (``"tor[0].uplink[1]"``,
 ``"any-spine"``, ``"case:TC1"`` — see :mod:`repro.scenario.targets`)
 stay unresolved until a compile against a built fabric (any registered
@@ -34,6 +47,9 @@ from repro.workload.spec import WorkloadError, resolve_workload
 # Schema 3 added the workload op (flow-level load under faults).
 # Schema 4 added the agent_crash/agent_restart ops (control-plane crash
 # with headless forwarding; restart follows the stack's restart mode).
+# The window_ms stop rule, the isolate/reachability ops and the
+# traffic_burst via field joined schema 4 without a bump: they are
+# emitted only when used, so every schema-4 payload reads as before.
 SCENARIO_SCHEMA = 4
 
 
@@ -42,9 +58,6 @@ class ScenarioError(ValueError):
 
 
 # op -> (required fields, optional fields) beyond the common op/at_ms
-_FAULT_OPS = ("iface_down", "iface_up", "link_cut", "link_restore",
-              "node_crash", "node_restart", "agent_crash", "agent_restart",
-              "flap_train")
 _EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "iface_down": (("target",), ()),
     "iface_up": (("target",), ()),
@@ -54,10 +67,13 @@ _EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "node_restart": (("target",), ()),
     "agent_crash": (("target",), ()),
     "agent_restart": (("target",), ()),
+    "isolate": (("target",), ()),
     "flap_train": (("target", "count", "down_ms"), ("up_ms",)),
-    "traffic_burst": (("src", "dst", "rate_pps", "count"), ("src_port",)),
+    "traffic_burst": (("src", "dst", "rate_pps", "count"),
+                      ("src_port", "via")),
     "pause": (("duration_ms",), ()),
     "measure": (("label",), ()),
+    "reachability": ((), ()),
     "impair": (("target",),
                ("profile", "direction", "loss", "corrupt", "duplicate",
                 "jitter_us", "ge_p", "ge_r", "ge_loss_bad")),
@@ -71,7 +87,7 @@ _EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 # agent_crash IS here: the silent control plane is a real outage that
 # peers must detect through their own liveness machinery.
 DOWN_OPS = ("iface_down", "link_cut", "node_crash", "agent_crash",
-            "flap_train")
+            "isolate", "flap_train")
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,7 @@ class ScenarioEvent:
     rate_pps: Optional[int] = None   # traffic_burst
     count: Optional[int] = None      # traffic_burst / flap_train
     src_port: Optional[int] = None   # traffic_burst flow selector
+    via: Optional[str] = None        # traffic_burst: cross this link
     down_ms: Optional[int] = None    # flap_train down-window
     up_ms: Optional[int] = None      # flap_train up-window (default: down)
     duration_ms: Optional[int] = None  # pause
@@ -136,6 +153,10 @@ class ScenarioEvent:
             raise ScenarioError(
                 f"{self.op}: up_ms must be a positive integer, "
                 f"got {self.up_ms!r}")
+        if self.src_port is not None and self.via is not None:
+            raise ScenarioError(
+                f"{self.op}: src_port and via both select the flow; "
+                f"set one")
         if self.direction is not None and self.direction not in DIRECTIONS:
             raise ScenarioError(
                 f"{self.op}: direction must be one of "
@@ -221,7 +242,10 @@ class Scenario:
     at an arbitrary phase of the keepalive cycle, exactly as the paper's
     testbed runs did), while an integer is a fixed millisecond settle.
     ``quiet_ms``/``max_wait_ms`` are the update-quiesce measurement rule
-    of section VI.B.
+    of section VI.B.  ``window_ms``, when set, replaces that rule: the
+    run stops exactly ``window_ms`` after the horizon.  It is emitted
+    only when set, so the payloads (and cache keys) of quiesce-rule
+    scenarios do not mention it.
     """
 
     name: str
@@ -230,6 +254,7 @@ class Scenario:
     quiet_ms: int = 1000
     max_wait_ms: int = 30_000
     events: tuple[ScenarioEvent, ...] = ()
+    window_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.name or self.name.strip() != self.name:
@@ -246,6 +271,13 @@ class Scenario:
                 raise ScenarioError(
                     f"{field_name} must be a positive integer, "
                     f"got {value!r}")
+        if self.window_ms is not None and (
+                isinstance(self.window_ms, bool)
+                or not isinstance(self.window_ms, int)
+                or self.window_ms < 0):
+            raise ScenarioError(
+                f"window_ms must be a non-negative integer, "
+                f"got {self.window_ms!r}")
         object.__setattr__(self, "events", tuple(self.events))
         if not self.events:
             raise ScenarioError(f"scenario {self.name!r} has no events")
@@ -280,7 +312,7 @@ class Scenario:
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
-        return {
+        payload = {
             "schema": SCENARIO_SCHEMA,
             "name": self.name,
             "description": self.description,
@@ -289,6 +321,9 @@ class Scenario:
             "max_wait_ms": self.max_wait_ms,
             "events": [e.to_payload() for e in self.events],
         }
+        if self.window_ms is not None:
+            payload["window_ms"] = self.window_ms
+        return payload
 
     def to_json(self) -> str:
         """Canonical JSON: the form that is cached, hashed and diffed."""
@@ -304,7 +339,7 @@ class Scenario:
                 f"unsupported scenario schema {schema!r} "
                 f"(this build reads schema {SCENARIO_SCHEMA})")
         known = {"schema", "name", "description", "settle", "quiet_ms",
-                 "max_wait_ms", "events"}
+                 "max_wait_ms", "events", "window_ms"}
         unknown = set(payload) - known
         if unknown:
             raise ScenarioError(
@@ -319,7 +354,7 @@ class Scenario:
                             for e in payload["events"]),
         }
         for field_name in ("description", "settle", "quiet_ms",
-                           "max_wait_ms"):
+                           "max_wait_ms", "window_ms"):
             if field_name in payload:
                 kwargs[field_name] = payload[field_name]
         return cls(**kwargs)

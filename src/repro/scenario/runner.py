@@ -2,9 +2,11 @@
 paper's measured runs.
 
 One scenario x stack x seed is an independent, picklable task
-(:class:`ScenarioRunSpec`, the :data:`SCENARIO_RUN` kind), so suites run
-through :func:`repro.harness.executor.run_tasks` and replay from the
-content-addressed result cache exactly like sweeps do.
+(:class:`ScenarioRunSpec`, the :data:`SCENARIO_RUN` kind — the one task
+kind: sweep points, chaos points and ``repro load`` runs are scenario
+programs too), so suites run through
+:func:`repro.harness.executor.run_tasks` and replay from the
+content-addressed result cache.
 Every run carries a SHA-256 run digest (trace + metrics), so serial and
 ``--jobs N`` execution are byte-comparable.  Scenario runs of one world
 share its convergence: the kind names that world (``world_key``).
@@ -36,7 +38,6 @@ from repro.harness.executor import (
     run_tasks,
     world_key,
 )
-from repro.harness.pathtrace import find_crossing_flow
 from repro.scenario.compiler import (
     Checkpoint,
     ScenarioMetrics,
@@ -44,6 +45,7 @@ from repro.scenario.compiler import (
 )
 from repro.scenario.library import TC_SCENARIOS
 from repro.scenario.model import Scenario, ScenarioEvent
+from repro.workload.spec import resolve_workload
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,10 @@ def _metrics_payload(metrics: ScenarioMetrics) -> dict:
         "false_positives": metrics.false_positives,
         "flaps": metrics.flaps,
         "route_churn": metrics.route_churn,
-        "checkpoints": [[c.label, c.time_us, c.update_count, c.update_bytes]
+        "checkpoints": [[c.label, c.time_us, c.update_count, c.update_bytes,
+                         c.detections, c.false_positives, c.flaps,
+                         c.suppressions, c.suppression_us, c.mttr_us,
+                         c.availability]
                         for c in metrics.checkpoints],
     }
     # invariant-monitor counters appear only when nonzero, so unmonitored
@@ -162,6 +167,10 @@ def _metrics_payload(metrics: ScenarioMetrics) -> dict:
         # only loaded runs carry the key: workload-free payloads (and so
         # their run digests) stay byte-identical with the pre-workload era
         payload["workload"] = metrics.workload
+    if metrics.pairs_checked is not None:
+        # likewise only programs with a reachability op
+        payload["pairs_checked"] = metrics.pairs_checked
+        payload["unreachable"] = [list(u) for u in metrics.unreachable]
     return payload
 
 
@@ -192,10 +201,11 @@ def decode_scenario_outcome(payload: dict) -> ScenarioOutcome:
         fib_loop_us=payload.get("fib_loop_us", 0),
         fib_blackholes=payload.get("fib_blackholes", 0),
         fib_blackhole_us=payload.get("fib_blackhole_us", 0),
-        checkpoints=[Checkpoint(label=c[0], time_us=c[1], update_count=c[2],
-                                update_bytes=c[3])
-                     for c in payload["checkpoints"]],
+        checkpoints=[Checkpoint(*c) for c in payload["checkpoints"]],
         workload=payload.get("workload"),
+        pairs_checked=payload.get("pairs_checked"),
+        unreachable=(None if "unreachable" not in payload
+                     else [tuple(u) for u in payload["unreachable"]]),
     )
     return ScenarioOutcome(metrics=metrics, digest=payload["digest"])
 
@@ -219,6 +229,25 @@ def scenario_suite_specs(
         for stack in stacks
         for scenario in scenarios
     ]
+
+
+def workload_suite_specs(
+    params,
+    workloads: Sequence,
+    stacks: Sequence,
+    seed: int = 0,
+    timers: Optional[StackTimers] = None,
+) -> list[ScenarioRunSpec]:
+    """``repro load``: each workload is a one-op program — the workload
+    at 0 ms on the converged fabric, no settle, stopped the instant it
+    ends (``window_ms`` 0) — run on every stack, stack-major."""
+    programs = [
+        Scenario(name=wl.name, description=wl.description, settle=0,
+                 window_ms=0,
+                 events=(ScenarioEvent(op="workload",
+                                       workload=wl.to_payload()),))
+        for wl in map(resolve_workload, workloads)]
+    return scenario_suite_specs(params, programs, stacks, seed, timers)
 
 
 def scenario_task_label(spec: ScenarioRunSpec) -> str:
@@ -393,16 +422,15 @@ def run_packet_loss_experiment(
     mid-flow.  ``near``: the sender's rack adjoins the failure (Fig. 7);
     ``far``: the sender is at the far end (Fig. 8).
 
-    The flow's source port is chosen on the converged world so that its
-    ECMP path crosses the failing link; the run itself is a scenario
-    compiled on that same world (no settle, the flow at 0 ms, the
-    failure :data:`LOSS_LEAD_MS` in), stopped by the update-quiesce
-    rule, whose quiet window lets the last packets drain."""
+    The run is a scenario compiled on the converged world: no settle,
+    the flow at 0 ms on the first source port whose ECMP path crosses
+    the failing link (``via``), the failure :data:`LOSS_LEAD_MS` in,
+    stopped by the update-quiesce rule, whose quiet window lets the last
+    packets drain.  A run where no flow crosses the link raises."""
     if direction not in ("near", "far"):
         raise ValueError(f"direction must be near/far, got {direction!r}")
     spec = resolve_spec(stack, timers)
     world, topo, deployment = build_and_converge(params, spec, seed)
-    case = topo.failure_cases()[case_name]
 
     near_tor = topo.tors[0][0][0]
     far_tor = topo.tors[0][-1][-1]  # last pod's last ToR, e.g. VID 14 in 2-PoD
@@ -410,30 +438,27 @@ def run_packet_loss_experiment(
     src_host = topo.first_server_of(src_tor)
     dst_host = topo.first_server_of(dst_tor)
 
-    src_port = find_crossing_flow(
-        deployment, src_host, dst_host, case.node, case.peer_node
-    )
-    if src_port is None:
-        raise RuntimeError(
-            f"no flow from {src_host} to {dst_host} crosses "
-            f"{case.node}<->{case.peer_node}"
-        )
-
     gap_us = SECOND // rate_pps
     count = (LOSS_LEAD_MS + LOSS_TAIL_MS) * MILLISECOND // gap_us
-    program = Scenario(
+    program = compile_scenario(Scenario(
         name=f"loss-{case_name.lower()}-{direction}",
         settle=0,
         events=(
             ScenarioEvent(op="traffic_burst", at_ms=0, src=src_host,
                           dst=dst_host, rate_pps=rate_pps, count=count,
-                          src_port=src_port),
+                          via=f"case:{case_name}"),
             ScenarioEvent(op="iface_down", at_ms=LOSS_LEAD_MS,
                           target=f"case:{case_name}"),
         ),
-    )
-    metrics = compile_scenario(program, world, topo, deployment).execute(
-        spec.name, seed)
+    ), world, topo, deployment)
+    metrics = program.execute(spec.name, seed)
+    burst = program.bursts[0]
+    if not burst.crossed:
+        case = topo.failure_cases()[case_name]
+        raise RuntimeError(
+            f"no flow from {src_host} to {dst_host} crosses "
+            f"{case.node}<->{case.peer_node}"
+        )
     return PacketLossResult(
         stack=spec.name,
         case=case_name,
@@ -443,5 +468,5 @@ def run_packet_loss_experiment(
         received=metrics.received,
         duplicated=metrics.duplicated,
         out_of_order=metrics.out_of_order,
-        src_port=src_port,
+        src_port=burst.src_port,
     )

@@ -10,9 +10,10 @@ Three layers (see DESIGN §13):
 * :mod:`repro.workload.fluid` / :mod:`repro.workload.engine` — max-min
   progressive-filling rate allocation over each flow's path through the
   deployed stack's actual forwarding state, re-solved at route-change
-  epochs;
-* :mod:`repro.workload.runner` — the ``workload-run`` campaign task:
-  cached, supervisable, digest-stable standalone runs (``repro load``).
+  epochs.
+
+A standalone loaded run (``repro load``) is a scenario program with one
+``workload`` op (:func:`repro.scenario.workload_suite_specs`).
 """
 
 from repro.workload.spec import (
@@ -33,19 +34,6 @@ from repro.workload.spec import (
 from repro.workload.synth import FlowSet, synthesize
 from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
 from repro.workload.engine import EpochRecord, FluidWorkload, WorkloadReport
-from repro.workload.runner import (
-    WORKLOAD_RUN,
-    WorkloadOutcome,
-    WorkloadRunSpec,
-    decode_workload_outcome,
-    encode_workload_outcome,
-    run_workload,
-    run_workload_suite,
-    run_workload_task,
-    workload_suite_specs,
-    workload_task_key,
-    workload_task_label,
-)
 
 __all__ = [
     "ALL_TO_ALL",
@@ -69,15 +57,4 @@ __all__ = [
     "EpochRecord",
     "FluidWorkload",
     "WorkloadReport",
-    "WORKLOAD_RUN",
-    "WorkloadOutcome",
-    "WorkloadRunSpec",
-    "decode_workload_outcome",
-    "encode_workload_outcome",
-    "run_workload",
-    "run_workload_suite",
-    "run_workload_task",
-    "workload_suite_specs",
-    "workload_task_key",
-    "workload_task_label",
 ]

@@ -7,6 +7,7 @@ timer bundles change, and corrupted or torn entries poisoning reruns.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,30 +24,31 @@ from repro.harness.cache import CACHE_SCHEMA, ResultCache, task_key
 from repro.harness.experiments import StackKind, StackTimers
 from repro.harness.executor import CampaignReport, TaskKind, run_tasks
 from repro.harness.sweep import (
-    SWEEP_POINT,
     FailurePoint,
-    decode_sweep_outcome,
-    encode_sweep_outcome,
-    run_sweep_point,
     summarize,
-    sweep_point_key,
+    sweep_result,
     sweep_specs,
 )
 from repro.scenario import (
+    SCENARIO_RUN,
     ScenarioMetrics,
     ScenarioOutcome,
     decode_scenario_outcome,
     encode_scenario_outcome,
     failure_run_specs,
+    run_scenario_task,
     scenario_task_key,
 )
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
+POINT = FailurePoint("L-1-1", "eth1", "S-1-1")
+
+
 def _spec():
-    return sweep_specs(two_pod_params(), StackKind.MTP,
-                       points=[FailurePoint("L-1-1", "eth1", "S-1-1")])[0]
+    """A sweep point's scenario run."""
+    return sweep_specs(two_pod_params(), StackKind.MTP, points=[POINT])[0]
 
 
 # ----------------------------------------------------------------------
@@ -66,14 +68,14 @@ def test_task_key_stable_across_processes():
     program = (
         "from repro.topology.clos import two_pod_params\n"
         "from repro.harness.experiments import StackKind\n"
-        "from repro.harness.sweep import (FailurePoint, sweep_point_key,\n"
-        "                                 sweep_specs)\n"
+        "from repro.harness.sweep import FailurePoint, sweep_specs\n"
+        "from repro.scenario import scenario_task_key\n"
         "spec = sweep_specs(two_pod_params(), StackKind.MTP,\n"
         "                   points=[FailurePoint('L-1-1', 'eth1', 'S-1-1')])[0]\n"
-        "print(sweep_point_key(spec))\n"
+        "print(scenario_task_key(spec))\n"
     )
     keys = {_key_in_subprocess(program, h) for h in ("0", "12345")}
-    keys.add(sweep_point_key(_spec()))
+    keys.add(scenario_task_key(_spec()))
     assert len(keys) == 1, keys
 
 
@@ -95,32 +97,31 @@ def test_registry_spec_key_stable_across_processes():
 
 
 def test_key_invalidates_when_timers_change():
-    spec = _spec()
-    base = sweep_point_key(spec)
+    base = scenario_task_key(_spec())
     for timers in (
         StackTimers(mtp=MtpTimers(hello_us=25 * MILLISECOND,
                                   dead_us=50 * MILLISECOND)),
         StackTimers(bfd=BfdTimers(tx_interval_us=300 * MILLISECOND)),
     ):
         changed = sweep_specs(two_pod_params(), StackKind.MTP,
-                              timers=timers, points=[spec.point])[0]
-        assert sweep_point_key(changed) != base
+                              timers=timers, points=[POINT])[0]
+        assert scenario_task_key(changed) != base
 
 
 def test_key_invalidates_on_every_component():
-    spec = _spec()
-    base = sweep_point_key(spec)
+    base = scenario_task_key(_spec())
     variants = [
         sweep_specs(two_pod_params(tors_per_pod=3), StackKind.MTP,
-                    points=[spec.point])[0],
-        sweep_specs(two_pod_params(), StackKind.BGP,
-                    points=[spec.point])[0],
+                    points=[POINT])[0],
+        sweep_specs(two_pod_params(), StackKind.BGP, points=[POINT])[0],
         sweep_specs(two_pod_params(), StackKind.MTP, seed=1,
-                    points=[spec.point])[0],
+                    points=[POINT])[0],
         sweep_specs(two_pod_params(), StackKind.MTP,
                     points=[FailurePoint("L-1-1", "eth2", "S-1-2")])[0],
+        sweep_specs(two_pod_params(), StackKind.MTP, points=[POINT],
+                    ambient_loss=0.05)[0],
     ]
-    assert base not in {sweep_point_key(v) for v in variants}
+    assert base not in {scenario_task_key(v) for v in variants}
 
 
 def test_task_key_family_namespacing():
@@ -184,20 +185,20 @@ def test_stale_schema_entry_recomputed(tmp_path):
     payloads never replay after a schema migration."""
     cache = ResultCache(tmp_path)
     spec = _spec()
-    key = sweep_point_key(spec)
+    key = scenario_task_key(spec)
     path = _entry_path(cache, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(
         {"schema": CACHE_SCHEMA - 1, "key": key,
          "payload": {"stale": "v1-era entry"}}))
     report = CampaignReport()
-    out = run_tasks(SWEEP_POINT, [spec], cache=cache, report=report)
+    out = run_tasks(SCENARIO_RUN, [spec], cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
-    assert out[0].result.ok
+    assert sweep_result(POINT, out[0].metrics).ok
     # the recomputed entry replaced the stale one and now replays
     replay = CampaignReport()
-    out2 = run_tasks(SWEEP_POINT, [spec], cache=cache, report=replay)
+    out2 = run_tasks(SCENARIO_RUN, [spec], cache=cache, report=replay)
     assert (replay.executed, replay.cached) == (0, 1)
     assert out2[0].digest == out[0].digest
 
@@ -216,13 +217,21 @@ def test_miss_then_hit_counters(tmp_path):
 # payload round-trips
 # ----------------------------------------------------------------------
 def test_sweep_outcome_roundtrip():
-    outcome = run_sweep_point(_spec())
-    restored = decode_sweep_outcome(encode_sweep_outcome(outcome))
-    assert restored.result == outcome.result
-    assert restored.digest == outcome.digest
-    # tuple-ness of unreachable entries survives, so summaries stay
-    # byte-identical between fresh and replayed sweeps
-    assert summarize([restored.result]) == summarize([outcome.result])
+    """A sweep point's scenario outcome survives the cache codec."""
+    outcome = run_scenario_task(_spec())
+    assert outcome.metrics.pairs_checked == 12
+    broken = ScenarioOutcome(
+        metrics=dataclasses.replace(
+            outcome.metrics, unreachable=[("T-1", "T-4", "dead end")]),
+        digest=outcome.digest)
+    for before in (outcome, broken):
+        restored = decode_scenario_outcome(encode_scenario_outcome(before))
+        assert restored.metrics == before.metrics
+        assert restored.digest == before.digest
+        # tuple-ness of unreachable entries survives, so summaries stay
+        # byte-identical between fresh and replayed sweeps
+        assert (summarize([sweep_result(POINT, restored.metrics)])
+                == summarize([sweep_result(POINT, before.metrics)]))
 
 
 def test_experiment_outcome_roundtrip():
@@ -244,18 +253,18 @@ def test_execute_tasks_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:2]
     first = CampaignReport()
-    out1 = run_tasks(SWEEP_POINT, specs, cache=cache, report=first)
+    out1 = run_tasks(SCENARIO_RUN, specs, cache=cache, report=first)
     assert (first.executed, first.cached) == (2, 0)
     second = CampaignReport()
-    out2 = run_tasks(SWEEP_POINT, specs, cache=cache, report=second)
+    out2 = run_tasks(SCENARIO_RUN, specs, cache=cache, report=second)
     assert (second.executed, second.cached) == (0, 2)
     assert [o.digest for o in out1] == [o.digest for o in out2]
-    assert [o.result for o in out1] == [o.result for o in out2]
+    assert [o.metrics for o in out1] == [o.metrics for o in out2]
 
 
 def test_execute_tasks_requires_full_codec():
     """A task kind carries its key and payload codec, so anything the
     executor can run it can also cache."""
     with pytest.raises(TypeError):
-        TaskKind(name="sweep-point", run=run_sweep_point,
-                 key=sweep_point_key)  # no encode/decode/label
+        TaskKind(name="scenario-run", run=run_scenario_task,
+                 key=scenario_task_key)  # no encode/decode/label

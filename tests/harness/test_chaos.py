@@ -9,26 +9,34 @@ import pytest
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
 from repro.harness.chaos import (
-    CHAOS_POINT,
-    ChaosPointSpec,
-    chaos_point_key,
+    chaos_result,
     chaos_specs,
     clean_fabric_violations,
     false_positive_thresholds,
-    run_chaos_point,
-    run_chaos_suite,
     summarize,
 )
-from repro.harness.executor import CampaignReport, assert_fanout_deterministic
-from repro.stacks import resolve_spec
+from repro.harness.executor import (
+    CampaignReport,
+    assert_fanout_deterministic,
+    run_tasks,
+)
+from repro.scenario import SCENARIO_RUN, run_scenario_task, scenario_task_key
 
 
 def _spec(stack="mtp", loss=0.1, **kwargs):
     kwargs.setdefault("window_ms", 1500)
     kwargs.setdefault("traffic_count", 200)
-    return ChaosPointSpec(params=two_pod_params(),
-                          stack=resolve_spec(stack, None), seed=0,
-                          loss=loss, **kwargs)
+    return chaos_specs(two_pod_params(), [stack], rates=(loss,),
+                       **kwargs)[0]
+
+
+def run_chaos_point(spec):
+    return chaos_result(spec, run_scenario_task(spec).metrics)
+
+
+def _loss(spec):
+    return next((e.loss for e in spec.scenario.events if e.op == "impair"),
+                0.0)
 
 
 # ----------------------------------------------------------------------
@@ -38,7 +46,7 @@ def _spec(stack="mtp", loss=0.1, **kwargs):
 def test_clean_fabric_has_zero_false_positives(stack):
     """Loss 0.0 is the suite's control row: a healthy fabric must never
     false-flag, flap, or churn on any stack."""
-    result = run_chaos_point(_spec(stack, loss=0.0)).result
+    result = run_chaos_point(_spec(stack, loss=0.0))
     assert result.false_positives == 0
     assert result.flaps == 0
     assert result.route_churn == 0
@@ -48,7 +56,7 @@ def test_clean_fabric_has_zero_false_positives(stack):
 def test_lossy_link_false_flags_quick_to_detect():
     """At 10% loss MR-MTP's one-missed-hello detector false-flags the
     healthy neighbour during the quiet window and pays route churn."""
-    result = run_chaos_point(_spec("mtp", loss=0.1, window_ms=3000)).result
+    result = run_chaos_point(_spec("mtp", loss=0.1, window_ms=3000))
     assert result.detections >= result.false_positives > 0
     assert result.flaps > 0
     assert result.route_churn > 0
@@ -56,8 +64,7 @@ def test_lossy_link_false_flags_quick_to_detect():
 
 
 def test_bfd_detect_mult_rides_out_the_same_loss():
-    result = run_chaos_point(
-        _spec("bgp-bfd", loss=0.1, window_ms=3000)).result
+    result = run_chaos_point(_spec("bgp-bfd", loss=0.1, window_ms=3000))
     assert result.false_positives == 0
     assert result.flaps == 0
 
@@ -68,19 +75,18 @@ def test_bfd_detect_mult_rides_out_the_same_loss():
 def test_chaos_specs_expand_stack_major():
     specs = chaos_specs(two_pod_params(), ["mtp", "bgp-bfd"],
                         rates=(0.0, 0.1), seed=3)
-    assert [(s.stack.name, s.loss) for s in specs] == [
+    assert [(s.stack.name, _loss(s)) for s in specs] == [
         ("mtp", 0.0), ("mtp", 0.1), ("bgp-bfd", 0.0), ("bgp-bfd", 0.1)]
     assert all(s.seed == 3 for s in specs)
     # every grid point gets its own cache identity
-    assert len({chaos_point_key(s) for s in specs}) == 4
+    assert len({scenario_task_key(s) for s in specs}) == 4
 
 
 def test_key_depends_on_loss_and_window():
-    base = _spec("mtp", loss=0.1)
-    assert chaos_point_key(base) == chaos_point_key(_spec("mtp", loss=0.1))
-    assert chaos_point_key(base) != chaos_point_key(_spec("mtp", loss=0.2))
-    assert chaos_point_key(base) != chaos_point_key(
-        _spec("mtp", loss=0.1, window_ms=2500))
+    base = scenario_task_key(_spec("mtp", loss=0.1))
+    assert base == scenario_task_key(_spec("mtp", loss=0.1))
+    assert base != scenario_task_key(_spec("mtp", loss=0.2))
+    assert base != scenario_task_key(_spec("mtp", loss=0.1, window_ms=2500))
 
 
 def test_threshold_and_violation_analysis():
@@ -108,19 +114,20 @@ def test_threshold_and_violation_analysis():
 def test_chaos_digests_serial_vs_parallel():
     specs = chaos_specs(two_pod_params(), ["mtp"], rates=(0.0, 0.1),
                         window_ms=1500, traffic_count=200)
-    digests = assert_fanout_deterministic(CHAOS_POINT, specs, jobs=2)
+    digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(set(digests)) == len(specs)  # distinct points, distinct runs
 
 
 def test_chaos_suite_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    kwargs = dict(rates=(0.0, 0.1), window_ms=1500, traffic_count=200,
-                  cache=cache)
+    specs = chaos_specs(two_pod_params(), ["mtp"], rates=(0.0, 0.1),
+                        window_ms=1500, traffic_count=200)
     first = CampaignReport()
-    a = run_chaos_suite(two_pod_params(), ["mtp"], report=first, **kwargs)
+    a = run_tasks(SCENARIO_RUN, specs, cache=cache, report=first)
     second = CampaignReport()
-    b = run_chaos_suite(two_pod_params(), ["mtp"], report=second, **kwargs)
+    b = run_tasks(SCENARIO_RUN, specs, cache=cache, report=second)
     assert first.executed == 2 and first.cached == 0
     assert second.executed == 0 and second.cached == 2
     assert [o.digest for o in a] == [o.digest for o in b]
-    assert [o.result for o in a] == [o.result for o in b]
+    assert ([chaos_result(s, o.metrics) for s, o in zip(specs, a)]
+            == [chaos_result(s, o.metrics) for s, o in zip(specs, b)])

@@ -262,6 +262,12 @@ def test_json_stdout_is_one_document(capsys, tmp_path, argv, code, epilogue):
     ["fail", "--runs", "0"],
     ["fail", "--runs", "-5"],
     ["loss", "--rate", "0"],
+    ["chaos", "--pps", "0"],
+    ["chaos", "--rate", "1.5"],
+    ["sweep", "--ambient-loss", "1.5"],
+    ["chaos", "--rate", "-0.2"],
+    ["chaos", "--window-ms", "-5"],
+    ["chaos", "--count", "-3"],
 ])
 def test_bad_supervision_flags_exit_with_usage_error(capsys, flags):
     with pytest.raises(SystemExit) as exc_info:

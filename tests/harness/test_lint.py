@@ -1,5 +1,5 @@
-"""Architecture lints: ``src/`` reads one environment variable, and
-two modules drive measured runs.
+"""Architecture lints: ``src/`` reads one environment variable, one
+module drives measured runs, and campaigns have one task kind.
 
 A run is a function of its spec and seed.  The cache directory
 (``REPRO_CACHE_DIR``) decides only where results are stored, never what
@@ -7,11 +7,15 @@ they are; any other variable read inside ``src/`` is a knob that can
 change a result without appearing in a spec, a cache key or a command
 line.  Settings belong in arguments.
 
-A measured run — arm the update monitor, inject, run until quiet — is
-the scenario compiler's job; the chaos suite's fixed-window points are
-the one other measurement.  A third module that constructs a
-:class:`~repro.harness.convergence.ConvergenceMonitor` is a hand-rolled
-copy of that sequence; express it as a scenario instead.
+A measured run — arm the update monitor, inject, run until quiet or for
+a fixed window — is the scenario compiler's job.  Another module that
+constructs a :class:`~repro.harness.convergence.ConvergenceMonitor` is a
+hand-rolled copy of that sequence; express it as a scenario instead.
+
+Likewise every campaign is a list of scenario runs: ``src/`` constructs
+one :class:`~repro.harness.executor.TaskKind`, ``SCENARIO_RUN``.  A
+second kind is a second spec, key, codec and label for what a scenario
+program already says.
 """
 
 from __future__ import annotations
@@ -101,22 +105,22 @@ def test_src_reads_no_environment_variable_but_the_cache_dir():
 # ----------------------------------------------------------------------
 # who may construct the update monitor
 # ----------------------------------------------------------------------
-MONITOR_OWNERS = {"scenario/compiler.py", "harness/chaos.py"}
+MONITOR_OWNERS = {"scenario/compiler.py"}
 
 
-def monitor_constructions(path: Path) -> list[int]:
-    """Lines that call ``ConvergenceMonitor`` — by name, through a
-    module attribute, or under an import alias."""
+def constructions(path: Path, cls: str = "ConvergenceMonitor") -> list[int]:
+    """Lines that call ``cls`` — by name, through a module attribute, or
+    under an import alias."""
     tree = ast.parse(path.read_text())
-    names = {"ConvergenceMonitor"} | {
+    names = {cls} | {
         alias.asname for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) for alias in node.names
-        if alias.name == "ConvergenceMonitor" and alias.asname}
+        if alias.name == cls and alias.asname}
     return sorted(
         node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
         and (isinstance(node.func, ast.Name) and node.func.id in names
              or isinstance(node.func, ast.Attribute)
-             and node.func.attr == "ConvergenceMonitor"))
+             and node.func.attr == cls))
 
 
 def test_the_monitor_lint_sees_every_spelling(tmp_path):
@@ -129,13 +133,15 @@ def test_the_monitor_lint_sees_every_spelling(tmp_path):
         "b = convergence.ConvergenceMonitor(world, categories)\n"
         "c = Watch(world, categories)\n"
         "d = ConvergenceMonitor  # a reference, not a construction\n")
-    assert monitor_constructions(probe) == [4, 5, 6]
+    assert constructions(probe) == [4, 5, 6]
 
 
+# the id predates the chaos suite becoming a scenario program; the
+# compiler is now the only owner
 def test_only_the_compiler_and_chaos_construct_a_convergence_monitor():
     found = {path.relative_to(SRC).as_posix(): lines
              for path in sorted(SRC.rglob("*.py"))
-             if (lines := monitor_constructions(path))}
+             if (lines := constructions(path))}
     offenders = [f"src/repro/{name}:{lines[0]}"
                  for name, lines in found.items()
                  if name not in MONITOR_OWNERS]
@@ -144,3 +150,30 @@ def test_only_the_compiler_and_chaos_construct_a_convergence_monitor():
         + ", ".join(offenders))
     # the owners still construct one, so this list cannot go stale
     assert set(found) == MONITOR_OWNERS
+
+
+# ----------------------------------------------------------------------
+# one task kind
+# ----------------------------------------------------------------------
+def test_the_task_kind_lint_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro.harness import executor\n"
+        "from repro.harness.executor import TaskKind as Kind\n"
+        "from repro.harness.executor import TaskKind\n"
+        "A = TaskKind(name='a', run=f, key=k, encode=e, decode=d, label=l)\n"
+        "B = executor.TaskKind(name='b', run=f, key=k, encode=e,\n"
+        "                      decode=d, label=l)\n"
+        "C = Kind(name='c', run=f, key=k, encode=e, decode=d, label=l)\n"
+        "D = TaskKind  # a reference, not a construction\n")
+    assert constructions(probe, "TaskKind") == [4, 5, 7]
+
+
+def test_src_constructs_exactly_one_task_kind():
+    found = [f"src/repro/{path.relative_to(SRC).as_posix()}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line in constructions(path, "TaskKind")]
+    assert len(found) == 1, (
+        "every campaign runs scenario programs; a second task kind: "
+        + ", ".join(found))
+    assert found[0].startswith("src/repro/scenario/runner.py:")

@@ -26,7 +26,7 @@ from repro.harness.executor import (
     resolve_jobs,
     run_tasks,
 )
-from repro.harness.sweep import SWEEP_POINT, run_sweep_point, sweep_specs
+from repro.harness.sweep import sweep_specs
 from repro.scenario import SCENARIO_RUN, failure_run_specs, run_scenario_task
 
 
@@ -50,20 +50,20 @@ SQUARE = TaskKind(name="square", run=_square, key=str,
 ])
 def test_sweep_digests_serial_vs_parallel(kind, seed):
     specs = sweep_specs(two_pod_params(), kind, seed=seed)[:3]
-    serial_a = [run_sweep_point(s) for s in specs]
-    serial_b = [run_sweep_point(s) for s in specs]
+    serial_a = [run_scenario_task(s) for s in specs]
+    serial_b = [run_scenario_task(s) for s in specs]
     assert [o.digest for o in serial_a] == [o.digest for o in serial_b]
     # the guard itself re-runs inline and through a 2-worker pool
-    digests = assert_fanout_deterministic(SWEEP_POINT, specs, jobs=2)
+    digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert digests == [o.digest for o in serial_a]
     # results (not just digests) also match byte for byte
-    assert [o.result for o in serial_a] == [o.result for o in serial_b]
+    assert [o.metrics for o in serial_a] == [o.metrics for o in serial_b]
 
 
 def test_sweep_digests_across_worker_counts():
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:4]
     by_jobs = {
-        jobs: [o.digest for o in run_tasks(SWEEP_POINT, specs, jobs=jobs,
+        jobs: [o.digest for o in run_tasks(SCENARIO_RUN, specs, jobs=jobs,
                                            allow_oversubscribe=True)]
         for jobs in (1, 2, 3)
     }
@@ -98,9 +98,10 @@ def test_experiment_digest_differs_across_seeds_and_cases():
 # ----------------------------------------------------------------------
 def test_execute_tasks_preserves_order():
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:4]
-    outcomes = run_tasks(SWEEP_POINT, specs, jobs=2,
+    outcomes = run_tasks(SCENARIO_RUN, specs, jobs=2,
                          allow_oversubscribe=True)
-    assert [o.result.point for o in outcomes] == [s.point for s in specs]
+    assert ([o.metrics.scenario for o in outcomes]
+            == [s.scenario.name for s in specs])
 
 
 def test_guard_raises_on_divergence():

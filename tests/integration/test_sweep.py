@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.executor import run_tasks
+from repro.harness.experiments import StackKind
 from repro.harness.sweep import (
-    fabric_failure_points,
-    single_failure_sweep_outcomes,
     summarize,
+    sweep_points,
+    sweep_result,
+    sweep_specs,
 )
+from repro.scenario import SCENARIO_RUN
 from repro.topology.clos import two_pod_params
 
 
+def _sweep(kind, points):
+    outcomes = run_tasks(SCENARIO_RUN, sweep_specs(two_pod_params(), kind,
+                                                   points=points))
+    return [sweep_result(p, o.metrics) for p, o in zip(points, outcomes)]
+
+
 def test_failure_point_enumeration():
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP)
-    points = fabric_failure_points(topo)
+    points = sweep_points(two_pod_params())
     # 2-PoD: 8 ToR-agg links + 8 agg-top links, both ends = 32 points
     assert len(points) == 32
     assert all(p.node != p.peer for p in points)
@@ -23,11 +31,9 @@ def test_failure_point_enumeration():
 
 @pytest.mark.parametrize("kind", [StackKind.MTP, StackKind.BGP])
 def test_sampled_failures_leave_no_blackholes(kind):
-    world, topo, dep = build_and_converge(two_pod_params(), kind)
-    points = fabric_failure_points(topo)
+    points = sweep_points(two_pod_params())
     sample = points[:: max(1, len(points) // 6)]  # ~6 spread-out points
-    results = [o.result for o in single_failure_sweep_outcomes(
-        two_pod_params(), kind, points=sample)]
+    results = _sweep(kind, sample)
     assert all(r.ok for r in results), summarize(results)
     assert all(r.pairs_checked == 12 for r in results)  # 4 ToRs -> 12 pairs
 
@@ -35,7 +41,6 @@ def test_sampled_failures_leave_no_blackholes(kind):
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", [StackKind.MTP, StackKind.BGP])
 def test_exhaustive_single_failure_sweep(kind):
-    results = [o.result for o in single_failure_sweep_outcomes(
-        two_pod_params(), kind)]
+    results = _sweep(kind, sweep_points(two_pod_params()))
     assert len(results) == 32
     assert all(r.ok for r in results), summarize(results)

@@ -16,30 +16,27 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness.chaos import (
-    CHAOS_POINT,
-    ChaosPointSpec,
-    chaos_specs,
-    run_chaos_point,
-)
+from repro.harness.chaos import chaos_result, chaos_specs
 from repro.harness.executor import assert_fanout_deterministic
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.liveness import DEFAULT_LIVENESS, LivenessConfig, NeighborMonitor
 from repro.net.impairment import ImpairmentProfile
 from repro.scenario.library import get_scenario
-from repro.scenario.runner import run_scenario
+from repro.scenario.runner import (
+    SCENARIO_RUN,
+    run_scenario,
+    run_scenario_task,
+)
 from repro.sim.units import MILLISECOND
 from repro.stacks import resolve_spec
 from repro.topology.clos import two_pod_params
 
 
 def _chaos(stack: str, loss: float, window_ms: int = 3000):
-    spec = ChaosPointSpec(params=two_pod_params(),
-                          stack=resolve_spec(stack, None), seed=0,
-                          loss=loss, window_ms=window_ms,
-                          traffic_count=200)
-    return run_chaos_point(spec).result
+    spec, = chaos_specs(two_pod_params(), [stack], rates=(loss,),
+                        window_ms=window_ms, traffic_count=200)
+    return chaos_result(spec, run_scenario_task(spec).metrics)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +137,7 @@ def test_adaptive_chaos_digests_serial_vs_parallel():
                         ["mtp-adaptive", "bgp-bfd-damped"],
                         rates=(0.0, 0.1), window_ms=1500,
                         traffic_count=100)
-    digests = assert_fanout_deterministic(CHAOS_POINT, specs, jobs=2)
+    digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(set(digests)) == len(specs)
 
 

@@ -196,3 +196,41 @@ def test_impair_is_not_a_down_op():
     from repro.scenario.model import DOWN_OPS
     assert "impair" not in DOWN_OPS
     assert "clear_impairment" not in DOWN_OPS
+
+
+# ----------------------------------------------------------------------
+# the window stop rule and the fixed-window ops
+# ----------------------------------------------------------------------
+def test_window_ms_is_emitted_only_when_set():
+    plain = simple_scenario()
+    assert "window_ms" not in plain.to_payload()
+    windowed = simple_scenario(window_ms=0)
+    assert windowed.to_payload()["window_ms"] == 0
+    assert Scenario.from_payload(windowed.to_payload()) == windowed
+    assert Scenario.from_json(windowed.to_json()) == windowed
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "5"])
+def test_bad_window_rejected(bad):
+    with pytest.raises(ScenarioError, match="window_ms"):
+        simple_scenario(window_ms=bad)
+
+
+def test_via_selects_the_flow_instead_of_src_port():
+    burst = dict(op="traffic_burst", src="server:tor[0]",
+                 dst="server:tor[1]", rate_pps=100, count=10)
+    assert ScenarioEvent(**burst, via="case:TC1").via == "case:TC1"
+    with pytest.raises(ScenarioError, match="src_port and via"):
+        ScenarioEvent(**burst, src_port=40000, via="case:TC1")
+    with pytest.raises(ScenarioError, match="not valid"):
+        ScenarioEvent(op="iface_down", target="case:TC1", via="case:TC1")
+
+
+def test_isolate_is_a_down_op_and_reachability_takes_no_fields():
+    from repro.scenario.model import DOWN_OPS
+
+    assert "isolate" in DOWN_OPS
+    assert ScenarioEvent(op="reachability", at_ms=3).to_payload() == {
+        "op": "reachability", "at_ms": 3}
+    with pytest.raises(ScenarioError, match="not valid"):
+        ScenarioEvent(op="reachability", target="tor[0]")

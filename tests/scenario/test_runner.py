@@ -16,7 +16,10 @@ from repro.harness.metrics import blast_radius, snapshot_table_change_counts
 from repro.harness.pathtrace import find_crossing_flow
 from repro.scenario import (
     SCENARIO_RUN,
+    Scenario,
+    ScenarioEvent,
     ScenarioRunSpec,
+    compile_scenario,
     failure_run_specs,
     get_scenario,
     run_failure_experiment,
@@ -191,3 +194,79 @@ def test_serial_and_parallel_digests_are_identical():
         ["mtp", "bgp-bfd"], seed=0)
     digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(digests) == len(specs)
+
+
+# ----------------------------------------------------------------------
+# the window stop rule and the fixed-window ops
+# ----------------------------------------------------------------------
+def test_window_rule_stops_exactly_after_the_horizon():
+    program = Scenario(name="w", settle=0, window_ms=300, events=(
+        ScenarioEvent(op="measure", label="t0"),
+        ScenarioEvent(op="pause", duration_ms=200),
+        ScenarioEvent(op="reachability", at_ms=150),
+    ))
+    metrics, world = run_scenario(program, two_pod_params(), "bgp-bfd",
+                                  return_world=True)
+    start = metrics.checkpoints[0].time_us
+    # no quiesce and no detection-bound wait: 200 ms of horizon + 300
+    assert world.sim.now - start == 500 * MILLISECOND
+    assert (metrics.pairs_checked, metrics.unreachable) == (12, [])
+    plain = run_scenario(Scenario(name="p", settle=0, events=(
+        ScenarioEvent(op="pause", duration_ms=200),)), two_pod_params(),
+        "bgp-bfd")
+    assert plain.pairs_checked is None and plain.unreachable is None
+
+
+def test_checkpoint_freezes_the_liveness_fold():
+    """A lossy uplink false-flags MR-MTP; the checkpoint at 1 s counts
+    the detections up to that instant only, the run counts them all."""
+    program = Scenario(name="fold", settle=0, window_ms=2000, events=(
+        ScenarioEvent(op="impair", target="tor[0].uplink[0]", loss=0.3),
+        ScenarioEvent(op="measure", at_ms=1000, label="early"),
+    ))
+    metrics = run_scenario(program, two_pod_params(), "mtp")
+    early, = metrics.checkpoints
+    assert 0 < early.false_positives < metrics.false_positives
+    assert early.detections >= early.false_positives
+    assert 0 < early.flaps <= metrics.flaps
+
+
+@pytest.mark.parametrize("op,crashed", [("isolate", False),
+                                         ("node_crash", True)])
+def test_isolate_downs_every_interface_and_spares_the_agent(op, crashed):
+    world, topo, deployment = build_and_converge(two_pod_params(), "mtp")
+    agg = topo.aggs[0][0][0]
+    program = compile_scenario(
+        Scenario(name=op, settle=0, window_ms=0,
+                 events=(ScenarioEvent(op=op, target="agg[0][0]"),)),
+        world, topo, deployment)
+    program.execute("mtp", 0)
+    assert deployment.mtp_nodes[agg].crashed is crashed
+    assert not any(i.admin_up for i in topo.node(agg).interfaces.values())
+
+
+def test_via_picks_the_port_when_the_burst_starts():
+    """The burst's port crosses its link on the forwarding state of its
+    own start: after the link is cut, no flow crosses it and the burst
+    falls back to 40000; on the converged fabric it gets the crossing
+    port the path tracer names."""
+    world, topo, deployment = build_and_converge(two_pod_params(), "mtp")
+    tor, agg = topo.all_tors()[0], topo.all_aggs()[0]
+    src = topo.first_server_of(tor)
+    dst = topo.first_server_of(topo.all_tors()[-1])
+    crossing = find_crossing_flow(deployment, src, dst, tor, agg)
+    assert crossing not in (None, 40000)
+    link = f"{tor}--{agg}"
+    burst = ScenarioEvent(op="traffic_burst", at_ms=100, src=src, dst=dst,
+                          rate_pps=100, count=5, via=link)
+    for cut, expected in ((False, crossing), (True, 40000)):
+        events = ((ScenarioEvent(op="link_cut", target=link), burst)
+                  if cut else (burst,))
+        world, topo, deployment = build_and_converge(two_pod_params(),
+                                                     "mtp")
+        program = compile_scenario(
+            Scenario(name="via", settle=0, window_ms=0, events=events),
+            world, topo, deployment)
+        program.execute("mtp", 0)
+        assert program.bursts[0].src_port == expected
+        assert program.bursts[0].crossed is not cut

@@ -30,8 +30,10 @@ from repro.stacks.builtin import (
     deploy_mtp_stack,
 )
 from repro.harness.experiments import build_and_converge
-from repro.harness.sweep import FailurePoint, single_failure_sweep_outcomes
+from repro.harness.executor import run_tasks
+from repro.harness.sweep import FailurePoint, sweep_result, sweep_specs
 from repro.scenario import (
+    SCENARIO_RUN,
     failure_run_specs,
     run_failure_experiment,
     scenario_task_key,
@@ -152,12 +154,13 @@ def test_registered_variant_runs_failure_experiment(throwaway_stack):
 
 
 def test_registered_variant_runs_robustness_sweep(throwaway_stack):
-    outcomes = single_failure_sweep_outcomes(
-        two_pod_params(), throwaway_stack,
-        points=[FailurePoint("L-1-1", "eth1", "S-1-1"),
-                FailurePoint("T-1", "eth1", "S-1-1")])
+    points = [FailurePoint("L-1-1", "eth1", "S-1-1"),
+              FailurePoint("T-1", "eth1", "S-1-1")]
+    outcomes = run_tasks(SCENARIO_RUN, sweep_specs(
+        two_pod_params(), throwaway_stack, points=points))
     assert len(outcomes) == 2
-    assert all(o.result.ok for o in outcomes)
+    assert all(sweep_result(p, o.metrics).ok
+               for p, o in zip(points, outcomes))
 
 
 def test_built_deployment_satisfies_protocol(throwaway_stack):

@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from repro.harness.experiments import build_and_converge
-from repro.harness.sweep import check_all_pairs
+from repro.harness.pathtrace import check_all_pairs
 from repro.topology import (
     TIER_AGG,
     TIER_TOR,

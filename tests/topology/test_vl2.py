@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import build_and_converge
-from repro.harness.sweep import check_all_pairs
+from repro.harness.pathtrace import check_all_pairs
 from repro.topology import (
     TIER_AGG,
     TIER_TOP,

@@ -5,13 +5,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenario import Scenario, ScenarioEvent, run_scenario
+from repro.scenario import (
+    Scenario,
+    ScenarioEvent,
+    run_scenario,
+    workload_suite_specs,
+)
 from repro.topology.clos import two_pod_params
-from repro.workload import WorkloadReport, run_workload
+from repro.workload import WorkloadReport
 from repro.workload.spec import WorkloadSpec
 
 SMALL = WorkloadSpec(name="small", matrix="permutation", flows=1500,
                      duration_ms=500, epoch_ms=25)
+
+
+def run_workload(workload, params, stack, seed=0) -> WorkloadReport:
+    """A ``repro load`` run: the one-op workload program."""
+    spec, = workload_suite_specs(params, [workload], [stack], seed=seed)
+    metrics = run_scenario(spec.scenario, params, stack, seed)
+    return WorkloadReport.from_payload(metrics.workload)
 
 
 @pytest.mark.parametrize("stack", ["mtp", "bgp-bfd", "mtp-spray"])
