@@ -52,7 +52,7 @@ class BfdSession:
                  "my_discriminator", "your_discriminator", "timers",
                  "on_state_change", "monitor", "state", "_packets_sent",
                  "_packets_received", "_tx_inputs", "_tx_packet", "_tx_flow",
-                 "_tx_timer", "_detect_timer", "port")
+                 "_tx_timer", "_detect_timer", "port", "quiet_due")
 
     def __init__(
         self,
@@ -80,6 +80,8 @@ class BfdSession:
         self._packets_sent = 0
         self._packets_received = 0
         self._tx_inputs: Optional[tuple] = None  # what _tx_packet was built from
+        # while quiet: the due time of its entry in the manager's heap
+        self.quiet_due: Optional[int] = None
         self.port = next((iface.name for iface in self.node.interfaces.values()
                           if iface.address == local), None)
         self._tx_timer = PeriodicTimer(
@@ -285,6 +287,7 @@ class QuietBfd(QuietExchange):
         quiet.detect, quiet.arrival = (armed.time, armed.born), None
         due = session._tx_timer._handle  # drawn by the tick sending this one
         heappush(session.manager._quiet, (due.time, due.born, due.seq, session))
+        session.quiet_due = due.time
         session._tx_timer.stop()
         far._detect_timer.stop()
         quiet.tick(session.sim.now)
@@ -311,9 +314,8 @@ class QuietBfd(QuietExchange):
         self.far._packets_received += count
         self.detect = (arrival + self.detection, arrival)
 
-    def next_tx(self, iface: Interface) -> int:  # from the manager's heap
-        return next(entry for entry in self.session.manager._quiet
-                    if entry[3] is self.session)[0]
+    def next_tx(self, iface: Interface) -> int:  # its entry in the heap
+        return self.session.quiet_due
 
     def settle(self) -> None:
         self.session.manager.settle()
@@ -377,8 +379,9 @@ class BfdManager:
                 passed[session] = [due]
             else:
                 ticks.append(due)
-            heapreplace(heap, (due + session._tx_timer._next_period(
-                self._rng), due, seq, session))
+            session.quiet_due = due + session._tx_timer._next_period(
+                self._rng)
+            heapreplace(heap, (session.quiet_due, due, seq, session))
         for session, ticks in passed.items():
             sim.events_settled += len(ticks)
             next(quiet for quiet in session.node.interfaces[

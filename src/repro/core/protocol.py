@@ -360,12 +360,19 @@ class MtpNode:
         return None  # same-tier links do not occur in a folded-Clos
 
     def _alive_ports(self, direction: str) -> list[str]:
+        """Usable, cabled ports facing ``direction`` — :meth:`_direction`,
+        ``nbr.up`` and ``iface.cabled`` read inline: every packet going
+        up asks."""
+        tier, up, interfaces = self.tier, direction == "up", self.node.interfaces
         result = []
         for port, nbr in self.neighbors.items():
-            if not (nbr.up or nbr.stale_held) or self._direction(port) != direction:
+            nbr_tier = nbr.tier
+            if (nbr_tier is None or nbr_tier == tier
+                    or (nbr_tier > tier) is not up
+                    or not (nbr.state is NeighborState.UP or nbr.stale_held)):
                 continue
-            iface = self.node.interfaces[port]
-            if iface.admin_up and iface.cabled:
+            iface = interfaces[port]
+            if iface.admin_up and iface.link is not None:
                 result.append(port)
         return sorted(result)
 

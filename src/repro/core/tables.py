@@ -8,6 +8,10 @@ used for traffic destined to VID 11" state of section VII.B.
 
 Change accounting mirrors :class:`repro.routing.table.RoutingTable` so
 the harness computes blast radius identically for both protocols.
+
+The table also keeps a root index (root -> {port: VIDs of that root
+acquired there}), which only its own mutators write, so the forwarding
+decision's "which ports hold this root" is a lookup, not a scan.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ class VidTable:
         self.name = name
         self.sim = sim
         self._by_port: dict[str, set[Vid]] = {}
+        self._root_ports: dict[int, dict[str, int]] = {}
         self._marks: dict[str, set[int]] = {}
         # default marks: the port's upstream lost its own default path
         # and can only serve the exception roots (double-failure case)
@@ -37,6 +42,15 @@ class VidTable:
         if self.sim is not None:
             self.last_change_time = self.sim.now
 
+    def _unindex(self, port: str, vids: Iterable[Vid]) -> None:
+        for vid in vids:
+            ports = self._root_ports[vid.root]
+            ports[port] -= 1
+            if not ports[port]:
+                del ports[port]
+                if not ports:
+                    del self._root_ports[vid.root]
+
     # ------------------------------------------------------------------
     # acquired VIDs
     # ------------------------------------------------------------------
@@ -45,6 +59,8 @@ class VidTable:
         if vid in vids:
             return False
         vids.add(vid)
+        ports = self._root_ports.setdefault(vid.root, {})
+        ports[port] = ports.get(port, 0) + 1
         self._note_change()
         return True
 
@@ -54,6 +70,7 @@ class VidTable:
             vids.remove(vid)
             if not vids:
                 del self._by_port[port]
+            self._unindex(port, (vid,))
             self._note_change()
             return True
         return False
@@ -63,6 +80,7 @@ class VidTable:
         vids = self._by_port.pop(port, None)
         if not vids:
             return []
+        self._unindex(port, vids)
         self._note_change()
         return sorted(vids)
 
@@ -79,6 +97,7 @@ class VidTable:
         if not (self._by_port or self._marks or self._default_marks):
             return
         self._by_port.clear()
+        self._root_ports.clear()
         self._marks.clear()
         self._default_marks.clear()
         self._note_change()
@@ -98,6 +117,7 @@ class VidTable:
         vids.difference_update(doomed)
         if not vids:
             del self._by_port[port]
+        self._unindex(port, doomed)
         self._note_change()
         return doomed
 
@@ -113,14 +133,11 @@ class VidTable:
     def ports_for_root(self, root: int) -> list[str]:
         """Ports holding a VID of the given root — the down-forwarding
         choices for traffic destined to that ToR."""
-        return sorted(
-            port
-            for port, vids in self._by_port.items()
-            if any(v.root == root for v in vids)
-        )
+        ports = self._root_ports.get(root)
+        return sorted(ports) if ports else []
 
     def roots(self) -> set[int]:
-        return {v.root for vids in self._by_port.values() for v in vids}
+        return set(self._root_ports)
 
     def roots_on(self, port: str) -> set[int]:
         return {v.root for v in self._by_port.get(port, ())}

@@ -144,10 +144,10 @@ class BgpDeployment:
 
     def fib_complete(self) -> bool:
         """Every router can route every rack subnet."""
-        racks = list(self.topo.rack_subnet.values())
-        for name, stack in self.stacks.items():
-            for prefix in racks:
-                if stack.table.lookup(prefix.host(1)) is None:
+        hosts = [prefix.host(1) for prefix in self.topo.rack_subnet.values()]
+        for stack in self.stacks.values():
+            for host in hosts:
+                if stack.table.lookup(host) is None:
                     return False
         return True
 

@@ -159,7 +159,7 @@ class IpStack:
                 self._send_icmp_error(packet, IcmpType.DEST_UNREACHABLE)
             return
         iface = self.node.interfaces.get(nexthop.interface)
-        if iface is None or not iface.admin_up or not iface.cabled:
+        if iface is None or not iface.admin_up or iface.link is None:
             self._counters.dropped_iface_down += 1
             return
         arp_target = nexthop.via if nexthop.via is not None else packet.dst

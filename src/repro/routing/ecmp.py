@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -48,6 +48,15 @@ def _keyed_blake2b(salt: int):
                    key=salt.to_bytes(8, "little", signed=False))
 
 
+#: most (flow key, salt) digests :func:`ecmp_hash` remembers
+DIGEST_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=DIGEST_MEMO_SIZE)
+def _digest(key: FlowKey, salt: int) -> int:
+    return int.from_bytes(_keyed_blake2b(salt)(key.pack()).digest(), "little")
+
+
 def ecmp_hash(key: FlowKey, n_choices: int, salt: int = 0) -> int:
     """Map a flow onto one of ``n_choices`` next hops.
 
@@ -56,13 +65,16 @@ def ecmp_hash(key: FlowKey, n_choices: int, salt: int = 0) -> int:
     flow that hashed left at tier N would hash the same way at tier N+1
     — the classic ECMP-polarization pathology, which real switches avoid
     exactly this way (per-device hash seeds feeding a non-linear hash).
+
+    The digest is a pure function of key and salt, so it is memoized
+    (every packet of a flow hashes again at every hop), for the
+    :data:`DIGEST_MEMO_SIZE` most recent of them.
     """
     if n_choices <= 0:
         raise ValueError("n_choices must be positive")
     if n_choices == 1:
         return 0
-    digest = _keyed_blake2b(salt)(key.pack()).digest()
-    return int.from_bytes(digest, "little") % n_choices
+    return _digest(key, salt) % n_choices
 
 
 def ecmp_digests(packed_keys: bytes, rows: np.ndarray,

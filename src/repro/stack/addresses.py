@@ -88,7 +88,8 @@ class Ipv4Address:
         return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
 
     def __str__(self) -> str:
-        return ".".join(str(o) for o in self.octets)
+        v = self.value
+        return f"{v >> 24}.{v >> 16 & 0xFF}.{v >> 8 & 0xFF}.{v & 0xFF}"
 
     def __lt__(self, other: "Ipv4Address") -> bool:
         return self.value < other.value

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.stack.addresses import Ipv4Address
 from repro.stack.payload import Payload, derived_size
@@ -37,7 +37,8 @@ class Ipv4Packet:
         """Return a copy with TTL reduced by one (raises if already 0)."""
         if self.ttl == 0:
             raise ValueError("TTL already zero")
-        return replace(self, ttl=self.ttl - 1)
+        return Ipv4Packet(self.src, self.dst, self.proto, self.payload,
+                          self.ttl - 1)
 
     def __str__(self) -> str:
         return (

@@ -1,18 +1,26 @@
-"""BFD session behaviour: bring-up, detection speed, packet sizes."""
+"""BFD session behaviour: bring-up, detection speed, packet sizes, and a
+quiet session's next transmission."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.bfd.messages import BfdControlPacket, BfdState, BFD_PORT
-from repro.bfd.session import SLOW_TX_INTERVAL_US, BfdManager, BfdTimers
+from repro.bfd.session import (SLOW_TX_INTERVAL_US, BfdManager, BfdTimers,
+                               QuietBfd)
+from repro.harness.experiments import build_and_converge
 from repro.iputil.udp_service import UdpService
 from repro.net.capture import Capture
+from repro.scenario.targets import TargetResolver
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.addresses import Ipv4Address
 from repro.net.world import World
 from repro.stack.ipv4 import PROTO_UDP, Ipv4Packet
 from repro.stack.udp import UdpDatagram
+from repro.topology.clos import ClosParams
+from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 
 from tests.conftest import make_ip_pair
 
@@ -231,3 +239,63 @@ def test_transmit_flyweight_is_invisible_on_the_wire():
     # A's session lived through all of it: every packet it counted is there
     assert len([1 for _t, name, _s, _y in flyweight["wire"] if name == "A"]) \
         == flyweight["packets_sent"][0]
+
+
+# ----------------------------------------------------------------------
+# a quiet session's next transmission: the value the manager keeps
+# beside its heap entry, against a scan of the heap
+# ----------------------------------------------------------------------
+def _check_quiet_next_tx(deployment) -> int:
+    """The heap holds one entry per quiet session, and each quiet
+    session's ``next_tx`` is that entry's due time; returns how many
+    sessions were quiet."""
+    quiet_sessions = 0
+    for speaker in deployment.speakers.values():
+        manager = speaker.bfd
+        manager.settle()
+        heap, quiet = manager._quiet, {}
+        for session in manager.sessions.values():
+            iface = session.node.interfaces[session.port]
+            for exchange in iface.quiet_tx or ():
+                if type(exchange) is QuietBfd and exchange.session is session:
+                    quiet[session] = exchange.next_tx(iface)
+        assert len(heap) == len(quiet)
+        for session, next_tx in quiet.items():
+            assert next_tx == next(entry for entry in heap
+                                   if entry[3] is session)[0]
+        quiet_sessions += len(quiet)
+    return quiet_sessions
+
+
+def test_quiet_next_tx_is_the_heap_entry_at_any_instant():
+    """A converged 4-PoD bgp-bfd fabric run to pseudo-random instants,
+    with a crossing data burst (each frame asks ``next_tx``) and taps
+    that wake sessions and let them go quiet again."""
+    world, topo, deployment = build_and_converge(
+        ClosParams(num_pods=4), "bgp-bfd", seed=0)
+    resolver = TargetResolver(topo)
+    src = resolver.endpoint("server:tor[3]")
+    dst = resolver.endpoint("server:tor[0]")
+    ReceiverAnalyzer(deployment.servers[dst].udp)
+    TrafficSender(udp=deployment.servers[src].udp,
+                  dst=topo.server_address(dst), gap_us=MILLISECOND,
+                  ).start(count=3000)
+    ports = sorted({(s.node.name, s.port) for sp in deployment.speakers.values()
+                    for s in sp.bfd.sessions.values()})
+    rng = random.Random(0)
+    tapped, peak = [], 0
+    for step in range(200):
+        world.run_for(rng.randrange(1, 40 * MILLISECOND))
+        peak = max(peak, _check_quiet_next_tx(deployment))
+        if step % 20 == 10:
+            name, port = rng.choice(ports)
+            iface = topo.node(name).interfaces[port]
+            iface.add_tap(_ignore_frame)
+            tapped.append(iface)
+        elif step % 20 == 0 and tapped:
+            tapped.pop(0).remove_tap(_ignore_frame)
+    assert peak > len(ports) // 2
+
+
+def _ignore_frame(iface, frame, direction) -> None:
+    pass

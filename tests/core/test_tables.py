@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
+from hypothesis import given, strategies as st
+
 from repro.core.tables import VidTable
 from repro.core.vid import Vid
 
@@ -174,3 +178,49 @@ class TestDefaultMarks:
         assert table.default_exceptions("eth3") is None
         table.set_default_mark("eth3", {11})
         assert table.default_exceptions("eth3") == {11}
+
+
+# ----------------------------------------------------------------------
+# the root index against the scan it replaced
+# ----------------------------------------------------------------------
+# few ports, roots and components, so steps keep hitting what earlier
+# steps added: a root VID is a parent of every VID of its root
+ROOTS = (11, 12)
+PORTS = st.sampled_from(["eth1", "eth2"])
+VIDS = st.builds(lambda root, tail: Vid((root, *tail)),
+                 st.sampled_from(ROOTS),
+                 st.lists(st.integers(min_value=1, max_value=2), max_size=2))
+STEPS = st.one_of(
+    st.tuples(st.just("add"), PORTS, VIDS),
+    st.tuples(st.just("remove"), PORTS, VIDS),
+    st.tuples(st.just("remove_held"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("prune_port"), PORTS),
+    st.tuples(st.just("prune_extensions"), PORTS,
+              st.lists(VIDS, min_size=1, max_size=2)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("pickle")),
+)
+
+
+def scanned_ports_for_root(table: VidTable, root: int) -> list[str]:
+    """``ports_for_root`` as a scan of every port's VIDs (the definition
+    before the table kept a root index)."""
+    return sorted({port for port, vid in table.entries() if vid.root == root})
+
+
+@given(st.lists(STEPS, max_size=40))
+def test_root_index_matches_the_scan_after_every_step(steps):
+    table = VidTable()
+    for op, *args in steps:
+        if op == "pickle":
+            table = pickle.loads(pickle.dumps(table))
+        elif op == "remove_held":  # one of the entries held, if any
+            held = table.entries()
+            if held:
+                table.remove(*held[args[0] % len(held)])
+        else:
+            getattr(table, op)(*args)
+        for root in ROOTS:
+            assert table.ports_for_root(root) == scanned_ports_for_root(
+                table, root)
+        assert table.roots() == {vid.root for _, vid in table.entries()}

@@ -1,11 +1,15 @@
-"""The bulk digest helper is ``ecmp_hash`` for many flows at once."""
+"""The bulk digest helper is ``ecmp_hash`` for many flows at once, and
+``ecmp_hash``'s memo is a freshly keyed BLAKE2b."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.routing import ecmp
 from repro.routing.ecmp import KEY_BYTES, FlowKey, ecmp_digests, ecmp_hash
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -75,3 +79,30 @@ def test_salts_equal_modulo_2_16_do_not_alias():
         assert (ecmp_digests(packed, rows, salt)
                 % np.uint64(5)).tolist() == [
             ecmp_hash(key, 5, salt) for key in keys]
+
+
+def fresh_hash(key: FlowKey, n_choices: int, salt: int) -> int:
+    """A freshly keyed BLAKE2b per call: what ``ecmp_hash`` did before it
+    memoized the digest."""
+    digest = hashlib.blake2b(key.pack(), digest_size=8,
+                             key=salt.to_bytes(8, "little")).digest()
+    return int.from_bytes(digest, "little") % n_choices
+
+
+@given(keys=st.lists(KEYS, min_size=1, max_size=20), salt=SALTS,
+       n_choices=st.integers(min_value=1, max_value=64))
+def test_memoized_hash_is_a_freshly_keyed_blake2b(keys, salt, n_choices):
+    for key in keys + keys:  # the second pass reads the memo
+        assert ecmp_hash(key, n_choices, salt) == fresh_hash(
+            key, n_choices, salt)
+
+
+def test_digest_memo_stays_within_its_bound():
+    keys = [FlowKey(i, 99, 17, 40000, 5001)
+            for i in range(ecmp.DIGEST_MEMO_SIZE + 100)]
+    for salt in (0, 7):
+        for key in keys:
+            assert ecmp_hash(key, 3, salt) == fresh_hash(key, 3, salt)
+    info = ecmp._digest.cache_info()
+    assert info.maxsize == ecmp.DIGEST_MEMO_SIZE
+    assert info.currsize == ecmp.DIGEST_MEMO_SIZE

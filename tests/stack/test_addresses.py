@@ -63,6 +63,13 @@ class TestIpv4:
         ip = Ipv4Address(value)
         assert Ipv4Address.parse(str(ip)) == ip
 
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_str_is_the_joined_octets(self, value):
+        """Shifts and masks in one f-string render exactly what joining
+        the four octets did."""
+        ip = Ipv4Address(value)
+        assert str(ip) == ".".join(str(o) for o in ip.octets)
+
 
 class TestNetwork:
     def test_parse_and_contains(self):
