@@ -22,7 +22,6 @@ from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
 from repro.topology.clos import two_pod_params
 from repro.harness.experiments import (
-    StackKind,
     StackTimers,
     build_and_converge,
 )
@@ -44,7 +43,7 @@ def test_abl_quick_to_detect(benchmark, results_dir):
                 dead_us=mult * 50 * MILLISECOND,
             ))
             out[mult] = run_failure_experiment(
-                two_pod_params(), StackKind.MTP, "TC1", timers=timers)
+                two_pod_params(), "mtp", "TC1", timers=timers)
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -72,7 +71,7 @@ def test_abl_slow_to_accept(benchmark, results_dir):
     def run(accept_hellos: int):
         timers = StackTimers(mtp=MtpTimers(accept_hellos=accept_hellos))
         world, topo, dep = build_and_converge(
-            two_pod_params(), StackKind.MTP, timers=timers)
+            two_pod_params(), "mtp", timers=timers)
         case = topo.failure_cases()["TC2"]
         monitor = ConvergenceMonitor(world, dep.update_categories())
         injector = FailureInjector(world)
@@ -118,7 +117,7 @@ def test_abl_mrai(benchmark, results_dir):
         for mrai in mrais_ms:
             timers = StackTimers(bgp=BgpTimers(mrai_us=mrai * MILLISECOND))
             out[mrai] = run_failure_experiment(
-                two_pod_params(), StackKind.BGP, "TC2", timers=timers)
+                two_pod_params(), "bgp", "TC2", timers=timers)
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -143,7 +142,7 @@ def test_abl_bfd_interval(benchmark, results_dir):
         for tx in intervals_ms:
             timers = StackTimers(bfd=BfdTimers(tx_interval_us=tx * MILLISECOND))
             out[tx] = run_failure_experiment(
-                two_pod_params(), StackKind.BGP_BFD, "TC1", timers=timers)
+                two_pod_params(), "bgp-bfd", "TC1", timers=timers)
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -176,9 +175,9 @@ def test_abl_hello_interval(benchmark, results_dir):
                 dead_us=2 * hello * MILLISECOND,
             ))
             conv = run_failure_experiment(
-                two_pod_params(), StackKind.MTP, "TC1", timers=timers)
+                two_pod_params(), "mtp", "TC1", timers=timers)
             ka = run_keepalive_experiment(
-                two_pod_params(), StackKind.MTP, timers=timers,
+                two_pod_params(), "mtp", timers=timers,
                 window_us=5 * SECOND)
             out[hello] = (conv.convergence_us, ka.bytes_per_second)
         return out
@@ -206,7 +205,7 @@ def test_abl_load_balancing_spray_vs_hash(benchmark, results_dir):
     load perfectly evenly but reorders — which is why MR-MTP (like ECMP)
     hashes."""
     from repro.harness.convergence import converge_from_cold
-    from repro.harness.deploy import deploy_mtp
+    from repro.stacks import mtp
     from repro.net.world import World
     from repro.topology.clos import build_folded_clos
     from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
@@ -214,7 +213,7 @@ def test_abl_load_balancing_spray_vs_hash(benchmark, results_dir):
     def run(spray: bool):
         world = World(seed=17)
         topo = build_folded_clos(two_pod_params(), world=world)
-        dep = deploy_mtp(topo, per_packet_spray=spray)
+        dep = mtp.deploy(topo, per_packet_spray=spray)
         dep.start()
         converge_from_cold(world, dep, dep.trees_complete)
         src_tor, dst_tor = topo.tors[0][0][0], topo.tors[0][1][1]

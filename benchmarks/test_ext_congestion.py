@@ -13,8 +13,9 @@ import pytest
 
 from repro.sim.units import SECOND
 from repro.topology.clos import ClosParams
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
+from repro.stacks import get_stack
 
 from conftest import emit
 
@@ -23,7 +24,7 @@ PARAMS = ClosParams(num_pods=2, bandwidth_bps=100_000_000)
 QUEUE_BYTES = 64 * 1024
 
 
-def run_incast(kind: StackKind, n_senders: int, rate_mbps: float):
+def run_incast(kind: str, n_senders: int, rate_mbps: float):
     world, topo, dep = build_and_converge(PARAMS, kind)
     # receiver: first server of the last ToR
     dst_tor = topo.tors[0][-1][-1]
@@ -58,23 +59,23 @@ def test_ext_incast_congestion(benchmark, results_dir):
     def measure():
         out = {}
         for n, rate in cases:
-            for kind in (StackKind.MTP, StackKind.BGP):
+            for kind in ("mtp", "bgp"):
                 out[(n, kind)] = run_incast(kind, n, rate)
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     rows = []
     for (n, kind), (sent, received, drops) in sorted(
-            results.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+            results.items(), key=lambda kv: (kv[0][0], get_stack(kv[0][1]).display)):
         offered = n * 50.0
-        rows.append([n, f"{offered:.0f}", kind.value, sent,
+        rows.append([n, f"{offered:.0f}", get_stack(kind).display, sent,
                      sent - received, drops])
     emit(results_dir, "ext_incast_congestion",
          "Extension — incast onto one 100 Mb/s rack link (64 KiB queue)",
          ["senders", "offered Mb/s", "stack", "sent", "lost", "queue drops"],
          rows)
 
-    for kind in (StackKind.MTP, StackKind.BGP):
+    for kind in ("mtp", "bgp"):
         # below capacity: no loss; above: loss grows with offered load
         assert results[(1, kind)][0] - results[(1, kind)][1] == 0, kind
         losses = [results[(n, kind)][0] - results[(n, kind)][1]
@@ -82,6 +83,6 @@ def test_ext_incast_congestion(benchmark, results_dir):
         assert losses[-1] > losses[1] >= 0, kind
         assert results[(4, kind)][2] > 0, kind
     # congestion loss is protocol-agnostic: MTP within ~25% of BGP
-    mtp_loss = results[(4, StackKind.MTP)][0] - results[(4, StackKind.MTP)][1]
-    bgp_loss = results[(4, StackKind.BGP)][0] - results[(4, StackKind.BGP)][1]
+    mtp_loss = results[(4, "mtp")][0] - results[(4, "mtp")][1]
+    bgp_loss = results[(4, "bgp")][0] - results[(4, "bgp")][1]
     assert mtp_loss == pytest.approx(bgp_loss, rel=0.25)

@@ -19,12 +19,13 @@ import pytest
 
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.net.capture import Capture
 from repro.stack.ethernet import ETHERTYPE_MTP
 from repro.stack.ipv4 import Ipv4Packet
 from repro.core.messages import MtpData
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
+from repro.stacks import get_stack
 
 from conftest import emit
 
@@ -48,7 +49,7 @@ def classify(frame) -> str:
     return "control"
 
 
-def run_workload(kind: StackKind):
+def run_workload(kind: str):
     world, topo, dep = build_and_converge(two_pod_params(), kind)
     capture = Capture()
     for link in world.links:
@@ -79,14 +80,14 @@ def run_workload(kind: StackKind):
 def test_ext_dataplane_overhead(benchmark, results_dir):
     results = benchmark.pedantic(
         lambda: {kind: run_workload(kind)
-                 for kind in (StackKind.MTP, StackKind.BGP,
-                              StackKind.BGP_BFD)},
+                 for kind in ("mtp", "bgp",
+                              "bgp-bfd")},
         rounds=1, iterations=1,
     )
     rows = []
     for kind, (data, control, payload) in results.items():
         rows.append([
-            kind.value, payload, data, control,
+            get_stack(kind).display, payload, data, control,
             f"{(data + control) / payload:.4f}",
             f"{data / payload:.4f}",
         ])
@@ -96,9 +97,9 @@ def test_ext_dataplane_overhead(benchmark, results_dir):
          ["stack", "payload B", "data B", "control B",
           "total/payload", "data/payload"], rows)
 
-    mtp_data, mtp_ctrl, payload = results[StackKind.MTP]
-    bgp_data, bgp_ctrl, _ = results[StackKind.BGP]
-    bfd_data, bfd_ctrl, _ = results[StackKind.BGP_BFD]
+    mtp_data, mtp_ctrl, payload = results["mtp"]
+    bgp_data, bgp_ctrl, _ = results["bgp"]
+    bfd_data, bfd_ctrl, _ = results["bgp-bfd"]
 
     # data-plane: each packet crosses 4 fabric links, paying the 5-byte
     # MR-MTP encapsulation header on each -> exactly 20 B/packet extra

@@ -19,9 +19,10 @@ import pytest
 from repro.sim.units import SECOND
 from repro.topology.clos import TIER_SERVER, two_pod_params
 from repro.harness.executor import TaskKind, run_tasks
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.oracle import compare_with_oracle
+from repro.stacks import get_stack
 
 from conftest import emit
 
@@ -56,7 +57,7 @@ DOUBLE_CUT = TaskKind(name="double-cut", run=_pair_task, key=repr,
                       label=lambda spec: f"{spec[2]} + {spec[3]}")
 
 
-def run_sweep(kind: StackKind, settle_us: int, jobs: int = 1):
+def run_sweep(kind: str, settle_us: int, jobs: int = 1):
     world0, topo0, _ = build_and_converge(two_pod_params(), kind)
     links = fabric_links(topo0)
     combos = list(itertools.combinations(range(len(links)), 2))
@@ -67,16 +68,16 @@ def run_sweep(kind: StackKind, settle_us: int, jobs: int = 1):
 
 
 @pytest.mark.parametrize("kind,settle", [
-    (StackKind.MTP, 2 * SECOND),
-    (StackKind.BGP, 8 * SECOND),
+    ("mtp", 2 * SECOND),
+    ("bgp", 8 * SECOND),
 ])
 def test_ext_double_failure_sweep(benchmark, results_dir, kind, settle,
                                   jobs):
     combos, disagreements = benchmark.pedantic(
         lambda: run_sweep(kind, settle, jobs=jobs), rounds=1, iterations=1)
-    rows = [[kind.value, combos, combos * 12, len(disagreements)]]
-    emit(results_dir, f"ext_double_failures_{kind.name.lower()}",
-         f"Extension — double link-cut sweep vs oracle, 2-PoD, {kind.value}",
+    rows = [[get_stack(kind).display, combos, combos * 12, len(disagreements)]]
+    emit(results_dir, f"ext_double_failures_{kind}",
+         f"Extension — double link-cut sweep vs oracle, 2-PoD, {get_stack(kind).display}",
          ["stack", "failure pairs", "pair checks", "disagreements"], rows)
     assert combos == 120
     assert disagreements == [], disagreements[:5]

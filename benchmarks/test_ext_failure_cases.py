@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import two_pod_params
-from repro.harness.experiments import StackKind, StackTimers
+from repro.harness.experiments import StackTimers
 from repro.scenario import Scenario, ScenarioEvent, run_scenario
+from repro.stacks import get_stack
 
 from conftest import emit
 
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 def run_case(kind, event):
@@ -51,17 +52,17 @@ def test_ext_failure_cases(benchmark, results_dir):
         rounds=1, iterations=1,
     )
     rows = [
-        [name, kind.value, f"{conv / MILLISECOND:.2f}", ctrl, blast]
+        [name, get_stack(kind).display, f"{conv / MILLISECOND:.2f}", ctrl, blast]
         for (name, kind), (conv, ctrl, blast) in sorted(
-            results.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
+            results.items(), key=lambda kv: (kv[0][0], get_stack(kv[0][1]).display))
     ]
     emit(results_dir, "ext_failure_cases",
          "Extension — node failures and bidirectional link cuts, 2-PoD",
          ["case", "stack", "conv ms", "ctrl B", "blast"], rows)
 
     for name in CASES:
-        mtp_conv, mtp_ctrl, _ = results[(name, StackKind.MTP)]
-        bgp_conv, bgp_ctrl, _ = results[(name, StackKind.BGP)]
+        mtp_conv, mtp_ctrl, _ = results[(name, "mtp")]
+        bgp_conv, bgp_ctrl, _ = results[(name, "bgp")]
         # sub-millisecond tolerance: when both stacks detect locally the
         # ordering is down to per-update processing epsilon
         assert mtp_conv <= bgp_conv + 1 * MILLISECOND, name
@@ -77,5 +78,5 @@ def test_ext_failure_cases(benchmark, results_dir):
 
     # node failures still require the neighbors' timers (the dead node
     # cannot announce anything)
-    assert results[("agg-node-down", StackKind.BGP)][0] >= 2000 * MILLISECOND
-    assert results[("agg-node-down", StackKind.MTP)][0] <= 150 * MILLISECOND
+    assert results[("agg-node-down", "bgp")][0] >= 2000 * MILLISECOND
+    assert results[("agg-node-down", "mtp")][0] <= 150 * MILLISECOND

@@ -14,12 +14,12 @@ import pytest
 
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind
 from repro.scenario import run_failure_experiment
+from repro.stacks import get_stack
 
 from conftest import ALL_CASES, emit
 
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 def sweep(params):
@@ -37,7 +37,7 @@ def test_fig4_convergence(benchmark, results_dir, pods, params_fn):
         lambda: sweep(params_fn()), rounds=1, iterations=1
     )
     rows = [
-        [kind.value] + [f"{results[(kind, case)].convergence_ms:.2f}"
+        [get_stack(kind).display] + [f"{results[(kind, case)].convergence_ms:.2f}"
                         for case in ALL_CASES]
         for kind in STACKS
     ]
@@ -48,11 +48,11 @@ def test_fig4_convergence(benchmark, results_dir, pods, params_fn):
     conv = {k: results[k].convergence_us for k in results}
     for case in ("TC1", "TC3"):
         # remote-detection cases: gated by the dead/hold timer
-        assert conv[(StackKind.MTP, case)] < conv[(StackKind.BGP_BFD, case)] \
-            < conv[(StackKind.BGP, case)], case
-        assert conv[(StackKind.MTP, case)] <= 120 * MILLISECOND
-        assert conv[(StackKind.BGP, case)] >= 2000 * MILLISECOND
-        assert conv[(StackKind.BGP_BFD, case)] <= 400 * MILLISECOND
+        assert conv[("mtp", case)] < conv[("bgp-bfd", case)] \
+            < conv[("bgp", case)], case
+        assert conv[("mtp", case)] <= 120 * MILLISECOND
+        assert conv[("bgp", case)] >= 2000 * MILLISECOND
+        assert conv[("bgp-bfd", case)] <= 400 * MILLISECOND
     for case in ("TC2", "TC4"):
         # local-detection cases: convergence beats the detection time
         for kind in STACKS:
@@ -63,8 +63,8 @@ def test_fig4_2pod_vs_4pod_nearly_identical(benchmark):
     """Dissemination is cheap at these sizes: doubling the fabric must
     not move TC1 convergence by more than a few ms (paper VII.A)."""
     def both():
-        a = run_failure_experiment(two_pod_params(), StackKind.MTP, "TC1")
-        b = run_failure_experiment(four_pod_params(), StackKind.MTP, "TC1")
+        a = run_failure_experiment(two_pod_params(), "mtp", "TC1")
+        b = run_failure_experiment(four_pod_params(), "mtp", "TC1")
         return a, b
 
     a, b = benchmark.pedantic(both, rounds=1, iterations=1)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind
 from repro.scenario import run_failure_experiment
+from repro.stacks import get_stack
 
 from conftest import ALL_CASES, emit
 
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 @pytest.mark.parametrize("pods,params_fn", [(2, two_pod_params),
@@ -32,7 +32,7 @@ def test_fig5_blast_radius(benchmark, results_dir, pods, params_fn):
         rounds=1, iterations=1,
     )
     rows = [
-        [kind.value] + [results[(kind, case)].blast_radius
+        [get_stack(kind).display] + [results[(kind, case)].blast_radius
                         for case in ALL_CASES]
         for kind in STACKS
     ]
@@ -45,9 +45,9 @@ def test_fig5_blast_radius(benchmark, results_dir, pods, params_fn):
     blast = {k: results[k].blast_radius for k in results}
     for case in ALL_CASES:
         # MR-MTP's radius never exceeds BGP's
-        assert blast[(StackKind.MTP, case)] <= blast[(StackKind.BGP, case)], case
+        assert blast[("mtp", case)] <= blast[("bgp", case)], case
         # BFD does not change the blast radius
-        assert blast[(StackKind.BGP, case)] == blast[(StackKind.BGP_BFD, case)], case
+        assert blast[("bgp", case)] == blast[("bgp-bfd", case)], case
     for kind in STACKS:
         # ToR-agg failures touch more routers than agg-top failures
         assert blast[(kind, "TC1")] > blast[(kind, "TC3")], kind
@@ -60,8 +60,8 @@ def test_fig5_blast_radius(benchmark, results_dir, pods, params_fn):
 def test_fig5_radius_grows_with_fabric(benchmark):
     """4-PoD radii exceed 2-PoD radii for TC1 (more ToRs to notify)."""
     def both():
-        small = run_failure_experiment(two_pod_params(), StackKind.MTP, "TC1")
-        large = run_failure_experiment(four_pod_params(), StackKind.MTP, "TC1")
+        small = run_failure_experiment(two_pod_params(), "mtp", "TC1")
+        large = run_failure_experiment(four_pod_params(), "mtp", "TC1")
         return small, large
 
     small, large = benchmark.pedantic(both, rounds=1, iterations=1)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind
 from repro.scenario import run_failure_experiment
+from repro.stacks import get_stack
 
 from conftest import ALL_CASES, emit
 
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 def worst_case_overhead(params, kind):
@@ -37,7 +37,7 @@ def test_fig6_control_overhead(benchmark, results_dir, pods, params_fn):
         rounds=1, iterations=1,
     )
     rows = [
-        [kind.value]
+        [get_stack(kind).display]
         + [results[(kind, case)].control_bytes for case in ALL_CASES]
         + [results[(kind, "TC1")].update_count]
         for kind in STACKS
@@ -48,8 +48,8 @@ def test_fig6_control_overhead(benchmark, results_dir, pods, params_fn):
 
     ctrl = {k: results[k].control_bytes for k in results}
     for case in ALL_CASES:
-        mtp = ctrl[(StackKind.MTP, case)]
-        bgp = ctrl[(StackKind.BGP, case)]
+        mtp = ctrl[("mtp", case)]
+        bgp = ctrl[("bgp", case)]
         assert mtp < bgp, case
         assert bgp / max(mtp, 1) >= 3, (
             f"{case}: BGP should cost several times MR-MTP "
@@ -57,7 +57,7 @@ def test_fig6_control_overhead(benchmark, results_dir, pods, params_fn):
         )
     # MR-MTP's ToR-link cascade sits near the paper's 120 B / 264 B
     expected = 120 if pods == 2 else 264
-    measured = ctrl[(StackKind.MTP, "TC1")]
+    measured = ctrl[("mtp", "TC1")]
     assert abs(measured - expected) <= 0.2 * expected, (
         f"MR-MTP overhead {measured} B deviates >20% from the paper's "
         f"{expected} B"
@@ -70,7 +70,7 @@ def test_fig6_doubling_the_fabric_roughly_doubles_overhead(benchmark):
         return {
             kind: (worst_case_overhead(two_pod_params(), kind),
                    worst_case_overhead(four_pod_params(), kind))
-            for kind in (StackKind.MTP, StackKind.BGP)
+            for kind in ("mtp", "bgp")
         }
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind
 from repro.scenario import run_packet_loss_experiment
+from repro.stacks import get_stack
 
 from conftest import ALL_CASES, emit
 
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 RATE_PPS = 1000
 
 
@@ -37,7 +37,7 @@ def test_fig7_loss_sender_near(benchmark, results_dir, pods, params_fn):
         lambda: sweep(params_fn(), "near"), rounds=1, iterations=1
     )
     rows = [
-        [kind.value] + [results[(kind, case)].lost for case in ALL_CASES]
+        [get_stack(kind).display] + [results[(kind, case)].lost for case in ALL_CASES]
         for kind in STACKS
     ]
     emit(results_dir, f"fig7_loss_near_{pods}pod",
@@ -51,9 +51,9 @@ def test_fig7_loss_sender_near(benchmark, results_dir, pods, params_fn):
         assert lost[(kind, "TC1")] <= 5, kind
         assert lost[(kind, "TC3")] <= 5, kind
     for case in ("TC2", "TC4"):
-        mtp, bfd, bgp = (lost[(StackKind.MTP, case)],
-                         lost[(StackKind.BGP_BFD, case)],
-                         lost[(StackKind.BGP, case)])
+        mtp, bfd, bgp = (lost[("mtp", case)],
+                         lost[("bgp-bfd", case)],
+                         lost[("bgp", case)])
         assert mtp < bfd < bgp, (case, mtp, bfd, bgp)
         # dead-timer bounds (+ margin): 100 ms, 300 ms, 3 s at 1000 pps
         assert mtp <= 130, case
@@ -66,7 +66,7 @@ def test_fig7_no_duplicates_or_reordering(benchmark):
     """The failover must not duplicate or reorder the surviving flow."""
     result = benchmark.pedantic(
         lambda: run_packet_loss_experiment(
-            two_pod_params(), StackKind.MTP, "TC2", direction="near"),
+            two_pod_params(), "mtp", "TC2", direction="near"),
         rounds=1, iterations=1,
     )
     assert result.duplicated == 0

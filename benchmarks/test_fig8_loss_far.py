@@ -11,12 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind
 from repro.scenario import run_packet_loss_experiment
+from repro.stacks import get_stack
 
 from conftest import ALL_CASES, emit
 
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 RATE_PPS = 1000
 
 
@@ -32,7 +32,7 @@ def test_fig8_loss_sender_far(benchmark, results_dir, pods, params_fn):
         rounds=1, iterations=1,
     )
     rows = [
-        [kind.value] + [results[(kind, case)].lost for case in ALL_CASES]
+        [get_stack(kind).display] + [results[(kind, case)].lost for case in ALL_CASES]
         for kind in STACKS
     ]
     emit(results_dir, f"fig8_loss_far_{pods}pod",
@@ -49,9 +49,9 @@ def test_fig8_loss_sender_far(benchmark, results_dir, pods, params_fn):
         assert lost[(kind, "TC2")] <= 10, kind
         assert lost[(kind, "TC4")] <= 10, kind
     for case in ("TC1", "TC3"):
-        mtp, bfd, bgp = (lost[(StackKind.MTP, case)],
-                         lost[(StackKind.BGP_BFD, case)],
-                         lost[(StackKind.BGP, case)])
+        mtp, bfd, bgp = (lost[("mtp", case)],
+                         lost[("bgp-bfd", case)],
+                         lost[("bgp", case)])
         assert mtp < bfd < bgp, (case, mtp, bfd, bgp)
         assert mtp <= 130, case
 
@@ -59,9 +59,9 @@ def test_fig8_loss_sender_far(benchmark, results_dir, pods, params_fn):
 def test_fig8_bfd_cuts_loss_by_large_factor(benchmark):
     """Paper VII.E: enabling BFD has a profound effect on far-side loss."""
     def measure():
-        bgp = run_packet_loss_experiment(two_pod_params(), StackKind.BGP,
+        bgp = run_packet_loss_experiment(two_pod_params(), "bgp",
                                          "TC1", direction="far")
-        bfd = run_packet_loss_experiment(two_pod_params(), StackKind.BGP_BFD,
+        bfd = run_packet_loss_experiment(two_pod_params(), "bgp-bfd",
                                          "TC1", direction="far")
         return bgp, bfd
 

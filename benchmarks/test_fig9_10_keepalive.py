@@ -13,7 +13,8 @@ import pytest
 
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
-from repro.harness.experiments import StackKind, run_keepalive_experiment
+from repro.harness.experiments import run_keepalive_experiment
+from repro.stacks import get_stack
 
 from conftest import emit
 
@@ -25,14 +26,14 @@ def test_fig9_10_keepalive_overhead(benchmark, results_dir):
         lambda: {
             kind: run_keepalive_experiment(two_pod_params(), kind,
                                            window_us=WINDOW_US)
-            for kind in (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+            for kind in ("mtp", "bgp", "bgp-bfd")
         },
         rounds=1, iterations=1,
     )
     rows = []
     for kind, b in results.items():
         rows.append([
-            kind.value,
+            get_stack(kind).display,
             b.bgp_keepalive_count, b.bgp_keepalive_bytes,
             b.bfd_count, b.bfd_bytes,
             b.tcp_ack_count, b.tcp_ack_bytes,
@@ -46,9 +47,9 @@ def test_fig9_10_keepalive_overhead(benchmark, results_dir):
           "ack#", "ack B", "mtpKA#", "mtpKA B", "B/s"],
          rows)
 
-    mtp = results[StackKind.MTP]
-    bgp = results[StackKind.BGP]
-    bfd = results[StackKind.BGP_BFD]
+    mtp = results["mtp"]
+    bgp = results["bgp"]
+    bfd = results["bgp-bfd"]
 
     # per-packet sizes straight from the paper's captures
     assert bfd.bfd_count > 0 and bfd.bfd_bytes / bfd.bfd_count == 66
@@ -86,7 +87,7 @@ def test_fig10_data_traffic_suppresses_mtp_hellos(benchmark):
     from repro.harness.pathtrace import find_crossing_flow
 
     def measure():
-        world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP)
+        world, topo, dep = build_and_converge(two_pod_params(), "mtp")
         tor, agg = topo.tors[0][0][0], topo.aggs[0][0][0]
         src = topo.first_server_of(tor)
         dst = topo.first_server_of(topo.tors[0][1][1])

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import ClosParams, four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind, run_config_cost_experiment
+from repro.harness.experiments import run_config_cost_experiment
+from repro.stacks import get_stack
 
 from conftest import emit
 
@@ -24,16 +25,16 @@ def test_listing_config_cost(benchmark, results_dir):
     def measure():
         out = {}
         for label, params in shapes:
-            for kind in (StackKind.MTP, StackKind.BGP):
+            for kind in ("mtp", "bgp"):
                 out[(label, kind)] = run_config_cost_experiment(params, kind)
         return out
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     rows = []
     for label, _ in shapes:
-        for kind in (StackKind.MTP, StackKind.BGP):
+        for kind in ("mtp", "bgp"):
             r = results[(label, kind)]
-            rows.append([label, kind.value, r.routers, r.documents,
+            rows.append([label, get_stack(kind).display, r.routers, r.documents,
                          r.total_lines, f"{r.lines_per_router:.1f}"])
     emit(results_dir, "listing_config_cost",
          "Listings 1/2 — configuration cost",
@@ -41,8 +42,8 @@ def test_listing_config_cost(benchmark, results_dir):
           "lines/router"], rows)
 
     for label, _ in shapes:
-        mtp = results[(label, StackKind.MTP)]
-        bgp = results[(label, StackKind.BGP)]
+        mtp = results[(label, "mtp")]
+        bgp = results[(label, "bgp")]
         # one document for the whole fabric vs one per router
         assert mtp.documents == 1
         assert bgp.documents == bgp.routers
@@ -50,10 +51,10 @@ def test_listing_config_cost(benchmark, results_dir):
 
     # BGP grows linearly with routers; MR-MTP grows only by the new
     # leaves' entries in the JSON
-    bgp_growth = (results[("8-PoD", StackKind.BGP)].total_lines
-                  / results[("2-PoD", StackKind.BGP)].total_lines)
-    mtp_growth = (results[("8-PoD", StackKind.MTP)].total_lines
-                  / results[("2-PoD", StackKind.MTP)].total_lines)
+    bgp_growth = (results[("8-PoD", "bgp")].total_lines
+                  / results[("2-PoD", "bgp")].total_lines)
+    mtp_growth = (results[("8-PoD", "mtp")].total_lines
+                  / results[("2-PoD", "mtp")].total_lines)
     assert bgp_growth > 3.0
     assert mtp_growth < bgp_growth
 

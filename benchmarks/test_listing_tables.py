@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import ClosParams, four_pod_params, two_pod_params
-from repro.harness.experiments import StackKind, run_table_size_experiment
+from repro.harness.experiments import run_table_size_experiment
+from repro.stacks import get_stack
 
 from conftest import emit
 
@@ -23,16 +24,16 @@ def test_listing_table_sizes(benchmark, results_dir):
             (pods, kind): run_table_size_experiment(
                 two_pod_params() if pods == 2 else four_pod_params(), kind)
             for pods in (2, 4)
-            for kind in (StackKind.MTP, StackKind.BGP)
+            for kind in ("mtp", "bgp")
         }
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     rows = []
     for (pods, kind), by_role in sorted(results.items(),
-                                        key=lambda kv: (kv[0][0], kv[0][1].value)):
+                                        key=lambda kv: (kv[0][0], get_stack(kv[0][1]).display)):
         for role in ("tor", "agg", "top"):
             r = by_role[role]
-            rows.append([f"{pods}-PoD", kind.value, role, r.node,
+            rows.append([f"{pods}-PoD", get_stack(kind).display, role, r.node,
                          r.entries, r.memory_bytes])
     emit(results_dir, "listing_table_sizes",
          "Listings 3/5 — forwarding-table size at converged routers",
@@ -40,8 +41,8 @@ def test_listing_table_sizes(benchmark, results_dir):
 
     for pods in (2, 4):
         racks = 2 * pods
-        bgp = results[(pods, StackKind.BGP)]
-        mtp = results[(pods, StackKind.MTP)]
+        bgp = results[(pods, "bgp")]
+        mtp = results[(pods, "mtp")]
         # every BGP router carries all rack prefixes (+ connected)
         assert bgp["agg"].entries >= racks
         # the paper's Listing 5: a top spine's VID table is one VID per
@@ -54,15 +55,15 @@ def test_listing_table_sizes(benchmark, results_dir):
             assert mtp[role].memory_bytes < bgp[role].memory_bytes, (pods, role)
 
     # BGP table size grows proportionally with the fabric
-    assert (results[(4, StackKind.BGP)]["agg"].entries
-            > results[(2, StackKind.BGP)]["agg"].entries)
+    assert (results[(4, "bgp")]["agg"].entries
+            > results[(2, "bgp")]["agg"].entries)
 
 
 def test_listing_rendered_shapes(benchmark):
     """Rendered tables match the paper's listing formats."""
     def measure():
-        return (run_table_size_experiment(four_pod_params(), StackKind.BGP),
-                run_table_size_experiment(four_pod_params(), StackKind.MTP))
+        return (run_table_size_experiment(four_pod_params(), "bgp"),
+                run_table_size_experiment(four_pod_params(), "mtp"))
 
     bgp, mtp = benchmark.pedantic(measure, rounds=1, iterations=1)
     # Listing 3: `proto bgp metric 20` with ECMP nexthop blocks

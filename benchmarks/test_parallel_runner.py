@@ -17,7 +17,6 @@ import time
 
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
-from repro.harness.experiments import StackKind
 from repro.harness.executor import CampaignReport, run_tasks
 from repro.harness.sweep import (
     summarize,
@@ -39,7 +38,7 @@ def _results(outcomes):
 
 def _timed_sweep(jobs, cache=None, report=None):
     t0 = time.perf_counter()
-    specs = sweep_specs(two_pod_params(), StackKind.MTP, points=POINTS)
+    specs = sweep_specs(two_pod_params(), "mtp", points=POINTS)
     outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
                          report=report)
     return outcomes, time.perf_counter() - t0

@@ -48,7 +48,7 @@ from repro.topology.clos import ClosParams
 from repro.workload.engine import FluidWorkload
 from repro.workload.fluid import FluidProblem, link_loads
 from repro.workload.spec import WorkloadSpec
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.scenario import run_experiment_batch, run_failure_experiment
 from repro.stacks import StackTimers, resolve_spec
 
@@ -82,7 +82,7 @@ def test_fabric_convergence_cost(benchmark, pods):
     params = ClosParams(num_pods=pods)
 
     def converge():
-        world, topo, dep = build_and_converge(params, StackKind.MTP,
+        world, topo, dep = build_and_converge(params, "mtp",
                                               trace_enabled=False)
         return world.sim.events_processed
 
@@ -95,7 +95,7 @@ def test_full_failure_experiment_cost(benchmark):
     of work every figure multiplies."""
     result = benchmark.pedantic(
         lambda: run_failure_experiment(ClosParams(num_pods=2),
-                                       StackKind.BGP, "TC1"),
+                                       "bgp", "TC1"),
         rounds=1, iterations=1,
     )
     assert result.convergence_us > 0

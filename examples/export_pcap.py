@@ -10,15 +10,16 @@ Run:  python examples/export_pcap.py [--outdir captures]
 import argparse
 from pathlib import Path
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.net.capture import Capture
 from repro.net.dissect import dissect_capture
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
 from repro.wire.pcap import write_capture
+from repro.stacks import get_stack
 
 
-def capture_run(kind: StackKind, outdir: Path) -> Path:
+def capture_run(kind: str, outdir: Path) -> Path:
     world, topo, dep = build_and_converge(two_pod_params(), kind)
     tor, agg = topo.tors[0][0][0], topo.aggs[0][0][0]
     link = world.find_link(tor, agg)
@@ -29,10 +30,9 @@ def capture_run(kind: StackKind, outdir: Path) -> Path:
     case = topo.failure_cases()["TC2"]
     topo.node(case.node).interfaces[case.interface].set_admin(False)
     world.run_for(4 * SECOND)
-    name = kind.name.lower().replace("_", "-")
-    path = outdir / f"{name}_tor_agg_link.pcap"
+    path = outdir / f"{kind}_tor_agg_link.pcap"
     count = write_capture(cap, path)
-    print(f"{kind.value}: wrote {count} frames to {path}")
+    print(f"{get_stack(kind).display}: wrote {count} frames to {path}")
     print(dissect_capture(
         (r for r in cap.records if r.direction.value == "tx"), limit=8))
     print()
@@ -44,7 +44,7 @@ def main() -> None:
     parser.add_argument("--outdir", type=Path, default=Path("captures"))
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for kind in (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD):
+    for kind in ("mtp", "bgp", "bgp-bfd"):
         capture_run(kind, args.outdir)
     print(f"open them with: wireshark {args.outdir}/*.pcap")
     print("(MR-MTP frames appear as ethertype 0x8850 raw data — the "

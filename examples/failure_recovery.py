@@ -8,10 +8,10 @@ Run:  python examples/failure_recovery.py [TC1|TC2|TC3|TC4]
 
 import sys
 
-from repro.harness.experiments import StackKind
 from repro.scenario import get_scenario, run_scenario
 from repro.topology import build_topology
 from repro.topology.clos import two_pod_params
+from repro.stacks import get_stack
 
 TIMELINE_CATEGORIES = (
     "fail.inject",
@@ -27,8 +27,8 @@ TIMELINE_CATEGORIES = (
 )
 
 
-def run_case(kind: StackKind, case_name: str) -> None:
-    print(f"\n===== {kind.value}, failure case {case_name} =====")
+def run_case(kind: str, case_name: str) -> None:
+    print(f"\n===== {get_stack(kind).display}, failure case {case_name} =====")
     case = build_topology(two_pod_params()).failure_cases()[case_name]
     print(f"failing {case.node}:{case.interface} ({case.description}); "
           f"peer {case.peer_node} must detect via its timers")
@@ -61,7 +61,7 @@ def main() -> None:
     case = sys.argv[1] if len(sys.argv) > 1 else "TC1"
     if case not in ("TC1", "TC2", "TC3", "TC4"):
         raise SystemExit(f"unknown case {case}")
-    for kind in (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD):
+    for kind in ("mtp", "bgp", "bgp-bfd"):
         run_case(kind, case)
 
 

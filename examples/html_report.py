@@ -9,7 +9,6 @@ Run:  python examples/html_report.py [--out report.html] [--pods 2]
 import argparse
 from pathlib import Path
 
-from repro.harness.experiments import StackKind
 from repro.scenario import run_failure_experiment, run_packet_loss_experiment
 from repro.harness.htmlreport import (
     SeriesSet,
@@ -18,9 +17,10 @@ from repro.harness.htmlreport import (
     render_report,
 )
 from repro.topology.clos import ClosParams
+from repro.stacks import get_stack
 
 CASES = ("TC1", "TC2", "TC3", "TC4")
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
         for kind in STACKS for case in CASES
     }
 
-    names = [k.value for k in STACKS]
+    names = [get_stack(k).display for k in STACKS]
 
     def series(metric):
         return [[metric(failure[(kind, case)]) for case in CASES]

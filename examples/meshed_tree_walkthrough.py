@@ -8,7 +8,7 @@ Run:  python examples/meshed_tree_walkthrough.py
 
 from repro.core.messages import MtpData, MtpKeepalive
 from repro.harness.convergence import converge_from_cold
-from repro.harness.deploy import deploy_mtp
+from repro.stacks import mtp
 from repro.net.capture import Capture
 from repro.net.dissect import dissect, dissect_capture
 from repro.net.world import World
@@ -21,7 +21,7 @@ from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 def main() -> None:
     world = World(seed=7)
     topo = build_folded_clos(two_pod_params(), world=world)
-    deployment = deploy_mtp(topo)
+    deployment = mtp.deploy(topo)
 
     # capture all MR-MTP control traffic on the first ToR's uplink
     tor = topo.tors[0][0][0]

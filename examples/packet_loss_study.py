@@ -8,13 +8,13 @@ Run:  python examples/packet_loss_study.py [--pods 2] [--rate 1000]
 
 import argparse
 
-from repro.harness.experiments import StackKind
 from repro.scenario import run_packet_loss_experiment
 from repro.harness.report import render_table
 from repro.topology.clos import ClosParams
+from repro.stacks import get_stack
 
 CASES = ("TC1", "TC2", "TC3", "TC4")
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     for direction, figure in (("near", "Fig. 7"), ("far", "Fig. 8")):
         rows = []
         for kind in STACKS:
-            row = [kind.value]
+            row = [get_stack(kind).display]
             for case in CASES:
                 result = run_packet_loss_experiment(
                     params, kind, case, direction=direction,

@@ -11,16 +11,16 @@ Run:  python examples/protocol_comparison.py           (2-PoD, seed 0)
 import argparse
 
 from repro.harness.experiments import (
-    StackKind,
     run_config_cost_experiment,
     run_table_size_experiment,
 )
 from repro.scenario import average_failure_runs, run_failure_experiment
 from repro.harness.report import render_table
 from repro.topology.clos import ClosParams
+from repro.stacks import get_stack
 
 CASES = ("TC1", "TC2", "TC3", "TC4")
-STACKS = (StackKind.MTP, StackKind.BGP, StackKind.BGP_BFD)
+STACKS = ("mtp", "bgp", "bgp-bfd")
 
 
 def main() -> None:
@@ -43,29 +43,29 @@ def main() -> None:
     print(render_table(
         f"Fig. 4 — convergence time (ms), {args.pods}-PoD",
         ["stack", *CASES],
-        [[k.value] + [f"{results[(k, c)].convergence_ms:.2f}" for c in CASES]
+        [[get_stack(k).display] + [f"{results[(k, c)].convergence_ms:.2f}" for c in CASES]
          for k in STACKS],
     ))
     print()
     print(render_table(
         f"Fig. 5 — blast radius (routers updated), {args.pods}-PoD",
         ["stack", *CASES],
-        [[k.value] + [results[(k, c)].blast_radius for c in CASES]
+        [[get_stack(k).display] + [results[(k, c)].blast_radius for c in CASES]
          for k in STACKS],
     ))
     print()
     print(render_table(
         f"Fig. 6 — control overhead (bytes), {args.pods}-PoD",
         ["stack", *CASES],
-        [[k.value] + [results[(k, c)].control_bytes for c in CASES]
+        [[get_stack(k).display] + [results[(k, c)].control_bytes for c in CASES]
          for k in STACKS],
     ))
 
     print()
     config_rows = []
-    for kind in (StackKind.MTP, StackKind.BGP):
+    for kind in ("mtp", "bgp"):
         r = run_config_cost_experiment(params, kind)
-        config_rows.append([kind.value, r.routers, r.documents,
+        config_rows.append([get_stack(kind).display, r.routers, r.documents,
                             r.total_lines, f"{r.lines_per_router:.1f}"])
     print(render_table(
         f"Listings 1/2 — configuration cost, {args.pods}-PoD",
@@ -75,11 +75,11 @@ def main() -> None:
 
     print()
     table_rows = []
-    for kind in (StackKind.MTP, StackKind.BGP):
+    for kind in ("mtp", "bgp"):
         sizes = run_table_size_experiment(params, kind)
         for role in ("agg", "top"):
             r = sizes[role]
-            table_rows.append([kind.value, role, r.node, r.entries,
+            table_rows.append([get_stack(kind).display, role, r.node, r.entries,
                                r.memory_bytes])
     print(render_table(
         f"Listings 3/5 — forwarding-table sizes, {args.pods}-PoD",

@@ -6,7 +6,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.harness.convergence import converge_from_cold
-from repro.harness.deploy import deploy_mtp
+from repro.stacks import mtp
 from repro.net.world import World
 from repro.sim.units import SECOND
 from repro.topology.clos import build_folded_clos, two_pod_params
@@ -24,7 +24,7 @@ def main() -> None:
     print()
 
     # 2. Deploy MR-MTP everywhere (one JSON document configures the DCN)
-    deployment = deploy_mtp(topo)
+    deployment = mtp.deploy(topo)
     print("MR-MTP configuration for the whole fabric (Listing 2):")
     print(deployment.config.render_json())
     print()
@@ -38,8 +38,8 @@ def main() -> None:
 
     # 4. Inspect the meshed-tree state.
     for tor in topo.all_tors():
-        mtp = deployment.mtp_nodes[tor]
-        print(f"{tor}: ToR VID {mtp.own_root} "
+        agent = deployment.mtp_nodes[tor]
+        print(f"{tor}: ToR VID {agent.own_root} "
               f"(derived from {topo.rack_subnet[tor]})")
     print()
     top = topo.tops[0][0][0]

@@ -8,10 +8,11 @@ Run:  python examples/scalability_study.py [--max-pods 8]
 
 import argparse
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.scenario import run_failure_experiment
 from repro.harness.report import render_table
 from repro.topology.clos import ClosParams
+from repro.stacks import get_stack
 
 
 def main() -> None:
@@ -23,9 +24,9 @@ def main() -> None:
     rows = []
     for pods in pods_sweep:
         params = ClosParams(num_pods=pods)
-        for kind in (StackKind.MTP, StackKind.BGP):
+        for kind in ("mtp", "bgp"):
             r = run_failure_experiment(params, kind, "TC1")
-            rows.append([pods, params.num_routers, kind.value,
+            rows.append([pods, params.num_routers, get_stack(kind).display,
                          f"{r.convergence_ms:.2f}", r.control_bytes,
                          r.blast_radius])
     print(render_table(
@@ -41,10 +42,10 @@ def main() -> None:
     print("=== four tiers: two zones stitched by super-spines ===")
     params = ClosParams(num_pods=2, zones=2, supers_per_group=2)
     rows = []
-    for kind in (StackKind.MTP, StackKind.BGP):
+    for kind in ("mtp", "bgp"):
         world, topo, dep = build_and_converge(params, kind,
                                               max_converge_us=120_000_000)
-        if kind is StackKind.MTP:
+        if kind == "mtp":
             sup = topo.all_supers()[0]
             table = dep.mtp_nodes[sup].table
             state = f"{table.entry_count()} VIDs, depth 4"
@@ -52,7 +53,7 @@ def main() -> None:
             sup = topo.all_supers()[0]
             state = f"{len(dep.stacks[sup].table)} routes"
         r = run_failure_experiment(params, kind, "TC1")
-        rows.append([kind.value, len(topo.routers()), state,
+        rows.append([get_stack(kind).display, len(topo.routers()), state,
                      f"{r.convergence_ms:.2f}", r.control_bytes])
     print(render_table(
         "4-tier fabric (2 zones x 2 PoDs + super-spines)",

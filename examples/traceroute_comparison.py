@@ -10,14 +10,15 @@ assumes for inter-rack VM traffic (section III.A).
 Run:  python examples/traceroute_comparison.py
 """
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.iputil.probes import Pinger, Traceroute
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
+from repro.stacks import get_stack
 
 
-def probe(kind: StackKind) -> None:
-    print(f"===== {kind.value} =====")
+def probe(kind: str) -> None:
+    print(f"===== {get_stack(kind).display} =====")
     world, topo, dep = build_and_converge(two_pod_params(), kind)
     src = topo.first_server_of(topo.tors[0][0][0])
     dst = topo.first_server_of(topo.tors[0][1][1])
@@ -39,7 +40,7 @@ def probe(kind: StackKind) -> None:
 
 
 def main() -> None:
-    for kind in (StackKind.BGP, StackKind.MTP):
+    for kind in ("bgp", "mtp"):
         probe(kind)
     print("note: MR-MTP spines never decrement the inner TTL — the whole")
     print("fabric is one IP hop, which is also why it needs no ARP, no IP")

@@ -404,6 +404,7 @@ def cmd_converge(args) -> int:
     display = get_stack(args.stack).display
     world, topo, dep = build_and_converge(_params(args), args.stack,
                                           seed=args.seed)
+    _check_routers(topo, args.show or [])
     print(f"{display} converged at t = {world.sim.now / SECOND:.3f} s "
           f"({world.sim.events_processed} events)\n")
     default_show = [topo.aggs[0][0][0]]
@@ -748,17 +749,23 @@ def cmd_pathtrace(args) -> int:
     return 0
 
 
+def _check_routers(topo, names) -> None:
+    """Reject node names the built fabric has no router for."""
+    routers = topo.routers()
+    unknown = [name for name in names if name not in routers]
+    if unknown:
+        raise _UsageError(f"unknown router(s) {', '.join(unknown)}; "
+                          f"routers: {', '.join(routers)}")
+
+
 def cmd_config(args) -> int:
-    definition = get_stack(args.stack)
-    if definition.render_config is None:
-        print(f"stack {args.stack!r} does not render configuration",
-              file=sys.stderr)
-        return 2
     spec = resolve_spec(args.stack)
     world = World(seed=args.seed, trace_enabled=False)
     topo = build_topology(_params(args), world=world)
-    print(definition.render_config(topo, timers=spec.timers, node=args.node,
-                                   **spec.params_dict()))
+    if args.node is not None:
+        _check_routers(topo, [args.node])
+    print(get_stack(args.stack).family.render_config(
+        topo, spec.timers, args.node, **spec.params_dict()))
     return 0
 
 

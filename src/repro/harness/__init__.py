@@ -6,13 +6,6 @@ interface failures at the paper's test points, monitor update traffic for
 convergence, and compute the performance metrics of section V.
 """
 
-from repro.harness.deploy import (
-    BgpDeployment,
-    MtpDeployment,
-    deploy_bgp,
-    deploy_mtp,
-    deploy_servers,
-)
 from repro.harness.convergence import ConvergenceMonitor, converge_from_cold
 from repro.harness.failures import FailureInjector
 from repro.harness.metrics import (
@@ -24,7 +17,6 @@ from repro.harness.metrics import (
 from repro.stacks import (
     Deployment,
     StackDefinition,
-    StackKind,
     StackSpec,
     StackTimers,
     available_stacks,
@@ -45,11 +37,6 @@ from repro.harness.executor import (
 )
 
 __all__ = [
-    "BgpDeployment",
-    "MtpDeployment",
-    "deploy_bgp",
-    "deploy_mtp",
-    "deploy_servers",
     "ConvergenceMonitor",
     "converge_from_cold",
     "FailureInjector",
@@ -57,7 +44,6 @@ __all__ = [
     "control_overhead_bytes",
     "keepalive_overhead",
     "snapshot_table_change_counts",
-    "StackKind",
     "StackSpec",
     "StackTimers",
     "Deployment",

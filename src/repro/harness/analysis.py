@@ -93,8 +93,7 @@ def compare_stacks(
     stacks: Sequence = ("mtp", "bgp", "bgp-bfd"),
     timers: Optional[StackTimers] = None,
 ) -> dict:
-    """One :func:`failure_study` per stack, keyed by the caller's own
-    handles (names, specs, or legacy enum members all work)."""
+    """One :func:`failure_study` per stack, keyed by registry name."""
     seeds = list(seeds)
     return {
         stack: failure_study(params, stack, case, seeds, timers)

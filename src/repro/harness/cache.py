@@ -30,7 +30,7 @@ from repro.harness.digest import canonical_json, payload_digest
 # Bump whenever the semantics of cached payloads change (new metric
 # fields, different counting rules...): old entries then miss cleanly.
 # 2: stack-plugin refactor — keys derive from registry name + canonical
-#    params (not the StackKind enum); experiment payloads store "stack".
+#    params (not the legacy stack enum); experiment payloads store "stack".
 # 3: topology-plugin refactor — the "params" key component is now a
 #    TopologySpec (registry name + canonical params) instead of the raw
 #    clos dataclass; schema-2 entries keyed the old way miss cleanly.

@@ -12,9 +12,9 @@ converged-world factory they share and the steady-state measurements
 
 Stacks are selected through :mod:`repro.stacks` — a registry name
 (``"mtp"``, ``"bgp-bfd"``, ``"mtp-spray"``...), a prepared
-:class:`~repro.stacks.StackSpec`, or the legacy ``StackKind`` enum all
-work; nothing in this module branches on which stack is running, so
-registering a new stack makes every driver here handle it.
+:class:`~repro.stacks.StackSpec` or a definition all work; nothing in
+this module branches on which stack is running, so registering a new
+stack makes every driver here handle it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.sim.units import SECOND
 from repro.net.world import World
 from repro.topology import build_topology
 from repro.stacks import (
-    StackKind,
     StackSpec,
     StackTimers,
     get_stack,
@@ -38,7 +37,6 @@ from repro.harness.metrics import KeepaliveBreakdown, keepalive_overhead
 from repro.net.capture import Capture
 
 __all__ = [
-    "StackKind",  # legacy re-export; the enum itself lives in repro.stacks
     "StackSpec",
     "StackTimers",
     "ConfigCostResult",
@@ -61,7 +59,7 @@ def build_and_converge(
     snapshots: Optional[WorldSnapshots] = None,
 ):
     """A private world + topology + converged deployment of any
-    registered stack (name, spec, definition, or legacy enum).
+    registered stack (name, spec or definition).
 
     ``params`` selects the fabric in any spelling the topology registry
     resolves — a :class:`~repro.topology.TopologySpec`, a registry name,
@@ -89,9 +87,12 @@ def build_and_converge(
 
 def detection_bound_us(stack, timers: Optional[StackTimers] = None) -> int:
     """Upper bound on failure-detection latency: the far end of a
-    one-sided failure reacts only after this long."""
+    one-sided failure reacts only after this long.  The deployed stack's
+    :meth:`~repro.stacks.Deployment.detection_bound_us`, known before
+    deploying."""
     spec = resolve_spec(stack, timers)
-    return get_stack(spec.name).detection_bound_us(spec.timers)
+    return get_stack(spec.name).family.detection_bound_us(
+        spec.timers, spec.params_dict())
 
 
 # ----------------------------------------------------------------------

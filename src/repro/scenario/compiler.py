@@ -313,28 +313,26 @@ class CompiledScenario:
             route_churn=route_churn(before, deployment.forwarding_tables()),
             checkpoints=self.checkpoints,
         )
-        classify = getattr(deployment, "classify_liveness", None)
-        if classify is not None:
-            def fold(until=None):
-                return liveness_stats(
-                    world.trace, classify, injector.events, since=start,
-                    until=until,
-                    detection_bound_us=deployment.detection_bound_us())
+        def fold(until=None):
+            return liveness_stats(
+                world.trace, deployment.classify_liveness, injector.events,
+                since=start, until=until,
+                detection_bound_us=deployment.detection_bound_us())
 
-            stats = fold()
-            metrics.false_positives = stats.false_positives
-            metrics.flaps = stats.flaps
-            # the trace keeps every record, so each checkpoint's fold
-            # is taken now over its own window (records at its instant
-            # included, as at the instant itself)
-            metrics.checkpoints = [
-                replace(c, detections=s.detections,
-                        false_positives=s.false_positives, flaps=s.flaps,
-                        suppressions=s.suppressions,
-                        suppression_us=s.suppression_us,
-                        mttr_us=s.mttr_us, availability=s.availability)
-                for c in self.checkpoints
-                for s in (fold(c.time_us),)]
+        stats = fold()
+        metrics.false_positives = stats.false_positives
+        metrics.flaps = stats.flaps
+        # the trace keeps every record, so each checkpoint's fold is
+        # taken now over its own window (records at its instant
+        # included, as at the instant itself)
+        metrics.checkpoints = [
+            replace(c, detections=s.detections,
+                    false_positives=s.false_positives, flaps=s.flaps,
+                    suppressions=s.suppressions,
+                    suppression_us=s.suppression_us,
+                    mttr_us=s.mttr_us, availability=s.availability)
+            for c in self.checkpoints
+            for s in (fold(c.time_us),)]
         if self._reach:
             metrics.pairs_checked = sum(n for n, _ in self._reach)
             metrics.unreachable = [u for _, bad in self._reach for u in bad]

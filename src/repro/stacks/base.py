@@ -1,16 +1,26 @@
-"""Stack-plugin substrate: the protocol every deployment implements.
+"""Stack-plugin substrate: what a stack is and what its deployment does.
 
 A *stack* is one routable control/data-plane bundle (the paper's MR-MTP,
-BGP/ECMP, BGP/ECMP/BFD — or any variant someone registers later).  The
-experiment harness never branches on which stack it is running; it talks
-to two abstractions only:
+BGP/ECMP, BGP/ECMP/BFD — or any variant of them).  The experiment
+harness never branches on which stack it is running; it talks to two
+abstractions only:
 
-* :class:`StackDefinition` — the registered plugin: how to deploy the
-  stack onto a built topology, its timer-derived bounds, and (optionally)
-  how to render operator configuration.
-* :class:`Deployment` — the structural protocol a deployed stack
-  satisfies: start, readiness, forwarding-table/update introspection,
-  liveness periods, per-node table statistics, config cost, path tracing.
+* :class:`StackDefinition` — one row of the stack table: registry name,
+  display name, description, protocol family and default deploy
+  parameters.  The *family* is a module (:mod:`repro.stacks.mtp`,
+  :mod:`repro.stacks.bgp`) that provides four functions::
+
+      deploy(topo, timers=None, **params) -> Deployment
+      render_config(topo, timers=None, node=None, **params) -> str
+      detection_bound_us(timers, params) -> int
+      keepalive_period_us(timers, params) -> int
+
+  The two bound functions are the single source of a stack's timer
+  bounds: pre-deployment code (sweep/chaos windows) and the deployed
+  instance both call them.
+* :class:`Deployment` — a deployed stack: start, readiness,
+  forwarding-table/update introspection, liveness periods, agent
+  crash/restart, per-node table statistics, config cost, path tracing.
 
 Specs (:class:`StackSpec`) are the picklable, canonical-JSON-able unit
 that crosses process boundaries and feeds the result-cache key: registry
@@ -20,21 +30,22 @@ name + canonical parameter tuple + timer bundle.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Mapping,
-    Optional,
-    Protocol,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Mapping, Optional
 
 from repro.bfd.session import BfdTimers
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
+from repro.iputil.stack import IpStack
+from repro.iputil.udp_service import UdpService
+from repro.liveness import LivenessConfig
+from repro.registry import Registry, UnknownNameError, canonical_params
+from repro.routing.table import NextHop, Route
+from repro.stack.addresses import Ipv4Network
+from repro.topology import TIER_SERVER, Topology
+
+MAX_TRACE_HOPS = 32
 
 
 @dataclass
@@ -63,48 +74,119 @@ class ConfigCost:
     documents: int
 
 
-@runtime_checkable
-class Deployment(Protocol):
-    """What the harness requires of a deployed stack.
+@dataclass
+class ServerHost:
+    stack: IpStack
+    udp: UdpService
 
-    Implementations additionally expose ``topo`` (the built topology) and
-    ``servers`` (name -> host with a ``udp`` service) as attributes; the
-    traffic experiments use both.
 
-    Optionally, a deployment may implement the agent-lifecycle pair
-    ``crash_agent(node)`` / ``restart_agent(node, cold=None)`` (the
-    builtin MTP and BGP deployments do): ``crash_agent`` kills the
-    node's control plane silently while the data plane keeps forwarding
-    on the frozen tables, and ``restart_agent`` boots it back — cold
-    (forwarding state wiped) or gracefully (stale state retained and
-    re-confirmed), defaulting to the stack's configured restart mode.
-    The failure injector and scenario compiler probe for the pair with
-    ``getattr``; stacks without it simply reject ``agent_crash`` events.
+def deploy_servers(topo: Topology) -> dict[str, ServerHost]:
+    """IP stacks + default routes on every server."""
+    hosts: dict[str, ServerHost] = {}
+    for tor, servers in topo.servers.items():
+        for name in servers:
+            node = topo.node(name)
+            stack = IpStack(node, forwarding=False)
+            stack.install_connected_routes()
+            gateway = topo.server_gateway[name]
+            stack.table.install(Route(
+                prefix=Ipv4Network.parse("0.0.0.0/0"),
+                nexthops=(NextHop(interface="eth1", via=gateway),),
+                proto="static",
+            ))
+            hosts[name] = ServerHost(stack=stack, udp=UdpService(stack))
+    return hosts
+
+
+def install_rack_host_routes(topo: Topology, tor: str,
+                             stack: IpStack) -> None:
+    """/32 host routes toward each server (routed-rack design), so racks
+    with several servers forward correctly past the shared /24."""
+    node = topo.node(tor)
+    for iface in node.interfaces.values():
+        peer = iface.peer()
+        if peer is None or peer.node.tier != TIER_SERVER or peer.address is None:
+            continue
+        stack.table.install(Route(
+            prefix=Ipv4Network.of(peer.address, 32),
+            nexthops=(NextHop(interface=iface.name),),
+            proto="connected",
+        ))
+
+
+@dataclass(kw_only=True)
+class Deployment:
+    """A stack deployed onto a built topology: what the harness requires
+    of it.  ``topo`` and ``servers`` (name -> host with a ``udp``
+    service) are what the traffic experiments use.
+
+    A family subclass maps each router to its control-plane agent in
+    :attr:`agents` (anything with ``start()``, ``crash()`` and
+    ``restart(cold=...)``) and implements every method below that raises
+    :class:`NotImplementedError`.
     """
+
+    topo: Topology
+    servers: dict[str, ServerHost]
+    timers: StackTimers
+    liveness: Optional[LivenessConfig] = None
+    graceful_restart: bool = False
+
+    @property
+    def agents(self) -> Mapping[str, Any]:
+        """Router name -> control-plane agent."""
+        raise NotImplementedError
 
     def start(self) -> None:
         """Kick off every protocol instance (timers, hellos, sessions)."""
-        ...
+        for agent in self.agents.values():
+            agent.start()
+
+    def crash_agent(self, node: str) -> None:
+        """Kill the node's control plane silently; the data plane keeps
+        forwarding headless on the frozen tables."""
+        self.agents[node].crash()
+
+    def restart_agent(self, node: str, cold: Optional[bool] = None) -> None:
+        """Boot the node's control plane back: cold (forwarding state
+        wiped) or gracefully (stale state retained and re-confirmed).
+        ``cold`` defaults to the stack's configured restart mode; a
+        whole-node restore forces ``cold=True``."""
+        if cold is None:
+            cold = not self.graceful_restart
+        self.agents[node].restart(cold=cold)
+
+    def route_generation(self) -> int:
+        """Version counter over everything the data plane consults: the
+        family's forwarding-state counter plus admin port state."""
+        return self.table_generation() + sum(
+            1 for name in self.agents
+            for iface in self.topo.node(name).interfaces.values()
+            if not iface.admin_up)
+
+    def table_generation(self) -> int:
+        """Version counter over the forwarding state itself."""
+        raise NotImplementedError
 
     def ready(self) -> bool:
         """Cold-start convergence predicate: fully converged?"""
-        ...
+        raise NotImplementedError
 
     def forwarding_tables(self) -> dict[str, Any]:
         """name -> table with ``.change_count`` / ``.last_change_time``."""
-        ...
+        raise NotImplementedError
 
     def update_categories(self) -> tuple[str, ...]:
         """Trace categories that count as control-plane update traffic."""
-        ...
+        raise NotImplementedError
 
     def keepalive_period_us(self) -> int:
         """Steady-state liveness period (hello/keepalive interval)."""
-        ...
+        raise NotImplementedError
 
     def detection_bound_us(self) -> int:
         """Upper bound on one-sided failure-detection latency."""
-        ...
+        raise NotImplementedError
 
     def classify_liveness(self, record: Any) -> Optional[str]:
         """Classify one trace record as a liveness transition: one of
@@ -114,25 +196,25 @@ class Deployment(Protocol):
         (flap damping quarantined / released the adjacency — liveness-
         enabled stacks only), or None for anything else.  Feeds the
         false-positive / flap / MTTR metrics of the chaos suite."""
-        ...
+        raise NotImplementedError
 
     def table_stats(self, node: str) -> TableStats:
         """Converged forwarding-state size of one node."""
-        ...
+        raise NotImplementedError
 
     def config_cost(self) -> ConfigCost:
         """Configuration an operator writes for this deployment."""
-        ...
+        raise NotImplementedError
 
     def describe_node(self, node: str) -> str:
         """Human-readable converged state of one node (CLI display)."""
-        ...
+        raise NotImplementedError
 
     def trace_fabric_path(self, path: list[str], dst_ip: Any,
                           dst_host: str, flow: Any) -> list[str]:
         """Statically replay hop decisions from ``path[-1]`` (the source
         ToR) to ``dst_host``; raises RuntimeError on dead ends/loops."""
-        ...
+        raise NotImplementedError
 
     def fluid_candidates(self, node: str, dst_tor: str,
                          ingress_port: Optional[str]
@@ -144,26 +226,14 @@ class Deployment(Protocol):
         (:mod:`repro.workload.engine`) reproduces per-flow path choices
         without forwarding a packet.  An empty port tuple means the
         stack currently has no path (a blackhole)."""
-        ...
-
-
-ParamItems = Union[Mapping[str, Any], Iterable[tuple[str, Any]], None]
-
-
-def canonical_params(params: ParamItems) -> tuple[tuple[str, Any], ...]:
-    """Sort parameters into the canonical (key, value) tuple that cache
-    keys and specs carry — order-insensitive, picklable, JSON-able."""
-    if params is None:
-        return ()
-    items = params.items() if isinstance(params, Mapping) else params
-    return tuple(sorted((str(k), v) for k, v in items))
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class StackSpec:
     """One stack selection, fully serialized: registry name, canonical
-    deploy parameters, and the timer bundle.  This — never an enum — is
-    what task specs pickle and what cache keys derive from."""
+    deploy parameters, and the timer bundle.  This is what task specs
+    pickle and what cache keys derive from."""
 
     name: str
     params: tuple[tuple[str, Any], ...] = ()
@@ -178,32 +248,67 @@ class StackSpec:
 
 @dataclass(frozen=True)
 class StackDefinition:
-    """A registered stack plugin.
+    """A registered stack plugin: one row of the stack table.
 
-    ``deploy(topo, timers, **params)`` wires the stack onto a built
-    topology and returns a :class:`Deployment`.  The two timer accessors
-    map the shared :class:`StackTimers` bundle onto this stack's own
-    bounds so pre-deployment code (cache keys, wait budgets) never
-    branches per stack.  ``render_config`` (optional) renders the
-    operator-facing configuration without converging anything.
+    ``family`` provides the four family functions (module docstring);
+    ``default_params`` are the deploy keyword arguments that make this
+    row differ from its family's defaults.
     """
 
     name: str
     display: str
-    deploy: Callable[..., Deployment]
-    detection_bound_us: Callable[[StackTimers], int]
-    keepalive_period_us: Callable[[StackTimers], int]
-    description: str = ""
+    description: str
+    family: Any
     default_params: Mapping[str, Any] = field(default_factory=dict)
-    render_config: Optional[Callable[..., str]] = None
 
     def spec(self, timers: Optional[StackTimers] = None,
              **overrides: Any) -> StackSpec:
-        """A canonical spec for this stack (defaults + overrides)."""
+        """A canonical spec for this stack (defaults + overrides).
+
+        Override names the family's deploy function does not take are
+        rejected here, up front — a typo'd override would otherwise
+        cache-key a deployment that can never be built.
+        """
+        if overrides:
+            accepted = {
+                name for name, p in
+                inspect.signature(self.family.deploy).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+            unknown = sorted(set(overrides) - accepted)
+            if unknown:
+                raise ValueError(
+                    f"unknown {self.name} parameter(s) {', '.join(unknown)}"
+                    f"; accepted: {', '.join(sorted(accepted))}")
         merged = {**self.default_params, **overrides}
         return StackSpec(name=self.name, params=canonical_params(merged),
                          timers=timers if timers is not None else StackTimers())
 
     def build(self, topo: Any, spec: StackSpec) -> Deployment:
         """Deploy onto ``topo`` exactly as ``spec`` describes."""
-        return self.deploy(topo, spec.timers, **spec.params_dict())
+        return self.family.deploy(topo, spec.timers, **spec.params_dict())
+
+class UnknownStackError(UnknownNameError):
+    """Lookup of a stack name nobody registered."""
+
+
+STACKS: Registry[StackDefinition] = Registry("stack", UnknownStackError)
+register_stack = STACKS.register
+unregister_stack = STACKS.unregister
+get_stack = STACKS.get
+available_stacks = STACKS.names
+
+
+def resolve_spec(stack: Any,
+                 timers: Optional[StackTimers] = None) -> StackSpec:
+    """Normalize a registry name, :class:`StackSpec` or
+    :class:`StackDefinition` to a :class:`StackSpec`; ``timers`` (when
+    given) overrides the spec's bundle."""
+    if isinstance(stack, StackSpec):
+        return stack if timers is None else stack.with_timers(timers)
+    if isinstance(stack, StackDefinition):
+        return stack.spec(timers=timers)
+    if not isinstance(stack, str):
+        raise TypeError(
+            f"cannot resolve a stack from {stack!r}; expected a registry "
+            f"name, StackSpec or StackDefinition")
+    return get_stack(stack).spec(timers=timers)

@@ -26,9 +26,6 @@ from repro.topology.base import (
     TopologyDefinition,
     TopologyError,
     TopologySpec,
-    canonical_params,
-)
-from repro.topology.registry import (
     DEFAULT_TOPOLOGY,
     UnknownTopologyError,
     available_topologies,
@@ -38,6 +35,7 @@ from repro.topology.registry import (
     resolve_topology_spec,
     unregister_topology,
 )
+from repro.registry import canonical_params
 from repro.topology.clos import (
     ClosParams,
     ClosTopology,

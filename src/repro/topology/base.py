@@ -22,20 +22,13 @@ name + canonical parameter tuple — exactly the shape that worked for
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Mapping,
-    Optional,
-    Protocol,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Callable, Mapping, Optional, Protocol, runtime_checkable
 
 from repro.net.node import Node
 from repro.net.world import World
+from repro.registry import Registry, UnknownNameError, canonical_params
 from repro.stack.addresses import Ipv4Address, Ipv4Network
 
 TIER_SERVER = 0
@@ -65,18 +58,6 @@ class FailureCase:
     interface: str
     peer_node: str
     description: str
-
-
-ParamItems = Union[Mapping[str, Any], Iterable[tuple[str, Any]], None]
-
-
-def canonical_params(params: ParamItems) -> tuple[tuple[str, Any], ...]:
-    """Sort parameters into the canonical (key, value) tuple that cache
-    keys and specs carry — order-insensitive, picklable, JSON-able."""
-    if params is None:
-        return ()
-    items = params.items() if isinstance(params, Mapping) else params
-    return tuple(sorted((str(k), v) for k, v in items))
 
 
 @dataclass(frozen=True)
@@ -401,3 +382,56 @@ class TopologyDefinition:
         if world is None:
             world = World(seed=seed)
         return self.build(world=world, **spec.params_dict())
+
+
+class UnknownTopologyError(UnknownNameError):
+    """Lookup of a topology name nobody registered."""
+
+
+TOPOLOGIES: Registry[TopologyDefinition] = Registry("topology",
+                                                    UnknownTopologyError)
+register_topology = TOPOLOGIES.register
+unregister_topology = TOPOLOGIES.unregister
+get_topology = TOPOLOGIES.get
+available_topologies = TOPOLOGIES.names
+
+#: the fabric the paper evaluates — plugin zero, and what a bare
+#: ``build_topology()`` call (no selection at all) builds
+DEFAULT_TOPOLOGY = "clos"
+
+
+def resolve_topology_spec(topology: Any = None) -> TopologySpec:
+    """Normalize any accepted topology spelling to a
+    :class:`TopologySpec`: a registry name, a prepared spec, a
+    definition, or a params dataclass exposing ``topology_name`` (such
+    as ``ClosParams``).
+
+    ``None`` selects the default fabric with default parameters, so the
+    legacy ``build_folded_clos()``-with-no-arguments call shape keeps a
+    direct registry equivalent.
+    """
+    if topology is None:
+        return get_topology(DEFAULT_TOPOLOGY).spec()
+    if isinstance(topology, TopologySpec):
+        return topology
+    if isinstance(topology, TopologyDefinition):
+        return topology.spec()
+    if isinstance(topology, str):
+        return get_topology(topology).spec()
+    name = getattr(topology, "topology_name", None)
+    if isinstance(name, str) and dataclasses.is_dataclass(topology) \
+            and not isinstance(topology, type):
+        params = dataclasses.asdict(topology)
+        return get_topology(name).spec(**params)
+    raise TypeError(
+        f"cannot resolve a topology from {topology!r}; expected a "
+        f"registry name, TopologySpec, TopologyDefinition, or a params "
+        f"dataclass with a topology_name attribute")
+
+
+def build_topology(topology: Any = None,
+                   world: Optional[World] = None, seed: int = 0) -> Topology:
+    """Resolve ``topology`` and build it — the one entry point every
+    harness layer constructs fabrics through."""
+    spec = resolve_topology_spec(topology)
+    return get_topology(spec.name).build_spec(spec, world=world, seed=seed)

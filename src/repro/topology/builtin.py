@@ -17,10 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.world import World
-from repro.topology.base import TopologyDefinition
+from repro.topology.base import TopologyDefinition, register_topology
 from repro.topology.clos import ClosParams, ClosTopology, build_folded_clos
 from repro.topology.dcell import DCELL_DEFAULT_PARAMS, build_dcell
-from repro.topology.registry import register_topology
 from repro.topology.vl2 import VL2_DEFAULT_PARAMS, build_vl2
 
 #: the nine ClosParams fields, defaults included — kept in lockstep with

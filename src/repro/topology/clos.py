@@ -81,7 +81,7 @@ class ClosParams:
     @property
     def topology_name(self) -> str:
         """The registry name this params object resolves to (duck-typed
-        by :func:`repro.topology.registry.resolve_topology_spec`)."""
+        by :func:`repro.topology.resolve_topology_spec`)."""
         return "clos"
 
     @property

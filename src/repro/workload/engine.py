@@ -216,7 +216,7 @@ class FluidWorkload:
         self._problem: Optional[FluidProblem] = None
         self._blackholed_now = np.zeros(n, dtype=bool)
         self._surv: Optional[np.ndarray] = None
-        self._table_marks: Optional[dict] = None
+        self._table_marks: Optional[int] = None
         # ECMP digest cache, see _flow_digests: per walk depth a
         # (salt tag, digest) slot per flow; tag 0 is "empty"
         self._salt_tags: dict[int, int] = {}
@@ -473,17 +473,11 @@ class FluidWorkload:
         (``None`` before :meth:`start`); read-only for callers."""
         return self._problem
 
-    def _forwarding_marks(self):
-        """Current forwarding-state version.  Prefers the deployment's
+    def _forwarding_marks(self) -> int:
+        """Current forwarding-state version: the deployment's
         ``route_generation`` (which also counts liveness transitions —
-        graceful restart changes forwarding without a table write);
-        falls back to per-table change counters."""
-        gen = getattr(self.deployment, "route_generation", None)
-        if gen is not None:
-            return gen()
-        tables = self.deployment.forwarding_tables()
-        return {name: getattr(t, "change_count", 0)
-                for name, t in tables.items()}
+        graceful restart changes forwarding without a table write)."""
+        return self.deployment.route_generation()
 
     def _tables_changed(self) -> bool:
         return self._forwarding_marks() != self._table_marks

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bgp.config import BgpTimers
 from repro.bgp.messages import BgpUpdate
-from repro.harness.experiments import StackKind, StackTimers, build_and_converge
+from repro.harness.experiments import StackTimers, build_and_converge
 from repro.net.capture import Capture
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.ipv4 import Ipv4Packet
@@ -34,12 +34,12 @@ def test_advertisements_never_share_distinct_paths():
     advertisement carries exactly one prefix."""
     from repro.net.world import World
     from repro.topology.clos import build_folded_clos
-    from repro.harness.deploy import deploy_bgp
+    from repro.stacks import bgp
     from repro.harness.convergence import converge_from_cold
 
     world = World(seed=8)
     topo = build_folded_clos(two_pod_params(), world=world)
-    dep = deploy_bgp(topo)
+    dep = bgp.deploy(topo)
     link = world.find_link(topo.tors[0][0][0], topo.aggs[0][0][0])
     capture = Capture()
     capture.attach((link.end_a, link.end_b))
@@ -60,7 +60,7 @@ def test_withdrawals_pack_into_one_update():
     from repro.harness.failures import FailureInjector
 
     params = ClosParams(num_pods=2, tors_per_pod=3)
-    world, topo, dep = build_and_converge(params, StackKind.BGP)
+    world, topo, dep = build_and_converge(params, "bgp")
     top = topo.tops[0][0][0]
     capture = Capture()
     capture.attach_node(topo.node(top))
@@ -78,7 +78,7 @@ def test_mrai_batches_withdrawals():
     flushed together instead of per-prefix."""
     timers = StackTimers(bgp=BgpTimers(mrai_us=200 * MILLISECOND))
     params = ClosParams(num_pods=2, tors_per_pod=3)  # 3 prefixes per pod
-    world, topo, dep = build_and_converge(params, StackKind.BGP,
+    world, topo, dep = build_and_converge(params, "bgp",
                                           timers=timers)
     agg = topo.aggs[0][0][0]
     case = topo.failure_cases()["TC2"]
@@ -93,7 +93,7 @@ def test_mrai_batches_withdrawals():
 
 
 def test_speaker_summary_renders():
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.BGP)
+    world, topo, dep = build_and_converge(two_pod_params(), "bgp")
     summary = dep.speakers[topo.aggs[0][0][0]].summary()
     assert "local AS" in summary
     assert "established" in summary
@@ -101,7 +101,7 @@ def test_speaker_summary_renders():
 
 
 def test_mtp_summary_renders():
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP)
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp")
     tor_summary = dep.mtp_nodes[topo.tors[0][0][0]].summary()
     assert "ToR VID: 11" in tor_summary
     assert "neighbors: 2 up / 2" in tor_summary

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.pathtrace import trace_path
 from repro.sim.units import MILLISECOND, SECOND
@@ -12,7 +12,7 @@ from repro.topology.clos import ClosParams, two_pod_params
 
 
 def agg_without_uplinks(seed=29):
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP,
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp",
                                           seed=seed)
     agg = topo.aggs[0][0][0]
     injector = FailureInjector(world)
@@ -78,7 +78,7 @@ def test_blackhole_exists_without_the_extension():
     """Regression oracle for the gap itself: with the default updates
     suppressed, some flows keep hashing into the crippled agg and die —
     demonstrating why the extension is needed."""
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP,
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp",
                                           seed=29)
     agg = topo.aggs[0][0][0]
     # sabotage: disable the extension on the agg
@@ -100,7 +100,7 @@ def test_blackhole_exists_without_the_extension():
 
 def test_update_counts_stay_small():
     """The extension's cost: a handful of extra messages, not a storm."""
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP,
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp",
                                           seed=29)
     agg = topo.aggs[0][0][0]
     t0 = world.sim.now

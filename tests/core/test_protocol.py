@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.vid import Vid
 from repro.harness.convergence import converge_from_cold
-from repro.harness.deploy import deploy_mtp
+from repro.stacks import mtp
 from repro.net.world import World
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import build_folded_clos, two_pod_params
@@ -17,7 +17,7 @@ from repro.topology.clos import build_folded_clos, two_pod_params
 def fabric():
     world = World(seed=3)
     topo = build_folded_clos(two_pod_params(), world=world)
-    dep = deploy_mtp(topo)
+    dep = mtp.deploy(topo)
     dep.start()
     converge_from_cold(world, dep, dep.trees_complete)
     return world, topo, dep

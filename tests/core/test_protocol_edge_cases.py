@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.convergence import converge_from_cold
-from repro.harness.deploy import deploy_mtp
+from repro.stacks import mtp
 from repro.harness.failures import FailureInjector
 from repro.net.impairment import ImpairmentProfile
 from repro.net.world import World
@@ -16,7 +16,7 @@ from repro.topology.clos import ClosParams, build_folded_clos
 def build(params, seed=19):
     world = World(seed=seed)
     topo = build_folded_clos(params, world=world)
-    dep = deploy_mtp(topo)
+    dep = mtp.deploy(topo)
     dep.start()
     converge_from_cold(world, dep, dep.trees_complete)
     return world, topo, dep

@@ -11,7 +11,7 @@ from repro.harness.analysis import (
     failure_study,
     speedup,
 )
-from repro.harness.experiments import StackKind, StackTimers
+from repro.harness.experiments import StackTimers
 from repro.topology.clos import two_pod_params
 
 
@@ -43,7 +43,7 @@ class TestAggregate:
 class TestFailureStudy:
     def test_seeds_vary_with_timing_noise(self):
         timers = StackTimers(mtp=MtpTimers(jitter=0.3))
-        study = failure_study(two_pod_params(), StackKind.MTP, "TC1",
+        study = failure_study(two_pod_params(), "mtp", "TC1",
                               seeds=range(3), timers=timers)
         assert study.convergence_ms.n == 3
         # the settle-phase draw plus hello jitter must produce variance
@@ -53,8 +53,8 @@ class TestFailureStudy:
         assert study.blast_radius.stdev == 0
 
     def test_same_seed_reproduces_exactly(self):
-        a = failure_study(two_pod_params(), StackKind.MTP, "TC1", seeds=[7])
-        b = failure_study(two_pod_params(), StackKind.MTP, "TC1", seeds=[7])
+        a = failure_study(two_pod_params(), "mtp", "TC1", seeds=[7])
+        b = failure_study(two_pod_params(), "mtp", "TC1", seeds=[7])
         assert a.convergence_ms.mean == b.convergence_ms.mean
         assert a.runs[0].blast_routers == b.runs[0].blast_routers
 
@@ -63,8 +63,3 @@ class TestFailureStudy:
                                  stacks=("mtp", "bgp"))
         assert (studies["mtp"].convergence_ms.mean
                 < studies["bgp"].convergence_ms.mean)
-
-    def test_compare_stacks_accepts_legacy_enum_handles(self):
-        studies = compare_stacks(two_pod_params(), "TC4", seeds=[0],
-                                 stacks=(StackKind.MTP,))
-        assert studies[StackKind.MTP].stack == "mtp"

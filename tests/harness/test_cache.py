@@ -21,7 +21,7 @@ from repro.core.config import MtpTimers
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import CACHE_SCHEMA, ResultCache, task_key
-from repro.harness.experiments import StackKind, StackTimers
+from repro.harness.experiments import StackTimers
 from repro.harness.executor import CampaignReport, TaskKind, run_tasks
 from repro.harness.sweep import (
     FailurePoint,
@@ -48,7 +48,7 @@ POINT = FailurePoint("L-1-1", "eth1", "S-1-1")
 
 def _spec():
     """A sweep point's scenario run."""
-    return sweep_specs(two_pod_params(), StackKind.MTP, points=[POINT])[0]
+    return sweep_specs(two_pod_params(), "mtp", points=[POINT])[0]
 
 
 # ----------------------------------------------------------------------
@@ -67,10 +67,9 @@ def test_task_key_stable_across_processes():
     """The key must not depend on per-process hash randomization."""
     program = (
         "from repro.topology.clos import two_pod_params\n"
-        "from repro.harness.experiments import StackKind\n"
         "from repro.harness.sweep import FailurePoint, sweep_specs\n"
         "from repro.scenario import scenario_task_key\n"
-        "spec = sweep_specs(two_pod_params(), StackKind.MTP,\n"
+        "spec = sweep_specs(two_pod_params(), 'mtp',\n"
         "                   points=[FailurePoint('L-1-1', 'eth1', 'S-1-1')])[0]\n"
         "print(scenario_task_key(spec))\n"
     )
@@ -103,7 +102,7 @@ def test_key_invalidates_when_timers_change():
                                   dead_us=50 * MILLISECOND)),
         StackTimers(bfd=BfdTimers(tx_interval_us=300 * MILLISECOND)),
     ):
-        changed = sweep_specs(two_pod_params(), StackKind.MTP,
+        changed = sweep_specs(two_pod_params(), "mtp",
                               timers=timers, points=[POINT])[0]
         assert scenario_task_key(changed) != base
 
@@ -111,14 +110,14 @@ def test_key_invalidates_when_timers_change():
 def test_key_invalidates_on_every_component():
     base = scenario_task_key(_spec())
     variants = [
-        sweep_specs(two_pod_params(tors_per_pod=3), StackKind.MTP,
+        sweep_specs(two_pod_params(tors_per_pod=3), "mtp",
                     points=[POINT])[0],
-        sweep_specs(two_pod_params(), StackKind.BGP, points=[POINT])[0],
-        sweep_specs(two_pod_params(), StackKind.MTP, seed=1,
+        sweep_specs(two_pod_params(), "bgp", points=[POINT])[0],
+        sweep_specs(two_pod_params(), "mtp", seed=1,
                     points=[POINT])[0],
-        sweep_specs(two_pod_params(), StackKind.MTP,
+        sweep_specs(two_pod_params(), "mtp",
                     points=[FailurePoint("L-1-1", "eth2", "S-1-2")])[0],
-        sweep_specs(two_pod_params(), StackKind.MTP, points=[POINT],
+        sweep_specs(two_pod_params(), "mtp", points=[POINT],
                     ambient_loss=0.05)[0],
     ]
     assert base not in {scenario_task_key(v) for v in variants}
@@ -251,7 +250,7 @@ def test_experiment_outcome_roundtrip():
 # ----------------------------------------------------------------------
 def test_execute_tasks_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    specs = sweep_specs(two_pod_params(), StackKind.MTP)[:2]
+    specs = sweep_specs(two_pod_params(), "mtp")[:2]
     first = CampaignReport()
     out1 = run_tasks(SCENARIO_RUN, specs, cache=cache, report=first)
     assert (first.executed, first.cached) == (2, 0)

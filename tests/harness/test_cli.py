@@ -82,6 +82,19 @@ def test_converge_with_explicit_nodes(capsys):
     assert "ToR VID: 11" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("config", "--stack", "bgp", "--node", "NOPE"),
+    ("converge", "--stack", "mtp", "--show", "L-1-1", "NOPE"),
+])
+def test_unknown_node_is_a_usage_error(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown router(s) NOPE; routers: L-1-1, L-1-2, L-2-1, "
+        "L-2-2, S-1-1, S-1-2, S-2-1, S-2-2, T-1, T-2, T-3, T-4\n")
+
+
 def test_loss_far_direction(capsys):
     out = run_cli(capsys, "loss", "--stack", "mtp", "--case", "TC1",
                   "--direction", "far", "--rate", "500")
@@ -90,11 +103,10 @@ def test_loss_far_direction(capsys):
 
 def test_experiment_rejects_bad_direction():
     from repro.scenario import run_packet_loss_experiment
-    from repro.stacks import StackKind
     from repro.topology.clos import two_pod_params
 
     with pytest.raises(ValueError):
-        run_packet_loss_experiment(two_pod_params(), StackKind.MTP, "TC1",
+        run_packet_loss_experiment(two_pod_params(), "mtp", "TC1",
                                    direction="sideways")
 
 

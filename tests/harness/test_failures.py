@@ -11,7 +11,7 @@ from repro.net.world import World
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import two_pod_params
 from repro.core.neighbor import NeighborState
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector, UnknownTargetError
 
 
@@ -98,7 +98,7 @@ def test_last_failure_time_requires_a_failure(pair):
 # ----------------------------------------------------------------------
 def test_restore_link_reacceptance_is_slow_to_accept():
     world, topo, deployment = build_and_converge(
-        two_pod_params(), StackKind.MTP)
+        two_pod_params(), "mtp")
     tor, agg = topo.tors[0][0][0], topo.aggs[0][0][0]
     link = world.find_link(tor, agg)
     agg_iface = (link.end_a if link.end_a.node.name == agg
@@ -128,7 +128,7 @@ def test_restore_link_reacceptance_is_slow_to_accept():
 
 def test_flap_mid_probation_restarts_acceptance_count():
     world, topo, deployment = build_and_converge(
-        two_pod_params(), StackKind.MTP)
+        two_pod_params(), "mtp")
     tor, agg = topo.tors[0][0][0], topo.aggs[0][0][0]
     link = world.find_link(tor, agg)
     agg_iface = (link.end_a if link.end_a.node.name == agg

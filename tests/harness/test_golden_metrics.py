@@ -22,7 +22,6 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import two_pod_params
-from repro.stacks import StackKind, resolve_spec
 from repro.scenario import run_failure_experiment
 
 # (stack, case) -> (convergence_us, control_bytes, update_count,
@@ -65,18 +64,6 @@ def test_golden_2pod_failure_metrics(stack, case):
     assert result.update_count == expected_updates
     assert result.blast_routers == expected_blast, (
         f"fig5 drift: {stack} {case} blast radius")
-
-
-def test_legacy_enum_resolves_to_same_golden_run():
-    """StackKind members and registry names must be the *same* stack:
-    identical spec, hence identical cache key and identical run."""
-    for kind in StackKind:
-        assert resolve_spec(kind) == resolve_spec(kind.stack_name)
-    enum_result = run_failure_experiment(two_pod_params(), StackKind.MTP,
-                                         "TC4", seed=0)
-    name_result = run_failure_experiment(two_pod_params(), "mtp",
-                                         "TC4", seed=0)
-    assert enum_result == name_result
 
 
 def test_golden_shape_invariants():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.convergence import ConvergenceMonitor, converge_from_cold
-from repro.harness.deploy import deploy_bgp, deploy_mtp
+from repro.stacks import bgp, mtp
 from repro.harness.failures import FailureInjector
 from repro.harness.metrics import (
     blast_radius,
@@ -27,7 +27,7 @@ from repro.topology.clos import build_folded_clos, two_pod_params
 def mtp_fabric():
     world = World(seed=5)
     topo = build_folded_clos(two_pod_params(), world=world)
-    dep = deploy_mtp(topo)
+    dep = mtp.deploy(topo)
     dep.start()
     converge_from_cold(world, dep, dep.trees_complete)
     return world, topo, dep
@@ -157,7 +157,7 @@ class TestPathTrace:
     def test_bgp_paths_match_clos_shape(self):
         world = World(seed=6)
         topo = build_folded_clos(two_pod_params(), world=world)
-        dep = deploy_bgp(topo)
+        dep = bgp.deploy(topo)
         dep.start()
         converge_from_cold(
             world, dep,

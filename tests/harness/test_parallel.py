@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.topology.clos import two_pod_params
-from repro.stacks import StackKind
 from repro.harness.executor import (
     CampaignReport,
     DeterminismError,
@@ -43,10 +42,11 @@ SQUARE = TaskKind(name="square", run=_square, key=str,
 # ----------------------------------------------------------------------
 # sweep fan-out
 # ----------------------------------------------------------------------
+# the ids these cases had when they ran over the deleted stack enum
 @pytest.mark.parametrize("kind,seed", [
-    (StackKind.MTP, 0),
-    (StackKind.MTP, 7),
-    (StackKind.BGP, 0),
+    pytest.param("mtp", 0, id="StackKind.MTP-0"),
+    pytest.param("mtp", 7, id="StackKind.MTP-7"),
+    pytest.param("bgp", 0, id="StackKind.BGP-0"),
 ])
 def test_sweep_digests_serial_vs_parallel(kind, seed):
     specs = sweep_specs(two_pod_params(), kind, seed=seed)[:3]
@@ -61,7 +61,7 @@ def test_sweep_digests_serial_vs_parallel(kind, seed):
 
 
 def test_sweep_digests_across_worker_counts():
-    specs = sweep_specs(two_pod_params(), StackKind.MTP)[:4]
+    specs = sweep_specs(two_pod_params(), "mtp")[:4]
     by_jobs = {
         jobs: [o.digest for o in run_tasks(SCENARIO_RUN, specs, jobs=jobs,
                                            allow_oversubscribe=True)]
@@ -97,7 +97,7 @@ def test_experiment_digest_differs_across_seeds_and_cases():
 # executor mechanics
 # ----------------------------------------------------------------------
 def test_execute_tasks_preserves_order():
-    specs = sweep_specs(two_pod_params(), StackKind.MTP)[:4]
+    specs = sweep_specs(two_pod_params(), "mtp")[:4]
     outcomes = run_tasks(SCENARIO_RUN, specs, jobs=2,
                          allow_oversubscribe=True)
     assert ([o.metrics.scenario for o in outcomes]

@@ -5,6 +5,7 @@ result."""
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,11 +26,7 @@ from repro.stacks import (
     resolve_spec,
     unregister_stack,
 )
-from repro.stacks.builtin import (
-    _mtp_detection_bound_us,
-    _mtp_keepalive_period_us,
-    deploy_mtp_stack,
-)
+from repro.stacks import mtp
 from repro.topology.clos import two_pod_params
 
 
@@ -97,7 +94,7 @@ def test_world_key_separates_seed_timers_stack_and_fabric():
 # the fallback: dumps or loads failing means cold, one note, same digest
 # ----------------------------------------------------------------------
 def _deploy_with_closure(topo, timers, **params):
-    deployment = deploy_mtp_stack(topo, timers, **params)
+    deployment = mtp.deploy(topo, timers, **params)
     deployment.on_event = lambda: None   # what a careless plugin does
     return deployment
 
@@ -105,12 +102,14 @@ def _deploy_with_closure(topo, timers, **params):
 @pytest.fixture
 def closure_stack():
     name = "mtp-closure"
+    family = SimpleNamespace(
+        deploy=_deploy_with_closure, render_config=mtp.render_config,
+        detection_bound_us=mtp.detection_bound_us,
+        keepalive_period_us=mtp.keepalive_period_us)
     register_stack(StackDefinition(
         name=name, display="MR-MTP (unpicklable)",
-        deploy=_deploy_with_closure,
-        detection_bound_us=_mtp_detection_bound_us,
-        keepalive_period_us=_mtp_keepalive_period_us,
-        description="test-only: keeps a lambda on its deployment"))
+        description="test-only: keeps a lambda on its deployment",
+        family=family))
     try:
         yield name
     finally:

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.harness.cache import ResultCache
 from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
-from repro.harness.deploy import deploy_mtp
+from repro.stacks import mtp
 from repro.harness.executor import (
     CACHED,
     CRASH,
@@ -306,7 +306,7 @@ def test_a_silent_unconverged_fabric_fails_at_once():
     still false then, no amount of simulated time can change it."""
     world = World(seed=0)
     topo = build_folded_clos(two_pod_params(), world=world)
-    deployment = deploy_mtp(topo)
+    deployment = mtp.deploy(topo)
     deployment.start()
 
     def never_ready():

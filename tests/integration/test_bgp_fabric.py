@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.convergence import converge_from_cold
-from repro.harness.deploy import deploy_bgp
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.stacks import bgp
+from repro.harness.experiments import build_and_converge
 from repro.net.world import World
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.addresses import Ipv4Address
@@ -16,7 +16,7 @@ from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 
 @pytest.fixture(scope="module")
 def fabric():
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.BGP)
+    world, topo, dep = build_and_converge(two_pod_params(), "bgp")
     return world, topo, dep
 
 
@@ -72,7 +72,7 @@ def test_end_to_end_traffic(fabric):
 
 def test_bgp_reconvergence_restores_connectivity():
     """After a failure + recovery cycle, the fabric heals completely."""
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.BGP)
+    world, topo, dep = build_and_converge(two_pod_params(), "bgp")
     case = topo.failure_cases()["TC2"]
     iface = topo.node(case.node).interfaces[case.interface]
     iface.set_admin(False)
@@ -101,7 +101,7 @@ def test_bgp_reconvergence_restores_connectivity():
 
 
 def test_bfd_fabric_converges_and_sessions_up():
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.BGP_BFD)
+    world, topo, dep = build_and_converge(two_pod_params(), "bgp-bfd")
     assert dep.all_bfd_up()
     assert dep.all_established()
 
@@ -109,7 +109,7 @@ def test_bfd_fabric_converges_and_sessions_up():
 def test_multipath_disabled_single_paths():
     world = World(seed=9)
     topo = build_folded_clos(two_pod_params(), world=world)
-    dep = deploy_bgp(topo, multipath=False)
+    dep = bgp.deploy(topo, multipath=False)
     dep.start()
     converge_from_cold(
         world, dep, lambda: dep.all_established() and dep.fib_complete())

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.harness.pathtrace import trace_path
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import ClosParams
@@ -16,7 +16,7 @@ PARAMS = ClosParams(num_pods=2, zones=2, supers_per_group=2)
 
 @pytest.fixture(scope="module")
 def mtp_fabric():
-    return build_and_converge(PARAMS, StackKind.MTP, seed=21,
+    return build_and_converge(PARAMS, "mtp", seed=21,
                               max_converge_us=120 * SECOND)
 
 
@@ -103,7 +103,7 @@ def test_zone_boundary_failure_recovers(mtp_fabric):
 
 
 def test_bgp_four_tier_converges_and_delivers():
-    world, topo, dep = build_and_converge(PARAMS, StackKind.BGP, seed=22,
+    world, topo, dep = build_and_converge(PARAMS, "bgp", seed=22,
                                           max_converge_us=120 * SECOND)
     src = topo.first_server_of(topo.tors[0][0][0])
     dst = topo.first_server_of(topo.tors[1][1][1])

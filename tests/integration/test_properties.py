@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.vid import Vid
 from repro.harness.convergence import converge_from_cold
-from repro.harness.deploy import deploy_mtp
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.stacks import mtp
+from repro.harness.experiments import build_and_converge
 from repro.harness.pathtrace import trace_path
 from repro.net.world import World
 from repro.topology.clos import ClosParams, build_folded_clos
@@ -37,7 +37,7 @@ SLOW_SETTINGS = settings(
 def converged_mtp(params: ClosParams):
     world = World(seed=11)
     topo = build_folded_clos(params, world=world)
-    dep = deploy_mtp(topo)
+    dep = mtp.deploy(topo)
     dep.start()
     converge_from_cold(world, dep, dep.trees_complete)
     return world, topo, dep
@@ -110,7 +110,7 @@ def test_mtp_forwarding_loop_free_and_valley_free(params, src_port):
 @SLOW_SETTINGS
 @given(params=SHAPES)
 def test_bgp_fib_complete_on_any_shape(params):
-    world, topo, dep = build_and_converge(params, StackKind.BGP, seed=13)
+    world, topo, dep = build_and_converge(params, "bgp", seed=13)
     for name, stack in dep.stacks.items():
         for subnet in topo.rack_subnet.values():
             assert stack.table.lookup(subnet.host(1)) is not None, (
@@ -125,7 +125,7 @@ def test_bgp_fib_complete_on_any_shape(params):
 def test_bgp_and_mtp_choose_equal_length_paths(params, src_port):
     """Both protocols route rack-to-rack over minimal Clos paths, so the
     hop counts agree for every flow."""
-    world_b, topo_b, dep_b = build_and_converge(params, StackKind.BGP, seed=13)
+    world_b, topo_b, dep_b = build_and_converge(params, "bgp", seed=13)
     world_m, topo_m, dep_m = converged_mtp(params)
     src_b = topo_b.first_server_of(topo_b.tors[0][0][0])
     dst_b = topo_b.first_server_of(topo_b.tors[0][-1][-1])

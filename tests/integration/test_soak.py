@@ -11,7 +11,7 @@ import pytest
 
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
-from repro.harness.experiments import StackKind, StackTimers, build_and_converge
+from repro.harness.experiments import StackTimers, build_and_converge
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
 
@@ -20,7 +20,7 @@ SOAK_US = 120 * SECOND
 
 def test_mtp_soak_no_false_detections():
     timers = StackTimers(mtp=MtpTimers(jitter=0.3))
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP,
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp",
                                           seed=41, timers=timers)
     t0 = world.sim.now
     world.run_for(SOAK_US)
@@ -34,7 +34,7 @@ def test_mtp_soak_no_false_detections():
 
 def test_bgp_soak_no_hold_expiries():
     timers = StackTimers(bgp=BgpTimers(jitter=0.3))
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.BGP,
+    world, topo, dep = build_and_converge(two_pod_params(), "bgp",
                                           seed=41, timers=timers)
     t0 = world.sim.now
     world.run_for(SOAK_US)
@@ -47,7 +47,7 @@ def test_bgp_soak_no_hold_expiries():
 
 
 def test_bgp_bfd_soak():
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.BGP_BFD,
+    world, topo, dep = build_and_converge(two_pod_params(), "bgp-bfd",
                                           seed=41)
     t0 = world.sim.now
     world.run_for(SOAK_US)
@@ -62,7 +62,7 @@ def test_mtp_jittered_hellos_never_breach_dead_timer():
     can never be falsely declared dead: max observed hello gap stays
     under the dead interval."""
     timers = StackTimers(mtp=MtpTimers(jitter=0.25))
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP,
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp",
                                           seed=43, timers=timers)
     from repro.net.capture import Capture
     from repro.core.messages import MtpKeepalive

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.executor import run_tasks
-from repro.harness.experiments import StackKind
 from repro.harness.sweep import (
     summarize,
     sweep_points,
@@ -29,7 +28,9 @@ def test_failure_point_enumeration():
     assert all(p.node != p.peer for p in points)
 
 
-@pytest.mark.parametrize("kind", [StackKind.MTP, StackKind.BGP])
+# the ids these cases had when they ran over the deleted stack enum
+@pytest.mark.parametrize("kind", ["mtp", "bgp"],
+                         ids=["StackKind.MTP", "StackKind.BGP"])
 def test_sampled_failures_leave_no_blackholes(kind):
     points = sweep_points(two_pod_params())
     sample = points[:: max(1, len(points) // 6)]  # ~6 spread-out points
@@ -39,7 +40,8 @@ def test_sampled_failures_leave_no_blackholes(kind):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kind", [StackKind.MTP, StackKind.BGP])
+@pytest.mark.parametrize("kind", ["mtp", "bgp"],
+                         ids=["StackKind.MTP", "StackKind.BGP"])
 def test_exhaustive_single_failure_sweep(kind):
     results = _sweep(kind, sweep_points(two_pod_params()))
     assert len(results) == 32

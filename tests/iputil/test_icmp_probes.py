@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.experiments import StackKind, build_and_converge
+from repro.harness.experiments import build_and_converge
 from repro.iputil.probes import Pinger, Traceroute
 from repro.sim.units import SECOND
 from repro.stack.addresses import Ipv4Address
@@ -67,11 +67,11 @@ class TestIcmpBasics:
 class TestFabricProbes:
     @pytest.fixture(scope="class")
     def bgp_fabric(self):
-        return build_and_converge(two_pod_params(), StackKind.BGP, seed=31)
+        return build_and_converge(two_pod_params(), "bgp", seed=31)
 
     @pytest.fixture(scope="class")
     def mtp_fabric(self):
-        return build_and_converge(two_pod_params(), StackKind.MTP, seed=31)
+        return build_and_converge(two_pod_params(), "mtp", seed=31)
 
     def test_ping_across_bgp_fabric(self, bgp_fabric):
         world, topo, dep = bgp_fabric

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bfd.session import BfdTimers
+from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
 from repro.sim.units import MILLISECOND
+from repro.topology import build_topology
 from repro.topology.clos import two_pod_params
 from repro.stacks import (
     Deployment,
     StackDefinition,
-    StackKind,
     StackTimers,
     UnknownStackError,
     available_stacks,
@@ -24,12 +26,8 @@ from repro.stacks import (
     resolve_spec,
     unregister_stack,
 )
-from repro.stacks.builtin import (
-    _mtp_detection_bound_us,
-    _mtp_keepalive_period_us,
-    deploy_mtp_stack,
-)
-from repro.harness.experiments import build_and_converge
+from repro.stacks import mtp
+from repro.harness.experiments import build_and_converge, detection_bound_us
 from repro.harness.executor import run_tasks
 from repro.harness.sweep import FailurePoint, sweep_result, sweep_specs
 from repro.scenario import (
@@ -64,9 +62,7 @@ def test_blank_name_rejected():
     for bad in ("", "   "):
         with pytest.raises(ValueError):
             register_stack(StackDefinition(
-                name=bad, display="x", deploy=defn.deploy,
-                detection_bound_us=defn.detection_bound_us,
-                keepalive_period_us=defn.keepalive_period_us))
+                name=bad, display="x", description="", family=defn.family))
 
 
 def test_unknown_stack_error_lists_available():
@@ -81,10 +77,9 @@ def test_unknown_stack_error_lists_available():
 # ----------------------------------------------------------------------
 def test_resolve_spec_accepts_every_handle_shape():
     by_name = resolve_spec("bgp-bfd")
-    by_enum = resolve_spec(StackKind.BGP_BFD)
     by_defn = resolve_spec(get_stack("bgp-bfd"))
     by_spec = resolve_spec(by_name)
-    assert by_name == by_enum == by_defn == by_spec
+    assert by_name == by_defn == by_spec
     assert by_name.name == "bgp-bfd"
     assert by_name.params_dict() == {"bfd": True}
 
@@ -120,6 +115,53 @@ def test_variant_cache_keys_differ_from_parent():
     assert len(keys) == len(BUILTINS)
 
 
+def test_spec_rejects_parameters_the_deploy_function_does_not_take():
+    with pytest.raises(ValueError, match="unknown mtp parameter.*spary") \
+            as excinfo:
+        get_stack("mtp").spec(spary=True)
+    assert "per_packet_spray" in str(excinfo.value)   # lists the accepted
+    with pytest.raises(ValueError, match="bfd"):
+        get_stack("mtp-gr").spec(bfd=True)            # the other family's
+    spec = get_stack("mtp").spec(per_packet_spray=True)
+    assert spec.params == get_stack("mtp-spray").spec().params
+
+
+def test_every_table_row_deploys_with_its_default_params():
+    for name in available_stacks():
+        defn = get_stack(name)
+        assert defn.spec(**defn.default_params) == defn.spec()
+
+
+# ----------------------------------------------------------------------
+# timer bounds: decided once per family, read before and after deploy
+# ----------------------------------------------------------------------
+_NON_DEFAULT = StackTimers(
+    bgp=BgpTimers(keepalive_us=500 * MILLISECOND, hold_us=1500 * MILLISECOND),
+    bfd=BfdTimers(tx_interval_us=50 * MILLISECOND, detect_mult=4),
+    mtp=MtpTimers(hello_us=25 * MILLISECOND, dead_us=50 * MILLISECOND))
+
+_BOUND_CASES = [
+    *((name, timers, {}) for name in available_stacks()
+      for timers in (StackTimers(), _NON_DEFAULT)),
+    ("mtp", StackTimers(), {"liveness": True}),
+    ("mtp-adaptive", _NON_DEFAULT, {"liveness": {"max_scale": 12.0}}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,timers,overrides", _BOUND_CASES,
+    ids=[f"{n}-{'default' if t == StackTimers() else 'fast'}"
+         f"{'-' + ','.join(o) if o else ''}" for n, t, o in _BOUND_CASES])
+def test_bounds_before_deploy_equal_the_deployed_ones(name, timers,
+                                                      overrides):
+    defn = get_stack(name)
+    spec = defn.spec(timers=timers, **overrides)
+    deployment = defn.build(build_topology(two_pod_params()), spec)
+    assert detection_bound_us(spec) == deployment.detection_bound_us()
+    assert (defn.family.keepalive_period_us(spec.timers, spec.params_dict())
+            == deployment.keepalive_period_us())
+
+
 # ----------------------------------------------------------------------
 # plugin acceptance: a stack registered here, in a test file, runs
 # through the failure harness and the robustness sweep untouched
@@ -130,11 +172,8 @@ def throwaway_stack():
     register_stack(StackDefinition(
         name=name,
         display="MR-MTP (fast hello)",
-        deploy=deploy_mtp_stack,
-        detection_bound_us=_mtp_detection_bound_us,
-        keepalive_period_us=_mtp_keepalive_period_us,
         description="test-only variant with 20/60 ms hello/dead timers",
-        default_params={},
+        family=mtp,
     ))
     try:
         yield name

@@ -33,8 +33,8 @@ def _matches(pattern: str, path: Path) -> list[str]:
 def test_files_under_lint_exist():
     names = {p.name for p in AGNOSTIC_FILES}
     assert {"experiments.py", "sweep.py", "chaos.py", "analysis.py",
-            "oracle.py", "deploy.py", "failures.py", "targets.py",
-            "runner.py", "compiler.py", "cli.py"} <= names
+            "oracle.py", "mtp.py", "bgp.py", "registry.py", "failures.py",
+            "targets.py", "runner.py", "compiler.py", "cli.py"} <= names
 
 
 def test_no_clos_class_imports_outside_topology():

@@ -281,14 +281,14 @@ class TestDefaultUnreachableCodec:
     def test_double_failure_capture_exports(self, tmp_path):
         """A run exercising the default-unreachability path exports to
         pcap without codec errors."""
-        from repro.harness.experiments import StackKind, build_and_converge
+        from repro.harness.experiments import build_and_converge
         from repro.harness.failures import FailureInjector
         from repro.net.capture import Capture
         from repro.topology.clos import two_pod_params
         from repro.wire.pcap import read_pcap, write_capture
         from repro.wire.codec import decode_frame
 
-        world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP)
+        world, topo, dep = build_and_converge(two_pod_params(), "mtp")
         agg = topo.aggs[0][0][0]
         link = world.find_link(topo.tors[0][0][0], agg)
         capture = Capture()

@@ -99,10 +99,10 @@ def test_read_rejects_other_files(tmp_path: Path):
 def test_real_fabric_capture_exports(tmp_path: Path):
     """A converged MR-MTP fabric's control traffic exports to pcap and
     every frame decodes back."""
-    from repro.harness.experiments import StackKind, build_and_converge
+    from repro.harness.experiments import build_and_converge
     from repro.topology.clos import two_pod_params
 
-    world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP)
+    world, topo, dep = build_and_converge(two_pod_params(), "mtp")
     link = world.find_link(topo.tors[0][0][0], topo.aggs[0][0][0])
     cap = Capture()
     cap.attach((link.end_a, link.end_b))
