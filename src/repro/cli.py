@@ -211,9 +211,12 @@ def _run_campaign(args, specs, render) -> int:
 
 
 def _campaign_epilogue(args, report) -> int:
-    """Resume accounting and the quarantine table — on stderr under
+    """The report's notes (a clamped ``--jobs``, a fork fallback) on
+    stderr; resume accounting and the quarantine table — on stderr under
     ``--json``, so stdout stays exactly one document — and the infra
     exit code (EXIT_OK when nothing was quarantined)."""
+    for note in report.notes:
+        print(f"note: {note}", file=sys.stderr)
     out = sys.stderr if getattr(args, "json", False) else sys.stdout
     if args.resume:
         print(f"resume: {report.cached}/{report.total} task(s) replayed "

@@ -26,17 +26,18 @@ is identical whether its task ran inline, in a pool worker, in a
 supervised child or was replayed from the cache —
 :func:`assert_fanout_deterministic` is that check.
 
-The two in-process strategies share converged worlds: a kind with a
-``world_key`` gets a :class:`WorldSnapshots` store built from the keys of
-its pending tasks, so a world that several of them converge identically
-is converged once and restored for the rest.  Supervised children never
-get one — each attempt is an isolated process building its own world.
+The two in-process strategies share converged worlds: for a kind with
+a ``world_key``, the process running the tasks (the caller inline, a
+pool worker per chunk) groups them by that key, converges each world
+once with ``kind.converge`` and runs every task of the group but the
+last in a forked child, which inherits the world copy-on-write; the
+last runs on the world itself (DESIGN §7 "Converged worlds, forked").
+Supervised children never share — each attempt is an isolated process
+building its own world.
 
-Every strategy gives a world the lifetime of its task: the process that
-runs the tasks (the caller inline, a pool worker, a supervised child)
-runs them through :func:`one_world_at_a_time`, which pauses automatic
-cyclic collection and collects the finished task's world before the
-next task builds one.
+Whatever runs them, tasks run through :func:`run_sharing_worlds`, which
+pauses automatic cyclic collection and collects once for every world
+the process drops, before it builds the next.
 
 Supervision applies the fabric protocols' own discipline — Quick to
 Detect, Slow to Accept — to the machinery that runs them: a hung
@@ -67,18 +68,19 @@ import os
 import pickle
 import random
 import re
+import signal
+import sys
+import threading
 import time
 import traceback
-from collections import Counter
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.harness.cache import ResultCache, task_key
+from repro.harness.cache import ResultCache
 from repro.harness.digest import payload_digest, stable_seed
-from repro.sim.units import SECOND
-from repro.topology import resolve_topology_spec
 
 # task states
 PENDING = "pending"
@@ -104,8 +106,9 @@ class TaskKind:
     result-cache key, ``encode``/``decode`` the cached payload codec and
     ``label(spec)`` the name quarantine tables print.  A kind whose runs
     converge a world other tasks of the same list may share names that
-    world with ``world_key(spec)``; its ``run`` then also accepts a
-    ``snapshots`` store.
+    world with ``world_key(spec)`` and builds it with ``converge(spec)``;
+    its ``run(spec, world)`` then plays on that world in place, and
+    ``run(spec)`` converges its own.
     """
 
     name: str
@@ -115,6 +118,7 @@ class TaskKind:
     decode: Callable[[dict], Any]
     label: Callable[[Any], str]
     world_key: Optional[Callable[[Any], str]] = None
+    converge: Optional[Callable[[Any], Any]] = None
 
 
 class DeterminismError(AssertionError):
@@ -242,69 +246,149 @@ class CampaignInterrupted(KeyboardInterrupt):
 
 
 # ----------------------------------------------------------------------
-# converged-world snapshots: converge once, run many
+# converged worlds: converge once, fork the rest
 # ----------------------------------------------------------------------
-def world_key(params, spec, seed: int, trace_enabled: bool = True,
-              max_converge_us: int = 60 * SECOND) -> str:
-    """Content hash of ``build_and_converge``'s inputs (the world part
-    of every result-cache key), defaulted as it defaults them."""
-    return task_key("converged-world",
-                    params=resolve_topology_spec(params), stack=spec.name,
-                    stack_params=spec.params, timers=spec.timers, seed=seed,
-                    trace_enabled=trace_enabled,
-                    max_converge_us=max_converge_us)
+class ForkedTaskDied(RuntimeError):
+    """A task's forked child ended without reporting an outcome (killed,
+    out of memory, or its report was cut short)."""
+
+    def __init__(self, label: str, status: int) -> None:
+        code = os.waitstatus_to_exitcode(status)
+        how = (f"killed by signal {-code}" if code < 0
+               else f"exit status {code}")
+        super().__init__(f"forked task {label} died without reporting "
+                         f"({how})")
+        self.label = label
+        self.status = status
+        self.exitcode = code
+
+    def __reduce__(self):
+        # a pool worker's chunk sends it back to the campaign's parent
+        return type(self), (self.label, self.status)
 
 
-class WorldSnapshots:
-    """At most one pickled world, for the ``keys`` that occur twice.
+class _ChildTraceback(Exception):
+    """The traceback of an exception a forked task raised, as text: the
+    ``__cause__`` of the exception re-raised in the parent."""
 
-    For a key that recurs, the first cold-built ``(world, topo,
-    deployment)`` is pickled and each later task of that key gets
-    ``pickle.loads`` of it; one blob, the most recent key, is kept (task
-    lists are stack-major).  Cold build is the miss path and the
-    fallback: if ``dumps`` or ``loads`` raises, the key is dropped, one
-    note names the stack and its tasks run cold — a bad snapshot never
-    changes a result.
-    """
+    def __str__(self) -> str:
+        return self.args[0]
 
-    def __init__(self, keys: Iterable[str]) -> None:
-        self._shared = {k for k, n in Counter(keys).items() if n > 1}
-        self._kept: Optional[tuple[str, bytes]] = None
-        self.notes: list[str] = []
 
-    def converged(self, key: str, stack: str, cold: Callable[[], Any]):
-        """A converged world for ``key``: ``cold()`` itself, or a private
-        copy of the one an earlier task of this key built."""
-        if key not in self._shared:
-            return cold()
-        if self._kept is not None and self._kept[0] == key:
-            try:
-                return pickle.loads(self._kept[1])
-            except Exception as exc:  # noqa: BLE001 — any failure means cold
-                self._give_up(key, stack, "restore", exc)
-                return cold()
-        built = cold()
+class _NoFork(Exception):
+    """This process cannot fork a task; the reason is the message."""
+
+
+def _child(run: Callable[..., Any], spec: Any, world: Any,
+           write_fd: int) -> None:
+    """The forked side of :func:`_forked`: run the task, pickle its
+    outcome (or its exception) into the pipe, flush what the task itself
+    printed and leave with ``os._exit`` — never back through the
+    parent's frames, its ``finally`` blocks or its stdio buffers."""
+    code = 1
+    try:
         try:
-            self._kept = key, pickle.dumps(built, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001 — any failure means cold
-            self._give_up(key, stack, "snapshot", exc)
-        return built
+            message = (OK, run(spec, world))
+        except BaseException as exc:  # noqa: BLE001 — reported, not lost
+            text = "".join(traceback.format_exception(type(exc), exc,
+                                                      exc.__traceback__))
+            message = (ERROR, exc, text)
+            try:
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:  # noqa: BLE001 — the text still travels
+                message = (ERROR, None, text)
+        try:
+            blob = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 — an unpicklable outcome
+            blob = pickle.dumps((ERROR, None, traceback.format_exc()),
+                                pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(blob)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
-    def _give_up(self, key, stack, what, exc) -> None:
-        self._kept = None
-        self._shared.discard(key)
-        self.notes.append(
-            f"world {what} failed for stack {stack} "
-            f"({type(exc).__name__}: {exc}); its runs converge cold")
+
+def _kill_and_reap(pid: int) -> None:
+    """SIGKILL a forked task and wait for it, with Ctrl-C held off so a
+    second one cannot leave it a zombie."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # already reaped
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-# ----------------------------------------------------------------------
-# world lifetime: a world lives as long as its task
-# ----------------------------------------------------------------------
-def one_world_at_a_time(work: Callable[[Any], Any],
-                        items: Iterable[Any]) -> list[Any]:
-    """``[work(item) for item in items]``, each item's world living
-    exactly as long as its task (DESIGN §7 "World lifetime").
+def _forked(run: Callable[..., Any], spec: Any, world: Any,
+            label: str) -> Any:
+    """``run(spec, world)`` in a forked child of this process, which
+    inherits ``world`` copy-on-write and leaves this process's copy as
+    it was.  Returns the child's outcome or re-raises its exception with
+    its own type; raises :class:`ForkedTaskDied` if the child reported
+    nothing, and :class:`_NoFork` if no child could be forked.
+
+    The parent reads the pipe to EOF, then reaps the child; on Ctrl-C
+    (or any exception) it kills and reaps the child first.  Stdio is
+    flushed before the fork, so the child inherits empty buffers and
+    nothing the parent wrote appears twice.  The child runs with SIGINT
+    blocked: Ctrl-C is the parent's to handle.  Only Python threads stop
+    a fork: numpy's BLAS pool is an idle OS thread with its own fork
+    handlers."""
+    if not hasattr(os, "fork"):
+        raise _NoFork("os.fork is missing")
+    if threading.active_count() > 1:
+        raise _NoFork(f"{threading.active_count()} threads are running")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        with warnings.catch_warnings():
+            # CPython 3.12+ warns whenever the process has a second OS
+            # thread, which an imported numpy's BLAS pool always is
+            warnings.filterwarnings(
+                "ignore", r".*use of fork\(\) may lead to deadlocks",
+                DeprecationWarning)
+            pid = os.fork()
+    except OSError as exc:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(read_fd)
+        os.close(write_fd)
+        raise _NoFork(f"os.fork failed: {exc}") from None
+    if pid == 0:
+        os.close(read_fd)
+        _child(run, spec, world, write_fd)  # never returns
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            _kill_and_reap(pid)
+            raise
+    try:
+        tag, *rest = pickle.loads(blob)
+    except Exception:  # noqa: BLE001 — empty or cut short: no report
+        raise ForkedTaskDied(label, status) from None
+    if tag == OK:
+        return rest[0]
+    exc, text = rest
+    if exc is None:
+        raise RuntimeError(f"task {label} failed in its forked child with "
+                           f"an exception that cannot be pickled:\n{text}")
+    raise exc from _ChildTraceback(text)
+
+
+@contextmanager
+def _collector_paused():
+    """Automatic cyclic collection off for the tasks of one call (DESIGN
+    §7 "World lifetime").
 
     A world is one large web of reference cycles, and nearly the only
     cyclic garbage a run makes, so the automatic collector would only
@@ -312,30 +396,86 @@ def one_world_at_a_time(work: Callable[[Any], Any],
     later full pass.  Here it is paused instead.  One full collection on
     entry frees what an earlier campaign left, so no garbage is frozen;
     what is alive then (imports, registries, the cache) is frozen out of
-    every later pass; one collection between items frees the finished
-    world.  The collector is left exactly as found, even on an exception
-    or Ctrl-C (a caller's own freeze is the caller's to undo).  The
-    inline loop, the pool's chunk runner and a supervised attempt all
-    run their tasks through here, and nothing else pauses.
-    """
+    every later pass.  The collector is left exactly as found, even on
+    an exception or Ctrl-C (a caller's own freeze is the caller's to
+    undo)."""
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     gc.collect()
     gc.disable()
     if not frozen:
         gc.freeze()
     try:
-        outcomes = []
-        for i, item in enumerate(items):
-            if i:
-                gc.collect()  # the world the item before left
-            outcomes.append(work(item))
-        return outcomes
+        yield
     finally:
         if not frozen:
             gc.unfreeze()
         if enabled:
             gc.enable()
 
+
+def run_sharing_worlds(run: Callable[..., Any],
+                       converge: Optional[Callable[[Any], Any]],
+                       tasks: Sequence[tuple[Any, str, Any]],
+                       done: Optional[Callable[[int, Any], None]] = None,
+                       notes: Optional[list[str]] = None) -> list[Any]:
+    """Run ``tasks`` — ``(world key, label, spec)`` — in this process;
+    outcomes in task order, each also passed to ``done(i, outcome)`` the
+    moment it exists.
+
+    With a ``converge``, tasks of one world key form a group, in order of
+    first occurrence.  A group converges its world once; every task but
+    the last runs ``run(spec, world)`` in a forked child, the last runs
+    it here, on the world itself, which is then dropped — so a one-task
+    group is a plain cold run.  Without one (or for a ``None`` key),
+    every task is its own group and runs ``run(spec)`` here.  If this
+    process cannot fork, the task runs here instead, the group's next
+    task converges the world again, and ``notes`` gets one line saying
+    why.
+
+    Automatic collection is paused throughout (:func:`_collector_paused`);
+    one ``gc.collect()`` before each world but the first frees the world
+    the group before dropped.  A forked task's world dies with its
+    process.  The inline loop, the pool's chunk runner and a supervised
+    attempt all run their tasks through here.
+    """
+    groups: dict[Any, list[int]] = {}
+    for i, (key, _label, _spec) in enumerate(tasks):
+        groups.setdefault(i if key is None else key, []).append(i)
+    outcomes: list[Any] = [None] * len(tasks)
+    with _collector_paused():
+        owed = False    # a dropped world awaits its collection
+        for members in groups.values():
+            world = None
+            for n, i in enumerate(members):
+                _key, label, spec = tasks[i]
+                if owed:
+                    gc.collect()
+                    owed = False
+                if converge is None:
+                    outcome = run(spec)
+                    owed = True
+                else:
+                    if world is None:
+                        world = converge(spec)
+                    here = n == len(members) - 1
+                    if not here:
+                        try:
+                            outcome = _forked(run, spec, world, label)
+                        except _NoFork as why:
+                            note = (f"fork unavailable ({why}): tasks that "
+                                    f"share a world ran in-process, each "
+                                    f"converging it")
+                            if notes is not None and note not in notes:
+                                notes.append(note)
+                            here = True
+                    if here:
+                        outcome = run(spec, world)
+                        world = None
+                        owed = True
+                outcomes[i] = outcome
+                if done is not None:
+                    done(i, outcome)
+    return outcomes
 
 # ----------------------------------------------------------------------
 # the executor
@@ -418,22 +558,17 @@ def run_tasks(
         if policy is not None:
             _supervised(kind.run, specs, pending, jobs, policy, settle)
         else:
-            run, store = kind.run, None
-            if kind.world_key is not None:
-                # the list, not a flag, decides what is shared: only a
-                # world two or more of these tasks converge identically
-                # is ever snapshotted
-                store = WorldSnapshots(kind.world_key(specs[r.index])
-                                       for r in pending)
-                run = partial(kind.run, snapshots=store)
+            tasks = [(None if kind.world_key is None
+                      else kind.world_key(specs[r.index]),
+                      r.label, specs[r.index]) for r in pending]
             if jobs > 1 and len(pending) > 1:
-                _pooled(run, specs, pending, jobs, settle)
+                _pooled(kind.run, kind.converge, tasks, pending, jobs,
+                        settle, report.notes)
             elif pending:
-                one_world_at_a_time(
-                    lambda record: settle(record, run(specs[record.index])),
-                    pending)
-            if store is not None:
-                report.notes.extend(store.notes)
+                run_sharing_worlds(
+                    kind.run, kind.converge, tasks,
+                    done=lambda i, outcome: settle(pending[i], outcome),
+                    notes=report.notes)
     except KeyboardInterrupt:
         done = sum(1 for r in records if r.state in (DONE, CACHED))
         raise CampaignInterrupted(done=done, total=len(specs),
@@ -464,40 +599,48 @@ def assert_fanout_deterministic(kind: TaskKind, specs: Sequence[Any], *,
 # ----------------------------------------------------------------------
 # the pool
 # ----------------------------------------------------------------------
-def _run_chunk(run: Callable[[Any], Any], specs: list[Any]) -> list[Any]:
-    """Top-level chunk runner (the process pool needs to pickle it).  A
-    worker outlives its chunks; the collection on entry frees the world
-    of its previous one."""
-    return one_world_at_a_time(run, specs)
+def _run_chunk(run: Callable[..., Any],
+               converge: Optional[Callable[[Any], Any]],
+               tasks: list[tuple[Any, str, Any]]) -> tuple[list, list[str]]:
+    """Top-level chunk runner (the process pool needs to pickle it): the
+    chunk's outcomes and the notes its worker took.  A worker outlives
+    its chunks; the collection on entry frees the world of its previous
+    one."""
+    notes: list[str] = []
+    return run_sharing_worlds(run, converge, tasks, notes=notes), notes
 
 
-def _pooled(run, specs, pending: list[TaskRecord], jobs: int,
-            settle) -> None:
-    """``pending`` in chunks over a process pool, settled as each chunk
-    completes; on Ctrl-C, chunks that finished but were not collected
-    yet are salvaged before the interrupt propagates."""
+def _pooled(run, converge, tasks, pending: list[TaskRecord], jobs: int,
+            settle, notes: list[str]) -> None:
+    """``tasks`` (one per ``pending`` record) in chunks over a process
+    pool, settled as each chunk completes and its notes added once each;
+    on Ctrl-C, chunks that finished but were not collected yet are
+    salvaged before the interrupt propagates."""
     size = default_chunk_size(len(pending), jobs)
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
     futures: dict = {}   # uncollected future -> its records
+
+    def collect(future) -> None:
+        outcomes, chunk_notes = future.result()
+        for record, outcome in zip(futures.pop(future), outcomes):
+            settle(record, outcome)
+        notes.extend(n for n in chunk_notes if n not in notes)
+
     try:
         for i in range(0, len(pending), size):
-            group = pending[i:i + size]
-            futures[pool.submit(_run_chunk, run,
-                                [specs[r.index] for r in group])] = group
+            futures[pool.submit(_run_chunk, run, converge,
+                                tasks[i:i + size])] = pending[i:i + size]
         not_done = set(futures)
         while not_done:
             done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
             for future in done:
-                for record, outcome in zip(futures.pop(future),
-                                           future.result()):
-                    settle(record, outcome)
+                collect(future)
         pool.shutdown()
     except KeyboardInterrupt:
-        for future, group in futures.items():
+        for future in list(futures):
             if (future.done() and not future.cancelled()
                     and future.exception() is None):
-                for record, outcome in zip(group, future.result()):
-                    settle(record, outcome)
+                collect(future)
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     except BaseException:
@@ -524,7 +667,7 @@ def _attempt_child(run: Callable[[Any], Any], spec: Any, conn) -> None:
     including a failure to pickle the result — comes back as a
     structured error tuple, never a silent death."""
     try:
-        outcome, = one_world_at_a_time(run, [spec])
+        outcome, = run_sharing_worlds(run, None, [(None, "", spec)])
     except BaseException as exc:  # noqa: BLE001 — the whole point
         conn.send((ERROR, type(exc).__name__, _traceback_digest(exc),
                    str(exc).splitlines()[0][:200] if str(exc) else ""))

@@ -2,8 +2,8 @@
 
 Each run gets a :class:`World` of its own (the "reserve a new slice"
 analogue) with a registered protocol stack converged from cold on it —
-built on the spot, or, inside a campaign, restored from the snapshot
-an earlier task of the same world left (DESIGN §7).  The runs that
+built on the spot, or, inside a campaign, inherited copy-on-write by a
+forked child of the process that converged it (DESIGN §7).  The runs that
 inject a fault and measure the reaction — the failure experiment of
 Figs. 4-6 and the packet-loss experiment of Figs. 7/8 — are scenario
 programs (:mod:`repro.scenario.runner`); this module holds the
@@ -24,15 +24,15 @@ from typing import Optional
 
 from repro.sim.units import SECOND
 from repro.net.world import World
-from repro.topology import build_topology
+from repro.topology import build_topology, resolve_topology_spec
 from repro.stacks import (
     StackSpec,
     StackTimers,
     get_stack,
     resolve_spec,
 )
+from repro.harness.cache import task_key
 from repro.harness.convergence import converge_from_cold
-from repro.harness.executor import WorldSnapshots, world_key
 from repro.harness.metrics import KeepaliveBreakdown, keepalive_overhead
 from repro.net.capture import Capture
 
@@ -42,6 +42,7 @@ __all__ = [
     "ConfigCostResult",
     "TableSizeResult",
     "build_and_converge",
+    "world_key",
     "detection_bound_us",
     "run_keepalive_experiment",
     "run_config_cost_experiment",
@@ -56,7 +57,6 @@ def build_and_converge(
     timers: Optional[StackTimers] = None,
     trace_enabled: bool = True,
     max_converge_us: int = 60 * SECOND,
-    snapshots: Optional[WorldSnapshots] = None,
 ):
     """A private world + topology + converged deployment of any
     registered stack (name, spec or definition).
@@ -64,25 +64,27 @@ def build_and_converge(
     ``params`` selects the fabric in any spelling the topology registry
     resolves — a :class:`~repro.topology.TopologySpec`, a registry name,
     a legacy params dataclass, or ``None`` for the default folded-Clos.
-
-    With a campaign's ``snapshots`` the world may be a restored copy of
-    one an earlier call converged from the same inputs, not a cold start.
     """
     spec = resolve_spec(stack, timers)
+    world = World(seed=seed, trace_enabled=trace_enabled)
+    topo = build_topology(params, world=world)
+    deployment = get_stack(spec.name).build(topo, spec)
+    deployment.start()
+    converge_from_cold(world, deployment, deployment.ready,
+                       max_time_us=max_converge_us)
+    return world, topo, deployment
 
-    def cold():
-        world = World(seed=seed, trace_enabled=trace_enabled)
-        topo = build_topology(params, world=world)
-        deployment = get_stack(spec.name).build(topo, spec)
-        deployment.start()
-        converge_from_cold(world, deployment, deployment.ready,
-                           max_time_us=max_converge_us)
-        return world, topo, deployment
 
-    if snapshots is None:
-        return cold()
-    key = world_key(params, spec, seed, trace_enabled, max_converge_us)
-    return snapshots.converged(key, spec.name, cold)
+def world_key(params, spec: StackSpec, seed: int, trace_enabled: bool = True,
+              max_converge_us: int = 60 * SECOND) -> str:
+    """Content hash of :func:`build_and_converge`'s inputs (the world
+    part of every result-cache key), defaulted as it defaults them: two
+    tasks with equal keys can run on one converged world."""
+    return task_key("converged-world",
+                    params=resolve_topology_spec(params), stack=spec.name,
+                    stack_params=spec.params, timers=spec.timers, seed=seed,
+                    trace_enabled=trace_enabled,
+                    max_converge_us=max_converge_us)
 
 
 def detection_bound_us(stack, timers: Optional[StackTimers] = None) -> int:

@@ -9,7 +9,8 @@ programs too), so suites run through
 content-addressed result cache.
 Every run carries a SHA-256 run digest (trace + metrics), so serial and
 ``--jobs N`` execution are byte-comparable.  Scenario runs of one world
-share its convergence: the kind names that world (``world_key``).
+share its convergence: the kind names that world (``world_key``) and
+builds it (``converge``), and the executor forks the runs that share it.
 
 The failure experiment of Figs. 4-6 is the library's TC scenario, and
 its multi-seed batches are scenario tasks; the packet-loss experiment
@@ -29,14 +30,12 @@ from repro.topology import TopologySpec, resolve_topology_spec
 from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest, stable_seed
-from repro.harness.experiments import build_and_converge
+from repro.harness.experiments import build_and_converge, world_key
 from repro.harness.executor import (
     CampaignReport,
     RetryPolicy,
     TaskKind,
-    WorldSnapshots,
     run_tasks,
-    world_key,
 )
 from repro.scenario.compiler import (
     Checkpoint,
@@ -79,15 +78,17 @@ def run_scenario(
     timers: Optional[StackTimers] = None,
     return_world: bool = False,
     invariants: bool = False,
-    snapshots: Optional[WorldSnapshots] = None,
+    world=None,
 ):
-    """Converge the stack on a private fabric (cold, or restored from
-    ``snapshots``), then execute the scenario on it."""
+    """Converge the stack on a private fabric, then execute the scenario
+    on it.  A ``world`` — the ``(world, topo, deployment)`` that
+    :func:`converge_world` builds for these inputs — is played on in
+    place instead of converging one."""
     spec = resolve_spec(stack, timers)
     # the horizon feeds the converge budget ceiling only indirectly: the
     # scenario itself plays after convergence, on the measured clock
-    world, topo, deployment = build_and_converge(
-        params, spec, seed, max_converge_us=60 * SECOND, snapshots=snapshots)
+    world, topo, deployment = world or build_and_converge(
+        params, spec, seed, max_converge_us=60 * SECOND)
     program = compile_scenario(scenario, world, topo, deployment,
                                invariants=invariants)
     metrics = program.execute(spec.name, seed)
@@ -96,17 +97,28 @@ def run_scenario(
     return metrics
 
 
-def run_scenario_task(
-    spec: ScenarioRunSpec,
-    snapshots: Optional[WorldSnapshots] = None,
-) -> ScenarioOutcome:
-    """One scenario run and its digest (the :data:`SCENARIO_RUN` kind)."""
+def run_scenario_task(spec: ScenarioRunSpec, world=None) -> ScenarioOutcome:
+    """One scenario run and its digest (the :data:`SCENARIO_RUN` kind),
+    on ``world`` if given (see :func:`run_scenario`)."""
     metrics, world = run_scenario(spec.scenario, spec.params, spec.stack,
                                   spec.seed, return_world=True,
-                                  invariants=spec.invariants,
-                                  snapshots=snapshots)
+                                  invariants=spec.invariants, world=world)
     digest = run_digest(world.trace, _metrics_payload(metrics))
     return ScenarioOutcome(metrics=metrics, digest=digest)
+
+
+def converge_world(spec: ScenarioRunSpec):
+    """The converged ``(world, topo, deployment)`` a run of ``spec``
+    starts from — what :func:`run_scenario` builds when given none."""
+    return build_and_converge(spec.params, spec.stack, spec.seed,
+                              max_converge_us=60 * SECOND)
+
+
+def scenario_world_key(spec: ScenarioRunSpec) -> str:
+    """The key of :func:`converge_world`'s inputs: runs with equal keys
+    start from equal worlds."""
+    return world_key(spec.params, spec.stack, spec.seed,
+                     max_converge_us=60 * SECOND)
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +270,8 @@ def scenario_task_label(spec: ScenarioRunSpec) -> str:
 SCENARIO_RUN = TaskKind(
     name="scenario-run", run=run_scenario_task, key=scenario_task_key,
     encode=encode_scenario_outcome, decode=decode_scenario_outcome,
-    label=scenario_task_label,
-    world_key=lambda spec: world_key(spec.params, spec.stack, spec.seed))
+    label=scenario_task_label, world_key=scenario_world_key,
+    converge=converge_world)
 
 
 def run_scenario_suite(

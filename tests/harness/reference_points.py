@@ -3,8 +3,10 @@ workload run that the scenario programs of ``repro sweep``, ``repro
 chaos`` and ``repro load`` replaced, kept step for step.
 
 Each returns its row and the world it ran on, so a test can hold the
-compiled program to the same row and trace.  ``snapshots`` lets a test
-converge the world once for the oracle and the program alike.
+compiled program to the same row and trace.  ``world`` — a converged
+``(world, topo, deployment)`` of the same inputs — is played on in place
+instead of converging one, so a test can converge once for the oracle
+and the program alike.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from repro.workload.spec import resolve_workload
 
 
 def reference_sweep_point(params, stack, seed: int, point: FailurePoint,
-                          ambient_loss: float = 0.0, snapshots=None):
+                          ambient_loss: float = 0.0, world=None):
     """Converge, impair every fabric interface's tx side (ambient loss),
     admin-down one interface, run the detection bound plus 1 s, then
     trace every rack pair: ``(SweepResult, world)``."""
-    world, topo, deployment = build_and_converge(params, stack, seed,
-                                                 snapshots=snapshots)
+    world, topo, deployment = world or build_and_converge(params, stack,
+                                                          seed)
     if ambient_loss > 0.0:
         injector = FailureInjector(world)
         profile = ImpairmentProfile(loss=ambient_loss)
@@ -54,13 +56,13 @@ def reference_sweep_point(params, stack, seed: int, point: FailurePoint,
 
 def reference_chaos_point(params, stack, seed: int, loss: float,
                           window_ms: int = 5000, traffic_pps: int = 500,
-                          traffic_count: int = 1000, snapshots=None):
+                          traffic_count: int = 1000, world=None):
     """Converge, impair the first ToR uplink both ways, watch a quiet
     window, fold liveness over it, then probe on a flow crossing the
     link (chosen after the window) for the burst plus the detection
     bound plus 500 ms: ``(ChaosResult, world)``."""
-    world, topo, deployment = build_and_converge(params, stack, seed,
-                                                 snapshots=snapshots)
+    world, topo, deployment = world or build_and_converge(params, stack,
+                                                          seed)
     tor_name, iface_name, agg_name = gray_link(topo)
     injector = FailureInjector(world)
     if loss > 0.0:
@@ -110,13 +112,12 @@ def reference_chaos_point(params, stack, seed: int, loss: float,
 
 
 def reference_workload_run(params, stack, seed: int, workload,
-                           snapshots=None):
+                           world=None):
     """Converge, start the fluid workload, run its duration, finish:
     ``(WorkloadReport, world)``."""
     wl = resolve_workload(workload)
-    world, topo, deployment = build_and_converge(
-        params, stack, seed, max_converge_us=60 * SECOND,
-        snapshots=snapshots)
+    world, topo, deployment = world or build_and_converge(
+        params, stack, seed, max_converge_us=60 * SECOND)
     engine = FluidWorkload(wl, topo, deployment)
     engine.start()
     world.run_for(wl.duration_ms * MILLISECOND)

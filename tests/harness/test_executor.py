@@ -42,9 +42,9 @@ def _common(stack: str, seed: int = 0) -> dict:
 # every campaign is a list of scenario runs; the cases (ids kept from
 # when each was its own task kind) cover each family of program
 CASES = {
-    # two scenarios of one world: inline restores the second from the
-    # first's snapshot, supervised children converge both cold; and a
-    # seeded failure run (`repro fail --runs`) of another world
+    # two scenarios of one world: inline forks the first from it and
+    # runs the second on it, supervised children converge both cold; and
+    # a seeded failure run (`repro fail --runs`) of another world
     "scenario-run": [
         *(ScenarioRunSpec(scenario=get_scenario(name), **_common("bgp-bfd"))
           for name in ("tc2", "tc4")),

@@ -1,18 +1,25 @@
-"""Converged-world snapshots: picklability is a stack contract, what is
-shared is decided by the task list, and a bad snapshot never changes a
+"""Converged worlds: picklability stays a stack contract, what is shared
+is decided by the task list, and a task that cannot fork never changes a
 result."""
 
 from __future__ import annotations
 
+import os
 import pickle
 from types import SimpleNamespace
 
 import pytest
 
+from repro.harness import executor, experiments
 from repro.harness.digest import run_digest
-from repro.harness.experiments import build_and_converge
-from repro.harness.executor import CampaignReport, WorldSnapshots, world_key
+from repro.harness.experiments import build_and_converge, world_key
+from repro.harness.executor import (
+    CampaignReport,
+    run_sharing_worlds,
+    run_tasks,
+)
 from repro.scenario import (
+    SCENARIO_RUN,
     get_scenario,
     run_scenario_suite,
     run_scenario_task,
@@ -47,27 +54,31 @@ def test_converged_world_survives_pickle(topology, stack):
 
 
 # ----------------------------------------------------------------------
-# the store: what is shared, what is kept
+# the groups: what is shared, what runs where
 # ----------------------------------------------------------------------
-def test_only_recurring_keys_are_snapshotted_and_one_blob_is_kept():
-    built = []
+def test_tasks_group_by_world_in_first_occurrence_order():
+    """Tasks of one key share one converged world: groups in order of
+    first occurrence, outcomes in task order, every task of a group but
+    the last in a forked child, the last here on the world itself."""
+    converged = []
 
-    def cold():
-        built.append(object())
-        return ("world", len(built))
+    def converge(spec):
+        converged.append(spec[0])
+        return {"world": spec[0]}
 
-    snapshots = WorldSnapshots(["a", "a", "a", "c", "c", "lonely"])
-    assert snapshots.converged("a", "s", cold) == ("world", 1)
-    assert snapshots.converged("a", "s", cold) == ("world", 1)   # restored
-    assert snapshots.converged("a", "s", cold) == ("world", 1)   # again
-    assert snapshots.converged("lonely", "s", cold) == ("world", 2)
-    assert snapshots.converged("lonely", "s", cold) == ("world", 3)
-    assert snapshots.converged("a", "s", cold) == ("world", 1)   # still kept
-    assert snapshots.converged("c", "s", cold) == ("world", 4)
-    assert snapshots.converged("c", "s", cold) == ("world", 4)
-    # one blob, the most recent key: "a" was evicted by "c"
-    assert snapshots.converged("a", "s", cold) == ("world", 5)
-    assert snapshots.notes == []
+    def run(spec, world):
+        world.setdefault("ran", []).append(spec)   # a forked copy's own
+        return spec, list(world["ran"]), os.getpid()
+
+    specs = ["a1", "b1", "a2", "c1", "b2", "a3"]
+    outcomes = run_sharing_worlds(run, converge,
+                                  [(s[0], s, s) for s in specs])
+    assert converged == ["a", "b", "c"]
+    assert [o[0] for o in outcomes] == specs
+    # each task saw the pristine world: no task sees another's mutations
+    assert [o[1] for o in outcomes] == [[s] for s in specs]
+    here = [o[0] for o in outcomes if o[2] == os.getpid()]
+    assert here == ["c1", "b2", "a3"]
 
 
 def test_world_key_separates_seed_timers_stack_and_fabric():
@@ -91,7 +102,8 @@ def test_world_key_separates_seed_timers_stack_and_fabric():
 
 
 # ----------------------------------------------------------------------
-# the fallback: dumps or loads failing means cold, one note, same digest
+# an unpicklable plugin shares its world; no fork means in-process, one
+# note, the same digests
 # ----------------------------------------------------------------------
 def _deploy_with_closure(topo, timers, **params):
     deployment = mtp.deploy(topo, timers, **params)
@@ -117,6 +129,9 @@ def closure_stack():
 
 
 def test_unpicklable_stack_runs_cold_with_one_note(closure_stack):
+    """A forked task never pickles its world, so a plugin holding a
+    closure shares one like any other stack: same digests as cold runs,
+    and no note."""
     scenarios = [get_scenario(n) for n in ("tc1", "tc2", "tc3")]
     report = CampaignReport()
     shared = run_scenario_suite(two_pod_params(), scenarios,
@@ -124,21 +139,34 @@ def test_unpicklable_stack_runs_cold_with_one_note(closure_stack):
     cold = [run_scenario_task(spec) for spec in scenario_suite_specs(
         two_pod_params(), scenarios, [closure_stack], seed=2)]
     assert [o.digest for o in shared] == [o.digest for o in cold]
-    assert len(report.notes) == 1, report.notes
-    assert closure_stack in report.notes[0]
-    assert "snapshot" in report.notes[0]
+    assert report.notes == []
 
 
-def test_damaged_blob_runs_cold_with_one_note():
+def test_a_task_that_cannot_fork_runs_in_process_with_one_note(monkeypatch):
+    """``os.fork`` raising is the fallback's case: each task runs here,
+    the next one converges the world again, the report gets one note,
+    and every digest is a cold run's."""
     specs = scenario_suite_specs(
         two_pod_params(), [get_scenario(n) for n in ("tc1", "tc2", "tc3")],
         ["bgp-bfd"], seed=2)
-    snapshots = WorldSnapshots(
-        world_key(s.params, s.stack, s.seed) for s in specs)
-    digests = [run_scenario_task(specs[0], snapshots).digest]
-    key, blob = snapshots._kept
-    snapshots._kept = key, blob[:len(blob) // 2]      # a truncated blob
-    digests += [run_scenario_task(s, snapshots).digest for s in specs[1:]]
-    assert digests == [run_scenario_task(s).digest for s in specs]
-    assert len(snapshots.notes) == 1, snapshots.notes
-    assert "bgp-bfd" in snapshots.notes[0] and "restore" in snapshots.notes[0]
+    cold = [run_scenario_task(s).digest for s in specs]
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    converged = []
+    real = experiments.converge_from_cold
+
+    def counted(*args, **kwargs):
+        converged.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor.os, "fork", no_fork)
+    monkeypatch.setattr(experiments, "converge_from_cold", counted)
+    report = CampaignReport()
+    outcomes = run_tasks(SCENARIO_RUN, specs, report=report)
+    assert [o.digest for o in outcomes] == cold
+    assert len(converged) == 3
+    assert len(report.notes) == 1, report.notes
+    assert "fork unavailable" in report.notes[0]
+    assert "Resource temporarily unavailable" in report.notes[0]

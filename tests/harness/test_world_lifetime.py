@@ -20,13 +20,16 @@ from repro.harness.executor import (
     CampaignInterrupted,
     RetryPolicy,
     TaskKind,
-    WorldSnapshots,
-    one_world_at_a_time,
     run_tasks,
-    world_key,
 )
 from repro.scenario import canonical_scenarios, run_scenario
-from repro.scenario.runner import scenario_suite_specs
+from repro.scenario.runner import (
+    converge_world,
+    scenario_suite_specs,
+    scenario_task_key,
+    scenario_task_label,
+    scenario_world_key,
+)
 from repro.topology.clos import ClosParams
 
 #: cyclic garbage one finished run may leave besides its world (152 at
@@ -34,25 +37,31 @@ from repro.topology.clos import ClosParams
 GARBAGE_BOUND = 500
 
 
+def _garbage_beside_world(spec, world=None):
+    """A task reporting what one collection reclaims with its finished
+    world still referenced."""
+    _metrics, world = run_scenario(spec.scenario, spec.params, spec.stack,
+                                   spec.seed, return_world=True, world=world)
+    return spec.scenario.name, gc.collect()  # ``world`` still held
+
+
+GARBAGE_KIND = TaskKind(name="garbage", run=_garbage_beside_world,
+                        key=scenario_task_key, encode=list, decode=tuple,
+                        label=scenario_task_label,
+                        world_key=scenario_world_key,
+                        converge=converge_world)
+
+
 @pytest.mark.parametrize("stack", ["mtp", "bgp-bfd", "mtp-gr", "bgp-gr"])
 def test_a_finished_run_leaves_next_to_no_cyclic_garbage(stack):
-    """Every library scenario at 4 PoDs, converged as a campaign does
-    (the first cold, the rest restored): with the finished world still
-    referenced, one collection reclaims at most ``GARBAGE_BOUND``
-    objects."""
+    """Every library scenario at 4 PoDs, run as a campaign runs them
+    (one world converged, twelve runs forked from it, the last on it):
+    with the finished world still referenced, one collection reclaims at
+    most ``GARBAGE_BOUND`` objects."""
     specs = scenario_suite_specs(ClosParams(num_pods=4),
                                  list(canonical_scenarios().values()),
                                  [stack])
-    snapshots = WorldSnapshots(world_key(s.params, s.stack, s.seed)
-                               for s in specs)
-
-    def garbage_beside_world(spec):
-        _metrics, world = run_scenario(
-            spec.scenario, spec.params, spec.stack, spec.seed,
-            return_world=True, snapshots=snapshots)
-        return spec.scenario.name, gc.collect()  # ``world`` still held
-
-    garbage = dict(one_world_at_a_time(garbage_beside_world, specs))
+    garbage = dict(run_tasks(GARBAGE_KIND, specs))
     assert max(garbage.values()) <= GARBAGE_BOUND, garbage
 
 
@@ -70,6 +79,21 @@ def _collector_state(spec) -> tuple[bool, bool]:
 
 KIND = TaskKind(name="collector-state", run=_collector_state, key=str,
                 encode=list, decode=tuple, label=str)
+
+
+def _shared_collector_state(spec, world):
+    return _collector_state(spec)
+
+
+def _one_world(spec) -> str:
+    return "one"
+
+
+#: the same tasks sharing one world: all but the last forked
+SHARED_KIND = TaskKind(name="shared-collector-state",
+                       run=_shared_collector_state, key=str, encode=list,
+                       decode=tuple, label=str, world_key=_one_world,
+                       converge=list)
 
 
 def _state() -> tuple[bool, int]:
@@ -119,14 +143,21 @@ def test_every_strategy_runs_its_tasks_paused(policy):
     assert _state() == before
 
 
+def test_forked_tasks_run_paused():
+    before = _state()
+    assert run_tasks(SHARED_KIND, ["a", "b", "c"]) == [(False, True)] * 3
+    assert _state() == before
+
+
 def test_the_chunk_and_attempt_runners_pause_on_their_own():
     """The campaign's parent process runs no pool or supervised task and
     never pauses for them: the chunk runner and the attempt runner pause
     for their tasks themselves — run here, in a process that is not
     paused — and leave the collector as found."""
     before = _state()
-    assert executor._run_chunk(_collector_state, ["a", "b"]) == [
-        (False, True)] * 2
+    assert executor._run_chunk(
+        _collector_state, None, [(None, "a", "a"), (None, "b", "b")]) == (
+        [(False, True)] * 2, [])
     receive, send = multiprocessing.Pipe(duplex=False)
     executor._attempt_child(_collector_state, "a", send)
     assert receive.recv() == (executor.OK, (False, True))
