@@ -36,6 +36,14 @@ _ATTR_NEXT_HOP = 3
 _SEG_AS_SEQUENCE = 2
 
 
+def _take(blob: bytes, start: int, size: int, what: str) -> bytes:
+    """``size`` bytes of ``blob`` from ``start``; a message cut short is
+    a ``ValueError``, like every other malformed one."""
+    if start + size > len(blob):
+        raise ValueError(f"truncated BGP {what}")
+    return blob[start:start + size]
+
+
 # ----------------------------------------------------------------------
 # prefixes
 # ----------------------------------------------------------------------
@@ -50,8 +58,10 @@ def _decode_prefixes(blob: bytes) -> list[Ipv4Network]:
     i = 0
     while i < len(blob):
         plen = blob[i]
+        if plen > 32:
+            raise ValueError(f"prefix length {plen}")
         nbytes = (plen + 7) // 8
-        raw = blob[i + 1 : i + 1 + nbytes] + b"\x00" * (4 - nbytes)
+        raw = _take(blob, i + 1, nbytes, "prefix") + b"\x00" * (4 - nbytes)
         value = struct.unpack("!I", raw)[0]
         prefixes.append(Ipv4Network(Ipv4Address(value), plen))
         i += 1 + nbytes
@@ -84,20 +94,19 @@ def _decode_attributes(blob: bytes) -> PathAttributes:
     next_hop = Ipv4Address(0)
     i = 0
     while i < len(blob):
-        _flags, type_code, length = blob[i], blob[i + 1], blob[i + 2]
-        value = blob[i + 3 : i + 3 + length]
+        _flags, type_code, length = _take(blob, i, 3, "attribute")
+        value = _take(blob, i + 3, length, "attribute")
         i += 3 + length
         if type_code == _ATTR_ORIGIN:
-            origin = value[0]
+            origin = _take(value, 0, 1, "ORIGIN")[0]
         elif type_code == _ATTR_AS_PATH:
             if value:
-                count = value[1]
-                as_path = tuple(
-                    struct.unpack("!I", value[2 + 4 * k : 6 + 4 * k])[0]
-                    for k in range(count)
-                )
+                count = _take(value, 0, 2, "AS_PATH")[1]
+                as_path = struct.unpack(
+                    f"!{count}I", _take(value, 2, 4 * count, "AS_PATH"))
         elif type_code == _ATTR_NEXT_HOP:
-            next_hop = Ipv4Address(struct.unpack("!I", value)[0])
+            next_hop = Ipv4Address(struct.unpack(
+                "!I", _take(value, 0, 4, "NEXT_HOP"))[0])
     return PathAttributes(as_path=as_path, next_hop=next_hop, origin=origin)
 
 
@@ -154,37 +163,39 @@ def decode_message(blob: bytes) -> BgpMessage:
         raise ValueError(f"length field {length} != {len(blob)}")
     body = blob[19:]
     if msg_type == MSG_OPEN:
-        version, asn2, hold, router_id = struct.unpack("!BHHI", body[:9])
+        version, asn2, hold, router_id, opt_len = struct.unpack(
+            "!BHHIB", _take(body, 0, 10, "OPEN"))
         if version != 4:
             raise ValueError(f"BGP version {version}")
         asn = asn2
         # recover 4-octet ASN from the capability if present
-        opt_len = body[9]
-        opts = body[10 : 10 + opt_len]
+        opts = _take(body, 10, opt_len, "OPEN")
         i = 0
         while i < len(opts):
-            ptype, plen = opts[i], opts[i + 1]
-            pval = opts[i + 2 : i + 2 + plen]
+            ptype, plen = _take(opts, i, 2, "OPEN parameter")
+            pval = _take(opts, i + 2, plen, "OPEN parameter")
             if ptype == 2:  # capabilities
                 j = 0
                 while j < len(pval):
-                    code, clen = pval[j], pval[j + 1]
+                    code, clen = _take(pval, j, 2, "capability")
                     if code == 65:
-                        asn = struct.unpack("!I", pval[j + 2 : j + 6])[0]
+                        asn = struct.unpack(
+                            "!I", _take(pval, j + 2, 4, "capability"))[0]
                     j += 2 + clen
             i += 2 + plen
         return BgpOpen(asn=asn, hold_time_s=hold, router_id=Ipv4Address(router_id))
     if msg_type == MSG_UPDATE:
-        wlen = struct.unpack("!H", body[:2])[0]
-        withdrawn = tuple(_decode_prefixes(body[2 : 2 + wlen]))
+        wlen = struct.unpack("!H", _take(body, 0, 2, "UPDATE"))[0]
+        withdrawn = tuple(_decode_prefixes(_take(body, 2, wlen, "UPDATE")))
         alen_at = 2 + wlen
-        alen = struct.unpack("!H", body[alen_at : alen_at + 2])[0]
-        attrs_blob = body[alen_at + 2 : alen_at + 2 + alen]
+        alen = struct.unpack("!H", _take(body, alen_at, 2, "UPDATE"))[0]
+        attrs_blob = _take(body, alen_at + 2, alen, "UPDATE")
         nlri = tuple(_decode_prefixes(body[alen_at + 2 + alen :]))
         attributes = _decode_attributes(attrs_blob) if alen else None
         return BgpUpdate(withdrawn=withdrawn, nlri=nlri, attributes=attributes)
     if msg_type == MSG_KEEPALIVE:
         return BgpKeepalive()
     if msg_type == MSG_NOTIFICATION:
-        return BgpNotification(error_code=body[0], error_subcode=body[1])
+        code, subcode = _take(body, 0, 2, "NOTIFICATION")
+        return BgpNotification(error_code=code, error_subcode=subcode)
     raise ValueError(f"unknown message type {msg_type}")

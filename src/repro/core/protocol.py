@@ -137,6 +137,11 @@ class MtpNode:
         self._pending_join: dict[str, set[Vid]] = {}
         self._pending_offer: dict[str, set[Vid]] = {}
         self._unjoined_adverts: dict[str, set[Vid]] = {}
+        # parents of the VIDs pruned from a down port: a child that never
+        # saw the outage (loss one way, a flap shorter than its dead
+        # timer) will not re-advertise, so re-admitting it re-sends these
+        # JOINs
+        self._rejoin: dict[str, set[Vid]] = {}
         # roots we have announced as unreachable to downstream neighbors;
         # a RESTORED goes out when such a root comes back
         self._announced_lost: set[int] = set()
@@ -255,6 +260,7 @@ class MtpNode:
         self._pending_join.clear()
         self._pending_offer.clear()
         self._unjoined_adverts.clear()
+        self._rejoin.clear()
 
     def restart(self, cold: bool) -> None:
         """Bring the agent back.  ``cold`` wipes the VID table in place
@@ -472,7 +478,14 @@ class MtpNode:
             return
         was_up = nbr.up
         if isinstance(message, MtpFullHello):
+            discovered = nbr.state is NeighborState.UNKNOWN
             nbr.saw_frame(message.tier, gen=message.gen)
+            if discovered and nbr.up:
+                # accepted at once, on first sight: the peer may have
+                # come up after our last full hello, and keepalives do
+                # not carry our tier
+                self._send(port, MtpFullHello(tier=self.tier,
+                                              gen=self.restart_gen))
         else:
             nbr.saw_frame()
         if not was_up and not nbr.up:
@@ -590,15 +603,18 @@ class MtpNode:
         """New VIDs: advertise upward; roots we had declared lost and can
         now serve again flow down as RESTORED."""
         self._advertise_up()
-        regained = tuple(
-            r for r in sorted({v.root for v in added})
-            if r in self._announced_lost and self._serves_root(r)
-        )
+        self._restore_regained({v.root for v in added})
+        self._recompute_default_state()
+
+    def _restore_regained(self, roots) -> None:
+        """Of ``roots``, those we announced lost and can serve again flow
+        down as RESTORED."""
+        regained = tuple(r for r in sorted(roots)
+                         if r in self._announced_lost and self._serves_root(r))
         if regained:
             self._announced_lost.difference_update(regained)
             for port in self.down_ports():
                 self._send_update(port, MtpRestored(roots=regained))
-        self._recompute_default_state()
 
     def _retransmit(self) -> None:
         """Request-response reliability: re-issue unanswered messages."""
@@ -650,7 +666,15 @@ class MtpNode:
             hold.stop()
         if self._direction(nbr.port) == "up":
             self._advertise_on(nbr.port)
+            # unmarked, it may serve roots we announced lost (its parent
+            # replays what it still cannot reach)
+            self._restore_regained(self._announced_lost)
         elif self._direction(nbr.port) == "down":
+            parents = self._rejoin.pop(nbr.port, None)
+            if parents:
+                self._pending_join.setdefault(nbr.port, set()).update(parents)
+                self._send(nbr.port, MtpJoin(vids=tuple(sorted(parents))))
+                self._await_response()
             # a (re)appearing downstream neighbor missed our earlier
             # updates: replay the unreachability state it needs
             still_lost = tuple(sorted(
@@ -706,6 +730,8 @@ class MtpNode:
         if direction == "down":
             pruned = self.table.prune_port(port)
             if pruned:
+                self._rejoin.setdefault(port, set()).update(
+                    v.parent() if not v.is_root else v for v in pruned)
                 self.sim.schedule_after(
                     self._processing_delay(), self._propagate_loss,
                     pruned, port,
@@ -859,14 +885,7 @@ class MtpNode:
             if not cleared:
                 return
             self.node.log("mtp.table", f"cleared marks {cleared} via {port}")
-            regained = tuple(
-                r for r in cleared
-                if r in self._announced_lost and self._serves_root(r)
-            )
-            if regained:
-                self._announced_lost.difference_update(regained)
-                for down in self.down_ports():
-                    self._send_update(down, MtpRestored(roots=regained))
+            self._restore_regained(cleared)
         elif isinstance(message, MtpUnreachableDefault):
             if self._direction(port) != "up":
                 return
@@ -945,8 +964,9 @@ class MtpNode:
         self, dst_root: int, flow: FlowKey, ingress_port: Optional[str] = None
     ) -> Optional[str]:
         """The forwarding decision of section III.D: down via a VID-table
-        port when we hold the destination root, else up via a hashed
-        choice among alive, unmarked upstream ports; None = no path."""
+        port when we hold the destination root, else — unless the packet
+        came from above — up via a hashed choice among alive, unmarked
+        upstream ports; None = no path."""
         candidates = self.candidate_data_ports(dst_root, ingress_port)
         if candidates:
             return candidates[self._balance(flow, len(candidates))]
@@ -966,6 +986,8 @@ class MtpNode:
         ]
         if down:
             return self._healthy_first(down)
+        if ingress_port is not None and self._direction(ingress_port) == "up":
+            return []  # descending: turning back up is a valley, and loops
         return self._healthy_first([
             p for p in self.up_ports()
             if not self.table.is_marked(p, dst_root) and p != ingress_port

@@ -74,6 +74,22 @@ class WireError(ValueError):
     """Encoding/decoding failure."""
 
 
+def _unpack(fmt: str, blob: bytes, what: str) -> tuple:
+    """``struct.unpack`` of the head of ``blob``, which must be long
+    enough: hostile bytes raise :class:`WireError`, nothing else."""
+    size = struct.calcsize(fmt)
+    if len(blob) < size:
+        raise WireError(f"short {what}: {len(blob)} < {size} bytes")
+    return struct.unpack(fmt, blob[:size])
+
+
+def _enum(kind, value: int):
+    try:
+        return kind(value)
+    except ValueError:
+        raise WireError(f"unknown {kind.__name__} {value}") from None
+
+
 # ----------------------------------------------------------------------
 # checksums
 # ----------------------------------------------------------------------
@@ -154,12 +170,15 @@ def _encode_vids(vids) -> bytes:
 
 
 def _decode_vids(blob: bytes, offset: int) -> tuple[tuple[Vid, ...], int]:
-    count = blob[offset]
+    (count,) = _unpack("!B", blob[offset:], "VID list")
     offset += 1
     vids = []
     for _ in range(count):
-        vid, offset = Vid.decode(blob, offset)
-        vids.append(vid)
+        # a VID is encoded as a root list is: a count, then components
+        parts, offset = _decode_roots(blob, offset)
+        if not parts or 0 in parts:
+            raise WireError(f"bad VID {parts}")
+        vids.append(Vid(parts))
     return tuple(vids), offset
 
 
@@ -174,14 +193,14 @@ def _encode_roots(roots) -> bytes:
 
 
 def _decode_roots(blob: bytes, offset: int) -> tuple[tuple[int, ...], int]:
-    count = blob[offset]
+    (count,) = _unpack("!B", blob[offset:], "root list")
     offset += 1
     roots = []
     for _ in range(count):
-        value = blob[offset]
+        (value,) = _unpack("!B", blob[offset:], "root list")
         offset += 1
         if value == 255:
-            value = (blob[offset] << 8) | blob[offset + 1]
+            (value,) = _unpack("!H", blob[offset:], "root list")
             offset += 2
         roots.append(value)
     return tuple(roots), offset
@@ -232,16 +251,24 @@ def decode_mtp_message(blob: bytes) -> MtpMessage:
         roots, _ = _decode_roots(blob, 1)
         return MtpUnreachableDefault(except_roots=roots)
     if type_code == TYPE_FULL_HELLO:
-        return MtpFullHello(tier=blob[1], gen=blob[2])
+        tier, gen = _unpack("!BB", blob[1:], "full hello")
+        return MtpFullHello(tier=tier, gen=gen)
     if type_code in _VID_LIST_TYPES:
         vids, _ = _decode_vids(blob, 1)
+        if not vids:
+            raise WireError("empty VID list")
         return _VID_LIST_TYPES[type_code](vids=vids)
     if type_code in _ROOT_LIST_TYPES:
         roots, _ = _decode_roots(blob, 1)
+        if not roots:
+            raise WireError("empty root list")
         return _ROOT_LIST_TYPES[type_code](roots=roots)
     if type_code == TYPE_DATA:
-        (src_root,), offset = _decode_roots(blob, 1)
-        (dst_root,), offset = _decode_roots(blob, offset)
+        src_roots, offset = _decode_roots(blob, 1)
+        dst_roots, offset = _decode_roots(blob, offset)
+        if len(src_roots) != 1 or len(dst_roots) != 1:
+            raise WireError("MTP data needs one source and one dest root")
+        (src_root,), (dst_root,) = src_roots, dst_roots
         packet = decode_ipv4(blob[offset:])
         return MtpData(src_root=src_root, dst_root=dst_root, packet=packet)
     raise WireError(f"unknown MTP type {type_code:#x}")
@@ -265,7 +292,7 @@ def decode_icmp(blob: bytes) -> IcmpMessage:
         raise WireError("short ICMP message")
     icmp_type, _code, _checksum, identifier, sequence = struct.unpack(
         "!BBHHH", blob[:8])
-    kind = IcmpType(icmp_type)
+    kind = _enum(IcmpType, icmp_type)
     rest = len(blob) - 8
     if kind in (IcmpType.ECHO_REQUEST, IcmpType.ECHO_REPLY):
         return IcmpMessage(kind, identifier=identifier, sequence=sequence,
@@ -292,7 +319,7 @@ def encode_udp(datagram: UdpDatagram, src: Ipv4Address, dst: Ipv4Address) -> byt
 
 
 def decode_udp(blob: bytes) -> UdpDatagram:
-    src_port, dst_port, length, _checksum = struct.unpack("!HHHH", blob[:8])
+    src_port, dst_port, length, _checksum = _unpack("!HHHH", blob, "UDP header")
     body = blob[8:length]
     if dst_port == BFD_PORT or src_port == BFD_PORT:
         payload: Payload = decode_bfd(body)
@@ -350,8 +377,10 @@ def encode_tcp(segment: TcpSegment, src: Ipv4Address, dst: Ipv4Address) -> bytes
 
 def decode_tcp(blob: bytes) -> TcpSegment:
     (src_port, dst_port, seq, ack, offset_flags, window, _checksum,
-     _urgent) = struct.unpack("!HHIIHHHH", blob[:20])
+     _urgent) = _unpack("!HHIIHHHH", blob, "TCP header")
     header_len = (offset_flags >> 12) * 4
+    if not 20 <= header_len <= len(blob):
+        raise WireError(f"bad TCP data offset {header_len}")
     raw_flags = offset_flags & 0x3F
     flags = TcpFlags.NONE
     if raw_flags & 0x01:
@@ -367,7 +396,10 @@ def decode_tcp(blob: bytes) -> TcpSegment:
     body = blob[header_len:]
     payload: Payload
     if body and BGP_PORT in (src_port, dst_port):
-        payload = decode_bgp(body)
+        try:
+            payload = decode_bgp(body)
+        except ValueError as exc:
+            raise WireError(f"bad BGP message: {exc}") from exc
     else:
         payload = _decode_body(body)
     return TcpSegment(src_port=src_port, dst_port=dst_port, seq=seq,
@@ -402,7 +434,7 @@ def encode_ipv4(packet: Ipv4Packet) -> bytes:
 
 def decode_ipv4(blob: bytes) -> Ipv4Packet:
     (ver_ihl, _tos, total_len, _ident, _frag, ttl, proto, checksum,
-     src, dst) = struct.unpack("!BBHHHBBHII", blob[:20])
+     src, dst) = _unpack("!BBHHHBBHII", blob, "IPv4 header")
     if ver_ihl != 0x45:
         raise WireError(f"unsupported IP header {ver_ihl:#x}")
     if internet_checksum(blob[:20]) != 0:
@@ -433,10 +465,10 @@ def encode_arp(message: ArpMessage) -> bytes:
 
 def decode_arp(blob: bytes) -> ArpMessage:
     (_htype, _ptype, _hlen, _plen, op, sender_mac, sender_ip, target_mac,
-     target_ip) = struct.unpack("!HHBBH6sI6sI", blob[:28])
+     target_ip) = _unpack("!HHBBH6sI6sI", blob, "ARP message")
     target = MacAddress(int.from_bytes(target_mac, "big"))
     return ArpMessage(
-        op=ArpOp(op),
+        op=_enum(ArpOp, op),
         sender_mac=MacAddress(int.from_bytes(sender_mac, "big")),
         sender_ip=Ipv4Address(sender_ip),
         target_ip=Ipv4Address(target_ip),
@@ -472,9 +504,9 @@ def decode_frame(blob: bytes, payload_len: Optional[int] = None) -> EthernetFram
     """Decode an encoded frame.  ``payload_len`` strips min-frame padding
     when the true payload length is known (e.g. from ``frame.wire_size``);
     IPv4 self-describes its length, so padding there is harmless."""
-    dst = MacAddress(int.from_bytes(blob[:6], "big"))
-    src = MacAddress(int.from_bytes(blob[6:12], "big"))
-    ethertype = struct.unpack("!H", blob[12:14])[0]
+    dst, src, ethertype = _unpack("!6s6sH", blob, "Ethernet header")
+    dst = MacAddress(int.from_bytes(dst, "big"))
+    src = MacAddress(int.from_bytes(src, "big"))
     body = blob[14:] if payload_len is None else blob[14:14 + payload_len]
     if ethertype == ETHERTYPE_IPV4:
         payload: Payload = decode_ipv4(body)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.convergence import converge_from_cold
-from repro.stacks import mtp
+from repro.stacks import get_stack, mtp, resolve_spec
+from repro.core.messages import MtpUnreachable
 from repro.harness.failures import FailureInjector
 from repro.net.impairment import ImpairmentProfile
 from repro.net.world import World
@@ -92,20 +93,50 @@ class TestRestart:
                    for p in other_agg.neighbors)
 
 
+def test_a_root_announced_lost_is_restored_when_an_uplink_returns():
+    """S-1-1 loses one uplink, hears root 13 is unreachable over the
+    other and announces it lost to its ToRs; then that uplink dies too,
+    taking its mark with it.  When both come back unmarked, S-1-1 serves
+    root 13 again and must say so: no RESTORED comes from above, and L-1-1
+    would otherwise keep the mark (found by the fabric machine)."""
+    world, topo, dep = build(ClosParams(num_pods=2))
+    agg, tor = dep.mtp_nodes["S-1-1"], dep.mtp_nodes["L-1-1"]
+    port = next(p for p in tor.up_ports()
+                if tor.node.interfaces[p].peer().node.name == "S-1-1")
+    up1, up2 = agg.up_ports()
+    agg.node.interfaces[up1].set_admin(False)
+    agg._process_update(up2, MtpUnreachable(roots=(13,)))
+    world.run_for(MILLISECOND)
+    assert tor.table.is_marked(port, 13)
+    agg.node.interfaces[up2].set_admin(False)
+    for up in (up1, up2):
+        agg.node.interfaces[up].set_admin(True)
+    world.run_for(SECOND)
+    assert not tor.table.is_marked(port, 13)
+
+
 class TestOneWayOutage:
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect: the parent re-admits a child it declared dead "
-        "by dead-timer, but nothing re-sends the JOINs it pruned, and "
-        "the child, which never saw an outage, never re-advertises"))
-    def test_trees_regrow_after_a_child_goes_silent_one_way(self):
-        """L-1-1's frames to S-1-1 are all lost for 150 ms: S-1-1 declares
-        it dead and prunes root 11, then re-admits it once the loss
-        clears.  Within a second the trees must be whole again."""
-        world, topo, dep = build(ClosParams(num_pods=2), seed=0)
+    @pytest.mark.parametrize("stack, loss_ms", [
+        ("mtp", 150), ("mtp-spray", 150), ("mtp-adaptive", 150),
+        # past mtp-gr's 1 s stale hold, so the held state is pruned
+        ("mtp-gr", 1500)])
+    def test_trees_regrow_after_a_child_goes_silent_one_way(self, stack,
+                                                           loss_ms):
+        """L-1-1's frames to S-1-1 are all lost: S-1-1 declares it dead
+        and prunes root 11, then re-admits it once the loss clears and
+        re-sends the JOINs it pruned, since L-1-1 never saw an outage and
+        never re-advertises.  Within a second the trees must be whole
+        again."""
+        world = World(seed=0)
+        topo = build_folded_clos(ClosParams(num_pods=2), world=world)
+        spec = resolve_spec(stack)
+        dep = get_stack(spec.name).build(topo, spec)
+        dep.start()
+        converge_from_cold(world, dep, dep.ready)
         injector = FailureInjector(world)
         injector.impair_link("L-1-1", "eth1", ImpairmentProfile(loss=1.0),
                              direction="tx")
-        world.run_for(150 * MILLISECOND)
+        world.run_for(loss_ms * MILLISECOND)
         injector.clear_impairment("L-1-1", "eth1", direction="tx")
         world.run_for(SECOND)
         roots = set(topo.tor_vid_seed.values())

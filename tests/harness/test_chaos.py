@@ -55,12 +55,15 @@ def test_clean_fabric_has_zero_false_positives(stack):
 
 def test_lossy_link_false_flags_quick_to_detect():
     """At 10% loss MR-MTP's one-missed-hello detector false-flags the
-    healthy neighbour during the quiet window and pays route churn."""
+    healthy neighbour during the quiet window and pays route churn.  Every
+    datagram still lands: a parent that re-admits a child it declared
+    dead re-sends the JOINs it pruned, so no false flag leaves a tree
+    broken for the rest of the window."""
     result = run_chaos_point(_spec("mtp", loss=0.1, window_ms=3000))
     assert result.detections >= result.false_positives > 0
     assert result.flaps > 0
     assert result.route_churn > 0
-    assert 0.0 < result.goodput < 1.0
+    assert result.goodput == 1.0
 
 
 def test_bfd_detect_mult_rides_out_the_same_loss():

@@ -38,6 +38,10 @@ from repro.stack.payload import RawBytes
 from repro.stack.tcp_segment import TcpFlags, TcpSegment
 from repro.stack.udp import UdpDatagram
 from repro.traffic.generator import SeqPayload
+from repro.bgp import encoding as bgp
+from repro.bgp.messages import BgpOpen
+from repro.stack.icmp import IcmpMessage, IcmpType
+from repro.wire import codec
 from repro.wire.codec import (
     WireError,
     decode_bfd,
@@ -302,3 +306,73 @@ class TestDefaultUnreachableCodec:
         assert count > 0
         for ts, blob in read_pcap(path):
             decode_frame(blob)  # every frame must decode
+
+
+# ----------------------------------------------------------------------
+# hostile bytes: a typed error or a value that round-trips, never a crash
+# ----------------------------------------------------------------------
+def _bgp_segment(message) -> TcpSegment:
+    return TcpSegment(179, 40000, 1, 1, TcpFlags.ACK, message)
+
+
+_UPDATE = BgpUpdate(withdrawn=(Ipv4Network.parse("10.1.0.0/16"),),
+                    nlri=(Ipv4Network.parse("10.2.3.0/24"),),
+                    attributes=PathAttributes((65001, 65002), IP_A))
+_PACKETS = (
+    Ipv4Packet(IP_A, IP_B, PROTO_TCP, _bgp_segment(_UPDATE)),
+    Ipv4Packet(IP_A, IP_B, PROTO_TCP, _bgp_segment(
+        BgpOpen(asn=4_200_000_001, hold_time_s=3, router_id=IP_B))),
+    Ipv4Packet(IP_A, IP_B, PROTO_UDP, UdpDatagram(49152, 3784, BfdControlPacket(
+        BfdState.UP, 3, 7, 9, 100_000, 100_000))),
+    Ipv4Packet(IP_A, IP_B, 1, IcmpMessage(IcmpType.ECHO_REQUEST, 1, 2, 8)),
+)
+_FRAMES = tuple(EthernetFrame(MAC_B, MAC_A, ETHERTYPE_IPV4, p)
+                for p in _PACKETS) + (
+    EthernetFrame(MAC_B, MAC_A, ETHERTYPE_ARP, ArpMessage(
+        ArpOp.REQUEST, MAC_A, IP_A, IP_B)),
+    EthernetFrame(BROADCAST_MAC, MAC_A, ETHERTYPE_MTP, MtpAdvertise(
+        vids=(Vid((11, 2)), Vid((300, 1, 4))))),
+    EthernetFrame(MAC_B, MAC_A, ETHERTYPE_MTP, MtpData(11, 300, _PACKETS[2])),
+    EthernetFrame(MAC_B, MAC_A, ETHERTYPE_MTP, MtpFullHello(tier=2, gen=5)))
+_SAMPLES = [encode_frame(f, pad_to_min=False) for f in _FRAMES]
+
+#: decoder -> (encoder, the layer's sample encodings)
+_CODECS = {
+    decode_frame: (lambda v: encode_frame(v, pad_to_min=False), _SAMPLES),
+    decode_ipv4: (encode_ipv4, [b[14:] for b in _SAMPLES]),
+    codec.decode_tcp: (lambda v: codec.encode_tcp(v, IP_A, IP_B),
+                       [b[34:] for b in _SAMPLES[:2]]),
+    codec.decode_udp: (lambda v: codec.encode_udp(v, IP_A, IP_B),
+                       [_SAMPLES[2][34:]]),
+    decode_bfd: (encode_bfd, [_SAMPLES[2][42:]]),
+    codec.decode_icmp: (codec.encode_icmp, [_SAMPLES[3][34:]]),
+    codec.decode_arp: (codec.encode_arp, [_SAMPLES[4][14:]]),
+    decode_mtp_message: (encode_mtp_message, [b[14:] for b in _SAMPLES[5:]]),
+    bgp.decode_message: (bgp.encode_message,
+                         [b[66:] for b in _SAMPLES[:2]]),
+}
+
+
+def _mangled(samples):
+    """Arbitrary bytes, or a valid encoding cut short and overwritten in
+    places — the bytes that reach a decoder's deeper branches."""
+    return st.one_of(st.binary(max_size=96), st.builds(
+        lambda blob, at, patch, cut: (
+            blob[:at] + patch + blob[at + len(patch):])[:cut],
+        st.sampled_from(samples), st.integers(0, 100),
+        st.binary(max_size=6), st.integers(0, 120)))
+
+
+@pytest.mark.parametrize("decode", list(_CODECS),
+                         ids=lambda f: f"{f.__module__}.{f.__name__}")
+@given(data=st.data())
+def test_hostile_bytes_decode_to_a_typed_error_or_a_round_trip(decode, data):
+    encode, samples = _CODECS[decode]
+    blob = data.draw(_mangled(samples))
+    # the codec's typed error is WireError; BGP's is ValueError
+    typed = ValueError if decode is bgp.decode_message else WireError
+    try:
+        value = decode(blob)
+    except typed:
+        return
+    assert decode(encode(value)) == value
