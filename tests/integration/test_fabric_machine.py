@@ -51,8 +51,8 @@ from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 from repro.workload.engine import FluidWorkload
 from repro.workload.spec import WorkloadSpec
 
-FABRICS = {"clos-2": ClosParams(num_pods=2), "clos-4": ClosParams(num_pods=4),
-           "vl2": "vl2", "dcell": "dcell"}
+FABRICS = {"clos-2": ClosParams(num_pods=2), "clos-3": ClosParams(num_pods=3),
+           "clos-4": ClosParams(num_pods=4), "vl2": "vl2", "dcell": "dcell"}
 SEEDS = (0, 1, 2)
 HELLO_US = 50 * MILLISECOND
 # BGP keepalive and hold 5x faster than the paper's 1 s / 3 s: five times

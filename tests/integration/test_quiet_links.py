@@ -1,14 +1,17 @@
 """Quiet exchanges at their edges (DESIGN "Steady-state frame path"),
 driven through the rules of the fabric machine (``test_fabric_machine``),
-which holds a default and an all-tapped world to agreement: a fault or
-frames exactly on the microsecond a quiet link would have had an event of
-its own, and recorded settle/wake mutations the machine must catch."""
+which holds a default and an all-tapped world to agreement: one fixed
+order of its rules drawn per stack (faults and a burst, time, a pickle
+round-trip, the probe scenario), a fault or frames exactly on the
+microsecond a quiet link would have had an event of its own, and
+recorded settle/wake mutations the machine must catch."""
 
 from __future__ import annotations
 
 from heapq import heapify
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bfd.session import QuietBfd
 from repro.bgp.speaker import QuietKeepalives
@@ -22,8 +25,13 @@ from repro.stack.ipv4 import PROTO_UDP, Ipv4Packet
 from repro.stack.payload import RawBytes
 from repro.stack.udp import UdpDatagram
 from tests.integration.test_fabric_machine import (
-    HELLO_US, Fabric, _converged, _oracle_verdicts, fabric_ports, machine_for,
-    run_machine)
+    FAULT, HELLO_US, INSTANT, SEEDS, Fabric, _converged, _oracle_verdicts,
+    fabric_ports, machine_for, run_machine)
+
+STACKS = ("mtp", "mtp-spray", "mtp-gr", "bgp-bfd", "bgp", "bgp-gr")
+# 600 examples in all; a BGP one costs about twice an MR-MTP one
+EXAMPLES = {"mtp": 140, "mtp-spray": 140, "mtp-gr": 140, "bgp-bfd": 60,
+            "bgp": 60, "bgp-gr": 60}
 
 
 def _machine(stack: str = "mtp"):
@@ -34,6 +42,41 @@ def _machine(stack: str = "mtp"):
 
 def _run_until(machine, instant: int) -> None:
     machine.run(instant - machine.fabrics[0].world.sim.now)
+
+
+def _programs(stack: str):
+    """Phase 1: timed faults and one burst, run up to a pickle round-trip;
+    phase 2: one of the paper's cases as a compiled, measured scenario.
+    BGP programs stay on two small fabrics and two seeds: a BGP scenario
+    waits out the hold."""
+    bgp = stack.startswith("bgp")
+    return st.fixed_dictionaries({
+        "fabric": st.sampled_from(("clos-2", "vl2") if bgp
+                                  else ("clos-2", "clos-4", "vl2")),
+        "seed": st.sampled_from(SEEDS[:2] if bgp else SEEDS),
+        "faults": st.lists(FAULT, max_size=6),
+        "burst": st.tuples(INSTANT, st.sampled_from((1, 37, 1_000, 12_500)),
+                           st.integers(1, 60), st.integers(0, 1_000)),
+        # worlds converge on a hello instant: an offset from it is one
+        "snapshot_at": INSTANT, "case": st.integers(1, 4)})
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_quiet_and_all_tapped_worlds_agree(stack):
+    @settings(max_examples=EXAMPLES[stack], deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(program=_programs(stack))
+    def agree(program):
+        machine = machine_for(stack)()
+        machine.load(program["fabric"], program["seed"])
+        machine.inject(program["faults"])
+        machine.burst(*program["burst"])
+        machine.run(program["snapshot_at"][1])
+        machine.round_trip()
+        machine.probe(case=program["case"], invariants=False)
+        machine.agree()
+
+    agree()
 
 
 @pytest.mark.parametrize("op", ["iface_down", "agent_crash", "node_down",

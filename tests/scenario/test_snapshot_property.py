@@ -10,16 +10,15 @@ start on) must equal the one a plain cold run of that spec gives.
 Neighbouring tasks differ in seed or timers, so a world key that forgot
 either hands a task the wrong world; a world touched by the task before
 (compiled, settled, run) carries that task's events into the next.  Both
-break the equality."""
+break the equality.  This is the library's side of forking; the fabric
+machine (``test_fabric_machine``) forks mid-run under every fault."""
 
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bfd.messages import BfdState
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
-from repro.harness.experiments import build_and_converge
 from repro.harness.executor import CampaignReport, run_tasks
 from repro.scenario import (
     SCENARIO_RUN,
@@ -86,32 +85,3 @@ def test_restored_vl2_world_runs_like_a_cold_one():
         for stack in ("mtp", "bgp-bfd")
         for name in ("tc1", "hotspot-drain", "rolling-restart")])
 
-
-def test_snapshot_taken_with_flyweights_populated_runs_like_a_cold_one():
-    """Tasks fork from the world as convergence left it, when every Up
-    BFD session holds its transmit flyweight and every MR-MTP port its
-    keepalive frame.  The converged world carries them (checked, not
-    assumed), and a forked copy must still run exactly like a cold start
-    — including tc1's detection, which changes what the flyweight was
-    built from."""
-    params, seed, specs = two_pod_params(), 11, []
-    for stack in ("bgp-bfd", "mtp"):
-        spec = resolve_spec(stack)
-        world, _topo, _deployment = build_and_converge(params, spec, seed)
-        nodes = list(world.nodes.values())
-        if stack == "mtp":
-            agents = [n.mtp for n in nodes if hasattr(n, "mtp")]
-            assert agents and all(
-                set(m._keepalive_frames) == set(m.neighbors) for m in agents)
-        else:
-            sessions = [s for n in nodes if hasattr(n, "bfd")
-                        for s in n.bfd.sessions.values()]
-            assert sessions and all(
-                s._tx_inputs == (BfdState.UP, s.your_discriminator,
-                                 s.timers.tx_interval_us)
-                and s._tx_packet.payload.payload.state is BfdState.UP
-                for s in sessions)
-        specs += [ScenarioRunSpec(params=params, stack=spec,
-                                  scenario=get_scenario(name), seed=seed)
-                  for name in ("tc1", "flap-storm")]
-    assert_forked_equals_cold(specs)
