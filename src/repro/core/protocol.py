@@ -67,6 +67,10 @@ from repro.liveness import NeighborMonitor, resolve_liveness
 # per port, which dominated allocations at 32-PoD scale).
 _KEEPALIVE = MtpKeepalive()
 
+# retransmit periods a re-admitted child's re-JOINs are re-sent for: a
+# child that lost those VIDs meanwhile never answers them
+REJOIN_RETRIES = 10
+
 
 @dataclass
 class MtpCounters:
@@ -142,6 +146,8 @@ class MtpNode:
         # timer) will not re-advertise, so re-admitting it re-sends these
         # JOINs
         self._rejoin: dict[str, set[Vid]] = {}
+        # port -> (re-sent until, parents) for the re-JOINs in flight
+        self._rejoining: dict[str, tuple[int, set[Vid]]] = {}
         # roots we have announced as unreachable to downstream neighbors;
         # a RESTORED goes out when such a root comes back
         self._announced_lost: set[int] = set()
@@ -261,6 +267,7 @@ class MtpNode:
         self._pending_offer.clear()
         self._unjoined_adverts.clear()
         self._rejoin.clear()
+        self._rejoining.clear()
 
     def restart(self, cold: bool) -> None:
         """Bring the agent back.  ``cold`` wipes the VID table in place
@@ -618,6 +625,11 @@ class MtpNode:
 
     def _retransmit(self) -> None:
         """Request-response reliability: re-issue unanswered messages."""
+        for port, (until, parents) in list(self._rejoining.items()):
+            pending = self._pending_join.get(port, set())
+            if self.sim.now >= until or pending.isdisjoint(parents):
+                del self._rejoining[port]
+                pending.difference_update(parents)
         for port, parents in self._pending_join.items():
             if parents and self._port_usable(port):
                 self._send(port, MtpJoin(vids=tuple(sorted(parents))))
@@ -672,6 +684,9 @@ class MtpNode:
         elif self._direction(nbr.port) == "down":
             parents = self._rejoin.pop(nbr.port, None)
             if parents:
+                self._rejoining[nbr.port] = (
+                    self.sim.now + REJOIN_RETRIES * self._retx_timer.interval,
+                    parents)
                 self._pending_join.setdefault(nbr.port, set()).update(parents)
                 self._send(nbr.port, MtpJoin(vids=tuple(sorted(parents))))
                 self._await_response()
@@ -724,6 +739,7 @@ class MtpNode:
     def _neighbor_lost(self, port: str) -> None:
         """The neighbor is really gone: prune/mark and propagate."""
         self._pending_join.pop(port, None)
+        self._rejoining.pop(port, None)
         self._pending_offer.pop(port, None)
         self._unjoined_adverts.pop(port, None)
         direction = self._direction(port)

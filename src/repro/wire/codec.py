@@ -173,12 +173,14 @@ def _decode_vids(blob: bytes, offset: int) -> tuple[tuple[Vid, ...], int]:
     (count,) = _unpack("!B", blob[offset:], "VID list")
     offset += 1
     vids = []
-    for _ in range(count):
-        # a VID is encoded as a root list is: a count, then components
-        parts, offset = _decode_roots(blob, offset)
-        if not parts or 0 in parts:
-            raise WireError(f"bad VID {parts}")
-        vids.append(Vid(parts))
+    try:
+        for _ in range(count):
+            vid, offset = Vid.decode(blob, offset)
+            vids.append(vid)
+    except IndexError:  # Vid.decode reads past a truncated list
+        raise WireError("truncated VID list") from None
+    except ValueError as exc:  # an empty VID or a zero component
+        raise WireError(f"bad VID: {exc}") from None
     return tuple(vids), offset
 
 

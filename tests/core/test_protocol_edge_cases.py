@@ -6,7 +6,8 @@ import pytest
 
 from repro.harness.convergence import converge_from_cold
 from repro.stacks import get_stack, mtp, resolve_spec
-from repro.core.messages import MtpUnreachable
+from repro.core.messages import MtpJoin, MtpUnreachable
+from repro.core.vid import Vid
 from repro.harness.failures import FailureInjector
 from repro.net.impairment import ImpairmentProfile
 from repro.net.world import World
@@ -91,6 +92,34 @@ class TestRestart:
         world.run_for(3 * SECOND)
         assert all(not other_agg.table.marks_on(p)
                    for p in other_agg.neighbors)
+
+    def test_a_re_join_for_a_vid_lost_meanwhile_goes_quiet(self):
+        """S-1-1 loses power, and while it is out its ToR L-1-1 dies for
+        good.  When S-1-1 is back, the tops re-JOIN the 11.1 they pruned
+        from it, which it no longer holds and never answers: the tops give
+        up after ``REJOIN_RETRIES`` retransmit periods, instead of
+        re-sending that JOIN for as long as L-1-1 stays down."""
+        world, topo, dep = build(ClosParams(num_pods=2))
+        injector = FailureInjector(world, dep)
+        joins = []
+
+        def tap(iface, frame, direction):
+            if direction == "tx" and isinstance(frame.payload, MtpJoin):
+                joins.append((iface.full_name, frame.payload.vids))
+
+        for iface in world.all_interfaces():
+            iface.add_tap(tap)
+        injector.fail_node("S-1-1")
+        world.run_for(300 * MILLISECOND)
+        injector.fail_node("L-1-1")
+        world.run_for(300 * MILLISECOND)
+        injector.restore_node("S-1-1")
+        world.run_for(2 * SECOND)
+        rejoin = ("T-1:eth1", (Vid.parse("11.1"), Vid.parse("12.1")))
+        assert rejoin in joins
+        joins.clear()
+        world.run_for(3 * SECOND)
+        assert joins == []
 
 
 def test_a_root_announced_lost_is_restored_when_an_uplink_returns():

@@ -1,8 +1,8 @@
 """One fault-interleaving state machine for every registered stack.
 
-Each example loads two copies of one converged world, the default one and
-one whose every interface carries a no-op tap (a tapped direction is never
-quiet, DESIGN "Steady-state frame path"), and applies every rule to both
+Each example loads copies of two converged worlds, the default one and
+one tapped, no-op, on every interface before deploy (a tapped direction is
+never quiet, DESIGN "Steady-state frame path"); it applies every rule to both
 at once: the ``FailureInjector`` vocabulary, one-way loss included,
 captures, bursts, a live ``FluidWorkload`` with the ``InvariantMonitor``,
 the probe scenario, time, a pickle round-trip, a step run in a forked
@@ -17,6 +17,7 @@ oracle and has no loop."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import pickle
 import struct
 from dataclasses import dataclass, field
@@ -105,10 +106,13 @@ def fabrics_for(stack: str) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _converged(stack: str, fabric: str, world_seed: int) -> bytes:
+def _converged(stack: str, fabric: str, world_seed: int, tapped: bool) -> bytes:
+    """``tapped``: from the start, so convergence is played frame by frame."""
     spec = resolve_spec(stack, BGP_TIMERS if stack.startswith("bgp") else None)
     world = World(seed=world_seed)
     topo = build_topology(FABRICS[fabric], world=world)
+    for iface in world.all_interfaces() if tapped else ():
+        iface.add_tap(no_op_tap)
     deployment = get_stack(spec.name).build(topo, spec)
     deployment.start()
     converge_from_cold(world, deployment, deployment.ready)
@@ -120,9 +124,8 @@ def _oracle_verdicts(stack: str, fabric: str, world_seed: int) -> list:
     """The converged world's disagreements with the oracle, to which a
     torn-down one must return: none, but on DCell, where BGP delivers
     over paths that are not valley-free (ROADMAP item 5)."""
-    _world, topo, deployment = pickle.loads(_converged(stack, fabric,
-                                                       world_seed))
-    verdicts = compare_with_oracle(deployment, topo)
+    fab = Fabric.load(stack, fabric, world_seed, False)
+    verdicts = compare_with_oracle(fab.deployment, fab.topo)
     assert fabric == "dcell" or verdicts == []
     return verdicts
 
@@ -143,10 +146,8 @@ class Fabric:
     traced: int = 0  # trace records already compared
 
     @classmethod
-    def load(cls, blob: bytes, tapped: bool) -> "Fabric":
-        world, topo, deployment = pickle.loads(blob)
-        for iface in world.all_interfaces() if tapped else ():
-            iface.add_tap(no_op_tap)
+    def load(cls, *key) -> "Fabric":  # a fresh copy of ``_converged(*key)``
+        world, topo, deployment = pickle.loads(_converged(*key))
         return cls(world, topo, deployment, FailureInjector(world, deployment),
                    InvariantMonitor(topo, deployment))
 
@@ -270,8 +271,8 @@ class FabricMachine(RuleBasedStateMachine):
 
     def load(self, fabric: str, world_seed: int) -> None:
         self.fabric, self.seed = fabric, world_seed
-        blob = _converged(self.stack, fabric, world_seed)
-        self.fabrics = [Fabric.load(blob, tapped) for tapped in (False, True)]
+        self.fabrics = [Fabric.load(self.stack, fabric, world_seed, tapped)
+                        for tapped in (False, True)]
 
     @initialize(data=st.data())
     def start(self, data) -> None:
@@ -331,9 +332,9 @@ class FabricMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.fabrics[0].workload is None)
     @rule(flows=st.integers(30, 600))
-    def start_workload(self, flows) -> None:
-        spec = WorkloadSpec(name="machine", matrix="uniform", flows=flows,
-                            duration_ms=2000, epoch_ms=25)
+    def start_workload(self, flows, matrix="uniform", epoch_ms=25) -> None:
+        spec = WorkloadSpec(name="machine", matrix=matrix, flows=flows,
+                            duration_ms=2000, epoch_ms=epoch_ms)
         for fab in self.fabrics:
             fab.workload = FluidWorkload(spec, fab.topo, fab.deployment,
                                          monitor=fab.monitor)
@@ -592,9 +593,8 @@ def _walk_once(self, group, memo):
 ], ids=["ecmp-memo", "bfd-flyweight", "fluid-walk"])
 def test_the_machine_catches_a_stale_cache(monkeypatch, stack, owner, name,
                                            mutant):
-    for fabric in fabrics_for(stack):
-        for world_seed in SEEDS:  # converged right: the mutant is in the
-            _converged(stack, fabric, world_seed)  # steady state
+    for key in itertools.product(fabrics_for(stack), SEEDS, (False, True)):
+        _converged(stack, *key)  # converged right: a steady-state mutant
     monkeypatch.setattr(owner, name, mutant)
     with pytest.raises(AssertionError):
         run_machine(stack, at_seed=1, examples=10)

@@ -145,7 +145,7 @@ def _bgp_machine():
     tick = port.node.bfd.sessions[peer_ip]._tx_timer._handle.time
     keepalive = port.node.bgp.peers[peer_ip].keepalive_timer._handle.time
     # the tick after: drawn when the first one fires, born at it
-    copy = Fabric.load(_converged("bgp-bfd", "clos-2", 0), tapped=True).world
+    copy = Fabric.load("bgp-bfd", "clos-2", 0, True).world
     copy.run(until=tick)
     next_tick = copy.nodes[port.node.name].bfd.sessions[peer_ip] \
         ._tx_timer._handle.time

@@ -1,44 +1,36 @@
 """Property: crash/restart schedules never lose bytes from the ledger.
 
 Hypothesis draws a random schedule of agent crashes and restarts (any
-router, cold or graceful, overlapping or redundant — the injector's
-validated no-ops make every schedule legal) and runs the fluid
-permutation workload over it on converged clos, VL2 and DCell fabrics.
-Whatever the schedule does to forwarding, conservation must hold:
-``offered == delivered + dropped + blackholed`` in every epoch."""
+router, cold, graceful or the stack's default, overlapping or redundant
+— the injector's validated no-ops make every schedule legal) and plays
+it through the fabric machine's rules (``test_fabric_machine``) under a
+live fluid workload on converged clos, VL2 and DCell fabrics.  Whatever
+the schedule does to forwarding, conservation must hold for the
+permutation matrix in 10 ms epochs:
+``offered == delivered + dropped + blackholed`` in every epoch, during
+the schedule and after the machine's teardown restores everything."""
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness.experiments import build_and_converge
-from repro.harness.failures import FailureInjector
-from repro.sim.units import MILLISECOND, SECOND
-from repro.topology.clos import two_pod_params
-from repro.workload.engine import FluidWorkload
-from repro.workload.spec import WorkloadSpec
+from repro.sim.units import MILLISECOND
+from tests.integration.test_fabric_machine import machine_for
 
-#: family -> (params, stack): every restart mode crosses every family
+#: family -> (fabric, stack): every restart mode crosses every family
 #: (graceful MR-MTP on clos, graceful BGP on VL2, cold hold-timer BGP
 #: on DCell).
 FAMILIES = {
-    "clos": (two_pod_params(), "mtp-gr"),
+    "clos": ("clos-2", "mtp-gr"),
     "vl2": ("vl2", "bgp-gr"),
     "dcell": ("dcell", "bgp"),
 }
+MODES = (None, False, True)  # ``restart_agent(cold=...)``: the machine's arg
 
 DURATION_MS = 120
-
-_fabrics: dict[str, tuple] = {}
-
-
-def fabric(name):
-    if name not in _fabrics:
-        params, stack = FAMILIES[name]
-        _fabrics[name] = build_and_converge(params, stack, seed=0)
-    return _fabrics[name]
-
 
 #: one schedule entry: victim index, crash time, outage length, mode
 EVENTS = st.lists(
@@ -46,7 +38,7 @@ EVENTS = st.lists(
         st.integers(min_value=0, max_value=10**6),       # node pick
         st.integers(min_value=0, max_value=DURATION_MS // 2),  # crash ms
         st.integers(min_value=1, max_value=40),          # outage ms
-        st.sampled_from([None, False, True]),            # cold
+        st.sampled_from(MODES),                          # cold
     ),
     min_size=1, max_size=3,
 )
@@ -64,37 +56,27 @@ PROP_SETTINGS = settings(
 @given(events=EVENTS, flows=st.integers(min_value=30, max_value=120))
 def test_restart_schedules_preserve_byte_conservation(family, events,
                                                       flows):
-    world, topo, deployment = fabric(family)
-    agents = getattr(deployment, "mtp_nodes", None) \
-        or deployment.speakers
-    routers = sorted(agents)
-    injector = FailureInjector(world, deployment)
-    base = world.sim.now
-    for pick, crash_ms, outage_ms, cold in events:
-        victim = routers[pick % len(routers)]
-        injector.crash_agent(victim, at=base + crash_ms * MILLISECOND)
-        injector.restart_agent(
-            victim, at=base + (crash_ms + outage_ms) * MILLISECOND,
-            cold=cold)
+    fabric, stack = FAMILIES[family]
+    machine = machine_for(stack)()
+    machine.load(fabric, 0)  # a fresh copy of the converged world
+    machine.start_workload(flows, matrix="permutation", epoch_ms=10)
+    machine.inject([
+        fault for pick, crash_ms, outage_ms, cold in events
+        for fault in (("agent_crash", (False, crash_ms * MILLISECOND),
+                       pick, 0),
+                      ("agent_restart",
+                       (False, (crash_ms + outage_ms) * MILLISECOND),
+                       pick, MODES.index(cold)))])
+    machine.run(DURATION_MS * MILLISECOND)
+    machine.agree()  # every closed epoch conserves; warm resolve == cold
+    machine.teardown()  # restored and quiet; the final report conserves
 
-    spec = WorkloadSpec(name="restart-prop", matrix="permutation",
-                        flows=flows, duration_ms=DURATION_MS, epoch_ms=10)
-    engine = FluidWorkload(spec, topo, deployment)
-    engine.start()
-    world.run_for(DURATION_MS * MILLISECOND)
-    report = engine.finish()
-
-    assert report.max_conservation_error < 1e-6
-    assert report.offered_bytes == pytest.approx(
-        report.delivered_bytes + report.dropped_bytes
-        + report.blackholed_bytes, abs=3)
-    for start_us, end_us, offered, delivered, dropped, blackholed \
-            in report.epoch_records:
-        assert end_us >= start_us
-        assert min(offered, delivered, dropped, blackholed) >= 0
-        assert offered == pytest.approx(
-            delivered + dropped + blackholed, abs=3)
-
-    # hand the shared fabric back healthy for the next example: every
-    # schedule restarts its victims, so a settle window reconverges
-    world.run_for(3 * SECOND)
+    for fab in machine.fabrics:
+        records = fab.workload.epoch_records
+        assert records
+        for start_us, end_us, offered, delivered, dropped, blackholed \
+                in map(astuple, records):
+            assert end_us >= start_us
+            assert min(offered, delivered, dropped, blackholed) >= 0
+            assert offered == pytest.approx(
+                delivered + dropped + blackholed, abs=3)
