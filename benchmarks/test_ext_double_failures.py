@@ -38,7 +38,7 @@ def fabric_links(topo):
 
 
 def _pair_task(spec):
-    """One double-cut combination (top-level: picklable for the pool)."""
+    """One double-cut combination."""
     kind, settle_us, link_i, link_j = spec
     world, topo, dep = build_and_converge(two_pod_params(), kind,
                                           trace_enabled=False)

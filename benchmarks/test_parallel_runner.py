@@ -5,9 +5,9 @@ with ``jobs=4`` must produce *byte-identical* SweepResult summaries and
 per-point run digests to the serial path, and the measured wall-clock
 numbers (serial, fanned-out, cache replay) are persisted to
 ``benchmarks/results/ext_parallel_runner.txt``.  On a single-core
-container the pool can't beat serial on raw compute — the recorded
+container the fan-out is clamped to one child at a time — the recorded
 speedup then comes from the result cache, which replays converged points
-in milliseconds; on multi-core hardware the fan-out scales with cores.
+in milliseconds; on multi-core hardware it runs one child per core.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def test_ext_parallel_sweep_identical_and_timed(benchmark, results_dir,
 
     rows = [
         ["serial (jobs=1)", f"{t_serial:.2f}", "1.00x"],
-        ["pool (jobs=4)", f"{t_fanned:.2f}",
+        ["fan-out (jobs=4)", f"{t_fanned:.2f}",
          f"{t_serial / t_fanned:.2f}x"],
         ["cache replay (jobs=4)", f"{t_replay:.2f}",
          f"{t_serial / t_replay:.2f}x"],

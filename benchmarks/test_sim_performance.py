@@ -10,8 +10,10 @@ simulated seconds).
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import gc
 import json
+import os
 import pickle
 import pstats
 import sys
@@ -29,7 +31,7 @@ from repro.bgp import encoding as bgp_encoding
 from repro.bgp.messages import BgpKeepalive
 from repro.core.config import MtpTimers
 from repro.harness import executor, experiments
-from repro.harness.executor import RetryPolicy, run_tasks
+from repro.harness.executor import CampaignReport, RetryPolicy, run_tasks
 from repro.scenario import (
     SCENARIO_RUN,
     Scenario,
@@ -422,9 +424,9 @@ def test_per_packet_forwarding_cost_is_flat_in_pods(stack, ceiling):
 
 # ----------------------------------------------------------------------
 # converged worlds, forked (DESIGN "Converged worlds, forked"): a suite
-# converges each distinct world once and forks all but the last task of
-# it; a task that cannot share a world never forks.  Counts, no wall
-# clock.
+# converges each distinct world once in this process and forks its tasks
+# from it (serially, all but the last); serially, a task that cannot
+# share a world never forks.  Counts, no wall clock.
 # ----------------------------------------------------------------------
 @pytest.fixture
 def world_counts(monkeypatch):
@@ -438,8 +440,8 @@ def world_counts(monkeypatch):
 
     monkeypatch.setattr(experiments, "converge_from_cold", counted(
         "converge", experiments.converge_from_cold))
-    monkeypatch.setattr(executor, "_forked", counted(
-        "forks", executor._forked))
+    monkeypatch.setattr(executor, "fork_task", counted(
+        "forks", executor.fork_task))
     return calls
 
 
@@ -486,24 +488,74 @@ def test_tasks_that_cannot_reuse_a_world_never_pickle_one(
     run_experiment_batch(ClosParams(num_pods=2), "mtp", "TC1", seeds=(0, 1))
     assert world_counts == {"converge": 5, "forks": 0}
 
-    # supervised attempts are isolated child processes, each converging
-    # its own world, so a suite of two same-world scenarios forks no
-    # task in any process; a file, not the in-memory counter, sees what
-    # a child does — and sees the one fork the same suite makes inline
+    # supervised attempts are forked from the one converged world too,
+    # the last task included; a file, not the in-memory counter, sees
+    # what a child does — and sees the one fork the same suite makes
+    # serially
     log = tmp_path / "forks.log"
-    real = executor._forked
+    real = executor.fork_task
 
     def logged(*args, **kwargs):
         with log.open("a") as fh:
             fh.write("fork\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor, "_forked", logged)
+    monkeypatch.setattr(executor, "fork_task", logged)
     _suite(["tc1", "tc2"], ["mtp"])
     assert log.read_text() == "fork\n"
     log.unlink()
     _suite(["tc1", "tc2"], ["mtp"], policy=RetryPolicy())
-    assert not log.exists()
+    assert log.read_text() == "fork\nfork\n"
+
+
+def test_a_fanned_out_campaign_converges_once_per_world(world_counts,
+                                                         monkeypatch):
+    """``--jobs 2`` on the library x {mtp, bgp-bfd} at 4 PoDs (the bench
+    ``campaign`` shape): two worlds, every task forked from one of them,
+    not a converge per chunk of a pool."""
+    monkeypatch.setattr(executor.os, "cpu_count", lambda: 2)
+    report = CampaignReport()
+    outcomes = _suite(sorted(canonical_scenarios()), ["mtp", "bgp-bfd"],
+                      pods=4, jobs=2, report=report)
+    assert len(outcomes) == 26 and report.jobs == 2
+    assert world_counts == {"converge": 2, "forks": 26}
+
+
+def test_a_supervised_campaign_converges_once(world_counts):
+    """Supervised tc1..tc4 on ``bgp-bfd``: one converge, four children
+    forked from it."""
+    _suite(["tc1", "tc2", "tc3", "tc4"], ["bgp-bfd"], seed=4,
+           policy=RetryPolicy(max_attempts=1))
+    assert world_counts == {"converge": 1, "forks": 4}
+
+
+_CRASH_MARKER: list[str] = []
+
+
+def _crash_once(spec, world=None):
+    """``tc1`` dies without reporting on its first attempt."""
+    marker = _CRASH_MARKER[0]
+    if spec.scenario.name == "tc1" and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(9)
+    return SCENARIO_RUN.run(spec, world)
+
+
+def test_a_retry_after_a_crash_converges_nothing(world_counts, tmp_path):
+    """A supervised child that crashes once is re-forked from the same
+    converged world: the retry converges nothing."""
+    _CRASH_MARKER[:] = [str(tmp_path / "crashed")]
+    kind = dataclasses.replace(SCENARIO_RUN, run=_crash_once)
+    specs = scenario_suite_specs(ClosParams(num_pods=2), [
+        get_scenario("tc1"), get_scenario("tc2")], ["bgp-bfd"])
+    report = CampaignReport()
+    outcomes = run_tasks(kind, specs, report=report, policy=RetryPolicy(
+        max_attempts=2, backoff_base_s=0.01, backoff_cap_s=0.02))
+    assert [a.outcome for a in report.records[0].attempts] == [
+        "crash", "ok"]
+    assert world_counts == {"converge": 1, "forks": 3}
+    assert [o.digest for o in outcomes] == [
+        o.digest for o in run_tasks(SCENARIO_RUN, specs)]
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,10 @@ The wheel is a pure performance substitution for a plain binary heap —
 same (time, priority, born, seq) total order, same tombstone semantics —
 so every run digest and every golden metric must come out
 byte-identical whether the engine runs on the wheel or on the reference
-heap (``tests/sim/reference_heap.py``), and whether tasks run inline,
-through the process pool, or under the supervisor.  The reference is
-installed in-process only, so it runs inline; pool and supervised runs
-are on the wheel.  Any divergence here is an ordering bug in the wheel,
+heap (``tests/sim/reference_heap.py``), and whether tasks run serially,
+fanned out to forked children, or under the supervisor.  The reference
+is installed in-process only, so it runs serially; fanned-out and
+supervised runs are on the wheel.  Any divergence here is an ordering bug in the wheel,
 not a tolerance issue: there is no epsilon.
 """
 
@@ -97,9 +97,9 @@ def test_scenario_digest_identical_on_both_backends(monkeypatch):
 
 
 def test_scenario_library_serial_vs_pool_on_wheel():
-    """The determinism guard, on the wheel: serial and jobs=2 pool
-    execution of a scenario slice must produce identical digests (the
-    guard forces the pool even on a 1-core host)."""
+    """The determinism guard, on the wheel: serial, jobs=2 fan-out and
+    supervised execution of a scenario slice must produce identical
+    digests (the guard forces two children even on a 1-core host)."""
     specs = scenario_suite_specs(
         two_pod_params(),
         [get_scenario("tc2"), get_scenario("tc4")],
@@ -110,7 +110,7 @@ def test_scenario_library_serial_vs_pool_on_wheel():
 
 
 def test_supervised_suite_matches_serial_across_backends(monkeypatch):
-    """--jobs 2 under the supervisor (child process per attempt, on the
+    """--jobs 2 under the supervisor (a forked child per attempt, on the
     wheel) must reproduce the inline serial digests of the wheel and of
     the reference heap."""
     scenarios = [get_scenario("tc4")]

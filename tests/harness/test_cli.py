@@ -237,20 +237,20 @@ def test_campaign_epilogue_exit_codes(capsys):
 
 def test_campaign_notes_go_to_stderr_and_leave_stdout_alone(capsys,
                                                            monkeypatch):
-    """``--jobs 2`` on a host with two cores runs serially, and now says
-    so: the report's note is printed on stderr; stdout is the document
-    a ``--jobs 1`` run prints."""
+    """``--jobs 2`` on a host with one core runs one child at a time,
+    and says so: the report's note is printed on stderr; stdout is the
+    document a ``--jobs 1`` run prints."""
     argv = ["scenario", "run", "tc1", "tc2", "--stack", "mtp", "--json",
             "--no-cache"]
     assert main(argv) == 0
     serial = capsys.readouterr()
     assert "note:" not in serial.err
-    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
     assert main([*argv, "--jobs", "2"]) == 0
     clamped = capsys.readouterr()
     assert clamped.out == serial.out
     assert clamped.err.splitlines() == [
-        "note: clamped to 1 job: 2 jobs would oversubscribe 2 core(s)"]
+        "note: clamped to 1 job(s): 2 jobs would oversubscribe 1 core(s)"]
 
 
 def test_failure_batch_is_a_resumable_campaign(capsys, tmp_path):

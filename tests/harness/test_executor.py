@@ -2,10 +2,11 @@
 
 Every campaign runs ``SCENARIO_RUN`` tasks; each family of program
 (library scenarios, loaded runs, sweep points, chaos points) is run over
-a few small specs on the 2-PoD fabric by every strategy of
+a few small specs on the 2-PoD fabric by every mode of
 :func:`run_tasks`:
-inline, the process pool (forced even on a small host) and supervised
-children — the outcomes, run digests included, must be identical — and
+serial, two forked children at once (forced even on a small host) and
+supervised children — the outcomes, run digests included, must be
+identical — and
 a second cached call must replay every task with equal outcomes.  A
 program that leaks state between tasks, pickles badly, or encodes
 lossily fails here, whichever family it is.
@@ -74,10 +75,10 @@ def test_task_kind_contract(case, tmp_path):
     assert (first.executed, first.cached) == (len(specs), 0)
     assert len({payload["digest"] for payload in inline}) == len(specs)
 
-    pooled = run_tasks(kind, specs, jobs=2, allow_oversubscribe=True)
+    fanned = run_tasks(kind, specs, jobs=2, allow_oversubscribe=True)
     supervised = run_tasks(kind, specs, jobs=2, allow_oversubscribe=True,
                            policy=RetryPolicy(max_attempts=1))
-    assert [kind.encode(o) for o in pooled] == inline
+    assert [kind.encode(o) for o in fanned] == inline
     assert [kind.encode(o) for o in supervised] == inline
 
     replay = CampaignReport()

@@ -23,6 +23,7 @@ import pytest
 from repro.harness.executor import (
     CampaignReport,
     ForkedTaskDied,
+    RetryPolicy,
     TaskKind,
     run_tasks,
 )
@@ -106,7 +107,7 @@ def test_a_killed_child_raises_the_typed_error():
     with pytest.raises(ForkedTaskDied, match="die.*signal 9") as caught:
         run_tasks(KIND, ["die", "b"])
     assert (caught.value.label, caught.value.exitcode) == ("die", -9)
-    # as a pool worker sends it back
+    # it pickles like any exception
     assert str(pickle.loads(pickle.dumps(caught.value))) == str(caught.value)
 
 
@@ -122,13 +123,13 @@ def test_no_warning_is_recorded():
     assert [str(w.message) for w in caught] == []
 
 
-def _python(script: str) -> str:
+def _python(script: str, timeout: float = 120) -> str:
     """Run ``script`` in a fresh interpreter (so no other test's child
     is around) and return its stdout, which is a pipe: block-buffered."""
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)], cwd=SRC,
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
-        text=True, timeout=120)
+        text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -179,12 +180,12 @@ def test_unflushed_stdout_appears_once():
 
 
 # ----------------------------------------------------------------------
-# a pool worker's notes reach the report
+# no fork at all: the fan-out runs serially here, with one note
 # ----------------------------------------------------------------------
 def test_pool_workers_that_cannot_fork_report_it(monkeypatch):
-    """``os.fork`` failing in the pool's workers (the parent still forks
-    them): every task of a chunk runs in its worker, the digests are the
-    inline run's, and the workers' one note reaches the report."""
+    """``os.fork`` failing under a ``--jobs 2`` campaign (the fan-out
+    forks from this process): every task runs here, the digests are the
+    serial run's, and one note reaches the report."""
     scenarios = [canonical_scenarios()[n] for n in
                  ("tc1", "tc2", "tc3", "tc4", "flap-storm", "drain",
                   "double-cut", "lossy-spine")]
@@ -192,17 +193,106 @@ def test_pool_workers_that_cannot_fork_report_it(monkeypatch):
                                  ["mtp", "bgp-bfd"])
     inline = [o.digest for o in run_tasks(SCENARIO_RUN, specs)]
 
-    parent, fork = os.getpid(), os.fork
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
 
-    def fork_in_parent_only():
-        if os.getpid() != parent:
-            raise OSError(11, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_in_parent_only)
+    monkeypatch.setattr(os, "fork", no_fork)
     report = CampaignReport()
-    pooled = run_tasks(SCENARIO_RUN, specs, jobs=2, allow_oversubscribe=True,
+    fanned = run_tasks(SCENARIO_RUN, specs, jobs=2, allow_oversubscribe=True,
                        report=report)
-    assert [o.digest for o in pooled] == inline
+    assert [o.digest for o in fanned] == inline
     assert len(report.notes) == 1, report.notes
     assert "fork unavailable" in report.notes[0]
+
+
+# ----------------------------------------------------------------------
+# concurrent children: big reports, Ctrl-C, worlds never pickled
+# ----------------------------------------------------------------------
+_BIG = 3 << 20   # bytes: far past a pipe's buffer
+
+
+def test_a_big_outcome_neither_deadlocks_nor_truncates():
+    """With two children alive, one reporting 3 MiB: the parent reads
+    every readable pipe as it fills, so neither child blocks on a full
+    pipe and the report arrives whole.  (A fresh interpreter with a
+    timeout, so a deadlock fails the test instead of hanging it.)"""
+    out = _python(_KIND_SOURCE + f"""
+    def big(spec, world):
+        return spec * {_BIG} if spec == "x" else task(spec, world)
+
+    BIG = TaskKind(name="big", run=big, key=str, encode=list, decode=str,
+                   label=str, world_key=lambda spec: "one", converge=list)
+    outcomes = run_tasks(BIG, ["x", "a", "x", "b"], jobs=2,
+                         allow_oversubscribe=True)
+    print([len(o) for o in outcomes])
+    """, timeout=60)
+    assert out.splitlines()[-1] == str([_BIG, 1, _BIG, 1])
+
+
+def test_ctrl_c_kills_and_reaps_every_live_child(tmp_path):
+    """Ctrl-C with two children asleep: both are killed and reaped, and
+    the two tasks that finished before stay checkpointed."""
+    out = _python(_KIND_SOURCE + f"""
+    from repro.harness.cache import ResultCache
+
+    def napping(spec, world):
+        if spec.startswith("sleep"):
+            with open(os.path.join({str(tmp_path)!r}, spec), "w") as fh:
+                fh.write(str(os.getpid()))
+            time.sleep(60)
+        return spec
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    NAP = TaskKind(name="nap", run=napping, key=str,
+                   encode=lambda o: {{"v": o}}, decode=lambda p: p["v"],
+                   label=str, world_key=lambda spec: "one", converge=list)
+    cache = ResultCache({str(tmp_path / "cache")!r})
+    signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        run_tasks(NAP, ["a", "b", "sleep1", "sleep2", "c"], jobs=2,
+                  allow_oversubscribe=True, cache=cache)
+    except CampaignInterrupted as exc:
+        print("interrupted", exc.done, exc.salvaged)
+    print("cached", [s for s in "abc" if cache.get(s) is not None])
+    for name in ("sleep1", "sleep2"):
+        pid = int(open(os.path.join({str(tmp_path)!r}, name)).read())
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            print(name, "gone")
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left")
+    """)
+    assert out.splitlines()[-5:] == [
+        "interrupted 2 2", "cached ['a', 'b']", "sleep1 gone", "sleep2 gone",
+        "no child left"]
+
+
+def test_no_campaign_pickles_a_world(monkeypatch):
+    """A world reaches a child by fork, never by pickle: with pickling a
+    ``World`` made to raise, a ``--jobs 2`` campaign and a supervised
+    tc1..tc4 campaign give the serial digests."""
+    from repro.net.world import World
+
+    specs = scenario_suite_specs(
+        two_pod_params(), [canonical_scenarios()[n] for n in
+                           ("tc1", "tc2", "tc3", "tc4")], ["bgp-bfd"])
+    serial = [o.digest for o in run_tasks(SCENARIO_RUN, specs)]
+
+    def refuse(self, protocol):
+        raise TypeError("a World was pickled")
+
+    monkeypatch.setattr(World, "__reduce_ex__", refuse, raising=False)
+    with pytest.raises(TypeError, match="was pickled"):
+        pickle.dumps(World(seed=0))
+    for policy in (None, RetryPolicy(max_attempts=1)):
+        report = CampaignReport()
+        fanned = run_tasks(SCENARIO_RUN, specs, jobs=2, policy=policy,
+                           allow_oversubscribe=True, report=report)
+        assert [o.digest for o in fanned] == serial
+        assert report.quarantined == []

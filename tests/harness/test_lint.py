@@ -16,6 +16,11 @@ Likewise every campaign is a list of scenario runs: ``src/`` constructs
 one :class:`~repro.harness.executor.TaskKind`, ``SCENARIO_RUN``.  A
 second kind is a second spec, key, codec and label for what a scenario
 program already says.
+
+And a campaign starts processes one way, ``os.fork`` from the converged
+world: ``src/`` imports neither ``multiprocessing`` nor
+``concurrent.futures``, whose workers would converge or unpickle worlds
+of their own.
 """
 
 from __future__ import annotations
@@ -177,3 +182,51 @@ def test_src_constructs_exactly_one_task_kind():
         "every campaign runs scenario programs; a second task kind: "
         + ", ".join(found))
     assert found[0].startswith("src/repro/scenario/runner.py:")
+
+
+# ----------------------------------------------------------------------
+# one process primitive
+# ----------------------------------------------------------------------
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def process_imports(path: Path) -> list[tuple[int, str]]:
+    """``(line, module)`` for every import of a process-pool module (or
+    of one of its submodules) in ``path``, also under ``from``/``as``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if any(name == m or name.startswith(m + ".")
+                         for m in PROCESS_MODULES)][:1]
+    return found
+
+
+def test_the_process_import_lint_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import multiprocessing as mp\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from concurrent import futures\n"
+        "import multiprocessing.connection\n"
+        "import concurrent\n"
+        "from os import fork\n")
+    assert process_imports(probe) == [
+        (1, "multiprocessing"), (2, "concurrent.futures"),
+        (3, "concurrent.futures"), (4, "multiprocessing.connection")]
+
+
+def test_src_imports_no_process_pool():
+    offenders = [f"src/repro/{path.relative_to(SRC).as_posix()}:{line}: "
+                 f"{name}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line, name in process_imports(path)]
+    assert not offenders, (
+        "campaigns fork from the converged world (harness.executor); "
+        + ", ".join(offenders))

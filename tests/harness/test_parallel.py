@@ -2,10 +2,10 @@
 
 For a matrix of (stack, topology, seed): the run digest of every
 task must be identical across repeated serial runs, across serial vs
-process-pool execution, and across different worker counts.  Any
+forked fan-out execution, and across different child counts.  Any
 divergence means a task leaked state (wall clock, globals, unseeded
-randomness) and would silently corrupt fanned-out sweeps.  Inline ==
-pool == supervised == cache replay for every task kind is
+randomness) and would silently corrupt fanned-out sweeps.  Serial ==
+fan-out == supervised == cache replay for every task kind is
 ``test_executor.py``'s contract test.
 """
 
@@ -21,7 +21,6 @@ from repro.harness.executor import (
     DeterminismError,
     TaskKind,
     assert_fanout_deterministic,
-    default_chunk_size,
     resolve_jobs,
     run_tasks,
 )
@@ -30,7 +29,7 @@ from repro.scenario import SCENARIO_RUN, failure_run_specs, run_scenario_task
 
 
 def _square(x: int) -> int:
-    """Trivial top-level worker (the pool needs to pickle it)."""
+    """Trivial task."""
     return x * x
 
 
@@ -53,7 +52,7 @@ def test_sweep_digests_serial_vs_parallel(kind, seed):
     serial_a = [run_scenario_task(s) for s in specs]
     serial_b = [run_scenario_task(s) for s in specs]
     assert [o.digest for o in serial_a] == [o.digest for o in serial_b]
-    # the guard itself re-runs inline and through a 2-worker pool
+    # the guard itself re-runs serially, with 2 children and supervised
     digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert digests == [o.digest for o in serial_a]
     # results (not just digests) also match byte for byte
@@ -116,19 +115,19 @@ def test_guard_raises_on_divergence():
 
 
 def test_resolve_jobs_and_chunking():
+    """``--jobs`` normalizing; children are forked one task at a time,
+    so there are no chunks to size."""
     assert resolve_jobs(3) == 3
     assert resolve_jobs(None) >= 1
     assert resolve_jobs(0) >= 1
     with pytest.raises(ValueError):
         resolve_jobs(-1)
-    assert default_chunk_size(0, 4) == 1
-    assert default_chunk_size(100, 4) == 6
 
 
 # ----------------------------------------------------------------------
-# oversubscription clamp: on a host with no spare cores for the
-# requested worker count, the pool is pure overhead — the executor must
-# quietly run inline and say so in the report
+# oversubscription clamp: at most one child per core (the parent only
+# waits in select); a child more would only share a core — the executor
+# must quietly run fewer and say so in the report
 # ----------------------------------------------------------------------
 def test_oversubscribed_fanout_falls_back_to_serial(monkeypatch):
     monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
@@ -146,23 +145,31 @@ def test_fanout_keeps_pool_when_cores_are_spare(monkeypatch):
     assert outcomes == [1, 4, 9]
     assert report.jobs == 2
     assert report.notes == []
+    # one child per core: two cores keep two jobs, and clamp three to two
+    monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 2)
+    for jobs, notes in ((2, []), (3, ["clamped to 2 job(s): 3 jobs would "
+                                      "oversubscribe 2 core(s)"])):
+        report = CampaignReport()
+        assert run_tasks(SQUARE, [1, 2, 3], jobs=jobs,
+                         report=report) == [1, 4, 9]
+        assert (report.jobs, report.notes) == (2, notes)
 
 
 def test_allow_oversubscribe_forces_the_pool(monkeypatch):
-    """The determinism guard compares pool vs serial, so it must be able
-    to force the pool even on a 1-core CI host."""
+    """The determinism guard compares fan-out with serial, so it must be
+    able to force two children even on a 1-core CI host."""
     monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
     report = CampaignReport()
     outcomes = run_tasks(SQUARE, [1, 2, 3], jobs=2, report=report,
                          allow_oversubscribe=True)
     assert outcomes == [1, 4, 9]
-    assert report.jobs == 2  # pool ran despite the 1-core host
+    assert report.jobs == 2  # two children despite the 1-core host
     assert report.notes == []
 
 
 def test_oversubscribed_fallback_is_result_identical(monkeypatch):
     """Falling back must be invisible in the results: same outcomes, in
-    order, as the pool would have produced."""
+    order, as two children would have produced."""
     monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
     serial = run_tasks(SQUARE, list(range(7)), jobs=2)
     forced = run_tasks(SQUARE, list(range(7)), jobs=2,

@@ -1,4 +1,4 @@
-"""Fault-injection tests for the executor's supervised strategy.
+"""Fault-injection tests for the executor's supervised mode.
 
 Every hazard the supervisor exists for is injected deliberately: a task
 that raises, a task that raises the *same* way twice (deterministic bug
@@ -45,8 +45,8 @@ from repro.topology.clos import build_folded_clos, two_pod_params
 
 
 # ----------------------------------------------------------------------
-# injected-fault workers (top level so the worker processes can pickle
-# them; each misbehaves only for its trigger spec)
+# injected-fault workers (each misbehaves only for its trigger spec; a
+# supervised attempt is a forked child, so ``os._exit`` ends only it)
 # ----------------------------------------------------------------------
 def ok_worker(spec):
     return f"done-{spec}"
@@ -105,7 +105,7 @@ def _kind(worker) -> TaskKind:
 
 
 def supervise(specs, worker, *, policy=None, **kwargs):
-    """``run_tasks`` on the supervised strategy (a default policy)."""
+    """``run_tasks`` in the supervised mode (a default policy)."""
     return run_tasks(_kind(worker), specs, policy=policy or RetryPolicy(),
                      **kwargs)
 
@@ -197,6 +197,40 @@ def test_flaky_task_retries_then_succeeds(tmp_path):
     assert [a.outcome for a in record.attempts] == [ERROR, OK]
     assert len(record.backoff_s) == 1
     assert report.retried == [record]
+
+
+def _converge(spec):
+    """A shared world; the ``bad`` group's never converges."""
+    if spec.startswith("bad"):
+        raise ValueError("injected converge failure")
+    return []
+
+
+def _on_world(spec, world=None):
+    if world is None:
+        world = _converge(spec)
+    return f"done-{spec}"
+
+
+def test_a_world_that_fails_to_converge_quarantines_only_its_tasks():
+    """The campaign's process converges a shared world; if that raises,
+    each of the group's tasks converges in its own child instead, where
+    the failure is an attempt like any other: retried, then quarantined
+    as deterministic, while the other world's tasks finish."""
+    kind = TaskKind(name="converge", run=_on_world, key=_key,
+                    encode=_encode, decode=_decode, label=str,
+                    world_key=lambda spec: spec[:3], converge=_converge)
+    report = CampaignReport()
+    policy = RetryPolicy(max_attempts=3, backoff_base_s=0.01,
+                         backoff_cap_s=0.02)
+    results = run_tasks(kind, ["ok-1", "bad-1", "bad-2", "ok-2"], jobs=2,
+                        policy=policy, report=report)
+    assert results == ["done-ok-1", None, None, "done-ok-2"]
+    assert [r.state for r in report.records] == [
+        DONE, QUARANTINED, QUARANTINED, DONE]
+    for record in report.quarantined:
+        assert [a.exception for a in record.attempts] == ["ValueError"] * 2
+        assert "deterministic failure" in record.quarantine_reason
 
 
 # ----------------------------------------------------------------------
@@ -352,9 +386,9 @@ def test_quarantine_table_lists_only_quarantined_tasks():
 
 
 def test_supervisor_clamps_oversubscribed_concurrency(monkeypatch):
-    """jobs=2 on a 1-core host: concurrency clamps to 1 (children still
-    spawn per attempt so the watchdog keeps working) and the report says
-    why."""
+    """jobs=2 on a 1-core host: concurrency clamps to 1 (children are
+    still forked per attempt so the watchdog keeps working) and the
+    report says why."""
     monkeypatch.setattr("repro.harness.executor.os.cpu_count", lambda: 1)
     report = CampaignReport()
     results = supervise(["a", "b"], ok_worker, jobs=2,

@@ -10,12 +10,12 @@ happens inside, :func:`run_tasks` leaves the collector as it found it.
 from __future__ import annotations
 
 import gc
-import multiprocessing
+import pickle
 import weakref
 
 import pytest
 
-from repro.harness import executor
+from repro.harness import executor, fork
 from repro.harness.executor import (
     CampaignInterrupted,
     RetryPolicy,
@@ -150,17 +150,23 @@ def test_forked_tasks_run_paused():
 
 
 def test_the_chunk_and_attempt_runners_pause_on_their_own():
-    """The campaign's parent process runs no pool or supervised task and
-    never pauses for them: the chunk runner and the attempt runner pause
-    for their tasks themselves — run here, in a process that is not
-    paused — and leave the collector as found."""
+    """The one child entry, behind ``harness.fork.fork_task``, pauses
+    nothing itself: a child runs with the collector of the
+    process that forked it.  So the scheduler pauses before it forks —
+    a child forked from this unpaused process runs unpaused, one forked
+    by ``run_sharing_worlds`` runs paused, fan-out or supervised — and
+    this process's collector is left as found."""
     before = _state()
-    assert executor._run_chunk(
-        _collector_state, None, [(None, "a", "a"), (None, "b", "b")]) == (
-        [(False, True)] * 2, [])
-    receive, send = multiprocessing.Pipe(duplex=False)
-    executor._attempt_child(_collector_state, "a", send)
-    assert receive.recv() == (executor.OK, (False, True))
+    children: dict = {}
+    fork.fork_task(children, _collector_state, ("a",))
+    while children:
+        ended = fork.wait_any(children, None)
+    assert pickle.loads(ended[0].blob) == (
+        fork.OK, (gc.isenabled(), gc.get_freeze_count() > 0))
+    for policy in (None, RetryPolicy(max_attempts=1)):
+        assert executor.run_sharing_worlds(
+            _collector_state, None, [(None, "a", "a"), (None, "b", "b")],
+            jobs=2, policy=policy) == [(False, True)] * 2
     assert _state() == before
 
 

@@ -35,7 +35,7 @@ from repro.bfd.messages import BfdState
 from repro.bfd.session import SLOW_TX_INTERVAL_US, BfdSession
 from repro.bgp.config import BgpTimers
 from repro.harness.convergence import converge_from_cold
-from repro.harness.executor import _forked
+from repro.harness.fork import OK, fork_task, wait_any
 from repro.harness.failures import FailureInjector
 from repro.harness.oracle import compare_with_oracle
 from repro.net.capture import Capture
@@ -378,11 +378,16 @@ class FabricMachine(RuleBasedStateMachine):
     def fork(self, step) -> None:
         """``step`` in a forked child (as a task forked off a converged
         world runs) and here: the child must see what this process sees."""
-        def in_child(_spec, _world):
+        def in_child():
             step()
             return [observe(fab) for fab in self.fabrics]
 
-        child = _forked(in_child, None, None, "fabric machine")
+        children: dict = {}
+        fork_task(children, in_child, ())
+        while children:
+            ended = wait_any(children, None)
+        tag, child, *_ = pickle.loads(ended[0].blob)
+        assert tag == OK, child
         step()
         here = [observe(fab) for fab in self.fabrics]
         assert child == here
