@@ -275,16 +275,16 @@ class QuietBfd(QuietExchange):
         detection = control.detect_mult * max(control.desired_min_tx_us,
                                               far.timers.tx_interval_us)
         latency = tx.link.certain_latency_us(tx, frame)
-        armed = far._detect_timer._handle
+        armed = far._detect_timer.deadline
         if (latency is None or armed is None
-                or armed.time <= session.sim.now + latency
+                or armed[0] <= session.sim.now + latency
                 or detection <= session._tx_timer.interval):
             return False
         quiet = cls()
         quiet.carry(session.sim, (tx,), (rx,))
         quiet.session, quiet.far, quiet.tx, quiet.rx = session, far, tx, rx
         quiet.frame, quiet.latency, quiet.detection = frame, latency, detection
-        quiet.detect, quiet.arrival = (armed.time, armed.born), None
+        quiet.detect, quiet.arrival = armed, None
         due = session._tx_timer._handle  # drawn by the tick sending this one
         heappush(session.manager._quiet, (due.time, due.born, due.seq, session))
         session.quiet_due = due.time
@@ -370,18 +370,31 @@ class BfdManager:
         """Account the quiet sessions' passed ticks, drawing as played:
         in queue order, one period draw per tick; each session's counters
         then move once, by its whole count."""
-        heap, sim = self._quiet, self.node.sim
+        heap = self._quiet
+        if not heap:
+            return
+        sim = self.node.sim
+        now, cursor, random = sim._now, sim._cursor, self._rng.random
         passed: dict[BfdSession, list[int]] = {}
-        while heap and sim.has_passed(*heap[0][:3]):
-            due, _born, seq, session = heap[0]
+        while heap:
+            due, born, seq, session = heap[0]
+            # sim.has_passed(due, born, seq), inline: nothing runs here
+            if due > now or (due == now and (0, born, seq) >= cursor):
+                break
             ticks = passed.get(session)
             if ticks is None:
                 passed[session] = [due]
             else:
                 ticks.append(due)
-            session.quiet_due = due + session._tx_timer._next_period(
-                self._rng)
-            heapreplace(heap, (session.quiet_due, due, seq, session))
+            # session._tx_timer._next_period(self._rng), inline: the
+            # same draw, in the same order
+            timer = session._tx_timer
+            period = interval = timer.interval
+            if timer.jitter != 0.0:
+                lo = (1.0 - timer.jitter) * interval
+                period = max(1, int(lo + (interval - lo) * random()))
+            session.quiet_due = next_due = due + period
+            heapreplace(heap, (next_due, due, seq, session))
         for session, ticks in passed.items():
             sim.events_settled += len(ticks)
             next(quiet for quiet in session.node.interfaces[

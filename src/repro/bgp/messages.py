@@ -78,6 +78,11 @@ class PathAttributes:
     def contains_as(self, asn: int) -> bool:
         return asn in self.as_path
 
+    def __hash__(self) -> int:
+        # the dataclass's hash, the next hop's taken inline (as
+        # Ipv4Network.__hash__ does)
+        return hash((self.as_path, (self.next_hop.value,), self.origin))
+
     @property
     def encoded_len(self) -> int:
         """Bytes of the three attributes on the wire: ORIGIN 4, AS_PATH

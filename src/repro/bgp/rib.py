@@ -120,8 +120,11 @@ class LocRib:
     @staticmethod
     def _sort_key(entry: RibEntry):
         # local first, then shortest path, then lowest neighbor address
-        peer_value = entry.peer_ip.value if entry.peer_ip else -1
-        return (0 if entry.is_local else 1, entry.path_len, peer_value)
+        # (is_local and path_len, inline: one call per candidate)
+        peer = entry.peer_ip
+        if peer is None:
+            return (0, len(entry.attributes.as_path), -1)
+        return (1, len(entry.attributes.as_path), peer.value)
 
     def decide(
         self, prefix: Ipv4Network, candidates: Iterable[RibEntry]
@@ -133,12 +136,15 @@ class LocRib:
         elif not self.multipath:
             chosen = (ordered[0],)
         else:
-            best = ordered[0]
-            chosen = tuple(
+            # the entries tied with the best on (is_local, path_len)
+            local = ordered[0].peer_ip is None
+            length = len(ordered[0].attributes.as_path)
+            chosen = tuple([
                 e
                 for e in ordered
-                if e.is_local == best.is_local and e.path_len == best.path_len
-            )
+                if (e.peer_ip is None) is local
+                and len(e.attributes.as_path) == length
+            ])
         if chosen:
             self._chosen[prefix] = chosen
         else:

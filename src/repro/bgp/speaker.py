@@ -30,7 +30,7 @@ from typing import Optional
 from repro.sim.rng import uniform
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.stack.addresses import Ipv4Address, Ipv4Network
-from repro.stack.tcp_segment import TcpFlags
+from repro.stack.tcp_segment import ACK_PSH, TcpFlags
 from repro.net.interface import Interface
 from repro.net.node import Node
 from repro.net.quiet import NEVER, QuietExchange
@@ -87,7 +87,7 @@ class BgpPeer:
                  "pending", "bfd_session", "sessions_established", "damper",
                  "_suppress_flagged", "hold_timer", "keepalive_timer",
                  "retry_timer", "mrai_timer", "_flush_scheduled",
-                 "stale_timer")
+                 "stale_timer", "_from_text", "_to_text")
 
     def __init__(self, speaker: "BgpSpeaker", cfg: BgpNeighborConfig) -> None:
         self.speaker = speaker
@@ -99,6 +99,9 @@ class BgpPeer:
         self.pending = _PendingOut()
         self.bfd_session: Optional[BfdSession] = None
         self.sessions_established = 0
+        # the trace text of every UPDATE received from / sent to it
+        self._from_text = f"from {cfg.peer_ip}"
+        self._to_text = f"to {cfg.peer_ip}"
         sim = speaker.node.sim
         timers = speaker.config.timers
         # session-level flap damping (DESIGN §14): each session loss adds
@@ -259,8 +262,7 @@ class BgpPeer:
     def _on_update(self, msg: BgpUpdate) -> None:
         if self.state is not PeerState.ESTABLISHED:
             return
-        self.speaker.node.log("bgp.update.rx",
-                              f"from {self.cfg.peer_ip}",
+        self.speaker.node.log("bgp.update.rx", self._from_text,
                               bytes=msg.wire_size)
         # model bgpd's processing latency before the decision process runs
         self.speaker.node.sim.schedule_after(
@@ -310,12 +312,10 @@ class BgpPeer:
     def _log_sent(self, message: BgpMessage) -> None:
         frame_bytes = message.wire_size + self._L2_ENCAP_BYTES
         if isinstance(message, BgpUpdate):
-            self.speaker.node.log("bgp.update.tx",
-                                  f"to {self.cfg.peer_ip}",
+            self.speaker.node.log("bgp.update.tx", self._to_text,
                                   bytes=frame_bytes)
         elif isinstance(message, BgpKeepalive):
-            self.speaker.node.log("bgp.keepalive.tx",
-                                  f"to {self.cfg.peer_ip}",
+            self.speaker.node.log("bgp.keepalive.tx", self._to_text,
                                   bytes=frame_bytes)
 
     # ------------------------------------------------------------------
@@ -397,33 +397,40 @@ class BgpPeer:
     # adj-rib-out
     # ------------------------------------------------------------------
     def queue_route(self, prefix: Ipv4Network, best: Optional[RibEntry]) -> None:
-        """Queue the advertisement/withdrawal implied by the new best path."""
-        if not self.established:
+        """Queue the advertisement/withdrawal implied by the new best path
+        (called once per peer per changed decision: addresses compare by
+        value, and ``None`` never meets ``PathAttributes.__eq__``)."""
+        if self.state is not PeerState.ESTABLISHED:
             return
+        cfg = self.cfg
         if best is None:
             out_attrs = None
-        elif best.attributes.contains_as(self.cfg.peer_asn):
+        elif cfg.peer_asn in best.attributes.as_path:
             # RFC 4271 9.1.3: do not advertise a route whose AS_PATH
             # contains the peer's AS
             out_attrs = None
-        elif best.peer_ip == self.cfg.peer_ip:
+        elif best.peer_ip is not None and best.peer_ip.value == cfg.peer_ip.value:
             # no point reflecting the peer's own route back
             out_attrs = None
         else:
             out_attrs = best.attributes.prepend(self.speaker.config.asn,
                                                 self.local_ip)
         currently = self.adj_out.get(prefix)
-        if out_attrs == currently:
-            return
+        pending = self.pending
         if out_attrs is None:
             if currently is not None:
-                self.pending.advertise.pop(prefix, None)
-                self.pending.withdraw.add(prefix)
-                self._arm_flush()
+                pending.advertise.pop(prefix, None)
+                pending.withdraw.add(prefix)
+                if not self._flush_scheduled:
+                    self._arm_flush()
             return
-        self.pending.withdraw.discard(prefix)
-        self.pending.advertise[prefix] = out_attrs
-        self._arm_flush()
+        if currently is not None and out_attrs == currently:
+            return
+        if pending.withdraw:
+            pending.withdraw.discard(prefix)
+        pending.advertise[prefix] = out_attrs
+        if not self._flush_scheduled:
+            self._arm_flush()
 
     def _arm_flush(self) -> None:
         timers = self.speaker.config.timers
@@ -452,15 +459,18 @@ class BgpPeer:
         for attrs, prefixes in groups.items():
             for prefix in prefixes:
                 self.adj_out[prefix] = attrs
-        # first message carries the withdrawals (plus one attr group)
-        group_items = sorted(groups.items(),
-                             key=lambda kv: str(sorted(kv[1])[0]))
+        # first message carries the withdrawals (plus one attr group);
+        # groups go out in the text order of their first prefix
+        group_items = [(attrs, tuple(sorted(prefixes)))
+                       for attrs, prefixes in groups.items()]
+        if len(group_items) > 1:
+            group_items.sort(key=lambda group: str(group[1][0]))
         if withdraw and not group_items:
             self._send(BgpUpdate(withdrawn=withdraw))
-        for i, (attrs, prefixes) in enumerate(group_items):
+        for i, (attrs, nlri) in enumerate(group_items):
             self._send(BgpUpdate(
                 withdrawn=withdraw if i == 0 else (),
-                nlri=tuple(sorted(prefixes)),
+                nlri=nlri,
                 attributes=attrs,
             ))
 
@@ -484,7 +494,7 @@ class QuietKeepalives(QuietExchange):
         if quiet is not None:
             return quiet.keepalive(quiet.ends.index(peer))
         out = conn.idle and conn.frame_for(conn._make_segment(
-            TcpFlags.ACK | TcpFlags.PSH, _KEEPALIVE))
+            ACK_PSH, _KEEPALIVE))
         if not out or out[0].name != peer.cfg.interface:
             return False
         tx, rx = out[0], out[0].peer()
@@ -511,8 +521,7 @@ class QuietKeepalives(QuietExchange):
         self.latency, self.ack_latency = (
             tx.link.serialization_us(frame) + tx.link.propagation_us
             for frame in frames)
-        self.hold = [(end.hold_timer._handle.time, end.hold_timer._handle.born)
-                     for end in self.ends]
+        self.hold = [end.hold_timer.deadline for end in self.ends]
         for end, port in zip(self.ends, self.ports):
             end.hold_timer.stop()
             end.conn.quiet_on = port.name
@@ -532,7 +541,7 @@ class QuietKeepalives(QuietExchange):
             self.wake()
             return False
         conn = self.conns[i]
-        segment = conn._make_segment(TcpFlags.ACK | TcpFlags.PSH, _KEEPALIVE)
+        segment = conn._make_segment(ACK_PSH, _KEEPALIVE)
         self.unacked[i] = (now, segment)
         # the delivery's rank: after all scheduled so far, before the rest
         insort(self.flight, (now + self.latency, now,
@@ -610,8 +619,17 @@ class BgpSpeaker:
         self.rng = rng
         self.rib_in = AdjRibIn()
         self.loc_rib = LocRib(multipath=config.multipath)
+        # config.networks as values: _decide asks of every prefix whether
+        # it is ours, and dataclass equality is a Python call per network
+        self._originated = frozenset((network.address.value,
+                                      network.prefix_len)
+                                     for network in config.networks)
         self.crashed = False
         self.peers: dict[Ipv4Address, BgpPeer] = {}
+        # peer address value -> the FIB next hop through that peer: one
+        # shared object per peer, so an unchanged route compares by
+        # identity
+        self._nexthops: dict[int, NextHop] = {}
         self._iface_to_peers: dict[str, list[BgpPeer]] = {}
         tcp.listen(BGP_PORT, self._on_accept)
         node.on_interface_down(self._on_iface_down)
@@ -622,6 +640,8 @@ class BgpSpeaker:
         for nbr in config.neighbors:
             peer = BgpPeer(self, nbr)
             self.peers[nbr.peer_ip] = peer
+            self._nexthops[nbr.peer_ip.value] = NextHop(
+                interface=nbr.interface, via=nbr.peer_ip)
             self._iface_to_peers.setdefault(nbr.interface, []).append(peer)
             if nbr.bfd:
                 if bfd is None:
@@ -824,7 +844,7 @@ class BgpSpeaker:
     def _decide(self, prefix: Ipv4Network) -> None:
         """Run the decision process for one prefix; propagate changes."""
         candidates = self.rib_in.candidates(prefix)
-        if prefix in self.config.networks:
+        if (prefix.address.value, prefix.prefix_len) in self._originated:
             candidates.append(RibEntry(
                 prefix,
                 PathAttributes(as_path=(), next_hop=Ipv4Address(0)),
@@ -862,11 +882,7 @@ class BgpSpeaker:
             return
         if chosen[0].is_local:
             return  # connected route already covers it
-        nexthops = tuple(
-            NextHop(interface=self.peers[e.peer_ip].cfg.interface,
-                    via=e.peer_ip)
-            for e in chosen
-        )
+        nexthops = tuple([self._nexthops[e.peer_ip.value] for e in chosen])
         self.stack.table.install(Route(
             prefix=prefix, nexthops=nexthops, proto="bgp",
             metric=BGP_ROUTE_METRIC,

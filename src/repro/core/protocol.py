@@ -132,6 +132,9 @@ class MtpNode:
             self._excluded.add(config.rack_interface)
         # per-port transmit bookkeeping for keepalive suppression
         self._last_tx: dict[str, int] = {}
+        # port -> the peer's restart generation when we last sent it a
+        # full hello (our tier): a peer restarted since has forgotten it
+        self._told_gen: dict[str, Optional[int]] = {}
         # flyweight keepalive frames: frames are immutable and identical
         # per port, so the steady-state churn reuses one object per port
         # instead of allocating frame+message every hello interval
@@ -438,8 +441,11 @@ class MtpNode:
                 self._last_tx[port] = now
         else:
             # discovery / re-acceptance needs the tier information
-            self._send(port, MtpFullHello(tier=self.tier,
-                                          gen=self.restart_gen))
+            self._send_full_hello(port)
+
+    def _send_full_hello(self, port: str) -> None:
+        self._told_gen[port] = self.neighbors[port].peer_gen
+        self._send(port, MtpFullHello(tier=self.tier, gen=self.restart_gen))
 
     def hellos_sent_unseen(self, port: str, count: int, last: int) -> None:
         """A :class:`QuietHello` settling: ``count`` keepalives went out
@@ -487,12 +493,13 @@ class MtpNode:
         if isinstance(message, MtpFullHello):
             discovered = nbr.state is NeighborState.UNKNOWN
             nbr.saw_frame(message.tier, gen=message.gen)
-            if discovered and nbr.up:
-                # accepted at once, on first sight: the peer may have
-                # come up after our last full hello, and keepalives do
-                # not carry our tier
-                self._send(port, MtpFullHello(tier=self.tier,
-                                              gen=self.restart_gen))
+            if nbr.up and (discovered or (
+                    not was_up and self._told_gen.get(port) != nbr.peer_gen)):
+                # accepted on a full hello the peer sent since our last
+                # one reached it — on first sight, or after it restarted
+                # (its fresh neighbor has no tier for us): keepalives do
+                # not carry our tier, so without this it never learns it
+                self._send_full_hello(port)
         else:
             nbr.saw_frame()
         if not was_up and not nbr.up:

@@ -63,9 +63,10 @@ class IpStack:
         self.table = RoutingTable(name=node.name, sim=node.sim, salt=salt)
         self._counters = IpCounters()
         self._proto_handlers: dict[int, ProtoHandler] = {}
-        # per-interface ARP cache and pending queues
-        self._arp_cache: dict[tuple[str, Ipv4Address], MacAddress] = {}
-        self._arp_pending: dict[tuple[str, Ipv4Address], _PendingArp] = {}
+        # per-interface ARP cache and pending queues, keyed by (port,
+        # address value): every frame sent reads the cache
+        self._arp_cache: dict[tuple[str, int], MacAddress] = {}
+        self._arp_pending: dict[tuple[str, int], _PendingArp] = {}
         # ICMP: echo responder built in; listeners get replies and errors
         self._icmp_listeners: list = []
         self.register_proto(PROTO_ICMP, self._on_icmp)
@@ -108,6 +109,9 @@ class IpStack:
             for iface in self.node.interfaces.values()
             if iface.address is not None
         )
+        # what each received frame tests: ints hash without a Python call
+        self._local_values = frozenset(
+            address.value for address in self._local_addresses)
 
     def register_proto(self, proto: int, handler: ProtoHandler) -> None:
         if proto in self._proto_handlers:
@@ -123,10 +127,13 @@ class IpStack:
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def send_packet(self, packet: Ipv4Packet, flow: Optional[FlowKey] = None) -> None:
-        """Route and transmit a locally originated packet."""
+    def send_packet(self, packet: Ipv4Packet, flow: Optional[FlowKey] = None,
+                    nexthop: Optional[NextHop] = None) -> None:
+        """Route and transmit a locally originated packet (``nexthop``:
+        what ``table.select_nexthop(packet.dst, flow)`` gives now, if the
+        caller kept it)."""
         self._counters.sent += 1
-        self._route_and_emit(packet, flow)
+        self._route_and_emit(packet, flow, nexthop=nexthop)
 
     def forward_local(self, packet: Ipv4Packet) -> None:
         """Emit a packet that arrived by other means (MR-MTP de-encapsulation
@@ -148,10 +155,12 @@ class IpStack:
         )
 
     def _route_and_emit(self, packet: Ipv4Packet, flow: Optional[FlowKey] = None,
-                        notify_unreachable: bool = False) -> None:
-        if flow is None:
-            flow = self.flow_for(packet)
-        nexthop = self.table.select_nexthop(packet.dst, flow)
+                        notify_unreachable: bool = False,
+                        nexthop: Optional[NextHop] = None) -> None:
+        if nexthop is None:
+            if flow is None:
+                flow = self.flow_for(packet)
+            nexthop = self.table.select_nexthop(packet.dst, flow)
         if nexthop is None:
             self._counters.dropped_no_route += 1
             self.node.log("ip.drop", f"no route to {packet.dst}")
@@ -173,12 +182,13 @@ class IpStack:
         iface = nexthop and self.node.interfaces.get(nexthop.interface)
         if not iface or not iface.admin_up or not iface.cabled:
             return None
-        mac = self._arp_cache.get((iface.name, nexthop.via or packet.dst))
+        mac = self._arp_cache.get((iface.name,
+                                   (nexthop.via or packet.dst).value))
         return mac and (iface, EthernetFrame(
             dst=mac, src=iface.mac, ethertype=ETHERTYPE_IPV4, payload=packet))
 
     def _emit_via(self, iface: Interface, arp_target: Ipv4Address, packet: Ipv4Packet) -> None:
-        mac = self._arp_cache.get((iface.name, arp_target))
+        mac = self._arp_cache.get((iface.name, arp_target.value))
         if mac is None:
             self._arp_enqueue(iface, arp_target, packet)
             return
@@ -194,7 +204,7 @@ class IpStack:
         packet = frame.payload
         if not isinstance(packet, Ipv4Packet):
             return
-        if packet.dst in self._local_addresses:
+        if packet.dst.value in self._local_values:
             self._deliver_local(packet, iface)
             return
         if self.intercept is not None and self.intercept(iface, packet):
@@ -283,7 +293,7 @@ class IpStack:
     # ARP
     # ------------------------------------------------------------------
     def _arp_enqueue(self, iface: Interface, target: Ipv4Address, packet: Ipv4Packet) -> None:
-        key = (iface.name, target)
+        key = (iface.name, target.value)
         pending = self._arp_pending.get(key)
         if pending is None:
             pending = _PendingArp()
@@ -310,7 +320,7 @@ class IpStack:
         )
 
     def _arp_retry(self, iface: Interface, target: Ipv4Address) -> None:
-        key = (iface.name, target)
+        key = (iface.name, target.value)
         pending = self._arp_pending.get(key)
         if pending is None:
             return
@@ -330,7 +340,7 @@ class IpStack:
         if not isinstance(msg, ArpMessage):
             return
         # Learn the sender mapping opportunistically (gratuitous learning).
-        self._arp_cache[(iface.name, msg.sender_ip)] = msg.sender_mac
+        self._arp_cache[(iface.name, msg.sender_ip.value)] = msg.sender_mac
         if msg.op is ArpOp.REQUEST and msg.target_ip == iface.address:
             reply = ArpMessage(
                 op=ArpOp.REPLY,
@@ -344,7 +354,7 @@ class IpStack:
                               ethertype=ETHERTYPE_ARP, payload=reply)
             )
         # Flush anything queued on this resolution.
-        key = (iface.name, msg.sender_ip)
+        key = (iface.name, msg.sender_ip.value)
         pending = self._arp_pending.pop(key, None)
         if pending is not None:
             if pending.timer_handle is not None:

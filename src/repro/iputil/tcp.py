@@ -28,9 +28,19 @@ from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.addresses import Ipv4Address
 from repro.stack.ipv4 import Ipv4Packet, PROTO_TCP
 from repro.stack.payload import Payload, RawBytes
-from repro.stack.tcp_segment import TcpFlags, TcpSegment
+from repro.stack.tcp_segment import (
+    ACK_BIT,
+    ACK_PSH,
+    FIN_BIT,
+    RST_BIT,
+    SYN_BIT,
+    TcpFlags,
+    TcpSegment,
+)
 from repro.net.interface import Interface
 from repro.iputil.stack import IpStack
+from repro.routing.ecmp import FlowKey
+from repro.routing.table import NextHop
 
 MSS = 1460
 INITIAL_RTO_US = 200 * MILLISECOND
@@ -76,13 +86,19 @@ def _settled(name: str) -> property:  # a field quiet keepalives may owe
 
 
 class TcpConnection:
-    """One TCP connection endpoint (``quiet_on``: see quiet_exchange)."""
+    """One TCP connection endpoint (``quiet_on``: see quiet_exchange).
+
+    Every segment it sends has the same ECMP key (``flow``), so it keeps
+    the next hop ``select_nexthop`` gave that key (:meth:`_next_hop`)
+    while the table's ``change_count`` stands and the route cannot be
+    biased (one next hop, or no ``nexthop_bias``)."""
 
     __slots__ = ("service", "node", "sim", "local", "local_port", "remote",
                  "remote_port", "state", "snd_nxt", "_snd_una", "_rcv_nxt",
                  "_fin_sent", "_reassembly", "_unacked", "_rto", "_rto_timer",
                  "on_receive", "on_established", "on_close", "_segments_sent",
-                 "segments_retransmitted", "_bytes_delivered", "quiet_on")
+                 "segments_retransmitted", "_bytes_delivered", "quiet_on",
+                 "flow", "_route_at", "_hop", "_multipath")
 
     snd_una = _settled("_snd_una")
     rcv_nxt = _settled("_rcv_nxt")
@@ -123,6 +139,13 @@ class TcpConnection:
         self.segments_retransmitted = 0
         self._bytes_delivered = 0
         self.quiet_on: Optional[str] = None
+        # IpStack.flow_for of every packet this endpoint sends
+        self.flow = FlowKey(src=local.value, dst=remote.value,
+                            proto=PROTO_TCP, src_port=local_port,
+                            dst_port=remote_port)
+        self._route_at = -1  # the table's change_count _hop was read at
+        self._hop: Optional[NextHop] = None
+        self._multipath = False
 
     # ------------------------------------------------------------------
     @property
@@ -153,8 +176,26 @@ class TcpConnection:
         now it would go out at once."""
         packet = Ipv4Packet(src=self.local, dst=self.remote, proto=PROTO_TCP,
                             payload=segment)
-        stack = self.service.stack
-        return stack.egress(packet, stack.flow_for(packet))
+        return self.service.stack.egress(packet, self.flow)
+
+    def _next_hop(self) -> Optional[NextHop]:
+        """``select_nexthop(remote, flow)``, read again only when the
+        table changed or a bias could pick another of several hops."""
+        table = self.service.stack.table
+        if (self._route_at != table.change_count
+                or (self._multipath and table.nexthop_bias is not None)):
+            self._route_at = table.change_count
+            route = table.lookup(self.remote)
+            self._multipath = route is not None and len(route.nexthops) > 1
+            self._hop = table.select_nexthop(self.remote, self.flow)
+        return self._hop
+
+    def _send_segment(self, segment: TcpSegment) -> None:
+        self._segments_sent += 1
+        self.service.stack.send_packet(
+            Ipv4Packet(src=self.local, dst=self.remote, proto=PROTO_TCP,
+                       payload=segment),
+            self.flow, self._next_hop())
 
     @property
     def idle(self) -> bool:
@@ -174,9 +215,7 @@ class TcpConnection:
                 f"payload of {payload.wire_size} B exceeds MSS {MSS}; "
                 "message-per-segment model requires smaller sends"
             )
-        segment = self._make_segment(
-            flags=TcpFlags.ACK | TcpFlags.PSH, payload=payload
-        )
+        segment = self._make_segment(flags=ACK_PSH, payload=payload)
         self.snd_nxt += segment.seq_space
         self._transmit(segment, track=True)
 
@@ -236,11 +275,7 @@ class TcpConnection:
                 segment=segment, end_seq=segment.seq + segment.seq_space))
             if not self._rto_timer.running:
                 self._rto_timer.start(self._rto)
-        self._segments_sent += 1
-        packet = Ipv4Packet(
-            src=self.local, dst=self.remote, proto=PROTO_TCP, payload=segment
-        )
-        self.service.stack.send_packet(packet)
+        self._send_segment(segment)
 
     def _on_rto(self) -> None:
         if not self._unacked:
@@ -259,11 +294,7 @@ class TcpConnection:
             ack=self._rcv_nxt, flags=seg.flags, payload=seg.payload,
         )
         oldest.segment = resend
-        packet = Ipv4Packet(
-            src=self.local, dst=self.remote, proto=PROTO_TCP, payload=resend
-        )
-        self._segments_sent += 1
-        self.service.stack.send_packet(packet)
+        self._send_segment(resend)
         self._rto = min(self._rto * 2, MAX_RTO_US)
         self._rto_timer.start(self._rto)
 
@@ -273,15 +304,16 @@ class TcpConnection:
     def handle_segment(self, segment: TcpSegment) -> None:
         if self.quiet_on is not None:
             self.quiet_exchange().wake()
-        if TcpFlags.RST in segment.flags:
+        bits = segment.flags._value_
+        if bits & RST_BIT:
             self._teardown("reset-by-peer")
             return
 
-        if TcpFlags.ACK in segment.flags:
+        if bits & ACK_BIT:
             self._process_ack(segment.ack)
 
         if self.state is TcpState.SYN_SENT:
-            if TcpFlags.SYN in segment.flags and TcpFlags.ACK in segment.flags:
+            if bits & SYN_BIT and bits & ACK_BIT:
                 self._rcv_nxt = segment.seq + segment.seq_space
                 self.state = TcpState.ESTABLISHED
                 self._send_pure_ack()
@@ -290,7 +322,7 @@ class TcpConnection:
             return
 
         if self.state is TcpState.SYN_RCVD:
-            if TcpFlags.ACK in segment.flags and self._snd_una == self.snd_nxt:
+            if bits & ACK_BIT and self._snd_una == self.snd_nxt:
                 self.state = TcpState.ESTABLISHED
                 if self.on_established:
                     self.on_established()
@@ -303,8 +335,16 @@ class TcpConnection:
         if ack <= self._snd_una:
             return
         self._snd_una = ack
-        self._unacked = [u for u in self._unacked if u.end_seq > ack]
-        if self._unacked:
+        # _unacked is in sequence order: drop the acknowledged lead, not
+        # a rescan of every segment still in flight per ACK
+        unacked = self._unacked
+        acked = 0
+        for entry in unacked:
+            if entry.end_seq > ack:
+                break
+            acked += 1
+        del unacked[:acked]
+        if unacked:
             self._rto_timer.start(self._rto)
         else:
             self._rto = INITIAL_RTO_US
@@ -330,12 +370,13 @@ class TcpConnection:
             self._send_pure_ack()
 
     def _consume(self, segment: TcpSegment) -> None:
-        if TcpFlags.SYN in segment.flags:
+        bits = segment.flags._value_
+        if bits & SYN_BIT:
             return  # handshake bookkeeping only
         if segment.data_len > 0 and self.on_receive:
             self._bytes_delivered += segment.data_len
             self.on_receive(segment.payload)
-        if TcpFlags.FIN in segment.flags:
+        if bits & FIN_BIT:
             self._handle_fin()
 
     def _handle_fin(self) -> None:
@@ -421,13 +462,15 @@ class TcpService:
         segment = packet.payload
         if not isinstance(segment, TcpSegment):
             return
-        key = _conn_key(packet.dst, segment.dst_port, packet.src, segment.src_port)
+        key = (packet.dst.value, segment.dst_port, packet.src.value,
+               segment.src_port)  # _conn_key, inline: every segment
         conn = self._connections.get(key)
         if conn is not None:
             conn.handle_segment(segment)
             return
         # no connection: maybe a listener (SYN), else RST
-        if TcpFlags.SYN in segment.flags and TcpFlags.ACK not in segment.flags:
+        bits = segment.flags._value_
+        if bits & SYN_BIT and not bits & ACK_BIT:
             on_accept = self._listeners.get(segment.dst_port)
             if on_accept is not None:
                 conn = TcpConnection(
@@ -439,7 +482,7 @@ class TcpService:
                 on_accept(conn)
                 conn._send_syn(with_ack=True)
                 return
-        if TcpFlags.RST not in segment.flags:
+        if not bits & RST_BIT:
             # refuse with RST
             rst = TcpSegment(
                 src_port=segment.dst_port, dst_port=segment.src_port,

@@ -520,6 +520,20 @@ class Simulator:
             self._qpush(event)
         return event
 
+    def requeue_firing(self, event: Event, time: int, born: int) -> None:
+        """Put ``event``, the one being dispatched, back into the queue
+        at ``(time, priority, born, seq)``: a kicked :class:`Timer`
+        reaching a deadline that has moved on.  Bookkeeping, not an
+        event — the firing does not count in :attr:`events_processed`
+        (nor against a ``max_events`` budget), and nothing is scheduled."""
+        self._processed -= 1
+        event.time = time
+        event.born = born
+        if time == self._batch_time:
+            heappush(self._batch, (event.priority, born, event.seq, event))
+        else:
+            self._qpush(event)
+
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule at the current time (runs after already-queued events
         at this tick, preserving causality)."""
@@ -539,14 +553,16 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered")
         self._running = True
-        budget = max_events
+        # the budget counts events processed: a timer's re-queue
+        # (requeue_firing) takes back the count its firing added
+        stop = None if max_events is None else self._processed + max_events
         limit = _NO_LIMIT if until is None else until
         queue = self._queue
         collect = queue.collect
         batch = self._batch
         self._sample_depth()
         try:
-            if budget is None:
+            if stop is None:
                 # unbudgeted fast path: the per-event budget checks cost
                 # ~10% of the dispatch loop on fabric-scale runs
                 while True:
@@ -580,7 +596,7 @@ class Simulator:
                         if tick > limit:
                             break
                     else:
-                        if budget <= 0:
+                        if self._processed >= stop:
                             # never collect a tick we cannot start: a
                             # leftover batch must imply now == batch time,
                             # so later schedules can never land behind it
@@ -596,14 +612,13 @@ class Simulator:
                     self._now = self._stamp = tick
                     out_of_budget = False
                     while batch:
-                        if budget <= 0:
+                        if self._processed >= stop:
                             out_of_budget = True
                             break
                         event = (entry := heappop(batch))[3]
                         if event.cancelled:
                             self._batch_drops += 1
                             continue
-                        budget -= 1
                         self._processed += 1
                         self._cursor = entry
                         event.callback(*event.args)

@@ -20,6 +20,18 @@ class Timer:
     keepalive kicks the timer; if it ever fires, the neighbor is declared
     down.
 
+    A kick moves a deadline, not an event: the timer keeps one event in
+    the queue and only records the new ``(deadline, born)``.  When that
+    event comes due before the deadline it puts itself back at
+    ``(deadline, born of the last kick, rank)`` — the key an eager
+    cancel-and-reschedule would have given it, so the firing order is
+    exactly that of re-arming on every kick
+    (``Simulator.requeue_firing``; not counted as an event).  A kick to
+    an earlier deadline (a shorter interval, an earlier
+    :meth:`start_at`) does cancel and reschedule.  Read the deadline
+    through :attr:`deadline` / :attr:`expires_at`, never the queued
+    event: it may lag behind.
+
     Every arming carries the sequence number the first one drew
     (``rank``): timers armed in the same instant for the same instant
     fire in the order they were first started, however often each has
@@ -27,7 +39,8 @@ class Timer:
     accounted for instead of queued back in exactly its place.
     """
 
-    __slots__ = ("sim", "interval", "callback", "name", "rank", "_handle")
+    __slots__ = ("sim", "interval", "callback", "name", "rank", "_handle",
+                 "_deadline", "_born")
 
     def __init__(
         self,
@@ -44,14 +57,21 @@ class Timer:
         self.name = name
         self.rank: Optional[int] = None
         self._handle: Optional[EventHandle] = None
+        self._deadline = self._born = 0
 
     @property
     def running(self) -> bool:
-        return self._handle is not None and self._handle.active
+        return self._handle is not None and not self._handle.cancelled
+
+    @property
+    def deadline(self) -> Optional[tuple[int, int]]:
+        """``(instant, born)`` the timer fires at — where an eager
+        re-arm would have queued it — or None when stopped."""
+        return (self._deadline, self._born) if self.running else None
 
     @property
     def expires_at(self) -> Optional[int]:
-        return self._handle.time if self.running else None
+        return self._deadline if self.running else None
 
     def start(self, interval: Optional[int] = None) -> None:
         """(Re)start the timer; fires ``interval`` ticks from now."""
@@ -59,12 +79,16 @@ class Timer:
             if interval <= 0:
                 raise ValueError("interval must be positive")
             self.interval = int(interval)
+        sim = self.sim
+        deadline, born = sim._now + self.interval, sim._stamp
         handle = self._handle
-        if handle is not None:  # stop(), inline: every keepalive lands here
-            handle.cancelled = True
-        self._handle = handle = self.sim.schedule_after(
-            self.interval, self._fire, seq=self.rank)
-        self.rank = handle.seq
+        if handle is not None and not handle.cancelled and (
+                handle.time < deadline
+                or (handle.time == deadline and handle.born <= born)):
+            # every keepalive lands here: _arm()'s lazy case, inline
+            self._deadline, self._born = deadline, born
+            return
+        self._arm(deadline, born)
 
     # restart is an alias that reads better at call sites that "kick" a
     # dead timer on every received message.
@@ -74,10 +98,21 @@ class Timer:
         """Arm the timer as ``start()`` at instant ``born`` would have left
         it, ``deadline`` being ``born`` + interval: same firing instant,
         same place among the events due then (``Simulator.schedule_at``)."""
-        self.stop()
+        self._arm(deadline, born)
+
+    def _arm(self, deadline: int, born: int) -> None:
+        handle = self._handle
+        if handle is not None and not handle.cancelled:
+            if handle.time < deadline or (handle.time == deadline
+                                          and handle.born <= born):
+                # the queued event re-queues itself when it comes due
+                self._deadline, self._born = deadline, born
+                return
+            handle.cancelled = True
         self._handle = handle = self.sim.schedule_at(
             deadline, self._fire, born=born, seq=self.rank)
         self.rank = handle.seq
+        self._deadline, self._born = deadline, born
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -85,6 +120,10 @@ class Timer:
             self._handle = None
 
     def _fire(self) -> None:
+        handle = self._handle
+        if handle.time != self._deadline or handle.born != self._born:
+            self.sim.requeue_firing(handle, self._deadline, self._born)
+            return
         self._handle = None
         self.callback()
 
@@ -134,6 +173,11 @@ class PeriodicTimer:
     @property
     def running(self) -> bool:
         return self._handle is not None and self._handle.active
+
+    @property
+    def expires_at(self) -> Optional[int]:
+        """When it next fires, or None when stopped."""
+        return self._handle.time if self.running else None
 
     def _next_period(self, rng=None) -> int:  # drawn from rng if given
         if self.jitter == 0.0:

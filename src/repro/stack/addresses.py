@@ -158,6 +158,12 @@ class Ipv4Network:
     def __str__(self) -> str:
         return f"{self.address}/{self.prefix_len}"
 
+    def __hash__(self) -> int:
+        # the dataclass's hash((address, prefix_len)), the address's own
+        # hash((value,)) taken inline: one Python call per RIB probe, not
+        # two, and the same value (set orders stay as they were)
+        return hash(((self.address.value,), self.prefix_len))
+
     def __lt__(self, other: "Ipv4Network") -> bool:
         return (self.address.value, self.prefix_len) < (
             other.address.value,

@@ -28,6 +28,17 @@ class TcpFlags(Flag):
     PSH = auto()
 
 
+#: every data segment's flags
+ACK_PSH = TcpFlags.ACK | TcpFlags.PSH
+
+# The flags as bits, for tests on the segment path: ``flags._value_ &
+# SYN_BIT`` is two attribute reads, ``TcpFlags.SYN in flags`` a Python
+# call (``Flag.__contains__``) per test.
+SYN_BIT, ACK_BIT, FIN_BIT, RST_BIT = (
+    flag._value_ for flag in (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN,
+                              TcpFlags.RST))
+
+
 @dataclass(frozen=True)
 class TcpSegment:
     src_port: int
@@ -49,15 +60,15 @@ class TcpSegment:
                 raise ValueError(f"bad TCP port {port}")
         if self.seq < 0 or self.ack < 0:
             raise ValueError("negative sequence numbers")
-        syn = TcpFlags.SYN in self.flags
-        header = TCP_SYN_HEADER_BYTES if syn else TCP_HEADER_BYTES
+        bits = self.flags._value_
+        header = TCP_SYN_HEADER_BYTES if bits & SYN_BIT else TCP_HEADER_BYTES
         data = self.payload.wire_size
         set_size = object.__setattr__
         set_size(self, "header_size", header)
         set_size(self, "data_len", data)
         set_size(self, "wire_size", header + data)
         set_size(self, "seq_space",
-                 data + syn + (TcpFlags.FIN in self.flags))
+                 data + (bits & SYN_BIT != 0) + (bits & FIN_BIT != 0))
 
     def __str__(self) -> str:
         names = [f.name for f in TcpFlags if f is not TcpFlags.NONE and f in self.flags]

@@ -7,7 +7,7 @@ bounds (see :mod:`repro.stacks.base` for the family contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.bfd.session import BfdManager
@@ -48,6 +48,9 @@ class BgpDeployment(Deployment):
     speakers: dict[str, BgpSpeaker]
     stacks: dict[str, IpStack]
     uses_bfd: bool
+    # (table_generation(), verdict) of the last fib_complete() walk
+    _fib_verdict: tuple[int, bool] = field(default=(-1, False), init=False,
+                                           repr=False, compare=False)
 
     @property
     def agents(self) -> dict[str, BgpSpeaker]:
@@ -83,13 +86,17 @@ class BgpDeployment(Deployment):
         return ("bgp.update.tx",)
 
     def fib_complete(self) -> bool:
-        """Every router can route every rack subnet."""
-        hosts = [prefix.host(1) for prefix in self.topo.rack_subnet.values()]
-        for stack in self.stacks.values():
-            for host in hosts:
-                if stack.table.lookup(host) is None:
-                    return False
-        return True
+        """Every router can route every rack subnet: routers x racks
+        lookups, walked again only once a FIB has changed (a converge
+        asks every 100 ms slice)."""
+        generation = self.table_generation()
+        if self._fib_verdict[0] != generation:
+            hosts = [prefix.host(1)
+                     for prefix in self.topo.rack_subnet.values()]
+            self._fib_verdict = (generation, all(
+                stack.table.lookup(host) is not None
+                for stack in self.stacks.values() for host in hosts))
+        return self._fib_verdict[1]
 
     def keepalive_period_us(self) -> int:
         return keepalive_period_us(self.timers, {})

@@ -111,3 +111,10 @@ class TestPathAttributes:
     def test_contains_as(self):
         assert attrs(1, 2, 3).contains_as(2)
         assert not attrs(1, 2, 3).contains_as(4)
+
+    def test_hash_is_the_dataclass_hash(self):
+        """Hashed without the next hop's own call, to the value a frozen
+        dataclass gives: UPDATE packing groups by it."""
+        a = attrs(64512, 65001).prepend(64513, ip("10.1.2.3"))
+        assert hash(a) == hash((a.as_path, a.next_hop, a.origin))
+        assert {a: 1}[attrs(64512, 65001).prepend(64513, ip("10.1.2.3"))] == 1

@@ -121,6 +121,38 @@ class TestRestart:
         world.run_for(3 * SECOND)
         assert joins == []
 
+    @pytest.mark.parametrize("stack, second_ms", [
+        ("mtp", 51), ("mtp-spray", 51), ("mtp-gr", 51), ("mtp", 60)])
+    def test_a_spine_restarted_twice_is_accepted_back(self, stack,
+                                                      second_ms):
+        """T-3 crashes at 0 and cold-restarts at 1 ms; its aggs declare
+        it restarted and count its hellos again.  It crashes again and
+        cold-restarts at ``second_ms + 1``: the aggs' full hellos of the
+        meantime reached a dead agent, and its next hello is the third
+        they count, so they accept it without its fresh neighbors ever
+        having heard their tier.  Keepalives do not carry it: the aggs
+        must send a full hello on accepting a peer that restarted since
+        their last one, or T-3 holds its ports ``unknown`` for good
+        while the aggs hold it up (found by the restart property)."""
+        spec = resolve_spec(stack)
+        world = World(seed=0)
+        topo = build_folded_clos(ClosParams(num_pods=2), world=world)
+        dep = get_stack(spec.name).build(topo, spec)
+        dep.start()
+        converge_from_cold(world, dep, dep.ready)
+        injector, now = FailureInjector(world, dep), world.sim.now
+        injector.crash_agent("T-3", at=now)
+        injector.restart_agent("T-3", at=now + MILLISECOND, cold=True)
+        injector.crash_agent("T-3", at=now + second_ms * MILLISECOND)
+        injector.restart_agent("T-3", at=now + (second_ms + 1) * MILLISECOND,
+                               cold=True)
+        world.run_for(SECOND)
+        spine = dep.mtp_nodes["T-3"]
+        assert {port: (nbr.up, nbr.tier)
+                for port, nbr in spine.neighbors.items()} == {
+                    "eth1": (True, 2), "eth2": (True, 2)}
+        assert dep.ready()
+
 
 def test_a_root_announced_lost_is_restored_when_an_uplink_returns():
     """S-1-1 loses one uplink, hears root 13 is unreachable over the

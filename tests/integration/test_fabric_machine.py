@@ -167,7 +167,7 @@ def _ip_stacks(deployment) -> dict:
 
 
 def _due(timer):
-    return timer._handle.time if timer.running else None
+    return timer.expires_at
 
 
 def observe(fab: Fabric) -> dict:

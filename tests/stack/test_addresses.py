@@ -111,3 +111,13 @@ class TestNetwork:
         ip = Ipv4Address(value)
         net = Ipv4Network.of(ip, plen)
         assert net.contains(ip)
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=32),
+    )
+    def test_hash_is_the_dataclass_hash(self, value, plen):
+        """``__hash__`` skips the address's own call but hashes what a
+        frozen dataclass would, so sets of prefixes iterate as before."""
+        net = Ipv4Network.of(Ipv4Address(value), plen)
+        assert hash(net) == hash((net.address, net.prefix_len))
