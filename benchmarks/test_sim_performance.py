@@ -47,6 +47,7 @@ from repro.scenario.runner import scenario_suite_specs
 from repro.sim.engine import Simulator
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import ClosParams
+from repro.workload import engine as fluid_engine
 from repro.workload.engine import FluidWorkload
 from repro.workload.fluid import FluidProblem, link_loads
 from repro.workload.spec import WorkloadSpec
@@ -258,6 +259,51 @@ def test_link_index_is_built_per_forwarding_state_not_per_solve(
     assert metrics.workload["max_blackhole_us"] > 0  # the fault rerouted
     assert calls["assemble"] >= 2 and calls["solve"] >= 3
     assert calls["index"] == calls["assemble"] < calls["solve"]
+
+
+def test_resolve_hashes_each_branch_point_once(monkeypatch):
+    """What a resolve hashes (DESIGN "What a re-resolve costs"), counted:
+    a 20,000-flow permutation's first resolve on the 8-PoD ``mtp``
+    fabric hashes one batch per hashed walk depth (the ToR's and the
+    aggregation's uplink choice, depths 0 and 1), and each (flow, salt)
+    pair once — two per flow that leaves its rack.  A re-resolve of
+    unchanged tables, and one that walks every rack pair again from the
+    digest cache, hash nothing."""
+    depths, pairs = [], []
+    digests_at = FluidWorkload._digests_at
+    hash_batch = fluid_engine._hash_batch
+
+    def counted_depth(self, depth, wanted):
+        depths.append(depth)
+        return digests_at(self, depth, wanted)
+
+    def counted_batch(packed_keys, requests, store):
+        pairs.append([(int(row), salt) for rows, salt in requests
+                      for row in rows])
+        return hash_batch(packed_keys, requests, store)
+
+    monkeypatch.setattr(FluidWorkload, "_digests_at", counted_depth)
+    monkeypatch.setattr(fluid_engine, "_hash_batch", counted_batch)
+    world, topo, deployment = build_and_converge(
+        ClosParams(num_pods=8), "mtp", seed=0)
+    spec = WorkloadSpec(name="hash-count", matrix="permutation",
+                        flows=20_000, duration_ms=100, tenants=8)
+    workload = FluidWorkload(spec, topo, deployment)
+    workload._resolve()
+    leaving = sum(len(group.flows) for group in workload._groups)
+    assert depths == [0, 1]
+    assert len(pairs) == 2
+    hashed = [pair for batch in pairs for pair in batch]
+    assert len(hashed) == len(set(hashed)) == 2 * leaving > 0
+
+    depths.clear()
+    pairs.clear()
+    workload._resolve()
+    assert depths == []
+    for group in workload._groups:
+        group.reads = {}
+    workload._resolve()
+    assert depths == [0, 1] and pairs == []
 
 
 def test_a_flow_costs_bytes_counted_not_seconds():

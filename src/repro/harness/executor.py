@@ -59,6 +59,7 @@ from repro.harness.fork import (
     NoFork,
     fork_task,
     kill_and_reap,
+    sharing_cores,
     wait_any,
 )
 
@@ -284,6 +285,8 @@ def run_sharing_worlds(run: Callable[..., Any],
     process cannot fork, the task runs here, the group's next task
     converges anew, and ``notes`` gets one line.  Collection is paused,
     but for a ``gc.collect()`` before each world built here but the first.
+    A task's :func:`~repro.harness.fork.spare_width` is its ``1/jobs``
+    share of the cores.
     """
     groups: dict[Any, list[int]] = {}
     for i, (key, _label, _spec) in enumerate(tasks):
@@ -388,7 +391,7 @@ def run_sharing_worlds(run: Callable[..., Any],
                                f"pickled:\n{text}")
         raise exc from ChildTraceback(text)
 
-    with _collector_paused():
+    with _collector_paused(), sharing_cores(jobs):
         try:
             while todo or ready or children:
                 now = time.monotonic()

@@ -7,7 +7,9 @@ pickled — and pickles back ``(OK, outcome)`` or ``(ERROR, exception or
 None, traceback text, class name, first line)``.  :func:`wait_any`
 reads every readable pipe of a set of children and reaps those at EOF;
 :func:`kill_and_reap` ends the rest.  The scheduler in
-:mod:`repro.harness.executor` is built on these three.
+:mod:`repro.harness.executor` is built on these three, and so are the
+fluid engine's hashing helpers, which may use the cores the scheduler
+leaves idle (:func:`spare_width`).
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ import sys
 import threading
 import traceback
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 OK = "ok"
 ERROR = "error"
+
+#: how many tasks the running scheduler keeps alive at once (one outside
+#: any scheduler); a forked task inherits the value
+_jobs = 1
 
 
 class ForkedTaskDied(RuntimeError):
@@ -173,3 +180,23 @@ def kill_and_reap(children: Sequence[Child]) -> None:
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
+
+@contextmanager
+def sharing_cores(jobs: int) -> Iterator[None]:
+    """While a scheduler keeps up to ``jobs`` tasks alive, each task's
+    :func:`spare_width` is its share of the cores."""
+    global _jobs
+    outer, _jobs = _jobs, max(1, jobs)
+    try:
+        yield
+    finally:
+        _jobs = outer
+
+
+def spare_width() -> int:
+    """How many processes one task may keep busy: the cores this process
+    may run on, divided among the scheduler's jobs — every core for a
+    lone task, one each when the jobs already fill them."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, cores // _jobs)

@@ -29,13 +29,23 @@ accounting code to it.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.ipv4 import PROTO_UDP
+from repro.harness.fork import (
+    OK,
+    Child,
+    NoFork,
+    fork_task,
+    kill_and_reap,
+    spare_width,
+    wait_any,
+)
 from repro.harness.metrics import nearest_rank_percentile
 from repro.harness.pathtrace import access_uplink
 from repro.routing.ecmp import KEY_BYTES, ecmp_digests
@@ -51,6 +61,14 @@ from repro.workload.synth import FlowSet, synthesize
 # a routing loop is a blackhole with extra steps: cap the walk like the
 # per-packet tracer does (repro.harness.pathtrace.MAX_HOPS)
 MAX_FLUID_HOPS = 32
+
+#: a walk depth's ECMP misses are hashed in this process alone below
+#: this many rows.  A digest costs ~0.75 µs, but two processes hashing
+#: on a shared pair of cores each run ~30% slower, and a fork and its
+#: report cost milliseconds: split, a 200,000-row batch saved ~3% of
+#: ``load-churn``'s wall time for ~6% more CPU, a 1,000,000-row one
+#: ~22% of ``load-1m``'s for none
+SPLIT_MIN_ROWS = 1 << 18
 
 
 @dataclass
@@ -145,6 +163,77 @@ def _expected_loss(impairment) -> float:
     return min(max(1.0 - survive, 0.0), 1.0)
 
 
+def _pieces(requests: list[tuple[np.ndarray, int]], lo: int,
+            hi: int) -> Iterator[tuple[np.ndarray, int]]:
+    """The ``(rows, salt)`` pieces of positions ``[lo, hi)`` of the
+    requests' rows laid end to end."""
+    start = 0
+    for rows, salt in requests:
+        a, b = max(lo - start, 0), min(hi - start, len(rows))
+        if a < b:
+            yield rows[a:b], salt
+        start += len(rows)
+
+
+def _hash_share(packed_keys: bytes, requests: list[tuple[np.ndarray, int]],
+                lo: int, hi: int) -> np.ndarray:
+    """A helper's report: the digests of positions ``[lo, hi)``, in order."""
+    out = np.empty(hi - lo, dtype=np.uint64)
+    at = 0
+    for rows, salt in _pieces(requests, lo, hi):
+        out[at:at + len(rows)] = ecmp_digests(packed_keys, rows, salt)
+        at += len(rows)
+    return out
+
+
+def _hash_batch(packed_keys: bytes, requests: list[tuple[np.ndarray, int]],
+                store: Callable[[np.ndarray, int, np.ndarray], None]) -> None:
+    """Hash every ``(rows, salt)`` request of one walk depth, handing each
+    piece's digests to ``store(rows, salt, digests)`` as they exist.
+
+    A batch of :data:`SPLIT_MIN_ROWS` rows or more is cut into
+    :func:`~repro.harness.fork.spare_width` equal shares of its rows laid
+    end to end: this process hashes the first while forked helpers hash
+    the others and report them.  A digest depends on its flow key and
+    salt only, so no split changes one.  A helper that cannot be forked,
+    or ends without a whole report, has its share hashed here; on any
+    exception, Ctrl-C included, every live helper is killed and reaped
+    first.  Helpers only hash: the cache they were forked with is theirs,
+    and nothing they write reaches it."""
+    total = sum(len(rows) for rows, _ in requests)
+    width = spare_width() if total >= SPLIT_MIN_ROWS else 1
+    bounds = [total * i // width for i in range(width + 1)]
+    helpers: dict[int, Child] = {}
+    reports: dict[int, np.ndarray] = {}
+    try:
+        for i in range(1, width):
+            try:
+                fork_task(helpers, _hash_share, (
+                    packed_keys, requests, bounds[i], bounds[i + 1]), index=i)
+            except NoFork:
+                break
+        for rows, salt in _pieces(requests, 0, bounds[1]):
+            store(rows, salt, ecmp_digests(packed_keys, rows, salt))
+        while helpers:
+            for helper in wait_any(helpers, None):
+                try:
+                    tag, digests = pickle.loads(helper.blob)[:2]
+                except Exception:  # noqa: BLE001 — no report: hashed below
+                    continue
+                if tag == OK:
+                    reports[helper.index] = digests
+    except BaseException:
+        kill_and_reap(list(helpers.values()))
+        raise
+    for i in range(1, width):
+        digests = reports.pop(i, None)
+        at = 0
+        for rows, salt in _pieces(requests, bounds[i], bounds[i + 1]):
+            store(rows, salt, ecmp_digests(packed_keys, rows, salt)
+                  if digests is None else digests[at:at + len(rows)])
+            at += len(rows)
+
+
 @dataclass(eq=False, slots=True)
 class _GroupWalk:
     """The flows of one (src rack, dst rack) pair — they share the whole
@@ -217,7 +306,7 @@ class FluidWorkload:
         self._blackholed_now = np.zeros(n, dtype=bool)
         self._surv: Optional[np.ndarray] = None
         self._table_marks: Optional[int] = None
-        # ECMP digest cache, see _flow_digests: per walk depth a
+        # ECMP digest cache, see _digests_at: per walk depth a
         # (salt tag, digest) slot per flow; tag 0 is "empty"
         self._salt_tags: dict[int, int] = {}
         self._digest_cache: list[tuple[np.ndarray, np.ndarray]] = []
@@ -306,27 +395,38 @@ class FluidWorkload:
     # ------------------------------------------------------------------
     # path resolution (one forwarding-state capture)
     # ------------------------------------------------------------------
-    def _flow_digests(self, depth: int, idx: np.ndarray,
-                      salt: int) -> np.ndarray:
-        """Raw ECMP digests of flows ``idx`` at the node salted ``salt``,
-        ``depth`` hops into their walk.  Flow key and node salt never
-        change, so a digest is computed once and kept: one slot per flow
-        and walk depth, tagged with the salt it was keyed with (a flow
-        rerouted through another node at that depth overwrites it)."""
-        tag = self._salt_tags.setdefault(salt, len(self._salt_tags) + 1)
-        if tag > np.iinfo(np.uint16).max:
-            raise RuntimeError("more distinct ECMP salts than digest-cache "
-                               "tags")
+    def _digests_at(self, depth: int,
+                    wanted: list[tuple[np.ndarray, int]]) -> np.ndarray:
+        """The digest column of walk depth ``depth``, holding the raw ECMP
+        digest of every flow of every ``(flows, salt)`` in ``wanted``.
+        Flow key and node salt never change, so a digest is computed once
+        and kept: one slot per flow and walk depth, tagged with the salt
+        it was keyed with (a flow rerouted through another node at that
+        depth overwrites it).  The misses of the whole depth are hashed
+        as one batch and written straight into their slots."""
         while len(self._digest_cache) <= depth:
             n = len(self.flows)
             self._digest_cache.append((np.zeros(n, dtype=np.uint16),
                                        np.empty(n, dtype=np.uint64)))
         tags, digests = self._digest_cache[depth]
-        miss = idx[tags[idx] != tag]
-        if len(miss):
-            digests[miss] = ecmp_digests(self._packed_keys, miss, salt)
-            tags[miss] = tag
-        return digests[idx]
+        salt_tags = self._salt_tags
+        misses = []
+        for idx, salt in wanted:
+            tag = salt_tags.setdefault(salt, len(salt_tags) + 1)
+            if tag > np.iinfo(np.uint16).max:
+                raise RuntimeError("more distinct ECMP salts than "
+                                   "digest-cache tags")
+            miss = idx[tags[idx] != tag]
+            if len(miss):
+                misses.append((miss, salt))
+
+        def store(rows: np.ndarray, salt: int, got: np.ndarray) -> None:
+            digests[rows] = got
+            tags[rows] = salt_tags[salt]
+
+        if misses:
+            _hash_batch(self._packed_keys, misses, store)
+        return digests
 
     def _candidate_entry(self, memo: dict, key: tuple) -> tuple:
         """The live candidate set at ``key = (node, dst_tor, ingress)``
@@ -355,58 +455,128 @@ class FluidWorkload:
             entry = memo[key] = (salt, spray, tuple(expanded))
         return entry
 
-    def _walk(self, group: _GroupWalk, memo: dict) -> None:
-        """Walk one rack pair's flows hop by hop through the live
-        candidate sets; per-flow work happens only at genuine ECMP
-        branch points.  Writes the links crossed into the hop columns
-        and the dead-ended flows into the blackholed mask — both wiped
-        for this group's flows first, so nothing survives of a previous
-        walk that went deeper or died — and leaves on ``group`` every
-        candidate entry the walk read."""
-        group.reads = {}
+    def _wipe(self, flows: np.ndarray) -> None:
+        """Forget what earlier walks wrote for ``flows``: their cells in
+        every hop column and in the blackholed mask."""
         for column in self._hops:
-            column[group.flows] = -1
+            column[flows] = -1
+        self._blackholed_now[flows] = False
+
+    def _walk(self, groups: list[_GroupWalk], memo: dict) -> None:
+        """Walk the rack pairs ``groups`` hop by hop through the live
+        candidate sets, breadth-first and all together; per-flow work
+        happens only at genuine ECMP branch points, and one depth's
+        digest misses are hashed as one batch.  Writes the links crossed
+        into the hop columns and the dead-ended flows into the
+        blackholed mask — both wiped for these groups' flows first, so
+        nothing survives of a previous walk that went deeper or died —
+        and leaves on each group every candidate entry its walk read.
+        Within a depth no flow is in two places, so the order the
+        branch points are taken in changes no cell."""
+        first_link = len(self._link_ifaces)
+        self._wipe(np.concatenate([group.flows for group in groups]))
         dead = self._blackholed_now
-        dead[group.flows] = False
-        dst_tor = group.dst_tor
-        stack = [(group.src_tor, None, 0, group.flows)]
-        while stack:
-            node, ingress, depth, idx = stack.pop()
-            if node == dst_tor:
-                continue
-            if depth >= MAX_FLUID_HOPS:
-                dead[idx] = True  # routing loop
-                continue
-            key = (node, dst_tor, ingress)
-            entry = group.reads[key] = self._candidate_entry(memo, key)
-            salt, spray, entries = entry
-            if not entries:
-                dead[idx] = True  # no candidate port at all
-                continue
-            if len(entries) == 1:
-                parts = [idx]
-            else:
-                if spray:
-                    # per-packet spray approximated fluidly: flows spread
-                    # round-robin by flow id (even split, deterministic)
-                    choice = idx % len(entries)
-                else:
-                    # the genuine keyed ECMP hash, per flow
-                    choice = (self._flow_digests(depth, idx, salt)
-                              % np.uint64(len(entries)))
-                parts = [idx[choice == c] for c in range(len(entries))]
-            for (link, peer_node, peer_iface), part in zip(entries, parts):
-                if len(part) == 0:
+        # per group: key -> (rank of its first read in a depth-first
+        # walk, entry); a rank is the group's index, then the negated
+        # candidate index of every hop taken
+        reads: list[dict] = [{} for _ in groups]
+        frontier = [(g, group.src_tor, None, group.flows, (g,))
+                    for g, group in enumerate(groups)]
+        depth = 0
+        while frontier:
+            branches, hashed = [], []
+            for g, node, ingress, idx, rank in frontier:
+                dst_tor = groups[g].dst_tor
+                if node == dst_tor:
                     continue
-                if link is not None:
-                    if depth == len(self._hops):
-                        self._hops.append(
-                            np.full(len(self.flows), -1, dtype=np.int32))
-                    self._hops[depth][part] = link
-                if peer_node is None:
-                    dead[part] = True
+                if depth >= MAX_FLUID_HOPS:
+                    dead[idx] = True  # routing loop
+                    continue
+                key = (node, dst_tor, ingress)
+                entry = self._candidate_entry(memo, key)
+                if key not in reads[g] or rank < reads[g][key][0]:
+                    reads[g][key] = (rank, entry)
+                salt, spray, entries = entry
+                if not entries:
+                    dead[idx] = True  # no candidate port at all
+                    continue
+                if len(entries) > 1 and not spray:
+                    hashed.append((idx, salt))
+                branches.append((g, idx, spray, entries, rank))
+            digests = self._digests_at(depth, hashed) if hashed else None
+            frontier, hashed = [], None
+            for k, (g, idx, spray, entries, rank) in enumerate(branches):
+                branches[k] = None  # its flows live on in its parts only
+                if len(entries) == 1:
+                    parts = [idx]
                 else:
-                    stack.append((peer_node, peer_iface, depth + 1, part))
+                    if spray:
+                        # per-packet spray approximated fluidly: flows
+                        # spread round-robin by flow id (even split,
+                        # deterministic)
+                        choice = idx % len(entries)
+                    else:
+                        # the genuine keyed ECMP hash, per flow
+                        choice = digests[idx] % np.uint64(len(entries))
+                    parts = [idx[choice == c] for c in range(len(entries))]
+                for c, ((link, peer_node, peer_iface), part) in enumerate(
+                        zip(entries, parts)):
+                    if len(part) == 0:
+                        continue
+                    if link is not None:
+                        if depth == len(self._hops):
+                            self._hops.append(
+                                np.full(len(self.flows), -1, dtype=np.int32))
+                        self._hops[depth][part] = link
+                    if peer_node is None:
+                        dead[part] = True
+                    else:
+                        frontier.append(
+                            (g, peer_node, peer_iface, part, rank + (-c,)))
+            depth += 1
+        self._in_depth_first_order(groups, reads, first_link)
+
+    def _in_depth_first_order(self, groups: list[_GroupWalk],
+                              reads: list[dict], first_link: int) -> None:
+        """Leave what a walk recorded as the depth-first walk it replaced
+        would have: group after group, each candidate's subtree before
+        the previous candidate's.  Two things depend on that order.  A
+        group's ``reads`` are re-read in it by the next stale check, and
+        link ids are handed out in the order links are first met — the
+        ids of the links this walk met first (``first_link`` on) are
+        renumbered so, and ``hot_links`` breaks utilisation ties by id."""
+        ordered = sorted(((rank, g, key) for g, seen in enumerate(reads)
+                          for key, (rank, _) in seen.items()),
+                         key=lambda read: read[0])
+        registered = len(self._link_ifaces)
+        met = list(dict.fromkeys(
+            link for _, g, key in ordered
+            for link, _, _ in reads[g][key][1][2]
+            if link is not None and first_link <= link < registered))
+        moved = met != list(range(first_link, registered))
+        if moved:
+            renumber = np.arange(-1, registered, dtype=np.int32)
+            renumber[np.asarray(met) + 1] = np.arange(first_link, registered)
+            ifaces, capacity = list(self._link_ifaces), list(self._capacity)
+            for old, new in enumerate(renumber[first_link + 1:].tolist(),
+                                      start=first_link):
+                self._link_ids[ifaces[old]] = new
+                self._link_ifaces[new] = ifaces[old]
+                self._capacity[new] = capacity[old]
+            for column in self._hops:
+                column[:] = renumber[column + 1]
+
+        def renumbered(entry: tuple) -> tuple:
+            salt, spray, ports = entry
+            return salt, spray, tuple(
+                (None if link is None else int(renumber[link + 1]), peer,
+                 iface) for link, peer, iface in ports)
+
+        for group in groups:
+            group.reads = {}
+        for _, g, key in ordered:
+            entry = reads[g][key][1]
+            groups[g].reads[key] = renumbered(entry) if moved else entry
 
     def _assemble_paths(self) -> None:
         """Rebuild the flow->link CSR from the hop columns.  A flow's
@@ -436,14 +606,20 @@ class FluidWorkload:
         next solve uses.  Candidate entries, interface and peer state
         and link losses are read afresh; a rack pair is walked again
         only if an entry its last walk read has changed, and the CSR is
-        rebuilt only if some pair was."""
+        rebuilt only if some pair was.  After a walk, hop columns (and
+        digest-cache depths) that no flow reaches any more are dropped:
+        a transient loop's 32 columns do not outlive it."""
         memo: dict[tuple[str, str, Optional[str]], tuple] = {}
         stale = [group for group in self._groups
                  if not group.reads or any(
                      self._candidate_entry(memo, key) != entry
                      for key, entry in group.reads.items())]
-        for group in stale:
-            self._walk(group, memo)
+        if stale:
+            self._walk(stale, memo)
+            hops = self._hops
+            while hops and hops[-1].max() < 0:
+                hops.pop()
+            del self._digest_cache[len(hops):]
         if stale or self._problem is None:
             self._assemble_paths()
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import fork
 from repro.harness.executor import (
     CampaignReport,
     ForkedTaskDied,
@@ -89,6 +90,27 @@ def test_tasks_run_in_a_child_but_the_last():
     assert [spec for spec, _pid in outcomes] == ["a", "b", "c"]
     pids = [pid for _spec, pid in outcomes]
     assert pids[-1] == os.getpid() and os.getpid() not in pids[:-1]
+
+
+def _width(spec) -> int:
+    return fork.spare_width()
+
+
+WIDTH_KIND = TaskKind(name="fork-width", run=_width, key=str, encode=list,
+                      decode=tuple, label=str)
+
+
+def test_a_task_may_use_its_share_of_the_cores():
+    """``spare_width`` is every core outside a scheduler and for a lone
+    job, and a ``1/jobs`` share (never 0) while ``jobs`` tasks run."""
+    cores = len(os.sched_getaffinity(0))
+    assert fork.spare_width() == cores
+    assert run_tasks(WIDTH_KIND, ["a", "b"]) == [cores, cores]
+    assert run_tasks(WIDTH_KIND, ["a", "b", "c"], jobs=2,
+                     allow_oversubscribe=True) == [max(1, cores // 2)] * 3
+    with fork.sharing_cores(cores + 1):
+        assert fork.spare_width() == 1
+    assert fork.spare_width() == cores
 
 
 def test_a_forked_task_exception_keeps_its_type():

@@ -15,7 +15,8 @@ import weakref
 
 import pytest
 
-from repro.harness import executor, fork
+from repro.harness import executor, experiments, fork
+from repro.harness.convergence import converge_from_cold
 from repro.harness.executor import (
     CampaignInterrupted,
     RetryPolicy,
@@ -130,6 +131,31 @@ def test_run_tasks_leaves_the_collector_as_it_found_it(collector, specs,
     else:
         with pytest.raises(raises):
             run_tasks(KIND, specs)
+    assert _state() == collector
+
+
+def test_a_converge_runs_paused_and_leaves_the_collector_as_found(
+        collector, monkeypatch):
+    """``build_and_converge`` outside a campaign: no collection while
+    the world is built and converges, the collector as found after."""
+    seen, during = [], []
+
+    def converge(*args, **kwargs):
+        during.append(gc.isenabled())
+        return converge_from_cold(*args, **kwargs)
+
+    def collected(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    monkeypatch.setattr(experiments, "converge_from_cold", converge)
+    gc.callbacks.append(collected)
+    try:
+        experiments.build_and_converge(ClosParams(num_pods=2), "mtp")
+    finally:
+        gc.callbacks.remove(collected)
+    assert during == [False]
+    assert seen == []
     assert _state() == collector
 
 

@@ -563,7 +563,8 @@ def test_snapshot_taken_with_flyweights_populated_runs_like_a_cold_one():
 # ----------------------------------------------------------------------
 # the machine has teeth for the caches too: a memo answering for the
 # wrong salt, a stale BFD flyweight, a rack-pair walk kept across a table
-# change — each caught within a fixed, seeded run
+# change, a re-walk over its flows' old hop cells and dead marks — each
+# caught within a fixed, seeded run
 # ----------------------------------------------------------------------
 _digest, _transmit, _walk = (ecmp._digest, BfdSession._transmit,
                              FluidWorkload._walk)
@@ -586,16 +587,22 @@ def _transmit_without_the_inputs_check(self):
 _transmit_without_the_inputs_check.__name__ = "_transmit"
 
 
-def _walk_once(self, group, memo):
-    if not group.reads:
-        _walk(self, group, memo)
+def _walk_once(self, groups, memo):
+    fresh = [group for group in groups if not group.reads]
+    if fresh:
+        _walk(self, fresh, memo)
+
+
+def _wipe_nothing(self, flows):
+    pass
 
 
 @pytest.mark.parametrize("stack, owner, name, mutant", [
     ("mtp", ecmp, "_digest", _memo_for_any_salt()),
     ("bgp-bfd", BfdSession, "_transmit", _transmit_without_the_inputs_check),
     ("mtp", FluidWorkload, "_walk", _walk_once),
-], ids=["ecmp-memo", "bfd-flyweight", "fluid-walk"])
+    ("mtp", FluidWorkload, "_wipe", _wipe_nothing),
+], ids=["ecmp-memo", "bfd-flyweight", "fluid-walk", "fluid-wipe"])
 def test_the_machine_catches_a_stale_cache(monkeypatch, stack, owner, name,
                                            mutant):
     for key in itertools.product(fabrics_for(stack), SEEDS, (False, True)):

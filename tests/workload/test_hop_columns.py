@@ -1,20 +1,26 @@
 """Property: paths kept as per-depth hop columns assemble to exactly the
 CSR the per-group segment lists gave.
 
-``FluidWorkload._walk`` writes the link a flow crosses at walk depth *d*
-into one persistent ``[n_flows]`` column per depth and dead ends into a
-persistent mask, and ``_assemble_paths`` reads the CSR off those columns
-row by row.  Before, a walk left ``(link, depth, flows)`` segments and
+``FluidWorkload._walk`` walks every stale rack pair breadth-first, writes
+the link a flow crosses at walk depth *d* into one persistent
+``[n_flows]`` column per depth and dead ends into a persistent mask, and
+``_assemble_paths`` reads the CSR off those columns row by row.  Before,
+a depth-first walk per group left ``(link, depth, flows)`` segments and
 dead-flow lists on its group and assembly scattered them into slots; a
 re-walk replaced its group's lists wholesale, so nothing of the previous
-walk could survive.  The columns have no such luck — a group has to wipe
-its own flows before it walks again — which is what the re-walk rounds
-here are for.  The old walk and the old assembly are kept verbatim below
-as the oracle."""
+walk could survive.  The columns have no such luck — a walk has to wipe
+its groups' flows first — which is what the re-walk rounds here are
+for.  The old walk (hashing every branch point afresh, no cache) and the
+old assembly are kept below as the oracle, and the engine's walk is held
+to them with its digest batches hashed in one process and split with a
+forked helper alike."""
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +28,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.experiments import build_and_converge
+from repro.harness.failures import FailureInjector
+from repro.routing.ecmp import ecmp_digests
+from repro.sim.units import MILLISECOND
 from repro.topology.clos import ClosParams
+from repro.workload import engine as engine_module
 from repro.workload.engine import MAX_FLUID_HOPS, FluidWorkload
 from repro.workload.spec import WorkloadSpec
 from repro.workload.synth import synthesize
@@ -62,15 +72,42 @@ def read_from(engine, state) -> None:
     engine._candidate_entry = lambda memo, key: state[key]
 
 
+def split_every_batch(patch, width: int) -> None:
+    """Every digest batch, however small, is split ``width`` ways."""
+    patch.setattr(engine_module, "SPLIT_MIN_ROWS", 0)
+    patch.setattr(engine_module, "spare_width", lambda: width)
+
+
+def forks_seen(patch) -> list:
+    """Pids of the helpers forked from now on (``None``: a fork was
+    refused)."""
+    pids: list = []
+    real = engine_module.fork_task
+
+    def fork_task(children, *args, **fields):
+        before = set(children)
+        try:
+            real(children, *args, **fields)
+        except engine_module.NoFork:
+            pids.append(None)
+            raise
+        pids.extend(children[fd].pid for fd in set(children) - before)
+
+    patch.setattr(engine_module, "fork_task", fork_task)
+    return pids
+
+
 # ----------------------------------------------------------------------
 # The walk and the assembly as they were while a group kept its own
-# segments and dead flows, verbatim but for where the lists live.
+# segments and dead flows, depth-first, verbatim but for where the lists
+# live and for hashing each branch point's flows without a cache.
 # ----------------------------------------------------------------------
 @dataclass
 class ReferenceWalk:
     # (link id, walk depth it was crossed at, flows that crossed it)
     segments: list = field(default_factory=list)
     dead: list = field(default_factory=list)      # dead-ended flows
+    reads: dict = field(default_factory=dict)     # key -> entry, as met
 
 
 def reference_walk(engine, group, memo) -> ReferenceWalk:
@@ -85,7 +122,8 @@ def reference_walk(engine, group, memo) -> ReferenceWalk:
             walk.dead.append(idx)  # routing loop
             continue
         key = (node, dst_tor, ingress)
-        salt, spray, entries = engine._candidate_entry(memo, key)
+        entry = walk.reads[key] = engine._candidate_entry(memo, key)
+        salt, spray, entries = entry
         if not entries:
             walk.dead.append(idx)  # no candidate port at all
             continue
@@ -95,7 +133,7 @@ def reference_walk(engine, group, memo) -> ReferenceWalk:
             if spray:
                 choice = idx % len(entries)
             else:
-                choice = (engine._flow_digests(depth, idx, salt)
+                choice = (ecmp_digests(engine._packed_keys, idx, salt)
                           % np.uint64(len(entries)))
             parts = [idx[choice == c] for c in range(len(entries))]
         for (link, peer_node, peer_iface), part in zip(entries, parts):
@@ -108,6 +146,16 @@ def reference_walk(engine, group, memo) -> ReferenceWalk:
             else:
                 stack.append((peer_node, peer_iface, depth + 1, part))
     return walk
+
+
+def reference_resolve(engine) -> None:
+    """The resolve's stale check and the depth-first walks group after
+    group, through one memo, as they were."""
+    memo: dict = {}
+    for group in [g for g in engine._groups if not g.reads or any(
+            engine._candidate_entry(memo, key) != entry
+            for key, entry in g.reads.items())]:
+        group.reads = reference_walk(engine, group, memo).reads
 
 
 def reference_assemble_paths(engine, walks):
@@ -194,7 +242,9 @@ def test_hop_columns_assemble_to_the_segment_scatter(fabric, data):
     and over rounds in which a drawn subset of the rack pairs is walked
     again through a new state (``direct`` ones make the second walk
     shorter than the first, so deeper columns must fall back to -1, and
-    livelier, so the mask must clear)."""
+    livelier, so the mask must clear).  Every digest batch is hashed by
+    this process alone (width 1) or shared with a forked helper (2)."""
+    width = data.draw(st.sampled_from([1, 2]), label="width")
     engine = engine_over(fabric, {})
     groups = engine._groups
     assert len(engine.flows) > sum(len(g.flows) for g in groups)  # intra-rack
@@ -204,12 +254,15 @@ def test_hop_columns_assemble_to_the_segment_scatter(fabric, data):
             st.booleans(),
             st.sets(st.integers(0, len(groups) - 1)).map(sorted)),
             max_size=3))
-    for direct, stale in rounds:
-        read_from(engine, DrawnState(data, direct))
-        for g in stale:
-            walks[g] = reference_walk(engine, groups[g], {})
-            engine._walk(groups[g], {})
-        assert_same_capture(engine, walks)
+    with pytest.MonkeyPatch.context() as patch:
+        split_every_batch(patch, width)
+        for direct, stale in rounds:
+            read_from(engine, DrawnState(data, direct))
+            for g in stale:
+                walks[g] = reference_walk(engine, groups[g], {})
+            if stale:
+                engine._walk([groups[g] for g in stale], {})
+            assert_same_capture(engine, walks)
 
 
 def chain(dst_tor: str, *hops):
@@ -236,8 +289,7 @@ def test_a_shorter_rewalk_leaves_no_stale_hops(fabric):
 
     def walked():
         walks = [reference_walk(engine, g, {}) for g in engine._groups]
-        for g in engine._groups:
-            engine._walk(g, {})
+        engine._walk(engine._groups, {})
         assert_same_capture(engine, walks)
         return np.stack(engine._hops, axis=1)[group.flows]
 
@@ -256,3 +308,150 @@ def test_a_shorter_rewalk_leaves_no_stale_hops(fabric):
     assert not engine._blackholed_now.any()
     assert all((np.stack(engine._hops, axis=1)[g.flows]
                 == [9, -1, -1]).all() for g in others)
+
+
+def test_a_loop_epoch_leaves_no_columns_behind(fabric):
+    """A transient loop walks every flow of a rack pair to
+    ``MAX_FLUID_HOPS``, hashing at every depth; once it heals, the
+    resolve drops the hop columns and digest-cache depths no flow reaches
+    any more, and the capture is a cold engine's."""
+    state: dict = {}
+    for g in engine_over(fabric, state)._groups:
+        state.update(chain(g.dst_tor, (g.src_tor, 9)))
+    engine = engine_over(fabric, state)
+    engine._resolve()
+    healthy = len(engine._hops)
+    group = engine._groups[0]
+    src, dst = group.src_tor, group.dst_tor
+    state[(src, dst, None)] = (1, False, ((8, "a", "p0"), (9, "a", "p1")))
+    for port in PORTS:
+        state[("a", dst, port)] = (2, False, ((10, "b", "p0"),
+                                              (11, "b", "p1")))
+        state[("b", dst, port)] = (3, False, ((12, "a", "p0"),
+                                              (13, "a", "p1")))
+    engine._resolve()
+    assert len(engine._hops) == len(engine._digest_cache) == MAX_FLUID_HOPS
+    assert engine._blackholed_now[group.flows].all()
+
+    state.update(chain(dst, (src, 11)))
+    engine._resolve()
+    assert len(engine._hops) == healthy
+    assert len(engine._digest_cache) <= healthy
+    cold = engine_over(fabric, state)
+    cold._resolve()
+    for got, want in ((engine.problem.flow_links, cold.problem.flow_links),
+                      (engine.problem.flow_ptr, cold.problem.flow_ptr),
+                      (engine._blackholed_now, cold._blackholed_now)):
+        assert np.array_equal(got, want)
+
+
+def test_links_and_reads_are_in_the_order_a_depth_first_walk_met_them():
+    """Link ids are handed out in the order a walk first meets each link,
+    and ``hot_links`` breaks utilisation ties by id; a group's reads are
+    read again in their order by the next stale check, which is where a
+    link first seen after a fault gets its id.  So the breadth-first walk
+    leaves both as the depth-first walk did, through a stack's real
+    candidate sets, a fault, the reroute and the repair."""
+    world, topo, deployment = build_and_converge(
+        ClosParams(num_pods=2), "mtp", seed=0)
+    flows = synthesize(SPEC, topo.rack_endpoints(), world.rng)
+    engine = FluidWorkload(SPEC, topo, deployment, flows=flows)
+    reference = FluidWorkload(SPEC, topo, deployment, flows=flows)
+    injector = FailureInjector(world, deployment)
+    steps = [lambda: None,
+             lambda: injector.fail_interface("L-1-1", "eth1"),
+             lambda: world.run_for(500 * MILLISECOND),
+             lambda: injector.restore_interface("L-1-1", "eth1"),
+             lambda: world.run_for(500 * MILLISECOND)]
+    for step in steps:
+        step()
+        engine._resolve()
+        reference_resolve(reference)
+        assert ([iface.full_name for iface in engine._link_ifaces]
+                == [iface.full_name for iface in reference._link_ifaces])
+        assert ([list(g.reads.items()) for g in engine._groups]
+                == [list(g.reads.items()) for g in reference._groups])
+
+
+# ----------------------------------------------------------------------
+# helpers: how a batch is hashed never changes what it hashes to
+# ----------------------------------------------------------------------
+def resolved(fabric) -> FluidWorkload:
+    """A fresh engine over the real deployment, resolved once."""
+    topo, deployment, flows = fabric
+    engine = FluidWorkload(SPEC, topo, deployment, flows=flows)
+    engine._resolve()
+    return engine
+
+
+def assert_same_paths(got, want) -> None:
+    assert np.array_equal(got.problem.flow_links, want.problem.flow_links)
+    assert np.array_equal(got.problem.flow_ptr, want.problem.flow_ptr)
+    assert np.array_equal(got._blackholed_now, want._blackholed_now)
+    assert np.array_equal(got._surv, want._surv)
+
+
+def test_a_running_thread_hashes_in_process(fabric, monkeypatch):
+    """A process running a second Python thread may not fork: the helper's
+    share is hashed here, to the same paths."""
+    want = resolved(fabric)
+    split_every_batch(monkeypatch, 2)
+    forks = forks_seen(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = resolved(fabric)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks and set(forks) == {None}
+    assert_same_paths(got, want)
+
+
+def test_a_dead_helper_never_changes_a_result(fabric, monkeypatch):
+    """A helper killed mid-batch reports nothing; its share is hashed
+    again here, to the same paths, and the helper is reaped."""
+    want = resolved(fabric)
+    parent, real = os.getpid(), engine_module.ecmp_digests
+
+    def killed_in_a_helper(packed_keys, rows, salt=0):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), 9)
+        return real(packed_keys, rows, salt)
+
+    split_every_batch(monkeypatch, 2)
+    forks = forks_seen(monkeypatch)
+    monkeypatch.setattr(engine_module, "ecmp_digests", killed_in_a_helper)
+    got = resolved(fabric)
+    assert forks and None not in forks
+    assert_same_paths(got, want)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, ValueError])
+def test_no_helper_outlives_its_resolve(fabric, monkeypatch, interrupt):
+    """Whatever the resolve raises — Ctrl-C included — while a helper is
+    still hashing, the helper is killed and reaped before it propagates."""
+    parent = os.getpid()
+
+    def stuck_in_a_helper(packed_keys, rows, salt=0):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise interrupt("while a helper hashes")
+
+    split_every_batch(monkeypatch, 2)
+    forks = forks_seen(monkeypatch)
+    monkeypatch.setattr(engine_module, "ecmp_digests", stuck_in_a_helper)
+    topo, deployment, flows = fabric
+    engine = FluidWorkload(SPEC, topo, deployment, flows=flows)
+    started = time.monotonic()
+    with pytest.raises(interrupt):
+        engine._resolve()
+    assert time.monotonic() - started < 30
+    assert forks and None not in forks
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
