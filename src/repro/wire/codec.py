@@ -150,16 +150,19 @@ def decode_bfd(blob: bytes) -> BfdControlPacket:
         raise WireError(f"bad BFD version {byte0 >> 5}")
     if length != len(blob):
         raise WireError("BFD length mismatch")
-    return BfdControlPacket(
-        state=BfdState(byte1 >> 6),
-        detect_mult=mult,
-        my_discriminator=my,
-        your_discriminator=your,
-        desired_min_tx_us=tx,
-        required_min_rx_us=rx,
-        poll=bool(byte1 & 0x20),
-        final=bool(byte1 & 0x10),
-    )
+    try:
+        return BfdControlPacket(
+            state=BfdState(byte1 >> 6),
+            detect_mult=mult,
+            my_discriminator=my,
+            your_discriminator=your,
+            desired_min_tx_us=tx,
+            required_min_rx_us=rx,
+            poll=bool(byte1 & 0x20),
+            final=bool(byte1 & 0x10),
+        )
+    except ValueError as exc:  # a zero detect multiplier or discriminator
+        raise WireError(f"bad BFD packet: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,12 @@ def test_new_stream_does_not_perturb_existing():
 _BOUND = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
 
+def _signed(x: float) -> tuple[float, float]:
+    """Sort key putting -0.0 before 0.0: NumPy refuses ``uniform(0.0,
+    -0.0)``, whose ``high - low`` is -0.0."""
+    return x, math.copysign(1.0, x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(
     st.tuples(_BOUND, _BOUND), min_size=1, max_size=20))
@@ -47,7 +55,7 @@ def test_uniform_helper_draws_what_generator_uniform_draws(seed, bounds):
     takes ``low <= high``), drawing as much of the stream: the same values
     from twin generators, then the same next value."""
     ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
-    for low, high in map(sorted, bounds):
+    for low, high in (sorted(b, key=_signed) for b in bounds):
         assert uniform(ours, low, high) == numpy.uniform(low, high)
     assert ours.random() == numpy.random()
 
