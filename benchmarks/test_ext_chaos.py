@@ -11,13 +11,11 @@ far higher loss — and what each pays in flaps and route churn.
 
 from __future__ import annotations
 
-from repro.harness.chaos import (
-    chaos_result,
-    chaos_specs,
-    false_positive_thresholds,
-)
+from types import SimpleNamespace
+
 from repro.harness.executor import run_tasks
-from repro.scenario import SCENARIO_RUN
+from repro.scenario import CHAOS, SCENARIO_RUN
+from repro.scenario.library import false_positive_thresholds
 from repro.topology.clos import two_pod_params
 
 from conftest import emit
@@ -32,17 +30,23 @@ WINDOW_MS = 5000
 
 def test_ext_chaos_false_positive_grid(benchmark, results_dir, jobs):
     def measure():
-        specs = chaos_specs(two_pod_params(), STACKS + ADAPTIVE_STACKS,
-                            rates=RATES, window_ms=WINDOW_MS)
-        outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs)
-        return [chaos_result(s, o.metrics) for s, o in zip(specs, outcomes)]
+        specs = CHAOS.expand(two_pod_params(), STACKS + ADAPTIVE_STACKS,
+                             loss=RATES, window_ms=(WINDOW_MS,))
+        return CHAOS.rows(specs, run_tasks(SCENARIO_RUN, specs, jobs=jobs))
 
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    grid = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # the quiet window's detector fields, the whole run's churn and goodput
+    results = [SimpleNamespace(
+        stack=row["stack"], loss=row["loss"],
+        false_positives=row["quiet.false_positives"],
+        flaps=row["quiet.flaps"], route_churn=row["route_churn"],
+        goodput=row["received"] / row["sent"] if row["sent"] else 1.0)
+        for row in grid]
 
     rows = [[r.stack, f"{r.loss:.2f}", r.false_positives, r.flaps,
              r.route_churn, f"{r.goodput:.3f}"]
             for r in results]
-    thresholds = false_positive_thresholds(results)
+    thresholds = false_positive_thresholds(grid)
     note = "; ".join(
         f"{stack}: {'none on grid' if t is None else f'loss >= {t:.2f}'}"
         for stack, t in sorted(thresholds.items()))

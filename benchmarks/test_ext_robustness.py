@@ -16,13 +16,8 @@ import pytest
 from repro.topology.clos import two_pod_params
 from repro.stacks import get_stack
 from repro.harness.executor import run_tasks
-from repro.harness.sweep import (
-    summarize,
-    sweep_points,
-    sweep_result,
-    sweep_specs,
-)
-from repro.scenario import SCENARIO_RUN
+from repro.scenario import SCENARIO_RUN, SWEEP
+from repro.scenario.family import Tally
 
 from conftest import emit
 
@@ -32,19 +27,18 @@ STACKS = ("mtp", "bgp", "bgp-bfd", "mtp-spray", "bgp-nomultipath")
 @pytest.mark.parametrize("stack", STACKS)
 def test_ext_robustness_sweep(benchmark, results_dir, stack, jobs):
     display = get_stack(stack).display
-    points = sweep_points(two_pod_params())
-    specs = sweep_specs(two_pod_params(), stack, points=points)
+    specs = SWEEP.expand(two_pod_params(), [stack])
     results = benchmark.pedantic(
-        lambda: [sweep_result(p, o.metrics) for p, o in zip(
-            points, run_tasks(SCENARIO_RUN, specs, jobs=jobs))],
+        lambda: SWEEP.rows(specs, run_tasks(SCENARIO_RUN, specs, jobs=jobs)),
         rounds=1, iterations=1,
     )
-    blackholes = sum(len(r.unreachable) for r in results)
+    summary = "\n".join(SWEEP.head(results, Tally([], "", 0.0)))
+    blackholes = sum(len(r["unreachable"]) for r in results)
     rows = [[display, len(results),
-             sum(r.pairs_checked for r in results), blackholes]]
+             sum(r["pairs_checked"] for r in results), blackholes]]
     emit(results_dir, f"ext_robustness_{stack.replace('-', '_')}",
          f"Extension — exhaustive single-failure sweep, 2-PoD, {display}",
          ["stack", "failure points", "pair checks", "blackholes"], rows,
-         note=summarize(results))
-    assert blackholes == 0, summarize(results)
+         note=summary)
+    assert blackholes == 0, summary
     assert len(results) == 32

@@ -1,7 +1,7 @@
 """Extension — parallel experiment runner: correctness and wall clock.
 
 The acceptance bar for the fan-out subsystem: the 2-PoD robustness sweep
-with ``jobs=4`` must produce *byte-identical* SweepResult summaries and
+with ``jobs=4`` must produce *byte-identical* sweep rows, summaries and
 per-point run digests to the serial path, and the measured wall-clock
 numbers (serial, fanned-out, cache replay) are persisted to
 ``benchmarks/results/ext_parallel_runner.txt``.  On a single-core
@@ -18,27 +18,26 @@ import time
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
 from repro.harness.executor import CampaignReport, run_tasks
-from repro.harness.sweep import (
-    summarize,
-    sweep_points,
-    sweep_result,
-    sweep_specs,
-)
-from repro.scenario import SCENARIO_RUN
+from repro.scenario import SCENARIO_RUN, SWEEP
+from repro.scenario.family import Tally
 
 from conftest import emit
 
 
-POINTS = sweep_points(two_pod_params())
+SPECS = SWEEP.expand(two_pod_params(), ["mtp"])
 
 
 def _results(outcomes):
-    return [sweep_result(p, o.metrics) for p, o in zip(POINTS, outcomes)]
+    return SWEEP.rows(SPECS, outcomes)
+
+
+def summarize(rows):
+    return "\n".join(SWEEP.head(rows, Tally([], "", 0.0)))
 
 
 def _timed_sweep(jobs, cache=None, report=None):
     t0 = time.perf_counter()
-    specs = sweep_specs(two_pod_params(), "mtp", points=POINTS)
+    specs = SWEEP.expand(two_pod_params(), ["mtp"])
     outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
                          report=report)
     return outcomes, time.perf_counter() - t0

@@ -33,17 +33,17 @@ from repro.core.config import MtpTimers
 from repro.harness import executor, experiments
 from repro.harness.executor import CampaignReport, RetryPolicy, run_tasks
 from repro.scenario import (
+    LIBRARY,
     SCENARIO_RUN,
+    TC_SEEDS,
     Scenario,
     ScenarioRunSpec,
     ScenarioEvent,
     canonical_scenarios,
     get_scenario,
     run_scenario,
-    run_scenario_suite,
 )
 from repro.scenario.compiler import compile_scenario
-from repro.scenario.runner import scenario_suite_specs
 from repro.sim.engine import Simulator
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import ClosParams
@@ -52,7 +52,7 @@ from repro.workload.engine import FluidWorkload
 from repro.workload.fluid import FluidProblem, link_loads
 from repro.workload.spec import WorkloadSpec
 from repro.harness.experiments import build_and_converge
-from repro.scenario import run_experiment_batch, run_failure_experiment
+from repro.scenario import run_failure_experiment
 from repro.stacks import StackTimers, resolve_spec
 
 
@@ -211,9 +211,8 @@ def test_bgp_suite_is_quiet_and_never_encodes(monkeypatch):
     and the aftermath of a keepalive became arithmetic), and never
     encode a BGP message to size a frame."""
     encoded = _count_encodes(monkeypatch)
-    specs = scenario_suite_specs(
-        ClosParams(num_pods=2), [get_scenario(n) for n in
-                                 ("tc1", "tc2", "tc3", "tc4")], ["bgp-bfd"])
+    specs = LIBRARY.expand(ClosParams(num_pods=2), ["bgp-bfd"], scenario=[
+        get_scenario(n) for n in ("tc1", "tc2", "tc3", "tc4")])
     scheduled = 0
     for spec in specs:
         _metrics, world = run_scenario(spec.scenario, spec.params, spec.stack,
@@ -526,10 +525,10 @@ def world_counts(monkeypatch):
     return calls
 
 
-def _suite(names, stacks, pods=2, **kwargs):
-    outcomes = run_scenario_suite(
-        ClosParams(num_pods=pods), [get_scenario(n) for n in names], stacks,
-        **kwargs)
+def _suite(names, stacks, pods=2, seed=0, **kwargs):
+    outcomes = run_tasks(SCENARIO_RUN, LIBRARY.expand(
+        ClosParams(num_pods=pods), stacks, (seed,),
+        scenario=[get_scenario(n) for n in names]), **kwargs)
     assert all(o is not None and o.digest for o in outcomes)
     return outcomes
 
@@ -566,7 +565,8 @@ def test_tasks_that_cannot_reuse_a_world_never_pickle_one(
     _suite(["tc1"], ["mtp"])
     _suite(["tc1"], ["mtp", "bgp-bfd"])
     # seed batches draw a distinct seed per task
-    run_experiment_batch(ClosParams(num_pods=2), "mtp", "TC1", seeds=(0, 1))
+    run_tasks(SCENARIO_RUN, TC_SEEDS.expand(ClosParams(num_pods=2), ["mtp"],
+                                            (0, 1)))
     assert world_counts == {"converge": 5, "forks": 0}
 
     # supervised attempts are forked from the one converged world too,
@@ -627,8 +627,8 @@ def test_a_retry_after_a_crash_converges_nothing(world_counts, tmp_path):
     converged world: the retry converges nothing."""
     _CRASH_MARKER[:] = [str(tmp_path / "crashed")]
     kind = dataclasses.replace(SCENARIO_RUN, run=_crash_once)
-    specs = scenario_suite_specs(ClosParams(num_pods=2), [
-        get_scenario("tc1"), get_scenario("tc2")], ["bgp-bfd"])
+    specs = LIBRARY.expand(ClosParams(num_pods=2), ["bgp-bfd"], scenario=[
+        get_scenario("tc1"), get_scenario("tc2")])
     report = CampaignReport()
     outcomes = run_tasks(kind, specs, report=report, policy=RetryPolicy(
         max_attempts=2, backoff_base_s=0.01, backoff_cap_s=0.02))
@@ -650,9 +650,9 @@ def test_a_suite_collects_once_between_tasks_and_never_on_its_own():
     second converges; forked tasks' worlds die with their processes and
     the collector's own passes over the live world are gone.  (The last
     world is the restored collector's: its first young pass frees it.)"""
-    specs = scenario_suite_specs(
-        ClosParams(num_pods=4), [get_scenario(n) for n in ("tc1", "tc2")],
-        ["mtp", "bgp-bfd"])
+    specs = LIBRARY.expand(
+        ClosParams(num_pods=4), ["mtp", "bgp-bfd"],
+        scenario=[get_scenario(n) for n in ("tc1", "tc2")])
     generations = []
 
     def seen(phase, info):

@@ -35,8 +35,9 @@ repeatable ``-T KEY=VALUE`` overrides.  ``--jobs N`` fans
 independent runs out over N worker processes (0 = one per core); results
 are byte-identical to the serial path (the engine is deterministic per
 seed).  Every campaign command (``sweep``, ``scenario run``, ``chaos``,
-``load``, ``fail``) compiles its points to scenario runs, runs them
-through one executor and reuses an on-disk result cache keyed by a
+``load``, ``fail``) is the front end of a scenario family: it maps its
+flags onto the family's axes, runs the expanded scenario runs through
+one executor and reuses an on-disk result cache keyed by a
 content hash of the task; ``--no-cache`` disables it, ``--resume``
 replays an interrupted campaign from it, and ``--supervise`` runs each
 task under a watchdog with retry and quarantine.
@@ -47,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import shlex
-import statistics
 import sys
 import time
 
@@ -184,15 +184,21 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
              "repeatable")
 
 
-def _run_campaign(args, specs, render) -> int:
-    """The one path of every campaign command — a list of scenario runs
-    (:data:`~repro.scenario.SCENARIO_RUN` tasks): the result cache and
-    ``--resume``, supervision (``--supervise``/``--task-deadline``), the
-    run itself, then ``render(outcomes, report, elapsed_s)`` — which
-    prints the command's results and returns its findings exit code —
-    and the epilogue.  A quarantine outranks a finding (EXIT_INFRA)."""
+def _run_campaign(args, family, stacks, seeds=None, **axes) -> int:
+    """The one path of every campaign command: expand ``family`` over
+    the command's flags (the stacks, the seeds, the rest as ``axes``)
+    into scenario runs (:data:`~repro.scenario.SCENARIO_RUN` tasks), run
+    them with the result cache and ``--resume``, supervision
+    (``--supervise``/``--task-deadline``) and ``--jobs``, print the
+    family's rows (its ``--json`` document under ``--json``) and its
+    verdict's errors, then the epilogue.  A quarantine outranks a
+    finding (EXIT_INFRA)."""
     from repro.scenario import SCENARIO_RUN
+    from repro.scenario.family import Tally
 
+    specs = family.expand(_params(args), stacks, seeds or (args.seed,),
+                          invariants=getattr(args, "invariants", False),
+                          **axes)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.resume and cache is None:
         raise _UsageError("--resume replays from the result cache; "
@@ -205,9 +211,37 @@ def _run_campaign(args, specs, render) -> int:
     t0 = time.perf_counter()
     outcomes = run_tasks(SCENARIO_RUN, specs, jobs=args.jobs, cache=cache,
                          policy=policy, report=report)
-    findings = render(outcomes, report, time.perf_counter() - t0)
+    tally = Tally([spec.point for spec in specs], report.describe(),
+                  time.perf_counter() - t0)
+    rows = family.rows(specs, outcomes)
+    if getattr(args, "json", False):
+        print(json.dumps(family.document(rows), indent=2, sort_keys=True))
+    else:
+        _print_rows(family, rows, tally, getattr(args, "digests", False))
+    errors = family.verdict(rows)
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
     infra = _campaign_epilogue(args, report)
-    return infra if infra != EXIT_OK else findings
+    if getattr(args, "report", None):
+        _write_sweep_report(args.report, family, rows, tally, report.records)
+    return infra or (EXIT_FINDINGS if errors else EXIT_OK)
+
+
+def _print_rows(family, rows, tally, digests: bool) -> None:
+    """A family's text: its head, a line per row (digest first under
+    ``--digests``), its foot — or, for a listing family, the rows as an
+    indented digest listing after the foot, under ``--digests`` only."""
+    for line in family.head(rows, tally):
+        print(line)
+    if not family.listing:
+        for row in rows:
+            line = family.line(row)
+            print(f"{row['digest'][:16]}  {line}" if digests else line)
+    for line in family.foot(rows, tally):
+        print(line)
+    if family.listing and digests:
+        for row in rows:
+            print(f"  {row['digest'][:16]}  {family.line(row)}")
 
 
 def _campaign_epilogue(args, report) -> int:
@@ -420,75 +454,24 @@ def cmd_converge(args) -> int:
 
 
 def cmd_fail(args) -> int:
-    from repro.scenario import failure_run_specs
-
-    display = get_stack(args.stack).display
-
-    def render(outcomes, report, _elapsed):
-        results = [o.metrics for o in outcomes if o is not None]
-        if args.runs == 1:
-            for r in results:
-                print(f"{display}, {args.case}:")
-                print(f"  convergence time : {r.convergence_ms:.2f} ms")
-                print(f"  control overhead : {r.control_bytes} B in "
-                      f"{r.update_count} update messages")
-                print(f"  blast radius     : {r.blast_radius} routers "
-                      f"({', '.join(r.blast_routers)})")
-            return EXIT_OK
-        print(f"{display}, {args.case}, {args.runs} runs "
-              f"({report.describe()}):")
-        for r in results:
-            print(f"  seed {r.seed:>20d}: conv {r.convergence_ms:9.2f} ms, "
-                  f"{r.control_bytes} B / {r.update_count} updates, "
-                  f"blast {r.blast_radius}")
-        conv = [r.convergence_ms for r in results]
-        if conv:
-            print(f"  mean convergence : {statistics.mean(conv):.2f} ms "
-                  f"(min {min(conv):.2f}, max {max(conv):.2f})")
-        return EXIT_OK
+    from repro.scenario.library import TC_RUN, TC_SEEDS, tc_seeds
 
     # one run keeps --seed; a batch derives its seeds from it
-    seeds = (args.seed,) if args.runs == 1 else None
-    specs = failure_run_specs(_params(args), args.stack, args.case, seeds,
-                              n_runs=args.runs, base_seed=args.seed)
-    return _run_campaign(args, specs, render)
+    if args.runs == 1:
+        return _run_campaign(args, TC_RUN, [args.stack], case=(args.case,))
+    return _run_campaign(args, TC_SEEDS, [args.stack],
+                         tc_seeds(args.seed, args.runs), case=(args.case,))
 
 
 def cmd_sweep(args) -> int:
-    from repro.harness.sweep import (
-        summarize,
-        sweep_points,
-        sweep_result,
-        sweep_specs,
-    )
+    from repro.scenario.library import SWEEP
 
-    rendered = []   # --report is written after the campaign epilogue
-
-    def render(outcomes, report, elapsed):
-        done = [(p, o) for p, o in zip(points, outcomes) if o is not None]
-        results = [sweep_result(p, o.metrics) for p, o in done]
-        print(summarize(results))
-        print(f"fan-out: {report.describe()}, {elapsed:.2f} s wall clock")
-        if args.digests:
-            for p, o in done:
-                print(f"  {o.digest[:16]}  {p.node}:{p.interface}")
-        rendered.append((results, report))
-        return EXIT_FINDINGS if any(not r.ok for r in results) else EXIT_OK
-
-    params = _params(args)
-    points = sweep_points(params)
-    specs = sweep_specs(params, args.stack, seed=args.seed, points=points,
-                        ambient_loss=args.ambient_loss,
-                        workload=_workload_from(args))
-    code = _run_campaign(args, specs, render)
-    if args.report:
-        results, report = rendered[0]
-        _write_sweep_report(args.report, results, report.records,
-                            report.describe())
-    return code
+    return _run_campaign(args, SWEEP, [args.stack],
+                         ambient_loss=(args.ambient_loss,),
+                         workload=(_workload_from(args),))
 
 
-def _write_sweep_report(prefix: str, results, records, describe: str) -> None:
+def _write_sweep_report(prefix: str, family, rows, tally, records) -> None:
     """``--report PREFIX``: the sweep summary plus the quarantine table,
     as PREFIX.txt and PREFIX.html."""
     from pathlib import Path
@@ -499,36 +482,29 @@ def _write_sweep_report(prefix: str, results, records, describe: str) -> None:
         quarantine_rows,
         render_quarantine_table,
     )
-    from repro.harness.sweep import summarize
 
-    text = summarize(results)
-    qtable = render_quarantine_table(records)
-    text += "\n\n" + (qtable if qtable else "quarantined tasks: none")
-    text += f"\n\nfan-out: {describe}"
     txt_path = Path(prefix + ".txt")
-    txt_path.write_text(text + "\n")
-
-    rows = [
-        [f"{r.point.node}:{r.point.interface}", r.point.peer,
-         r.pairs_checked,
-         "OK" if r.ok else f"{len(r.unreachable)} unreachable pair(s)"]
-        for r in results
-    ]
-    blocks = [table_block(
-        "single-failure sweep",
-        ("failure point", "peer", "pairs checked", "verdict"),
-        rows, note=describe)]
+    txt_path.write_text("\n".join([
+        *family.head(rows, tally), "",
+        render_quarantine_table(records) or "quarantined tasks: none", "",
+        f"fan-out: {tally.describe}", ""]))
     qrows = quarantine_rows(records)
-    blocks.append(table_block(
-        "quarantined tasks", QUARANTINE_COLUMNS, qrows,
-        note="infra failures the supervisor gave up on — the rest of "
-             "the sweep completed without them"
-        if qrows else "nothing quarantined"))
     html_path = render_report(
         "robustness sweep report",
         "exhaustive single-interface failure sweep with supervisor "
         "quarantine accounting",
-        blocks, prefix + ".html")
+        [table_block("single-failure sweep",
+                     ("failure point", "peer", "pairs checked", "verdict"),
+                     [[family.line(row), row["point"].peer,
+                       row["pairs_checked"],
+                       f"{len(row['unreachable'])} unreachable pair(s)"
+                       if row["unreachable"] else "OK"] for row in rows],
+                     note=tally.describe),
+         table_block("quarantined tasks", QUARANTINE_COLUMNS, qrows,
+                     note="infra failures the supervisor gave up on — the "
+                          "rest of the sweep completed without them"
+                     if qrows else "nothing quarantined")],
+        prefix + ".html")
     print(f"report: {txt_path} and {html_path}")
 
 
@@ -562,11 +538,8 @@ def _load_scenarios(args):
 
 
 def cmd_scenario(args) -> int:
-    from repro.scenario import (
-        canonical_scenarios,
-        encode_scenario_outcome,
-        scenario_suite_specs,
-    )
+    from repro.scenario import canonical_scenarios
+    from repro.scenario.library import LIBRARY
 
     if args.action == "list":
         for name, scenario in canonical_scenarios().items():
@@ -579,140 +552,43 @@ def cmd_scenario(args) -> int:
                              sort_keys=True))
         return 0
 
-    def render(outcomes, report, elapsed):
-        if args.json:
-            print(json.dumps({
-                "runs": [encode_scenario_outcome(o) for o in outcomes
-                         if o is not None],
-            }, indent=2, sort_keys=True))
-            return EXIT_OK
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            m = outcome.metrics
-            line = (f"{m.stack:<16} {m.scenario:<16} "
-                    f"conv {m.convergence_ms:9.2f} ms, "
-                    f"{m.control_bytes:>6} B / {m.update_count:>3} updates, "
-                    f"blast {m.blast_radius}")
-            if m.sent:
-                line += (f", traffic {m.received}/{m.sent} "
-                         f"(blackhole {m.blackhole_us / 1000:.0f} ms)")
-            if m.fib_loops or m.fib_blackholes:
-                line += (f", anomalies {m.fib_loops} loops / "
-                         f"{m.fib_blackholes} blackholes "
-                         f"({m.fib_blackhole_us / 1000:.0f} ms)")
-            if args.digests:
-                line = f"{outcome.digest[:16]}  {line}"
-            print(line)
-        print(f"{len(outcomes)} scenario runs ({report.describe()}), "
-              f"{elapsed:.2f} s wall clock")
-        return EXIT_OK
-
-    specs = scenario_suite_specs(
-        _params(args), _load_scenarios(args),
-        args.stack or list(available_stacks()), seed=args.seed,
-        invariants=args.invariants)
-    return _run_campaign(args, specs, render)
+    return _run_campaign(args, LIBRARY,
+                         args.stack or list(available_stacks()),
+                         scenario=_load_scenarios(args))
 
 
 def cmd_chaos(args) -> int:
-    from repro.harness.chaos import (
-        DEFAULT_RATES,
-        chaos_result,
-        chaos_specs,
-        clean_fabric_violations,
-        false_positive_thresholds,
-        result_payload,
-        summarize,
-    )
+    from dataclasses import replace
+    from functools import partial
 
-    def render(outcomes, report, elapsed):
-        done = [(chaos_result(s, o.metrics), o.digest)
-                for s, o in zip(specs, outcomes) if o is not None]
-        results = [r for r, _ in done]
-        if args.json:
-            print(json.dumps({
-                "points": [{**result_payload(r), "digest": digest}
-                           for r, digest in done],
-                "thresholds": false_positive_thresholds(results),
-            }, indent=2, sort_keys=True))
-        else:
-            print(summarize(results))
-            print(f"\n{len(outcomes)} chaos points ({report.describe()}), "
-                  f"{elapsed:.2f} s wall clock")
-            if args.digests:
-                for r, digest in done:
-                    print(f"  {digest[:16]}  {r.stack} loss={r.loss:.2f}")
-        violations = clean_fabric_violations(results)
-        for r in violations:
-            print(f"error: {r.stack} false-flagged {r.false_positives} "
-                  f"times on a CLEAN fabric (loss 0.0)", file=sys.stderr)
-        flagged = ([r for r in results if r.false_positives > 0]
-                   if args.require_zero_fp else [])
-        for r in flagged:
-            print(f"error: {r.stack} reported {r.false_positives} false "
-                  f"positives at loss {r.loss:.2f} "
-                  f"(--require-zero-fp)", file=sys.stderr)
-        return EXIT_FINDINGS if violations or flagged else EXIT_OK
+    from repro.scenario.library import CHAOS, chaos_verdict
 
-    specs = chaos_specs(
-        _params(args), args.stack or ["mtp", "bgp-bfd"],
-        rates=args.rate if args.rate is not None else list(DEFAULT_RATES),
-        seed=args.seed, window_ms=args.window_ms, traffic_pps=args.pps,
-        traffic_count=args.count, workload=_workload_from(args))
-    return _run_campaign(args, specs, render)
+    family = (replace(CHAOS, verdict=partial(chaos_verdict,
+                                             require_zero_fp=True))
+              if args.require_zero_fp else CHAOS)
+    return _run_campaign(
+        args, family, args.stack or ["mtp", "bgp-bfd"],
+        loss=tuple(args.rate or CHAOS.axes["loss"]),
+        window_ms=(args.window_ms,), pps=(args.pps,), count=(args.count,),
+        workload=(_workload_from(args),))
 
 
 def cmd_load(args) -> int:
-    from repro.scenario import workload_suite_specs
-    from repro.workload import WorkloadReport, canonical_workloads
+    from repro.scenario.library import LOAD
 
     if args.action == "list":
-        for name, spec in canonical_workloads().items():
-            print(f"{name:<12} {spec.matrix:<12} {spec.flows:>9} flows  "
+        for spec in LOAD.axes["workload"]:
+            print(f"{spec.name:<12} {spec.matrix:<12} {spec.flows:>9} flows  "
                   f"{spec.description}")
         return 0
+    wl = _workload_from(args)
+    workloads = (wl,) if wl is not None else LOAD.axes["workload"]
     if args.action == "show":
-        wl = _workload_from(args)
-        specs = [wl] if wl is not None else \
-            list(canonical_workloads().values())
-        for spec in specs:
+        for spec in workloads:
             print(json.dumps(spec.to_payload(), indent=2, sort_keys=True))
         return 0
-
-    def render(outcomes, report, elapsed):
-        bad_conservation = False
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            r = WorkloadReport.from_payload(outcome.metrics.workload)
-            delivered_frac = (r.delivered_bytes / r.offered_bytes
-                              if r.offered_bytes else 1.0)
-            line = (f"{r.workload:<12} {r.matrix:<12} "
-                    f"{r.flows:>9} flows  "
-                    f"goodput {r.goodput_bps / 1e9:7.3f} Gbps  "
-                    f"delivered {delivered_frac:6.1%}  "
-                    f"fct p50 {r.fct_p50_us / 1000:8.2f} ms  "
-                    f"p99 {r.fct_p99_us / 1000:9.2f} ms  "
-                    f"blackholed {r.blackholed_flows}")
-            if args.digests:
-                line = f"{outcome.digest[:16]}  {line}"
-            print(line)
-            if r.max_conservation_error > 1e-6:
-                bad_conservation = True
-                print(f"error: {r.workload}: byte conservation violated "
-                      f"(error {r.max_conservation_error:.2e})",
-                      file=sys.stderr)
-        print(f"{len(outcomes)} loaded runs ({report.describe()}), "
-              f"{elapsed:.2f} s wall clock")
-        return EXIT_FINDINGS if bad_conservation else EXIT_OK
-
-    wl = _workload_from(args)
-    specs = workload_suite_specs(
-        _params(args),
-        [wl] if wl is not None else list(canonical_workloads().values()),
-        args.stack or ["mtp", "bgp-bfd"], seed=args.seed)
-    return _run_campaign(args, specs, render)
+    return _run_campaign(args, LOAD, args.stack or ["mtp", "bgp-bfd"],
+                         workload=workloads)
 
 
 def cmd_pathtrace(args) -> int:

@@ -4,11 +4,14 @@ A :class:`Scenario` turns a fault/traffic experiment into data — an
 ordered list of timestamped events with symbolic targets — that
 serializes to canonical JSON, compiles onto the simulation engine
 against any registered stack, and runs through the campaign executor
-as its one task kind (``SCENARIO_RUN``): failure runs, sweep points,
-chaos points and ``repro load`` runs are all scenario programs.  The canonical library ships
-ten workloads (``tc1``–``tc4``, ``flap-storm``, ``double-cut``,
-``drain``, ``rolling-restart``, ``gray-uplink``, ``lossy-spine``); see
-README "Scenarios".
+as its one task kind (``SCENARIO_RUN``).  Every campaign is a
+:class:`Family`: grid axes and a program that expand to scenario runs
+and read back as rows (failure seed batches, sweep points, chaos points
+and ``repro load`` runs included).  The canonical library ships
+thirteen scenarios (``tc1``–``tc4``, ``flap-storm``, ``double-cut``,
+``drain``, ``rolling-restart``, ``gray-uplink``, ``lossy-spine``,
+``incast-storm``, ``hotspot-drain``, ``gray-uplink-recovery``) and the
+campaign families; see README "Scenarios" and "Campaigns".
 """
 
 from repro.scenario.model import (
@@ -17,7 +20,12 @@ from repro.scenario.model import (
     ScenarioError,
     ScenarioEvent,
 )
-from repro.scenario.targets import TargetResolver
+from repro.scenario.targets import (
+    FailurePoint,
+    TargetResolver,
+    fabric_failure_points,
+    gray_link,
+)
 from repro.scenario.compiler import (
     Checkpoint,
     CompiledScenario,
@@ -26,59 +34,69 @@ from repro.scenario.compiler import (
 )
 from repro.scenario.runner import (
     SCENARIO_RUN,
+    NoCrossingFlowError,
     PacketLossResult,
     ScenarioOutcome,
     ScenarioRunSpec,
     average_failure_runs,
     decode_scenario_outcome,
     encode_scenario_outcome,
-    failure_run_specs,
-    run_experiment_batch,
     run_failure_experiment,
     run_packet_loss_experiment,
     run_scenario,
-    run_scenario_suite,
     run_scenario_task,
-    scenario_suite_specs,
     scenario_task_key,
-    workload_suite_specs,
 )
+from repro.scenario.family import Family, Row
 from repro.scenario.library import (
     CANONICAL,
+    CHAOS,
+    LIBRARY,
+    LOAD,
+    SWEEP,
+    TC_RUN,
     TC_SCENARIOS,
+    TC_SEEDS,
     canonical_scenarios,
     get_scenario,
 )
 
 __all__ = [
     "CANONICAL",
+    "CHAOS",
     "Checkpoint",
     "CompiledScenario",
+    "FailurePoint",
+    "Family",
+    "LIBRARY",
+    "LOAD",
+    "NoCrossingFlowError",
     "PacketLossResult",
+    "Row",
     "SCENARIO_RUN",
     "SCENARIO_SCHEMA",
+    "SWEEP",
     "Scenario",
     "ScenarioError",
     "ScenarioEvent",
     "ScenarioMetrics",
     "ScenarioOutcome",
     "ScenarioRunSpec",
+    "TC_RUN",
     "TC_SCENARIOS",
+    "TC_SEEDS",
     "TargetResolver",
     "average_failure_runs",
     "canonical_scenarios",
     "compile_scenario",
     "decode_scenario_outcome",
     "encode_scenario_outcome",
-    "failure_run_specs",
+    "fabric_failure_points",
     "get_scenario",
-    "run_experiment_batch",
+    "gray_link",
     "run_failure_experiment",
     "run_packet_loss_experiment",
     "run_scenario",
-    "run_scenario_suite",
     "run_scenario_task",
-    "scenario_suite_specs",
     "scenario_task_key",
-    "workload_suite_specs",
 ]

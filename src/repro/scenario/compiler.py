@@ -31,11 +31,10 @@ library's TC1–TC4, run by
 :func:`repro.scenario.runner.run_failure_experiment`), the packet-loss
 experiment of Figs. 7/8 is a two-event program compiled by
 :func:`repro.scenario.runner.run_packet_loss_experiment`, and the
-robustness sweep, the chaos grid and ``repro load`` compile their
-points to fixed-window programs (:mod:`repro.harness.sweep`,
-:mod:`repro.harness.chaos`, :func:`repro.scenario.runner.workload_suite_specs`).
-The hand-driven sequences they replaced live on in ``tests/`` as
-reference oracles.
+robustness sweep, the chaos grid and ``repro load`` are scenario
+families whose points are fixed-window programs (``SWEEP``, ``CHAOS``
+and ``LOAD`` in :mod:`repro.scenario.library`).  The hand-driven
+sequences they replaced live on in ``tests/`` as reference oracles.
 """
 
 from __future__ import annotations

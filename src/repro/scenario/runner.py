@@ -1,10 +1,10 @@
-"""Scenario execution: single runs, cached/parallel suites, and the
+"""Scenario execution: single runs, the campaign task kind, and the
 paper's measured runs.
 
 One scenario x stack x seed is an independent, picklable task
 (:class:`ScenarioRunSpec`, the :data:`SCENARIO_RUN` kind — the one task
-kind: sweep points, chaos points and ``repro load`` runs are scenario
-programs too), so suites run through
+kind: every campaign is a :mod:`scenario family <repro.scenario.family>`
+that expands to these), so campaigns run through
 :func:`repro.harness.executor.run_tasks` and replay from the
 content-addressed result cache.
 Every run carries a SHA-256 run digest (trace + metrics), so serial and
@@ -13,38 +13,31 @@ share its convergence: the kind names that world (``world_key``) and
 builds it (``converge``), and the executor forks the runs that share it.
 
 The failure experiment of Figs. 4-6 is the library's TC scenario, and
-its multi-seed batches are scenario tasks; the packet-loss experiment
-of Figs. 7/8 is a two-event program compiled on the converged world
-once the crossing flow is known.  The compiler is the only code that
-drives a measured run.
+its multi-seed batches are the ``tc-seeds`` family; the packet-loss
+experiment of Figs. 7/8 is a two-event program compiled on the converged
+world once the crossing flow is known.  The compiler is the only code
+that drives a measured run.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology import TopologySpec, resolve_topology_spec
 from repro.stacks import StackSpec, StackTimers, resolve_spec
-from repro.harness.cache import ResultCache, task_key
-from repro.harness.digest import run_digest, stable_seed
+from repro.harness.cache import task_key
+from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge, world_key
-from repro.harness.executor import (
-    CampaignReport,
-    RetryPolicy,
-    TaskKind,
-    run_tasks,
-)
+from repro.harness.executor import TaskKind, run_tasks
 from repro.scenario.compiler import (
     Checkpoint,
     ScenarioMetrics,
     compile_scenario,
 )
-from repro.scenario.library import TC_SCENARIOS
-from repro.scenario.model import Scenario, ScenarioEvent
-from repro.workload.spec import resolve_workload
+from repro.scenario.model import Scenario, ScenarioError, ScenarioEvent
 
 
 @dataclass(frozen=True)
@@ -56,6 +49,10 @@ class ScenarioRunSpec:
     scenario: Scenario
     seed: int
     invariants: bool = False   # attach the monitor on workload-free runs
+    # the family grid point this run expands (axis -> value); a label,
+    # never part of the task's key
+    point: dict[str, Any] = field(default_factory=dict, compare=False,
+                                  repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params",
@@ -222,46 +219,6 @@ def decode_scenario_outcome(payload: dict) -> ScenarioOutcome:
     return ScenarioOutcome(metrics=metrics, digest=payload["digest"])
 
 
-# ----------------------------------------------------------------------
-# suite runner: scenarios x stacks through the campaign executor
-# ----------------------------------------------------------------------
-def scenario_suite_specs(
-    params,
-    scenarios: Sequence[Scenario],
-    stacks: Sequence,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    invariants: bool = False,
-) -> list[ScenarioRunSpec]:
-    """Expand a suite into its independent per-run tasks, stack-major so
-    one stack's scenarios sit together in reports."""
-    return [
-        ScenarioRunSpec(params=params, stack=resolve_spec(stack, timers),
-                        scenario=scenario, seed=seed, invariants=invariants)
-        for stack in stacks
-        for scenario in scenarios
-    ]
-
-
-def workload_suite_specs(
-    params,
-    workloads: Sequence,
-    stacks: Sequence,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-) -> list[ScenarioRunSpec]:
-    """``repro load``: each workload is a one-op program — the workload
-    at 0 ms on the converged fabric, no settle, stopped the instant it
-    ends (``window_ms`` 0) — run on every stack, stack-major."""
-    programs = [
-        Scenario(name=wl.name, description=wl.description, settle=0,
-                 window_ms=0,
-                 events=(ScenarioEvent(op="workload",
-                                       workload=wl.to_payload()),))
-        for wl in map(resolve_workload, workloads)]
-    return scenario_suite_specs(params, programs, stacks, seed, timers)
-
-
 def scenario_task_label(spec: ScenarioRunSpec) -> str:
     """Human task label for quarantine tables."""
     return (f"{spec.stack.name}/{spec.scenario.name} seed={spec.seed}")
@@ -272,27 +229,6 @@ SCENARIO_RUN = TaskKind(
     encode=encode_scenario_outcome, decode=decode_scenario_outcome,
     label=scenario_task_label, world_key=scenario_world_key,
     converge=converge_world)
-
-
-def run_scenario_suite(
-    params,
-    scenarios: Sequence[Scenario],
-    stacks: Sequence,
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    report: Optional[CampaignReport] = None,
-    policy: Optional[RetryPolicy] = None,
-    invariants: bool = False,
-) -> list[Optional[ScenarioOutcome]]:
-    """Run every scenario on every stack through
-    :func:`~repro.harness.executor.run_tasks`; under a ``policy``,
-    quarantined runs come back ``None``."""
-    specs = scenario_suite_specs(params, scenarios, stacks, seed, timers,
-                                 invariants=invariants)
-    return run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
-                     policy=policy, report=report)
 
 
 # ----------------------------------------------------------------------
@@ -309,60 +245,10 @@ def run_failure_experiment(
     """One failure run: the TC scenario of ``case_name`` — settle at a
     per-seed keepalive phase, fail the interface, measure until updates
     quiesce (:data:`~repro.scenario.library.TC_SCENARIOS`)."""
+    from repro.scenario.library import TC_SCENARIOS
+
     return run_scenario(TC_SCENARIOS[case_name], params, stack, seed,
                         timers, return_world=return_world)
-
-
-def failure_run_specs(
-    params,
-    stack,
-    case_name: str,
-    seeds: Optional[tuple[int, ...]] = None,
-    timers: Optional[StackTimers] = None,
-    n_runs: Optional[int] = None,
-    base_seed: int = 0,
-) -> list[ScenarioRunSpec]:
-    """Expand a multi-seed batch of one failure case into its
-    :data:`SCENARIO_RUN` tasks.
-
-    Seeds come either explicitly via ``seeds`` (the paper's (0, 1, 2))
-    or are derived per task from ``base_seed`` when only ``n_runs`` is
-    given — :func:`repro.harness.digest.stable_seed` keeps the derived
-    seeds identical across processes and interpreter restarts.
-    """
-    spec = resolve_spec(stack, timers)
-    if seeds is None:
-        if n_runs is None:
-            seeds = (0, 1, 2)
-        else:
-            seeds = tuple(stable_seed("failure-batch", base_seed, i)
-                          for i in range(n_runs))
-    return [
-        ScenarioRunSpec(params=params, stack=spec,
-                        scenario=TC_SCENARIOS[case_name], seed=seed)
-        for seed in seeds
-    ]
-
-
-def run_experiment_batch(
-    params,
-    stack,
-    case_name: str,
-    seeds: Optional[tuple[int, ...]] = None,
-    timers: Optional[StackTimers] = None,
-    n_runs: Optional[int] = None,
-    base_seed: int = 0,
-    jobs: int = 1,
-    cache=None,
-    report=None,
-) -> list[ScenarioMetrics]:
-    """Multi-seed batch of one failure case (:func:`failure_run_specs`)
-    through :func:`~repro.harness.executor.run_tasks`."""
-    specs = failure_run_specs(params, stack, case_name, seeds, timers,
-                              n_runs, base_seed)
-    outcomes = run_tasks(SCENARIO_RUN, specs, jobs=jobs, cache=cache,
-                         report=report)
-    return [o.metrics for o in outcomes]
 
 
 def average_failure_runs(
@@ -377,9 +263,13 @@ def average_failure_runs(
     """Multi-run average, as the paper's plotted values are: the mean
     convergence, bytes and updates and the widest blast set (seed -1;
     the other fields stay at their defaults)."""
+    from repro.scenario.library import TC_SCENARIOS, TC_SEEDS
+
     spec = resolve_spec(stack, timers)
-    runs = run_experiment_batch(params, spec, case_name, seeds,
-                                jobs=jobs, cache=cache)
+    runs = [o.metrics for o in run_tasks(
+        SCENARIO_RUN, TC_SEEDS.expand(params, [spec], seeds,
+                                      case=(case_name,)),
+        jobs=jobs, cache=cache)]
     return ScenarioMetrics(
         scenario=TC_SCENARIOS[case_name].name,
         stack=spec.name,
@@ -399,6 +289,11 @@ def average_failure_runs(
 #: the flow runs this long before the failure, and this long after it
 LOSS_LEAD_MS = 500
 LOSS_TAIL_MS = 5000
+
+
+class NoCrossingFlowError(ScenarioError):
+    """The packet-loss program's racks have no flow across the failing
+    link on this fabric, so the run measured nothing about the failure."""
 
 
 @dataclass
@@ -438,7 +333,8 @@ def run_packet_loss_experiment(
     the flow at 0 ms on the first source port whose ECMP path crosses
     the failing link (``via``), the failure :data:`LOSS_LEAD_MS` in,
     stopped by the update-quiesce rule, whose quiet window lets the last
-    packets drain.  A run where no flow crosses the link raises."""
+    packets drain.  A run where no flow crosses the link raises
+    :class:`NoCrossingFlowError`."""
     if direction not in ("near", "far"):
         raise ValueError(f"direction must be near/far, got {direction!r}")
     spec = resolve_spec(stack, timers)
@@ -467,7 +363,7 @@ def run_packet_loss_experiment(
     burst = program.bursts[0]
     if not burst.crossed:
         case = topo.failure_cases()[case_name]
-        raise RuntimeError(
+        raise NoCrossingFlowError(
             f"no flow from {src_host} to {dst_host} crosses "
             f"{case.node}<->{case.peer_node}"
         )

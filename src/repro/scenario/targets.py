@@ -26,11 +26,16 @@ distinct expression is resolved once per run and then reused, which lets
 Unresolvable expressions raise the harness's
 :class:`~repro.harness.failures.UnknownTargetError` up front, before any
 simulation time is spent.
+
+Two campaigns also read concrete targets off a built fabric:
+:func:`fabric_failure_points` (the robustness sweep's grid) and
+:func:`gray_link` (the chaos grid's impaired link).
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from repro.harness.failures import UnknownTargetError
 from repro.topology import TIER_SERVER, Topology
@@ -182,3 +187,38 @@ class TargetResolver:
         raise UnknownTargetError(
             f"cannot resolve endpoint {expr!r}: expected server:<tor> "
             f"or a host name")
+
+
+@dataclass(frozen=True)
+class FailurePoint:
+    node: str
+    interface: str
+    peer: str
+
+
+def fabric_failure_points(topo: Topology) -> list[FailurePoint]:
+    """Every router-to-router interface in the fabric."""
+    points = []
+    for name in topo.routers():
+        node = topo.node(name)
+        for iface in node.interfaces.values():
+            peer = iface.peer()
+            if peer is None or peer.node.tier == TIER_SERVER:
+                continue
+            points.append(FailurePoint(name, iface.name, peer.node.name))
+    return points
+
+
+def gray_link(topo: Topology) -> tuple[str, str, str]:
+    """The canonical gray link: the first ToR's first fabric uplink, as
+    ``(tor, interface, agg)``.
+
+    Uses the topology's own ``fabric_ports`` hook, so families that
+    redefine "up" (same-tier cross links) still nominate a sane link.
+    """
+    tor_name = topo.all_tors()[0]
+    ports = topo.fabric_ports(tor_name, up=True)
+    if not ports:
+        raise RuntimeError(f"{tor_name} has no fabric uplink to impair")
+    iface = topo.node(tor_name).interfaces[ports[0]]
+    return tor_name, iface.name, iface.peer().node.name

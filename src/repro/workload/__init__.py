@@ -13,7 +13,7 @@ Three layers (see DESIGN §13):
   epochs.
 
 A standalone loaded run (``repro load``) is a scenario program with one
-``workload`` op (:func:`repro.scenario.workload_suite_specs`).
+``workload`` op (the ``LOAD`` family, :mod:`repro.scenario.library`).
 """
 
 from repro.workload.spec import (

@@ -2,8 +2,10 @@
 workload run that the scenario programs of ``repro sweep``, ``repro
 chaos`` and ``repro load`` replaced, kept step for step.
 
-Each returns its row and the world it ran on, so a test can hold the
-compiled program to the same row and trace.  ``world`` — a converged
+Each returns its row (for a sweep or chaos point, the family's row
+fields it measures: see :mod:`repro.scenario.family`) and the world it
+ran on, so a test can hold the compiled program to the same row and
+trace.  ``world`` — a converged
 ``(world, topo, deployment)`` of the same inputs — is played on in place
 instead of converging one, so a test can converge once for the oracle
 and the program alike.
@@ -11,7 +13,6 @@ and the program alike.
 
 from __future__ import annotations
 
-from repro.harness.chaos import ChaosResult, gray_link
 from repro.harness.convergence import ConvergenceMonitor
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
@@ -21,13 +22,13 @@ from repro.harness.metrics import (
     snapshot_table_change_counts,
 )
 from repro.harness.pathtrace import check_all_pairs, find_crossing_flow
-from repro.harness.sweep import (
-    FailurePoint,
-    SweepResult,
-    fabric_failure_points,
-)
 from repro.net.impairment import ImpairmentProfile
 from repro.sim.units import MILLISECOND, SECOND
+from repro.scenario.targets import (
+    FailurePoint,
+    fabric_failure_points,
+    gray_link,
+)
 from repro.stacks import resolve_spec
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 from repro.workload.engine import FluidWorkload
@@ -38,7 +39,7 @@ def reference_sweep_point(params, stack, seed: int, point: FailurePoint,
                           ambient_loss: float = 0.0, world=None):
     """Converge, impair every fabric interface's tx side (ambient loss),
     admin-down one interface, run the detection bound plus 1 s, then
-    trace every rack pair: ``(SweepResult, world)``."""
+    trace every rack pair: ``(row, world)``."""
     world, topo, deployment = world or build_and_converge(params, stack,
                                                           seed)
     if ambient_loss > 0.0:
@@ -50,8 +51,8 @@ def reference_sweep_point(params, stack, seed: int, point: FailurePoint,
     topo.node(point.node).interfaces[point.interface].set_admin(False)
     world.run_for(deployment.detection_bound_us() + 1 * SECOND)
     checked, unreachable = check_all_pairs(deployment, topo)
-    return (SweepResult(point=point, pairs_checked=checked,
-                        unreachable=unreachable), world)
+    return ({"point": point, "pairs_checked": checked,
+             "unreachable": unreachable, "workload": None}, world)
 
 
 def reference_chaos_point(params, stack, seed: int, loss: float,
@@ -60,7 +61,7 @@ def reference_chaos_point(params, stack, seed: int, loss: float,
     """Converge, impair the first ToR uplink both ways, watch a quiet
     window, fold liveness over it, then probe on a flow crossing the
     link (chosen after the window) for the burst plus the detection
-    bound plus 500 ms: ``(ChaosResult, world)``."""
+    bound plus 500 ms: ``(row, world)``."""
     world, topo, deployment = world or build_and_converge(params, stack,
                                                           seed)
     tor_name, iface_name, agg_name = gray_link(topo)
@@ -79,15 +80,15 @@ def reference_chaos_point(params, stack, seed: int, loss: float,
         world.trace, deployment.classify_liveness, injector.events,
         since=start, until=world.sim.now,
         detection_bound_us=deployment.detection_bound_us())
-    result = ChaosResult(
-        stack=resolve_spec(stack).name, loss=loss, seed=seed,
-        window_ms=window_ms,
-        impaired_link=(tor_name, agg_name),
-        detections=stats.detections,
-        false_positives=stats.false_positives, flaps=stats.flaps,
-        suppressions=stats.suppressions,
-        suppression_us=stats.suppression_us,
-        mttr_us=stats.mttr_us, availability=stats.availability)
+    result = {
+        "stack": resolve_spec(stack).name, "loss": loss, "seed": seed,
+        "window_ms": window_ms, "link": (tor_name, iface_name, agg_name),
+        **{f"quiet.{name}": getattr(stats, name)
+           for name in ("detections", "false_positives", "flaps",
+                        "suppressions", "suppression_us", "mttr_us",
+                        "availability")},
+        "sent": 0, "received": 0, "fib_loops": 0, "fib_loop_us": 0,
+        "fib_blackholes": 0, "fib_blackhole_us": 0, "workload": None}
     if traffic_count > 0:
         src = topo.first_server_of(tor_name)
         dst = topo.first_server_of(topo.all_tors()[-1])
@@ -103,11 +104,12 @@ def reference_chaos_point(params, stack, seed: int, loss: float,
         world.run_for(traffic_count * gap_us
                       + deployment.detection_bound_us()
                       + 500 * MILLISECOND)
-        result.sent = sender.sent
-        result.received = analyzer.received
+        result["sent"] = sender.sent
+        result["received"] = analyzer.received
         analyzer.close()
     monitor.detach()
-    result.route_churn = route_churn(before, deployment.forwarding_tables())
+    result["route_churn"] = route_churn(before,
+                                        deployment.forwarding_tables())
     return result, world
 
 

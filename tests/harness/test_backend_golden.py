@@ -16,17 +16,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.executor import RetryPolicy, assert_fanout_deterministic
+from repro.harness.executor import (
+    RetryPolicy,
+    assert_fanout_deterministic,
+    run_tasks,
+)
 from repro.net import world
 from repro.scenario import (
+    LIBRARY,
     SCENARIO_RUN,
+    TC_RUN,
     ScenarioRunSpec,
-    failure_run_specs,
     get_scenario,
     run_scenario_task,
-    scenario_suite_specs,
 )
-from repro.scenario.runner import run_scenario_suite
 from repro.stacks import resolve_spec
 from repro.topology.clos import two_pod_params
 
@@ -42,7 +45,7 @@ CASES = [("mtp", "TC1"), ("mtp", "TC4"), ("bgp-bfd", "TC4")]
 
 
 def _experiment_spec(stack: str, case: str) -> ScenarioRunSpec:
-    return failure_run_specs(two_pod_params(), stack, case, seeds=(0,))[0]
+    return TC_RUN.expand(two_pod_params(), [stack], case=(case,))[0]
 
 
 def _scenario_spec(name: str, stack: str = "mtp") -> ScenarioRunSpec:
@@ -100,11 +103,9 @@ def test_scenario_library_serial_vs_pool_on_wheel():
     """The determinism guard, on the wheel: serial, jobs=2 fan-out and
     supervised execution of a scenario slice must produce identical
     digests (the guard forces two children even on a 1-core host)."""
-    specs = scenario_suite_specs(
-        two_pod_params(),
-        [get_scenario("tc2"), get_scenario("tc4")],
-        ["mtp"],
-    )
+    specs = LIBRARY.expand(
+        two_pod_params(), ["mtp"],
+        scenario=[get_scenario("tc2"), get_scenario("tc4")])
     digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(digests) == len(specs)
 
@@ -113,12 +114,11 @@ def test_supervised_suite_matches_serial_across_backends(monkeypatch):
     """--jobs 2 under the supervisor (a forked child per attempt, on the
     wheel) must reproduce the inline serial digests of the wheel and of
     the reference heap."""
-    scenarios = [get_scenario("tc4")]
+    specs = LIBRARY.expand(two_pod_params(), ["mtp"],
+                           scenario=[get_scenario("tc4")])
     serial = _on_both(monkeypatch, lambda: [
-        run_scenario_task(s).digest for s in scenario_suite_specs(
-            two_pod_params(), scenarios, ["mtp"])])
-    supervised = run_scenario_suite(
-        two_pod_params(), scenarios, ["mtp"], jobs=2,
-        policy=RetryPolicy(max_attempts=1))
+        run_scenario_task(s).digest for s in specs])
+    supervised = run_tasks(SCENARIO_RUN, specs, jobs=2,
+                           policy=RetryPolicy(max_attempts=1))
     assert [o.digest for o in supervised] == serial["wheel"] == serial[
         "heap"], f"supervised jobs=2 diverged from serial: {serial}"

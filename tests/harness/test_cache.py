@@ -23,22 +23,19 @@ from repro.topology.clos import two_pod_params
 from repro.harness.cache import CACHE_SCHEMA, ResultCache, task_key
 from repro.harness.experiments import StackTimers
 from repro.harness.executor import CampaignReport, TaskKind, run_tasks
-from repro.harness.sweep import (
-    FailurePoint,
-    summarize,
-    sweep_result,
-    sweep_specs,
-)
 from repro.scenario import (
     SCENARIO_RUN,
+    SWEEP,
+    TC_RUN,
+    FailurePoint,
     ScenarioMetrics,
     ScenarioOutcome,
     decode_scenario_outcome,
     encode_scenario_outcome,
-    failure_run_specs,
     run_scenario_task,
     scenario_task_key,
 )
+from repro.scenario.family import Tally, row_of
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -48,7 +45,7 @@ POINT = FailurePoint("L-1-1", "eth1", "S-1-1")
 
 def _spec():
     """A sweep point's scenario run."""
-    return sweep_specs(two_pod_params(), "mtp", points=[POINT])[0]
+    return SWEEP.expand(two_pod_params(), ["mtp"], point=[POINT])[0]
 
 
 # ----------------------------------------------------------------------
@@ -67,10 +64,9 @@ def test_task_key_stable_across_processes():
     """The key must not depend on per-process hash randomization."""
     program = (
         "from repro.topology.clos import two_pod_params\n"
-        "from repro.harness.sweep import FailurePoint, sweep_specs\n"
-        "from repro.scenario import scenario_task_key\n"
-        "spec = sweep_specs(two_pod_params(), 'mtp',\n"
-        "                   points=[FailurePoint('L-1-1', 'eth1', 'S-1-1')])[0]\n"
+        "from repro.scenario import SWEEP, FailurePoint, scenario_task_key\n"
+        "spec = SWEEP.expand(two_pod_params(), ['mtp'],\n"
+        "                    point=[FailurePoint('L-1-1', 'eth1', 'S-1-1')])[0]\n"
         "print(scenario_task_key(spec))\n"
     )
     keys = {_key_in_subprocess(program, h) for h in ("0", "12345")}
@@ -83,13 +79,12 @@ def test_registry_spec_key_stable_across_processes():
     identically across processes too — the sweep cache is shared."""
     program = (
         "from repro.topology.clos import two_pod_params\n"
-        "from repro.scenario import failure_run_specs, scenario_task_key\n"
-        "spec = failure_run_specs(two_pod_params(), 'mtp-spray', 'TC1',\n"
-        "                         seeds=(3,))[0]\n"
+        "from repro.scenario import TC_RUN, scenario_task_key\n"
+        "spec = TC_RUN.expand(two_pod_params(), ['mtp-spray'], (3,))[0]\n"
         "print(scenario_task_key(spec))\n"
     )
-    local = scenario_task_key(failure_run_specs(
-        two_pod_params(), "mtp-spray", "TC1", seeds=(3,))[0])
+    local = scenario_task_key(TC_RUN.expand(
+        two_pod_params(), ["mtp-spray"], (3,))[0])
     keys = {_key_in_subprocess(program, h) for h in ("0", "9999")}
     keys.add(local)
     assert len(keys) == 1, keys
@@ -102,23 +97,23 @@ def test_key_invalidates_when_timers_change():
                                   dead_us=50 * MILLISECOND)),
         StackTimers(bfd=BfdTimers(tx_interval_us=300 * MILLISECOND)),
     ):
-        changed = sweep_specs(two_pod_params(), "mtp",
-                              timers=timers, points=[POINT])[0]
+        changed = SWEEP.expand(two_pod_params(), ["mtp"], timers=timers,
+                               point=[POINT])[0]
         assert scenario_task_key(changed) != base
 
 
 def test_key_invalidates_on_every_component():
     base = scenario_task_key(_spec())
     variants = [
-        sweep_specs(two_pod_params(tors_per_pod=3), "mtp",
-                    points=[POINT])[0],
-        sweep_specs(two_pod_params(), "bgp", points=[POINT])[0],
-        sweep_specs(two_pod_params(), "mtp", seed=1,
-                    points=[POINT])[0],
-        sweep_specs(two_pod_params(), "mtp",
-                    points=[FailurePoint("L-1-1", "eth2", "S-1-2")])[0],
-        sweep_specs(two_pod_params(), "mtp", points=[POINT],
-                    ambient_loss=0.05)[0],
+        SWEEP.expand(two_pod_params(tors_per_pod=3), ["mtp"],
+                     point=[POINT])[0],
+        SWEEP.expand(two_pod_params(), ["bgp"], point=[POINT])[0],
+        SWEEP.expand(two_pod_params(), ["mtp"], seeds=(1,),
+                     point=[POINT])[0],
+        SWEEP.expand(two_pod_params(), ["mtp"],
+                     point=[FailurePoint("L-1-1", "eth2", "S-1-2")])[0],
+        SWEEP.expand(two_pod_params(), ["mtp"], point=[POINT],
+                     ambient_loss=(0.05,))[0],
     ]
     assert base not in {scenario_task_key(v) for v in variants}
 
@@ -194,7 +189,7 @@ def test_stale_schema_entry_recomputed(tmp_path):
     out = run_tasks(SCENARIO_RUN, [spec], cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
-    assert sweep_result(POINT, out[0].metrics).ok
+    assert out[0].metrics.unreachable == []
     # the recomputed entry replaced the stale one and now replays
     replay = CampaignReport()
     out2 = run_tasks(SCENARIO_RUN, [spec], cache=cache, report=replay)
@@ -229,8 +224,10 @@ def test_sweep_outcome_roundtrip():
         assert restored.digest == before.digest
         # tuple-ness of unreachable entries survives, so summaries stay
         # byte-identical between fresh and replayed sweeps
-        assert (summarize([sweep_result(POINT, restored.metrics)])
-                == summarize([sweep_result(POINT, before.metrics)]))
+        point = {"point": POINT}
+        tally = Tally([point], "", 0.0)
+        assert (SWEEP.head([row_of(point, restored)], tally)
+                == SWEEP.head([row_of(point, before)], tally))
 
 
 def test_experiment_outcome_roundtrip():
@@ -250,7 +247,7 @@ def test_experiment_outcome_roundtrip():
 # ----------------------------------------------------------------------
 def test_execute_tasks_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    specs = sweep_specs(two_pod_params(), "mtp")[:2]
+    specs = SWEEP.expand(two_pod_params(), ["mtp"])[:2]
     first = CampaignReport()
     out1 = run_tasks(SCENARIO_RUN, specs, cache=cache, report=first)
     assert (first.executed, first.cached) == (2, 0)

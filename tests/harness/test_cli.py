@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_USAGE, build_parser, main
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -321,3 +321,14 @@ def test_interrupt_prints_resume_only_with_a_cache(capsys, monkeypatch,
     err = capsys.readouterr().err
     assert ("resume with:" in err) == (cache_flag != "--no-cache")
     assert ("nothing was checkpointed" in err) == (cache_flag == "--no-cache")
+
+
+@pytest.mark.parametrize("case", ["TC1", "TC2", "TC3", "TC4"])
+def test_loss_without_a_crossing_flow_is_a_usage_error(capsys, case):
+    """On DCell no flow between the first and last racks crosses a TC
+    link: the run measured nothing, and says so instead of raising."""
+    code = main(["loss", "--topology", "dcell", "--stack", "mtp",
+                 "--case", case])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: no flow from "), err

@@ -17,14 +17,15 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.chaos import chaos_specs
 from repro.harness.executor import CampaignReport, RetryPolicy, run_tasks
-from repro.harness.sweep import FailurePoint, sweep_specs
 from repro.scenario import (
+    CHAOS,
+    LOAD,
     SCENARIO_RUN,
+    SWEEP,
+    FailurePoint,
     ScenarioRunSpec,
     get_scenario,
-    workload_suite_specs,
 )
 from repro.stacks import resolve_spec
 from repro.topology.clos import two_pod_params
@@ -50,18 +51,18 @@ CASES = {
         *(ScenarioRunSpec(scenario=get_scenario(name), **_common("bgp-bfd"))
           for name in ("tc2", "tc4")),
         ScenarioRunSpec(scenario=get_scenario("tc1"), **_common("mtp", 1))],
-    "workload-run": workload_suite_specs(two_pod_params(), [TINY],
-                                         ["mtp", "bgp-bfd"]),
+    "workload-run": LOAD.expand(two_pod_params(), ["mtp", "bgp-bfd"],
+                                workload=[TINY]),
     # a classic probe-only point and a loaded one
     "sweep-point": [
-        *sweep_specs(two_pod_params(), "mtp", seed=7, points=[POINT]),
-        *sweep_specs(two_pod_params(), "bgp", points=[POINT],
-                     workload=TINY)],
+        *SWEEP.expand(two_pod_params(), ["mtp"], seeds=(7,), point=[POINT]),
+        *SWEEP.expand(two_pod_params(), ["bgp"], point=[POINT],
+                      workload=[TINY])],
     # a detector that false-flags (flaps, churn, MTTR) and the adaptive
     # ones that must not: their timer choices and damping replay exactly
-    "chaos-point": chaos_specs(
+    "chaos-point": CHAOS.expand(
         two_pod_params(), ["mtp", "mtp-adaptive", "bgp-bfd-damped"],
-        rates=(0.1,), window_ms=1500, traffic_count=100),
+        loss=(0.1,), window_ms=(1500,), count=(100,)),
 }
 
 

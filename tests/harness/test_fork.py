@@ -29,11 +29,11 @@ from repro.harness.executor import (
     run_tasks,
 )
 from repro.scenario import (
+    LIBRARY,
     SCENARIO_RUN,
     canonical_scenarios,
     encode_scenario_outcome,
     run_scenario_task,
-    scenario_suite_specs,
 )
 from repro.topology.clos import two_pod_params
 
@@ -45,9 +45,7 @@ def test_forked_runs_equal_cold_runs(stack):
     """The library on one stack: twelve tasks forked from one world and
     the last run on it give exactly the payloads and digests of thirteen
     cold runs."""
-    specs = scenario_suite_specs(two_pod_params(),
-                                 list(canonical_scenarios().values()),
-                                 [stack])
+    specs = LIBRARY.expand(two_pod_params(), [stack])
     report = CampaignReport()
     shared = run_tasks(SCENARIO_RUN, specs, report=report)
     cold = [run_scenario_task(spec) for spec in specs]
@@ -211,8 +209,8 @@ def test_pool_workers_that_cannot_fork_report_it(monkeypatch):
     scenarios = [canonical_scenarios()[n] for n in
                  ("tc1", "tc2", "tc3", "tc4", "flap-storm", "drain",
                   "double-cut", "lossy-spine")]
-    specs = scenario_suite_specs(two_pod_params(), scenarios,
-                                 ["mtp", "bgp-bfd"])
+    specs = LIBRARY.expand(two_pod_params(), ["mtp", "bgp-bfd"],
+                           scenario=scenarios)
     inline = [o.digest for o in run_tasks(SCENARIO_RUN, specs)]
 
     def no_fork():
@@ -301,9 +299,9 @@ def test_no_campaign_pickles_a_world(monkeypatch):
     tc1..tc4 campaign give the serial digests."""
     from repro.net.world import World
 
-    specs = scenario_suite_specs(
-        two_pod_params(), [canonical_scenarios()[n] for n in
-                           ("tc1", "tc2", "tc3", "tc4")], ["bgp-bfd"])
+    specs = LIBRARY.expand(
+        two_pod_params(), ["bgp-bfd"], scenario=[
+            canonical_scenarios()[n] for n in ("tc1", "tc2", "tc3", "tc4")])
     serial = [o.digest for o in run_tasks(SCENARIO_RUN, specs)]
 
     def refuse(self, protocol):

@@ -17,6 +17,12 @@ one :class:`~repro.harness.executor.TaskKind`, ``SCENARIO_RUN``.  A
 second kind is a second spec, key, codec and label for what a scenario
 program already says.
 
+And every campaign is a scenario family: ``src/`` builds a
+:class:`~repro.scenario.ScenarioRunSpec` only in
+``scenario/family.py`` (``Family.expand``); ``scenario/runner.py``,
+which defines the class, builds none.  A command with a spec builder of
+its own is a grid written by hand again.
+
 And a campaign starts processes one way, ``os.fork`` from the converged
 world: ``src/`` imports neither ``multiprocessing`` nor
 ``concurrent.futures``, whose workers would converge or unpickle worlds
@@ -182,6 +188,26 @@ def test_src_constructs_exactly_one_task_kind():
         "every campaign runs scenario programs; a second task kind: "
         + ", ".join(found))
     assert found[0].startswith("src/repro/scenario/runner.py:")
+
+
+# ----------------------------------------------------------------------
+# one place builds scenario runs
+# ----------------------------------------------------------------------
+SPEC_BUILDERS = {"scenario/family.py"}
+
+
+def test_only_a_family_builds_scenario_runs():
+    found = {path.relative_to(SRC).as_posix(): lines
+             for path in sorted(SRC.rglob("*.py"))
+             if (lines := constructions(path, "ScenarioRunSpec"))}
+    offenders = [f"src/repro/{name}:{lines[0]}"
+                 for name, lines in found.items()
+                 if name not in SPEC_BUILDERS]
+    assert not offenders, (
+        "campaigns expand a scenario family (scenario/family.py); a "
+        "spec builder elsewhere: " + ", ".join(offenders))
+    # the family still builds them, so this rule cannot go stale
+    assert "scenario/family.py" in found
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,7 @@ from repro.harness.executor import (
     resolve_jobs,
     run_tasks,
 )
-from repro.harness.sweep import sweep_specs
-from repro.scenario import SCENARIO_RUN, failure_run_specs, run_scenario_task
+from repro.scenario import SCENARIO_RUN, SWEEP, TC_SEEDS, run_scenario_task
 
 
 def _square(x: int) -> int:
@@ -48,7 +47,7 @@ SQUARE = TaskKind(name="square", run=_square, key=str,
     pytest.param("bgp", 0, id="StackKind.BGP-0"),
 ])
 def test_sweep_digests_serial_vs_parallel(kind, seed):
-    specs = sweep_specs(two_pod_params(), kind, seed=seed)[:3]
+    specs = SWEEP.expand(two_pod_params(), [kind], seeds=(seed,))[:3]
     serial_a = [run_scenario_task(s) for s in specs]
     serial_b = [run_scenario_task(s) for s in specs]
     assert [o.digest for o in serial_a] == [o.digest for o in serial_b]
@@ -60,7 +59,7 @@ def test_sweep_digests_serial_vs_parallel(kind, seed):
 
 
 def test_sweep_digests_across_worker_counts():
-    specs = sweep_specs(two_pod_params(), "mtp")[:4]
+    specs = SWEEP.expand(two_pod_params(), ["mtp"])[:4]
     by_jobs = {
         jobs: [o.digest for o in run_tasks(SCENARIO_RUN, specs, jobs=jobs,
                                            allow_oversubscribe=True)]
@@ -76,15 +75,15 @@ def test_sweep_digests_across_worker_counts():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("stack", ["mtp", "bgp"])
 def test_experiment_batch_digests_deterministic(stack):
-    specs = failure_run_specs(two_pod_params(), stack, "TC1", seeds=(0, 1))
+    specs = TC_SEEDS.expand(two_pod_params(), [stack], (0, 1))
     digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(set(digests)) == 2  # different seeds, different runs
 
 
 def test_experiment_digest_differs_across_seeds_and_cases():
     def outcome(case, seed):
-        return run_scenario_task(failure_run_specs(
-            two_pod_params(), "mtp", case, seeds=(seed,))[0])
+        return run_scenario_task(TC_SEEDS.expand(
+            two_pod_params(), ["mtp"], (seed,), case=(case,))[0])
 
     base = outcome("TC1", 0)
     assert base.digest == outcome("TC1", 0).digest
@@ -96,7 +95,7 @@ def test_experiment_digest_differs_across_seeds_and_cases():
 # executor mechanics
 # ----------------------------------------------------------------------
 def test_execute_tasks_preserves_order():
-    specs = sweep_specs(two_pod_params(), "mtp")[:4]
+    specs = SWEEP.expand(two_pod_params(), ["mtp"])[:4]
     outcomes = run_tasks(SCENARIO_RUN, specs, jobs=2,
                          allow_oversubscribe=True)
     assert ([o.metrics.scenario for o in outcomes]

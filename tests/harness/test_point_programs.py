@@ -1,7 +1,7 @@
 """Sweep points, chaos points and ``repro load`` runs are scenario
 programs: each is held to the hand-driven sequence it replaced
-(``tests/harness/reference_points.py``) — the same row and the same
-trace digest (for a sweep point, apart from the injector's own
+(``tests/harness/reference_points.py``) — the same row fields and the
+same trace digest (for a sweep point, apart from the injector's own
 ``fail.*`` records, which the hand-driven admin-down never wrote).
 Oracle and program each run on a forked copy of one converged world."""
 
@@ -11,12 +11,11 @@ from functools import partial
 
 import pytest
 
-from repro.harness.chaos import chaos_result, chaos_specs, result_payload
 from repro.harness.digest import trace_digest
 from repro.harness.executor import TaskKind, run_tasks
 from repro.harness.experiments import build_and_converge
-from repro.harness.sweep import sweep_points, sweep_result, sweep_specs
-from repro.scenario import run_scenario, workload_suite_specs
+from repro.scenario import CHAOS, LOAD, SWEEP, ScenarioOutcome, run_scenario
+from repro.scenario.family import row_of
 from repro.topology.clos import two_pod_params
 from repro.workload import WorkloadReport, canonical_workloads
 
@@ -47,6 +46,17 @@ def _program(spec, world):
                         return_world=True, world=world)
 
 
+def _row(spec, world):
+    """The program's row, and the world it ran on."""
+    metrics, world = _program(spec, world)
+    return row_of(spec.point, ScenarioOutcome(metrics, "")), world
+
+
+def _fields(got, want):
+    """``got`` restricted to the fields the oracle measured."""
+    return {name: got[name] for name in want}
+
+
 def _without_injections(trace):
     return trace_digest(r for r in trace.records
                         if not r.category.startswith("fail."))
@@ -56,13 +66,12 @@ def _without_injections(trace):
 @pytest.mark.parametrize("stack", ["mtp", "bgp-bfd"])
 def test_sweep_program_matches_reference(stack, ambient):
     params = two_pod_params()
-    points = sweep_points(params)
-    specs = sweep_specs(params, stack, points=points, ambient_loss=ambient)
+    specs = SWEEP.expand(params, [stack], ambient_loss=(ambient,))
     assert len(specs) == 32
 
-    def program(point, spec, world):
-        metrics, world = _program(spec, world)
-        return sweep_result(point, metrics), _without_injections(world.trace)
+    def program(spec, world):
+        row, world = _row(spec, world)
+        return row, _without_injections(world.trace)
 
     def oracle(point, world):
         expected, reference = reference_sweep_point(
@@ -70,10 +79,11 @@ def test_sweep_program_matches_reference(stack, ambient):
         return expected, _without_injections(reference.trace)
 
     outcomes = _on_one_world(stack, [
-        run for point, spec in zip(points, specs)
-        for run in (partial(program, point, spec), partial(oracle, point))])
-    for point, got, want in zip(points, outcomes[::2], outcomes[1::2]):
-        assert got == want, point
+        run for spec in specs
+        for run in (partial(program, spec),
+                    partial(oracle, spec.point["point"]))])
+    for spec, got, want in zip(specs, outcomes[::2], outcomes[1::2]):
+        assert (_fields(got[0], want[0]), got[1]) == want, spec.point["point"]
 
 
 @pytest.mark.parametrize("stack", ["mtp", "bgp-bfd"])
@@ -82,27 +92,26 @@ def test_chaos_program_matches_reference(stack):
     rates = (0.0, 0.1, 0.3)
 
     def program(spec, world):
-        metrics, world = _program(spec, world)
-        return (result_payload(chaos_result(spec, metrics)),
-                trace_digest(world.trace))
+        row, world = _row(spec, world)
+        return row, trace_digest(world.trace)
 
     def oracle(rate, world):
         expected, reference = reference_chaos_point(params, stack, 0, rate,
                                                     world=world)
-        return result_payload(expected), trace_digest(reference.trace)
+        return expected, trace_digest(reference.trace)
 
     outcomes = _on_one_world(stack, [
-        run for rate, spec in zip(rates, chaos_specs(params, [stack],
-                                                     rates=rates))
+        run for rate, spec in zip(rates, CHAOS.expand(params, [stack],
+                                                      loss=rates))
         for run in (partial(program, spec), partial(oracle, rate))])
     for rate, got, want in zip(rates, outcomes[::2], outcomes[1::2]):
-        assert got == want, rate
+        assert (_fields(got[0], want[0]), got[1]) == want, rate
 
 
 def test_load_program_matches_reference():
     params = two_pod_params()
     presets = list(canonical_workloads().values())
-    specs = workload_suite_specs(params, presets, ["mtp"])
+    specs = LOAD.expand(params, ["mtp"], workload=presets)
 
     def program(spec, world):
         metrics, world = _program(spec, world)

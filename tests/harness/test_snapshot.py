@@ -19,11 +19,10 @@ from repro.harness.executor import (
     run_tasks,
 )
 from repro.scenario import (
+    LIBRARY,
     SCENARIO_RUN,
     get_scenario,
-    run_scenario_suite,
     run_scenario_task,
-    scenario_suite_specs,
 )
 from repro.sim.units import MILLISECOND
 from repro.stacks import (
@@ -132,12 +131,12 @@ def test_unpicklable_stack_runs_cold_with_one_note(closure_stack):
     """A forked task never pickles its world, so a plugin holding a
     closure shares one like any other stack: same digests as cold runs,
     and no note."""
-    scenarios = [get_scenario(n) for n in ("tc1", "tc2", "tc3")]
+    specs = LIBRARY.expand(
+        two_pod_params(), [closure_stack], (2,),
+        scenario=[get_scenario(n) for n in ("tc1", "tc2", "tc3")])
     report = CampaignReport()
-    shared = run_scenario_suite(two_pod_params(), scenarios,
-                                [closure_stack], seed=2, report=report)
-    cold = [run_scenario_task(spec) for spec in scenario_suite_specs(
-        two_pod_params(), scenarios, [closure_stack], seed=2)]
+    shared = run_tasks(SCENARIO_RUN, specs, report=report)
+    cold = [run_scenario_task(spec) for spec in specs]
     assert [o.digest for o in shared] == [o.digest for o in cold]
     assert report.notes == []
 
@@ -146,9 +145,9 @@ def test_a_task_that_cannot_fork_runs_in_process_with_one_note(monkeypatch):
     """``os.fork`` raising is the fallback's case: each task runs here,
     the next one converges the world again, the report gets one note,
     and every digest is a cold run's."""
-    specs = scenario_suite_specs(
-        two_pod_params(), [get_scenario(n) for n in ("tc1", "tc2", "tc3")],
-        ["bgp-bfd"], seed=2)
+    specs = LIBRARY.expand(
+        two_pod_params(), ["bgp-bfd"], (2,),
+        scenario=[get_scenario(n) for n in ("tc1", "tc2", "tc3")])
     cold = [run_scenario_task(s).digest for s in specs]
 
     def no_fork():

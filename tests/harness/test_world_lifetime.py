@@ -23,10 +23,9 @@ from repro.harness.executor import (
     TaskKind,
     run_tasks,
 )
-from repro.scenario import canonical_scenarios, run_scenario
+from repro.scenario import LIBRARY, run_scenario
 from repro.scenario.runner import (
     converge_world,
-    scenario_suite_specs,
     scenario_task_key,
     scenario_task_label,
     scenario_world_key,
@@ -59,9 +58,7 @@ def test_a_finished_run_leaves_next_to_no_cyclic_garbage(stack):
     (one world converged, twelve runs forked from it, the last on it):
     with the finished world still referenced, one collection reclaims at
     most ``GARBAGE_BOUND`` objects."""
-    specs = scenario_suite_specs(ClosParams(num_pods=4),
-                                 list(canonical_scenarios().values()),
-                                 [stack])
+    specs = LIBRARY.expand(ClosParams(num_pods=4), [stack])
     garbage = dict(run_tasks(GARBAGE_KIND, specs))
     assert max(garbage.values()) <= GARBAGE_BOUND, garbage
 

@@ -5,24 +5,27 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.executor import run_tasks
-from repro.harness.sweep import (
-    summarize,
-    sweep_points,
-    sweep_result,
-    sweep_specs,
-)
-from repro.scenario import SCENARIO_RUN
+from repro.scenario import SCENARIO_RUN, SWEEP, fabric_failure_points
+from repro.scenario.family import Tally
+from repro.topology import build_topology
 from repro.topology.clos import two_pod_params
 
 
+def _points():
+    return fabric_failure_points(build_topology(two_pod_params()))
+
+
 def _sweep(kind, points):
-    outcomes = run_tasks(SCENARIO_RUN, sweep_specs(two_pod_params(), kind,
-                                                   points=points))
-    return [sweep_result(p, o.metrics) for p, o in zip(points, outcomes)]
+    specs = SWEEP.expand(two_pod_params(), [kind], point=points)
+    return SWEEP.rows(specs, run_tasks(SCENARIO_RUN, specs))
+
+
+def _summary(rows):
+    return "\n".join(SWEEP.head(rows, Tally([], "", 0.0)))
 
 
 def test_failure_point_enumeration():
-    points = sweep_points(two_pod_params())
+    points = _points()
     # 2-PoD: 8 ToR-agg links + 8 agg-top links, both ends = 32 points
     assert len(points) == 32
     assert all(p.node != p.peer for p in points)
@@ -32,17 +35,17 @@ def test_failure_point_enumeration():
 @pytest.mark.parametrize("kind", ["mtp", "bgp"],
                          ids=["StackKind.MTP", "StackKind.BGP"])
 def test_sampled_failures_leave_no_blackholes(kind):
-    points = sweep_points(two_pod_params())
+    points = _points()
     sample = points[:: max(1, len(points) // 6)]  # ~6 spread-out points
-    results = _sweep(kind, sample)
-    assert all(r.ok for r in results), summarize(results)
-    assert all(r.pairs_checked == 12 for r in results)  # 4 ToRs -> 12 pairs
+    rows = _sweep(kind, sample)
+    assert not any(row["unreachable"] for row in rows), _summary(rows)
+    assert all(row["pairs_checked"] == 12 for row in rows)  # 4 ToRs -> 12 pairs
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", ["mtp", "bgp"],
                          ids=["StackKind.MTP", "StackKind.BGP"])
 def test_exhaustive_single_failure_sweep(kind):
-    results = _sweep(kind, sweep_points(two_pod_params()))
-    assert len(results) == 32
-    assert all(r.ok for r in results), summarize(results)
+    rows = _sweep(kind, _points())
+    assert len(rows) == 32
+    assert not any(row["unreachable"] for row in rows), _summary(rows)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness.chaos import chaos_result, chaos_specs
 from repro.harness.executor import assert_fanout_deterministic
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.liveness import DEFAULT_LIVENESS, LivenessConfig, NeighborMonitor
 from repro.net.impairment import ImpairmentProfile
-from repro.scenario.library import get_scenario
+from repro.scenario.family import row_of
+from repro.scenario.library import CHAOS, get_scenario
 from repro.scenario.runner import (
     SCENARIO_RUN,
     run_scenario,
@@ -34,9 +34,9 @@ from repro.topology.clos import two_pod_params
 
 
 def _chaos(stack: str, loss: float, window_ms: int = 3000):
-    spec, = chaos_specs(two_pod_params(), [stack], rates=(loss,),
-                        window_ms=window_ms, traffic_count=200)
-    return chaos_result(spec, run_scenario_task(spec).metrics)
+    spec, = CHAOS.expand(two_pod_params(), [stack], loss=(loss,),
+                         window_ms=(window_ms,), count=(200,))
+    return row_of(spec.point, run_scenario_task(spec))
 
 
 # ----------------------------------------------------------------------
@@ -47,9 +47,9 @@ def test_mtp_adaptive_zero_false_positives_on_gray_links(loss):
     """The acceptance criterion: zero false positives at 2-10% ambient
     loss, a regime where the fixed Quick-to-Detect timer false-flags."""
     result = _chaos("mtp-adaptive", loss)
-    assert result.false_positives == 0
-    assert result.flaps == 0
-    assert result.route_churn == 0
+    assert result["quiet.false_positives"] == 0
+    assert result["quiet.flaps"] == 0
+    assert result["route_churn"] == 0
 
 
 def test_baseline_mtp_still_false_flags_at_two_percent():
@@ -58,7 +58,7 @@ def test_baseline_mtp_still_false_flags_at_two_percent():
     layer exists to fix — if this ever goes green, refresh the
     EXPERIMENTS.md table)."""
     result = _chaos("mtp", 0.02)
-    assert result.false_positives > 0
+    assert result["quiet.false_positives"] > 0
 
 
 @pytest.mark.parametrize("stack,baseline",
@@ -76,7 +76,7 @@ def test_real_failure_detection_within_2x_of_baseline(stack, baseline):
 
 def test_bgp_bfd_damped_zero_false_positives():
     result = _chaos("bgp-bfd-damped", 0.1)
-    assert result.false_positives == 0
+    assert result["quiet.false_positives"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -133,10 +133,9 @@ def test_gray_uplink_recovery_scenario_is_clean_for_adaptive_stacks():
 def test_adaptive_chaos_digests_serial_vs_parallel():
     """Damping decay and adaptive timer choices are pure functions of
     event times, so the chaos digests are byte-identical at --jobs 2."""
-    specs = chaos_specs(two_pod_params(),
-                        ["mtp-adaptive", "bgp-bfd-damped"],
-                        rates=(0.0, 0.1), window_ms=1500,
-                        traffic_count=100)
+    specs = CHAOS.expand(two_pod_params(),
+                         ["mtp-adaptive", "bgp-bfd-damped"],
+                         loss=(0.0, 0.1), window_ms=(1500,), count=(100,))
     digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(set(digests)) == len(specs)
 

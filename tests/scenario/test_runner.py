@@ -9,7 +9,11 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.harness.convergence import ConvergenceMonitor
 from repro.harness.digest import trace_digest
-from repro.harness.executor import CampaignReport, assert_fanout_deterministic
+from repro.harness.executor import (
+    CampaignReport,
+    assert_fanout_deterministic,
+    run_tasks,
+)
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.metrics import blast_radius, snapshot_table_change_counts
@@ -19,15 +23,14 @@ from repro.scenario import (
     Scenario,
     ScenarioEvent,
     ScenarioRunSpec,
+    LIBRARY,
+    TC_RUN,
     compile_scenario,
-    failure_run_specs,
     get_scenario,
     run_failure_experiment,
     run_packet_loss_experiment,
     run_scenario,
-    run_scenario_suite,
     run_scenario_task,
-    scenario_suite_specs,
     scenario_task_key,
 )
 from repro.sim.units import MILLISECOND, SECOND
@@ -169,19 +172,17 @@ def test_task_key_depends_on_scenario_content():
     assert len(keys) == 2
     assert scenario_task_key(_spec("tc1")) == scenario_task_key(_spec("tc1"))
     # `repro fail` and `scenario run tc1` share their cache entries
-    assert scenario_task_key(failure_run_specs(
-        two_pod_params(), "mtp", "TC1", seeds=(0,))[0]) == \
-        scenario_task_key(_spec("tc1"))
+    assert scenario_task_key(TC_RUN.expand(two_pod_params(), ["mtp"])[0]) \
+        == scenario_task_key(_spec("tc1"))
 
 
 def test_second_suite_run_is_served_from_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    kwargs = dict(params=two_pod_params(),
-                  scenarios=[get_scenario("tc1"), get_scenario("tc4")],
-                  stacks=["mtp"], seed=0, cache=cache)
+    specs = LIBRARY.expand(two_pod_params(), ["mtp"], scenario=[
+        get_scenario("tc1"), get_scenario("tc4")])
     cold_report, warm_report = CampaignReport(), CampaignReport()
-    cold = run_scenario_suite(report=cold_report, **kwargs)
-    warm = run_scenario_suite(report=warm_report, **kwargs)
+    cold = run_tasks(SCENARIO_RUN, specs, cache=cache, report=cold_report)
+    warm = run_tasks(SCENARIO_RUN, specs, cache=cache, report=warm_report)
     assert cold_report.executed == 2 and cold_report.cached == 0
     assert warm_report.executed == 0 and warm_report.cached == 2
     assert [o.digest for o in warm] == [o.digest for o in cold]
@@ -189,9 +190,8 @@ def test_second_suite_run_is_served_from_cache(tmp_path):
 
 
 def test_serial_and_parallel_digests_are_identical():
-    specs = scenario_suite_specs(
-        two_pod_params(), [get_scenario("tc2"), get_scenario("tc4")],
-        ["mtp", "bgp-bfd"], seed=0)
+    specs = LIBRARY.expand(two_pod_params(), ["mtp", "bgp-bfd"], scenario=[
+        get_scenario("tc2"), get_scenario("tc4")])
     digests = assert_fanout_deterministic(SCENARIO_RUN, specs, jobs=2)
     assert len(digests) == len(specs)
 

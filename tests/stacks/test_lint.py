@@ -20,7 +20,8 @@ SRC = REPO / "src" / "repro"
 # every module that must not know which stack it is running
 AGNOSTIC_FILES = sorted(
     [*(SRC / "harness").glob("*.py"), SRC / "cli.py", SRC / "registry.py",
-     SRC / "stacks" / "base.py"])
+     SRC / "stacks" / "base.py", SRC / "scenario" / "family.py",
+     SRC / "scenario" / "library.py"])
 
 # the legacy enum's name, anywhere but in a quoted test id: eleven
 # tier-1 ids predate the registry and keep their spelling
@@ -37,7 +38,8 @@ def _matches(pattern: str, path: Path) -> list[str]:
 
 def test_files_under_lint_exist():
     names = {p.relative_to(SRC).as_posix() for p in AGNOSTIC_FILES}
-    assert {"harness/experiments.py", "harness/sweep.py", "harness/cache.py",
+    assert {"harness/experiments.py", "scenario/family.py",
+            "scenario/library.py", "harness/cache.py",
             "harness/pathtrace.py", "harness/analysis.py", "cli.py",
             "registry.py", "stacks/base.py"} <= names
 

@@ -29,10 +29,11 @@ from repro.stacks import (
 from repro.stacks import mtp
 from repro.harness.experiments import build_and_converge, detection_bound_us
 from repro.harness.executor import run_tasks
-from repro.harness.sweep import FailurePoint, sweep_result, sweep_specs
 from repro.scenario import (
     SCENARIO_RUN,
-    failure_run_specs,
+    SWEEP,
+    TC_RUN,
+    FailurePoint,
     run_failure_experiment,
     scenario_task_key,
 )
@@ -108,8 +109,7 @@ def test_variant_cache_keys_differ_from_parent():
     """mtp and mtp-spray share a deploy callable; only their canonical
     params differ — the cache key must still separate them."""
     keys = {
-        scenario_task_key(failure_run_specs(
-            two_pod_params(), name, "TC1", seeds=(0,))[0])
+        scenario_task_key(TC_RUN.expand(two_pod_params(), [name])[0])
         for name in BUILTINS
     }
     assert len(keys) == len(BUILTINS)
@@ -195,11 +195,10 @@ def test_registered_variant_runs_failure_experiment(throwaway_stack):
 def test_registered_variant_runs_robustness_sweep(throwaway_stack):
     points = [FailurePoint("L-1-1", "eth1", "S-1-1"),
               FailurePoint("T-1", "eth1", "S-1-1")]
-    outcomes = run_tasks(SCENARIO_RUN, sweep_specs(
-        two_pod_params(), throwaway_stack, points=points))
+    specs = SWEEP.expand(two_pod_params(), [throwaway_stack], point=points)
+    outcomes = run_tasks(SCENARIO_RUN, specs)
     assert len(outcomes) == 2
-    assert all(sweep_result(p, o.metrics).ok
-               for p, o in zip(points, outcomes))
+    assert not any(row["unreachable"] for row in SWEEP.rows(specs, outcomes))
 
 
 def test_built_deployment_satisfies_protocol(throwaway_stack):

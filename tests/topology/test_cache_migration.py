@@ -18,7 +18,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import CampaignReport, run_tasks
 from repro.scenario import (
     SCENARIO_RUN,
-    failure_run_specs,
+    TC_RUN,
     run_scenario_task,
     scenario_task_key,
 )
@@ -26,7 +26,7 @@ from repro.topology import two_pod_params
 
 
 def _spec():
-    return failure_run_specs(two_pod_params(), "mtp", "TC4", seeds=(0,))[0]
+    return TC_RUN.expand(two_pod_params(), ["mtp"], case=("TC4",))[0]
 
 
 def _entry_path(cache: ResultCache, key: str):

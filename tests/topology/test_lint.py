@@ -32,7 +32,7 @@ def _matches(pattern: str, path: Path) -> list[str]:
 
 def test_files_under_lint_exist():
     names = {p.name for p in AGNOSTIC_FILES}
-    assert {"experiments.py", "sweep.py", "chaos.py", "analysis.py",
+    assert {"experiments.py", "family.py", "library.py", "analysis.py",
             "oracle.py", "mtp.py", "bgp.py", "registry.py", "failures.py",
             "targets.py", "runner.py", "compiler.py", "cli.py"} <= names
 

@@ -20,8 +20,8 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import CampaignReport, run_tasks
 from repro.scenario import (
     SCENARIO_RUN,
+    TC_RUN,
     encode_scenario_outcome,
-    failure_run_specs,
     run_scenario_task,
     scenario_task_key,
 )
@@ -29,8 +29,7 @@ from repro.topology import two_pod_params
 
 
 def _spec(case_name: str):
-    return failure_run_specs(two_pod_params(), "mtp", case_name,
-                             seeds=(0,))[0]
+    return TC_RUN.expand(two_pod_params(), ["mtp"], case=(case_name,))[0]
 
 
 def test_schema3_experiment_entry_misses_cleanly(tmp_path):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness.experiments import build_and_converge
-from repro.harness.sweep import fabric_failure_points
 from repro.net.impairment import ImpairmentProfile
+from repro.scenario import fabric_failure_points
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import two_pod_params
 from repro.workload.engine import FluidWorkload

@@ -5,12 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenario import (
-    Scenario,
-    ScenarioEvent,
-    run_scenario,
-    workload_suite_specs,
-)
+from repro.scenario import LOAD, Scenario, ScenarioEvent, run_scenario
 from repro.topology.clos import two_pod_params
 from repro.workload import WorkloadReport
 from repro.workload.spec import WorkloadSpec
@@ -21,7 +16,7 @@ SMALL = WorkloadSpec(name="small", matrix="permutation", flows=1500,
 
 def run_workload(workload, params, stack, seed=0) -> WorkloadReport:
     """A ``repro load`` run: the one-op workload program."""
-    spec, = workload_suite_specs(params, [workload], [stack], seed=seed)
+    spec, = LOAD.expand(params, [stack], (seed,), workload=[workload])
     metrics = run_scenario(spec.scenario, params, stack, seed)
     return WorkloadReport.from_payload(metrics.workload)
 

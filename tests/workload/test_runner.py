@@ -9,12 +9,7 @@ import dataclasses
 
 from repro.harness.cache import ResultCache
 from repro.harness.executor import CampaignReport, RetryPolicy, run_tasks
-from repro.harness.sweep import sweep_points, sweep_result, sweep_specs
-from repro.scenario import (
-    SCENARIO_RUN,
-    scenario_task_key,
-    workload_suite_specs,
-)
+from repro.scenario import LOAD, SCENARIO_RUN, SWEEP, scenario_task_key
 from repro.topology.clos import two_pod_params
 from repro.workload.spec import WorkloadSpec
 
@@ -23,14 +18,13 @@ TINY = WorkloadSpec(name="tiny", matrix="uniform", flows=400,
 
 
 def _load_key(params=None, stack="mtp", workload=TINY, seed=0):
-    spec, = workload_suite_specs(params or two_pod_params(), [workload],
-                                 [stack], seed=seed)
+    spec, = LOAD.expand(params or two_pod_params(), [stack], (seed,),
+                        workload=[workload])
     return scenario_task_key(spec)
 
 
 def test_suite_serial_equals_jobs2():
-    specs = workload_suite_specs(two_pod_params(), [TINY],
-                                 ["mtp", "bgp-bfd"])
+    specs = LOAD.expand(two_pod_params(), ["mtp", "bgp-bfd"], workload=[TINY])
     serial = run_tasks(SCENARIO_RUN, specs, jobs=1)
     fanned = run_tasks(SCENARIO_RUN, specs, jobs=2)
     assert [o.digest for o in serial] == [o.digest for o in fanned]
@@ -40,7 +34,7 @@ def test_suite_serial_equals_jobs2():
 
 def test_suite_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    specs = workload_suite_specs(two_pod_params(), [TINY], ["mtp"])
+    specs = LOAD.expand(two_pod_params(), ["mtp"], workload=[TINY])
     first = CampaignReport()
     out1 = run_tasks(SCENARIO_RUN, specs, cache=cache, report=first)
     assert (first.executed, first.cached) == (1, 0)
@@ -67,9 +61,7 @@ def test_workload_task_key_invalidates_on_every_component():
 def test_loaded_sweep_serial_equals_jobs2_supervised():
     """The acceptance pairing: a workload-carrying sweep, supervised,
     fans out with byte-identical digests."""
-    points = sweep_points(two_pod_params())[:3]
-    specs = sweep_specs(two_pod_params(), "mtp", points=points,
-                        workload=TINY)
+    specs = SWEEP.expand(two_pod_params(), ["mtp"], workload=[TINY])[:3]
     runs = []
     for jobs in (1, 2):
         sup = CampaignReport()
@@ -84,24 +76,21 @@ def test_loaded_sweep_serial_equals_jobs2_supervised():
 def test_loaded_sweep_keeps_probe_only_cache_identity():
     """Attaching a workload must not disturb the plain sweep's cache
     keys: the probe-only program carries no workload op."""
-    plain = sweep_specs(two_pod_params(), "mtp")[0]
-    loaded = sweep_specs(two_pod_params(), "mtp", workload=TINY)[0]
+    plain = SWEEP.expand(two_pod_params(), ["mtp"])[0]
+    loaded = SWEEP.expand(two_pod_params(), ["mtp"], workload=[TINY])[0]
     assert "workload" not in [e.op for e in plain.scenario.events]
     assert [e.workload for e in loaded.scenario.events
             if e.op == "workload"] == [TINY.to_payload()]
     assert scenario_task_key(plain) != scenario_task_key(loaded)
-    rebuilt = sweep_specs(two_pod_params(), "mtp", workload=None)[0]
+    rebuilt = SWEEP.expand(two_pod_params(), ["mtp"], workload=[None])[0]
     assert scenario_task_key(rebuilt) == scenario_task_key(plain)
 
 
 def test_loaded_sweep_attaches_reports():
-    point = sweep_points(two_pod_params())[0]
-    spec, = sweep_specs(two_pod_params(), "mtp", points=[point],
-                        workload=TINY)
-    outcome, = run_tasks(SCENARIO_RUN, [spec])
-    result = sweep_result(point, outcome.metrics)
-    assert result.ok
-    wl = result.workload
+    specs = SWEEP.expand(two_pod_params(), ["mtp"], workload=[TINY])[:1]
+    row, = SWEEP.rows(specs, run_tasks(SCENARIO_RUN, specs))
+    assert row["unreachable"] == []
+    wl = row["workload"]
     assert wl is not None
     assert wl["flows"] == 400
     assert wl["max_conservation_error"] < 1e-6
