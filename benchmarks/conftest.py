@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.executor import run_tasks
 from repro.harness.report import render_table, save_result
+from repro.scenario import LOSS, SCENARIO_RUN
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -35,6 +37,15 @@ def jobs() -> int:
     """Worker processes for fan-out-capable drivers: ``REPRO_JOBS`` (CI
     sets 2), default 1 so benchmark timings stay comparable."""
     return int(os.environ.get("REPRO_JOBS", "1"))
+
+
+def loss_runs(params, direction, stacks, cases=ALL_CASES, rate_pps=1000):
+    """Figs. 7/8: ``(stack, case) -> metrics`` of the ``loss`` family's
+    runs, each stack's on one converged world."""
+    specs = LOSS.expand(params, stacks, case=cases, direction=(direction,),
+                        rate=(rate_pps,))
+    return {(spec.stack.name, spec.point["case"]): outcome.metrics
+            for spec, outcome in zip(specs, run_tasks(SCENARIO_RUN, specs))}
 
 
 def emit(results_dir: Path, name: str, title: str, columns, rows, note="") -> str:

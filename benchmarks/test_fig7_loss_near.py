@@ -13,28 +13,20 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.scenario import run_packet_loss_experiment
 from repro.stacks import get_stack
 
-from conftest import ALL_CASES, emit
+from conftest import ALL_CASES, emit, loss_runs
 
 STACKS = ("mtp", "bgp", "bgp-bfd")
 RATE_PPS = 1000
-
-
-def sweep(params, direction):
-    return {
-        (kind, case): run_packet_loss_experiment(
-            params, kind, case, direction=direction, rate_pps=RATE_PPS)
-        for kind in STACKS for case in ALL_CASES
-    }
 
 
 @pytest.mark.parametrize("pods,params_fn", [(2, two_pod_params),
                                             (4, four_pod_params)])
 def test_fig7_loss_sender_near(benchmark, results_dir, pods, params_fn):
     results = benchmark.pedantic(
-        lambda: sweep(params_fn(), "near"), rounds=1, iterations=1
+        lambda: loss_runs(params_fn(), "near", STACKS, rate_pps=RATE_PPS),
+        rounds=1, iterations=1
     )
     rows = [
         [get_stack(kind).display] + [results[(kind, case)].lost for case in ALL_CASES]
@@ -65,8 +57,8 @@ def test_fig7_loss_sender_near(benchmark, results_dir, pods, params_fn):
 def test_fig7_no_duplicates_or_reordering(benchmark):
     """The failover must not duplicate or reorder the surviving flow."""
     result = benchmark.pedantic(
-        lambda: run_packet_loss_experiment(
-            two_pod_params(), "mtp", "TC2", direction="near"),
+        lambda: loss_runs(two_pod_params(), "near", ("mtp",), ("TC2",))[
+            ("mtp", "TC2")],
         rounds=1, iterations=1,
     )
     assert result.duplicated == 0

@@ -11,10 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.topology.clos import four_pod_params, two_pod_params
-from repro.scenario import run_packet_loss_experiment
 from repro.stacks import get_stack
 
-from conftest import ALL_CASES, emit
+from conftest import ALL_CASES, emit, loss_runs
 
 STACKS = ("mtp", "bgp", "bgp-bfd")
 RATE_PPS = 1000
@@ -24,12 +23,8 @@ RATE_PPS = 1000
                                             (4, four_pod_params)])
 def test_fig8_loss_sender_far(benchmark, results_dir, pods, params_fn):
     results = benchmark.pedantic(
-        lambda: {
-            (kind, case): run_packet_loss_experiment(
-                params_fn(), kind, case, direction="far", rate_pps=RATE_PPS)
-            for kind in STACKS for case in ALL_CASES
-        },
-        rounds=1, iterations=1,
+        lambda: loss_runs(params_fn(), "far", STACKS, rate_pps=RATE_PPS),
+        rounds=1, iterations=1
     )
     rows = [
         [get_stack(kind).display] + [results[(kind, case)].lost for case in ALL_CASES]
@@ -59,11 +54,9 @@ def test_fig8_loss_sender_far(benchmark, results_dir, pods, params_fn):
 def test_fig8_bfd_cuts_loss_by_large_factor(benchmark):
     """Paper VII.E: enabling BFD has a profound effect on far-side loss."""
     def measure():
-        bgp = run_packet_loss_experiment(two_pod_params(), "bgp",
-                                         "TC1", direction="far")
-        bfd = run_packet_loss_experiment(two_pod_params(), "bgp-bfd",
-                                         "TC1", direction="far")
-        return bgp, bfd
+        runs = loss_runs(two_pod_params(), "far", ("bgp", "bgp-bfd"),
+                         ("TC1",))
+        return runs[("bgp", "TC1")], runs[("bgp-bfd", "TC1")]
 
     bgp, bfd = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert bfd.lost * 3 <= bgp.lost

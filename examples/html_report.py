@@ -9,7 +9,8 @@ Run:  python examples/html_report.py [--out report.html] [--pods 2]
 import argparse
 from pathlib import Path
 
-from repro.scenario import run_failure_experiment, run_packet_loss_experiment
+from repro.harness.executor import run_tasks
+from repro.scenario import LOSS, SCENARIO_RUN, run_failure_experiment
 from repro.harness.htmlreport import (
     SeriesSet,
     dot_plot_log,
@@ -34,10 +35,10 @@ def main() -> None:
         (kind, case): run_failure_experiment(params, kind, case)
         for kind in STACKS for case in CASES
     }
+    specs = LOSS.expand(params, STACKS, case=CASES, direction=("near",))
     loss_near = {
-        (kind, case): run_packet_loss_experiment(params, kind, case,
-                                                 direction="near")
-        for kind in STACKS for case in CASES
+        (spec.stack.name, spec.point["case"]): outcome.metrics
+        for spec, outcome in zip(specs, run_tasks(SCENARIO_RUN, specs))
     }
 
     names = [get_stack(k).display for k in STACKS]

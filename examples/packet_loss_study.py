@@ -8,8 +8,9 @@ Run:  python examples/packet_loss_study.py [--pods 2] [--rate 1000]
 
 import argparse
 
-from repro.scenario import run_packet_loss_experiment
+from repro.harness.executor import run_tasks
 from repro.harness.report import render_table
+from repro.scenario import LOSS, SCENARIO_RUN
 from repro.topology.clos import ClosParams
 from repro.stacks import get_stack
 
@@ -26,15 +27,15 @@ def main() -> None:
     params = ClosParams(num_pods=args.pods)
 
     for direction, figure in (("near", "Fig. 7"), ("far", "Fig. 8")):
-        rows = []
-        for kind in STACKS:
-            row = [get_stack(kind).display]
-            for case in CASES:
-                result = run_packet_loss_experiment(
-                    params, kind, case, direction=direction,
-                    rate_pps=args.rate)
-                row.append(result.lost)
-            rows.append(row)
+        # one loss run per stack x case, each stack's runs on one world
+        specs = LOSS.expand(params, STACKS, case=CASES,
+                            direction=(direction,), rate=(args.rate,))
+        lost = {(spec.stack.name, spec.point["case"]): outcome.metrics.lost
+                for spec, outcome in zip(specs,
+                                         run_tasks(SCENARIO_RUN, specs))}
+        rows = [[get_stack(kind).display,
+                 *(lost[(kind, case)] for case in CASES)]
+                for kind in STACKS]
         where = ("sender adjoins the failure" if direction == "near"
                  else "sender far from the failure")
         print(render_table(

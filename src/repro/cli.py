@@ -509,19 +509,23 @@ def _write_sweep_report(prefix: str, family, rows, tally, records) -> None:
 
 
 def cmd_loss(args) -> int:
-    from repro.scenario import run_packet_loss_experiment
+    """One point of the ``loss`` family, uncached and serial; a flow
+    that never crossed the failing link is a finding."""
+    from repro.scenario import SCENARIO_RUN
+    from repro.scenario.library import LOSS
 
-    display = get_stack(args.stack).display
-    result = run_packet_loss_experiment(
-        _params(args), args.stack, args.case, direction=args.direction,
-        seed=args.seed, rate_pps=args.rate,
-    )
-    print(f"{display}, {args.case}, sender {args.direction} "
-          f"({args.rate} pps, flow src port {result.src_port}):")
-    print(f"  sent={result.sent} received={result.received} "
-          f"lost={result.lost} dup={result.duplicated} "
-          f"ooo={result.out_of_order}")
-    return 0
+    specs = LOSS.expand(_params(args), [args.stack], (args.seed,),
+                        case=(args.case,), direction=(args.direction,),
+                        rate=(args.rate,))
+    rows = LOSS.rows(specs, run_tasks(SCENARIO_RUN, specs))
+    errors = LOSS.verdict(rows)
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    if errors:
+        return EXIT_FINDINGS
+    for row in rows:
+        print(LOSS.line(row))
+    return EXIT_OK
 
 
 def _load_scenarios(args):

@@ -52,7 +52,11 @@ from repro.harness.digest import canonical_json, payload_digest
 #    scenario runs, and a measure checkpoint also freezes the liveness
 #    fold (rolling-restart's checkpoint payload grew); schema-7 entries
 #    miss cleanly.
-CACHE_SCHEMA = 8
+# 9: one metrics codec — a scenario payload holds every metrics field
+#    (zero monitor counters, a null workload, the new via_port) and
+#    every scenario-run key the invariants flag; schema-8 entries miss
+#    cleanly.
+CACHE_SCHEMA = 9
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

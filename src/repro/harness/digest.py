@@ -24,9 +24,11 @@ from repro.sim.trace import TraceLog, TraceRecord
 # Bump when the canonical rendering changes — or, as for 2, what a trace
 # contains: a keepalive on a quiet MR-MTP link direction is accounted
 # for, not sent, and leaves no ``mtp.keepalive.tx`` record (DESIGN
-# "Steady-state frame path").  Embedded in every digest so stale cache
+# "Steady-state frame path") — or what a payload holds: 3 writes every
+# metrics field (``via_port`` included) and ranks equally busy
+# ``hot_links`` by name.  Embedded in every digest so stale cache
 # entries from an older scheme can never compare equal.
-DIGEST_SCHEMA = 2
+DIGEST_SCHEMA = 3
 
 
 # One encoder for the process: ``json.dumps`` with keyword arguments

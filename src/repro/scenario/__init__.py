@@ -6,8 +6,8 @@ serializes to canonical JSON, compiles onto the simulation engine
 against any registered stack, and runs through the campaign executor
 as its one task kind (``SCENARIO_RUN``).  Every campaign is a
 :class:`Family`: grid axes and a program that expand to scenario runs
-and read back as rows (failure seed batches, sweep points, chaos points
-and ``repro load`` runs included).  The canonical library ships
+and read back as rows (failure seed batches, Figs. 7/8 packet-loss
+runs, sweep points, chaos points and ``repro load`` runs included).  The canonical library ships
 thirteen scenarios (``tc1``–``tc4``, ``flap-storm``, ``double-cut``,
 ``drain``, ``rolling-restart``, ``gray-uplink``, ``lossy-spine``,
 ``incast-storm``, ``hotspot-drain``, ``gray-uplink-recovery``) and the
@@ -34,15 +34,12 @@ from repro.scenario.compiler import (
 )
 from repro.scenario.runner import (
     SCENARIO_RUN,
-    NoCrossingFlowError,
-    PacketLossResult,
     ScenarioOutcome,
     ScenarioRunSpec,
     average_failure_runs,
     decode_scenario_outcome,
     encode_scenario_outcome,
     run_failure_experiment,
-    run_packet_loss_experiment,
     run_scenario,
     run_scenario_task,
     scenario_task_key,
@@ -53,6 +50,7 @@ from repro.scenario.library import (
     CHAOS,
     LIBRARY,
     LOAD,
+    LOSS,
     SWEEP,
     TC_RUN,
     TC_SCENARIOS,
@@ -70,8 +68,7 @@ __all__ = [
     "Family",
     "LIBRARY",
     "LOAD",
-    "NoCrossingFlowError",
-    "PacketLossResult",
+    "LOSS",
     "Row",
     "SCENARIO_RUN",
     "SCENARIO_SCHEMA",
@@ -95,7 +92,6 @@ __all__ = [
     "get_scenario",
     "gray_link",
     "run_failure_experiment",
-    "run_packet_loss_experiment",
     "run_scenario",
     "run_scenario_task",
     "scenario_task_key",

@@ -20,8 +20,9 @@ path-traces every rack pair (:func:`~repro.harness.pathtrace.check_all_pairs`)
 at its instant and adds ``pairs_checked``/``unreachable`` to the
 metrics.  A ``traffic_burst`` with ``via`` picks its source port when
 it starts: the first of 40000–40255 whose path crosses that link, else
-40000.  ``isolate`` downs every interface of a node and leaves its
-agent alive.  A ``measure`` checkpoint freezes the monitor's update
+40000; the first via burst's crossing port is the metrics'
+``via_port``.  ``isolate`` downs every interface of a node and leaves
+its agent alive.  A ``measure`` checkpoint freezes the monitor's update
 counters and the liveness fold (detections, false positives, flaps,
 suppressions and their time, MTTR, availability) at its instant.
 
@@ -29,9 +30,8 @@ This is the only code that drives a measured run.  The failure
 experiment of Figs. 4-6 is a single ``iface_down`` at offset 0 (the
 library's TC1–TC4, run by
 :func:`repro.scenario.runner.run_failure_experiment`), the packet-loss
-experiment of Figs. 7/8 is a two-event program compiled by
-:func:`repro.scenario.runner.run_packet_loss_experiment`, and the
-robustness sweep, the chaos grid and ``repro load`` are scenario
+experiment of Figs. 7/8 is the ``LOSS`` family's two-event program, and
+the robustness sweep, the chaos grid and ``repro load`` are scenario
 families whose points are fixed-window programs (``SWEEP``, ``CHAOS``
 and ``LOAD`` in :mod:`repro.scenario.library`).  The hand-driven
 sequences they replaced live on in ``tests/`` as reference oracles.
@@ -39,7 +39,7 @@ sequences they replaced live on in ``tests/`` as reference oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.sim.units import MILLISECOND, SECOND
@@ -108,6 +108,7 @@ class ScenarioMetrics:
     received: int = 0
     duplicated: int = 0
     out_of_order: int = 0
+    via_port: Optional[int] = None  # first via burst's crossing src port
     blackhole_us: int = 0          # longest inferred per-flow outage
     false_positives: int = 0       # unexplained timer-based detections
     flaps: int = 0                 # adjacency/session up-transitions
@@ -140,6 +141,10 @@ class ScenarioMetrics:
         return self.convergence_us / MILLISECOND
 
 
+#: every :class:`ScenarioMetrics` field: what a run's payload and row hold
+METRIC_FIELDS = tuple(f.name for f in fields(ScenarioMetrics))
+
+
 @dataclass
 class _Burst:
     sender: TrafficSender
@@ -147,7 +152,8 @@ class _Burst:
     src_addr: object
     src_port: int
     gap_us: int
-    crossed: bool = True   # a via burst found a port crossing its link
+    # a via burst: whether it found a port crossing its link
+    crossed: Optional[bool] = None
 
 
 class CompiledScenario:
@@ -174,8 +180,8 @@ class CompiledScenario:
                 f"per scenario (one fluid engine owns the run's load)")
         # the invariant monitor attaches on loaded runs (its checks ride
         # the workload's route-change epochs for free) or on explicit
-        # request; never on a plain baseline run, whose trace and
-        # metrics stay byte-identical with the pre-monitor era
+        # request; never on a plain baseline run, whose trace then holds
+        # no scheduled checks (its fib_* counters read 0)
         has_workload = any(a[0] == "workload" for a in self.actions)
         self._inv_monitor: Optional[InvariantMonitor] = (
             InvariantMonitor(topo, deployment)
@@ -466,6 +472,8 @@ class CompiledScenario:
             outage_us = (burst.sender.sent - delivered) * burst.gap_us
             metrics.sent += burst.sender.sent
             metrics.blackhole_us = max(metrics.blackhole_us, outage_us)
+            if burst.crossed and metrics.via_port is None:
+                metrics.via_port = burst.src_port
         for analyzer in analyzers:
             metrics.received += analyzer.received
             metrics.duplicated += analyzer.duplicated

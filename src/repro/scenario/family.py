@@ -5,8 +5,8 @@ a pure ``program(point) -> Scenario``.  :meth:`Family.expand` crosses
 the axes under every stack and seed (stack-major, then seed, then the
 family's axes in order) into :class:`~repro.scenario.runner.ScenarioRunSpec`
 tasks for ``run_tasks(SCENARIO_RUN, ...)``; a family that reads its
-fabric (the sweep's failure points, the chaos grid's gray link) builds
-it once per expansion.  What it reads there is either an axis's values
+fabric (the sweep's failure points, the chaos grid's gray link, the
+loss runs' racks) builds it once per expansion.  What it reads there is either an axis's values
 or a constant every point carries; constants are not axes, so no caller
 overrides them.  :meth:`Family.rows` reads the outcomes back as
 rows of one type (:data:`Row`).
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.stacks import StackTimers, resolve_spec
 from repro.topology import Topology, build_topology
-from repro.scenario.compiler import Checkpoint, ScenarioMetrics
+from repro.scenario.compiler import METRIC_FIELDS, Checkpoint, ScenarioMetrics
 from repro.scenario.model import Scenario
 from repro.scenario.runner import ScenarioOutcome, ScenarioRunSpec
 
@@ -36,7 +36,6 @@ from repro.scenario.runner import ScenarioOutcome, ScenarioRunSpec
 #: under ``"<label>.<field>"``, and the run's ``"digest"``.
 Row = dict
 
-_METRICS = tuple(f.name for f in fields(ScenarioMetrics))
 _CHECKPOINT = tuple(f.name for f in fields(Checkpoint) if f.name != "label")
 
 
@@ -110,7 +109,7 @@ class Family:
 def row_of(point: dict, outcome: ScenarioOutcome) -> Row:
     """The :data:`Row` of one finished run of ``point``."""
     metrics = outcome.metrics
-    row = {**point, **{name: getattr(metrics, name) for name in _METRICS}}
+    row = {**point, **{n: getattr(metrics, n) for n in METRIC_FIELDS}}
     for checkpoint in metrics.checkpoints:
         row.update((f"{checkpoint.label}.{name}", getattr(checkpoint, name))
                    for name in _CHECKPOINT)
@@ -120,5 +119,5 @@ def row_of(point: dict, outcome: ScenarioOutcome) -> Row:
 
 def outcome_of(row: Row) -> ScenarioOutcome:
     """The finished run a row reads."""
-    return ScenarioOutcome(ScenarioMetrics(**{n: row[n] for n in _METRICS}),
-                           row["digest"])
+    metrics = ScenarioMetrics(**{n: row[n] for n in METRIC_FIELDS})
+    return ScenarioOutcome(metrics, row["digest"])

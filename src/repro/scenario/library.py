@@ -45,23 +45,27 @@ runs on 2-PoD, 4-PoD or multi-zone fabrics unchanged.
 
 The campaign families (:mod:`repro.scenario.family`) live here too, one
 per campaign command: :data:`LIBRARY` (``scenario run``), :data:`TC_RUN`
-and :data:`TC_SEEDS` (``fail``), :data:`SWEEP`, :data:`CHAOS` and
-:data:`LOAD`.
+and :data:`TC_SEEDS` (``fail``), :data:`LOSS` (``loss``, Figs. 7/8),
+:data:`SWEEP`, :data:`CHAOS` and :data:`LOAD`.
 """
 
 from __future__ import annotations
 
 import statistics
 
-from repro.sim.units import MILLISECOND
+from repro.sim.units import MILLISECOND, SECOND
 from repro.stacks import get_stack
 from repro.harness.digest import stable_seed
 from repro.harness.experiments import detection_bound_us
 from repro.harness.report import render_table
 from repro.scenario.family import Family, outcome_of
-from repro.scenario.model import Scenario, ScenarioEvent
+from repro.scenario.model import Scenario, ScenarioError, ScenarioEvent
 from repro.scenario.runner import encode_scenario_outcome
-from repro.scenario.targets import fabric_failure_points, gray_link
+from repro.scenario.targets import (
+    fabric_failure_points,
+    gray_link,
+    loss_racks,
+)
 from repro.workload import CANONICAL_WORKLOADS, WorkloadReport
 from repro.workload.spec import resolve_workload
 
@@ -282,7 +286,6 @@ def canonical_scenarios() -> dict[str, Scenario]:
 def get_scenario(name: str) -> Scenario:
     scenarios = canonical_scenarios()
     if name not in scenarios:
-        from repro.scenario.model import ScenarioError
         raise ScenarioError(
             f"unknown scenario {name!r}; canonical library: "
             f"{', '.join(scenarios)}")
@@ -375,6 +378,78 @@ TC_RUN = Family(name="tc", axes={"case": ("TC1",)},
                 line=_tc_block)
 TC_SEEDS = Family(name="tc-seeds", axes=TC_RUN.axes, program=TC_RUN.program,
                   line=_tc_seed_line, head=_tc_head, foot=_tc_mean)
+
+
+# --- loss: packets lost by a flow across a failing link (Figs. 7/8) ----
+#: the flow runs this long before the failure, and this long after it
+LOSS_LEAD_MS = 500
+LOSS_TAIL_MS = 5000
+
+
+def _loss_flow(point) -> tuple[str, str]:
+    """The point's flow as ``(source, destination)`` host: ``near``
+    sends from the rack beside the failure (Fig. 7), ``far`` toward it
+    (Fig. 8)."""
+    near, far, _ = point["racks"][point["case"]]
+    if point["direction"] not in ("near", "far"):
+        raise ValueError(
+            f"direction must be near/far, got {point['direction']!r}")
+    return (near, far) if point["direction"] == "near" else (far, near)
+
+
+def _loss_program(point) -> Scenario:
+    """No settle, the flow at 0 ms on the first source port whose path
+    crosses the failing link (``via``), the failure
+    :data:`LOSS_LEAD_MS` in, stopped by the update-quiesce rule, whose
+    quiet window lets the last packets drain."""
+    case, rate = point["case"], point["rate"]
+    src, dst = _loss_flow(point)
+    count = (LOSS_LEAD_MS + LOSS_TAIL_MS) * MILLISECOND // (SECOND // rate)
+    return Scenario(
+        name=f"loss-{case.lower()}-{point['direction']}", settle=0,
+        events=(ScenarioEvent(op="traffic_burst", at_ms=0, src=src, dst=dst,
+                              rate_pps=rate, count=count,
+                              via=f"case:{case}"),
+                ScenarioEvent(op="iface_down", at_ms=LOSS_LEAD_MS,
+                              target=f"case:{case}")))
+
+
+def _loss_fabric(topo, grid) -> dict:
+    """The constant ``racks``: per case, the first servers of its near
+    and far racks (:func:`~repro.scenario.targets.loss_racks`) and its
+    link."""
+    cases = topo.failure_cases()
+    return {"racks": {
+        case: (*map(topo.first_server_of, loss_racks(topo, case)),
+               f"{cases[case].node}<->{cases[case].peer_node}")
+        for case in grid["case"]}}
+
+
+def _loss_line(row) -> str:
+    return (f"{_display(row['stack'])}, {row['case']}, "
+            f"sender {row['direction']} ({row['rate']} pps, "
+            f"flow src port {row['via_port']}):\n"
+            f"  sent={row['sent']} received={row['received']} "
+            f"lost={row['sent'] - row['received']} "
+            f"dup={row['duplicated']} ooo={row['out_of_order']}")
+
+
+def _loss_verdict(rows) -> list[str]:
+    """A run whose flow never crossed the link measured nothing about
+    the failure."""
+    return ["no flow from {} to {} crosses {}".format(
+                *_loss_flow(row), row["racks"][row["case"]][2])
+            for row in rows if row["via_port"] is None]
+
+
+#: ``loss``: each case x direction x rate, a flow between the case's
+#: near and far racks, across its link
+LOSS = Family(
+    name="loss",
+    axes={"case": ("TC1", "TC2", "TC3", "TC4"), "direction": ("near", "far"),
+          "rate": (1000,)},
+    program=_loss_program, fabric=_loss_fabric, line=_loss_line,
+    verdict=_loss_verdict)
 
 
 # --- sweep: fail each fabric interface alone, then trace every rack pair

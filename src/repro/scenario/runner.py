@@ -7,25 +7,25 @@ kind: every campaign is a :mod:`scenario family <repro.scenario.family>`
 that expands to these), so campaigns run through
 :func:`repro.harness.executor.run_tasks` and replay from the
 content-addressed result cache.
-Every run carries a SHA-256 run digest (trace + metrics), so serial and
+Every run carries a SHA-256 run digest (trace + metrics, every
+:class:`~repro.scenario.ScenarioMetrics` field), so serial and
 ``--jobs N`` execution are byte-comparable.  Scenario runs of one world
 share its convergence: the kind names that world (``world_key``) and
 builds it (``converge``), and the executor forks the runs that share it.
 
 The failure experiment of Figs. 4-6 is the library's TC scenario, and
 its multi-seed batches are the ``tc-seeds`` family; the packet-loss
-experiment of Figs. 7/8 is a two-event program compiled on the converged
-world once the crossing flow is known.  The compiler is the only code
-that drives a measured run.
+experiment of Figs. 7/8 is the ``loss`` family.  The compiler is the
+only code that drives a measured run.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Any, Optional
 
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 from repro.topology import TopologySpec, resolve_topology_spec
 from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import task_key
@@ -33,11 +33,12 @@ from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge, world_key
 from repro.harness.executor import TaskKind, run_tasks
 from repro.scenario.compiler import (
+    METRIC_FIELDS,
     Checkpoint,
     ScenarioMetrics,
     compile_scenario,
 )
-from repro.scenario.model import Scenario, ScenarioError, ScenarioEvent
+from repro.scenario.model import Scenario
 
 
 @dataclass(frozen=True)
@@ -124,62 +125,18 @@ def scenario_world_key(spec: ScenarioRunSpec) -> str:
 def scenario_task_key(spec: ScenarioRunSpec) -> str:
     """Content hash of one scenario run: the canonical scenario payload
     enters the key, so editing a scenario invalidates only its entries."""
-    components = dict(
-        params=spec.params,
-        stack=spec.stack.name,
-        stack_params=spec.stack.params,
-        timers=spec.stack.timers,
-        scenario=spec.scenario.to_payload(),
-        seed=spec.seed,
-    )
-    if spec.invariants:
-        # only monitored workload-free runs carry the key component, so
-        # every pre-existing cache key stays unchanged
-        components["invariants"] = True
-    return task_key("scenario-run", **components)
+    return task_key("scenario-run", params=spec.params,
+                    stack=spec.stack.name, stack_params=spec.stack.params,
+                    timers=spec.stack.timers,
+                    scenario=spec.scenario.to_payload(), seed=spec.seed,
+                    invariants=spec.invariants)
 
 
 def _metrics_payload(metrics: ScenarioMetrics) -> dict:
-    payload = {
-        "scenario": metrics.scenario,
-        "stack": metrics.stack,
-        "seed": metrics.seed,
-        "settle_us": metrics.settle_us,
-        "convergence_us": metrics.convergence_us,
-        "detection_us": metrics.detection_us,
-        "control_bytes": metrics.control_bytes,
-        "update_count": metrics.update_count,
-        "blast_routers": list(metrics.blast_routers),
-        "sent": metrics.sent,
-        "received": metrics.received,
-        "duplicated": metrics.duplicated,
-        "out_of_order": metrics.out_of_order,
-        "blackhole_us": metrics.blackhole_us,
-        "false_positives": metrics.false_positives,
-        "flaps": metrics.flaps,
-        "route_churn": metrics.route_churn,
-        "checkpoints": [[c.label, c.time_us, c.update_count, c.update_bytes,
-                         c.detections, c.false_positives, c.flaps,
-                         c.suppressions, c.suppression_us, c.mttr_us,
-                         c.availability]
-                        for c in metrics.checkpoints],
-    }
-    # invariant-monitor counters appear only when nonzero, so unmonitored
-    # (and anomaly-free) payloads — and their run digests — stay
-    # byte-identical with the pre-monitor era
-    for name in ("fib_loops", "fib_loop_us", "fib_blackholes",
-                 "fib_blackhole_us"):
-        value = getattr(metrics, name)
-        if value:
-            payload[name] = value
-    if metrics.workload is not None:
-        # only loaded runs carry the key: workload-free payloads (and so
-        # their run digests) stay byte-identical with the pre-workload era
-        payload["workload"] = metrics.workload
-    if metrics.pairs_checked is not None:
-        # likewise only programs with a reachability op
-        payload["pairs_checked"] = metrics.pairs_checked
-        payload["unreachable"] = [list(u) for u in metrics.unreachable]
+    """Every :class:`ScenarioMetrics` field, a checkpoint as the list of
+    its fields."""
+    payload = {name: getattr(metrics, name) for name in METRIC_FIELDS}
+    payload["checkpoints"] = [list(astuple(c)) for c in metrics.checkpoints]
     return payload
 
 
@@ -188,35 +145,11 @@ def encode_scenario_outcome(outcome: ScenarioOutcome) -> dict:
 
 
 def decode_scenario_outcome(payload: dict) -> ScenarioOutcome:
-    metrics = ScenarioMetrics(
-        scenario=payload["scenario"],
-        stack=payload["stack"],
-        seed=payload["seed"],
-        settle_us=payload["settle_us"],
-        convergence_us=payload["convergence_us"],
-        detection_us=payload["detection_us"],
-        control_bytes=payload["control_bytes"],
-        update_count=payload["update_count"],
-        blast_routers=list(payload["blast_routers"]),
-        sent=payload["sent"],
-        received=payload["received"],
-        duplicated=payload["duplicated"],
-        out_of_order=payload["out_of_order"],
-        blackhole_us=payload["blackhole_us"],
-        false_positives=payload["false_positives"],
-        flaps=payload["flaps"],
-        route_churn=payload["route_churn"],
-        fib_loops=payload.get("fib_loops", 0),
-        fib_loop_us=payload.get("fib_loop_us", 0),
-        fib_blackholes=payload.get("fib_blackholes", 0),
-        fib_blackhole_us=payload.get("fib_blackhole_us", 0),
-        checkpoints=[Checkpoint(*c) for c in payload["checkpoints"]],
-        workload=payload.get("workload"),
-        pairs_checked=payload.get("pairs_checked"),
-        unreachable=(None if "unreachable" not in payload
-                     else [tuple(u) for u in payload["unreachable"]]),
-    )
-    return ScenarioOutcome(metrics=metrics, digest=payload["digest"])
+    metrics = {name: payload[name] for name in METRIC_FIELDS}
+    metrics["checkpoints"] = [Checkpoint(*c) for c in metrics["checkpoints"]]
+    if metrics["unreachable"] is not None:
+        metrics["unreachable"] = [tuple(u) for u in metrics["unreachable"]]
+    return ScenarioOutcome(ScenarioMetrics(**metrics), payload["digest"])
 
 
 def scenario_task_label(spec: ScenarioRunSpec) -> str:
@@ -280,101 +213,4 @@ def average_failure_runs(
         control_bytes=round(statistics.mean(r.control_bytes for r in runs)),
         update_count=round(statistics.mean(r.update_count for r in runs)),
         blast_routers=max((r.blast_routers for r in runs), key=len),
-    )
-
-
-# ----------------------------------------------------------------------
-# packet-loss experiment (Figs. 7 and 8)
-# ----------------------------------------------------------------------
-#: the flow runs this long before the failure, and this long after it
-LOSS_LEAD_MS = 500
-LOSS_TAIL_MS = 5000
-
-
-class NoCrossingFlowError(ScenarioError):
-    """The packet-loss program's racks have no flow across the failing
-    link on this fabric, so the run measured nothing about the failure."""
-
-
-@dataclass
-class PacketLossResult:
-    """One Fig. 7/8 row: the loss program's traffic counters and the
-    crossing flow's source port."""
-
-    stack: str
-    case: str
-    direction: str
-    seed: int
-    sent: int
-    received: int
-    duplicated: int
-    out_of_order: int
-    src_port: int
-
-    @property
-    def lost(self) -> int:
-        return self.sent - self.received
-
-
-def run_packet_loss_experiment(
-    params,
-    stack,
-    case_name: str,
-    direction: str = "near",
-    seed: int = 0,
-    timers: Optional[StackTimers] = None,
-    rate_pps: int = 1000,
-) -> PacketLossResult:
-    """Traffic between the paper's first and last racks with a failure
-    mid-flow.  ``near``: the sender's rack adjoins the failure (Fig. 7);
-    ``far``: the sender is at the far end (Fig. 8).
-
-    The run is a scenario compiled on the converged world: no settle,
-    the flow at 0 ms on the first source port whose ECMP path crosses
-    the failing link (``via``), the failure :data:`LOSS_LEAD_MS` in,
-    stopped by the update-quiesce rule, whose quiet window lets the last
-    packets drain.  A run where no flow crosses the link raises
-    :class:`NoCrossingFlowError`."""
-    if direction not in ("near", "far"):
-        raise ValueError(f"direction must be near/far, got {direction!r}")
-    spec = resolve_spec(stack, timers)
-    world, topo, deployment = build_and_converge(params, spec, seed)
-
-    near_tor = topo.tors[0][0][0]
-    far_tor = topo.tors[0][-1][-1]  # last pod's last ToR, e.g. VID 14 in 2-PoD
-    src_tor, dst_tor = (near_tor, far_tor) if direction == "near" else (far_tor, near_tor)
-    src_host = topo.first_server_of(src_tor)
-    dst_host = topo.first_server_of(dst_tor)
-
-    gap_us = SECOND // rate_pps
-    count = (LOSS_LEAD_MS + LOSS_TAIL_MS) * MILLISECOND // gap_us
-    program = compile_scenario(Scenario(
-        name=f"loss-{case_name.lower()}-{direction}",
-        settle=0,
-        events=(
-            ScenarioEvent(op="traffic_burst", at_ms=0, src=src_host,
-                          dst=dst_host, rate_pps=rate_pps, count=count,
-                          via=f"case:{case_name}"),
-            ScenarioEvent(op="iface_down", at_ms=LOSS_LEAD_MS,
-                          target=f"case:{case_name}"),
-        ),
-    ), world, topo, deployment)
-    metrics = program.execute(spec.name, seed)
-    burst = program.bursts[0]
-    if not burst.crossed:
-        case = topo.failure_cases()[case_name]
-        raise NoCrossingFlowError(
-            f"no flow from {src_host} to {dst_host} crosses "
-            f"{case.node}<->{case.peer_node}"
-        )
-    return PacketLossResult(
-        stack=spec.name,
-        case=case_name,
-        direction=direction,
-        seed=seed,
-        sent=metrics.sent,
-        received=metrics.received,
-        duplicated=metrics.duplicated,
-        out_of_order=metrics.out_of_order,
-        src_port=burst.src_port,
     )

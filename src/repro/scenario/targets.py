@@ -27,17 +27,20 @@ Unresolvable expressions raise the harness's
 :class:`~repro.harness.failures.UnknownTargetError` up front, before any
 simulation time is spent.
 
-Two campaigns also read concrete targets off a built fabric:
-:func:`fabric_failure_points` (the robustness sweep's grid) and
-:func:`gray_link` (the chaos grid's impaired link).
+Three campaigns also read concrete targets off a built fabric:
+:func:`fabric_failure_points` (the robustness sweep's grid),
+:func:`gray_link` (the chaos grid's impaired link) and
+:func:`loss_racks` (the packet-loss flow's racks).
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from repro.harness.failures import UnknownTargetError
+from repro.harness.oracle import alive_fabric_graph
 from repro.topology import TIER_SERVER, Topology
 
 RNG_STREAM = "scenario-targets"
@@ -222,3 +225,39 @@ def gray_link(topo: Topology) -> tuple[str, str, str]:
         raise RuntimeError(f"{tor_name} has no fabric uplink to impair")
     iface = topo.node(tor_name).interfaces[ports[0]]
     return tor_name, iface.name, iface.peer().node.name
+
+
+def _hops_from(succ: dict[str, list[str]], origin: str) -> dict[str, int]:
+    """Fewest hops from ``origin`` to every router over ``succ``."""
+    hops, queue = {origin: 0}, deque([origin])
+    while queue:
+        name = queue.popleft()
+        for peer in succ[name]:
+            if peer not in hops:
+                hops[peer] = hops[name] + 1
+                queue.append(peer)
+    return hops
+
+
+def loss_racks(topo: Topology, case_name: str) -> tuple[str, str]:
+    """The near and far racks of failure case ``case_name``'s
+    packet-loss flow (Figs. 7/8), as ``(near ToR, far ToR)``.
+
+    Near is the ToR end of the case's link or, if neither end is a ToR,
+    the first ToR adjacent to its lower-tier end (either end when both
+    share a tier).  Far is the last ToR, in ``all_tors()`` order, that
+    has a fewest-hop path from near through the link: on any fabric a
+    flow between the two can cross it."""
+    case = topo.failure_cases()[case_name]
+    graph = alive_fabric_graph(topo)
+    a, b = case.node, case.peer_node
+    low = min(graph.tier[a], graph.tier[b])
+    beside = {a, b}.union(*(graph.succ[end] for end in (a, b)
+                            if graph.tier[end] == low))
+    tors = topo.all_tors()
+    near = next(tor for tor in tors if tor in beside)
+    from_near, from_a, from_b = (_hops_from(graph.succ, end)
+                                 for end in (near, a, b))
+    far = [tor for tor in tors if from_near[tor] == min(
+        from_near[a] + 1 + from_b[tor], from_near[b] + 1 + from_a[tor])]
+    return near, far[-1]

@@ -30,7 +30,7 @@ accounting code to it.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -115,38 +115,12 @@ class WorkloadReport:
     max_conservation_error: float = 0.0
 
     def to_payload(self) -> dict:
-        return {
-            "workload": self.workload,
-            "matrix": self.matrix,
-            "flows": self.flows,
-            "completed_flows": self.completed_flows,
-            "blackholed_flows": self.blackholed_flows,
-            "offered_bytes": self.offered_bytes,
-            "delivered_bytes": self.delivered_bytes,
-            "dropped_bytes": self.dropped_bytes,
-            "blackholed_bytes": self.blackholed_bytes,
-            "goodput_bps": self.goodput_bps,
-            "fct_p50_us": self.fct_p50_us,
-            "fct_p99_us": self.fct_p99_us,
-            "fct_max_us": self.fct_max_us,
-            "max_blackhole_us": self.max_blackhole_us,
-            "blackhole_flow_count": self.blackhole_flow_count,
-            "peak_link_utilization": self.peak_link_utilization,
-            "hot_links": [list(h) for h in self.hot_links],
-            "epochs": self.epochs,
-            "epoch_records": [list(r) for r in self.epoch_records],
-            "max_conservation_error": self.max_conservation_error,
-        }
+        """Every field, the lists copied."""
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "WorkloadReport":
-        return cls(**{k: payload[k] for k in (
-            "workload", "matrix", "flows", "completed_flows",
-            "blackholed_flows", "offered_bytes", "delivered_bytes",
-            "dropped_bytes", "blackholed_bytes", "goodput_bps",
-            "fct_p50_us", "fct_p99_us", "fct_max_us", "max_blackhole_us",
-            "blackhole_flow_count", "peak_link_utilization", "hot_links",
-            "epochs", "epoch_records", "max_conservation_error")})
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 def _expected_loss(impairment) -> float:
@@ -472,40 +446,35 @@ class FluidWorkload:
         nothing survives of a previous walk that went deeper or died —
         and leaves on each group every candidate entry its walk read.
         Within a depth no flow is in two places, so the order the
-        branch points are taken in changes no cell."""
-        first_link = len(self._link_ifaces)
+        branch points are taken in changes no cell.  Link ids are
+        handed out in the order this walk first meets each link."""
         self._wipe(np.concatenate([group.flows for group in groups]))
         dead = self._blackholed_now
-        # per group: key -> (rank of its first read in a depth-first
-        # walk, entry); a rank is the group's index, then the negated
-        # candidate index of every hop taken
-        reads: list[dict] = [{} for _ in groups]
-        frontier = [(g, group.src_tor, None, group.flows, (g,))
-                    for g, group in enumerate(groups)]
+        for group in groups:
+            group.reads = {}
+        frontier = [(group, group.src_tor, None, group.flows)
+                    for group in groups]
         depth = 0
         while frontier:
             branches, hashed = [], []
-            for g, node, ingress, idx, rank in frontier:
-                dst_tor = groups[g].dst_tor
-                if node == dst_tor:
+            for group, node, ingress, idx in frontier:
+                if node == group.dst_tor:
                     continue
                 if depth >= MAX_FLUID_HOPS:
                     dead[idx] = True  # routing loop
                     continue
-                key = (node, dst_tor, ingress)
-                entry = self._candidate_entry(memo, key)
-                if key not in reads[g] or rank < reads[g][key][0]:
-                    reads[g][key] = (rank, entry)
+                key = (node, group.dst_tor, ingress)
+                entry = group.reads[key] = self._candidate_entry(memo, key)
                 salt, spray, entries = entry
                 if not entries:
                     dead[idx] = True  # no candidate port at all
                     continue
                 if len(entries) > 1 and not spray:
                     hashed.append((idx, salt))
-                branches.append((g, idx, spray, entries, rank))
+                branches.append((group, idx, spray, entries))
             digests = self._digests_at(depth, hashed) if hashed else None
             frontier, hashed = [], None
-            for k, (g, idx, spray, entries, rank) in enumerate(branches):
+            for k, (group, idx, spray, entries) in enumerate(branches):
                 branches[k] = None  # its flows live on in its parts only
                 if len(entries) == 1:
                     parts = [idx]
@@ -519,8 +488,7 @@ class FluidWorkload:
                         # the genuine keyed ECMP hash, per flow
                         choice = digests[idx] % np.uint64(len(entries))
                     parts = [idx[choice == c] for c in range(len(entries))]
-                for c, ((link, peer_node, peer_iface), part) in enumerate(
-                        zip(entries, parts)):
+                for (link, peer_node, peer_iface), part in zip(entries, parts):
                     if len(part) == 0:
                         continue
                     if link is not None:
@@ -531,52 +499,8 @@ class FluidWorkload:
                     if peer_node is None:
                         dead[part] = True
                     else:
-                        frontier.append(
-                            (g, peer_node, peer_iface, part, rank + (-c,)))
+                        frontier.append((group, peer_node, peer_iface, part))
             depth += 1
-        self._in_depth_first_order(groups, reads, first_link)
-
-    def _in_depth_first_order(self, groups: list[_GroupWalk],
-                              reads: list[dict], first_link: int) -> None:
-        """Leave what a walk recorded as the depth-first walk it replaced
-        would have: group after group, each candidate's subtree before
-        the previous candidate's.  Two things depend on that order.  A
-        group's ``reads`` are re-read in it by the next stale check, and
-        link ids are handed out in the order links are first met — the
-        ids of the links this walk met first (``first_link`` on) are
-        renumbered so, and ``hot_links`` breaks utilisation ties by id."""
-        ordered = sorted(((rank, g, key) for g, seen in enumerate(reads)
-                          for key, (rank, _) in seen.items()),
-                         key=lambda read: read[0])
-        registered = len(self._link_ifaces)
-        met = list(dict.fromkeys(
-            link for _, g, key in ordered
-            for link, _, _ in reads[g][key][1][2]
-            if link is not None and first_link <= link < registered))
-        moved = met != list(range(first_link, registered))
-        if moved:
-            renumber = np.arange(-1, registered, dtype=np.int32)
-            renumber[np.asarray(met) + 1] = np.arange(first_link, registered)
-            ifaces, capacity = list(self._link_ifaces), list(self._capacity)
-            for old, new in enumerate(renumber[first_link + 1:].tolist(),
-                                      start=first_link):
-                self._link_ids[ifaces[old]] = new
-                self._link_ifaces[new] = ifaces[old]
-                self._capacity[new] = capacity[old]
-            for column in self._hops:
-                column[:] = renumber[column + 1]
-
-        def renumbered(entry: tuple) -> tuple:
-            salt, spray, ports = entry
-            return salt, spray, tuple(
-                (None if link is None else int(renumber[link + 1]), peer,
-                 iface) for link, peer, iface in ports)
-
-        for group in groups:
-            group.reads = {}
-        for _, g, key in ordered:
-            entry = reads[g][key][1]
-            groups[g].reads[key] = renumbered(entry) if moved else entry
 
     def _assemble_paths(self) -> None:
         """Rebuild the flow->link CSR from the hop columns.  A flow's
@@ -823,12 +747,12 @@ class FluidWorkload:
                    if window_us > 0 else 0.0)
         unfinished_bh = int(((self.remaining > 0)
                              & self._blackholed_now).sum())
-        hot = []
-        if len(self._peak_util):
-            top = np.argsort(self._peak_util)[::-1][:3]
-            hot = [[self.link_name(int(i)),
-                    round(float(self._peak_util[i]), 6)]
-                   for i in top if self._peak_util[i] > 0]
+        # the three busiest links, peaks equal as printed (to 6
+        # places) in link-name order
+        busy = [[self.link_name(i), round(util, 6)]
+                for i, util in enumerate(self._peak_util.tolist())
+                if util > 0]
+        hot = sorted(busy, key=lambda link: (-link[1], link[0]))[:3]
         records = [[r.start_us, r.end_us, int(round(r.offered)),
                     int(round(r.delivered)), int(round(r.dropped)),
                     int(round(r.blackholed))] for r in self.epoch_records]

@@ -3,8 +3,9 @@
 Each command runs in-process through :func:`repro.cli.main`; its exit
 code and the md5 of its stdout, less the lines that say how long the
 run took (``wall clock``), are held to the values the commands printed
-before they became the front ends of scenario families.  A
-``sweep --report`` also holds both files it writes.
+before they became the front ends of scenario families (and, where a
+run digest is printed, to its digest schema 3).  A ``sweep --report``
+also holds both files it writes.
 """
 
 from __future__ import annotations
@@ -18,20 +19,26 @@ from repro.cli import main
 #: argv -> md5 of stdout without its ``wall clock`` lines (exit code 0)
 GOLDEN = {
     "sweep --stack mtp --pods 2 --digests --no-cache":
-        "91a5aacaa3a912721a05b46b0b5151c8",
+        "44413669930bd725f7c40f6dfdef53e9",
     "chaos --pods 2 --stack mtp --stack bgp-bfd --rate 0 --rate 0.1 "
     "--window-ms 2000 --count 300 --json --no-cache":
-        "585ec275bdcc822117d8436f98db7d14",
+        "7d1a4c3ea1314f42e9dbf38d5907f98b",
     "chaos --pods 2 --stack mtp --rate 0 --rate 0.1 --digests --no-cache":
-        "f5e95013f166f04bdd11e8997236896d",
+        "12a9111b9a132229efea3b3750288d2c",
     "load --pods 2 --digests --no-cache -W flows=2000":
-        "ec960ede2c6b5369bd62243ce941b862",
+        "a16dc68792a8fdb568ad7a78fc312358",
     "fail --stack mtp --case TC1 --runs 3 --pods 2 --no-cache":
         "c949e68dda629c46530d68391327bbf3",
     "fail --stack mtp --case TC2 --pods 2 --no-cache":
         "e7eb0d49251b25099cf5cefaf605d8b1",
     "scenario run tc1 gray-uplink --stack mtp --stack bgp-bfd --pods 2 "
-    "--digests --no-cache": "114799bca553ac178b391cad4a8b8547",
+    "--digests --no-cache": "e5f12dc690fdb6d48221d8e55bd3123b",
+    "loss --stack mtp --case TC2 --rate 500 --pods 2":
+        "16c6de01703efdc4240cee85bffba687",
+    "loss --stack bgp-bfd --case TC1 --direction far --pods 2":
+        "c9691286d476fbf713892ac5084e182e",
+    "loss --topology vl2 --stack mtp --case TC4":
+        "36c873d4c099b7a712a009c951e5e7d9",
 }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXIT_USAGE, build_parser, main
+from repro.cli import EXIT_FINDINGS, build_parser, main
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -102,12 +102,12 @@ def test_loss_far_direction(capsys):
 
 
 def test_experiment_rejects_bad_direction():
-    from repro.scenario import run_packet_loss_experiment
+    from repro.scenario import LOSS
     from repro.topology.clos import two_pod_params
 
     with pytest.raises(ValueError):
-        run_packet_loss_experiment(two_pod_params(), "mtp", "TC1",
-                                   direction="sideways")
+        LOSS.expand(two_pod_params(), ["mtp"], case=("TC1",),
+                    direction=("sideways",))
 
 
 def test_stacks_json_is_machine_readable(capsys):
@@ -324,11 +324,14 @@ def test_interrupt_prints_resume_only_with_a_cache(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("case", ["TC1", "TC2", "TC3", "TC4"])
-def test_loss_without_a_crossing_flow_is_a_usage_error(capsys, case):
-    """On DCell no flow between the first and last racks crosses a TC
-    link: the run measured nothing, and says so instead of raising."""
+def test_loss_without_a_crossing_flow_is_a_finding(capsys, case):
+    """MR-MTP on DCell blackholes cross-cell traffic, so no flow between
+    the case's racks crosses its link: the run measured nothing about
+    the failure, and says so as the stack's finding, not a usage
+    mistake."""
     code = main(["loss", "--topology", "dcell", "--stack", "mtp",
                  "--case", case])
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert err.startswith("error: no flow from "), err
+    captured = capsys.readouterr()
+    assert code == EXIT_FINDINGS
+    assert captured.err.startswith("error: no flow from "), captured.err
+    assert captured.out == ""

@@ -11,7 +11,8 @@ import pytest
 
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import two_pod_params
-from repro.scenario import run_failure_experiment, run_packet_loss_experiment
+from repro.harness.executor import run_tasks
+from repro.scenario import LOSS, SCENARIO_RUN, run_failure_experiment
 
 
 @pytest.fixture(scope="module")
@@ -64,22 +65,23 @@ def test_fig6_shape(tc1_results):
     assert bgp >= 3 * mtp
 
 
+def lost(stacks, cases, direction):
+    """Packets lost by each ``loss`` run, in stack-major order."""
+    return [outcome.metrics.lost for outcome in run_tasks(
+        SCENARIO_RUN, LOSS.expand(two_pod_params(), stacks, case=cases,
+                                  direction=(direction,)))]
+
+
 def test_fig7_shape_single_case():
-    mtp = run_packet_loss_experiment(two_pod_params(), "mtp", "TC2",
-                                     direction="near")
-    bgp = run_packet_loss_experiment(two_pod_params(), "bgp", "TC2",
-                                     direction="near")
-    assert mtp.lost < bgp.lost / 10
-    assert mtp.lost <= 130  # one dead timer at 1000 pps
+    mtp, bgp = lost(["mtp", "bgp"], ("TC2",), "near")
+    assert mtp < bgp / 10
+    assert mtp <= 130  # one dead timer at 1000 pps
 
 
 def test_fig8_shape_single_case():
-    mtp = run_packet_loss_experiment(two_pod_params(), "mtp", "TC1",
-                                     direction="far")
-    assert 20 <= mtp.lost <= 130  # the dead-timer hole, nothing more
-    mtp_quiet = run_packet_loss_experiment(two_pod_params(), "mtp",
-                                           "TC2", direction="far")
-    assert mtp_quiet.lost <= 10
+    mtp, mtp_quiet = lost(["mtp"], ("TC1", "TC2"), "far")
+    assert 20 <= mtp <= 130  # the dead-timer hole, nothing more
+    assert mtp_quiet <= 10
 
 
 @pytest.mark.parametrize("pods,expected_tc1,expected_tc3", [(2, 3, 1), (4, 7, 3)])

@@ -1,16 +1,21 @@
 """Serialization contract for the monitor counters: the ``fib_*``
-fields round-trip through the cache payload, appear only when nonzero
-(anomaly-free payloads stay byte-identical with the pre-monitor era),
-and old payloads without them still decode."""
+fields are written into every cache payload, zero or not, round-trip
+through it, and a payload from before they existed never reaches the
+decoder (its cache schema is an older one, so it misses)."""
 
 from __future__ import annotations
 
+import json
+
+from repro.harness.cache import CACHE_SCHEMA, ResultCache
 from repro.scenario.compiler import ScenarioMetrics
 from repro.scenario.runner import (
     ScenarioOutcome,
     decode_scenario_outcome,
     encode_scenario_outcome,
 )
+
+FIB = ("fib_loops", "fib_loop_us", "fib_blackholes", "fib_blackhole_us")
 
 
 def metrics(**overrides) -> ScenarioMetrics:
@@ -22,9 +27,11 @@ def metrics(**overrides) -> ScenarioMetrics:
 
 
 def test_zero_counters_are_omitted_from_the_payload():
+    """Zero counters are written as zeros: one payload shape for every
+    run (the name is the contract's old one)."""
     payload = encode_scenario_outcome(
         ScenarioOutcome(metrics=metrics(), digest="d" * 16))
-    assert not any(key.startswith("fib_") for key in payload)
+    assert {name: payload[name] for name in FIB} == dict.fromkeys(FIB, 0)
 
 
 def test_nonzero_counters_roundtrip():
@@ -34,15 +41,22 @@ def test_nonzero_counters_roundtrip():
         ScenarioOutcome(metrics=before, digest="d" * 16))
     assert payload["fib_loops"] == 1
     assert payload["fib_blackhole_us"] == 9000
-    after = decode_scenario_outcome(payload).metrics
+    after = decode_scenario_outcome(json.loads(json.dumps(payload))).metrics
     assert after == before
 
 
-def test_pre_monitor_payloads_still_decode():
+def test_pre_monitor_payloads_still_decode(tmp_path):
+    """A payload without the counters was written under an older cache
+    schema: the cache drops it as a miss, so the decoder never sees it."""
     payload = encode_scenario_outcome(
         ScenarioOutcome(metrics=metrics(), digest="d" * 16))
-    for key in list(payload):
-        assert not key.startswith("fib_")
-    decoded = decode_scenario_outcome(payload).metrics
-    assert decoded.fib_loops == 0
-    assert decoded.fib_blackhole_us == 0
+    for name in FIB:
+        del payload[name]
+    cache = ResultCache(tmp_path)
+    key = "ab" * 32
+    path = cache.root / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(
+        {"schema": CACHE_SCHEMA - 1, "key": key, "payload": payload}))
+    assert cache.get(key) is None
+    assert cache.dropped == 1

@@ -24,11 +24,11 @@ from repro.scenario import (
     ScenarioEvent,
     ScenarioRunSpec,
     LIBRARY,
+    LOSS,
     TC_RUN,
     compile_scenario,
     get_scenario,
     run_failure_experiment,
-    run_packet_loss_experiment,
     run_scenario,
     run_scenario_task,
     scenario_task_key,
@@ -134,11 +134,12 @@ def test_tc_scenario_matches_classic_at_nonzero_seed():
 @pytest.mark.parametrize("direction", ["near", "far"])
 @pytest.mark.parametrize("stack", ["mtp", "bgp", "bgp-bfd"])
 def test_loss_program_matches_classic(stack, direction):
-    """The Figs. 7/8 loss program counts what the hand-driven sender,
-    analyzer and injector counted (at half the paper's rate, to halve
-    the packets simulated)."""
-    result = run_packet_loss_experiment(two_pod_params(), stack, "TC2",
-                                        direction=direction, rate_pps=500)
+    """The ``loss`` family's Figs. 7/8 program counts what the
+    hand-driven sender, analyzer and injector counted (at half the
+    paper's rate, to halve the packets simulated)."""
+    specs = LOSS.expand(two_pod_params(), [stack], case=("TC2",),
+                        direction=(direction,), rate=(500,))
+    result = run_tasks(SCENARIO_RUN, specs)[0].metrics
     assert (result.sent, result.received, result.duplicated,
             result.out_of_order) == classic_packet_loss(
                 two_pod_params(), stack, "TC2", direction, rate_pps=500)

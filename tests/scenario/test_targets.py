@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.harness.failures import UnknownTargetError
-from repro.scenario.targets import TargetResolver
+from repro.scenario.targets import TargetResolver, loss_racks
+from repro.topology import build_topology
 from repro.topology.clos import (
+    ClosParams,
     build_folded_clos,
     four_pod_params,
     two_pod_params,
@@ -146,3 +148,26 @@ def test_resolution_order_matters_not_topology_build():
     assert r_a.node("any-agg") == r_b.node("any-agg")
     assert r_a.interface("tor[1].uplink[any]") == \
         r_b.interface("tor[1].uplink[any]")
+
+
+# ----------------------------------------------------------------------
+# the packet-loss flow's racks
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fabric,near,far", [
+    (two_pod_params(), "L-1-1", "L-2-2"),
+    (four_pod_params(), "L-1-1", "L-4-2"),
+    ("vl2", "VL-1-1", "VL-2-2"),
+    # the last rack, D-3-2, is reached from D-1-1 over the other cross
+    # link: no fewest-hop path to it crosses a TC link
+    ("dcell", "D-1-1", "D-2-2"),
+    # the last rack of all, in zone 2, not zone 1's
+    (ClosParams(num_pods=2, zones=2), "Z1-L-1-1", "Z2-L-2-2"),
+], ids=["clos-2", "clos-4", "vl2", "dcell", "clos-2-zones"])
+def test_loss_racks_sit_on_either_side_of_every_case_link(fabric, near, far):
+    """Near is the rack beside the case's link, far the last rack a
+    fewest-hop path from near through the link reaches: on Clos and VL2
+    the paper's first and last racks, on every fabric a pair a flow
+    between can cross the link."""
+    topo = build_topology(fabric)
+    for case in ("TC1", "TC2", "TC3", "TC4"):
+        assert loss_racks(topo, case) == (near, far), case

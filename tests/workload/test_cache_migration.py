@@ -7,9 +7,9 @@ never replay.  Two guarantees, shown on a failure run (a
 
 * schema-3 entries miss cleanly and the slot is recomputed, never
   replayed — so ``CACHE_SCHEMA`` can never drop back to 3;
-* workload-free runs are untouched: their payloads carry no workload
-  key, so the golden fig-4 digest reproduces byte-identically through
-  the cache.
+* workload-free runs are untouched: their payloads carry a null
+  workload, so the golden fig-4 digest reproduces byte-identically
+  through the cache.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def test_schema3_experiment_entry_misses_cleanly(tmp_path):
 
 def test_workload_free_golden_digest_unchanged_by_the_bump(tmp_path):
     """The fig-4 anchor reproduces byte-identically through the cache:
-    workload-free payloads carry no workload key, so nothing about the
+    a workload-free payload's workload is null, so nothing about the
     pre-workload computation changed."""
     spec = _spec("TC4")
     direct = run_scenario_task(spec)
@@ -65,4 +65,4 @@ def test_workload_free_golden_digest_unchanged_by_the_bump(tmp_path):
     assert via_cache[0].digest == direct.digest
     # the frozen golden fig-4 value (see tests/topology/test_cache_migration)
     assert direct.metrics.convergence_us == 200
-    assert "workload" not in encode_scenario_outcome(direct)
+    assert encode_scenario_outcome(direct)["workload"] is None
