@@ -9,7 +9,6 @@ from repro.bgp.speaker import BgpSpeaker, PeerState
 from repro.iputil.stack import IpStack
 from repro.iputil.tcp import TcpService
 from repro.iputil.udp_service import UdpService
-from repro.net.world import World
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.addresses import Ipv4Address, Ipv4Network
 
@@ -20,11 +19,6 @@ def ip(text):
 
 def net(text):
     return Ipv4Network.parse(text)
-
-
-def make_router(world, name, tier, asn):
-    node = world.add_node(name, tier=tier)
-    return node, asn
 
 
 def wire_pair(world, timers=None):

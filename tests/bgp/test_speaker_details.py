@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bgp.config import BgpTimers
 from repro.bgp.messages import BgpUpdate
 from repro.harness.experiments import StackTimers, build_and_converge

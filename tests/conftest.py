@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.net.world import World
@@ -9,15 +11,26 @@ from repro.stack.addresses import Ipv4Address
 
 
 try:
-    from hypothesis import settings
+    from hypothesis import HealthCheck, settings
+    from hypothesis.configuration import set_hypothesis_home_dir
 except ImportError:  # the architecture lint runs without Hypothesis
     pass
 else:
-    # ``pytest --hypothesis-profile soak tests/integration/test_fabric_machine.py``:
-    # the fabric machine at soak size, on a random seed.  The machine runs
-    # at its tier-1 size under every other profile.
-    settings.register_profile("soak", max_examples=200,
-                              stateful_step_count=30, deadline=None)
+    # The one place Hypothesis is configured; ``--hypothesis-profile`` is
+    # the only switch.  ``tier1`` (default) draws the same examples every
+    # run; ``soak`` (CI ``machine-soak``) is the random search, 20x the
+    # examples and twice the steps.  A property may ask for a multiple of
+    # ``settings.default.max_examples``, nothing else.
+    _untimed = dict(deadline=None, database=None,
+                    suppress_health_check=list(HealthCheck))
+    settings.register_profile("tier1", max_examples=10, stateful_step_count=15,
+                              derandomize=True, **_untimed)
+    settings.register_profile("soak", max_examples=200, stateful_step_count=30,
+                              **_untimed)
+    settings.load_profile("tier1")
+    # Hypothesis's caches (source constants, Unicode tables) stay out of
+    # the checkout: a run leaves no ``.hypothesis/`` behind
+    set_hypothesis_home_dir(f"{tempfile.gettempdir()}/repro-hypothesis")
 
 
 @pytest.fixture

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.pathtrace import trace_path
-from repro.sim.units import MILLISECOND, SECOND
-from repro.topology.clos import ClosParams, two_pod_params
+from repro.sim.units import SECOND
+from repro.topology.clos import two_pod_params
 
 
 def agg_without_uplinks(seed=29):

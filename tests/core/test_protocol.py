@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.vid import Vid
 from repro.harness.convergence import converge_from_cold
 from repro.stacks import mtp
 from repro.net.world import World

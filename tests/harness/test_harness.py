@@ -19,7 +19,7 @@ from repro.harness.pathtrace import (
     trace_path,
 )
 from repro.net.world import World
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 from repro.topology.clos import build_folded_clos, two_pod_params
 
 

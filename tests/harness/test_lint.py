@@ -27,6 +27,10 @@ And a campaign starts processes one way, ``os.fork`` from the converged
 world: ``src/`` imports neither ``multiprocessing`` nor
 ``concurrent.futures``, whose workers would converge or unpickle worlds
 of their own.
+
+And ``tests/conftest.py`` alone registers Hypothesis profiles; a
+property elsewhere never sets what a profile decides (deadline, example
+database, derandomization, health checks).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+TESTS = Path(__file__).resolve().parents[1]
 
 ALLOWED = {"REPRO_CACHE_DIR"}
 
@@ -256,3 +261,57 @@ def test_src_imports_no_process_pool():
     assert not offenders, (
         "campaigns fork from the converged world (harness.executor); "
         + ", ".join(offenders))
+
+
+# ----------------------------------------------------------------------
+# one Hypothesis profile spine
+# ----------------------------------------------------------------------
+PROFILE_ONLY = {"deadline", "database", "derandomize", "suppress_health_check"}
+
+
+def hypothesis_overrides(path: Path) -> list[tuple[int, str]]:
+    """``(line, what)`` for every ``register_profile`` call in ``path``
+    and every ``settings(...)`` that sets a ``PROFILE_ONLY`` key (``**``:
+    keys it cannot see)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name == "register_profile":
+            found.append((node.lineno, name))
+        elif name == "settings":
+            found += [(node.lineno, kw.arg or "**") for kw in node.keywords
+                      if kw.arg is None or kw.arg in PROFILE_ONLY]
+    return sorted(found)
+
+
+def test_the_profile_lint_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import hypothesis\n"
+        "from hypothesis import settings\n"
+        "a = settings(max_examples=2 * settings.default.max_examples)\n"
+        "b = settings(deadline=None)\n"
+        "c = hypothesis.settings(a, database=None, derandomize=True)\n"
+        "d = settings(suppress_health_check=[])\n"
+        "e = settings(**overrides)\n"
+        "settings.register_profile('mine', max_examples=1)\n")
+    assert hypothesis_overrides(probe) == [
+        (4, "deadline"), (5, "database"), (5, "derandomize"),
+        (6, "suppress_health_check"), (7, "**"), (8, "register_profile")]
+
+
+def test_hypothesis_profiles_live_in_conftest_alone():
+    conftest = TESTS / "conftest.py"
+    offenders = [f"tests/{path.relative_to(TESTS).as_posix()}:{line}: {what}"
+                 for path in sorted(TESTS.rglob("*.py"))
+                 for line, what in hypothesis_overrides(path)
+                 if path != conftest or what != "register_profile"]
+    assert not offenders, (
+        "tier1 and soak (tests/conftest.py) decide these; a local "
+        "override: " + ", ".join(offenders))
+    # conftest still registers both, so this rule cannot go stale
+    assert len(hypothesis_overrides(conftest)) == 2

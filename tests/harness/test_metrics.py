@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from repro.bfd.messages import BfdControlPacket, BfdState
 from repro.bgp.messages import BgpKeepalive, BgpUpdate
 from repro.core.messages import MtpFullHello, MtpKeepalive

@@ -16,7 +16,7 @@ import os
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.harness.cache import ResultCache
 from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
@@ -293,7 +293,6 @@ def test_execute_tasks_salvages_on_interrupt(tmp_path):
 # ----------------------------------------------------------------------
 # seeded backoff: deterministic per (seed, key), bounded by the cap
 # ----------------------------------------------------------------------
-@settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31),
        key=st.text(min_size=1, max_size=40),
        max_attempts=st.integers(min_value=1, max_value=6))

@@ -8,7 +8,7 @@ from repro.harness.convergence import converge_from_cold
 from repro.stacks import bgp
 from repro.harness.experiments import build_and_converge
 from repro.net.world import World
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 from repro.stack.addresses import Ipv4Address
 from repro.topology.clos import build_folded_clos, two_pod_params
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender

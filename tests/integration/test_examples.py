@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -46,14 +44,12 @@ def test_scalability_study_small():
     assert "depth 4" in out
 
 
-@pytest.mark.slow
 def test_protocol_comparison():
     out = run_example("protocol_comparison.py")
     assert "Fig. 4" in out and "Fig. 5" in out and "Fig. 6" in out
     assert "Listings 1/2" in out and "Listings 3/5" in out
 
 
-@pytest.mark.slow
 def test_packet_loss_study():
     out = run_example("packet_loss_study.py", "--rate", "500")
     assert "Fig. 7" in out and "Fig. 8" in out
@@ -76,13 +72,11 @@ def test_traceroute_comparison():
     assert out.count("traceroute to") == 2
 
 
-@pytest.mark.slow
 def test_multi_seed_study():
     out = run_example("multi_seed_study.py", "--seeds", "2")
     assert "±" in out and "speedup" in out
 
 
-@pytest.mark.slow
 def test_html_report(tmp_path):
     out = run_example("html_report.py", "--out", str(tmp_path / "r.html"))
     assert "wrote" in out

@@ -26,7 +26,7 @@ from typing import Any, Optional
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, seed, settings, strategies as st
+from hypothesis import Phase, seed, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule,
                                  run_state_machine_as_test)
@@ -52,8 +52,8 @@ from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 from repro.workload.engine import FluidWorkload
 from repro.workload.spec import WorkloadSpec
 
-FABRICS = {"clos-2": ClosParams(num_pods=2), "clos-3": ClosParams(num_pods=3),
-           "clos-4": ClosParams(num_pods=4), "vl2": "vl2", "dcell": "dcell"}
+FABRICS = {"clos-2": ClosParams(num_pods=2), "clos-4": ClosParams(num_pods=4),
+           "vl2": "vl2", "dcell": "dcell"}
 SEEDS = (0, 1, 2)
 HELLO_US = 50 * MILLISECOND
 # BGP keepalive and hold 5x faster than the paper's 1 s / 3 s: five times
@@ -62,8 +62,6 @@ HELLO_US = 50 * MILLISECOND
 BGP_TIMERS = StackTimers(bgp=BgpTimers(keepalive_us=200 * MILLISECOND,
                                        hold_us=600 * MILLISECOND))
 PROBE_PORT = 7700  # the first burst's; the probe scenario's own uses 7777
-# tier-1 size; ``--hypothesis-profile soak`` runs 200 x 30 per stack
-TIER1 = settings(max_examples=10, stateful_step_count=15, derandomize=True)
 
 # the injector's calls, by what they target
 PORT_OPS = {"iface_down": "fail_interface", "iface_up": "restore_interface",
@@ -486,15 +484,12 @@ def machine_for(stack: str) -> type[FabricMachine]:
 
 def run_machine(stack: str, at_seed: Optional[int] = None,
                 examples: Optional[int] = None) -> None:
-    """At tier-1 size, or the ``soak`` profile's when that one is loaded;
+    """At the loaded profile's size (``tier1`` 10 x 15, ``soak`` 200 x 30);
     ``at_seed``: a mutant's run, where the first failure will do."""
-    soak, factory = settings.get_profile("soak"), machine_for(stack)
-    chosen = settings(soak if settings.default is soak else TIER1,
-                      deadline=None, database=None,
-                      suppress_health_check=list(HealthCheck))
+    factory, chosen = machine_for(stack), settings.default
     if at_seed is not None:
         factory = seed(at_seed)(factory)
-        chosen = settings(chosen, max_examples=examples, derandomize=False,
+        chosen = settings(chosen, max_examples=examples,
                           phases=[Phase.generate])
     run_state_machine_as_test(factory, settings=chosen)
 
@@ -504,29 +499,46 @@ def test_fabric_machine(stack):
     run_machine(stack)
 
 
-@pytest.mark.parametrize("fabric, faults, check_at_us", [
+# a crash and a restart under a live permutation load, 10 ms epochs, per
+# family (graceful MR-MTP on Clos, graceful BGP on VL2, cold BGP on
+# DCell): no tier-1 example of the machine draws a workload, then a crash
+def _restart_under_load(router, mode):
+    return [("agent_crash", (False, 1 * MILLISECOND), router, 0),
+            ("agent_restart", (False, 41 * MILLISECOND), router, mode)]
+
+
+@pytest.mark.parametrize("stack, fabric, flows, faults, check_at_us", [
     # S-1-1:eth2 (port 9) down and up within 3 us: S-1-1 prunes what
     # L-1-2 gave it, and L-1-2, which never missed a hello, never
     # re-advertises; re-admitting it, S-1-1 re-sends the JOINs it pruned
-    ("clos-2", [("flap", (False, 0), 9, 0)], 0),
+    ("mtp", "clos-2", 0, [("flap", (False, 0), 9, 0)], 0),
     # S-1-1 (router 4) restarts its agent while down, so its neighbours
     # keep their tiers; L-1-1 (router 0) cold-boots after S-1-1's last
     # full hello.  S-1-1 accepts L-1-1 on its first hello and must answer
     # with a full hello: keepalives do not carry the tier
-    ("clos-2", [("node_down", (False, 0), 4, 0),
-                ("agent_restart", (False, 100 * MILLISECOND), 4, 1),
-                ("node_down", (False, 150 * MILLISECOND), 0, 0),
-                ("node_up", (False, 300 * MILLISECOND), 4, 0),
-                ("node_up", (False, 420 * MILLISECOND + 17), 0, 0)], 0),
+    ("mtp", "clos-2", 0, [("node_down", (False, 0), 4, 0),
+                          ("agent_restart", (False, 100 * MILLISECOND), 4, 1),
+                          ("node_down", (False, 150 * MILLISECOND), 0, 0),
+                          ("node_up", (False, 300 * MILLISECOND), 4, 0),
+                          ("node_up", (False, 420 * MILLISECOND + 17), 0, 0)],
+     0),
     # VL-1-1's agent dies (router 0): VA-1-1 prunes root 11 100 ms on,
     # while for 412 us more the spines still send its packets down to
     # it.  Sent back up they would loop between them: they are dropped
-    ("vl2", [("agent_crash", (False, 1), 0, 0)], 100 * MILLISECOND + 219),
+    ("mtp", "vl2", 0, [("agent_crash", (False, 1), 0, 0)],
+     100 * MILLISECOND + 219),
+    ("mtp-gr", "clos-2", 60, _restart_under_load(4, 1), 120 * MILLISECOND),
+    ("bgp-gr", "vl2", 60, _restart_under_load(0, 1), 120 * MILLISECOND),
+    ("bgp", "dcell", 60, _restart_under_load(0, 2), 120 * MILLISECOND),
 ], ids=["parent-flap-shorter-than-dead-timer", "peer-accepted-on-first-sight",
-        "descending-packet-turned-back-up"])
-def test_interleavings_the_machine_found(fabric, faults, check_at_us):
-    machine = machine_for("mtp")()
+        "descending-packet-turned-back-up", "graceful-restart-under-load-clos",
+        "graceful-restart-under-load-vl2", "cold-restart-under-load-dcell"])
+def test_interleavings_the_machine_found(stack, fabric, flows, faults,
+                                         check_at_us):
+    machine = machine_for(stack)()
     machine.load(fabric, 0)
+    if flows:
+        machine.start_workload(flows, matrix="permutation", epoch_ms=10)
     machine.inject(faults)
     machine.run(check_at_us)
     machine.agree()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.harness.experiments import build_and_converge
 from repro.harness.pathtrace import trace_path
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 from repro.topology.clos import ClosParams
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 

@@ -19,7 +19,7 @@ from repro.harness.oracle import (
     oracle_reachable,
 )
 from repro.sim.units import SECOND
-from repro.topology.clos import ClosParams, two_pod_params
+from repro.topology.clos import two_pod_params
 
 
 def converged(kind, params=None, seed=23):

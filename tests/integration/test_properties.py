@@ -8,10 +8,8 @@ protocols deliver between any pair of racks.
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.core.vid import Vid
 from repro.harness.convergence import converge_from_cold
 from repro.stacks import mtp
 from repro.harness.experiments import build_and_converge
@@ -27,12 +25,6 @@ SHAPES = st.builds(
     tops_per_plane=st.integers(min_value=1, max_value=2),
 )
 
-SLOW_SETTINGS = settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-
 
 def converged_mtp(params: ClosParams):
     world = World(seed=11)
@@ -43,7 +35,6 @@ def converged_mtp(params: ClosParams):
     return world, topo, dep
 
 
-@SLOW_SETTINGS
 @given(params=SHAPES)
 def test_meshed_trees_always_complete(params):
     """Every top spine ends up holding one VID per ToR of its planes'
@@ -60,7 +51,6 @@ def test_meshed_trees_always_complete(params):
                 assert dep.mtp_nodes[agg].table.roots() == pod_roots
 
 
-@SLOW_SETTINGS
 @given(params=SHAPES)
 def test_vids_encode_real_paths(params):
     """A VID's components are the actual port numbers along its path
@@ -89,7 +79,6 @@ def _port_peers(topo, name):
             yield iface.name, peer.node.name
 
 
-@SLOW_SETTINGS
 @given(params=SHAPES, src_port=st.integers(min_value=40000, max_value=40963))
 def test_mtp_forwarding_loop_free_and_valley_free(params, src_port):
     """Any flow between the first and last racks follows a strictly
@@ -107,7 +96,6 @@ def test_mtp_forwarding_loop_free_and_valley_free(params, src_port):
         f"not falling: {tiers}"
 
 
-@SLOW_SETTINGS
 @given(params=SHAPES)
 def test_bgp_fib_complete_on_any_shape(params):
     world, topo, dep = build_and_converge(params, "bgp", seed=13)
@@ -117,7 +105,6 @@ def test_bgp_fib_complete_on_any_shape(params):
                 f"{name} missing {subnet}")
 
 
-@SLOW_SETTINGS
 @given(
     params=SHAPES,
     src_port=st.integers(min_value=40000, max_value=40963),

@@ -7,8 +7,6 @@ timers must hold every session/neighbor up indefinitely.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
 from repro.harness.experiments import StackTimers, build_and_converge

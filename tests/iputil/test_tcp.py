@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.iputil.stack import IpStack
 from repro.iputil.tcp import TcpService, TcpState, MSS
 from repro.stack.addresses import Ipv4Address
 from repro.stack.payload import RawBytes
-from repro.net.world import World
 from repro.sim.units import SECOND
 
 from tests.conftest import make_ip_pair

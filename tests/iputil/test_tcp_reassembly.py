@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.iputil.tcp import TcpConnection, TcpService, TcpState, INITIAL_SEQ
+from repro.iputil.tcp import TcpConnection, TcpService, TcpState
 from repro.stack.addresses import Ipv4Address
 from repro.stack.payload import RawBytes
 from repro.stack.tcp_segment import TcpFlags, TcpSegment

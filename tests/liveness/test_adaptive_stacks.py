@@ -14,12 +14,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.harness.executor import assert_fanout_deterministic
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
-from repro.liveness import DEFAULT_LIVENESS, LivenessConfig, NeighborMonitor
+from repro.liveness import DEFAULT_LIVENESS, NeighborMonitor
 from repro.net.impairment import ImpairmentProfile
 from repro.scenario.family import row_of
 from repro.scenario.library import CHAOS, get_scenario
@@ -146,14 +146,7 @@ EVENTS = st.lists(
     min_size=1, max_size=60,
 )
 
-FAST_SETTINGS = settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
-
-@FAST_SETTINGS
 @given(events=EVENTS)
 def test_monitor_decisions_replay_identically(events):
     """The monitor's outputs (interval, suppression, penalty) are a pure

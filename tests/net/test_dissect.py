@@ -11,7 +11,7 @@ from repro.core.messages import (
     MtpUnreachable,
 )
 from repro.core.vid import Vid
-from repro.net.capture import Capture, CaptureRecord, Direction
+from repro.net.capture import Capture
 from repro.net.dissect import dissect, dissect_capture
 from repro.stack.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.stack.ethernet import ETHERTYPE_IPV4, ETHERTYPE_MTP, EthernetFrame

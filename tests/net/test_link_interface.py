@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.world import World
 from repro.stack.addresses import BROADCAST_MAC
 from repro.stack.ethernet import EthernetFrame, ETHERTYPE_MTP
 from repro.stack.payload import RawBytes

@@ -15,7 +15,7 @@ machine (``test_fabric_machine``) forks mid-run under every fault."""
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
@@ -61,8 +61,6 @@ def assert_forked_equals_cold(specs: list[ScenarioRunSpec]) -> None:
     assert report.notes == []
 
 
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
 @given(stack=st.sampled_from(available_stacks()),
        seed=st.integers(min_value=0, max_value=2**16),
        invariants=st.booleans(),

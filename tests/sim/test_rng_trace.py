@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
@@ -47,7 +47,6 @@ def _signed(x: float) -> tuple[float, float]:
     return x, math.copysign(1.0, x)
 
 
-@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(
     st.tuples(_BOUND, _BOUND), min_size=1, max_size=20))
 def test_uniform_helper_draws_what_generator_uniform_draws(seed, bounds):

@@ -150,7 +150,7 @@ _RECORDS = st.lists(
     max_size=12)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples)
 @given(records=_RECORDS, batch=st.integers(1, 5))
 def test_trace_digest_equals_per_record_reference(records, batch):
     expected = reference_trace_digest(records)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.topology.clos import (
     ClosParams,
@@ -147,7 +147,6 @@ def test_describe_mentions_counts():
     assert "2 PoD" in text and "12" in text
 
 
-@settings(max_examples=20, deadline=None)
 @given(
     pods=st.integers(min_value=1, max_value=5),
     tors=st.integers(min_value=1, max_value=3),

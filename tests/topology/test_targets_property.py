@@ -11,7 +11,7 @@ registered plugin (folded-Clos, VL2, the recursive DCN alike).
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.harness.failures import UnknownTargetError
 from repro.scenario.targets import TargetResolver
@@ -19,9 +19,6 @@ from repro.topology import available_topologies, build_topology
 
 _TOPOS = {name: build_topology(name, seed=0)
           for name in available_topologies()}
-
-_SETTINGS = settings(max_examples=60, deadline=None,
-                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @pytest.fixture(params=sorted(_TOPOS))
@@ -40,7 +37,6 @@ def _resolve_node(topo, expr):
 
 @given(kind=st.sampled_from(["tor", "agg", "top"]),
        index=st.integers(min_value=0, max_value=40))
-@_SETTINGS
 def test_indexed_node_targets_resolve_or_raise(topo, kind, index):
     pool = {"tor": topo.all_tors(), "agg": topo.all_aggs(),
             "top": topo.all_tops()}[kind]
@@ -54,7 +50,6 @@ def test_indexed_node_targets_resolve_or_raise(topo, kind, index):
 
 @given(expr=st.sampled_from(["any-tor", "any-agg", "any-router"]),
        seed_draws=st.integers(min_value=1, max_value=4))
-@_SETTINGS
 def test_any_targets_resolve_to_real_routers(topo, expr, seed_draws):
     resolver = TargetResolver(topo)
     name = resolver.node(expr)
@@ -65,7 +60,6 @@ def test_any_targets_resolve_to_real_routers(topo, expr, seed_draws):
 
 
 @given(case=st.sampled_from(["TC1", "TC2", "TC3", "TC4", "TC9"]))
-@_SETTINGS
 def test_case_targets_resolve_or_raise(topo, case):
     resolver = TargetResolver(topo)
     try:
@@ -81,7 +75,6 @@ def test_case_targets_resolve_or_raise(topo, case):
 @given(agg_index=st.integers(min_value=0, max_value=12),
        port_index=st.integers(min_value=0, max_value=8),
        direction=st.sampled_from(["uplink", "downlink"]))
-@_SETTINGS
 def test_port_targets_resolve_or_raise(topo, agg_index, port_index,
                                        direction):
     """``agg[i].uplink[j]`` must follow each topology's own up/down

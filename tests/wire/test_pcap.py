@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.messages import MtpKeepalive
-from repro.net.capture import Capture, Direction
-from repro.net.world import World
+from repro.net.capture import Capture
 from repro.stack.addresses import BROADCAST_MAC
 from repro.stack.ethernet import ETHERTYPE_MTP, EthernetFrame
 from repro.wire.codec import decode_frame

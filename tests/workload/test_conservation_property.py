@@ -9,7 +9,7 @@ MR-MTP's dead-end cross-cell pairs on DCell) or loss regime."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.harness.experiments import build_and_converge
 from repro.net.impairment import ImpairmentProfile
@@ -50,16 +50,8 @@ SPECS = st.builds(
     epoch_ms=st.integers(min_value=10, max_value=50),
 )
 
-PROP_SETTINGS = settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow,
-                           HealthCheck.data_too_large],
-)
-
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@PROP_SETTINGS
 @given(spec=SPECS,
        loss=st.floats(min_value=0.0, max_value=0.3),
        link_pick=st.integers(min_value=0, max_value=10**6))

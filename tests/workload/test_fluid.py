@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
 
@@ -104,7 +104,6 @@ def test_empty_problem():
     assert len(max_min_rates(prob)) == 0
 
 
-@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_waterfall_invariants_hypothesis(data):
     """Property form: any random problem keeps rates finite and
@@ -203,7 +202,6 @@ def reference_max_min_rates(problem, active=None):
     return rate
 
 
-@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_indexed_solver_is_bitwise_the_reference(data):
     """Differential property: the index built once per problem and

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
@@ -227,7 +227,26 @@ class DrawnState(dict):
         return self[key]
 
 
-@settings(max_examples=150, deadline=None)
+def branching(groups, straight=()) -> dict:
+    """A fixed state: source ToRs hash four ways (``a``, ``b``, a far MAC
+    down, an egress down), ``a`` hashes on to the destination or ``b``,
+    ``b`` sprays, or sends back to ``a``: a loop to ``MAX_FLUID_HOPS``.
+    The ToRs of ``straight`` send straight to the destination."""
+    state = {}
+    for g in groups:
+        dst = g.dst_tor
+        fanout = ((7, dst, "p0"),) if g in straight else (
+            (0, "a", "p0"), (1, "b", "p1"), (2, None, None), (None, None, None))
+        state[(g.src_tor, dst, None)] = (1, False, fanout)
+        for port in PORTS:
+            state[("a", dst, port)] = (2, False, ((3, dst, "p0"),
+                                                  (4, "b", "p0")))
+        state[("b", dst, "p1")] = (3, True, ((5, dst, "p1"), (6, "a", "p1")))
+        state[("b", dst, "p0")] = (3, False, ((6, "a", "p1"),))
+    return state
+
+
+@example(data=None)
 @given(data=st.data())
 def test_hop_columns_assemble_to_the_segment_scatter(fabric, data):
     """Over drawn candidate trees — spray and hashed branch points,
@@ -236,26 +255,36 @@ def test_hop_columns_assemble_to_the_segment_scatter(fabric, data):
     again through a new state (``direct`` ones make the second walk
     shorter than the first, so deeper columns must fall back to -1, and
     livelier, so the mask must clear).  Every digest batch is hashed by
-    this process alone (width 1) or shared with a forked helper (2)."""
-    width = data.draw(st.sampled_from([1, 2]), label="width")
+    this process alone, except in the one fixed example (``data`` None:
+    ``branching``), where a forked helper shares each one."""
     engine = engine_over(fabric, {})
     groups = engine._groups
     assert len(engine.flows) > sum(len(g.flows) for g in groups)  # intra-rack
     walks = [ReferenceWalk() for _ in groups]
-    rounds = [(data.draw(st.booleans()), range(len(groups)))] + data.draw(
-        st.lists(st.tuples(
-            st.booleans(),
-            st.sets(st.integers(0, len(groups) - 1)).map(sorted)),
-            max_size=3))
+    if data is None:
+        width = 2
+        rounds = [(branching(groups), range(len(groups))),
+                  (branching(groups, groups[::2]), range(0, len(groups), 2))]
+    else:
+        width = 1
+        rounds = [(data.draw(st.booleans()), range(len(groups)))] + data.draw(
+            st.lists(st.tuples(
+                st.booleans(),
+                st.sets(st.integers(0, len(groups) - 1)).map(sorted)),
+                max_size=3))
+        rounds = [(DrawnState(data, direct), stale)
+                  for direct, stale in rounds]
     with pytest.MonkeyPatch.context() as patch:
         split_every_batch(patch, width)
-        for direct, stale in rounds:
-            read_from(engine, DrawnState(data, direct))
+        forks = forks_seen(patch)
+        for state, stale in rounds:
+            read_from(engine, state)
             for g in stale:
                 walks[g] = reference_walk(engine, groups[g], {})
             if stale:
                 engine._walk([groups[g] for g in stale], {})
             assert_same_capture(engine, walks)
+    assert (width == 1) == (forks == []) and None not in forks
 
 
 def chain(dst_tor: str, *hops):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.harness.experiments import build_and_converge
@@ -188,7 +188,6 @@ OVERFLOW_IS_EXPECTED = pytest.mark.filterwarnings(
 
 
 @OVERFLOW_IS_EXPECTED
-@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_settle_books_what_the_where_chains_booked(fabric, data):
     engine, rate, t_end = data.draw(states(fabric))
@@ -220,7 +219,6 @@ def test_settle_books_what_the_where_chains_booked(fabric, data):
 
 
 @OVERFLOW_IS_EXPECTED
-@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_drain_books_what_the_where_chains_booked(fabric, data):
     engine, rate, t_end = data.draw(states(fabric))
