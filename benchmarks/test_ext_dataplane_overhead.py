@@ -15,8 +15,6 @@ continuously.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
 from repro.harness.experiments import build_and_converge

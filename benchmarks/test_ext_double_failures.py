@@ -21,7 +21,7 @@ from repro.topology.clos import TIER_SERVER, two_pod_params
 from repro.harness.executor import TaskKind, run_tasks
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
-from repro.harness.oracle import compare_with_oracle
+from repro.harness.oracle import pair_verdicts
 from repro.stacks import get_stack
 
 from conftest import emit
@@ -46,8 +46,9 @@ def _pair_task(spec):
     injector.cut_link(*link_i)
     injector.cut_link(*link_j)
     world.run_for(settle_us)
-    bad = compare_with_oracle(dep, topo, probe_ports=(40000, 40001))
-    return [(link_i, link_j, d) for d in bad]
+    return [(link_i, link_j, pair)
+            for pair, verdict in pair_verdicts(dep, topo).items()
+            if verdict.delivers != verdict.connected]
 
 
 #: uncached, so the codec is never used; the label names the two cuts

@@ -9,8 +9,6 @@ node's tier and the ToRs' rack ports.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.topology.clos import ClosParams, four_pod_params, two_pod_params
 from repro.harness.experiments import run_config_cost_experiment
 from repro.stacks import get_stack

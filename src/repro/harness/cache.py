@@ -56,7 +56,12 @@ from repro.harness.digest import canonical_json, payload_digest
 #    (zero monitor counters, a null workload, the new via_port) and
 #    every scenario-run key the invariants flag; schema-8 entries miss
 #    cleanly.
-CACHE_SCHEMA = 9
+# 10: one rack-pair verdict — the reachability op judges every ECMP
+#    choice (a GR sweep row now reports its stale-window blackhole,
+#    failing rows read "loop"/"drop") and a via burst's port search
+#    no longer advances mtp-spray's spray counters; schema-9 entries
+#    miss cleanly.
+CACHE_SCHEMA = 10
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -1,26 +1,27 @@
 """Static path tracing through a converged deployment.
 
-Replays each hop's forwarding decision (BGP: FIB lookup + ECMP hash;
-MR-MTP: VID-table / hashed-up decision) without sending packets.  A
-traffic burst with ``via`` uses this to pick a flow (source port) whose
-path crosses the link under test — the paper's test cases presuppose the
-failure sits on the measured traffic's path — and the ``reachability``
-op checks every rack pair with it (:func:`check_all_pairs`).
-
-Stack-agnostic: the per-hop decision replay lives on the deployment
-(:meth:`repro.stacks.Deployment.trace_fabric_path`), so any registered
-stack traces without changes here.
+A stack says where a frame goes in one place,
+:meth:`repro.stacks.Deployment.fluid_candidates`; :func:`live_hops`
+turns that candidate set into the hops a frame really takes (or the
+drops it meets), and every forwarding walk reads it: :func:`trace_path`
+(one flow, hashed at each hop the way the data plane hashes it), the
+fluid workload engine (every flow at once) and the exact rack-pair
+verdict of :mod:`repro.harness.oracle` (every ECMP choice).  A traffic
+burst with ``via`` uses the trace to pick a flow (source port) whose
+path crosses the link under test — the paper's test cases presuppose
+the failure sits on the measured traffic's path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.stack.addresses import Ipv4Address
 from repro.stack.ipv4 import PROTO_UDP
-from repro.routing.ecmp import FlowKey
+from repro.routing.ecmp import FlowKey, ecmp_hash
 
-MAX_HOPS = 32
+#: a walk deeper than this many fabric hops is a routing loop
+MAX_TRACE_HOPS = 32
 
 
 def _flow(src_ip: Ipv4Address, dst_ip: Ipv4Address,
@@ -38,6 +39,29 @@ def access_uplink(topo, host: str):
     return host_iface, host_iface.peer()
 
 
+def live_hops(deployment, node: str, dst_tor: str,
+              ingress: Optional[str]) -> tuple[int, bool, tuple]:
+    """``(salt, spray, hops)`` at ``node`` toward rack ``dst_tor`` for a
+    frame that arrived on port ``ingress`` (None at the source ToR):
+    one ``(egress, leaves, peer)`` per candidate port, in the order the
+    data plane balances over.  ``leaves`` is False when the frame never
+    leaves the node (a downed or uncabled egress); ``peer`` is the
+    interface that receives it, None when it is dropped — at home, or
+    at an admin-down far end.  No candidate at all is a drop too."""
+    salt, spray, ports = deployment.fluid_candidates(node, dst_tor, ingress)
+    interfaces = deployment.topo.node(node).interfaces
+    hops = []
+    for port in ports:
+        egress = interfaces[port]
+        if not egress.admin_up or egress.link is None:
+            hops.append((egress, False, None))
+            continue
+        peer = egress.peer()
+        hops.append((egress, True,
+                     peer if peer is not None and peer.admin_up else None))
+    return salt, spray, tuple(hops)
+
+
 def trace_path(
     deployment,
     src_host: str,
@@ -46,38 +70,31 @@ def trace_path(
     dst_port: int = 7777,
 ) -> list[str]:
     """Node names visited from the source server to the destination
-    server (inclusive).  Raises if the path dead-ends or loops."""
+    server (inclusive): at each hop the candidate the keyed ECMP hash
+    names (a sprayed flow too).  Reads forwarding state and changes
+    none.  Raises RuntimeError where the frame is dropped or loops."""
     topo = deployment.topo
-    src_ip = topo.server_address(src_host)
-    dst_ip = topo.server_address(dst_host)
-    flow = _flow(src_ip, dst_ip, src_port, dst_port)
-    # server -> its ToR
-    _, tor_iface = access_uplink(topo, src_host)
-    path = [src_host, tor_iface.node.name]
-    return deployment.trace_fabric_path(path, dst_ip, dst_host, flow)
-
-
-def check_all_pairs(
-    deployment,
-    topo,
-    probe_ports: Iterable[int] = (40000, 40001, 40002, 40003),
-) -> tuple[int, list[tuple[str, str, str]]]:
-    """Trace several flows between every ordered rack pair; return the
-    pairs checked and ``(src_tor, dst_tor, error)`` for each pair one of
-    whose flows dead-ends or loops."""
-    unreachable = []
-    tors = topo.all_tors()
-    pairs = [(a, b) for a in tors for b in tors if a != b]
-    for src_tor, dst_tor in pairs:
-        src = topo.first_server_of(src_tor)
-        dst = topo.first_server_of(dst_tor)
-        for port in probe_ports:
-            try:
-                trace_path(deployment, src, dst, src_port=port)
-            except RuntimeError as exc:
-                unreachable.append((src_tor, dst_tor, str(exc)))
-                break
-    return len(pairs), unreachable
+    flow = _flow(topo.server_address(src_host), topo.server_address(dst_host),
+                 src_port, dst_port)
+    node = access_uplink(topo, src_host)[1].node.name
+    dst_tor = access_uplink(topo, dst_host)[1].node.name
+    path = [src_host, node]
+    ingress = None
+    for _ in range(MAX_TRACE_HOPS):
+        if node == dst_tor:
+            path.append(dst_host)
+            return path
+        salt, _, hops = live_hops(deployment, node, dst_tor, ingress)
+        if not hops:
+            raise RuntimeError(f"path dead-ends at {node} (no path)")
+        egress, leaves, peer = hops[ecmp_hash(flow, len(hops), salt)]
+        if peer is None:
+            where = "far end down" if leaves else "egress down"
+            raise RuntimeError(f"path dead-ends at {node}:{egress.name} "
+                               f"({where})")
+        node, ingress = peer.node.name, peer.name
+        path.append(node)
+    raise RuntimeError(f"path exceeds {MAX_TRACE_HOPS} hops: {path}")
 
 
 def path_crosses_link(path: list[str], node_a: str, node_b: str) -> bool:

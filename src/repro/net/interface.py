@@ -15,7 +15,7 @@ sent that is still on the wire when one of them next transmits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.stack.addresses import Ipv4Address, Ipv4Network, MacAddress

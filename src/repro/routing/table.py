@@ -9,8 +9,8 @@ internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.stack.addresses import Ipv4Address, Ipv4Network
 from repro.routing.ecmp import FlowKey, ecmp_hash

@@ -15,16 +15,17 @@ Compilation happens in two steps against an already-converged fabric:
    horizon plus the stack's detection bound has played out, or, when
    the scenario sets ``window_ms``, exactly that long after the horizon.
 
-Three ops exist for fixed-window programs.  ``reachability``
-path-traces every rack pair (:func:`~repro.harness.pathtrace.check_all_pairs`)
-at its instant and adds ``pairs_checked``/``unreachable`` to the
-metrics.  A ``traffic_burst`` with ``via`` picks its source port when
-it starts: the first of 40000–40255 whose path crosses that link, else
-40000; the first via burst's crossing port is the metrics'
-``via_port``.  ``isolate`` downs every interface of a node and leaves
-its agent alive.  A ``measure`` checkpoint freezes the monitor's update
-counters and the liveness fold (detections, false positives, flaps,
-suppressions and their time, MTTR, availability) at its instant.
+Three ops exist for fixed-window programs.  ``reachability`` judges
+every rack pair over every ECMP choice
+(:func:`~repro.harness.oracle.check_all_pairs`) at its instant and adds
+``pairs_checked``/``unreachable`` to the metrics.  A ``traffic_burst``
+with ``via`` picks its source port when it starts: the first of
+40000–40255 whose path crosses that link, else 40000; the first via
+burst's crossing port is the metrics' ``via_port``.  ``isolate`` downs
+every interface of a node and leaves its agent alive.  A ``measure``
+checkpoint freezes the monitor's update counters and the liveness fold
+(detections, false positives, flaps, suppressions and their time, MTTR,
+availability) at its instant.
 
 This is the only code that drives a measured run.  The failure
 experiment of Figs. 4-6 is a single ``iface_down`` at offset 0 (the
@@ -47,7 +48,8 @@ from repro.net.world import World
 from repro.topology import Topology
 from repro.harness.convergence import ConvergenceMonitor
 from repro.harness.failures import FailureInjector
-from repro.harness.pathtrace import check_all_pairs, find_crossing_flow
+from repro.harness.oracle import check_all_pairs
+from repro.harness.pathtrace import find_crossing_flow
 from repro.harness.metrics import (
     blast_radius,
     liveness_stats,

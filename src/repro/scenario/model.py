@@ -15,10 +15,10 @@ no quiesce, no implicit detection-bound wait — which is the fixed window
 of the robustness sweep, the chaos grid and ``repro load``.
 
 Beyond faults and traffic, three ops serve those fixed-window programs:
-``reachability`` path-traces every rack pair at its instant (the
-sweep's all-pairs check); a ``traffic_burst`` with ``via: <link
-target>`` picks, when it starts, the first source port whose path
-crosses that link; and ``isolate`` downs every interface of a node
+``reachability`` judges every rack pair over every ECMP choice at
+its instant (the sweep's all-pairs check); a ``traffic_burst`` with
+``via: <link target>`` picks, when it starts, the first source port
+whose path crosses that link; and ``isolate`` downs every interface of a node
 while its agent stays alive.
 
 Scenarios are pure data: symbolic targets (``"tor[0].uplink[1]"``,

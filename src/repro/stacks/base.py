@@ -20,7 +20,10 @@ abstractions only:
   instance both call them.
 * :class:`Deployment` — a deployed stack: start, readiness,
   forwarding-table/update introspection, liveness periods, agent
-  crash/restart, per-node table statistics, config cost, path tracing.
+  crash/restart, per-node table statistics, config cost, and
+  :meth:`~Deployment.fluid_candidates`, the one place a stack says
+  where a frame goes: the path trace, the rack-pair verdict, the
+  invariant monitor and the fluid workload engine all read it.
 
 Specs (:class:`StackSpec`) are the picklable, canonical-JSON-able unit
 that crosses process boundaries and feeds the result-cache key: registry
@@ -44,9 +47,6 @@ from repro.registry import Registry, UnknownNameError, canonical_params
 from repro.routing.table import NextHop, Route
 from repro.stack.addresses import Ipv4Network
 from repro.topology import TIER_SERVER, Topology
-
-MAX_TRACE_HOPS = 32
-
 
 @dataclass
 class StackTimers:
@@ -210,22 +210,16 @@ class Deployment:
         """Human-readable converged state of one node (CLI display)."""
         raise NotImplementedError
 
-    def trace_fabric_path(self, path: list[str], dst_ip: Any,
-                          dst_host: str, flow: Any) -> list[str]:
-        """Statically replay hop decisions from ``path[-1]`` (the source
-        ToR) to ``dst_host``; raises RuntimeError on dead ends/loops."""
-        raise NotImplementedError
-
     def fluid_candidates(self, node: str, dst_tor: str,
                          ingress_port: Optional[str]
                          ) -> tuple[int, bool, tuple[str, ...]]:
         """The multipath candidate set at ``node`` toward rack
         ``dst_tor``, as ``(ecmp_salt, per_packet_spray, egress ports)``
         — the exact ordered set the data plane balances a flow over
-        right now, so the flow-level workload evaluator
-        (:mod:`repro.workload.engine`) reproduces per-flow path choices
-        without forwarding a packet.  An empty port tuple means the
-        stack currently has no path (a blackhole)."""
+        right now, so every forwarding walk
+        (:func:`repro.harness.pathtrace.live_hops`) reproduces per-flow
+        path choices without forwarding a packet.  An empty port tuple
+        means the stack currently has no path (a blackhole)."""
         raise NotImplementedError
 
 

@@ -17,10 +17,7 @@ from repro.iputil.stack import IpStack
 from repro.iputil.tcp import TcpService
 from repro.iputil.udp_service import UdpService
 from repro.liveness.config import LivenessParam, resolve_liveness
-from repro.routing.ecmp import FlowKey
-from repro.stack.addresses import Ipv4Address
 from repro.stacks.base import (
-    MAX_TRACE_HOPS,
     ConfigCost,
     Deployment,
     StackTimers,
@@ -150,24 +147,6 @@ class BgpDeployment(Deployment):
             return (table.salt, False, ())
         return (table.salt, False,
                 tuple(nh.interface for nh in table.usable_nexthops(route)))
-
-    def trace_fabric_path(self, path: list[str], dst_ip: Ipv4Address,
-                          dst_host: str, flow: FlowKey) -> list[str]:
-        current = path[-1]
-        for _ in range(MAX_TRACE_HOPS):
-            stack = self.stacks[current]
-            nexthop = stack.table.select_nexthop(dst_ip, flow)
-            if nexthop is None:
-                raise RuntimeError(f"path dead-ends at {current} (no route)")
-            iface = self.topo.node(current).interfaces[nexthop.interface]
-            peer = iface.peer()
-            if peer is None:
-                raise RuntimeError(f"{current}:{nexthop.interface} uncabled")
-            path.append(peer.node.name)
-            if peer.node.name == dst_host:
-                return path
-            current = peer.node.name
-        raise RuntimeError(f"path exceeds {MAX_TRACE_HOPS} hops: {path}")
 
 
 def deploy(

@@ -16,10 +16,7 @@ from repro.core.protocol import MtpNode
 from repro.core.vid import WideDerivation
 from repro.iputil.stack import IpStack
 from repro.liveness.config import LivenessParam, resolve_liveness
-from repro.routing.ecmp import FlowKey
-from repro.stack.addresses import Ipv4Address
 from repro.stacks.base import (
-    MAX_TRACE_HOPS,
     ConfigCost,
     Deployment,
     StackTimers,
@@ -133,30 +130,6 @@ class MtpDeployment(Deployment):
         dst_root = self.topo.tor_vid_seed[dst_tor]
         return (mtp.salt, mtp.per_packet_spray,
                 tuple(mtp.candidate_data_ports(dst_root, ingress_port)))
-
-    def trace_fabric_path(self, path: list[str], dst_ip: Ipv4Address,
-                          dst_host: str, flow: FlowKey) -> list[str]:
-        # at the source ToR the packet is locally encapsulated (no MTP
-        # ingress port), matching MtpNode._intercept_ip
-        ingress: Optional[str] = None
-        current = path[-1]
-        dst_root = self.mtp_nodes[current].derivation.root_for_address(dst_ip)
-        for _ in range(MAX_TRACE_HOPS):
-            mtp = self.mtp_nodes[current]
-            if mtp.tier == 1 and mtp.own_root == dst_root:
-                # destination ToR: rack delivery
-                path.append(dst_host)
-                return path
-            egress = mtp.decide_data_port(dst_root, flow, ingress_port=ingress)
-            if egress is None:
-                raise RuntimeError(f"path dead-ends at {current} (no VID path)")
-            peer = self.topo.node(current).interfaces[egress].peer()
-            if peer is None:
-                raise RuntimeError(f"{current}:{egress} uncabled")
-            path.append(peer.node.name)
-            current = peer.node.name
-            ingress = peer.name
-        raise RuntimeError(f"path exceeds {MAX_TRACE_HOPS} hops: {path}")
 
 
 def _server_facing_ports(topo: Topology, router: str) -> list[str]:

@@ -2,9 +2,9 @@
 
 The engine replaces per-packet simulation with flow-level (fluid)
 evaluation, FatPaths-style: each flow's path is resolved hop by hop
-through the stack's *actual* forwarding state (the same candidate sets
-and keyed ECMP hash the data plane and ``pathtrace`` use, via the
-:meth:`~repro.stacks.Deployment.fluid_candidates` hook), link shares
+through the stack's *actual* forwarding state (the same live hops
+and keyed ECMP hash the data plane and ``pathtrace`` use, via
+:func:`~repro.harness.pathtrace.live_hops`), link shares
 are solved with the max-min waterfall in :mod:`repro.workload.fluid`,
 and per-flow bytes are settled epoch by epoch.
 
@@ -47,7 +47,7 @@ from repro.harness.fork import (
     wait_any,
 )
 from repro.harness.metrics import nearest_rank_percentile
-from repro.harness.pathtrace import access_uplink
+from repro.harness.pathtrace import MAX_TRACE_HOPS, access_uplink, live_hops
 from repro.routing.ecmp import KEY_BYTES, ecmp_digests
 from repro.workload.fluid import (
     FluidProblem,
@@ -57,10 +57,6 @@ from repro.workload.fluid import (
 )
 from repro.workload.spec import WorkloadSpec
 from repro.workload.synth import FlowSet, synthesize
-
-# a routing loop is a blackhole with extra steps: cap the walk like the
-# per-packet tracer does (repro.harness.pathtrace.MAX_HOPS)
-MAX_FLUID_HOPS = 32
 
 #: a walk depth's ECMP misses are hashed in this process alone below
 #: this many rows.  A digest costs ~0.75 µs, but two processes hashing
@@ -404,29 +400,17 @@ class FluidWorkload:
 
     def _candidate_entry(self, memo: dict, key: tuple) -> tuple:
         """The live candidate set at ``key = (node, dst_tor, ingress)``
-        as ``(salt, spray, ((link id, peer node, peer iface), ...))``,
-        read through the deployment once per resolve (``memo``)."""
+        as ``(salt, spray, ((link id, peer node, peer iface), ...))`` —
+        link id None when the frame never leaves the node, peer None
+        when it is dropped — read once per resolve (``memo``)."""
         entry = memo.get(key)
         if entry is None:
-            node, dst_tor, ingress = key
-            salt, spray, ports = self.deployment.fluid_candidates(
-                node, dst_tor, ingress)
-            expanded = []
-            topo_node = self.topo.node(node)
-            for port in ports:
-                iface = topo_node.interfaces[port]
-                if not iface.admin_up or iface.link is None:
-                    # the frame never leaves this node
-                    expanded.append((None, None, None))
-                    continue
-                link = self._link_id(iface)
-                peer = iface.peer()
-                if peer is None or not peer.admin_up:
-                    # crosses the wire, dropped at the far MAC
-                    expanded.append((link, None, None))
-                    continue
-                expanded.append((link, peer.node.name, peer.name))
-            entry = memo[key] = (salt, spray, tuple(expanded))
+            salt, spray, hops = live_hops(self.deployment, *key)
+            entry = memo[key] = (salt, spray, tuple(
+                (self._link_id(egress) if leaves else None,
+                 None if peer is None else peer.node.name,
+                 None if peer is None else peer.name)
+                for egress, leaves, peer in hops))
         return entry
 
     def _wipe(self, flows: np.ndarray) -> None:
@@ -460,7 +444,7 @@ class FluidWorkload:
             for group, node, ingress, idx in frontier:
                 if node == group.dst_tor:
                     continue
-                if depth >= MAX_FLUID_HOPS:
+                if depth >= MAX_TRACE_HOPS:
                     dead[idx] = True  # routing loop
                     continue
                 key = (node, group.dst_tor, ingress)

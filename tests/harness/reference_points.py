@@ -21,7 +21,8 @@ from repro.harness.metrics import (
     route_churn,
     snapshot_table_change_counts,
 )
-from repro.harness.pathtrace import check_all_pairs, find_crossing_flow
+from repro.harness.oracle import check_all_pairs
+from repro.harness.pathtrace import find_crossing_flow
 from repro.net.impairment import ImpairmentProfile
 from repro.sim.units import MILLISECOND, SECOND
 from repro.scenario.targets import (

@@ -19,6 +19,8 @@ from repro.harness.pathtrace import (
     trace_path,
 )
 from repro.net.world import World
+from repro.scenario import LOSS
+from repro.scenario.runner import converge_world, run_scenario_task
 from repro.sim.units import SECOND
 from repro.topology.clos import build_folded_clos, two_pod_params
 
@@ -168,3 +170,26 @@ class TestPathTrace:
         path = trace_path(dep, src, dst, src_port=40000)
         tiers = [topo.node(n).tier for n in path]
         assert tiers == [0, 1, 2, 3, 2, 1, 0]
+
+    def test_trace_leaves_a_sprayed_data_plane_as_found(self):
+        """Tracing reads forwarding state and writes none: on
+        ``mtp-spray``, tracing every rack pair leaves each agent's spray
+        counter where it was, and a ``loss`` run played on afterwards —
+        its ``via`` burst searches ports by tracing too — digests as if
+        nothing had been traced."""
+        (spec,) = LOSS.expand(two_pod_params(), ["mtp-spray"],
+                              case=("TC2",), direction=("near",))
+        traced = converge_world(spec)
+        _, topo, dep = traced
+        counters = {name: node._spray_counter
+                    for name, node in dep.mtp_nodes.items()}
+        tors = topo.all_tors()
+        for src in tors:
+            for dst in tors:
+                if src != dst:
+                    trace_path(dep, topo.first_server_of(src),
+                               topo.first_server_of(dst), src_port=40000)
+        assert {name: node._spray_counter
+                for name, node in dep.mtp_nodes.items()} == counters
+        assert run_scenario_task(spec, world=traced).digest \
+            == run_scenario_task(spec, world=converge_world(spec)).digest

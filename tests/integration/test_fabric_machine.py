@@ -37,7 +37,7 @@ from repro.bgp.config import BgpTimers
 from repro.harness.convergence import converge_from_cold
 from repro.harness.fork import OK, fork_task, wait_any
 from repro.harness.failures import FailureInjector
-from repro.harness.oracle import compare_with_oracle
+from repro.harness.oracle import pair_verdicts
 from repro.net.capture import Capture
 from repro.net.impairment import ImpairmentProfile
 from repro.net.world import World
@@ -117,13 +117,20 @@ def _converged(stack: str, fabric: str, world_seed: int, tapped: bool) -> bytes:
     return pickle.dumps((world, topo, deployment))
 
 
+def disagreements(deployment, topo) -> list:
+    """The rack pairs whose exact verdict (every ECMP choice delivers)
+    differs from the oracle's."""
+    return [pair for pair, verdict in pair_verdicts(deployment, topo).items()
+            if verdict.delivers != verdict.connected]
+
+
 @lru_cache(maxsize=None)
 def _oracle_verdicts(stack: str, fabric: str, world_seed: int) -> list:
     """The converged world's disagreements with the oracle, to which a
     torn-down one must return: none, but on DCell, where BGP delivers
     over paths that are not valley-free (ROADMAP item 5)."""
     fab = Fabric.load(stack, fabric, world_seed, False)
-    verdicts = compare_with_oracle(fab.deployment, fab.topo)
+    verdicts = disagreements(fab.deployment, fab.topo)
     assert fabric == "dcell" or verdicts == []
     return verdicts
 
@@ -461,7 +468,7 @@ class FabricMachine(RuleBasedStateMachine):
             converge_from_cold(fab.world, fab.deployment, fab.deployment.ready)
         self.agree()
         fab = self.fabrics[0]
-        assert compare_with_oracle(fab.deployment, fab.topo) \
+        assert disagreements(fab.deployment, fab.topo) \
             == _oracle_verdicts(self.stack, self.fabric, self.seed)
         # quiet again, no stack loops; MR-MTP never looped at any check
         # (every step and every workload epoch): BGP may, on its way

@@ -63,7 +63,6 @@ def test_mtp_jittered_hellos_never_breach_dead_timer():
     world, topo, dep = build_and_converge(two_pod_params(), "mtp",
                                           seed=43, timers=timers)
     from repro.net.capture import Capture
-    from repro.core.messages import MtpKeepalive
     from repro.stack.ethernet import ETHERTYPE_MTP
 
     link = world.find_link(topo.tors[0][0][0], topo.aggs[0][0][0])

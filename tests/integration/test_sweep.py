@@ -32,3 +32,18 @@ def test_exhaustive_single_failure_sweep(kind):
     assert not any(row["unreachable"] for row in rows), "\n".join(
         SWEEP.head(rows, Tally([], "", 0.0)))
     assert all(row["pairs_checked"] == 12 for row in rows)  # 4 ToRs -> 12 pairs
+
+
+@pytest.mark.parametrize("kind", ["mtp-gr", "bgp-gr"])
+def test_graceful_restart_sweep_reports_the_stale_window(kind):
+    """A one-sided failure looks like a restarting neighbour to a
+    graceful-restart stack: the aggs keep forwarding into the admin-down
+    ``L-1-1:eth1`` through their stale hold, so at the sweep's check all
+    three pairs into ``L-1-1`` drop on the ECMP choice through it — a
+    blackhole only a verdict over every choice is sure to see."""
+    (point,) = [p for p in _points()
+                if (p.node, p.interface) == ("L-1-1", "eth1")]
+    specs = SWEEP.expand(two_pod_params(), [kind], point=[point])
+    (row,) = SWEEP.rows(specs, run_tasks(SCENARIO_RUN, specs))
+    assert sorted(row["unreachable"]) == [
+        (src, "L-1-1", "drop") for src in ("L-1-2", "L-2-1", "L-2-2")]

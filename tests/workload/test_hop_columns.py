@@ -35,7 +35,7 @@ from repro.routing.ecmp import ecmp_digests
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import ClosParams
 from repro.workload import engine as engine_module
-from repro.workload.engine import MAX_FLUID_HOPS, FluidWorkload
+from repro.workload.engine import MAX_TRACE_HOPS, FluidWorkload
 from repro.workload.spec import WorkloadSpec
 from repro.workload.synth import synthesize
 
@@ -121,7 +121,7 @@ def reference_walk(engine, group, memo) -> ReferenceWalk:
         node, ingress, depth, idx = stack.pop()
         if node == dst_tor:
             continue
-        if depth >= MAX_FLUID_HOPS:
+        if depth >= MAX_TRACE_HOPS:
             walk.dead.append(idx)  # routing loop
             continue
         key = (node, dst_tor, ingress)
@@ -230,7 +230,7 @@ class DrawnState(dict):
 def branching(groups, straight=()) -> dict:
     """A fixed state: source ToRs hash four ways (``a``, ``b``, a far MAC
     down, an egress down), ``a`` hashes on to the destination or ``b``,
-    ``b`` sprays, or sends back to ``a``: a loop to ``MAX_FLUID_HOPS``.
+    ``b`` sprays, or sends back to ``a``: a loop to ``MAX_TRACE_HOPS``.
     The ToRs of ``straight`` send straight to the destination."""
     state = {}
     for g in groups:
@@ -250,7 +250,7 @@ def branching(groups, straight=()) -> dict:
 @given(data=st.data())
 def test_hop_columns_assemble_to_the_segment_scatter(fabric, data):
     """Over drawn candidate trees — spray and hashed branch points,
-    every dead-end kind, loops to ``MAX_FLUID_HOPS``, intra-rack flows —
+    every dead-end kind, loops to ``MAX_TRACE_HOPS``, intra-rack flows —
     and over rounds in which a drawn subset of the rack pairs is walked
     again through a new state (``direct`` ones make the second walk
     shorter than the first, so deeper columns must fall back to -1, and
@@ -334,7 +334,7 @@ def test_a_shorter_rewalk_leaves_no_stale_hops(fabric):
 
 def test_a_loop_epoch_leaves_no_columns_behind(fabric):
     """A transient loop walks every flow of a rack pair to
-    ``MAX_FLUID_HOPS``, hashing at every depth; once it heals, the
+    ``MAX_TRACE_HOPS``, hashing at every depth; once it heals, the
     resolve drops the hop columns and digest-cache depths no flow reaches
     any more, and the capture is a cold engine's."""
     state: dict = {}
@@ -352,7 +352,7 @@ def test_a_loop_epoch_leaves_no_columns_behind(fabric):
         state[("b", dst, port)] = (3, False, ((12, "a", "p0"),
                                               (13, "a", "p1")))
     engine._resolve()
-    assert len(engine._hops) == len(engine._digest_cache) == MAX_FLUID_HOPS
+    assert len(engine._hops) == len(engine._digest_cache) == MAX_TRACE_HOPS
     assert engine._blackholed_now[group.flows].all()
 
     state.update(chain(dst, (src, 11)))
