@@ -215,7 +215,7 @@ def test_abl_load_balancing_spray_vs_hash(benchmark, results_dir):
         topo = build_folded_clos(two_pod_params(), world=world)
         dep = mtp.deploy(topo, per_packet_spray=spray)
         dep.start()
-        converge_from_cold(world, dep, dep.trees_complete)
+        converge_from_cold(world, dep)
         src_tor, dst_tor = topo.tors[0][0][0], topo.tors[0][1][1]
         # make the two planes' latencies differ (a queued/longer path),
         # so alternating packets across them can actually reorder

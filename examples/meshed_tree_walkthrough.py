@@ -33,7 +33,7 @@ def main() -> None:
     control_cap.attach((link.end_a, link.end_b))
 
     deployment.start()
-    converge_from_cold(world, deployment, deployment.trees_complete)
+    converge_from_cold(world, deployment)
 
     print(f"=== tree construction on the {tor} <-> {agg} link ===")
     print(dissect_capture(

@@ -30,9 +30,10 @@ def main() -> None:
     print()
 
     # 3. Converge from cold: trees grow from every ToR and mesh at the
-    #    spines.
+    #    spines, until every router has a forwarding candidate toward
+    #    every other rack (deployment.ready()).
     deployment.start()
-    converge_from_cold(world, deployment, deployment.trees_complete)
+    converge_from_cold(world, deployment)
     print(f"converged at t = {world.sim.now / 1e6:.3f} s (simulated)")
     print()
 

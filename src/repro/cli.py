@@ -62,6 +62,7 @@ from repro.topology import (
 from repro.net.world import World
 from repro.stacks import available_stacks, get_stack, resolve_spec
 from repro.harness.cache import ResultCache, default_cache_root
+from repro.harness.convergence import QuiescenceTimeout
 from repro.harness.executor import (
     CampaignInterrupted,
     CampaignReport,
@@ -839,6 +840,10 @@ def main(argv=None) -> int:
         # are user input, not bugs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QuiescenceTimeout as exc:
+        # a fabric the stack cannot converge on is the stack's finding
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FINDINGS
     except CampaignInterrupted as exc:
         # completed tasks were checkpointed when the cache is on —
         # nothing already computed needs recomputing

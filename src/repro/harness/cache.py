@@ -61,7 +61,9 @@ from repro.harness.digest import canonical_json, payload_digest
 #    failing rows read "loop"/"drop") and a via burst's port search
 #    no longer advances mtp-spray's spray counters; schema-9 entries
 #    miss cleanly.
-CACHE_SCHEMA = 10
+# 11: one readiness predicate — MR-MTP on DCell refuses instead of
+#    converging vacuously; schema-10 entries miss cleanly.
+CACHE_SCHEMA = 11
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -7,6 +7,7 @@ they stop, the last update's timestamp is the convergence end time.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.sim.trace import TraceRecord
@@ -21,7 +22,7 @@ class QuiescenceTimeout(TimeoutError):
     diagnose a supervisor quarantine record without re-running the task:
     where the simulated clock stood, how many timers were still pending
     (a runaway flap storm looks very different from a drained queue),
-    and the last trace event emitted.
+    and the last trace event emitted.  It pickles with those fields.
     """
 
     def __init__(self, message: str, *, sim_time_us: int,
@@ -31,9 +32,17 @@ class QuiescenceTimeout(TimeoutError):
                   + (f", last event: {last_event}" if last_event else "")
                   + "]")
         super().__init__(detail)
+        self.message = message
         self.sim_time_us = sim_time_us
         self.pending_events = pending_events
         self.last_event = last_event
+
+    def __reduce__(self):
+        # an exception pickles as ``cls(*args)``; the fields are keyword-only
+        return (functools.partial(type(self), sim_time_us=self.sim_time_us,
+                                  pending_events=self.pending_events,
+                                  last_event=self.last_event),
+                (self.message,))
 
 
 def _last_event_description(world: World) -> str:
@@ -132,22 +141,22 @@ class ConvergenceMonitor:
 def converge_from_cold(
     world: World,
     deployment,
-    check,
     max_time_us: int = 30 * SECOND,
     quiet_us: int = 500 * MILLISECOND,
     slice_us: int = 100 * MILLISECOND,
 ) -> None:
-    """Run a freshly started deployment until ``check()`` holds and the
-    control plane has gone quiet.  Raises on timeout — and as soon as the
-    queue is empty with ``check()`` false: nothing is left that could
-    make it true (a converged MR-MTP fabric schedules nothing)."""
+    """Run a freshly started deployment until it has been
+    :meth:`~repro.stacks.Deployment.ready` for ``quiet_us``.  Raises
+    :class:`QuiescenceTimeout` on timeout — and as soon as the queue is
+    empty while not ready: nothing is left that could make it ready (a
+    converged MR-MTP fabric schedules nothing)."""
     sim = world.sim
     deadline = sim.now + max_time_us
     satisfied_since: Optional[int] = None
     outcome = f"did not converge within {max_time_us} us"
     while sim.now < deadline:
         sim.run(until=min(sim.now + slice_us, deadline))
-        if check():
+        if deployment.ready():
             if satisfied_since is None:
                 satisfied_since = sim.now
             elif sim.now - satisfied_since >= quiet_us:
@@ -158,8 +167,7 @@ def converge_from_cold(
                 outcome = "fell silent unconverged"
                 break
     raise QuiescenceTimeout(
-        f"deployment {outcome} "
-        f"(check={check.__name__ if hasattr(check, '__name__') else check})",
+        f"deployment {outcome}",
         sim_time_us=sim.now, pending_events=sim.pending_events,
         last_event=_last_event_description(world),
     )

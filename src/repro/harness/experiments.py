@@ -82,8 +82,7 @@ def build_and_converge(
         topo = build_topology(params, world=world)
         deployment = get_stack(spec.name).build(topo, spec)
         deployment.start()
-        converge_from_cold(world, deployment, deployment.ready,
-                           max_time_us=max_converge_us)
+        converge_from_cold(world, deployment, max_time_us=max_converge_us)
     finally:
         if enabled:
             gc.enable()

@@ -23,7 +23,8 @@ abstractions only:
   crash/restart, per-node table statistics, config cost, and
   :meth:`~Deployment.fluid_candidates`, the one place a stack says
   where a frame goes: the path trace, the rack-pair verdict, the
-  invariant monitor and the fluid workload engine all read it.
+  invariant monitor, the fluid workload engine and
+  :meth:`~Deployment.ready`, the one readiness predicate, all read it.
 
 Specs (:class:`StackSpec`) are the picklable, canonical-JSON-able unit
 that crosses process boundaries and feeds the result-cache key: registry
@@ -131,6 +132,9 @@ class Deployment:
     timers: StackTimers
     liveness: Optional[LivenessConfig] = None
     graceful_restart: bool = False
+    # (route_generation(), verdict) of the last candidate walk
+    _routes_verdict: tuple[int, bool] = field(
+        default=(-1, False), init=False, repr=False, compare=False)
 
     @property
     def agents(self) -> Mapping[str, Any]:
@@ -169,8 +173,23 @@ class Deployment:
         raise NotImplementedError
 
     def ready(self) -> bool:
-        """Cold-start convergence predicate: fully converged?"""
-        raise NotImplementedError
+        """Cold-start convergence predicate: the sessions are up and
+        every router has a forwarding candidate toward every other rack
+        (walked again only once :meth:`route_generation` moves)."""
+        if not self.sessions_up():
+            return False
+        generation = self.route_generation()
+        if self._routes_verdict[0] != generation:
+            tors = self.topo.all_tors()
+            self._routes_verdict = (generation, all(
+                self.fluid_candidates(node, tor, None)[2]
+                for node in self.agents for tor in tors if tor != node))
+        return self._routes_verdict[1]
+
+    def sessions_up(self) -> bool:
+        """Every control-plane session the family runs is up (true for
+        a family without sessions)."""
+        return True
 
     def forwarding_tables(self) -> dict[str, Any]:
         """name -> table with ``.change_count`` / ``.last_change_time``."""

@@ -7,7 +7,7 @@ bounds (see :mod:`repro.stacks.base` for the family contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.bfd.session import BfdManager
@@ -44,31 +44,17 @@ def keepalive_period_us(timers: StackTimers,
 class BgpDeployment(Deployment):
     speakers: dict[str, BgpSpeaker]
     stacks: dict[str, IpStack]
-    uses_bfd: bool
-    # (table_generation(), verdict) of the last fib_complete() walk
-    _fib_verdict: tuple[int, bool] = field(default=(-1, False), init=False,
-                                           repr=False, compare=False)
 
     @property
     def agents(self) -> dict[str, BgpSpeaker]:
         return self.speakers
 
-    def ready(self) -> bool:
-        return (self.all_established() and self.fib_complete()
-                and self.all_bfd_up())
-
-    def all_established(self) -> bool:
-        return all(s.all_established() for s in self.speakers.values())
-
-    def all_bfd_up(self) -> bool:
-        """Every configured BFD session is Up (vacuously true without BFD)."""
-        if not self.uses_bfd:
-            return True
-        for speaker in self.speakers.values():
-            for peer in speaker.peers.values():
-                if peer.bfd_session is not None and not peer.bfd_session.up:
-                    return False
-        return True
+    def sessions_up(self) -> bool:
+        """Every BGP session Established, every configured BFD session Up."""
+        return all(speaker.all_established() and all(
+            peer.bfd_session is None or peer.bfd_session.up
+            for peer in speaker.peers.values())
+            for speaker in self.speakers.values())
 
     def forwarding_tables(self) -> dict[str, object]:
         """name -> object with .change_count / .last_change_time."""
@@ -81,19 +67,6 @@ class BgpDeployment(Deployment):
 
     def update_categories(self) -> tuple[str, ...]:
         return ("bgp.update.tx",)
-
-    def fib_complete(self) -> bool:
-        """Every router can route every rack subnet: routers x racks
-        lookups, walked again only once a FIB has changed (a converge
-        asks every 100 ms slice)."""
-        generation = self.table_generation()
-        if self._fib_verdict[0] != generation:
-            hosts = [prefix.host(1)
-                     for prefix in self.topo.rack_subnet.values()]
-            self._fib_verdict = (generation, all(
-                stack.table.lookup(host) is not None
-                for stack in self.stacks.values() for host in hosts))
-        return self._fib_verdict[1]
 
     def keepalive_period_us(self) -> int:
         return keepalive_period_us(self.timers, {})
@@ -213,7 +186,7 @@ def deploy(
             stack.table.nexthop_bias = speaker.iface_link_degraded
     servers = deploy_servers(topo)
     return BgpDeployment(topo=topo, speakers=speakers, stacks=stacks,
-                         servers=servers, uses_bfd=bfd, timers=timers,
+                         servers=servers, timers=timers,
                          liveness=liveness_cfg,
                          graceful_restart=graceful_restart)
 

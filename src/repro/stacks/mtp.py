@@ -52,9 +52,6 @@ class MtpDeployment(Deployment):
     def agents(self) -> dict[str, MtpNode]:
         return self.mtp_nodes
 
-    def ready(self) -> bool:
-        return self.trees_complete()
-
     def forwarding_tables(self) -> dict[str, object]:
         return {name: mtp.table for name, mtp in self.mtp_nodes.items()}
 
@@ -67,19 +64,6 @@ class MtpDeployment(Deployment):
 
     def update_categories(self) -> tuple[str, ...]:
         return ("mtp.update.tx",)
-
-    def trees_complete(self) -> bool:
-        """Every top-tier device holds a VID from every ToR root (the
-        meshed-tree invariant of paper section III.B)."""
-        all_roots = set(self.topo.tor_vid_seed.values())
-        uppermost = self.topo.all_supers() or self.topo.all_tops()
-        for name in uppermost:
-            if self.mtp_nodes[name].table.roots() != all_roots:
-                return False
-        # each ToR derived its VID
-        return all(
-            self.mtp_nodes[t].own_root is not None for t in self.topo.all_tors()
-        )
 
     def keepalive_period_us(self) -> int:
         return keepalive_period_us(self.timers, {})

@@ -42,8 +42,7 @@ def test_advertisements_never_share_distinct_paths():
     capture = Capture()
     capture.attach((link.end_a, link.end_b))
     dep.start()
-    converge_from_cold(
-        world, dep, lambda: dep.all_established() and dep.fib_complete())
+    converge_from_cold(world, dep)
     updates = bgp_updates_in(capture)
     assert updates, "expected UPDATE traffic on the ToR-agg link"
     assert all(len(u.nlri) == 1 for u in updates)

@@ -18,7 +18,7 @@ def fabric():
     topo = build_folded_clos(two_pod_params(), world=world)
     dep = mtp.deploy(topo)
     dep.start()
-    converge_from_cold(world, dep, dep.trees_complete)
+    converge_from_cold(world, dep)
     return world, topo, dep
 
 
@@ -157,7 +157,7 @@ class TestFailure:
         iface.set_admin(True)
         world.run_for(2 * SECOND)
         # tree re-formed
-        assert dep.trees_complete()
+        assert dep.ready()
         agg = dep.mtp_nodes[topo.aggs[0][0][0]]
         assert 11 in agg.table.roots()
         # remote ToR marks cleared by RESTORED updates

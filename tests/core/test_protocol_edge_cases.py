@@ -20,7 +20,7 @@ def build(params, seed=19):
     topo = build_folded_clos(params, world=world)
     dep = mtp.deploy(topo)
     dep.start()
-    converge_from_cold(world, dep, dep.trees_complete)
+    converge_from_cold(world, dep)
     return world, topo, dep
 
 
@@ -73,7 +73,7 @@ class TestRestart:
         assert {11, 12} - top.table.roots() == {11, 12}
         injector.restore_node(agg)
         world.run_for(3 * SECOND)
-        assert dep.trees_complete()
+        assert dep.ready()
         assert agg_mtp.table.roots() == {11, 12}
         assert top.table.roots() == {11, 12, 13, 14}
 
@@ -139,7 +139,7 @@ class TestRestart:
         topo = build_folded_clos(ClosParams(num_pods=2), world=world)
         dep = get_stack(spec.name).build(topo, spec)
         dep.start()
-        converge_from_cold(world, dep, dep.ready)
+        converge_from_cold(world, dep)
         injector, now = FailureInjector(world, dep), world.sim.now
         injector.crash_agent("T-3", at=now)
         injector.restart_agent("T-3", at=now + MILLISECOND, cold=True)
@@ -193,7 +193,7 @@ class TestOneWayOutage:
         spec = resolve_spec(stack)
         dep = get_stack(spec.name).build(topo, spec)
         dep.start()
-        converge_from_cold(world, dep, dep.ready)
+        converge_from_cold(world, dep)
         injector = FailureInjector(world)
         injector.impair_link("L-1-1", "eth1", ImpairmentProfile(loss=1.0),
                              direction="tx")

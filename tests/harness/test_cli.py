@@ -323,15 +323,46 @@ def test_interrupt_prints_resume_only_with_a_cache(capsys, monkeypatch,
     assert ("nothing was checkpointed" in err) == (cache_flag == "--no-cache")
 
 
+def _refusal(capsys, *argv: str) -> str:
+    """Run a command on MR-MTP over DCell, a fabric it cannot converge
+    on: exit 1, nothing on stdout, and one ``error:`` line on stderr
+    (``note:`` lines aside), which is returned."""
+    code = main([*argv, "--topology", "dcell", "--stack", "mtp"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FINDINGS
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines()
+             if not line.startswith("note: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
 @pytest.mark.parametrize("case", ["TC1", "TC2", "TC3", "TC4"])
 def test_loss_without_a_crossing_flow_is_a_finding(capsys, case):
     """MR-MTP on DCell blackholes cross-cell traffic, so no flow between
-    the case's racks crosses its link: the run measured nothing about
-    the failure, and says so as the stack's finding, not a usage
-    mistake."""
-    code = main(["loss", "--topology", "dcell", "--stack", "mtp",
-                 "--case", case])
-    captured = capsys.readouterr()
-    assert code == EXIT_FINDINGS
-    assert captured.err.startswith("error: no flow from "), captured.err
-    assert captured.out == ""
+    the case's racks could cross its link: the fabric never turns ready,
+    and the run refuses at its converge, as the stack's finding, not a
+    usage mistake."""
+    error = _refusal(capsys, "loss", "--case", case)
+    assert error.startswith("error: deployment fell silent unconverged")
+
+
+def test_loss_verdict_names_a_flow_that_crossed_nothing():
+    from repro.scenario import LOSS
+
+    row = {"racks": {"TC2": ("h-near", "h-far", "L-1-1<->S-1-1")},
+           "case": "TC2", "direction": "far", "via_port": None}
+    assert LOSS.verdict([row]) == [
+        "no flow from h-far to h-near crosses L-1-1<->S-1-1"]
+    assert LOSS.verdict([{**row, "via_port": 40000}]) == []
+
+
+def test_a_refused_converge_reads_the_same_everywhere(capsys):
+    """``converge`` and ``scenario run``, serial or fanned out over
+    forked children, report a refused converge as one finding."""
+    converge = _refusal(capsys, "converge")
+    serial = _refusal(capsys, "scenario", "run", "tc1", "--no-cache")
+    fanned = _refusal(capsys, "scenario", "run", "tc1", "--no-cache",
+                      "--jobs", "2")
+    assert converge == serial == fanned
+    assert converge.startswith("error: deployment fell silent unconverged")

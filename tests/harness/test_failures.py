@@ -123,7 +123,7 @@ def test_restore_link_reacceptance_is_slow_to_accept():
     assert neighbor.up
     # and the fabric is whole again
     world.run_for(1 * SECOND)
-    assert deployment.trees_complete()
+    assert deployment.ready()
 
 
 def test_flap_mid_probation_restarts_acceptance_count():

@@ -31,7 +31,7 @@ def mtp_fabric():
     topo = build_folded_clos(two_pod_params(), world=world)
     dep = mtp.deploy(topo)
     dep.start()
-    converge_from_cold(world, dep, dep.trees_complete)
+    converge_from_cold(world, dep)
     return world, topo, dep
 
 
@@ -161,10 +161,7 @@ class TestPathTrace:
         topo = build_folded_clos(two_pod_params(), world=world)
         dep = bgp.deploy(topo)
         dep.start()
-        converge_from_cold(
-            world, dep,
-            lambda: dep.all_established() and dep.fib_complete(),
-        )
+        converge_from_cold(world, dep)
         src = topo.first_server_of(topo.tors[0][0][0])
         dst = topo.first_server_of(topo.tors[0][1][1])
         path = trace_path(dep, src, dst, src_port=40000)

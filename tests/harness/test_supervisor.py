@@ -13,14 +13,14 @@ function of (policy seed, task key, attempt), bounded by the cap.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.harness.cache import ResultCache
-from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
-from repro.stacks import mtp
+from repro.harness.convergence import QuiescenceTimeout
 from repro.harness.executor import (
     CACHED,
     CRASH,
@@ -38,10 +38,9 @@ from repro.harness.executor import (
     backoff_schedule,
     run_tasks,
 )
+from repro.harness.experiments import build_and_converge
 from repro.harness.report import quarantine_rows, render_quarantine_table
-from repro.net.world import World
 from repro.sim.units import SECOND
-from repro.topology.clos import build_folded_clos, two_pod_params
 
 
 # ----------------------------------------------------------------------
@@ -320,37 +319,41 @@ def test_backoff_decorrelated_across_keys():
 # typed quiescence timeout (satellite)
 # ----------------------------------------------------------------------
 def test_quiescence_timeout_carries_diagnostics():
-    world = World(seed=0)
-
-    def never():
-        return False
-
+    """A converge that runs out of budget says where the clock stood and
+    how much was still scheduled: adaptive MR-MTP on DCell never turns
+    ready (its trees cannot cross the cells) and keeps its hellos
+    going."""
     with pytest.raises(QuiescenceTimeout) as exc_info:
-        converge_from_cold(world, None, never, max_time_us=1000)
+        build_and_converge("dcell", "mtp-adaptive", max_converge_us=SECOND)
     exc = exc_info.value
     assert isinstance(exc, TimeoutError)  # old `except TimeoutError` holds
-    assert exc.sim_time_us == 1000
-    assert exc.pending_events == 0
+    assert exc.sim_time_us == SECOND
+    assert exc.pending_events > 0
+    assert "did not converge" in str(exc)
     assert "pending timer(s)" in str(exc)
 
 
 def test_a_silent_unconverged_fabric_fails_at_once():
-    """A converged MR-MTP fabric schedules nothing; if ``check()`` is
-    still false then, no amount of simulated time can change it."""
-    world = World(seed=0)
-    topo = build_folded_clos(two_pod_params(), world=world)
-    deployment = mtp.deploy(topo)
-    deployment.start()
-
-    def never_ready():
-        return False
-
-    with pytest.raises(QuiescenceTimeout, match="never_ready") as exc_info:
-        converge_from_cold(world, deployment, never_ready,
-                           max_time_us=60 * SECOND)
-    assert deployment.trees_complete()
+    """A converged MR-MTP fabric schedules nothing; on DCell it falls
+    silent still not ready, and no amount of simulated time can change
+    that."""
+    with pytest.raises(QuiescenceTimeout,
+                       match="fell silent unconverged") as exc_info:
+        build_and_converge("dcell", "mtp", max_converge_us=60 * SECOND)
     assert exc_info.value.pending_events == 0
     assert exc_info.value.sim_time_us < SECOND
+
+
+def test_quiescence_timeout_survives_pickle():
+    """A refusal raised in a forked task reaches the campaign's process
+    with its fields."""
+    exc = QuiescenceTimeout("x", sim_time_us=1, pending_events=2,
+                            last_event="e")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is QuiescenceTimeout
+    assert str(copy) == str(exc)
+    assert (copy.message, copy.sim_time_us, copy.pending_events,
+            copy.last_event) == ("x", 1, 2, "e")
 
 
 # ----------------------------------------------------------------------

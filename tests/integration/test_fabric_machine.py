@@ -113,7 +113,7 @@ def _converged(stack: str, fabric: str, world_seed: int, tapped: bool) -> bytes:
         iface.add_tap(no_op_tap)
     deployment = get_stack(spec.name).build(topo, spec)
     deployment.start()
-    converge_from_cold(world, deployment, deployment.ready)
+    converge_from_cold(world, deployment)
     return pickle.dumps((world, topo, deployment))
 
 
@@ -465,7 +465,7 @@ class FabricMachine(RuleBasedStateMachine):
             for iface in fab.world.all_interfaces():
                 if not iface.admin_up:
                     injector.restore_interface(iface.node.name, iface.name)
-            converge_from_cold(fab.world, fab.deployment, fab.deployment.ready)
+            converge_from_cold(fab.world, fab.deployment)
         self.agree()
         fab = self.fabrics[0]
         assert disagreements(fab.deployment, fab.topo) \

@@ -117,7 +117,7 @@ class TestDoubleFailures:
         world.run_for(5 * SECOND)
         tor = dep.mtp_nodes[topo.tors[0][0][0]]
         assert not tor.table.has_default_mark("eth1")
-        assert dep.trees_complete()
+        assert dep.ready()
         assert disagreements(dep, topo) == []
 
     @pytest.mark.parametrize("kind", ["mtp", "bgp"],

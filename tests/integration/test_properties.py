@@ -31,7 +31,7 @@ def converged_mtp(params: ClosParams):
     topo = build_folded_clos(params, world=world)
     dep = mtp.deploy(topo)
     dep.start()
-    converge_from_cold(world, dep, dep.trees_complete)
+    converge_from_cold(world, dep)
     return world, topo, dep
 
 

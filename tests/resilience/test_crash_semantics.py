@@ -54,7 +54,7 @@ def test_cold_restart_wipes_protocol_and_forwarding_state(mtp_fabric):
     # cold boot: the table restarts empty and the trees rebuild from wire
     assert agent.table.entries() == []
     world.run_for(2 * SECOND)
-    assert deployment.trees_complete()
+    assert deployment.ready()
     assert agent.table.entries()
 
 
@@ -75,7 +75,7 @@ def test_node_crash_downs_every_interface_and_agent_first(mtp_fabric):
     assert agent.table.entries() == []  # a power-cycled device keeps nothing
     assert len(records(world, "restore.node", AGG)) == 1
     world.run_for(2 * SECOND)
-    assert deployment.trees_complete()
+    assert deployment.ready()
 
 
 # ----------------------------------------------------------------------

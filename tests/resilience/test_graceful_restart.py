@@ -56,7 +56,7 @@ def test_mtp_warm_restart_holds_stale_and_reconfirms():
     world.run_for(20 * MILLISECOND)
     assert not agent._gr_stale, "offers must confirm the stale tree"
     assert agent.table.entries() == entries
-    assert deployment.trees_complete()
+    assert deployment.ready()
 
 
 def test_mtp_generation_hello_reveals_peer_restart():

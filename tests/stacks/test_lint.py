@@ -81,3 +81,14 @@ def test_no_hardcoded_stack_name_dispatch():
     rx = r"\.name\s*(==|!=|\bin\b)\s*[(\[]?\s*['\"](mtp|bgp)"
     offenders = [m for path in AGNOSTIC_FILES for m in _matches(rx, path)]
     assert not offenders, "\n".join(offenders)
+
+
+def test_readiness_is_defined_once():
+    """``Deployment.ready`` is the one readiness predicate: a family
+    says whether its sessions are up (``sessions_up``), never what
+    "converged" means."""
+    offenders = [
+        m for path in sorted((SRC / "stacks").glob("*.py"))
+        if path.name != "base.py"
+        for m in _matches(r"\bdef\s+ready\s*\(", path)]
+    assert not offenders, "\n".join(offenders)

@@ -1,10 +1,10 @@
 """Recursive-DCN plugin: structure, recursion, and the MR-MTP limits.
 
 The most important test here is the *negative* one:
-:func:`test_mtp_converges_vacuously_but_blackholes_cross_cell` pins the
-paper-scoped finding that MR-MTP's tree-completeness check is vacuous on
-a fabric with no top tier — the protocol reports convergence while every
-cross-cell pair blackholes.  See EXPERIMENTS.md ("Beyond strict Clos").
+:func:`test_mtp_refuses_a_topless_fabric` pins the paper-scoped finding
+that MR-MTP cannot route a fabric with no top tier: every cross-cell
+pair blackholes, so the converge refuses rather than report ready.  See
+EXPERIMENTS.md ("Beyond strict Clos").
 """
 
 from __future__ import annotations
@@ -13,8 +13,12 @@ from math import comb
 
 import pytest
 
+from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
 from repro.harness.experiments import build_and_converge
 from repro.harness.oracle import check_all_pairs
+from repro.net.world import World
+from repro.sim.units import SECOND
+from repro.stacks import get_stack, resolve_spec
 from repro.topology import (
     TIER_AGG,
     TIER_TOR,
@@ -99,14 +103,22 @@ def test_bgp_routes_the_whole_fabric():
     assert unreachable == []
 
 
-def test_mtp_converges_vacuously_but_blackholes_cross_cell():
-    """The headline negative result: MR-MTP's ``trees_complete`` check
-    quantifies over top/super spines, so on a fabric with neither it is
-    vacuously true — the deployment reports ready while no cross-cell
-    forwarding state exists (same-tier links form no MTP adjacency).
-    Intra-cell pairs still work: the cell itself is a 2-tier Clos."""
-    world, topo, deployment = build_and_converge("dcell", "mtp", seed=0)
-    assert deployment.ready()  # "converged" — vacuously
+@pytest.mark.parametrize("stack", ["mtp", "mtp-spray", "mtp-adaptive",
+                                   "mtp-gr"])
+def test_mtp_refuses_a_topless_fabric(stack):
+    """The headline negative result: MR-MTP's tier-monotone trees form
+    no adjacency over same-tier links, so no cross-cell forwarding state
+    ever exists.  The converge refuses instead of reporting ready, and
+    the fabric it leaves behind shows why: every cross-cell pair drops,
+    while each cell, itself a 2-tier Clos, works."""
+    world = World(seed=0)
+    topo = build_topology("dcell", world=world)
+    spec = resolve_spec(stack)
+    deployment = get_stack(spec.name).build(topo, spec)
+    deployment.start()
+    with pytest.raises(QuiescenceTimeout):
+        converge_from_cold(world, deployment, max_time_us=60 * SECOND)
+    assert not deployment.ready()
     checked, unreachable = check_all_pairs(deployment, topo)
     assert checked == 30
     cell_of = {t: i for i, cell in enumerate(topo.tors[0]) for t in cell}

@@ -3,8 +3,8 @@
 Hypothesis draws workload specs (any matrix, any shape) and an ambient
 impairment, and runs the fluid engine on converged clos, VL2 and DCell
 fabrics: ``offered == delivered + dropped + blackholed`` must hold for
-every epoch, whatever the topology family, path structure (including
-MR-MTP's dead-end cross-cell pairs on DCell) or loss regime."""
+every epoch, whatever the topology family, path structure or loss
+regime."""
 
 from __future__ import annotations
 
@@ -19,13 +19,11 @@ from repro.topology.clos import two_pod_params
 from repro.workload.engine import FluidWorkload
 from repro.workload.spec import MATRIX_KINDS, WorkloadSpec
 
-#: topology family -> (params, stack).  DCell runs MR-MTP deliberately:
-#: its cross-cell pairs dead-end, so the blackhole bucket is exercised
-#: without injecting any fault.
+#: topology family -> (params, stack)
 FAMILIES = {
     "clos": (two_pod_params(), "mtp"),
     "vl2": ("vl2", "bgp-bfd"),
-    "dcell": ("dcell", "mtp"),
+    "dcell": ("dcell", "bgp-bfd"),
 }
 
 _fabrics: dict[str, tuple] = {}
@@ -89,7 +87,7 @@ def test_every_byte_lands_in_exactly_one_bucket(family, spec, loss,
             delivered + dropped + blackholed, abs=3)
     # the two flow ledgers agree: completed + unfinished == all
     assert report.completed_flows + report.blackholed_flows <= report.flows
-    if loss == 0.0 and family != "dcell":
-        # clean Clos/VL2 fabrics deliver everything they route
+    if loss == 0.0:
+        # a clean converged fabric delivers everything it routes
         assert report.dropped_bytes == 0
         assert report.blackholed_bytes == 0
