@@ -1,18 +1,20 @@
 """Engine performance trajectory: the BENCH_engine.json generator.
 
 Profiles the event-engine hot loop and records a machine-readable
-performance trajectory for the timer-wheel fast path:
+performance trajectory for the engine's one scheduler:
 
-* **micro** — scheduler-only workloads on the timer wheel, measured as
-  best-of-N ``time.process_time`` throughput.  The headline workload is
+* **micro** — scheduler-only workloads, measured as best-of-N
+  ``time.process_time`` throughput (under the JSON key ``wheel``, the
+  name the file's first scheduler gave the column; the guards read
+  it).  The headline workload is
   ``sync_timers``: every port re-arms a periodic timer *in phase*, which
   is exactly the fabric hello/keepalive pattern that dominates
   converged-fabric simulation.
 * **fabric** — 8/16/32-PoD folded-Clos fabrics through the paper's
   TC1-TC4 failure cases: wall time per scenario, events processed,
   events/sec and peak event-queue depth.
-* **baseline_pre_change** — frozen throughput of the pre-wheel engine
-  (the heap scheduler with dataclass events and eager tracing) measured
+* **baseline_pre_change** — frozen throughput of the seed engine
+  (a heap scheduler with dataclass events and eager tracing) measured
   on the same host with the same workloads, so the speedup trajectory
   survives the old code's deletion.
 
@@ -154,8 +156,8 @@ def bench_bfd_churn(n: int, ports: int = 512) -> float:
 
 
 def bench_flood(n: int) -> float:
-    """Adversarial for the wheel: uniformly random far-horizon inserts
-    (maximal cascading, minimal batching)."""
+    """Uniformly random far-horizon inserts: a deep queue and no
+    same-tick batching."""
     import random
 
     sim = Simulator()
@@ -187,7 +189,7 @@ def run_micro(repeats: int, scale: float) -> dict:
         if base:
             entry["speedup_vs_pre_change"] = round(best / base, 2)
         out[name] = entry
-        print(f"  {name:18s} wheel {best:>10,.0f}/s"
+        print(f"  {name:18s} {best:>10,.0f}/s"
               + (f"  ({entry.get('speedup_vs_pre_change', '-')}x vs seed)"
                  if base else ""))
     return out

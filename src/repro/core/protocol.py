@@ -71,6 +71,10 @@ _KEEPALIVE = MtpKeepalive()
 # child that lost those VIDs meanwhile never answers them
 REJOIN_RETRIES = 10
 
+# how long a graceful-restart helper holds a silent neighbor's tree state
+# stale before pruning it, unless the deployment sets ``stale_hold_us``
+STALE_HOLD_US = 1 * SECOND
+
 
 @dataclass
 class MtpCounters:
@@ -175,7 +179,7 @@ class MtpNode:
         # when the rebuild timer expires.
         self.graceful_restart = graceful_restart
         self.stale_hold_us = (stale_hold_us if stale_hold_us is not None
-                              else 1 * SECOND)
+                              else STALE_HOLD_US)
         self.crashed = False
         # restart generation, carried in every full hello: peers that
         # never missed a hello still notice the control plane bounced

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.cache import ResultCache
+from repro.harness.convergence import QuiescenceTimeout
 from repro.harness.digest import payload_digest, stable_seed
 from repro.harness.fork import (
     ERROR,
@@ -280,11 +281,15 @@ def run_sharing_worlds(run: Callable[..., Any],
     forked from the same world (kept until the group settles), or None;
     a converge that raises here is left to the child.  Without one, a
     child's exception is re-raised here with its own type and a silent
-    death raises :class:`ForkedTaskDied`.  On any exception, Ctrl-C
-    included, every live child is killed and reaped first.  If this
-    process cannot fork, the task runs here, the group's next task
-    converges anew, and ``notes`` gets one line.  Collection is paused,
-    but for a ``gc.collect()`` before each world built here but the first.
+    death raises :class:`ForkedTaskDied`.  A
+    :class:`~repro.harness.convergence.QuiescenceTimeout`, a fabric the
+    stack refuses to converge on, is a finding, not a fault: it is
+    raised here with or without a policy, never retried.  On any
+    exception, Ctrl-C included, every live child is killed and reaped
+    first.  If this process cannot fork, the task runs here, the group's
+    next task converges anew, and ``notes`` gets one line.  Collection is
+    paused, but for a ``gc.collect()`` before each world built here but
+    the first.
     A task's :func:`~repro.harness.fork.spare_width` is its ``1/jobs``
     share of the cores.
     """
@@ -338,8 +343,8 @@ def run_sharing_worlds(run: Callable[..., Any],
             collect()
             try:
                 holder.world = converge(spec)
-            except Exception:
-                if policy is None:
+            except Exception as exc:
+                if policy is None or isinstance(exc, QuiescenceTimeout):
                     raise
                 holder = None   # the child converges: a failure is an attempt
         job, args = ((_cold, (run, converge, spec)) if holder is None
@@ -382,7 +387,7 @@ def run_sharing_worlds(run: Callable[..., Any],
         if tag == OK:
             return settle(child.index, child.attempt, child.started, rest[0])
         exc, text, name, detail = rest
-        if policy is not None:
+        if policy is not None and not isinstance(exc, QuiescenceTimeout):
             digest = payload_digest(_HEX_ADDR.sub("0x~", text))[:16]
             return fail(child, ERROR, name, digest, detail)
         if exc is None:

@@ -45,6 +45,7 @@ __all__ = [
     "build_and_converge",
     "world_key",
     "detection_bound_us",
+    "stale_hold_us",
     "run_keepalive_experiment",
     "run_config_cost_experiment",
     "run_table_size_experiment",
@@ -108,6 +109,14 @@ def detection_bound_us(stack, timers: Optional[StackTimers] = None) -> int:
     deploying."""
     spec = resolve_spec(stack, timers)
     return get_stack(spec.name).family.detection_bound_us(
+        spec.timers, spec.params_dict())
+
+
+def stale_hold_us(stack, timers: Optional[StackTimers] = None) -> int:
+    """How long past detection a graceful-restart stack still forwards
+    on a failed neighbor's stale state (0 without graceful restart)."""
+    spec = resolve_spec(stack, timers)
+    return get_stack(spec.name).family.stale_hold_us(
         spec.timers, spec.params_dict())
 
 

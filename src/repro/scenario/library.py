@@ -56,7 +56,7 @@ import statistics
 from repro.sim.units import MILLISECOND, SECOND
 from repro.stacks import get_stack
 from repro.harness.digest import stable_seed
-from repro.harness.experiments import detection_bound_us
+from repro.harness.experiments import detection_bound_us, stale_hold_us
 from repro.harness.report import render_table
 from repro.scenario.family import Family, outcome_of
 from repro.scenario.model import Scenario, ScenarioError, ScenarioEvent
@@ -453,8 +453,8 @@ LOSS = Family(
 
 
 # --- sweep: fail each fabric interface alone, then trace every rack pair
-#: how long past the detection bound the fabric reconverges before the
-#: all-pairs check
+#: how long past the detection bound and the stale hold the fabric
+#: reconverges before the all-pairs check
 RECONVERGE_MARGIN_MS = 1000
 
 
@@ -465,12 +465,16 @@ def _iface(point) -> str:
 def _sweep_program(point) -> Scenario:
     """Ambient loss on every fabric interface and a workload (when
     given), one interface down at 0 ms, and the all-pairs check at the
-    detection bound plus :data:`RECONVERGE_MARGIN_MS`, where it stops."""
+    detection bound plus the stale hold (a graceful-restart helper still
+    forwards on the failed side until it ends) plus
+    :data:`RECONVERGE_MARGIN_MS`, where it stops."""
     failed = point["point"]
     lead = point["ambient"].get(point["ambient_loss"], ())
     if point["workload"] is not None:
         lead += (ScenarioEvent(op="workload", workload=point["workload"]),)
-    check_ms = _detection_ms(point["stack"]) + RECONVERGE_MARGIN_MS
+    stack = point["stack"]
+    check_ms = -(-(detection_bound_us(stack) + stale_hold_us(stack))
+                 // MILLISECOND) + RECONVERGE_MARGIN_MS
     return Scenario(name=f"sweep:{failed.node}:{failed.interface}", settle=0,
                     window_ms=0, events=(
                         *lead,

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine on a hierarchical timer wheel.
+"""Deterministic discrete-event engine on a binary heap.
 
 Events are ordered by (time, priority, born, sequence-number): ``born``
 is the instant an event was scheduled and the sequence number the order
@@ -9,32 +9,19 @@ fires first and runs are bit-for-bit reproducible for a fixed seed.
 as arithmetic (DESIGN "Steady-state frame path") puts an event back into
 the queue long after the instant it stands for, and
 ``schedule_at(..., born=...)`` gives it the rank that instant had.
-Cancellation is O(1) (tombstoning), and a pickled queue carries no
-tombstones.
+Cancellation is O(1) (tombstoning): a cancelled event stays queued
+and is dropped when it reaches the head, and a pickled queue carries
+no tombstones.
 
-The scheduler is a hierarchical timer wheel: 4 levels of 256 slots
-covering 2^32 ticks of lookahead (level *L* slots are 256^L ticks
-wide).  Insert is O(1) — compute the level whose aligned window
-contains the event's time, append to the slot list, set a bit in the
-level's occupancy mask.  Advancing finds the next populated slot with
-bit tricks and cascades coarser slots down one level at a time;
-tombstoned (cancelled) events are discarded wholesale the first time
-their slot is visited, so hello/keepalive/dead-timer churn — schedule,
-cancel on every received keepalive, reschedule — never pays a
-comparison.  Events behind a level's current window (rare: only after
-an ``until``-bounded run stopped mid-cascade) and events beyond the
-2^32-tick horizon go to a small fallback heap that is merged by
-(time, priority, born, seq) at dispatch.
-
-Dispatch goes through a same-timestamp batch: all events due at time
-*t* are drained into one small (priority, born, seq) heap and fired in
-order; callbacks scheduling at the current time join the live batch,
-preserving causal FIFO ordering.  The determinism contract — the firing
-order of a plain binary heap over (time, priority, born, seq), hence
-byte-identical trace digests — is enforced against such a heap, kept
-only as a test reference in ``tests/sim/reference_heap.py``, by the
-unit and differential property tests in ``tests/sim`` and the golden
-digests of ``tests/harness/test_backend_golden.py``.
+The queue is one binary heap of (time, priority, born, seq, event)
+tuples, compared in C by ``heapq``.  Dispatch goes through a
+same-timestamp batch: all events due at time *t* are drained into one
+small (priority, born, seq) heap and fired in order; callbacks
+scheduling at the current time join the live batch, preserving causal
+FIFO ordering.  That order is the determinism contract behind
+byte-identical trace digests: ``tests/sim`` holds it, and
+``tests/harness/test_backend_golden.py`` pins golden metrics and equal
+digests inline, fanned out and supervised.
 """
 
 from __future__ import annotations
@@ -54,9 +41,9 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback; doubles as its own cancellation handle.
 
-    ``cancel()`` only flips a flag — O(1) regardless of where the event
-    currently rests (wheel slot, heap, or the active dispatch batch);
-    the tombstone is discarded when its container is next visited.
+    ``cancel()`` only flips a flag — O(1) whether the event rests in
+    the queue or in the active dispatch batch; the tombstone is
+    discarded when it reaches the head of either.
     """
 
     __slots__ = ("time", "priority", "born", "seq", "callback", "args",
@@ -109,257 +96,6 @@ def _live_heap(heap: list) -> list:
     return live
 
 
-_WHEEL_BITS = 8
-_WHEEL_SLOTS = 1 << _WHEEL_BITS  # 256
-_SLOT_MASK = _WHEEL_SLOTS - 1
-
-
-class _WheelBackend:
-    """Hierarchical timer wheel: O(1) insert, batched tombstone discard.
-
-    Level *L* (0..3) divides time into aligned slots of 256^L ticks;
-    each level maps one aligned 256-slot window, identified by
-    ``_base[L]`` (the window's block number, ``time >> (8*(L+1))``).
-    An event goes into the finest level whose current window contains
-    its time.  When level 0 drains, the next populated level-1 slot is
-    *cascaded* — re-distributed into level 0 — and so on upward.
-
-    Two invariants keep the (time, priority, born, seq) contract exact:
-
-    - a cascade never reorders: every event due at one tick is gathered
-      into the caller's (priority, born, seq) batch heap before any of
-      them fires;
-    - an insert that lands *behind* a level's current window (possible
-      only after an ``until``-bounded run advanced the wheel past times
-      that were still legal to schedule) falls back to ``_far``, a plain
-      heap merged with the wheel at every dispatch, so late-but-legal
-      events still fire in exact order.  ``_far`` also absorbs events
-      beyond the level-3 horizon.
-    """
-
-    __slots__ = ("_levels", "_masks", "_base", "_far", "_count", "discarded")
-
-    def __init__(self) -> None:
-        # Slot lists are allocated on first use and released when
-        # consumed: a fresh Simulator costs four 256-entry arrays of
-        # None, not 1024 list objects.
-        self._levels: list[list[Optional[list[Event]]]] = [
-            [None] * _WHEEL_SLOTS for _ in range(4)]
-        self._masks = [0, 0, 0, 0]  # per-level occupancy bitmask
-        self._base = [0, 0, 0, 0]   # per-level current window block
-        self._far: list[tuple[int, int, int, int, Event]] = []
-        self._count = 0             # wheel-resident events, incl. tombstones
-        self.discarded = 0          # tombstones dropped without firing
-
-    def push(self, event: Event) -> None:
-        time = event.time
-        base = self._base
-        if self._count == 0:
-            # Empty wheel: re-anchor every window on the new event so it
-            # always lands in level 0 (keeps the common idle->schedule
-            # pattern on the fast path).
-            base[0] = time >> 8
-            base[1] = time >> 16
-            base[2] = time >> 24
-            base[3] = time >> 32
-        block = time >> 8
-        if block == base[0]:
-            # level 0 — the overwhelmingly common case (same-window
-            # schedules): early-out without touching the elif chain
-            index = time & _SLOT_MASK
-            slots = self._levels[0]
-            slot = slots[index]
-            if slot is None:
-                slots[index] = [event]
-                self._masks[0] |= 1 << index
-            else:
-                slot.append(event)
-            self._count += 1
-            return
-        if (time >> 16) == base[1] and block > base[0]:
-            level, index = 1, block & _SLOT_MASK
-        elif (time >> 24) == base[2] and (time >> 16) > base[1]:
-            level, index = 2, (time >> 16) & _SLOT_MASK
-        elif (time >> 32) == base[3] and (time >> 24) > base[2]:
-            level, index = 3, (time >> 24) & _SLOT_MASK
-        else:
-            # behind a current window (until-cut straggler) or beyond
-            # the horizon: the fallback heap keeps exact ordering
-            heappush(self._far, (time, event.priority, event.born,
-                                 event.seq, event))
-            return
-        slots = self._levels[level]
-        slot = slots[index]
-        if slot is None:
-            slots[index] = [event]
-            self._masks[level] |= 1 << index
-        else:
-            slot.append(event)
-        self._count += 1
-
-    def _cascade(self, level: int) -> None:
-        """Re-distribute the next populated slot of ``level`` into
-        ``level - 1`` and advance the finer window onto it."""
-        masks = self._masks
-        mask = masks[level]
-        index = (mask & -mask).bit_length() - 1
-        masks[level] = mask & (mask - 1)
-        slots = self._levels[level]
-        slot = slots[index]
-        slots[index] = None
-        below = level - 1
-        self._base[below] = (self._base[level] << _WHEEL_BITS) | index
-        shift = _WHEEL_BITS * below
-        dest = self._levels[below]
-        dest_mask = masks[below]
-        dropped = 0
-        for event in slot:
-            if event.cancelled:
-                dropped += 1
-                continue
-            i = (event.time >> shift) & _SLOT_MASK
-            bucket = dest[i]
-            if bucket is None:
-                dest[i] = [event]
-                dest_mask |= 1 << i
-            else:
-                bucket.append(event)
-        masks[below] = dest_mask
-        if dropped:
-            self.discarded += dropped
-            self._count -= dropped
-
-    def collect(self, batch: list, limit: int) -> Optional[int]:
-        """Drain every live event due at the earliest pending tick into
-        ``batch`` and return that tick, or None when drained / the next
-        tick is beyond ``limit`` (nothing live is consumed then; only
-        cascades and tombstone discards may have happened).
-
-        Callers always pass an empty ``batch`` (leftover batches are
-        dispatched before collecting again), which the single-event fast
-        path below relies on."""
-        mask = self._masks[0]
-        if mask and not self._far:
-            # fast path: one live event alone in the earliest level-0
-            # slot — the overwhelmingly common shape on fabric runs
-            index = (mask & -mask).bit_length() - 1
-            tick = (self._base[0] << _WHEEL_BITS) | index
-            if tick <= limit:
-                slots = self._levels[0]
-                slot = slots[index]
-                if len(slot) == 1:
-                    event = slot[0]
-                    if not event.cancelled:
-                        slots[index] = None
-                        self._masks[0] = mask & (mask - 1)
-                        self._count -= 1
-                        batch.append((event.priority, event.born, event.seq,
-                                      event))
-                        return tick
-            else:
-                return None
-        masks = self._masks
-        far = self._far
-        while True:
-            # locate the earliest populated level-0 slot, cascading
-            # coarser levels down as their windows open
-            while True:
-                mask = masks[0]
-                if mask:
-                    index = (mask & -mask).bit_length() - 1
-                    wheel_time = (self._base[0] << _WHEEL_BITS) | index
-                    break
-                if masks[1]:
-                    self._cascade(1)
-                elif masks[2]:
-                    self._cascade(2)
-                elif masks[3]:
-                    self._cascade(3)
-                else:
-                    wheel_time = None
-                    break
-            if far:
-                # drop cancelled stragglers, then let the earlier of
-                # (far head, wheel slot) win; ties merge below
-                while far and far[0][4].cancelled:
-                    heappop(far)
-                    self.discarded += 1
-                if far and (wheel_time is None or far[0][0] < wheel_time):
-                    tick = far[0][0]
-                    if tick > limit:
-                        return None
-                    while far and far[0][0] == tick:
-                        entry = heappop(far)
-                        if entry[4].cancelled:
-                            self.discarded += 1
-                        else:
-                            heappush(batch, entry[1:])
-                    if batch:
-                        return tick
-                    continue
-            if wheel_time is None:
-                return None
-            if wheel_time > limit:
-                return None
-            level0 = self._levels[0]
-            slot = level0[index]
-            level0[index] = None
-            masks[0] = mask & (mask - 1)
-            self._count -= len(slot)
-            dropped = 0
-            for event in slot:
-                if event.cancelled:
-                    dropped += 1
-                else:
-                    heappush(batch, (event.priority, event.born, event.seq,
-                                     event))
-            if dropped:
-                self.discarded += dropped
-            while far and far[0][0] == wheel_time:
-                entry = heappop(far)
-                if entry[4].cancelled:
-                    self.discarded += 1
-                else:
-                    heappush(batch, entry[1:])
-            if batch:
-                return wheel_time
-            # the slot held only tombstones — keep looking
-
-    def live_count(self) -> int:
-        count = sum(1 for entry in self._far if not entry[4].cancelled)
-        for slots in self._levels:
-            for slot in slots:
-                if slot:
-                    for event in slot:
-                        if not event.cancelled:
-                            count += 1
-        return count
-
-    def __getstate__(self):
-        """Pickled without tombstones: a converged fabric's wheel is
-        mostly cancelled re-arms, which a restored copy would only
-        discard.  They count as discarded, so ``queue_depth`` stays
-        exact; the order of what is left is (time, priority, born, seq)
-        wherever it rests."""
-        levels, masks, dropped = [], [], 0
-        for slots in self._levels:
-            kept, mask = [None] * _WHEEL_SLOTS, 0
-            for index, slot in enumerate(slots):
-                if slot:
-                    live = [event for event in slot if not event.cancelled]
-                    dropped += len(slot) - len(live)
-                    if live:
-                        kept[index] = live
-                        mask |= 1 << index
-            levels.append(kept)
-            masks.append(mask)
-        far = _live_heap(self._far)
-        return None, {
-            "_levels": levels, "_masks": masks, "_base": list(self._base),
-            "_far": far, "_count": self._count - dropped,
-            "discarded": self.discarded + dropped + len(self._far) - len(far)}
-
-
 class Simulator:
     """The event loop.
 
@@ -371,13 +107,14 @@ class Simulator:
     (10, [1])
     """
 
-    __slots__ = ("_now", "_seq", "_running", "_processed", "_queue",
-                 "_qpush", "_batch", "_batch_time", "_batch_drops",
+    __slots__ = ("_now", "_seq", "_running", "_processed", "_heap",
+                 "_discarded", "_batch", "_batch_time", "_batch_drops",
                  "_peak_depth", "_stamp", "_cursor", "events_settled")
 
     def __init__(self) -> None:
-        self._queue = _WheelBackend()
-        self._qpush = self._queue.push  # pre-bound: hot in schedule_*
+        # the queue: a (time, priority, born, seq, event) heap
+        self._heap: list[tuple[int, int, int, int, Event]] = []
+        self._discarded: int = 0  # tombstones dropped without firing
         self._now: int = 0
         self._seq: int = 0
         self._running: bool = False
@@ -429,13 +166,14 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         batch_live = sum(1 for entry in self._batch if not entry[3].cancelled)
-        return self._queue.live_count() + batch_live
+        heap_live = sum(1 for entry in self._heap if not entry[4].cancelled)
+        return heap_live + batch_live
 
     @property
     def queue_depth(self) -> int:
         """Resident events (including not-yet-discarded tombstones)."""
         return (self._seq - self._processed - self._batch_drops
-                - self._queue.discarded)
+                - self._discarded)
 
     @property
     def peak_queue_depth(self) -> int:
@@ -447,7 +185,7 @@ class Simulator:
 
     def _sample_depth(self) -> None:
         depth = (self._seq - self._processed - self._batch_drops
-                 - self._queue.discarded)
+                 - self._discarded)
         if depth > self._peak_depth:
             self._peak_depth = depth
 
@@ -488,7 +226,7 @@ class Simulator:
             # (priority, born, seq) exactly as the single heap ordered it
             heappush(self._batch, (priority, born, seq, event))
         else:
-            self._qpush(event)
+            heappush(self._heap, (time, priority, born, seq, event))
         return event
 
     def schedule_after(
@@ -517,7 +255,7 @@ class Simulator:
         if time == self._batch_time:
             heappush(self._batch, (priority, born, seq, event))
         else:
-            self._qpush(event)
+            heappush(self._heap, (time, priority, born, seq, event))
         return event
 
     def requeue_firing(self, event: Event, time: int, born: int) -> None:
@@ -532,16 +270,52 @@ class Simulator:
         if time == self._batch_time:
             heappush(self._batch, (event.priority, born, event.seq, event))
         else:
-            self._qpush(event)
+            heappush(self._heap, (time, event.priority, born, event.seq,
+                                  event))
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule at the current time (runs after already-queued events
         at this tick, preserving causality)."""
         return self.schedule_at(self._now, callback, *args)
 
+    def __getstate__(self):
+        """Pickled without tombstones: a converged fabric's queue is
+        mostly cancelled re-arms, which a restored copy would only
+        discard.  They count as discarded, so ``queue_depth`` stays
+        exact."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        live = state["_heap"] = _live_heap(self._heap)
+        state["_discarded"] += len(self._heap) - len(live)
+        return None, state
+
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
+    def _collect(self, limit: int) -> Optional[int]:
+        """Drain every live event due at the earliest pending tick into
+        the (empty) dispatch batch and return that tick, or None when the
+        queue is drained / the next tick is beyond ``limit`` (nothing
+        live is consumed then; only tombstones may have been dropped)."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[4].cancelled:
+                heappop(heap)
+                self._discarded += 1
+                continue
+            tick = head[0]
+            if tick > limit:
+                return None
+            batch = self._batch
+            while heap and heap[0][0] == tick:
+                entry = heappop(heap)
+                if entry[4].cancelled:
+                    self._discarded += 1
+                else:
+                    heappush(batch, entry[1:])
+            return tick
+        return None
+
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or
         ``max_events`` more events have fired.
@@ -557,8 +331,7 @@ class Simulator:
         # (requeue_firing) takes back the count its firing added
         stop = None if max_events is None else self._processed + max_events
         limit = _NO_LIMIT if until is None else until
-        queue = self._queue
-        collect = queue.collect
+        collect = self._collect
         batch = self._batch
         self._sample_depth()
         try:
@@ -572,10 +345,10 @@ class Simulator:
                             break  # leftover batch beyond a shorter horizon
                     else:
                         depth = (self._seq - self._processed
-                                 - self._batch_drops - queue.discarded)
+                                 - self._batch_drops - self._discarded)
                         if depth > self._peak_depth:
                             self._peak_depth = depth
-                        tick = collect(batch, limit)
+                        tick = collect(limit)
                         if tick is None:
                             break
                         self._batch_time = tick
@@ -602,10 +375,10 @@ class Simulator:
                             # so later schedules can never land behind it
                             break
                         depth = (self._seq - self._processed
-                                 - self._batch_drops - queue.discarded)
+                                 - self._batch_drops - self._discarded)
                         if depth > self._peak_depth:
                             self._peak_depth = depth
-                        tick = collect(batch, limit)
+                        tick = collect(limit)
                         if tick is None:
                             break
                         self._batch_time = tick

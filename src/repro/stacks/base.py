@@ -13,9 +13,10 @@ abstractions only:
       deploy(topo, timers=None, **params) -> Deployment
       render_config(topo, timers=None, node=None, **params) -> str
       detection_bound_us(timers, params) -> int
+      stale_hold_us(timers, params) -> int
       keepalive_period_us(timers, params) -> int
 
-  The two bound functions are the single source of a stack's timer
+  The three bound functions are the single source of a stack's timer
   bounds: pre-deployment code (sweep/chaos windows) and the deployed
   instance both call them.
 * :class:`Deployment` — a deployed stack: start, readiness,

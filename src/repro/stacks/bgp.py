@@ -35,6 +35,14 @@ def detection_bound_us(timers: StackTimers, params: Mapping[str, Any]) -> int:
     return timers.bgp.hold_us
 
 
+def stale_hold_us(timers: StackTimers, params: Mapping[str, Any]) -> int:
+    """The RFC 4724 restart time a helper keeps a dead peer's paths
+    stale for after detecting it (0 without graceful restart)."""
+    if not params.get("graceful_restart"):
+        return 0
+    return BgpConfig.gr_restart_time_us
+
+
 def keepalive_period_us(timers: StackTimers,
                         params: Mapping[str, Any]) -> int:
     return timers.bgp.keepalive_us

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.core.config import MtpGlobalConfig
-from repro.core.protocol import MtpNode
+from repro.core.protocol import STALE_HOLD_US, MtpNode
 from repro.core.vid import WideDerivation
 from repro.iputil.stack import IpStack
 from repro.liveness.config import LivenessParam, resolve_liveness
@@ -35,6 +35,16 @@ def detection_bound_us(timers: StackTimers, params: Mapping[str, Any]) -> int:
     if liveness is not None and liveness.adaptive_timers:
         return int(timers.mtp.dead_us * liveness.max_scale)
     return timers.mtp.dead_us
+
+
+def stale_hold_us(timers: StackTimers, params: Mapping[str, Any]) -> int:
+    """How long a graceful-restart helper keeps forwarding on a silent
+    neighbor's tree state after detecting it (0 without graceful
+    restart)."""
+    if not params.get("graceful_restart"):
+        return 0
+    hold = params.get("stale_hold_us")
+    return STALE_HOLD_US if hold is None else hold
 
 
 def keepalive_period_us(timers: StackTimers,

@@ -366,3 +366,11 @@ def test_a_refused_converge_reads_the_same_everywhere(capsys):
                       "--jobs", "2")
     assert converge == serial == fanned
     assert converge.startswith("error: deployment fell silent unconverged")
+
+
+def test_a_supervised_refusal_is_a_finding_not_a_quarantine(capsys):
+    """Under the supervisor a refused converge is not a fault to retry:
+    no quarantine table, exit 1 and the same one ``error:`` line."""
+    supervised = _refusal(capsys, "scenario", "run", "tc1", "--no-cache",
+                          "--supervise")
+    assert supervised == _refusal(capsys, "converge")

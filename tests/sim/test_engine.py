@@ -1,6 +1,4 @@
-"""Unit tests for the event engine: each runs on the timer wheel and on
-the reference heap (``tests/sim/reference_heap.py``), so the reference
-the wheel is checked against stays tested too."""
+"""Unit tests for the event engine."""
 
 from __future__ import annotations
 
@@ -10,16 +8,9 @@ import pytest
 
 from repro.sim.engine import Simulator, SimulationError
 
-from tests.sim.reference_heap import heap_simulator
 
-
-@pytest.fixture(params=[Simulator, heap_simulator], ids=["wheel", "heap"])
-def new_sim(request):
-    return request.param
-
-
-def test_events_fire_in_time_order(new_sim):
-    sim = new_sim()
+def test_events_fire_in_time_order():
+    sim = Simulator()
     fired = []
     sim.schedule_at(30, fired.append, "c")
     sim.schedule_at(10, fired.append, "a")
@@ -29,8 +20,8 @@ def test_events_fire_in_time_order(new_sim):
     assert sim.now == 30
 
 
-def test_same_time_events_fire_in_scheduling_order(new_sim):
-    sim = new_sim()
+def test_same_time_events_fire_in_scheduling_order():
+    sim = Simulator()
     fired = []
     for tag in range(10):
         sim.schedule_at(5, fired.append, tag)
@@ -38,12 +29,12 @@ def test_same_time_events_fire_in_scheduling_order(new_sim):
     assert fired == list(range(10))
 
 
-def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(new_sim):
+def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for():
     """``born`` orders events due together by when they were scheduled,
     ``seq`` by the order within that instant; an event put back later
     with an earlier ``born`` (and a re-used ``seq``) fires where the
     original would have, also when it joins the instant being played."""
-    sim = new_sim()
+    sim = Simulator()
     fired = []
     first = sim.schedule_at(100, fired.append, "scheduled at 0, first")
     sim.schedule_at(100, fired.append, "scheduled at 0, second")
@@ -66,8 +57,8 @@ def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(new_sim):
     assert sim.events_scheduled == 8
 
 
-def test_has_passed_follows_the_order_of_dispatch(new_sim):
-    sim = new_sim()
+def test_has_passed_follows_the_order_of_dispatch():
+    sim = Simulator()
     seen = {}
 
     def look(tag):
@@ -86,10 +77,10 @@ def test_has_passed_follows_the_order_of_dispatch(new_sim):
     assert not sim.has_passed(101, 0)
 
 
-def test_has_passed_takes_the_rank(new_sim):
+def test_has_passed_takes_the_rank():
     """Among events due and born together the sequence number decides,
     and every priority-0 event of an instant precedes a later priority."""
-    sim = new_sim()
+    sim = Simulator()
     seen = {}
 
     def look(tag):
@@ -105,8 +96,8 @@ def test_has_passed_takes_the_rank(new_sim):
     assert seen["priority 1"] == (True, True, True, True, True)
 
 
-def test_priority_breaks_ties_before_seq(new_sim):
-    sim = new_sim()
+def test_priority_breaks_ties_before_seq():
+    sim = Simulator()
     fired = []
     sim.schedule_at(5, fired.append, "late", priority=1)
     sim.schedule_at(5, fired.append, "early", priority=0)
@@ -114,16 +105,16 @@ def test_priority_breaks_ties_before_seq(new_sim):
     assert fired == ["early", "late"]
 
 
-def test_schedule_after_is_relative(new_sim):
-    sim = new_sim()
+def test_schedule_after_is_relative():
+    sim = Simulator()
     times = []
     sim.schedule_after(10, lambda: times.append(sim.now))
     sim.run()
     assert times == [10]
 
 
-def test_nested_scheduling_from_callback(new_sim):
-    sim = new_sim()
+def test_nested_scheduling_from_callback():
+    sim = Simulator()
     fired = []
 
     def outer():
@@ -138,8 +129,8 @@ def test_nested_scheduling_from_callback(new_sim):
     assert fired == [("outer", 10), ("inner", 15)]
 
 
-def test_cancel_prevents_firing(new_sim):
-    sim = new_sim()
+def test_cancel_prevents_firing():
+    sim = Simulator()
     fired = []
     handle = sim.schedule_at(10, fired.append, "x")
     handle.cancel()
@@ -148,16 +139,16 @@ def test_cancel_prevents_firing(new_sim):
     assert not handle.active
 
 
-def test_cancel_twice_is_safe(new_sim):
-    sim = new_sim()
+def test_cancel_twice_is_safe():
+    sim = Simulator()
     handle = sim.schedule_at(10, lambda: None)
     handle.cancel()
     handle.cancel()
     sim.run()
 
 
-def test_run_until_stops_and_advances_clock(new_sim):
-    sim = new_sim()
+def test_run_until_stops_and_advances_clock():
+    sim = Simulator()
     fired = []
     sim.schedule_at(10, fired.append, "a")
     sim.schedule_at(100, fired.append, "b")
@@ -168,28 +159,28 @@ def test_run_until_stops_and_advances_clock(new_sim):
     assert fired == ["a", "b"]
 
 
-def test_run_until_advances_clock_even_when_queue_empty(new_sim):
-    sim = new_sim()
+def test_run_until_advances_clock_even_when_queue_empty():
+    sim = Simulator()
     sim.run(until=123)
     assert sim.now == 123
 
 
-def test_scheduling_in_past_raises(new_sim):
-    sim = new_sim()
+def test_scheduling_in_past_raises():
+    sim = Simulator()
     sim.schedule_at(10, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(5, lambda: None)
 
 
-def test_negative_delay_raises(new_sim):
-    sim = new_sim()
+def test_negative_delay_raises():
+    sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_after(-1, lambda: None)
 
 
-def test_max_events_budget(new_sim):
-    sim = new_sim()
+def test_max_events_budget():
+    sim = Simulator()
     fired = []
     for i in range(10):
         sim.schedule_at(i, fired.append, i)
@@ -197,8 +188,8 @@ def test_max_events_budget(new_sim):
     assert fired == [0, 1, 2]
 
 
-def test_call_soon_runs_at_current_time(new_sim):
-    sim = new_sim()
+def test_call_soon_runs_at_current_time():
+    sim = Simulator()
     times = []
 
     def first():
@@ -209,16 +200,16 @@ def test_call_soon_runs_at_current_time(new_sim):
     assert times == [7]
 
 
-def test_events_processed_counter(new_sim):
-    sim = new_sim()
+def test_events_processed_counter():
+    sim = Simulator()
     for i in range(5):
         sim.schedule_at(i, lambda: None)
     sim.run()
     assert sim.events_processed == 5
 
 
-def test_pending_events_excludes_cancelled(new_sim):
-    sim = new_sim()
+def test_pending_events_excludes_cancelled():
+    sim = Simulator()
     sim.schedule_at(1, lambda: None)
     h = sim.schedule_at(2, lambda: None)
     h.cancel()
@@ -226,11 +217,10 @@ def test_pending_events_excludes_cancelled(new_sim):
 
 
 # ----------------------------------------------------------------------
-# tombstone cancellation semantics (the wheel must keep the O(1)
-# flag behaviour of the reference heap's handles)
+# tombstone cancellation semantics (O(1) flag flips)
 # ----------------------------------------------------------------------
-def test_cancel_after_firing_is_safe(new_sim):
-    sim = new_sim()
+def test_cancel_after_firing_is_safe():
+    sim = Simulator()
     fired = []
     handle = sim.schedule_at(5, fired.append, "x")
     sim.run()
@@ -242,10 +232,10 @@ def test_cancel_after_firing_is_safe(new_sim):
     assert fired == ["x"]
 
 
-def test_cancel_is_constant_time_flag_flip(new_sim):
+def test_cancel_is_constant_time_flag_flip():
     """cancel() must not touch the queue: depth (which counts resident
     tombstones) is unchanged, pending_events (live view) drops."""
-    sim = new_sim()
+    sim = Simulator()
     handles = [sim.schedule_at(1000 + i, lambda: None) for i in range(100)]
     depth_before = sim.queue_depth
     for h in handles:
@@ -256,8 +246,8 @@ def test_cancel_is_constant_time_flag_flip(new_sim):
     assert sim.events_processed == 0
 
 
-def test_cancelled_timer_discarded_without_firing(new_sim):
-    sim = new_sim()
+def test_cancelled_timer_discarded_without_firing():
+    sim = Simulator()
     fired = []
     keep = sim.schedule_at(50, fired.append, "keep")
     kill = sim.schedule_at(50, fired.append, "kill")
@@ -268,10 +258,10 @@ def test_cancelled_timer_discarded_without_firing(new_sim):
     assert not kill.active
 
 
-def test_cancel_mid_batch_from_earlier_event(new_sim):
+def test_cancel_mid_batch_from_earlier_event():
     """An event can cancel a same-tick later event while the batch is
     being dispatched."""
-    sim = new_sim()
+    sim = Simulator()
     fired = []
     later = sim.schedule_at(10, fired.append, "later")
     sim.schedule_at(10, lambda: later.cancel(), priority=-1)
@@ -279,10 +269,10 @@ def test_cancel_mid_batch_from_earlier_event(new_sim):
     assert fired == []
 
 
-def test_reschedule_pattern_dead_timer(new_sim):
+def test_reschedule_pattern_dead_timer():
     """The keepalive idiom: cancel + re-arm on every tick; only the last
     armed timer may fire."""
-    sim = new_sim()
+    sim = Simulator()
     expired = []
     state = {"handle": None}
 
@@ -298,12 +288,12 @@ def test_reschedule_pattern_dead_timer(new_sim):
 
 
 # ----------------------------------------------------------------------
-# wheel-specific shapes
+# far horizons, until cuts, depth accounting
 # ----------------------------------------------------------------------
-def test_far_horizon_events_fire_in_order(new_sim):
-    """Events beyond the wheel's 2^32-tick horizon take the fallback path
-    but must stay in exact (time, priority, seq) order."""
-    sim = new_sim()
+def test_far_horizon_events_fire_in_order():
+    """Events 2^40 ticks out stay in exact (time, priority, seq)
+    order."""
+    sim = Simulator()
     fired = []
     sim.schedule_at(1 << 40, fired.append, "far")
     sim.schedule_at((1 << 40) - 1, fired.append, "nearer")
@@ -313,25 +303,24 @@ def test_far_horizon_events_fire_in_order(new_sim):
     assert sim.now == 1 << 40
 
 
-def test_until_cut_then_behind_window_schedule(new_sim):
-    """Scheduling between an until-bounded run and the next run must stay
-    ordered even when the wheel already advanced past that window."""
-    sim = new_sim()
+def test_until_cut_then_behind_window_schedule():
+    """Scheduling between an until-bounded run and the next run, ahead
+    of an event already queued beyond the cut, stays in time order."""
+    sim = Simulator()
     fired = []
     sim.schedule_at(100_000, fired.append, "a")
     sim.schedule_at(70_000_000, fired.append, "z")
     sim.run(until=60_000_000)
     assert fired == ["a"]
-    # now == 60e6; the wheel's coarse windows have advanced.  These land
-    # behind/around them and must still fire in time order.
+    # now == 60e6: these land between the cut and the queued "z"
     sim.schedule_at(60_000_001, fired.append, "b")
     sim.schedule_at(65_000_000, fired.append, "c")
     sim.run()
     assert fired == ["a", "b", "c", "z"]
 
 
-def test_queue_depth_counts_tombstones_until_discarded(new_sim):
-    sim = new_sim()
+def test_queue_depth_counts_tombstones_until_discarded():
+    sim = Simulator()
     h = [sim.schedule_at(10, lambda: None) for _ in range(10)]
     for handle in h[5:]:
         handle.cancel()
@@ -341,8 +330,8 @@ def test_queue_depth_counts_tombstones_until_discarded(new_sim):
     assert sim.events_processed == 5
 
 
-def test_peak_queue_depth_high_water(new_sim):
-    sim = new_sim()
+def test_peak_queue_depth_high_water():
+    sim = Simulator()
     for i in range(50):
         sim.schedule_at(i, lambda: None)
     sim.run()
@@ -350,10 +339,10 @@ def test_peak_queue_depth_high_water(new_sim):
     assert sim.queue_depth == 0
 
 
-def test_budget_pause_then_same_tick_schedule(new_sim):
+def test_budget_pause_then_same_tick_schedule():
     """Resuming after a max_events cut must preserve ordering for events
     scheduled at the paused tick."""
-    sim = new_sim()
+    sim = Simulator()
     fired = []
     for i in range(4):
         sim.schedule_at(10, fired.append, i)
@@ -365,11 +354,11 @@ def test_budget_pause_then_same_tick_schedule(new_sim):
     assert fired == [0, 1, 2, 3, "late"]
 
 
-def test_a_pickled_queue_carries_no_tombstones(new_sim):
+def test_a_pickled_queue_carries_no_tombstones():
     """Cancelled events are left out of a pickle and counted as
     discarded: the copy's ``queue_depth`` is its live count, and it fires
     exactly what the original fires, in the same order."""
-    sim = new_sim()
+    sim = Simulator()
     fired = []
     times = [7, 7, 300, 70_000, 20_000_000, 1 << 40, 300, 7, 5_000_000_000]
     handles = [sim.schedule_at(t, fired.append, i)

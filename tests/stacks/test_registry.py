@@ -27,7 +27,11 @@ from repro.stacks import (
     unregister_stack,
 )
 from repro.stacks import mtp
-from repro.harness.experiments import build_and_converge, detection_bound_us
+from repro.harness.experiments import (
+    build_and_converge,
+    detection_bound_us,
+    stale_hold_us,
+)
 from repro.harness.executor import run_tasks
 from repro.scenario import (
     SCENARIO_RUN,
@@ -160,6 +164,20 @@ def test_bounds_before_deploy_equal_the_deployed_ones(name, timers,
     assert detection_bound_us(spec) == deployment.detection_bound_us()
     assert (defn.family.keepalive_period_us(spec.timers, spec.params_dict())
             == deployment.keepalive_period_us())
+
+
+@pytest.mark.parametrize("name,held", [
+    ("mtp-gr", lambda agent: agent.stale_hold_us),
+    ("bgp-gr", lambda agent: agent.config.gr_restart_time_us)])
+def test_stale_hold_before_deploy_is_what_the_agents_hold(name, held):
+    """A family's stale hold is the one its deployed helpers keep; a
+    stack without graceful restart holds nothing stale."""
+    defn = get_stack(name)
+    deployment = defn.build(build_topology(two_pod_params()), defn.spec())
+    assert stale_hold_us(name) > 0
+    assert {held(agent) for agent in deployment.agents.values()} == {
+        stale_hold_us(name)}
+    assert stale_hold_us(name.removesuffix("-gr")) == 0
 
 
 # ----------------------------------------------------------------------
