@@ -1,4 +1,6 @@
-"""Unit tests for the event engine."""
+"""Unit tests for the event engine: each runs on a fresh ``Simulator``
+and on one restored from a pickle, as a fan-out worker receives it, so
+a restored engine is held to the same behaviour."""
 
 from __future__ import annotations
 
@@ -9,8 +11,21 @@ import pytest
 from repro.sim.engine import Simulator, SimulationError
 
 
-def test_events_fire_in_time_order():
-    sim = Simulator()
+def _restored_simulator() -> Simulator:
+    return pickle.loads(pickle.dumps(Simulator()))
+
+
+# The ids are the ones these tests carried when the engine had a second
+# scheduler; they are kept so each test keeps its name in the suite's
+# history.  "heap" is a fresh Simulator, "wheel" a pickled round trip.
+@pytest.fixture(params=[_restored_simulator, Simulator],
+                ids=["wheel", "heap"])
+def new_sim(request):
+    return request.param
+
+
+def test_events_fire_in_time_order(new_sim):
+    sim = new_sim()
     fired = []
     sim.schedule_at(30, fired.append, "c")
     sim.schedule_at(10, fired.append, "a")
@@ -20,8 +35,8 @@ def test_events_fire_in_time_order():
     assert sim.now == 30
 
 
-def test_same_time_events_fire_in_scheduling_order():
-    sim = Simulator()
+def test_same_time_events_fire_in_scheduling_order(new_sim):
+    sim = new_sim()
     fired = []
     for tag in range(10):
         sim.schedule_at(5, fired.append, tag)
@@ -29,12 +44,12 @@ def test_same_time_events_fire_in_scheduling_order():
     assert fired == list(range(10))
 
 
-def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for():
+def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for(new_sim):
     """``born`` orders events due together by when they were scheduled,
     ``seq`` by the order within that instant; an event put back later
     with an earlier ``born`` (and a re-used ``seq``) fires where the
     original would have, also when it joins the instant being played."""
-    sim = Simulator()
+    sim = new_sim()
     fired = []
     first = sim.schedule_at(100, fired.append, "scheduled at 0, first")
     sim.schedule_at(100, fired.append, "scheduled at 0, second")
@@ -57,8 +72,8 @@ def test_an_event_put_back_takes_the_rank_of_the_instant_it_stands_for():
     assert sim.events_scheduled == 8
 
 
-def test_has_passed_follows_the_order_of_dispatch():
-    sim = Simulator()
+def test_has_passed_follows_the_order_of_dispatch(new_sim):
+    sim = new_sim()
     seen = {}
 
     def look(tag):
@@ -77,10 +92,10 @@ def test_has_passed_follows_the_order_of_dispatch():
     assert not sim.has_passed(101, 0)
 
 
-def test_has_passed_takes_the_rank():
+def test_has_passed_takes_the_rank(new_sim):
     """Among events due and born together the sequence number decides,
     and every priority-0 event of an instant precedes a later priority."""
-    sim = Simulator()
+    sim = new_sim()
     seen = {}
 
     def look(tag):
@@ -96,8 +111,8 @@ def test_has_passed_takes_the_rank():
     assert seen["priority 1"] == (True, True, True, True, True)
 
 
-def test_priority_breaks_ties_before_seq():
-    sim = Simulator()
+def test_priority_breaks_ties_before_seq(new_sim):
+    sim = new_sim()
     fired = []
     sim.schedule_at(5, fired.append, "late", priority=1)
     sim.schedule_at(5, fired.append, "early", priority=0)
@@ -105,16 +120,16 @@ def test_priority_breaks_ties_before_seq():
     assert fired == ["early", "late"]
 
 
-def test_schedule_after_is_relative():
-    sim = Simulator()
+def test_schedule_after_is_relative(new_sim):
+    sim = new_sim()
     times = []
     sim.schedule_after(10, lambda: times.append(sim.now))
     sim.run()
     assert times == [10]
 
 
-def test_nested_scheduling_from_callback():
-    sim = Simulator()
+def test_nested_scheduling_from_callback(new_sim):
+    sim = new_sim()
     fired = []
 
     def outer():
@@ -129,8 +144,8 @@ def test_nested_scheduling_from_callback():
     assert fired == [("outer", 10), ("inner", 15)]
 
 
-def test_cancel_prevents_firing():
-    sim = Simulator()
+def test_cancel_prevents_firing(new_sim):
+    sim = new_sim()
     fired = []
     handle = sim.schedule_at(10, fired.append, "x")
     handle.cancel()
@@ -139,16 +154,16 @@ def test_cancel_prevents_firing():
     assert not handle.active
 
 
-def test_cancel_twice_is_safe():
-    sim = Simulator()
+def test_cancel_twice_is_safe(new_sim):
+    sim = new_sim()
     handle = sim.schedule_at(10, lambda: None)
     handle.cancel()
     handle.cancel()
     sim.run()
 
 
-def test_run_until_stops_and_advances_clock():
-    sim = Simulator()
+def test_run_until_stops_and_advances_clock(new_sim):
+    sim = new_sim()
     fired = []
     sim.schedule_at(10, fired.append, "a")
     sim.schedule_at(100, fired.append, "b")
@@ -159,28 +174,28 @@ def test_run_until_stops_and_advances_clock():
     assert fired == ["a", "b"]
 
 
-def test_run_until_advances_clock_even_when_queue_empty():
-    sim = Simulator()
+def test_run_until_advances_clock_even_when_queue_empty(new_sim):
+    sim = new_sim()
     sim.run(until=123)
     assert sim.now == 123
 
 
-def test_scheduling_in_past_raises():
-    sim = Simulator()
+def test_scheduling_in_past_raises(new_sim):
+    sim = new_sim()
     sim.schedule_at(10, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(5, lambda: None)
 
 
-def test_negative_delay_raises():
-    sim = Simulator()
+def test_negative_delay_raises(new_sim):
+    sim = new_sim()
     with pytest.raises(SimulationError):
         sim.schedule_after(-1, lambda: None)
 
 
-def test_max_events_budget():
-    sim = Simulator()
+def test_max_events_budget(new_sim):
+    sim = new_sim()
     fired = []
     for i in range(10):
         sim.schedule_at(i, fired.append, i)
@@ -188,8 +203,8 @@ def test_max_events_budget():
     assert fired == [0, 1, 2]
 
 
-def test_call_soon_runs_at_current_time():
-    sim = Simulator()
+def test_call_soon_runs_at_current_time(new_sim):
+    sim = new_sim()
     times = []
 
     def first():
@@ -200,16 +215,16 @@ def test_call_soon_runs_at_current_time():
     assert times == [7]
 
 
-def test_events_processed_counter():
-    sim = Simulator()
+def test_events_processed_counter(new_sim):
+    sim = new_sim()
     for i in range(5):
         sim.schedule_at(i, lambda: None)
     sim.run()
     assert sim.events_processed == 5
 
 
-def test_pending_events_excludes_cancelled():
-    sim = Simulator()
+def test_pending_events_excludes_cancelled(new_sim):
+    sim = new_sim()
     sim.schedule_at(1, lambda: None)
     h = sim.schedule_at(2, lambda: None)
     h.cancel()
@@ -219,8 +234,8 @@ def test_pending_events_excludes_cancelled():
 # ----------------------------------------------------------------------
 # tombstone cancellation semantics (O(1) flag flips)
 # ----------------------------------------------------------------------
-def test_cancel_after_firing_is_safe():
-    sim = Simulator()
+def test_cancel_after_firing_is_safe(new_sim):
+    sim = new_sim()
     fired = []
     handle = sim.schedule_at(5, fired.append, "x")
     sim.run()
@@ -232,10 +247,10 @@ def test_cancel_after_firing_is_safe():
     assert fired == ["x"]
 
 
-def test_cancel_is_constant_time_flag_flip():
+def test_cancel_is_constant_time_flag_flip(new_sim):
     """cancel() must not touch the queue: depth (which counts resident
     tombstones) is unchanged, pending_events (live view) drops."""
-    sim = Simulator()
+    sim = new_sim()
     handles = [sim.schedule_at(1000 + i, lambda: None) for i in range(100)]
     depth_before = sim.queue_depth
     for h in handles:
@@ -246,8 +261,8 @@ def test_cancel_is_constant_time_flag_flip():
     assert sim.events_processed == 0
 
 
-def test_cancelled_timer_discarded_without_firing():
-    sim = Simulator()
+def test_cancelled_timer_discarded_without_firing(new_sim):
+    sim = new_sim()
     fired = []
     keep = sim.schedule_at(50, fired.append, "keep")
     kill = sim.schedule_at(50, fired.append, "kill")
@@ -258,10 +273,10 @@ def test_cancelled_timer_discarded_without_firing():
     assert not kill.active
 
 
-def test_cancel_mid_batch_from_earlier_event():
+def test_cancel_mid_batch_from_earlier_event(new_sim):
     """An event can cancel a same-tick later event while the batch is
     being dispatched."""
-    sim = Simulator()
+    sim = new_sim()
     fired = []
     later = sim.schedule_at(10, fired.append, "later")
     sim.schedule_at(10, lambda: later.cancel(), priority=-1)
@@ -269,10 +284,10 @@ def test_cancel_mid_batch_from_earlier_event():
     assert fired == []
 
 
-def test_reschedule_pattern_dead_timer():
+def test_reschedule_pattern_dead_timer(new_sim):
     """The keepalive idiom: cancel + re-arm on every tick; only the last
     armed timer may fire."""
-    sim = Simulator()
+    sim = new_sim()
     expired = []
     state = {"handle": None}
 
@@ -290,10 +305,10 @@ def test_reschedule_pattern_dead_timer():
 # ----------------------------------------------------------------------
 # far horizons, until cuts, depth accounting
 # ----------------------------------------------------------------------
-def test_far_horizon_events_fire_in_order():
+def test_far_horizon_events_fire_in_order(new_sim):
     """Events 2^40 ticks out stay in exact (time, priority, seq)
     order."""
-    sim = Simulator()
+    sim = new_sim()
     fired = []
     sim.schedule_at(1 << 40, fired.append, "far")
     sim.schedule_at((1 << 40) - 1, fired.append, "nearer")
@@ -303,10 +318,10 @@ def test_far_horizon_events_fire_in_order():
     assert sim.now == 1 << 40
 
 
-def test_until_cut_then_behind_window_schedule():
+def test_until_cut_then_behind_window_schedule(new_sim):
     """Scheduling between an until-bounded run and the next run, ahead
     of an event already queued beyond the cut, stays in time order."""
-    sim = Simulator()
+    sim = new_sim()
     fired = []
     sim.schedule_at(100_000, fired.append, "a")
     sim.schedule_at(70_000_000, fired.append, "z")
@@ -319,8 +334,8 @@ def test_until_cut_then_behind_window_schedule():
     assert fired == ["a", "b", "c", "z"]
 
 
-def test_queue_depth_counts_tombstones_until_discarded():
-    sim = Simulator()
+def test_queue_depth_counts_tombstones_until_discarded(new_sim):
+    sim = new_sim()
     h = [sim.schedule_at(10, lambda: None) for _ in range(10)]
     for handle in h[5:]:
         handle.cancel()
@@ -330,8 +345,8 @@ def test_queue_depth_counts_tombstones_until_discarded():
     assert sim.events_processed == 5
 
 
-def test_peak_queue_depth_high_water():
-    sim = Simulator()
+def test_peak_queue_depth_high_water(new_sim):
+    sim = new_sim()
     for i in range(50):
         sim.schedule_at(i, lambda: None)
     sim.run()
@@ -339,10 +354,10 @@ def test_peak_queue_depth_high_water():
     assert sim.queue_depth == 0
 
 
-def test_budget_pause_then_same_tick_schedule():
+def test_budget_pause_then_same_tick_schedule(new_sim):
     """Resuming after a max_events cut must preserve ordering for events
     scheduled at the paused tick."""
-    sim = Simulator()
+    sim = new_sim()
     fired = []
     for i in range(4):
         sim.schedule_at(10, fired.append, i)
@@ -354,11 +369,11 @@ def test_budget_pause_then_same_tick_schedule():
     assert fired == [0, 1, 2, 3, "late"]
 
 
-def test_a_pickled_queue_carries_no_tombstones():
+def test_a_pickled_queue_carries_no_tombstones(new_sim):
     """Cancelled events are left out of a pickle and counted as
     discarded: the copy's ``queue_depth`` is its live count, and it fires
     exactly what the original fires, in the same order."""
-    sim = Simulator()
+    sim = new_sim()
     fired = []
     times = [7, 7, 300, 70_000, 20_000_000, 1 << 40, 300, 7, 5_000_000_000]
     handles = [sim.schedule_at(t, fired.append, i)
