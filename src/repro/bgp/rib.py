@@ -103,9 +103,6 @@ class AdjRibIn:
                 found.append(RibEntry(prefix, attrs, peer))
         return found
 
-    def prefixes_from(self, peer: Ipv4Address) -> list[Ipv4Network]:
-        return list(self._by_peer.get(peer, {}))
-
     def entry_count(self) -> int:
         return sum(len(routes) for routes in self._by_peer.values())
 

@@ -67,13 +67,6 @@ class Node:
     def interface(self, name: str) -> Interface:
         return self.interfaces[name]
 
-    def interfaces_up(self) -> list[Interface]:
-        return [i for i in self.interfaces.values() if i.admin_up and i.cabled]
-
-    def neighbor_on(self, iface_name: str) -> Optional["Node"]:
-        peer = self.interfaces[iface_name].peer()
-        return peer.node if peer else None
-
     # ------------------------------------------------------------------
     # frame dispatch
     # ------------------------------------------------------------------

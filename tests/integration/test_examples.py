@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -51,7 +52,8 @@ def test_protocol_comparison():
 
 
 def test_packet_loss_study():
-    out = run_example("packet_loss_study.py", "--rate", "500")
+    """The script runs; Figs. 7/8's numbers are ``test_paper_shapes``'s."""
+    out = run_example("packet_loss_study.py", "--rate", "10")
     assert "Fig. 7" in out and "Fig. 8" in out
 
 
@@ -77,9 +79,19 @@ def test_multi_seed_study():
     assert "±" in out and "speedup" in out
 
 
-def test_html_report(tmp_path):
-    out = run_example("html_report.py", "--out", str(tmp_path / "r.html"))
-    assert "wrote" in out
+def test_html_report(tmp_path, monkeypatch, capsys):
+    """The script runs and renders, on one stack and one case: Figs.
+    4-7's numbers are ``test_paper_shapes``'s, the charts
+    ``tests/harness/test_htmlreport.py``'s."""
+    spec = importlib.util.spec_from_file_location(
+        "html_report", EXAMPLES / "html_report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    report.STACKS, report.CASES = ("mtp",), ("TC1",)
+    monkeypatch.setattr(sys, "argv", ["html_report.py",
+                                      "--out", str(tmp_path / "r.html")])
+    report.main()
+    assert "wrote" in capsys.readouterr().out
     text = (tmp_path / "r.html").read_text()
     assert text.count("<svg") == 4
     assert "Fig. 4" in text and "Fig. 7" in text

@@ -12,23 +12,28 @@ deadline, event count and the trace; warm fluid resolve equals cold,
 epochs conserve bytes, per-packet ECMP picks what the fluid digests
 pick, BFD flyweights match their inputs, MR-MTP never loops.  Teardown
 restores everything: quiet again, the fabric is ready, agrees with the
-oracle and has no loop."""
+oracle and has no loop.
+
+Tier-1 plays the named examples of ``PROGRAMS``; the random search over
+the same rules runs under ``--hypothesis-profile soak``."""
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import gc
+import operator
 import pickle
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
 import pytest
-from hypothesis import Phase, seed, settings, strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 invariant, precondition, rule,
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RULE_MARKER, RuleBasedStateMachine,
+                                 initialize, invariant, precondition, rule,
                                  run_state_machine_as_test)
 
 from repro.bfd.messages import BfdState
@@ -98,23 +103,38 @@ def no_op_tap(iface, frame, direction) -> None:
 
 
 def fabrics_for(stack: str) -> tuple[str, ...]:
-    # MR-MTP on DCell converges vacuously (ROADMAP item 5)
+    # MR-MTP refuses DCell: it has no top tier (ROADMAP item 5)
     return ("clos-2", "clos-4", "vl2") + (
         ("dcell",) if stack.startswith("bgp") else ())
+
+
+@contextmanager
+def collector_paused():
+    """Cyclic collection off, as ``build_and_converge`` turns it off, and
+    left as found: every pass would walk the worlds the test process
+    holds, and converging or playing makes little cyclic garbage."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @lru_cache(maxsize=None)
 def _converged(stack: str, fabric: str, world_seed: int, tapped: bool) -> bytes:
     """``tapped``: from the start, so convergence is played frame by frame."""
     spec = resolve_spec(stack, BGP_TIMERS if stack.startswith("bgp") else None)
-    world = World(seed=world_seed)
-    topo = build_topology(FABRICS[fabric], world=world)
-    for iface in world.all_interfaces() if tapped else ():
-        iface.add_tap(no_op_tap)
-    deployment = get_stack(spec.name).build(topo, spec)
-    deployment.start()
-    converge_from_cold(world, deployment)
-    return pickle.dumps((world, topo, deployment))
+    with collector_paused():
+        world = World(seed=world_seed)
+        topo = build_topology(FABRICS[fabric], world=world)
+        for iface in world.all_interfaces() if tapped else ():
+            iface.add_tap(no_op_tap)
+        deployment = get_stack(spec.name).build(topo, spec)
+        deployment.start()
+        converge_from_cold(world, deployment)
+        return pickle.dumps((world, topo, deployment))
 
 
 def disagreements(deployment, topo) -> list:
@@ -175,13 +195,24 @@ def _due(timer):
     return timer.expires_at
 
 
+@lru_cache(maxsize=None)
+def _getter(cls):
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
+
+
+def astuple(record) -> tuple:
+    """``dataclasses.astuple`` of a flat record (every counter class here
+    is one), without its deep copy."""
+    return _getter(type(record))(record)
+
+
 def observe(fab: Fabric) -> dict:
     """Everything the two worlds must agree on, for either family.
     Counters are read through their public, settling accessors first;
     then every interface is tapped — which wakes whatever is still quiet
     — so that the timers compared are real in both, and untapped again,
     so that the default world goes quiet again where it may."""
-    world, deployment, astuple = fab.world, fab.deployment, dataclasses.astuple
+    world, deployment = fab.world, fab.deployment
     mtp = getattr(deployment, "mtp_nodes", {})
     speakers = getattr(deployment, "speakers", {})
     sessions = {(name, str(ip)): b for name, s in speakers.items()
@@ -489,67 +520,168 @@ def machine_for(stack: str) -> type[FabricMachine]:
     return type(f"FabricMachine[{stack}]", (FabricMachine,), {"stack": stack})
 
 
-def run_machine(stack: str, at_seed: Optional[int] = None,
-                examples: Optional[int] = None) -> None:
-    """At the loaded profile's size (``tier1`` 10 x 15, ``soak`` 200 x 30);
-    ``at_seed``: a mutant's run, where the first failure will do."""
-    factory, chosen = machine_for(stack), settings.default
-    if at_seed is not None:
-        factory = seed(at_seed)(factory)
-        chosen = settings(chosen, max_examples=examples,
-                          phases=[Phase.generate])
-    run_state_machine_as_test(factory, settings=chosen)
+@dataclass(frozen=True)
+class Program:
+    """One example of the machine, written out: the converged world it
+    loads and the ``(rule, kwargs)`` steps it applies."""
+
+    fabric: str
+    seed: int
+    steps: tuple
 
 
-@pytest.mark.parametrize("stack", available_stacks())
-def test_fabric_machine(stack):
-    run_machine(stack)
+def play(stack: str, program: Program) -> None:
+    """``program`` as the machine runs an example: each rule followed by
+    the invariant, then the teardown."""
+    with collector_paused():
+        machine = machine_for(stack)()
+        machine.load(program.fabric, program.seed)
+        for name, kwargs in program.steps:
+            getattr(machine, name)(**kwargs)
+            machine.agree()
+        machine.teardown()
 
 
-# a crash and a restart under a live permutation load, 10 ms epochs, per
-# family (graceful MR-MTP on Clos, graceful BGP on VL2, cold BGP on
-# DCell): no tier-1 example of the machine draws a workload, then a crash
-def _restart_under_load(router, mode):
-    return [("agent_crash", (False, 1 * MILLISECOND), router, 0),
-            ("agent_restart", (False, 41 * MILLISECOND), router, mode)]
+def _faults(*faults) -> tuple:
+    return ("inject", {"faults": list(faults)})
 
 
-@pytest.mark.parametrize("stack, fabric, flows, faults, check_at_us", [
-    # S-1-1:eth2 (port 9) down and up within 3 us: S-1-1 prunes what
-    # L-1-2 gave it, and L-1-2, which never missed a hello, never
-    # re-advertises; re-admitting it, S-1-1 re-sends the JOINs it pruned
-    ("mtp", "clos-2", 0, [("flap", (False, 0), 9, 0)], 0),
+def _run(ms: int, us: int = 0) -> tuple:
+    return ("run", {"duration": ms * MILLISECOND + us})
+
+
+# a crash and a restart under a live permutation load, 10 ms epochs
+def _restart_under_load(fabric, router, mode) -> Program:
+    return Program(fabric, 0, (
+        ("start_workload", {"flows": 60, "matrix": "permutation",
+                            "epoch_ms": 10}),
+        _faults(("agent_crash", (False, 1 * MILLISECOND), router, 0),
+                ("agent_restart", (False, 41 * MILLISECOND), router, mode)),
+        _run(120)))
+
+
+# Faults are ``(op, (hello-aligned?, offset_us), target, arg)`` as
+# ``FabricMachine.inject`` reads them: ``target`` indexes the fabric's
+# router-to-router ports and its routers, ``arg`` picks the restart mode
+# (``% 3``) or the impairment profile (``% 4``) and direction (``% 3``)
+PROGRAMS = {
+    # L-1-2:eth1 (port 2) stops sending on a hello tick under a uniform
+    # load: S-1-1 hears nothing and L-1-2 still has carrier; a capture on
+    # S-1-1 and a burst across the fabric watch it heal; the TC1 probe
+    # runs with the invariant monitor
+    "one-way-loss-under-load": Program("clos-2", 0, (
+        ("start_workload", {"flows": 60}),
+        _faults(("impair", (True, 0), 2, 9),
+                ("capture", (False, 30 * MILLISECOND), 4, 0)),
+        ("burst", {"at": (True, 6), "gap_us": 1_000, "count": 40,
+                   "endpoints": 3}),
+        _run(400),
+        _faults(("clear", (False, 0), 2, 0)),
+        ("fork_and_run", {"duration": 120 * MILLISECOND}),
+        ("probe", {"case": 1, "invariants": True}),
+        ("round_trip", {}))),
+    # spine S-1-2 (router 9) powers off, S-2-1's agent dies as a hello
+    # is delivered, the L-2-1--S-2-1 link (port 4) is cut, L-1-1:eth1
+    # goes down just after that delivery and S-1-1:eth3 (to T-1)
+    # duplicates and jitters both ways; all return, S-2-1's agent by a default restart,
+    # while L-3-1's agent crashes and cold-boots; then TC3, unmonitored
+    "routers-and-ports-fail-and-return": Program("clos-4", 1, (
+        _faults(("node_down", (False, 5 * MILLISECOND), 9, 0),
+                ("agent_crash", (True, HELLO_US + 6), 10, 0),
+                ("link_cut", (False, 20 * MILLISECOND), 4, 0),
+                ("iface_down", (True, HELLO_US + 7), 0, 0),
+                ("impair", (False, 0), 18, 2)),
+        _run(150),
+        _faults(("node_up", (False, 0), 9, 0),
+                ("agent_restart", (False, 10 * MILLISECOND), 10, 0),
+                ("link_restore", (False, 30 * MILLISECOND), 4, 0),
+                ("iface_up", (False, 0), 0, 0),
+                ("agent_crash", (False, 5 * MILLISECOND), 4, 0),
+                ("agent_restart", (False, 60 * MILLISECOND), 4, 2)),
+        ("probe", {"case": 3, "invariants": False}))),
+    # what the random search found.  S-1-1:eth2 (port 9) down and up
+    # within 3 us: S-1-1 prunes what L-1-2 gave it, and L-1-2, which
+    # never missed a hello, never re-advertises; re-admitting it, S-1-1
+    # re-sends the JOINs it pruned
+    "parent-flap-shorter-than-dead-timer": Program("clos-2", 0, (
+        _faults(("flap", (False, 0), 9, 0)),)),
     # S-1-1 (router 4) restarts its agent while down, so its neighbours
     # keep their tiers; L-1-1 (router 0) cold-boots after S-1-1's last
     # full hello.  S-1-1 accepts L-1-1 on its first hello and must answer
     # with a full hello: keepalives do not carry the tier
-    ("mtp", "clos-2", 0, [("node_down", (False, 0), 4, 0),
-                          ("agent_restart", (False, 100 * MILLISECOND), 4, 1),
-                          ("node_down", (False, 150 * MILLISECOND), 0, 0),
-                          ("node_up", (False, 300 * MILLISECOND), 4, 0),
-                          ("node_up", (False, 420 * MILLISECOND + 17), 0, 0)],
-     0),
+    "peer-accepted-on-first-sight": Program("clos-2", 0, (
+        _faults(("node_down", (False, 0), 4, 0),
+                ("agent_restart", (False, 100 * MILLISECOND), 4, 1),
+                ("node_down", (False, 150 * MILLISECOND), 0, 0),
+                ("node_up", (False, 300 * MILLISECOND), 4, 0),
+                ("node_up", (False, 420 * MILLISECOND + 17), 0, 0)),)),
     # VL-1-1's agent dies (router 0): VA-1-1 prunes root 11 100 ms on,
     # while for 412 us more the spines still send its packets down to
     # it.  Sent back up they would loop between them: they are dropped
-    ("mtp", "vl2", 0, [("agent_crash", (False, 1), 0, 0)],
-     100 * MILLISECOND + 219),
-    ("mtp-gr", "clos-2", 60, _restart_under_load(4, 1), 120 * MILLISECOND),
-    ("bgp-gr", "vl2", 60, _restart_under_load(0, 1), 120 * MILLISECOND),
-    ("bgp", "dcell", 60, _restart_under_load(0, 2), 120 * MILLISECOND),
-], ids=["parent-flap-shorter-than-dead-timer", "peer-accepted-on-first-sight",
-        "descending-packet-turned-back-up", "graceful-restart-under-load-clos",
-        "graceful-restart-under-load-vl2", "cold-restart-under-load-dcell"])
-def test_interleavings_the_machine_found(stack, fabric, flows, faults,
-                                         check_at_us):
-    machine = machine_for(stack)()
-    machine.load(fabric, 0)
-    if flows:
-        machine.start_workload(flows, matrix="permutation", epoch_ms=10)
-    machine.inject(faults)
-    machine.run(check_at_us)
-    machine.agree()
-    machine.teardown()
+    "descending-packet-turned-back-up": Program("vl2", 0, (
+        _faults(("agent_crash", (False, 1), 0, 0)),
+        _run(100, 219))),
+    "graceful-restart-under-load-clos": _restart_under_load("clos-2", 4, 1),
+    "graceful-restart-under-load-vl2": _restart_under_load("vl2", 0, 1),
+    "cold-restart-under-load-dcell": _restart_under_load("dcell", 0, 2),
+}
+
+
+def programs_for(stack: str) -> list[Program]:
+    return [program for program in PROGRAMS.values()
+            if program.fabric in fabrics_for(stack)]
+
+
+def play_table(stack: str) -> None:
+    for program in programs_for(stack):
+        play(stack, program)
+
+
+@pytest.mark.parametrize("stack", available_stacks())
+def test_fabric_machine(stack):
+    """Tier-1 plays the table; ``--hypothesis-profile soak`` also runs
+    the random search, at 200 examples x 30 steps."""
+    play_table(stack)
+    if settings.get_current_profile_name() == "soak":
+        run_state_machine_as_test(machine_for(stack),
+                                  settings=settings.default)
+
+
+def test_the_programs_cover_the_machine():
+    rules = {name for name, method in vars(FabricMachine).items()
+             if hasattr(method, RULE_MARKER)}
+    for stack in available_stacks():
+        programs = programs_for(stack)
+        assert all(program.steps for program in programs), stack
+        assert {program.fabric for program in programs} \
+            == set(fabrics_for(stack)), stack
+        steps = [step for program in programs for step in program.steps]
+        assert {name for name, _ in steps} == rules, stack
+        assert {kwargs["invariants"] for name, kwargs in steps
+                if name == "probe"} == {False, True}, stack
+        faults = [fault for name, kwargs in steps if name == "inject"
+                  for fault in kwargs["faults"]]
+        assert {op for op, *_ in faults} == set(OPS), stack
+        assert {arg % 3 for op, _, _, arg in faults
+                if op == "agent_restart"} == {0, 1, 2}, stack
+        assert any(op == "impair"
+                   and PROFILES[arg % 4] == ImpairmentProfile(loss=1.0)
+                   and DIRECTIONS[arg % 3] == "tx"
+                   for op, _, _, arg in faults), stack
+        assert any(aligned for _, (aligned, _), *_ in faults), stack
+
+
+FOUND = [("mtp", "parent-flap-shorter-than-dead-timer"),
+         ("mtp", "peer-accepted-on-first-sight"),
+         ("mtp", "descending-packet-turned-back-up"),
+         ("mtp-gr", "graceful-restart-under-load-clos"),
+         ("bgp-gr", "graceful-restart-under-load-vl2"),
+         ("bgp", "cold-restart-under-load-dcell")]
+
+
+@pytest.mark.parametrize("stack, name", FOUND, ids=[n for _, n in FOUND])
+def test_interleavings_the_machine_found(stack, name):
+    play(stack, PROGRAMS[name])
 
 
 def test_snapshot_taken_with_flyweights_populated_runs_like_a_cold_one():
@@ -583,7 +715,7 @@ def test_snapshot_taken_with_flyweights_populated_runs_like_a_cold_one():
 # the machine has teeth for the caches too: a memo answering for the
 # wrong salt, a stale BFD flyweight, a rack-pair walk kept across a table
 # change, a re-walk over its flows' old hop cells and dead marks — each
-# caught within a fixed, seeded run
+# caught by a play of the table
 # ----------------------------------------------------------------------
 _digest, _transmit, _walk = (ecmp._digest, BfdSession._transmit,
                              FluidWorkload._walk)
@@ -624,8 +756,10 @@ def _wipe_nothing(self, flows):
 ], ids=["ecmp-memo", "bfd-flyweight", "fluid-walk", "fluid-wipe"])
 def test_the_machine_catches_a_stale_cache(monkeypatch, stack, owner, name,
                                            mutant):
-    for key in itertools.product(fabrics_for(stack), SEEDS, (False, True)):
-        _converged(stack, *key)  # converged right: a steady-state mutant
+    # converged right: a steady-state mutant
+    for program in programs_for(stack):
+        for tapped in (False, True):
+            _converged(stack, program.fabric, program.seed, tapped)
     monkeypatch.setattr(owner, name, mutant)
     with pytest.raises(AssertionError):
-        run_machine(stack, at_seed=1, examples=10)
+        play_table(stack)

@@ -24,7 +24,7 @@ from repro.stack.payload import RawBytes
 from repro.stack.udp import UdpDatagram
 from tests.integration.test_fabric_machine import (
     HELLO_US, Fabric, _converged, _oracle_verdicts, fabric_ports, machine_for,
-    run_machine)
+    play_table)
 
 
 def _machine(stack: str = "mtp"):
@@ -168,7 +168,7 @@ def test_frames_exactly_on_a_bfd_or_keepalive_instant(where, count):
 
 # ----------------------------------------------------------------------
 # the machine has teeth: ways to get settle/wake wrong, each caught
-# within a fixed, seeded run of it — for MR-MTP, forget ``_last_tx``,
+# by a play of its program table — for MR-MTP, forget ``_last_tx``,
 # start a dead timer from the wake instant, tap without waking; for BFD
 # and BGP, draw one session's periods ahead of its node's other
 # sessions, put a hold timer back from the wake instant, let a frame
@@ -205,7 +205,7 @@ def test_the_property_catches_a_wrong_settle_or_wake(
         monkeypatch, fresh_worlds, owner, name, mutant):
     monkeypatch.setattr(owner, name, mutant)
     with pytest.raises(AssertionError):
-        run_machine("mtp", at_seed=24, examples=25)
+        play_table("mtp")
 
 
 def _settle_without_siblings(self):
@@ -252,6 +252,6 @@ def test_bfd_and_bgp_settle_or_wake_mutants_are_caught(
     monkeypatch.setattr(owner, name, mutant)
     with pytest.raises(AssertionError):
         if caught_by == "property":
-            run_machine("bgp-bfd", at_seed=26, examples=10)
+            play_table("bgp-bfd")
         else:
             _frames_on_a_quiet_instant("bfd", 3)
