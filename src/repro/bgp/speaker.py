@@ -655,7 +655,7 @@ class BgpSpeaker:
                         config.liveness,
                         period_us=config.bfd_timers.tx_interval_us,
                         base_detection_us=config.bfd_timers.detection_time_us,
-                        now_us=node.sim.now,
+                        sim=node.sim,
                     )
                 peer.bfd_session = bfd.create_session(
                     nbr.peer_ip, peer.local_ip, config.bfd_timers,

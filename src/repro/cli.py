@@ -90,17 +90,9 @@ def _add_topo_args(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE", dest="topo_params",
         help="override one topology parameter; repeatable (see "
              "`topology show <name>` for the accepted keys)")
-    # legacy folded-Clos shorthands; -T works for every topology
+    # the folded-Clos shorthand; -T works for every topology
     parser.add_argument("--pods", type=int, default=None,
                         help="clos only: PoDs (alias of -T num_pods=N)")
-    parser.add_argument("--tors", type=int, default=None,
-                        help="clos only: ToRs per pod")
-    parser.add_argument("--aggs", type=int, default=None,
-                        help="clos only: aggs per pod")
-    parser.add_argument("--tops", type=int, default=None,
-                        help="clos only: tops per plane")
-    parser.add_argument("--zones", type=int, default=None,
-                        help="clos only: >1 adds the super-spine tier")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -268,36 +260,23 @@ def _campaign_epilogue(args, report) -> int:
     return EXIT_OK
 
 
-#: legacy clos flag -> canonical parameter name
-_LEGACY_CLOS_FLAGS = {
-    "pods": "num_pods",
-    "tors": "tors_per_pod",
-    "aggs": "aggs_per_pod",
-    "tops": "tops_per_plane",
-    "zones": "zones",
-}
-
-
 class _UsageError(Exception):
     """Bad CLI input caught in main() -> EXIT_USAGE."""
 
 
 def _params(args):
     """The selected fabric as a TopologySpec: --topology picks the
-    registered family, -T KEY=VALUE overrides its parameters, and the
-    legacy --pods/--tors/... shorthands keep working for clos."""
+    registered family, -T KEY=VALUE overrides its parameters, and
+    --pods is the folded-Clos shorthand for -T num_pods=N."""
     definition = get_topology(args.topology)
     overrides = {}
-    for flag, name in _LEGACY_CLOS_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
+    if getattr(args, "pods", None) is not None:
         if args.topology != "clos":
             raise _UsageError(
-                f"--{flag} is a folded-Clos shorthand; with "
+                f"--pods is a folded-Clos shorthand; with "
                 f"--topology {args.topology} use -T KEY=VALUE "
                 f"(see `topology show {args.topology}`)")
-        overrides[name] = value
+        overrides["num_pods"] = args.pods
     raw = {}
     for item in getattr(args, "topo_params", None) or []:
         key, sep, value = item.partition("=")

@@ -185,11 +185,6 @@ class MtpNode:
         # never missed a hello still notice the control plane bounced
         # when the generation moves (wire byte, so modulo 256)
         self.restart_gen = 0
-        # bumps on every neighbor-usability transition; forwarding-state
-        # observers (the fluid workload, the invariant monitor) combine
-        # it with the VID table's change_count, because graceful restart
-        # changes what the data plane does without touching the table
-        self.fib_gen = 0
         self._stale_hold_timers: dict[str, Timer] = {}
         self._gr_stale: set[tuple[str, Vid]] = set()
         self._gr_rebuild_timer: Optional[Timer] = None
@@ -232,7 +227,7 @@ class MtpNode:
                 monitor = NeighborMonitor(
                     self.liveness, period_us=self.timers.hello_us,
                     base_detection_us=self.timers.dead_us,
-                    now_us=self.sim.now, slack_periods=1,
+                    sim=self.sim, slack_periods=1,
                 )
             self.neighbors[iface.name] = PortNeighbor(
                 self.sim, iface.name, self.timers,
@@ -306,7 +301,7 @@ class MtpNode:
         # The restart generation moves so peers that never missed a
         # hello still notice the bounce from the next full hello.
         self.restart_gen = (self.restart_gen + 1) & 0xFF
-        self.fib_gen += 1
+        self.sim.note_forwarding_change()
         prev = {port: (nbr.tier, nbr.up or nbr.stale_held, nbr.peer_gen)
                 for port, nbr in self.neighbors.items()}
         self._last_tx.clear()
@@ -683,7 +678,7 @@ class MtpNode:
     # ------------------------------------------------------------------
     def _on_neighbor_up(self, nbr: PortNeighbor) -> None:
         self.node.log("mtp.neighbor", f"{nbr.port} up (tier {nbr.tier})")
-        self.fib_gen += 1
+        self.sim.note_forwarding_change()
         hold = self._stale_hold_timers.get(nbr.port)
         if hold is not None:
             hold.stop()
@@ -714,7 +709,7 @@ class MtpNode:
 
     def _on_neighbor_down(self, nbr: PortNeighbor, reason: str) -> None:
         self.node.log("mtp.neighbor", f"{nbr.port} down ({reason})")
-        self.fib_gen += 1
+        self.sim.note_forwarding_change()
         if self.graceful_restart and reason in ("dead-timer", "peer-restart"):
             # GR helper: silence without a local port event is presumed
             # a restarting peer whose data plane still forwards (and a
@@ -743,7 +738,7 @@ class MtpNode:
         if nbr is None or not nbr.stale_held or self.crashed:
             return
         nbr.stale_held = False
-        self.fib_gen += 1
+        self.sim.note_forwarding_change()
         self.node.log("mtp.gr", f"{port} stale-hold expired")
         self._neighbor_lost(port)
 

@@ -41,6 +41,7 @@ class VidTable:
         self.change_count += 1
         if self.sim is not None:
             self.last_change_time = self.sim.now
+            self.sim.note_forwarding_change()
 
     def _unindex(self, port: str, vids: Iterable[Vid]) -> None:
         for vid in vids:

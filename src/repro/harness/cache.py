@@ -63,7 +63,10 @@ from repro.harness.digest import canonical_json, payload_digest
 #    miss cleanly.
 # 11: one readiness predicate — MR-MTP on DCell refuses instead of
 #    converging vacuously; schema-10 entries miss cleanly.
-CACHE_SCHEMA = 11
+# 12: one forwarding version — a fluid epoch opens when a liveness
+#    monitor depreferences a gray link, and a port's flap never hides a
+#    table change; schema-11 entries miss cleanly.
+CACHE_SCHEMA = 12
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -223,9 +223,10 @@ class FailureInjector:
     def _do_agent(self, node_name: str, up: bool,
                   cold: Optional[bool] = None) -> None:
         crashed = node_name in self._crashed_agents
-        if up != crashed:
-            # validated no-op: restarting a healthy agent or crashing an
-            # already-dead one must not double-drive protocol state
+        if up != crashed or (up and node_name in self._down_nodes):
+            # validated no-op: restarting a healthy agent, crashing an
+            # already-dead one or restarting one on a powered-off router
+            # (its power-on cold-boots it) must not double-drive state
             self.world.trace.emit(
                 node_name, "fail.agent",
                 f"{'restart' if up else 'crash'} no-op")

@@ -12,7 +12,9 @@ derives the two decisions the protocols consume:
   ``[base, base * max_scale]``;
 * :meth:`verdict` — ``healthy | degraded | dead``: the gray-failure
   classification that lets the control plane *depreference* a degraded
-  next hop instead of withdrawing it.
+  next hop instead of withdrawing it.  ``degraded`` flips only as the
+  estimator is fed or reset, and each flip bumps the world's forwarding
+  version (:meth:`~repro.sim.engine.Simulator.note_forwarding_change`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 from repro.liveness.config import LivenessConfig
 from repro.liveness.damping import FlapDamper
 from repro.liveness.estimator import LinkQualityEstimator
+from repro.sim.engine import Simulator
 
 
 class Verdict(Enum):
@@ -40,7 +43,7 @@ class NeighborMonitor:
         config: LivenessConfig,
         period_us: int,
         base_detection_us: int,
-        now_us: int = 0,
+        sim: Optional[Simulator] = None,
         slack_periods: int = 0,
     ) -> None:
         self.config = config
@@ -48,8 +51,12 @@ class NeighborMonitor:
         self.base_detection_us = int(base_detection_us)
         self.estimator = LinkQualityEstimator(period_us, config,
                                               slack_periods=slack_periods)
-        self.damper = FlapDamper(config, now_us)
+        self.damper = FlapDamper(config, 0 if sim is None else sim.now)
         self.alive = True
+        # the gray verdict, kept in step with the estimator: a flip is a
+        # forwarding change (depreference moves traffic off the link)
+        self.sim = sim
+        self.degraded = False
 
     # ------------------------------------------------------------------
     # estimator feed-through
@@ -57,6 +64,7 @@ class NeighborMonitor:
     def observe(self, now_us: int, period_us: Optional[int] = None) -> None:
         self.estimator.observe(now_us, period_us)
         self.alive = True
+        self._reclassify()
 
     def interrupt(self) -> None:
         self.estimator.interrupt()
@@ -77,14 +85,19 @@ class NeighborMonitor:
         stale suppression window."""
         self.estimator.reset()
         self.damper.reset()
+        self._reclassify()
 
     # ------------------------------------------------------------------
     # the two decisions
     # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        return (self.estimator.warmed_up
-                and self.estimator.loss_rate >= self.config.degrade_threshold)
+    def _reclassify(self) -> None:
+        est = self.estimator
+        degraded = (est.warmed_up
+                    and est.loss_rate >= self.config.degrade_threshold)
+        if degraded != self.degraded:
+            self.degraded = degraded
+            if self.sim is not None:
+                self.sim.note_forwarding_change()
 
     def verdict(self) -> Verdict:
         if not self.alive:

@@ -146,6 +146,7 @@ class Interface:
             return
         self.wake()
         self.admin_up = up
+        self.node.sim.note_forwarding_change()
         if up:
             self.node.interface_came_up(self)
         else:

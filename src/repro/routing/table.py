@@ -4,7 +4,8 @@ This is the "kernel FIB" each node consults on the BGP data path.  It
 tracks a change counter and timestamps so the harness can compute the
 paper's blast radius ("the number of routers that updated their routing
 tables subsequent to a topology change") without instrumenting protocol
-internals.
+internals.  Every change also bumps the world's forwarding version
+(:meth:`repro.sim.engine.Simulator.note_forwarding_change`).
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class RoutingTable:
         self.change_count += 1
         if self.sim is not None:
             self.last_change_time = self.sim.now
+            self.sim.note_forwarding_change()
 
     def _index(self, route: Route) -> None:
         prefix = route.prefix

@@ -22,6 +22,12 @@ FIFO ordering.  That order is the determinism contract behind
 byte-identical trace digests: ``tests/sim`` holds it, and
 ``tests/harness/test_backend_golden.py`` pins golden metrics and equal
 digests inline, fanned out and supervised.
+
+The engine also owns the world's one forwarding version
+(:attr:`Simulator.forwarding_version`): a monotone count that
+:meth:`Simulator.note_forwarding_change` bumps from every write the
+data plane reads, so whoever asks "has forwarding changed?" compares
+one integer, and it pickles, forks and restores with the queue.
 """
 
 from __future__ import annotations
@@ -109,7 +115,8 @@ class Simulator:
 
     __slots__ = ("_now", "_seq", "_running", "_processed", "_heap",
                  "_discarded", "_batch", "_batch_time", "_batch_drops",
-                 "_peak_depth", "_stamp", "_cursor", "events_settled")
+                 "_peak_depth", "_stamp", "_cursor", "events_settled",
+                 "forwarding_version")
 
     def __init__(self) -> None:
         # the queue: a (time, priority, born, seq, event) heap
@@ -137,6 +144,8 @@ class Simulator:
         # the (priority, born, seq, event) entry being dispatched (between
         # runs, behind all born before _stamp): how far the run has got
         self._cursor: tuple = (0, 0, -1)
+        # bumped by note_forwarding_change alone, never reset
+        self.forwarding_version: int = 0
 
     # ------------------------------------------------------------------
     # clock
@@ -145,6 +154,11 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in integer microseconds."""
         return self._now
+
+    def note_forwarding_change(self) -> None:
+        """Something the data plane reads changed: a table entry, a
+        port's admin state, a neighbor's usability or gray verdict."""
+        self.forwarding_version += 1
 
     @property
     def events_processed(self) -> int:

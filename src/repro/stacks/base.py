@@ -162,16 +162,10 @@ class Deployment:
         self.agents[node].restart(cold=cold)
 
     def route_generation(self) -> int:
-        """Version counter over everything the data plane consults: the
-        family's forwarding-state counter plus admin port state."""
-        return self.table_generation() + sum(
-            1 for name in self.agents
-            for iface in self.topo.node(name).interfaces.values()
-            if not iface.admin_up)
-
-    def table_generation(self) -> int:
-        """Version counter over the forwarding state itself."""
-        raise NotImplementedError
+        """The world's forwarding version: it moves whenever anything
+        the data plane consults changes (tables, admin port state,
+        neighbor usability, gray-link depreference) and never falls."""
+        return self.topo.world.sim.forwarding_version
 
     def ready(self) -> bool:
         """Cold-start convergence predicate: the sessions are up and

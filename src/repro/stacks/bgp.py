@@ -68,11 +68,6 @@ class BgpDeployment(Deployment):
         """name -> object with .change_count / .last_change_time."""
         return {name: stack.table for name, stack in self.stacks.items()}
 
-    def table_generation(self) -> int:
-        """The FIBs (a crashed bgpd leaves the FIB forwarding headless,
-        so session state itself is not an input)."""
-        return sum(stack.table.change_count for stack in self.stacks.values())
-
     def update_categories(self) -> tuple[str, ...]:
         return ("bgp.update.tx",)
 

@@ -65,13 +65,6 @@ class MtpDeployment(Deployment):
     def forwarding_tables(self) -> dict[str, object]:
         return {name: mtp.table for name, mtp in self.mtp_nodes.items()}
 
-    def table_generation(self) -> int:
-        """VID tables plus neighbor usability (``fib_gen``): graceful
-        restart changes forwarding behavior without a table write, so
-        table change-counts alone under-sample."""
-        return sum(mtp.table.change_count + mtp.fib_gen
-                   for mtp in self.mtp_nodes.values())
-
     def update_categories(self) -> tuple[str, ...]:
         return ("mtp.update.tx",)
 

@@ -11,7 +11,8 @@ and per-flow bytes are settled epoch by epoch.
 **Epochs.** Simulated time is partitioned at route-change boundaries:
 the compiler marks an epoch right after every scheduled fault action,
 and a periodic sampler (``spec.epoch_ms``) marks one whenever the
-forwarding tables changed since the last capture — so a fault's
+world's forwarding version moved since the last capture (a table, a
+port, a neighbor or a gray-link depreference changed) — so a fault's
 pre-detection blackhole and the post-convergence reroute both reshape
 the allocation mid-run.  Within an epoch, paths and rates are constant;
 a flow delivers ``rate x overlap x survival`` bytes, where survival is
@@ -275,7 +276,7 @@ class FluidWorkload:
         self._problem: Optional[FluidProblem] = None
         self._blackholed_now = np.zeros(n, dtype=bool)
         self._surv: Optional[np.ndarray] = None
-        self._table_marks: Optional[int] = None
+        self._captured_version: Optional[int] = None
         # ECMP digest cache, see _digests_at: per walk depth a
         # (salt tag, digest) slot per flow; tag 0 is "empty"
         self._salt_tags: dict[int, int] = {}
@@ -545,7 +546,7 @@ class FluidWorkload:
             self._surv = np.ones(len(self.flows))
         self._surv[self._blackholed_now] = 0.0
 
-        self._table_marks = self._forwarding_marks()
+        self._captured_version = self.deployment.route_generation()
         if self.monitor is not None:
             # every forwarding-state capture is an invariant-check
             # instant: the monitor sees exactly the states flows ride
@@ -556,15 +557,6 @@ class FluidWorkload:
         """The max-min problem of the latest forwarding-state capture
         (``None`` before :meth:`start`); read-only for callers."""
         return self._problem
-
-    def _forwarding_marks(self) -> int:
-        """Current forwarding-state version: the deployment's
-        ``route_generation`` (which also counts liveness transitions —
-        graceful restart changes forwarding without a table write)."""
-        return self.deployment.route_generation()
-
-    def _tables_changed(self) -> bool:
-        return self._forwarding_marks() != self._table_marks
 
     # ------------------------------------------------------------------
     # epoch lifecycle
@@ -596,7 +588,7 @@ class FluidWorkload:
     def _sample(self) -> None:
         if self._finished:
             return
-        if self._tables_changed():
+        if self.deployment.route_generation() != self._captured_version:
             self.mark_epoch()
         self.sim.schedule_after(self.spec.epoch_ms * MILLISECOND,
                                 self._sample)

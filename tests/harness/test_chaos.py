@@ -4,8 +4,11 @@ replay."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
 from repro.harness.executor import (
@@ -116,6 +119,18 @@ def test_threshold_and_violation_analysis():
     text = "\n".join(CHAOS.head(results, Tally([], "", 0.0)))
     assert "false-positive threshold at loss >= 0.05" in text
     assert "bgp-bfd: no false positives" not in text  # violation row kills it
+
+
+def test_a_depreferenced_gray_link_opens_a_fluid_epoch(capsys):
+    """Under load, BFD's monitor depreferences the 10% lossy link and
+    the data plane leaves it; the fluid flows leave it in a fourth
+    epoch rather than riding it for the rest of the window."""
+    assert main(["chaos", "--stack", "bgp-bfd-damped", "--rate", "0.1",
+                 "--workload", "permutation", "-W", "flows=2000",
+                 "--pods", "2", "--count", "0", "--window-ms", "2000",
+                 "--json", "--no-cache"]) == 0
+    [point] = json.loads(capsys.readouterr().out)["points"]
+    assert point["workload"]["epochs"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ def test_topo(capsys):
 
 
 def test_topo_with_zones(capsys):
-    out = run_cli(capsys, "topo", "--pods", "2", "--zones", "2")
+    out = run_cli(capsys, "topo", "--pods", "2", "-T", "zones=2")
     assert "2 zone(s)" in out
 
 

@@ -223,7 +223,8 @@ def observe(fab: Fabric) -> dict:
     records, fab.traced = world.trace.records[fab.traced:], \
         len(world.trace.records)
     seen = {
-        "now": world.sim.now, "metrics": fab.metrics,
+        "now": world.sim.now, "version": world.sim.forwarding_version,
+        "metrics": fab.metrics,
         "bursts": [dataclasses.asdict(a.report(s)) for s, a in fab.bursts],
         "epochs": fab.workload and list(map(astuple,
                                             fab.workload.epoch_records)),
@@ -245,8 +246,7 @@ def observe(fab: Fabric) -> dict:
         "ip": {name: (astuple(stack.counters), stack.table.render())
                for name, stack in _ip_stacks(deployment).items()},
         "mtp": {name: (astuple(node.counters), node.crashed,
-                       node.table.render(), node.fib_gen)
-                for name, node in mtp.items()},
+                       node.table.render()) for name, node in mtp.items()},
         "bgp": {name: (s.crashed, s.summary(), sorted(
                     (str(ip), p.state.value, p.sessions_established)
                     for ip, p in s.peers.items())) for name, s in speakers.items()},
@@ -605,9 +605,9 @@ PROGRAMS = {
     # re-sends the JOINs it pruned
     "parent-flap-shorter-than-dead-timer": Program("clos-2", 0, (
         _faults(("flap", (False, 0), 9, 0)),)),
-    # S-1-1 (router 4) restarts its agent while down, so its neighbours
-    # keep their tiers; L-1-1 (router 0) cold-boots after S-1-1's last
-    # full hello.  S-1-1 accepts L-1-1 on its first hello and must answer
+    # S-1-1 (router 4) powers off (restarting its agent while dark is a
+    # no-op); L-1-1 (router 0) is power-cycled after S-1-1's last full
+    # hello.  S-1-1 accepts L-1-1 on its first hello and must answer
     # with a full hello: keepalives do not carry the tier
     "peer-accepted-on-first-sight": Program("clos-2", 0, (
         _faults(("node_down", (False, 0), 4, 0),
@@ -621,6 +621,15 @@ PROGRAMS = {
     "descending-packet-turned-back-up": Program("vl2", 0, (
         _faults(("agent_crash", (False, 1), 0, 0)),
         _run(100, 219))),
+    # S-2-2:eth2 (port 29) flaps, spine S-1-2 (router 9) powers off and
+    # its agent is restarted gracefully while dark, 0.5 s before the
+    # teardown powers it on: the restart is a no-op and the power-on
+    # cold-boots it (had it come up warm, MR-MTP would never converge)
+    "agent-restart-while-powered-off": Program("clos-4", 1, (
+        _faults(("flap", (True, 100 * MILLISECOND), 29, 178)),
+        _faults(("node_down", (True, 249_994), 9, 0)),
+        _run(400),
+        _faults(("agent_restart", (False, 1_000_000), 9, 1)))),
     "graceful-restart-under-load-clos": _restart_under_load("clos-2", 4, 1),
     "graceful-restart-under-load-vl2": _restart_under_load("vl2", 0, 1),
     "cold-restart-under-load-dcell": _restart_under_load("dcell", 0, 2),
@@ -674,6 +683,7 @@ def test_the_programs_cover_the_machine():
 FOUND = [("mtp", "parent-flap-shorter-than-dead-timer"),
          ("mtp", "peer-accepted-on-first-sight"),
          ("mtp", "descending-packet-turned-back-up"),
+         ("mtp", "agent-restart-while-powered-off"),
          ("mtp-gr", "graceful-restart-under-load-clos"),
          ("bgp-gr", "graceful-restart-under-load-vl2"),
          ("bgp", "cold-restart-under-load-dcell")]

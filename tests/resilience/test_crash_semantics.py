@@ -104,6 +104,23 @@ def test_restarting_a_healthy_agent_is_a_traced_noop(mtp_fabric):
         "restart no-op"]
 
 
+def test_restarting_the_agent_of_a_powered_off_router_is_a_traced_noop(
+        mtp_fabric):
+    """The power-on cold-boots it; a restart while dark would skip that."""
+    world, _, deployment = mtp_fabric
+    agent = deployment.mtp_nodes[AGG]
+    injector = FailureInjector(world, deployment)
+    injector.fail_node(AGG)
+    before = list(injector.events)
+    injector.restart_agent(AGG, cold=False)
+    assert agent.crashed and injector.events == before
+    assert [r.message for r in records(world, "fail.agent", AGG)] == [
+        "restart no-op"]
+    injector.restore_node(AGG)
+    assert not agent.crashed
+    assert agent.table.entries() == []  # cold-booted with the power
+
+
 def test_node_noops_trace_without_touching_ports(mtp_fabric):
     world, topo, deployment = mtp_fabric
     injector = FailureInjector(world, deployment)

@@ -83,6 +83,19 @@ def test_no_hardcoded_stack_name_dispatch():
     assert not offenders, "\n".join(offenders)
 
 
+def test_the_forwarding_version_has_one_writer():
+    """The world's forwarding version lives on the ``Simulator`` and only
+    ``note_forwarding_change`` writes it: no family sums a generation of
+    its own, and no agent keeps a ``fib_gen`` beside it."""
+    owner = SRC / "sim" / "engine.py"
+    offenders = [
+        m for path in sorted(SRC.rglob("*.py")) if path != owner
+        for m in _matches(r"\bdef\s+table_generation\b"
+                          r"|\bfib_gen\s*[-+]?=(?!=)"
+                          r"|\bforwarding_version\s*[-+]?=(?!=)", path)]
+    assert not offenders, "\n".join(offenders)
+
+
 def test_readiness_is_defined_once():
     """``Deployment.ready`` is the one readiness predicate: a family
     says whether its sessions are up (``sessions_up``), never what
