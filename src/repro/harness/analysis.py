@@ -15,7 +15,9 @@ from typing import Iterable, Optional, Sequence
 
 from repro.stacks import StackTimers, resolve_spec
 from repro.scenario.compiler import ScenarioMetrics
-from repro.scenario.runner import run_failure_experiment
+from repro.harness.executor import run_tasks
+from repro.scenario.library import TC_SEEDS
+from repro.scenario.runner import SCENARIO_RUN
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,9 @@ def failure_study(
 ) -> FailureStudy:
     """Run the failure experiment once per seed and aggregate."""
     spec = resolve_spec(stack, timers)
-    runs = [
-        run_failure_experiment(params, spec, case, seed=seed)
-        for seed in seeds
-    ]
+    runs = [o.metrics for o in run_tasks(
+        SCENARIO_RUN, TC_SEEDS.expand(params, [spec], list(seeds),
+                                      case=(case,)))]
     return FailureStudy(
         stack=spec.name,
         case=case,

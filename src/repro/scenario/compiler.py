@@ -8,21 +8,27 @@ Compilation happens in two steps against an already-converged fabric:
    :class:`~repro.harness.failures.UnknownTargetError`;
 2. **execute** — the fabric idles through the settle phase, the update
    monitor arms and forwarding tables are snapshotted (the measurement
-   start, ``t = 0`` for event offsets), fault events are driven through
-   :class:`~repro.harness.failures.FailureInjector` and traffic bursts
-   through :mod:`repro.traffic`, and the run stops by the scenario's
+   start, ``t = 0`` for event offsets), fault events are played by
+   :meth:`~repro.harness.failures.FailureInjector.inject` and traffic
+   bursts through :mod:`repro.traffic`, and the run stops by the scenario's
    rule: under the paper's update-quiesce rule once at least the event
    horizon plus the stack's detection bound has played out, or, when
    the scenario sets ``window_ms``, exactly that long after the horizon.
 
-Three ops exist for fixed-window programs.  ``reachability`` judges
+A fault event is a row of :data:`~repro.harness.failures.FAULT_OPS`,
+and everything fault-specific is read off it: the resolver method for
+its target, the extra arguments the event carries, and whether it opens
+an outage (the first one starts the detection time).  Any fault may
+change forwarding or link quality, so a loaded run re-solves its rates
+right after each.
+
+Two ops exist for fixed-window programs.  ``reachability`` judges
 every rack pair over every ECMP choice
 (:func:`~repro.harness.oracle.check_all_pairs`) at its instant and adds
 ``pairs_checked``/``unreachable`` to the metrics.  A ``traffic_burst``
 with ``via`` picks its source port when it starts: the first of
 40000–40255 whose path crosses that link, else 40000; the first via
-burst's crossing port is the metrics' ``via_port``.  ``isolate`` downs
-every interface of a node and leaves its agent alive.  A ``measure``
+burst's crossing port is the metrics' ``via_port``.  A ``measure``
 checkpoint freezes the monitor's update counters and the liveness fold
 (detections, false positives, flaps, suppressions and their time, MTTR,
 availability) at its instant.
@@ -47,7 +53,7 @@ from repro.sim.units import MILLISECOND, SECOND
 from repro.net.world import World
 from repro.topology import Topology
 from repro.harness.convergence import ConvergenceMonitor
-from repro.harness.failures import FailureInjector
+from repro.harness.failures import FAULT_OPS, FailureInjector
 from repro.harness.oracle import check_all_pairs
 from repro.harness.pathtrace import find_crossing_flow
 from repro.harness.metrics import (
@@ -57,18 +63,10 @@ from repro.harness.metrics import (
     snapshot_table_change_counts,
 )
 from repro.resilience.invariants import InvariantMonitor
-from repro.scenario.model import DOWN_OPS, Scenario, ScenarioError
+from repro.scenario.model import Scenario, ScenarioError
 from repro.scenario.targets import TargetResolver
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
 from repro.workload.engine import FluidWorkload
-
-# every op whose execution can change forwarding state or link quality:
-# a scheduled workload re-solves its rate allocation right after each
-# (1 us later, so the injector has already run within the same tick)
-ROUTE_CHANGE_OPS = ("iface_down", "iface_up", "link_cut", "link_restore",
-                    "node_crash", "node_restart", "agent_crash",
-                    "agent_restart", "isolate", "flap_train", "impair",
-                    "clear_impairment")
 
 # default flow selector for the first traffic burst; later bursts step
 # by one so concurrent flows stay distinguishable at the receiver
@@ -196,18 +194,12 @@ class CompiledScenario:
     # ------------------------------------------------------------------
     def _resolve(self, event, resolver: TargetResolver, index: int):
         at_us = event.at_ms * MILLISECOND
-        if event.op in ("iface_down", "iface_up"):
-            return (event.op, at_us, resolver.interface(event.target))
-        if event.op in ("link_cut", "link_restore"):
-            return (event.op, at_us, resolver.link(event.target))
-        if event.op in ("node_crash", "node_restart",
-                        "agent_crash", "agent_restart", "isolate"):
-            return (event.op, at_us, resolver.node(event.target))
-        if event.op == "flap_train":
-            up_ms = event.up_ms if event.up_ms is not None else event.down_ms
-            return (event.op, at_us, resolver.interface(event.target),
-                    event.down_ms * MILLISECOND, up_ms * MILLISECOND,
-                    event.count)
+        row = FAULT_OPS.get(event.op)
+        if row is not None:
+            target = getattr(resolver, row.target)(event.target)
+            if isinstance(target, str):  # a node
+                target = (target,)
+            return (event.op, at_us, (*target, *row.extras(event)))
         if event.op == "traffic_burst":
             src = resolver.endpoint(event.src)
             dst = resolver.endpoint(event.dst)
@@ -219,15 +211,6 @@ class CompiledScenario:
                         else BASE_TRAFFIC_SRC_PORT + index)
             return (event.op, at_us, src, dst, event.rate_pps, event.count,
                     src_port, via)
-        if event.op == "impair":
-            return (event.op, at_us, resolver.interface(event.target),
-                    event.impairment_profile(),
-                    event.direction if event.direction is not None
-                    else "both")
-        if event.op == "clear_impairment":
-            return (event.op, at_us, resolver.interface(event.target),
-                    event.direction if event.direction is not None
-                    else "both")
         if event.op == "workload":
             return (event.op, at_us, event.workload_spec())
         if event.op in ("pause", "reachability"):
@@ -262,8 +245,8 @@ class CompiledScenario:
         first_fault_us: Optional[int] = None
         for action in self.actions:
             op, at_us = action[0], action[1]
-            if op in DOWN_OPS and (first_fault_us is None
-                                   or at_us < first_fault_us):
+            if op in FAULT_OPS and FAULT_OPS[op].outage and (
+                    first_fault_us is None or at_us < first_fault_us):
                 first_fault_us = at_us
             self._dispatch(action, injector, monitor, start)
         if self.engines:
@@ -272,7 +255,7 @@ class CompiledScenario:
             # tick); the engine's own sampler covers reconvergence
             engine = self.engines[0]
             for action in self.actions:
-                if action[0] in ROUTE_CHANGE_OPS:
+                if action[0] in FAULT_OPS:
                     world.sim.schedule_at(start + action[1] + 1,
                                           engine.mark_epoch)
         elif self._inv_monitor is not None:
@@ -282,7 +265,7 @@ class CompiledScenario:
             # liveness timers have fired and reconvergence has played
             bound = deployment.detection_bound_us()
             for action in self.actions:
-                if action[0] in ROUTE_CHANGE_OPS:
+                if action[0] in FAULT_OPS:
                     for delay in (1, bound + 1, 2 * bound + 1):
                         world.sim.schedule_at(start + action[1] + delay,
                                               self._inv_monitor.check)
@@ -371,38 +354,9 @@ class CompiledScenario:
     def _dispatch(self, action, injector: FailureInjector,
                   monitor: ConvergenceMonitor, start: int) -> None:
         op, at_us = action[0], action[1]
-        when = None if at_us == 0 else start + at_us
-        if op in ("iface_down", "iface_up"):
-            node, iface = action[2]
-            call = (injector.fail_interface if op == "iface_down"
-                    else injector.restore_interface)
-            call(node, iface, at=when)
-        elif op in ("link_cut", "link_restore"):
-            node_a, node_b = action[2]
-            call = (injector.cut_link if op == "link_cut"
-                    else injector.restore_link)
-            call(node_a, node_b, at=when)
-        elif op in ("node_crash", "node_restart"):
-            call = (injector.fail_node if op == "node_crash"
-                    else injector.restore_node)
-            call(action[2], at=when)
-        elif op == "isolate":
-            injector.fail_node(action[2], at=when, crash_agent=False)
-        elif op in ("agent_crash", "agent_restart"):
-            call = (injector.crash_agent if op == "agent_crash"
-                    else injector.restart_agent)
-            call(action[2], at=when)
-        elif op == "impair":
-            (_, _, (node, iface), profile, direction) = action
-            injector.impair_link(node, iface, profile, direction, at=when)
-        elif op == "clear_impairment":
-            (_, _, (node, iface), direction) = action
-            injector.clear_impairment(node, iface, direction, at=when)
-        elif op == "flap_train":
-            (_, _, (node, iface), down_us, up_us, count) = action
-            injector.flap_interface(node, iface, period_us=down_us,
-                                    count=count, start_at=start + at_us,
-                                    up_period_us=up_us)
+        if op in FAULT_OPS:
+            injector.inject(op, *action[2],
+                            at=None if at_us == 0 else start + at_us)
         elif op == "traffic_burst":
             self._dispatch_burst(action, start)
         elif op == "workload":

@@ -1,9 +1,10 @@
 """Scenario data model: fault/traffic experiments as data.
 
 A :class:`Scenario` is an ordered list of timestamped, validated
-:class:`ScenarioEvent` records — interface/link/node faults, flap
-trains, traffic bursts, and pause/measure markers — plus the settle and
-measurement policy around them.  Timestamps (``at_ms``) are offsets from
+:class:`ScenarioEvent` records — the fault ops of
+:data:`~repro.harness.failures.FAULT_OPS`, traffic bursts, and
+pause/measure markers — plus the settle and measurement policy around
+them.  Timestamps (``at_ms``) are offsets from
 the *measurement start*: the instant after the converged fabric has
 idled through its settle phase, when the update monitor arms and the
 table snapshot is taken.
@@ -14,12 +15,11 @@ sets ``window_ms`` instead stops exactly that long after its horizon —
 no quiesce, no implicit detection-bound wait — which is the fixed window
 of the robustness sweep, the chaos grid and ``repro load``.
 
-Beyond faults and traffic, three ops serve those fixed-window programs:
+Beyond faults and traffic, two ops serve those fixed-window programs:
 ``reachability`` judges every rack pair over every ECMP choice at
-its instant (the sweep's all-pairs check); a ``traffic_burst`` with
+its instant (the sweep's all-pairs check), and a ``traffic_burst`` with
 ``via: <link target>`` picks, when it starts, the first source port
-whose path crosses that link; and ``isolate`` downs every interface of a node
-while its agent stays alive.
+whose path crosses that link.
 
 Scenarios are pure data: symbolic targets (``"tor[0].uplink[1]"``,
 ``"any-spine"``, ``"case:TC1"`` — see :mod:`repro.scenario.targets`)
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 from repro.harness.digest import canonical_json
+from repro.harness.failures import FAULT_OPS
 from repro.net.impairment import DIRECTIONS, resolve_profile
 from repro.workload.spec import WorkloadError, resolve_workload
 
@@ -57,37 +58,18 @@ class ScenarioError(ValueError):
     """A structurally invalid scenario (unknown op, bad field, bad order)."""
 
 
-# op -> (required fields, optional fields) beyond the common op/at_ms
+# op -> (required fields, optional fields) beyond the common op/at_ms;
+# a fault op's come from its FAULT_OPS row
 _EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "iface_down": (("target",), ()),
-    "iface_up": (("target",), ()),
-    "link_cut": (("target",), ()),
-    "link_restore": (("target",), ()),
-    "node_crash": (("target",), ()),
-    "node_restart": (("target",), ()),
-    "agent_crash": (("target",), ()),
-    "agent_restart": (("target",), ()),
-    "isolate": (("target",), ()),
-    "flap_train": (("target", "count", "down_ms"), ("up_ms",)),
+    **{op: (("target", *row.fields[0]), row.fields[1])
+       for op, row in FAULT_OPS.items()},
     "traffic_burst": (("src", "dst", "rate_pps", "count"),
                       ("src_port", "via")),
     "pause": (("duration_ms",), ()),
     "measure": (("label",), ()),
     "reachability": ((), ()),
-    "impair": (("target",),
-               ("profile", "direction", "loss", "corrupt", "duplicate",
-                "jitter_us", "ge_p", "ge_r", "ge_loss_bad")),
-    "clear_impairment": (("target",), ("direction",)),
     "workload": (("workload",), ()),
 }
-
-# events that begin an outage (used for the detection-time metric).
-# impair is deliberately NOT here: an impaired link is degraded, not
-# down, so any down-declaration it provokes is a false positive.
-# agent_crash IS here: the silent control plane is a real outage that
-# peers must detect through their own liveness machinery.
-DOWN_OPS = ("iface_down", "link_cut", "node_crash", "agent_crash",
-            "isolate", "flap_train")
 
 
 @dataclass(frozen=True)
@@ -161,14 +143,14 @@ class ScenarioEvent:
             raise ScenarioError(
                 f"{self.op}: direction must be one of "
                 f"{', '.join(DIRECTIONS)}, got {self.direction!r}")
-        if self.op == "impair":
-            # validate the preset/field combination up front, before any
-            # simulation time is spent (unknown preset, out-of-range
-            # probability, or an all-default no-op all fail here)
+        if self.op in FAULT_OPS:
+            # build the op's arguments up front, before any simulation
+            # time is spent: an impairment's unknown preset, out-of-range
+            # probability or all-default no-op fails here
             try:
-                self.impairment_profile()
+                FAULT_OPS[self.op].extras(self)
             except ValueError as exc:
-                raise ScenarioError(f"impair: {exc}") from None
+                raise ScenarioError(f"{self.op}: {exc}") from None
         if self.op == "workload":
             # validate and normalize eagerly: the stored form is always
             # the full resolved spec payload, so a preset name and its
@@ -196,7 +178,7 @@ class ScenarioEvent:
     def duration_ms_total(self) -> int:
         """How long past ``at_ms`` this event keeps the fabric busy —
         the measurement horizon must cover every event's tail."""
-        if self.op == "flap_train":
+        if self.down_ms is not None:  # a flap train
             up = self.up_ms if self.up_ms is not None else self.down_ms
             return self.count * (self.down_ms + up)
         if self.op == "traffic_burst":

@@ -79,9 +79,9 @@ def test_cut_unknown_link_raises(pair):
     world, _ = pair
     world.add_node("C", tier=1)
     injector = FailureInjector(world)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownTargetError, match="no link between A and C"):
         injector.cut_link("A", "C")
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownTargetError, match="no link between A and C"):
         injector.restore_link("A", "C")
 
 

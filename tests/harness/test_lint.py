@@ -28,6 +28,10 @@ world: ``src/`` imports neither ``multiprocessing`` nor
 ``concurrent.futures``, whose workers would converge or unpickle worlds
 of their own.
 
+And the fault ops are named once, in ``harness/failures.py``'s
+``FAULT_OPS``: another module that lists them, or branches on one, is a
+vocabulary of its own that the next op will not reach.
+
 And ``tests/conftest.py`` alone registers Hypothesis profiles; a
 property elsewhere never sets what a profile decides (deadline, example
 database, derandomization, health checks).
@@ -37,6 +41,8 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from repro.harness.failures import FAULT_OPS
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 TESTS = Path(__file__).resolve().parents[1]
@@ -261,6 +267,60 @@ def test_src_imports_no_process_pool():
     assert not offenders, (
         "campaigns fork from the converged world (harness.executor); "
         + ", ".join(offenders))
+
+
+# ----------------------------------------------------------------------
+# one fault vocabulary
+# ----------------------------------------------------------------------
+# the table, and the library's scenarios, which are data
+FAULT_NAMERS = {"harness/failures.py", "scenario/library.py"}
+
+
+def fault_op_spellings(path: Path) -> list[int]:
+    """Lines of ``path`` with a literal tuple, list, set or dict that
+    holds a fault op name, or a comparison or ``case`` against one."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        elif isinstance(node, ast.Dict):
+            items = node.keys
+        elif isinstance(node, ast.Compare):
+            items = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            items = [node.value]
+        else:
+            continue
+        if any(isinstance(item, ast.Constant) and item.value in FAULT_OPS
+               for item in items):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_fault_op_lint_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "A = ('iface_down', 'link_cut')\n"
+        "B = {'isolate': 1}\n"
+        "c = op == 'impair'\n"
+        "d = op in ['node_crash']\n"
+        "e = {'flap_train'}\n"
+        "f = FAULT_OPS['iface_up'].outage  # a row, read from the table\n"
+        "g = op in FAULT_OPS or op in ('pause', 'measure')\n"
+        "match op:\n"
+        "    case 'agent_crash':\n"
+        "        pass\n")
+    assert fault_op_spellings(probe) == [1, 2, 3, 4, 5, 9]
+
+
+def test_fault_ops_are_named_once():
+    offenders = [f"src/repro/{path.relative_to(SRC).as_posix()}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if path.relative_to(SRC).as_posix() not in FAULT_NAMERS
+                 for line in fault_op_spellings(path)]
+    assert not offenders, (
+        "fault ops are rows of harness.failures.FAULT_OPS; a list of "
+        "them or a branch on one elsewhere: " + ", ".join(offenders))
 
 
 # ----------------------------------------------------------------------

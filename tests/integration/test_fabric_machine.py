@@ -3,7 +3,7 @@
 Each example loads copies of two converged worlds, the default one and
 one tapped, no-op, on every interface before deploy (a tapped direction is
 never quiet, DESIGN "Steady-state frame path"); it applies every rule to both
-at once: the ``FailureInjector`` vocabulary, one-way loss included,
+at once: every row of the fault table (``FAULT_OPS``), one-way loss included,
 captures, bursts, a live ``FluidWorkload`` with the ``InvariantMonitor``,
 the probe scenario, time, a pickle round-trip, a step run in a forked
 child.  After every step the two worlds, and a forked child and its
@@ -11,8 +11,9 @@ parent, agree on every metric, counter, table, protocol state, timer
 deadline, event count and the trace; warm fluid resolve equals cold,
 epochs conserve bytes, per-packet ECMP picks what the fluid digests
 pick, BFD flyweights match their inputs, MR-MTP never loops.  Teardown
-restores everything: quiet again, the fabric is ready, agrees with the
-oracle and has no loop.
+undoes each fault through its inverse row, which must restore
+everything: quiet again, the fabric is ready, agrees with the oracle and
+has no loop.
 
 Tier-1 plays the named examples of ``PROGRAMS``; the random search over
 the same rules runs under ``--hypothesis-profile soak``."""
@@ -41,7 +42,7 @@ from repro.bfd.session import SLOW_TX_INTERVAL_US, BfdSession
 from repro.bgp.config import BgpTimers
 from repro.harness.convergence import converge_from_cold
 from repro.harness.fork import OK, fork_task, wait_any
-from repro.harness.failures import FailureInjector
+from repro.harness.failures import FAULT_OPS, FailureInjector
 from repro.harness.oracle import pair_verdicts
 from repro.net.capture import Capture
 from repro.net.impairment import ImpairmentProfile
@@ -68,20 +69,27 @@ BGP_TIMERS = StackTimers(bgp=BgpTimers(keepalive_us=200 * MILLISECOND,
                                        hold_us=600 * MILLISECOND))
 PROBE_PORT = 7700  # the first burst's; the probe scenario's own uses 7777
 
-# the injector's calls, by what they target
-PORT_OPS = {"iface_down": "fail_interface", "iface_up": "restore_interface",
-            "clear": "clear_impairment"}
-LINK_OPS = {"link_cut": "cut_link", "link_restore": "restore_link"}
-ROUTER_OPS = {"node_down": "fail_node", "node_up": "restore_node",
-              "agent_crash": "crash_agent"}
-OPS = (*PORT_OPS, *LINK_OPS, *ROUTER_OPS, "agent_restart", "impair", "flap",
-       "capture")
+# every fault op, and a capture: the one wake that is not a fault
+OPS = (*FAULT_OPS, "capture")
 # ``arg`` picks profile and direction together: loss 1.0 sent one way
 # (``tx``) is the paper's one-sided failure with carrier kept at both ends
 PROFILES = (ImpairmentProfile(loss=0.3), ImpairmentProfile(loss=1.0),
             ImpairmentProfile(duplicate=0.5, jitter_us=40),
             ImpairmentProfile(corrupt=0.5, jitter_us=70_000))
 DIRECTIONS = ("tx", "rx", "both")
+# a fault's target, by the row's target kind, from the port and the
+# router ``target`` indexes; and the extra arguments ``arg`` picks
+TARGETS = {"interface": lambda port, router: (port.node.name, port.name),
+           "link": lambda port, router: (port.node.name,
+                                         port.peer().node.name),
+           "node": lambda port, router: (router,)}
+EXTRAS = {"agent_restart": lambda arg: ((None, False, True)[arg % 3],),
+          "flap_train": lambda arg: (1 + arg, 2),
+          "impair": lambda arg: (DIRECTIONS[arg % 3], PROFILES[arg % 4])}
+
+
+def extras(op: str, arg: int) -> tuple:
+    return EXTRAS[op](arg) if op in EXTRAS else ()
 
 # any microsecond from now — or one a quiet link has an event of its own
 # on: hellos tick on multiples of 50 ms, arrive 6 us later, and a packet
@@ -144,6 +152,17 @@ def disagreements(deployment, topo) -> list:
             if verdict.delivers != verdict.connected]
 
 
+def unrestored(world, deployment) -> list:
+    """Whatever a fault left behind: a port down, a link impaired, an
+    agent crashed."""
+    agents = {**getattr(deployment, "mtp_nodes", {}),
+              **getattr(deployment, "speakers", {})}
+    return ([i.full_name for i in world.all_interfaces() if not i.admin_up]
+            + [end.full_name for link in world.links
+               for end in (link.end_a, link.end_b) if link.impairment(end)]
+            + [name for name, agent in agents.items() if agent.crashed])
+
+
 @lru_cache(maxsize=None)
 def _oracle_verdicts(stack: str, fabric: str, world_seed: int) -> list:
     """The converged world's disagreements with the oracle, to which a
@@ -164,6 +183,7 @@ class Fabric:
     deployment: Any
     injector: FailureInjector
     monitor: InvariantMonitor
+    faults: list = field(default_factory=list)  # (op, target) injected
     captures: list = field(default_factory=list)
     bursts: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
@@ -317,36 +337,23 @@ class FabricMachine(RuleBasedStateMachine):
 
     @rule(faults=st.lists(FAULT, min_size=1, max_size=3))
     def inject(self, faults) -> None:
-        """Timed injector calls (and captures: the one wake that is not a
-        fault), each ``(op, (hello-aligned?, offset_us), target, arg)``."""
+        """Timed fault ops (and captures), each ``(op, (hello-aligned?,
+        offset_us), target, arg)``; each fault is kept for the teardown."""
         for fab in self.fabrics:
             world, topo, injector = fab.world, fab.topo, fab.injector
             ports, routers, now = fabric_ports(topo), topo.routers(), world.sim.now
             for op, (aligned, offset), target, arg in faults:
                 at = now + offset + (-now % HELLO_US if aligned else 0)
-                port = ports[target % len(ports)]
-                node, name = port.node.name, port.name
                 router = routers[target % len(routers)]
-                if op in PORT_OPS:
-                    getattr(injector, PORT_OPS[op])(node, name, at=at)
-                elif op in LINK_OPS:
-                    getattr(injector, LINK_OPS[op])(node, port.peer().node.name,
-                                                    at=at)
-                elif op in ROUTER_OPS:
-                    getattr(injector, ROUTER_OPS[op])(router, at=at)
-                elif op == "agent_restart":  # default, graceful or cold
-                    injector.restart_agent(router, at=at,
-                                           cold=(None, False, True)[arg % 3])
-                elif op == "impair":
-                    injector.impair_link(node, name, PROFILES[arg % 4],
-                                         DIRECTIONS[arg % 3], at=at)
-                elif op == "flap":
-                    injector.flap_interface(node, name, period_us=1 + arg,
-                                            count=2, start_at=at)
-                else:  # capture: tshark started on one router mid-run
+                if op == "capture":  # tshark started on one router mid-run
                     fab.captures.append(Capture())
                     world.sim.schedule_at(at, fab.captures[-1].attach_node,
                                           topo.node(router))
+                    continue
+                args = TARGETS[FAULT_OPS[op].target](
+                    ports[target % len(ports)], router)
+                injector.inject(op, *args, *extras(op, arg), at=at)
+                fab.faults.append((op, args))
 
     @rule(at=INSTANT, gap_us=st.sampled_from((1, 37, 1_000, 12_500)),
           count=st.integers(1, 60), endpoints=st.integers(0, 1_000))
@@ -477,25 +484,18 @@ class FabricMachine(RuleBasedStateMachine):
                     == int(digest) % (1 << 31), (salt, key)
 
     def teardown(self) -> None:
-        """Every scheduled fault lands; then everything is restored and
-        the control plane runs until quiet."""
+        """Every scheduled fault lands; then each is undone by its
+        inverse row, the last first, which leaves nothing down, impaired
+        or crashed, and the control plane runs until quiet."""
         if not self.fabrics:
             return
         self.run(1500 * MILLISECOND)
         self.agree()
         for fab in self.fabrics:
-            injector = fab.injector
-            for node in sorted(injector._down_nodes):
-                injector.restore_node(node)
-            for node in sorted(injector._crashed_agents):
-                injector.restart_agent(node)
-            for link in fab.world.links:
-                for end in (link.end_a, link.end_b):
-                    if link.impairment(end) is not None:
-                        injector.clear_impairment(end.node.name, end.name)
-            for iface in fab.world.all_interfaces():
-                if not iface.admin_up:
-                    injector.restore_interface(iface.node.name, iface.name)
+            for op, args in reversed(fab.faults):
+                if FAULT_OPS[op].inverse is not None:
+                    fab.injector.inject(FAULT_OPS[op].inverse, *args)
+            assert unrestored(fab.world, fab.deployment) == []
             converge_from_cold(fab.world, fab.deployment)
         self.agree()
         fab = self.fabrics[0]
@@ -561,9 +561,10 @@ def _restart_under_load(fabric, router, mode) -> Program:
 
 
 # Faults are ``(op, (hello-aligned?, offset_us), target, arg)`` as
-# ``FabricMachine.inject`` reads them: ``target`` indexes the fabric's
-# router-to-router ports and its routers, ``arg`` picks the restart mode
-# (``% 3``) or the impairment profile (``% 4``) and direction (``% 3``)
+# ``FabricMachine.inject`` reads them: ``op`` is a scenario op name,
+# ``target`` indexes the fabric's router-to-router ports and its routers,
+# ``arg`` picks the restart mode (``% 3``), the impairment profile
+# (``% 4``) and direction (``% 3``) or the flap windows (``1 + arg`` us)
 PROGRAMS = {
     # L-1-2:eth1 (port 2) stops sending on a hello tick under a uniform
     # load: S-1-1 hears nothing and L-1-2 still has carrier; a capture on
@@ -576,23 +577,26 @@ PROGRAMS = {
         ("burst", {"at": (True, 6), "gap_us": 1_000, "count": 40,
                    "endpoints": 3}),
         _run(400),
-        _faults(("clear", (False, 0), 2, 0)),
+        _faults(("clear_impairment", (False, 0), 2, 0)),
         ("fork_and_run", {"duration": 120 * MILLISECOND}),
         ("probe", {"case": 1, "invariants": True}),
         ("round_trip", {}))),
     # spine S-1-2 (router 9) powers off, S-2-1's agent dies as a hello
     # is delivered, the L-2-1--S-2-1 link (port 4) is cut, L-1-1:eth1
-    # goes down just after that delivery and S-1-1:eth3 (to T-1)
-    # duplicates and jitters both ways; all return, S-2-1's agent by a default restart,
-    # while L-3-1's agent crashes and cold-boots; then TC3, unmonitored
+    # goes down just after that delivery, S-1-1:eth3 (to T-1)
+    # duplicates and jitters both ways and top T-2 (router 17) is
+    # isolated, its agent alive; all but T-2 return, S-2-1's agent by a
+    # default restart, while L-3-1's agent crashes and cold-boots; then
+    # TC3, unmonitored; the teardown brings T-2 back
     "routers-and-ports-fail-and-return": Program("clos-4", 1, (
-        _faults(("node_down", (False, 5 * MILLISECOND), 9, 0),
+        _faults(("node_crash", (False, 5 * MILLISECOND), 9, 0),
                 ("agent_crash", (True, HELLO_US + 6), 10, 0),
                 ("link_cut", (False, 20 * MILLISECOND), 4, 0),
                 ("iface_down", (True, HELLO_US + 7), 0, 0),
-                ("impair", (False, 0), 18, 2)),
+                ("impair", (False, 0), 18, 2),
+                ("isolate", (False, 40 * MILLISECOND), 17, 0)),
         _run(150),
-        _faults(("node_up", (False, 0), 9, 0),
+        _faults(("node_restart", (False, 0), 9, 0),
                 ("agent_restart", (False, 10 * MILLISECOND), 10, 0),
                 ("link_restore", (False, 30 * MILLISECOND), 4, 0),
                 ("iface_up", (False, 0), 0, 0),
@@ -604,17 +608,17 @@ PROGRAMS = {
     # never missed a hello, never re-advertises; re-admitting it, S-1-1
     # re-sends the JOINs it pruned
     "parent-flap-shorter-than-dead-timer": Program("clos-2", 0, (
-        _faults(("flap", (False, 0), 9, 0)),)),
+        _faults(("flap_train", (False, 0), 9, 0)),)),
     # S-1-1 (router 4) powers off (restarting its agent while dark is a
     # no-op); L-1-1 (router 0) is power-cycled after S-1-1's last full
     # hello.  S-1-1 accepts L-1-1 on its first hello and must answer
     # with a full hello: keepalives do not carry the tier
     "peer-accepted-on-first-sight": Program("clos-2", 0, (
-        _faults(("node_down", (False, 0), 4, 0),
+        _faults(("node_crash", (False, 0), 4, 0),
                 ("agent_restart", (False, 100 * MILLISECOND), 4, 1),
-                ("node_down", (False, 150 * MILLISECOND), 0, 0),
-                ("node_up", (False, 300 * MILLISECOND), 4, 0),
-                ("node_up", (False, 420 * MILLISECOND + 17), 0, 0)),)),
+                ("node_crash", (False, 150 * MILLISECOND), 0, 0),
+                ("node_restart", (False, 300 * MILLISECOND), 4, 0),
+                ("node_restart", (False, 420 * MILLISECOND + 17), 0, 0)),)),
     # VL-1-1's agent dies (router 0): VA-1-1 prunes root 11 100 ms on,
     # while for 412 us more the spines still send its packets down to
     # it.  Sent back up they would loop between them: they are dropped
@@ -626,8 +630,8 @@ PROGRAMS = {
     # teardown powers it on: the restart is a no-op and the power-on
     # cold-boots it (had it come up warm, MR-MTP would never converge)
     "agent-restart-while-powered-off": Program("clos-4", 1, (
-        _faults(("flap", (True, 100 * MILLISECOND), 29, 178)),
-        _faults(("node_down", (True, 249_994), 9, 0)),
+        _faults(("flap_train", (True, 100 * MILLISECOND), 29, 178)),
+        _faults(("node_crash", (True, 249_994), 9, 0)),
         _run(400),
         _faults(("agent_restart", (False, 1_000_000), 9, 1)))),
     "graceful-restart-under-load-clos": _restart_under_load("clos-2", 4, 1),
@@ -670,7 +674,8 @@ def test_the_programs_cover_the_machine():
                 if name == "probe"} == {False, True}, stack
         faults = [fault for name, kwargs in steps if name == "inject"
                   for fault in kwargs["faults"]]
-        assert {op for op, *_ in faults} == set(OPS), stack
+        # every row of the fault table, isolate included, and a capture
+        assert {op for op, *_ in faults} == {*FAULT_OPS, "capture"}, stack
         assert {arg % 3 for op, _, _, arg in faults
                 if op == "agent_restart"} == {0, 1, 2}, stack
         assert any(op == "impair"
@@ -678,6 +683,29 @@ def test_the_programs_cover_the_machine():
                    and DIRECTIONS[arg % 3] == "tx"
                    for op, _, _, arg in faults), stack
         assert any(aligned for _, (aligned, _), *_ in faults), stack
+
+
+@pytest.mark.parametrize("stack", ("mtp", "bgp-bfd"))
+@pytest.mark.parametrize("op", [op for op, row in FAULT_OPS.items()
+                                if row.inverse is not None])
+def test_a_fault_then_its_inverse_leaves_the_converged_world(op, stack):
+    """Each fault op that has an inverse, held past the detection bound,
+    then undone: once converged again nothing is left down, impaired or
+    crashed, and every rack pair is judged as before the fault."""
+    fab, converged = (Fabric.load(stack, "clos-2", 0, False)
+                      for _ in range(2))
+    row = FAULT_OPS[op]
+    args = TARGETS[row.target](fabric_ports(fab.topo)[2],
+                               fab.topo.routers()[4])
+    # arg 100_001: a flap train's windows are 100 ms, an impairment
+    # loses every frame both ways
+    fab.injector.inject(op, *args, *extras(op, 100_001))
+    fab.world.run_for(fab.deployment.detection_bound_us())
+    fab.injector.inject(row.inverse, *args)
+    converge_from_cold(fab.world, fab.deployment)
+    assert unrestored(fab.world, fab.deployment) == []
+    assert pair_verdicts(fab.deployment, fab.topo) \
+        == pair_verdicts(converged.deployment, converged.topo)
 
 
 FOUND = [("mtp", "parent-flap-shorter-than-dead-timer"),

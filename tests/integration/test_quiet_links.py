@@ -37,8 +37,11 @@ def _run_until(machine, instant: int) -> None:
     machine.run(instant - machine.fabrics[0].world.sim.now)
 
 
-@pytest.mark.parametrize("op", ["iface_down", "agent_crash", "node_down",
-                                "impair", "capture"])
+# the ids keep the names these tests have always run under
+@pytest.mark.parametrize("op", ["iface_down", "agent_crash", "node_crash",
+                                "impair", "capture"],
+                         ids=["iface_down", "agent_crash", "node_down",
+                              "impair", "capture"])
 @pytest.mark.parametrize("offset_us", [0, 6, 50_000, 50_006, 100_006])
 @pytest.mark.parametrize("scheduled", [True, False])
 def test_a_fault_exactly_on_a_quiet_instant(op, offset_us, scheduled):

@@ -193,9 +193,9 @@ def test_impair_event_payload_roundtrip():
 def test_impair_is_not_a_down_op():
     """An impaired link is degraded, not down: detections it provokes
     count as false positives, and the detection-time metric ignores it."""
-    from repro.scenario.model import DOWN_OPS
-    assert "impair" not in DOWN_OPS
-    assert "clear_impairment" not in DOWN_OPS
+    from repro.harness.failures import FAULT_OPS
+    assert not FAULT_OPS["impair"].outage
+    assert not FAULT_OPS["clear_impairment"].outage
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +227,9 @@ def test_via_selects_the_flow_instead_of_src_port():
 
 
 def test_isolate_is_a_down_op_and_reachability_takes_no_fields():
-    from repro.scenario.model import DOWN_OPS
+    from repro.harness.failures import FAULT_OPS
 
-    assert "isolate" in DOWN_OPS
+    assert FAULT_OPS["isolate"].outage
     assert ScenarioEvent(op="reachability", at_ms=3).to_payload() == {
         "op": "reachability", "at_ms": 3}
     with pytest.raises(ScenarioError, match="not valid"):
