@@ -13,6 +13,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from repro.harness.report import render_table, save_result
 from repro.scenario import LOSS, SCENARIO_RUN
 
 RESULTS_DIR = Path(__file__).parent / "results"
+# the repo root, as ``python -m pytest`` has it: the outage-pair sweep is
+# the fabric machine's (``tests.integration.test_fabric_machine``)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 # The paper's three stacks and four failure points.
 ALL_CASES = ("TC1", "TC2", "TC3", "TC4")

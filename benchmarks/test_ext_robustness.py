@@ -6,18 +6,21 @@ rack pair.  A folded-Clos keeps physical connectivity under any single
 interface failure, so the sweep must find zero blackholes for every
 registered stack — the three paper stacks plus the registry-only
 variants (per-packet spray, single-path BGP) — and it reports how much
-reconvergence "budget" each stack needs for that to hold.
+reconvergence "budget" each stack needs for that to hold.  The members
+of an interface orbit (``fault_orbits``) must get one verdict.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.topology import build_topology
 from repro.topology.clos import two_pod_params
 from repro.stacks import get_stack
 from repro.harness.executor import run_tasks
 from repro.scenario import SCENARIO_RUN, SWEEP
 from repro.scenario.family import Tally
+from repro.scenario.targets import fault_orbits
 
 from conftest import emit
 
@@ -42,3 +45,7 @@ def test_ext_robustness_sweep(benchmark, results_dir, stack, jobs):
          note=summary)
     assert blackholes == 0, summary
     assert len(results) == 32
+    verdicts = {(r["point"].node, r["point"].interface):
+                (len(r["unreachable"]), r["pairs_checked"]) for r in results}
+    for orbit in fault_orbits(build_topology(two_pod_params()), "interface"):
+        assert len({verdicts[target] for target in orbit}) == 1, orbit

@@ -18,7 +18,7 @@ and sets the oracle's answer beside it for every ordered rack pair:
 * **connected** — the oracle's verdict.
 
 The ``reachability`` op (:func:`check_all_pairs`), the invariant
-monitor and the tests filter that one result.
+monitor and the tests (:func:`disagreements`) filter that one result.
 """
 
 from __future__ import annotations
@@ -132,6 +132,12 @@ def check_all_pairs(deployment, topo: Topology
     return len(verdicts), [(src, dst, "loop" if verdict.loops else "drop")
                            for (src, dst), verdict in verdicts.items()
                            if not verdict.delivers]
+
+
+def disagreements(deployment, topo: Topology) -> list[tuple[str, str]]:
+    """The rack pairs whose exact verdict differs from the oracle's."""
+    return [pair for pair, verdict in pair_verdicts(deployment, topo).items()
+            if verdict.delivers != verdict.connected]
 
 
 def _walk(deployment, dst: str, tors: list[str]):

@@ -36,7 +36,7 @@ Three campaigns also read concrete targets off a built fabric:
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from repro.harness.failures import UnknownTargetError
@@ -210,6 +210,59 @@ def fabric_failure_points(topo: Topology) -> list[FailurePoint]:
                 continue
             points.append(FailurePoint(name, iface.name, peer.node.name))
     return points
+
+
+def fault_orbits(topo: Topology, kind: str, fixed=()) -> list[list[tuple]]:
+    """The targets of fault-target kind ``kind`` (a ``FaultOp.target``)
+    in classes up to the fabric's symmetry.  A target is what
+    ``FailureInjector.inject(op, *target)`` takes: ``(node, iface)``,
+    ``(a, b)`` or ``(node,)``.  Colour refinement over
+    :func:`alive_fabric_graph` from the tiers, each ``(kind, target)``
+    of ``fixed`` individualised: a class is a union of orbits (on Clos,
+    TC1-TC4 are the four interface classes).  Colours rank sorted
+    signatures, so the class order is symmetric too: with ``fixed``
+    moved by a symmetry, the i-th class moves onto the i-th."""
+    graph = alive_fabric_graph(topo)
+    ends: dict = {"interface": {}, "link": {}}  # a target's arc (u, v)
+    for p in fabric_failure_points(topo):
+        ends["interface"][p.node, p.interface] = (p.node, p.peer)
+        if (p.peer, p.node) not in ends["link"]:
+            ends["link"][p.node, p.peer] = (p.node, p.peer)
+    marks: defaultdict = defaultdict(tuple)  # node or arc: fixed targets
+    for i, (fixed_kind, target) in enumerate(fixed):
+        if fixed_kind == "node":
+            marks[target[0]] += ((i, 0),)
+        else:
+            a, b = ends[fixed_kind][target]
+            marks[a, b] += ((i, 1),)
+            marks[b, a] += ((i, 2 if fixed_kind == "link" else 3),)
+
+    def signature(n: str) -> tuple:
+        out = sorted((marks[n, m], colour[m]) for m in graph.succ[n])
+        into = sorted((marks[m, n], colour[m]) for m in graph.pred[n])
+        return colour[n], tuple(out), tuple(into)
+
+    colour = {n: (tier, marks[n]) for n, tier in graph.tier.items()}
+    while True:  # until no class splits
+        sigs = {n: signature(n) for n in colour}
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs.values())))}
+        classes = len(set(colour.values()))
+        colour = {n: rank[sig] for n, sig in sigs.items()}
+        if len(rank) == classes:
+            break
+
+    def arc(a: str, b: str) -> tuple:
+        return colour[a], colour[b], marks[a, b], marks[b, a]
+
+    if kind == "node":
+        keys = {(n,): colour[n] for n in topo.routers()}
+    else:
+        keys = {t: min(arc(a, b), arc(b, a)) if kind == "link" else arc(a, b)
+                for t, (a, b) in ends[kind].items()}
+    orbits: defaultdict = defaultdict(list)
+    for target, key in keys.items():
+        orbits[key].append(target)
+    return [orbits[key] for key in sorted(orbits)]
 
 
 def gray_link(topo: Topology) -> tuple[str, str, str]:

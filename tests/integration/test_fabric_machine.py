@@ -15,8 +15,9 @@ undoes each fault through its inverse row, which must restore
 everything: quiet again, the fabric is ready, agrees with the oracle and
 has no loop.
 
-Tier-1 plays the named examples of ``PROGRAMS``; the random search over
-the same rules runs under ``--hypothesis-profile soak``."""
+Tier-1 plays the named examples of ``PROGRAMS`` and every fault up to
+symmetry (``fault_orbits``); the random search over the same rules runs
+under ``--hypothesis-profile soak``."""
 
 from __future__ import annotations
 
@@ -41,16 +42,19 @@ from repro.bfd.messages import BfdState
 from repro.bfd.session import SLOW_TX_INTERVAL_US, BfdSession
 from repro.bgp.config import BgpTimers
 from repro.harness.convergence import converge_from_cold
+from repro.harness.experiments import stale_hold_us
 from repro.harness.fork import OK, fork_task, wait_any
 from repro.harness.failures import FAULT_OPS, FailureInjector
-from repro.harness.oracle import pair_verdicts
+from repro.harness.oracle import disagreements, pair_verdicts
 from repro.net.capture import Capture
 from repro.net.impairment import ImpairmentProfile
 from repro.net.world import World
 from repro.resilience.invariants import LOOP, InvariantMonitor
 from repro.routing import ecmp
 from repro.scenario.compiler import compile_scenario
+from repro.scenario.library import RECONVERGE_MARGIN_MS
 from repro.scenario.model import Scenario, ScenarioEvent
+from repro.scenario.targets import fabric_failure_points, fault_orbits
 from repro.sim.units import MILLISECOND
 from repro.stacks import StackTimers, available_stacks, get_stack, resolve_spec
 from repro.topology import ClosParams, build_topology
@@ -77,12 +81,11 @@ PROFILES = (ImpairmentProfile(loss=0.3), ImpairmentProfile(loss=1.0),
             ImpairmentProfile(duplicate=0.5, jitter_us=40),
             ImpairmentProfile(corrupt=0.5, jitter_us=70_000))
 DIRECTIONS = ("tx", "rx", "both")
-# a fault's target, by the row's target kind, from the port and the
-# router ``target`` indexes; and the extra arguments ``arg`` picks
-TARGETS = {"interface": lambda port, router: (port.node.name, port.name),
-           "link": lambda port, router: (port.node.name,
-                                         port.peer().node.name),
-           "node": lambda port, router: (router,)}
+# a fault's target, by the row's target kind, from the fabric point and
+# the router ``target`` indexes; and the extra arguments ``arg`` picks
+TARGETS = {"interface": lambda point, router: (point.node, point.interface),
+           "link": lambda point, router: (point.node, point.peer),
+           "node": lambda point, router: (router,)}
 EXTRAS = {"agent_restart": lambda arg: ((None, False, True)[arg % 3],),
           "flap_train": lambda arg: (1 + arg, 2),
           "impair": lambda arg: (DIRECTIONS[arg % 3], PROFILES[arg % 4])}
@@ -145,13 +148,6 @@ def _converged(stack: str, fabric: str, world_seed: int, tapped: bool) -> bytes:
         return pickle.dumps((world, topo, deployment))
 
 
-def disagreements(deployment, topo) -> list:
-    """The rack pairs whose exact verdict (every ECMP choice delivers)
-    differs from the oracle's."""
-    return [pair for pair, verdict in pair_verdicts(deployment, topo).items()
-            if verdict.delivers != verdict.connected]
-
-
 def unrestored(world, deployment) -> list:
     """Whatever a fault left behind: a port down, a link impaired, an
     agent crashed."""
@@ -195,12 +191,6 @@ class Fabric:
         world, topo, deployment = pickle.loads(_converged(*key))
         return cls(world, topo, deployment, FailureInjector(world, deployment),
                    InvariantMonitor(topo, deployment))
-
-
-def fabric_ports(topo) -> list:
-    return [iface for name in topo.routers()
-            for iface in topo.node(name).interfaces.values()
-            if iface.peer() is not None and iface.peer().node.tier > 0]
 
 
 def _ip_stacks(deployment) -> dict:
@@ -341,7 +331,7 @@ class FabricMachine(RuleBasedStateMachine):
         offset_us), target, arg)``; each fault is kept for the teardown."""
         for fab in self.fabrics:
             world, topo, injector = fab.world, fab.topo, fab.injector
-            ports, routers, now = fabric_ports(topo), topo.routers(), world.sim.now
+            ports, routers, now = fabric_failure_points(topo), topo.routers(), world.sim.now
             for op, (aligned, offset), target, arg in faults:
                 at = now + offset + (-now % HELLO_US if aligned else 0)
                 router = routers[target % len(routers)]
@@ -685,27 +675,127 @@ def test_the_programs_cover_the_machine():
         assert any(aligned for _, (aligned, _), *_ in faults), stack
 
 
-@pytest.mark.parametrize("stack", ("mtp", "bgp-bfd"))
-@pytest.mark.parametrize("op", [op for op, row in FAULT_OPS.items()
-                                if row.inverse is not None])
-def test_a_fault_then_its_inverse_leaves_the_converged_world(op, stack):
-    """Each fault op that has an inverse, held past the detection bound,
-    then undone: once converged again nothing is left down, impaired or
-    crashed, and every rack pair is judged as before the fault."""
-    fab, converged = (Fabric.load(stack, "clos-2", 0, False)
-                      for _ in range(2))
-    row = FAULT_OPS[op]
-    args = TARGETS[row.target](fabric_ports(fab.topo)[2],
-                               fab.topo.routers()[4])
-    # arg 100_001: a flap train's windows are 100 ms, an impairment
-    # loses every frame both ways
-    fab.injector.inject(op, *args, *extras(op, 100_001))
-    fab.world.run_for(fab.deployment.detection_bound_us())
-    fab.injector.inject(row.inverse, *args)
-    converge_from_cold(fab.world, fab.deployment)
-    assert unrestored(fab.world, fab.deployment) == []
-    assert pair_verdicts(fab.deployment, fab.topo) \
-        == pair_verdicts(converged.deployment, converged.topo)
+# interface, link and node orbits (``fault_orbits``); on Clos, TC1-TC4
+# are the four interface orbits, one each
+ORBITS = {"clos-2": (4, 2, 3), "clos-4": (4, 2, 3), "vl2": (4, 2, 3), "dcell": (3, 2, 2)}
+
+
+@pytest.mark.parametrize("fabric", FABRICS)
+def test_the_fault_orbits_of_each_fabric(fabric):
+    topo = build_topology(FABRICS[fabric])
+    orbits = [fault_orbits(topo, kind) for kind in ("interface", "link", "node")]
+    assert tuple(map(len, orbits)) == ORBITS[fabric]
+    assert not fabric.startswith("clos") or [
+        i for case in topo.failure_cases().values() for i, orbit in enumerate(orbits[0])
+        if (case.node, case.interface) in orbit] == [0, 1, 2, 3]
+
+
+def held(stack: str, fabric: str, *faults) -> Fabric:
+    """A converged world, ``faults`` injected in order and held as long as
+    a sweep's reachability check waits.  Arg 100_001: a flap train's
+    windows are 100 ms, an impairment loses every frame."""
+    fab = Fabric.load(stack, fabric, 0, False)
+    for op, target in faults:
+        fab.injector.inject(op, *target, *extras(op, 100_001))
+    fab.world.run_for(fab.deployment.detection_bound_us() + stale_hold_us(
+        stack, fab.deployment.timers) + RECONVERGE_MARGIN_MS * MILLISECOND)
+    return fab
+
+
+@pytest.mark.parametrize("stack, fabric", [
+    *((stack, "clos-2") for stack in available_stacks()),
+    ("mtp", "vl2"), ("bgp-bfd", "vl2"), ("bgp-bfd", "dcell")])
+def test_every_fault_orbit_then_its_inverse(stack, fabric):
+    """Each op with an inverse, on every orbit of its targets and held: an
+    outage agrees with the oracle but on pairs into a ToR whose agent
+    crashed (its links stay up) and on DCell (not valley-free, ROADMAP
+    item 5); undone and converged, the converged world's verdicts."""
+    converged, found = Fabric.load(stack, fabric, 0, False), {}
+    verdicts = pair_verdicts(converged.deployment, converged.topo)
+    with collector_paused():
+        for op, row in FAULT_OPS.items():
+            for target, *_ in fault_orbits(converged.topo, row.target) \
+                    if row.inverse is not None else ():
+                fab = held(stack, fabric, (op, target))
+                if row.outage and fabric != "dcell":
+                    found[op, target] = disagreements(fab.deployment, fab.topo)
+                fab.injector.inject(row.inverse, *target)
+                assert unrestored(fab.world, fab.deployment) == [], target
+                converge_from_cold(fab.world, fab.deployment)
+                assert pair_verdicts(fab.deployment, fab.topo) == verdicts, \
+                    (op, target)
+    tor, *others = converged.topo.all_tors()
+    exceptions = {} if fabric == "dcell" else {("agent_crash", (tor,)): [(o, tor) for o in others]}
+    assert {key: bad for key, bad in found.items() if bad} == exceptions
+
+
+def outage_pairs_disagreeing(stack: str) -> dict:
+    """Every ordered pair of outages on distinct 2-PoD Clos targets up to
+    symmetry (the second's orbits with the first's target fixed), both
+    held: the rack pairs the oracle judges otherwise, by fault pair."""
+    topo, pairs = build_topology(FABRICS["clos-2"]), []
+    outages = ("iface_down", "link_cut", "node_crash")
+    for op in outages:
+        kind = FAULT_OPS[op].target
+        for first, *_ in fault_orbits(topo, kind):
+            pairs += [((op, first), (then, second)) for then in outages for second, *_
+                      in fault_orbits(topo, FAULT_OPS[then].target, [(kind, first)])
+                      if (FAULT_OPS[then].target, second) != (kind, first)]
+    assert len(pairs) == 299
+    with collector_paused():
+        found = {pair: disagreements(fab.deployment, fab.topo)
+                 for pair in pairs for fab in (held(stack, "clos-2", *pair),)}
+    return {pair: bad for pair, bad in found.items() if bad}
+
+
+# MR-MTP's disagreeing outage pairs and the rack pairs that drop, though the
+# oracle connects them: each leaves an aggregation whose last unmarked uplink
+# died by its dead timer, the others marked, and that sent its ToRs no
+# unreachable-default (ROADMAP item 3).  BGP/BFD has none (benchmarks/).
+KNOWN = {
+    (("iface_down", ("S-1-1", "eth1")), ("iface_down", ("T-1", "eth2"))):
+        [("L-2-1", "L-1-1"), ("L-2-2", "L-1-1")],
+    (("iface_down", ("S-1-1", "eth1")), ("node_crash", ("T-1",))):
+        [("L-2-1", "L-1-1"), ("L-2-2", "L-1-1")],
+    (("iface_down", ("T-1", "eth1")), ("iface_down", ("S-2-1", "eth1"))):
+        [("L-1-1", "L-2-1"), ("L-1-2", "L-2-1")],
+    (("iface_down", ("T-1", "eth1")), ("iface_down", ("T-2", "eth2"))):
+        [("L-1-1", "L-2-1"), ("L-1-1", "L-2-2"), ("L-1-2", "L-2-1"),
+         ("L-1-2", "L-2-2"), ("L-2-1", "L-1-1"), ("L-2-1", "L-1-2"),
+         ("L-2-2", "L-1-1"), ("L-2-2", "L-1-2")],
+    (("iface_down", ("T-1", "eth1")), ("link_cut", ("L-2-1", "S-2-1"))):
+        [("L-1-1", "L-2-1"), ("L-1-2", "L-2-1")],
+    (("iface_down", ("T-1", "eth1")), ("link_cut", ("S-2-1", "T-2"))):
+        [("L-1-1", "L-2-1"), ("L-1-1", "L-2-2"), ("L-1-2", "L-2-1"),
+         ("L-1-2", "L-2-2")],
+    (("iface_down", ("T-1", "eth1")), ("node_crash", ("T-2",))):
+        [("L-2-1", "L-1-1"), ("L-2-1", "L-1-2"), ("L-2-2", "L-1-1"),
+         ("L-2-2", "L-1-2")],
+    (("link_cut", ("L-1-1", "S-1-1")), ("iface_down", ("T-1", "eth2"))):
+        [("L-2-1", "L-1-1"), ("L-2-2", "L-1-1")],
+    (("link_cut", ("L-1-1", "S-1-1")), ("node_crash", ("T-1",))):
+        [("L-2-1", "L-1-1"), ("L-2-2", "L-1-1")],
+    (("link_cut", ("S-1-1", "T-1")), ("iface_down", ("T-2", "eth2"))):
+        [("L-2-1", "L-1-1"), ("L-2-1", "L-1-2"), ("L-2-2", "L-1-1"),
+         ("L-2-2", "L-1-2")],
+    (("link_cut", ("S-1-1", "T-1")), ("node_crash", ("T-2",))):
+        [("L-2-1", "L-1-1"), ("L-2-1", "L-1-2"), ("L-2-2", "L-1-1"),
+         ("L-2-2", "L-1-2")],
+    (("node_crash", ("T-1",)), ("iface_down", ("S-1-1", "eth1"))):
+        [("L-2-1", "L-1-1"), ("L-2-2", "L-1-1")],
+    (("node_crash", ("T-1",)), ("iface_down", ("T-2", "eth1"))):
+        [("L-2-1", "L-1-1"), ("L-2-1", "L-1-2"), ("L-2-2", "L-1-1"),
+         ("L-2-2", "L-1-2")],
+    (("node_crash", ("T-1",)), ("link_cut", ("L-1-1", "S-1-1"))):
+        [("L-2-1", "L-1-1"), ("L-2-2", "L-1-1")],
+    (("node_crash", ("T-1",)), ("link_cut", ("S-1-1", "T-2"))):
+        [("L-2-1", "L-1-1"), ("L-2-1", "L-1-2"), ("L-2-2", "L-1-1"),
+         ("L-2-2", "L-1-2")],
+}
+
+
+def test_every_pair_of_outages_up_to_symmetry():
+    assert outage_pairs_disagreeing("mtp") == KNOWN
 
 
 FOUND = [("mtp", "parent-flap-shorter-than-dead-timer"),

@@ -17,14 +17,14 @@ from repro.core.messages import MtpAdvertise
 from repro.core.protocol import MtpNode
 from repro.core.vid import Vid
 from repro.net.interface import Interface
+from repro.scenario.targets import fabric_failure_points
 from repro.sim.timers import Timer
 from repro.sim.units import MILLISECOND
 from repro.stack.ipv4 import PROTO_UDP, Ipv4Packet
 from repro.stack.payload import RawBytes
 from repro.stack.udp import UdpDatagram
 from tests.integration.test_fabric_machine import (
-    HELLO_US, Fabric, _converged, _oracle_verdicts, fabric_ports, machine_for,
-    play_table)
+    HELLO_US, Fabric, _converged, _oracle_verdicts, machine_for, play_table)
 
 
 def _machine(stack: str = "mtp"):
@@ -101,7 +101,8 @@ def _bgp_machine():
     keepalive's delivery and its ACK's, read off the tapped world's real
     timers (both worlds draw the same)."""
     machine = _machine("bgp-bfd")
-    port = fabric_ports(machine.fabrics[1].topo)[0]
+    point = fabric_failure_points(machine.fabrics[1].topo)[0]
+    port = machine.fabrics[1].topo.node(point.node).interfaces[point.interface]
     peer_ip = port.peer().address
     tick = port.node.bfd.sessions[peer_ip]._tx_timer._handle.time
     keepalive = port.node.bgp.peers[peer_ip].keepalive_timer._handle.time
@@ -156,7 +157,8 @@ def _frames_on_a_quiet_instant(where: str, count: int) -> None:
                 "keepalive": (instants["keepalive"], False),
                 "ack": (instants["keepalive-arrival"], True)}[where]
     for fab in machine.fabrics:
-        port = fabric_ports(fab.topo)[0]
+        point = fabric_failure_points(fab.topo)[0]
+        port = fab.topo.node(point.node).interfaces[point.interface]
         fab.world.sim.schedule_at(due - 2, _burst,
                                   port.peer() if far else port, count)
     _run_until(machine, due + 20)
